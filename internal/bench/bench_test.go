@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
@@ -381,13 +382,16 @@ func TestOverloadExperiment(t *testing.T) {
 	if row.Extra["shed"] < 1 {
 		t.Errorf("overload shed nothing: %+v", row.Extra)
 	}
-	if raceEnabled {
-		// The race detector inflates the loaded service time far past the
-		// SLO derived from the (also-instrumented but less contended)
-		// unloaded measurement, so the latency and starvation bounds are
-		// only meaningful without it; the uninstrumented test run and the
-		// CI overload smoke enforce them.
-		t.Logf("race detector on: skipping p99/starvation bounds (p99 %.0f ms, SLO %.0f ms, polite %.2f)",
+	if raceEnabled || os.Getenv("STKDE_TIMING_TESTS") != "1" {
+		// The two bounds below are wall-clock assertions: they depend on how
+		// loaded this machine is while the test runs (and the race detector
+		// inflates the loaded service time far past the SLO derived from the
+		// unloaded measurement), so tier-1 only reports them. The CI overload
+		// smoke job sets STKDE_TIMING_TESTS=1 and enforces them on a quiet
+		// runner; ROADMAP item 4 is to make the guarantee provable without a
+		// clock.
+		t.Logf("timing bounds not enforced (race %v, STKDE_TIMING_TESTS=%q): p99 %.0f ms, SLO %.0f ms, polite %.2f",
+			raceEnabled, os.Getenv("STKDE_TIMING_TESTS"),
 			row.Extra["p99_ms"], row.Extra["slo_ms"], row.Extra["polite_min_rate"])
 	} else {
 		if row.Extra["p99_ms"] > 2*row.Extra["slo_ms"] {

@@ -195,3 +195,39 @@ func TestQueryMatchesAccumulator(t *testing.T) {
 		}
 	}
 }
+
+// TestUpdaterCompactionAnywhere: a compaction forced between any two
+// mutations — it zeroes the ring and the lookahead and replays the live
+// events, rebuilding the future list — never changes what the window
+// holds. A twin that compacts after every mutation keeps the same live
+// set as an updater that never does, and both agree with batch estimation
+// after every step, across events inside, just past and far ahead of the
+// window, retractions, and advances on both sides of Ht and Gt.
+func TestUpdaterCompactionAnywhere(t *testing.T) {
+	spec := updaterSpec(t)
+	plain, err := NewUpdater(spec, UpdaterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Release()
+	twin, err := NewUpdater(spec, UpdaterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Release()
+	rng := lcg(31)
+	frontier := spec.Domain.T0 + 8.0
+	for step := 0; step < 40; step++ {
+		rngP, rngT := rng, rng
+		mutateStream(plain, &rngP, frontier, 1, true)
+		frontier = mutateStream(twin, &rngT, frontier, 1, true)
+		rng = rngT
+		twin.Compact()
+		expectSameLive(t, "compacted twin", plain, twin)
+		checkUpdater(t, "never compacted", plain, plain.Live())
+		checkUpdater(t, "compacted after every step", twin, twin.Live())
+	}
+	if st := plain.Stats(); st.AdvanceReapplied == 0 || st.Advances == 0 || st.Compactions != 0 {
+		t.Fatalf("scenario did not exercise the future list uncompacted: %+v", st)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/grid"
+	"repro/internal/simd"
 )
 
 // Updater is the streaming STKDE estimator: a long-lived PB-SYM engine that
@@ -18,9 +19,20 @@ import (
 //     contribution primitive with weight -1 (the bitwise negation of the
 //     Add, so cancellation drift is bounded by accumulation rounding);
 //   - AdvanceTo slides the window forward by whole voxel layers: an O(1)
-//     ring rotation, zeroing only the freed layers, expiring events that
-//     can no longer reach the window, and re-applying survivors to the new
-//     layers only.
+//     ring rotation, zeroing only the freed layers, copying the layers
+//     that enter the window in from the lookahead, and expiring events
+//     that can no longer reach the window.
+//
+// Every event is applied once. Beside the Gt-layer ring the updater keeps
+// a lookahead: Ht layer images ([layer][X][Y], Y contiguous) covering the
+// layers just past the window's end. Add, Remove and compaction evaluate
+// an event's disk and bar once over the combined Gt+Ht layers and scatter
+// the bar's head into the ring and its tail into the lookahead, so when
+// the window advances, its new layers already hold every live event's
+// contribution and nothing is re-applied. The one exception is the future
+// list: events whose support reaches past the lookahead (ingested ahead of
+// the window, or a shard rank's halo events) are applied, at each advance,
+// to the layers that newly come into reach.
 //
 // Like the Accumulator, the ring stores *unnormalized* contributions
 // (ks·kt/(hs²·ht)); Snapshot and At divide by the live event count so the
@@ -30,20 +42,29 @@ import (
 // upper estimate of accumulated cancellation rounding, per voxel, in
 // normalized density units). When the bound crosses ResidualLimit — or
 // every CompactEvery mutations — the updater compacts: it zeroes the ring
-// and re-applies every live event, resetting the bound. The property tests
-// assert ≤1e-9 agreement with batch estimation across arbitrary
-// Add/Remove/AdvanceTo interleavings, including compaction boundaries.
+// and the lookahead and re-applies every live event, resetting the bound.
+// The property tests assert ≤1e-9 agreement with batch estimation across
+// arbitrary Add/Remove/AdvanceTo interleavings, including compaction
+// boundaries.
 //
 // Updater is safe for concurrent use.
 type Updater struct {
-	mu     sync.Mutex
-	ring   *grid.Ring
-	pos    ctx // weight +1, unnormalized (n=1)
-	neg    ctx // weight -1
-	sc     *scratch
-	live   []grid.Point
-	cfg    UpdaterConfig
-	budget *grid.Budget // charged for the ring and the lazy analytics sketch
+	mu   sync.Mutex
+	ring *grid.Ring
+	pos  ctx // weight +1, unnormalized (n=1); spec is the combined Gt+Ht frame
+	neg  ctx // weight -1
+	sc   *scratch
+	live []grid.Point
+	cfg  UpdaterConfig
+
+	// look holds the Ht lookahead images: look[j] is combined layer Gt+j,
+	// Gx·Gy doubles with Y contiguous. An advance rotates the slice.
+	look [][]float64
+	// future lists, in live order, the live events whose support reaches
+	// past the lookahead.
+	future []grid.Point
+
+	budget *grid.Budget // charged for the ring, the lookahead and the lazy analytics sketch
 
 	ops        int64   // mutations since the last compaction
 	residual   float64 // running rounding bound, unnormalized
@@ -66,23 +87,39 @@ type UpdaterConfig struct {
 	ResidualLimit float64
 
 	// CompactEvery, when positive, additionally forces a compaction every
-	// that many mutations (events added, removed, or re-applied by a
-	// window advance). Zero leaves compaction purely residual-driven.
+	// that many mutations (events added or removed, plus the future-list
+	// events an advance applies to newly reachable layers). Zero leaves
+	// compaction purely residual-driven.
 	CompactEvery int
 }
 
 // UpdaterStats reports the work an Updater has done.
 type UpdaterStats struct {
-	N             int     // live events in the window
-	Ops           int64   // total event applications (add/remove/re-apply)
-	Compactions   int64   // full re-estimates triggered by drift control
-	Advances      int64   // AdvanceTo calls that moved the window
-	Expired       int64   // events dropped because they left the window
-	ResidualBound float64 // current normalized drift bound
+	N           int   // live events in the window
+	Ops         int64 // total event applications: adds, removes and AdvanceReapplied
+	Compactions int64 // full re-estimates triggered by drift control
+	Advances    int64 // AdvanceTo calls that moved the window
+	Expired     int64 // events dropped because they left the window
+	// AdvanceReapplied counts event applications performed inside window
+	// advances: future-list events applied to newly reachable layers. A
+	// stream whose events never lie ahead of the window keeps it at zero.
+	AdvanceReapplied int64
+	AdvanceCopied    int64   // layers copied into the window from the lookahead
+	ResidualBound    float64 // current normalized drift bound
 }
 
 // eps is the double-precision unit roundoff used by the residual bound.
 const eps = 0x1p-52
+
+// WindowBytes returns the bytes a streaming window on spec pins for its
+// whole life, and charges to its budget: the Gt-layer ring plus the Ht
+// lookahead layer images. (The analytics sketch attaches lazily and is
+// charged separately, grid.RingSketchBytes.)
+func WindowBytes(spec grid.Spec) int64 { return spec.Bytes() + lookaheadBytes(spec) }
+
+func lookaheadBytes(spec grid.Spec) int64 {
+	return int64(spec.Gx) * int64(spec.Gy) * int64(spec.Ht) * 8
+}
 
 // NewUpdater creates an empty streaming estimator whose window is the
 // temporal extent of spec. The window slides forward with AdvanceTo; spec's
@@ -92,27 +129,57 @@ func NewUpdater(spec grid.Spec, cfg UpdaterConfig) (*Updater, error) {
 	if cfg.Options.AdaptiveBandwidth != nil {
 		return nil, fmt.Errorf("core: updater does not support adaptive bandwidths")
 	}
+	ring, err := grid.NewRing(spec, cfg.Options.withDefaults().Budget)
+	if err != nil {
+		return nil, err
+	}
+	return newUpdater(ring, cfg)
+}
+
+// newUpdater wraps a ring (fresh or restored) with a zeroed lookahead and
+// the evaluation contexts; the ring is released if the lookahead does not
+// fit the budget.
+func newUpdater(ring *grid.Ring, cfg UpdaterConfig) (*Updater, error) {
 	opt := cfg.Options.withDefaults()
 	if cfg.ResidualLimit <= 0 {
 		cfg.ResidualLimit = 1e-10
 	}
-	ring, err := grid.NewRing(spec, opt.Budget)
-	if err != nil {
+	spec := ring.Spec()
+	if err := opt.Budget.Alloc(lookaheadBytes(spec)); err != nil {
+		ring.Release()
 		return nil, err
 	}
 	u := &Updater{ring: ring, cfg: cfg, budget: opt.Budget}
+	plane := spec.Gx * spec.Gy
+	buf := make([]float64, plane*spec.Ht)
+	u.look = make([][]float64, spec.Ht)
+	for j := range u.look {
+		u.look[j] = buf[j*plane : (j+1)*plane]
+	}
 	u.pos = newCtx(nil, spec, opt)
 	// Unnormalized contributions: weigh each event by 1/(hs^2*ht) only;
 	// Snapshot divides by the live count (exactly like the Accumulator).
 	u.pos.norm = 1 / (spec.HS * spec.HS * spec.HT)
 	u.pos.n = 1
 	u.neg = u.pos.withWeight(-1)
+	u.setFrame()
 	u.sc = newScratch(&u.pos)
 	// Peak voxel contribution of one event: the provided kernels all peak
 	// at the origin. (For exotic user kernels this is an estimate; the
 	// bound stays a heuristic trigger, correctness comes from compaction.)
 	u.contribMax = math.Abs(u.pos.norm * opt.Spatial.Eval(0, 0) * opt.Temporal.Eval(0))
 	return u, nil
+}
+
+// setFrame points the evaluation contexts at the window's current frame,
+// extended by the lookahead: combined layers [0, Gt) are the ring's,
+// [Gt, Gt+Ht) the lookahead's, so an event's influence box and bar cover
+// both in one evaluation.
+func (u *Updater) setFrame() {
+	ext := u.ring.Spec()
+	ext.Gt += ext.Ht
+	u.pos.spec = ext
+	u.neg.spec = ext
 }
 
 // UpdaterState is the serializable state of an Updater: everything the
@@ -146,10 +213,15 @@ func (u *Updater) State(b *grid.Budget) (UpdaterState, error) {
 }
 
 // RestoreUpdater rebuilds a streaming estimator from a captured State. The
-// ring adopts the state's grid (which must not be used afterwards) and the
-// live set and drift counters resume as captured, so applying the same
-// mutations to the restored updater and the original produces bitwise
-// identical windows. Work stats (Stats) restart from zero.
+// ring adopts the state's grid and the updater its live slice (neither may
+// be used afterwards); the drift counters resume as captured, and the
+// lookahead — which a State does not carry — is rebuilt from the live
+// events in live order. Applying the same mutations to the restored
+// updater and the original then produces bitwise identical windows as long
+// as the captured history holds no Remove (live order is then ingest
+// order, the order the original's lookahead was filled in), and windows
+// within accumulation rounding otherwise. Work stats (Stats) restart from
+// zero.
 func RestoreUpdater(st UpdaterState, cfg UpdaterConfig) (*Updater, error) {
 	if cfg.Options.AdaptiveBandwidth != nil {
 		return nil, fmt.Errorf("core: updater does not support adaptive bandwidths")
@@ -157,58 +229,81 @@ func RestoreUpdater(st UpdaterState, cfg UpdaterConfig) (*Updater, error) {
 	if math.IsNaN(st.Residual) || st.Residual < 0 || st.Ops < 0 {
 		return nil, fmt.Errorf("core: restore updater: drift state out of range")
 	}
-	opt := cfg.Options.withDefaults()
-	if cfg.ResidualLimit <= 0 {
-		cfg.ResidualLimit = 1e-10
-	}
-	ring, err := grid.RestoreRing(st.Grid, opt.Budget)
+	ring, err := grid.RestoreRing(st.Grid, cfg.Options.withDefaults().Budget)
 	if err != nil {
 		return nil, err
 	}
-	spec := ring.Spec()
-	u := &Updater{ring: ring, cfg: cfg, budget: opt.Budget}
-	u.pos = newCtx(nil, spec, opt)
-	u.pos.norm = 1 / (spec.HS * spec.HS * spec.HT)
-	u.pos.n = 1
-	u.neg = u.pos.withWeight(-1)
-	u.sc = newScratch(&u.pos)
-	u.contribMax = math.Abs(u.pos.norm * opt.Spatial.Eval(0, 0) * opt.Temporal.Eval(0))
-	u.live = append([]grid.Point(nil), st.Live...)
+	u, err := newUpdater(ring, cfg)
+	if err != nil {
+		return nil, err
+	}
+	u.live = st.Live
 	u.residual = st.Residual
 	u.ops = st.Ops
+	u.replay(ring.Spec().Gt)
 	return u, nil
 }
 
-// segView wraps one physically contiguous run of the ring as a writable
-// engine view: logical layer seg.T0 lands on physical layer seg.Phys, so
-// ordinary stride arithmetic stays in bounds for the whole run.
-func segView(r *grid.Ring, seg grid.TSegment) view {
-	sp := r.Spec()
-	return view{
-		data:    r.Data[seg.Phys:],
-		box:     grid.Box{X0: 0, X1: sp.Gx - 1, Y0: 0, Y1: sp.Gy - 1, T0: seg.T0, T1: seg.T1},
-		strideX: sp.Gy * sp.Gt,
-		strideY: sp.Gt,
+// applyPoint streams one signed contribution into combined layers
+// [tlo, thi] and reports whether the event reached any of them. The disk
+// and the bar are evaluated once; per disk column the bar's head goes to
+// the ring's T-innermost rows (split at the wrap point) and each tail
+// entry to its lookahead image as one Y-contiguous axpy. Every voxel
+// receives the product of the same two factors whichever side of the
+// window's end it lies on. The ring part of the event's bandwidth box —
+// the dirty AABB the analytics sketch repairs lazily — is forwarded to the
+// ring when a sketch is attached.
+func (u *Updater) applyPoint(c *ctx, p grid.Point, tlo, thi int) bool {
+	g := c.geom(p)
+	box := g.box
+	box.T0, box.T1 = max(box.T0, tlo), min(box.T1, thi)
+	if box.Empty() {
+		return false
 	}
-}
+	sc := u.sc
+	nx, ny, nt := box.Dims()
+	sc.ensure(nx, ny, nt)
+	fillBar(c, p, g, box, sc)
+	if sc.barN == 0 {
+		return false
+	}
+	fillDisk(c, p, g, box, sc)
 
-// applyPoint streams one signed contribution into the window, clipped to
-// logical layers [tlo, thi], splitting at the ring's wrap point. The
-// event's bandwidth box — the dirty AABB the analytics sketch repairs
-// lazily — is forwarded to the ring when a sketch is attached.
-func (u *Updater) applyPoint(c *ctx, p grid.Point, tlo, thi int) {
-	for _, seg := range u.ring.Segments(tlo, thi) {
-		v := segView(u.ring, seg)
-		applySym(v, c, p, v.box, u.sc)
+	gy, gt := c.spec.Gy, c.spec.Gt-c.spec.Ht // c.spec is the combined frame
+	bar := sc.bar[:sc.barN]
+	t0 := box.T0 + sc.barLo              // combined layer of bar[0]
+	head := min(len(bar), max(gt-t0, 0)) // bar entries inside the window
+	p0, n1 := 0, 0                       // the head's first physical run
+	if head > 0 {
+		p0 = u.ring.PhysOf(t0)
+		n1 = min(head, gt-p0)
 	}
-	if u.ring.Sketch() != nil {
-		b := c.spec.InfluenceBox(p)
-		if b.T0 < tlo {
-			b.T0 = tlo
+	var tail [][]float64 // tail[j] is the image bar[head+j] lands in
+	if head < len(bar) {
+		tail = u.look[t0+head-gt:]
+	}
+	data := u.ring.Data
+	off := 0
+	for ix := 0; ix < nx; ix++ {
+		n := int(sc.spanN[ix])
+		if n == 0 {
+			continue
 		}
-		if b.T1 > thi {
-			b.T1 = thi
+		ks := sc.disk[off : off+n]
+		off += n
+		col := (box.X0+ix)*gy + box.Y0 + int(sc.spanLo[ix])
+		if head > 0 {
+			c.mulAddRows(data[col*gt+p0:], gt, ks, bar[:n1])
+			if n1 < head {
+				c.mulAddRows(data[col*gt:], gt, ks, bar[n1:head])
+			}
 		}
+		for j, kt := range bar[head:] {
+			c.axpy(tail[j][col:col+n], ks, kt)
+		}
+		sc.updates += int64(n * len(bar))
+	}
+	if head > 0 && u.ring.Sketch() != nil {
 		// A positive apply can raise a voxel by at most the event's peak
 		// kernel contribution (contribMax — exact for the provided kernels,
 		// which peak at the origin; a heuristic for exotic user kernels,
@@ -217,8 +312,45 @@ func (u *Updater) applyPoint(c *ctx, p grid.Point, tlo, thi int) {
 		if c == &u.pos {
 			peak = u.contribMax
 		}
-		u.ring.MarkDirty(b, peak)
+		u.ring.MarkDirty(box, peak) // clipped to the window's layers
 	}
+	return true
+}
+
+// mulAddRows is the PB-SYM block update of one disk span on T-innermost
+// storage: row iy of data (rows stride apart) += ks[iy]·bar. One multiply
+// and one add per voxel, in index order, on every tier.
+func (c *ctx) mulAddRows(data []float64, stride int, ks, bar []float64) {
+	if c.vector && len(ks)*len(bar) >= vectorBlockCutoff {
+		simd.MulAddRows(data, stride, ks, bar)
+		return
+	}
+	for iy, k := range ks {
+		row := data[iy*stride:][:len(bar)]
+		for j, b := range bar {
+			row[j] += k * b
+		}
+	}
+}
+
+// axpy is the same update on Y-contiguous storage: dst += kt·ks for one
+// disk span of one lookahead image.
+func (c *ctx) axpy(dst, ks []float64, kt float64) {
+	if c.vector && len(dst) >= vectorSpanCutoff {
+		simd.AxpyScaled(dst, ks, kt)
+		return
+	}
+	for i, k := range ks {
+		dst[i] += kt * k
+	}
+}
+
+// beyondLookahead reports whether the event's temporal support can reach
+// past the lookahead's last layer — the future-list membership test. The
+// window only moves forward, so once false it stays false.
+func (u *Updater) beyondLookahead(p grid.Point) bool {
+	ext := &u.pos.spec
+	return ext.CenterT(ext.Gt)-p.T <= ext.HT
 }
 
 // charge advances the drift bound after one event application: every voxel
@@ -235,10 +367,13 @@ func (u *Updater) charge() {
 func (u *Updater) Add(pts ...grid.Point) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	gt := u.ring.Spec().Gt
+	end := u.pos.spec.Gt - 1
 	for _, p := range pts {
-		u.applyPoint(&u.pos, p, 0, gt-1)
+		u.applyPoint(&u.pos, p, 0, end)
 		u.live = append(u.live, p)
+		if u.beyondLookahead(p) {
+			u.future = append(u.future, p)
+		}
 		u.charge()
 	}
 	u.maybeCompact()
@@ -269,36 +404,50 @@ func (u *Updater) Remove(pts ...grid.Point) error {
 			return fmt.Errorf("core: updater: event (%g, %g, %g) is not in the live window", p.X, p.Y, p.T)
 		}
 	}
-	// Drop the first live occurrence of each removed event.
+	// Drop the first occurrence of each removed event from the live set
+	// and, where the event is on it, from the future list.
 	for _, p := range pts {
 		need[p]++
 	}
-	kept := u.live[:0]
-	for _, p := range u.live {
-		if n := need[p]; n > 0 {
-			need[p] = n - 1
-			continue
-		}
-		kept = append(kept, p)
-	}
-	u.live = kept
-	gt := u.ring.Spec().Gt
+	u.live = dropEach(u.live, need)
 	for _, p := range pts {
-		u.applyPoint(&u.neg, p, 0, gt-1)
+		if u.beyondLookahead(p) {
+			need[p]++
+		}
+	}
+	u.future = dropEach(u.future, need)
+	end := u.pos.spec.Gt - 1
+	for _, p := range pts {
+		u.applyPoint(&u.neg, p, 0, end)
 		u.charge()
 	}
 	u.maybeCompact()
 	return nil
 }
 
+// dropEach removes, in place, the first need[p] occurrences of every p
+// from list, counting need down as it goes.
+func dropEach(list []grid.Point, need map[grid.Point]int) []grid.Point {
+	kept := list[:0]
+	for _, p := range list {
+		if n := need[p]; n > 0 {
+			need[p] = n - 1
+			continue
+		}
+		kept = append(kept, p)
+	}
+	return kept
+}
+
 // AdvanceTo slides the window forward so its last voxel layer covers time
-// t: an O(1) ring rotation plus zeroing only the freed layers. Events
-// whose temporal support no longer reaches the window are expired
-// (dropped without retraction — their surviving-layer contributions are
-// exactly zero by kernel support), and the remaining events are re-applied
-// to the freshly zeroed layers only. It returns the number of layers
-// advanced (0 when t is already covered; the window never moves backward)
-// and the number of expired events.
+// t: an O(1) ring rotation, zeroing only the freed layers, and a copy of
+// the lookahead images that now lie inside the window into them — every
+// live event's contribution to the new layers was made when the event was
+// added. Events whose temporal support no longer reaches the window are
+// expired (dropped without retraction — their surviving-layer
+// contributions are exactly zero by kernel support). It returns the number
+// of layers advanced (0 when t is already covered; the window never moves
+// backward) and the number of expired events.
 func (u *Updater) AdvanceTo(t float64) (advanced, expired int) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -337,9 +486,9 @@ func (u *Updater) AdvanceBy(k int) (advanced, expired int) {
 // advance is the shared body of AdvanceTo and AdvanceBy; k > 0, mu held.
 func (u *Updater) advance(k int) (advanced, expired int) {
 	u.ring.Advance(k)
+	u.setFrame()
+	u.copyIn(k)
 	sp := u.ring.Spec()
-	u.pos.spec = sp
-	u.neg.spec = sp
 	// Expire events that cannot contribute to any window layer: the dense
 	// predicate keeps voxels with |CenterT - p.T| <= ht, so an event whose
 	// support ends strictly before the first layer's center is inert.
@@ -353,23 +502,54 @@ func (u *Updater) advance(k int) (advanced, expired int) {
 		kept = append(kept, p)
 	}
 	u.live = kept
-	// Re-apply survivors to the new layers. Old layers already hold their
-	// contributions; the new root layers were outside the old window, so
-	// nothing is double-counted.
-	newLo := sp.Gt - k
-	if newLo < 0 {
-		newLo = 0
-	}
-	for _, p := range u.live {
-		if b := sp.InfluenceBox(p); b.T1 >= newLo {
-			u.applyPoint(&u.pos, p, newLo, sp.Gt-1)
+	// The k combined layers that came into reach lay past the old
+	// lookahead, so only future-list events can touch them; the ones whose
+	// support no longer reaches past the new lookahead then leave the list.
+	end := u.pos.spec.Gt - 1
+	stillFuture := u.future[:0]
+	for _, p := range u.future {
+		if u.applyPoint(&u.pos, p, max(end-k+1, 0), end) {
+			u.stats.AdvanceReapplied++
 			u.charge()
 		}
+		if u.beyondLookahead(p) {
+			stillFuture = append(stillFuture, p)
+		}
 	}
+	u.future = stillFuture
 	u.stats.Advances++
 	u.stats.Expired += int64(expired)
 	u.maybeCompact()
 	return k, expired
+}
+
+// copyIn completes a k-layer ring advance: the first min(k, Ht) lookahead
+// images are now window layers Gt-k+j, so each is copied into its freshly
+// zeroed ring layer (skipped when k overshot it out of the window again)
+// and cleared, and the lookahead rotates past them.
+func (u *Updater) copyIn(k int) {
+	sp := u.ring.Spec()
+	gt, m := sp.Gt, min(k, sp.Ht)
+	peak := 0.0
+	for j, img := range u.look[:m] {
+		if T := gt - k + j; T >= 0 {
+			dst := u.ring.Data[u.ring.PhysOf(T):]
+			for i, v := range img {
+				dst[i*gt] = v
+				peak = max(peak, v)
+			}
+			u.stats.AdvanceCopied++
+		}
+		clear(img)
+	}
+	// No copied voxel rose above peak, which keeps the sketch's block
+	// maxima bounds sound over the layers Advance reported as zeroed.
+	u.ring.MarkDirty(grid.Box{X0: 0, X1: sp.Gx - 1, Y0: 0, Y1: sp.Gy - 1, T0: gt - k, T1: gt - k + m - 1}, peak)
+	for ; m > 0; m-- { // rotate the cleared images to the far end
+		img := u.look[0]
+		copy(u.look, u.look[1:])
+		u.look[len(u.look)-1] = img
+	}
 }
 
 // maybeCompact runs drift control after a mutation batch.
@@ -388,17 +568,34 @@ func (u *Updater) normResidual() float64 {
 	return u.residual
 }
 
-// compact is the periodic full re-estimate: zero the window and re-apply
-// every live event, discarding all accumulated cancellation rounding.
+// compact is the periodic full re-estimate: zero the window and the
+// lookahead and re-apply every live event, discarding all accumulated
+// cancellation rounding.
 func (u *Updater) compact() {
 	u.ring.Zero()
-	gt := u.ring.Spec().Gt
-	for _, p := range u.live {
-		u.applyPoint(&u.pos, p, 0, gt-1)
-	}
+	u.replay(0)
 	u.residual = 0
 	u.ops = 0
 	u.stats.Compactions++
+}
+
+// replay zeroes the lookahead, re-applies every live event in live order
+// to combined layers tlo and up, and rebuilds the future list: compaction
+// replays everything (tlo 0), a restore only what its adopted ring does
+// not hold (tlo Gt — events that end before the lookahead are rejected by
+// their box, before any kernel is evaluated).
+func (u *Updater) replay(tlo int) {
+	for _, img := range u.look {
+		clear(img)
+	}
+	u.future = u.future[:0]
+	end := u.pos.spec.Gt - 1
+	for _, p := range u.live {
+		u.applyPoint(&u.pos, p, tlo, end)
+		if u.beyondLookahead(p) {
+			u.future = append(u.future, p)
+		}
+	}
 }
 
 // Compact forces a full re-estimate of the window, resetting the residual
@@ -585,10 +782,14 @@ func (u *Updater) Stats() UpdaterStats {
 	return st
 }
 
-// Release frees the window ring back to its budget. The updater must not
-// be used afterwards.
+// Release frees the window ring and the lookahead back to their budget.
+// The updater must not be used afterwards.
 func (u *Updater) Release() {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	u.ring.Release()
+	if u.look != nil {
+		u.budget.Free(lookaheadBytes(u.ring.Spec()))
+		u.look = nil
+	}
 }

@@ -6,16 +6,28 @@ import (
 	"repro/internal/grid"
 )
 
-// mutateStream applies n deterministic Add/AdvanceTo mutations, returning
-// the advanced frontier. Driving two updaters with the same rng state
-// applies bitwise identical mutation sequences.
-func mutateStream(u *Updater, rng *lcg, frontier float64, n int) float64 {
+// mutateStream applies n deterministic Add/AdvanceTo mutations — and, when
+// removes is set, retractions of random live events — returning the
+// advanced frontier. Most advances move zero to two layers, one in eight
+// jumps past the lookahead or the whole window. Driving two updaters with
+// the same rng state applies bitwise identical mutation sequences (a
+// retraction picks its victim from the updater's own live set, so the
+// sequences stay identical only while the live sets do).
+func mutateStream(u *Updater, rng *lcg, frontier float64, n int, removes bool) float64 {
 	spec := u.Spec()
 	for i := 0; i < n; i++ {
-		switch rng.next() % 4 {
-		case 0:
+		switch c := rng.next() % 8; {
+		case c == 0:
+			jumps := []int{spec.Ht, spec.Ht + 1, spec.Gt, spec.Gt + 3}
+			frontier += float64(jumps[rng.next()%4]) * spec.TRes
+			u.AdvanceTo(frontier)
+		case c == 1:
 			frontier += 0.5 + 2*rng.float()
 			u.AdvanceTo(frontier)
+		case c == 2 && removes:
+			if live := u.Live(); len(live) > 0 {
+				u.Remove(live[int(rng.next())%len(live)])
+			}
 		default:
 			batch := make([]grid.Point, 1+rng.next()%3)
 			for j := range batch {
@@ -25,6 +37,21 @@ func mutateStream(u *Updater, rng *lcg, frontier float64, n int) float64 {
 		}
 	}
 	return frontier
+}
+
+// expectSameLive asserts two updaters hold the same live events in the
+// same order.
+func expectSameLive(t *testing.T, tag string, a, b *Updater) {
+	t.Helper()
+	la, lb := a.Live(), b.Live()
+	if len(la) != len(lb) {
+		t.Fatalf("%s: live sets differ in size: %d vs %d", tag, len(la), len(lb))
+	}
+	for i := range la {
+		if la[i] != lb[i] {
+			t.Fatalf("%s: live event %d differs: %v vs %v", tag, i, la[i], lb[i])
+		}
+	}
 }
 
 // expectBitwise asserts two updaters hold bitwise identical windows.
@@ -65,7 +92,7 @@ func TestUpdaterStateRestoreBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := lcg(7)
-	frontier := mutateStream(u, &rng, spec.Domain.T0+8.0, 48)
+	frontier := mutateStream(u, &rng, spec.Domain.T0+8.0, 48, false)
 
 	st, err := u.State(nil)
 	if err != nil {
@@ -79,8 +106,8 @@ func TestUpdaterStateRestoreBitwise(t *testing.T) {
 
 	// Continue the identical mutation stream on both.
 	rngU, rngR := rng, rng
-	fu := mutateStream(u, &rngU, frontier, 48)
-	fr := mutateStream(r, &rngR, frontier, 48)
+	fu := mutateStream(u, &rngU, frontier, 48, false)
+	fr := mutateStream(r, &rngR, frontier, 48, false)
 	if fu != fr {
 		t.Fatalf("mutation streams diverged: frontier %g vs %g", fu, fr)
 	}
@@ -88,6 +115,61 @@ func TestUpdaterStateRestoreBitwise(t *testing.T) {
 
 	// The restored updater still honors the batch-equivalence contract.
 	checkUpdater(t, "restored", r, r.Live())
+}
+
+// TestUpdaterRestoreMidStream captures State at many points of a stream
+// that keeps events ahead of the window (so the lookahead and the future
+// list are populated at the capture), restores, and drives original and
+// restored with the same later mutations. The restored updater rebuilds
+// its lookahead from the live events in live order. With no Remove in the
+// history — all a journal can hold — that is ingest order, so both sides
+// perform the same float operations: equal live sets, equal compaction
+// points, bitwise equal windows. With retractions in the history live
+// order no longer is the order the original's lookahead was filled in, and
+// the windows agree to rounding instead.
+func TestUpdaterRestoreMidStream(t *testing.T) {
+	spec := updaterSpec(t)
+	cfg := UpdaterConfig{CompactEvery: 29}
+	for _, removes := range []bool{false, true} {
+		for prefix := 5; prefix <= 75; prefix += 14 {
+			u, err := NewUpdater(spec, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := lcg(uint64(prefix))
+			frontier := mutateStream(u, &rng, spec.Domain.T0+8.0, prefix, removes)
+			st, err := u.State(nil)
+			if err != nil {
+				t.Fatalf("State: %v", err)
+			}
+			r, err := RestoreUpdater(st, cfg)
+			if err != nil {
+				t.Fatalf("RestoreUpdater: %v", err)
+			}
+			expectBitwise(t, "immediately after restore", u, r) // the ring is adopted as captured
+			// Later mutations must not retract: a victim is drawn from the
+			// updater's own live set, which the two sides are yet to prove
+			// equal.
+			base := u.Stats().Compactions
+			rngU, rngR := rng, rng
+			fu, fr := frontier, frontier
+			for step := 0; step < 20; step++ {
+				fu = mutateStream(u, &rngU, fu, 3, false)
+				fr = mutateStream(r, &rngR, fr, 3, false)
+				if !removes {
+					expectBitwise(t, "after continued mutations", u, r)
+				}
+			}
+			expectSameLive(t, "after continued mutations", u, r)
+			if got, want := r.Stats().Compactions, u.Stats().Compactions-base; got != want || want == 0 {
+				t.Fatalf("prefix %d: restored compacted %d times after the capture, original %d (want equal, nonzero)", prefix, got, want)
+			}
+			checkUpdater(t, "restored", r, r.Live())
+			checkUpdater(t, "original", u, u.Live())
+			u.Release()
+			r.Release()
+		}
+	}
 }
 
 func TestRestoreUpdaterValidation(t *testing.T) {
@@ -123,17 +205,26 @@ func TestRestoreUpdaterValidation(t *testing.T) {
 		t.Fatalf("mis-sized grid accepted")
 	}
 
-	// Budget accounting: the restored ring is charged, and released back.
+	// Budget accounting: the restored window (adopted ring + rebuilt
+	// lookahead) is charged, and released back; a budget that fits the
+	// ring but not the lookahead fails and leaves nothing charged.
 	b := grid.NewBudget(spec.Bytes())
+	if _, err := RestoreUpdater(st, UpdaterConfig{Options: Options{Budget: b}}); err == nil {
+		t.Fatalf("restore fit in a ring-only budget")
+	}
+	if b.Used() != 0 {
+		t.Fatalf("failed restore left %d bytes charged", b.Used())
+	}
+	b = grid.NewBudget(WindowBytes(spec))
 	r, err := RestoreUpdater(st, UpdaterConfig{Options: Options{Budget: b}})
 	if err != nil {
 		t.Fatalf("restore within budget: %v", err)
 	}
-	if b.Used() != spec.Bytes() {
-		t.Fatalf("restored ring charged %d bytes, want %d", b.Used(), spec.Bytes())
+	if b.Used() != WindowBytes(spec) {
+		t.Fatalf("restored window charged %d bytes, want %d", b.Used(), WindowBytes(spec))
 	}
 	r.Release()
 	if b.Used() != 0 {
-		t.Fatalf("release returned %d bytes short", spec.Bytes()-b.Used())
+		t.Fatalf("release left %d bytes charged", b.Used())
 	}
 }

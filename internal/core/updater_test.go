@@ -30,13 +30,19 @@ func (r *lcg) next() uint64 {
 func (r *lcg) float() float64 { return float64(r.next()%1_000_000) / 1_000_000 }
 
 // streamEvent draws an event near time frontier (so sliding windows stay
-// populated), inside the spatial domain.
+// populated), inside the spatial domain. One in six lands well ahead of
+// the window — beyond the updater's lookahead, by up to more than a window
+// length — so every scenario exercises the future list.
 func streamEvent(r *lcg, d grid.Domain, frontier float64) grid.Point {
-	return grid.Point{
+	p := grid.Point{
 		X: d.X0 + r.float()*d.GX,
 		Y: d.Y0 + r.float()*d.GY,
 		T: frontier - 4 + r.float()*8, // straddles the frontier both ways
 	}
+	if r.next()%6 == 0 {
+		p.T = frontier + 4 + r.float()*20
+	}
+	return p
 }
 
 // checkUpdater asserts the acceptance criterion: the updater's normalized
@@ -124,9 +130,9 @@ func runUpdaterScenario(t *testing.T, cfg UpdaterConfig, seed lcg) *Updater {
 	var mirror []grid.Point // every event added and not removed (expiry kept)
 	frontier := spec.Domain.T0 + 8.0
 
-	// Advance steps: mostly small, one larger than Ht (Ht=3), one larger
-	// than Gt (Gt=16).
-	advances := []int{1, 2, spec.Ht + 2, 1, spec.Gt + 3, 2}
+	// Advance steps on both sides of the lookahead depth (Ht=3) and of the
+	// window length (Gt=16).
+	advances := []int{1, spec.Ht, spec.Ht + 1, 2, spec.Gt, 1, spec.Gt + 3}
 	step := 0
 	for op := 0; op < 36; op++ {
 		switch choice := rng.next() % 10; {
@@ -339,7 +345,7 @@ func TestUpdaterWindowTracksAdvance(t *testing.T) {
 // budget failure instead of scanning when it cannot fit.
 func TestUpdaterSketchBudget(t *testing.T) {
 	spec := updaterSpec(t)
-	tight := grid.NewBudget(spec.Bytes()) // room for the ring only
+	tight := grid.NewBudget(WindowBytes(spec)) // room for the ring and the lookahead only
 	u, err := NewUpdater(spec, UpdaterConfig{Options: Options{Budget: tight}})
 	if err != nil {
 		t.Fatal(err)
@@ -347,13 +353,13 @@ func TestUpdaterSketchBudget(t *testing.T) {
 	defer u.Release()
 	u.Add(testPoints(10, spec.Domain, 3)...)
 	if _, err := u.TopK(5); err == nil {
-		t.Fatal("sketch fit in a ring-only budget")
+		t.Fatal("sketch fit in a window-only budget")
 	}
 	if u.SketchRebuilds() != 0 {
 		t.Fatal("failed sketch enable left a rebuild count")
 	}
 
-	roomy := grid.NewBudget(spec.Bytes() + grid.RingSketchBytes(spec))
+	roomy := grid.NewBudget(WindowBytes(spec) + grid.RingSketchBytes(spec))
 	u2, err := NewUpdater(spec, UpdaterConfig{Options: Options{Budget: roomy}})
 	if err != nil {
 		t.Fatal(err)
@@ -362,7 +368,7 @@ func TestUpdaterSketchBudget(t *testing.T) {
 	if _, err := u2.TopK(5); err != nil {
 		t.Fatalf("sketch did not fit in an exact budget: %v", err)
 	}
-	if got, want := roomy.Used(), spec.Bytes()+grid.RingSketchBytes(spec); got != want {
+	if got, want := roomy.Used(), WindowBytes(spec)+grid.RingSketchBytes(spec); got != want {
 		t.Fatalf("budget used = %d, want %d", got, want)
 	}
 	if u2.SketchRebuilds() == 0 {
@@ -374,23 +380,196 @@ func TestUpdaterSketchBudget(t *testing.T) {
 	}
 }
 
-// TestUpdaterBudget: the window ring is charged to the configured budget
-// and released.
+// TestUpdaterBudget: the window — ring plus Ht lookahead images — is
+// charged to the configured budget, to the byte, and released.
 func TestUpdaterBudget(t *testing.T) {
 	spec := updaterSpec(t)
-	b := grid.NewBudget(spec.Bytes())
+	want := spec.Bytes() + int64(spec.Gx*spec.Gy*spec.Ht)*8
+	if WindowBytes(spec) != want {
+		t.Fatalf("WindowBytes = %d, want ring + lookahead = %d", WindowBytes(spec), want)
+	}
+	if _, err := NewUpdater(spec, UpdaterConfig{Options: Options{Budget: grid.NewBudget(want - 1)}}); err == nil {
+		t.Fatal("updater fit in a budget one byte short of its window")
+	}
+	b := grid.NewBudget(want)
 	u, err := NewUpdater(spec, UpdaterConfig{Options: Options{Budget: b}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Used() != spec.Bytes() {
-		t.Fatalf("budget used = %d, want %d", b.Used(), spec.Bytes())
+	if b.Used() != want {
+		t.Fatalf("budget used = %d, want %d", b.Used(), want)
 	}
 	if _, err := NewUpdater(spec, UpdaterConfig{Options: Options{Budget: b}}); err == nil {
-		t.Fatal("second updater fit in a one-grid budget")
+		t.Fatal("second updater fit in a one-window budget")
+	}
+	if b.Used() != want {
+		t.Fatalf("failed create left %d bytes charged, want %d", b.Used(), want)
 	}
 	u.Release()
 	if b.Used() != 0 {
 		t.Fatalf("budget used after Release = %d, want 0", b.Used())
+	}
+}
+
+// advanceBy slides the window by k layers and returns how many event
+// applications and lookahead copies the advance performed.
+func advanceBy(u *Updater, k int) (reapplied, copied int64) {
+	before := u.Stats()
+	u.AdvanceBy(k)
+	after := u.Stats()
+	return after.AdvanceReapplied - before.AdvanceReapplied, after.AdvanceCopied - before.AdvanceCopied
+}
+
+// reachesNewLayers counts the events whose temporal support contains the
+// center of one of the k combined layers (window plus lookahead) an
+// advance has just brought into reach — spec is the window after it.
+func reachesNewLayers(spec grid.Spec, k int, events []grid.Point) int64 {
+	end := spec.Gt + spec.Ht
+	var n int64
+	for _, p := range events {
+		for T := max(end-k, 0); T < end; T++ {
+			if math.Abs(spec.CenterT(T)-p.T) <= spec.HT {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
+// TestUpdaterAdvanceWorkContract is the clock-free statement of what a
+// window advance costs. On a time-ordered stream of the repository
+// benchmark's shape (events arrive inside the window; the window moves one
+// layer whenever the next batch reaches past its end) an advance applies
+// no event at all — it copies one lookahead layer in — and every event is
+// applied exactly once over the stream's life. With events seeded ahead of
+// the window, an advance applies exactly those whose support reaches a
+// layer that has just come into reach of the window and its lookahead.
+func TestUpdaterAdvanceWorkContract(t *testing.T) {
+	spec, err := grid.NewSpec(grid.Domain{GX: 33, GY: 15, GT: 21}, 1, 1, 2.6, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batch, events = 16, 4000
+	span := 4 * spec.Domain.GT // the stream covers four window lengths
+	for _, ahead := range []int{0, 40} {
+		u, err := NewUpdater(spec, UpdaterConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := lcg(21)
+		var seeded []grid.Point
+		for i := 0; i < ahead; i++ {
+			seeded = append(seeded, grid.Point{
+				X: rng.float() * spec.Domain.GX,
+				Y: rng.float() * spec.Domain.GY,
+				T: spec.Domain.GT + rng.float()*(span-spec.Domain.GT),
+			})
+		}
+		u.Add(seeded...)
+		ingested, advances := int64(len(seeded)), 0
+		var wantReapplied int64
+		for i := 0; i < events; i += batch {
+			pts := make([]grid.Point, batch)
+			for j := range pts {
+				pts[j] = grid.Point{
+					X: rng.float() * spec.Domain.GX,
+					Y: rng.float() * spec.Domain.GY,
+					T: span * float64(i+j) / events,
+				}
+			}
+			for _, t1 := u.Window(); pts[batch-1].T >= t1; _, t1 = u.Window() {
+				live := u.Live()
+				reapplied, copied := advanceBy(u, 1)
+				want := reachesNewLayers(u.Spec(), 1, live)
+				if ahead == 0 && want != 0 {
+					t.Fatalf("time-ordered script has %d events ahead of the window", want)
+				}
+				if reapplied != want || copied != 1 {
+					t.Fatalf("ahead=%d advance %d applied %d events and copied %d layers, want %d and 1",
+						ahead, advances, reapplied, copied, want)
+				}
+				wantReapplied += want
+				advances++
+			}
+			u.Add(pts...)
+			ingested += batch
+		}
+		if advances < 3*spec.Gt {
+			t.Fatalf("script advanced only %d layers", advances)
+		}
+		if ahead > 0 && wantReapplied < int64(ahead) {
+			t.Fatalf("the %d seeded events were applied only %d times by advances", ahead, wantReapplied)
+		}
+		st := u.Stats()
+		if st.AdvanceReapplied != wantReapplied || st.Ops != ingested+wantReapplied {
+			t.Fatalf("ahead=%d: stats %+v, want AdvanceReapplied %d and Ops %d", ahead, st, wantReapplied, ingested+wantReapplied)
+		}
+		if st.AdvanceCopied != int64(advances) {
+			t.Fatalf("ahead=%d: %d layers copied over %d one-layer advances", ahead, st.AdvanceCopied, advances)
+		}
+		u.Release()
+	}
+}
+
+// TestUpdaterFutureEvents walks events at every position relative to the
+// window — inside it, past its end but inside the lookahead, and beyond
+// the lookahead — through advances shorter than, equal to and longer than
+// the lookahead and the window, retracts one while it is still ahead, and
+// checks agreement with batch estimation at every step, with and without
+// a compaction forced after every mutation.
+func TestUpdaterFutureEvents(t *testing.T) {
+	for _, cfg := range []UpdaterConfig{{}, {CompactEvery: 1}} {
+		spec := updaterSpec(t)
+		u, err := NewUpdater(spec, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, end := u.Window()
+		var mirror []grid.Point
+		add := func(pts ...grid.Point) {
+			u.Add(pts...)
+			mirror = append(mirror, pts...)
+			checkUpdater(t, "add", u, mirror)
+		}
+		rng := lcg(5)
+		at := func(T float64) grid.Point {
+			return grid.Point{X: rng.float() * spec.Domain.GX, Y: rng.float() * spec.Domain.GY, T: T}
+		}
+		var ahead []grid.Point
+		for _, dt := range []float64{-6.3, -0.4, 0.3, 1.7, 2.9, 3.6, 7.2, 15.5, 21.1, 30.8, 44.4, 61.0} {
+			p := at(end + dt)
+			if dt > 40 {
+				ahead = append(ahead, p)
+			}
+			add(p, at(end+dt+0.45))
+		}
+		for i, k := range []int{1, spec.Ht, spec.Ht + 1, spec.Gt, spec.Gt + 3, 1, spec.Ht} {
+			if i == 3 {
+				// Still beyond the lookahead: the retraction must also take
+				// the event off the future list, or a later advance would
+				// apply it to the layers it then reaches.
+				if err := u.Remove(ahead[0]); err != nil {
+					t.Fatal(err)
+				}
+				for j, p := range mirror {
+					if p == ahead[0] {
+						mirror = append(mirror[:j], mirror[j+1:]...)
+						break
+					}
+				}
+				checkUpdater(t, "remove ahead", u, mirror)
+			}
+			if adv, _ := u.AdvanceBy(k); adv != k {
+				t.Fatalf("advanced %d layers, want %d", adv, k)
+			}
+			checkUpdater(t, "advance", u, mirror)
+			_, end = u.Window()
+			add(at(end-0.5), at(end+0.5), at(end+float64(spec.Ht)+2.5))
+		}
+		if st := u.Stats(); st.AdvanceReapplied == 0 || st.AdvanceCopied == 0 {
+			t.Fatalf("scenario exercised neither the future list nor the lookahead: %+v", st)
+		}
+		u.Release()
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"repro/internal/grid"
@@ -91,11 +92,25 @@ func WriteGrid(w io.Writer, g *grid.Grid) error {
 	if err := binary.Write(bw, binary.LittleEndian, header); err != nil {
 		return fmt.Errorf("gio: write header: %w", err)
 	}
-	if err := binary.Write(bw, binary.LittleEndian, g.Data); err != nil {
-		return fmt.Errorf("gio: write data: %w", err)
+	// The voxels go through a small block, not binary.Write: that would
+	// stage the whole grid in a second buffer of its own size.
+	block := make([]byte, 0, dataBlock*8)
+	for data := g.Data; len(data) > 0; {
+		n := min(len(data), dataBlock)
+		block = block[:0]
+		for _, v := range data[:n] {
+			block = binary.LittleEndian.AppendUint64(block, math.Float64bits(v))
+		}
+		if _, err := bw.Write(block); err != nil {
+			return fmt.Errorf("gio: write data: %w", err)
+		}
+		data = data[n:]
 	}
 	return bw.Flush()
 }
+
+// dataBlock is how many voxels WriteGrid and ReadGrid convert at a time.
+const dataBlock = 8192
 
 // ReadGrid reads a snapshot written by WriteGrid.
 func ReadGrid(r io.Reader) (*grid.Grid, error) {
@@ -122,8 +137,16 @@ func ReadGrid(r io.Reader) (*grid.Grid, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := binary.Read(br, binary.LittleEndian, g.Data); err != nil {
-		return nil, fmt.Errorf("gio: read data: %w", err)
+	block := make([]byte, dataBlock*8)
+	for data := g.Data; len(data) > 0; {
+		n := min(len(data), dataBlock)
+		if _, err := io.ReadFull(br, block[:n*8]); err != nil {
+			return nil, fmt.Errorf("gio: read data: %w", err)
+		}
+		for i := range data[:n] {
+			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(block[i*8:]))
+		}
+		data = data[n:]
 	}
 	return g, nil
 }

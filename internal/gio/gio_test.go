@@ -2,6 +2,7 @@ package gio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"image/png"
 	"math"
 	"strings"
@@ -100,6 +101,52 @@ func TestGridRoundTrip(t *testing.T) {
 	for i := range g.Data {
 		if got.Data[i] != g.Data[i] {
 			t.Fatalf("voxel %d differs", i)
+		}
+	}
+}
+
+// TestGridBlockedCodec: the voxels are converted a block at a time; a grid
+// of several blocks and a partial one must produce the byte stream
+// encoding/binary does (the format has not changed), carry every bit
+// pattern through, and fail on any truncation.
+func TestGridBlockedCodec(t *testing.T) {
+	spec, err := grid.NewSpec(grid.Domain{GX: 30, GY: 31, GT: 29}, 1, 1, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := grid.NewGrid(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(g.Data); n <= 3*dataBlock || n%dataBlock == 0 {
+		t.Fatalf("test grid of %d voxels does not straddle blocks of %d", n, dataBlock)
+	}
+	r := data.NewRNG(7)
+	for i := range g.Data {
+		g.Data[i] = math.Float64frombits(r.Uint64()) // NaNs, infinities, subnormals, both zeros
+	}
+	var buf bytes.Buffer
+	if err := WriteGrid(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	binary.Write(&want, binary.LittleEndian, g.Data)
+	full := buf.Bytes()
+	if tail := full[len(full)-want.Len():]; !bytes.Equal(tail, want.Bytes()) {
+		t.Fatalf("voxel bytes differ from encoding/binary's")
+	}
+	got, err := ReadGrid(bytes.NewReader(full))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range g.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+			t.Fatalf("voxel %d: bits %x, want %x", i, math.Float64bits(got.Data[i]), math.Float64bits(v))
+		}
+	}
+	for _, cut := range []int{len(full) - 1, len(full) - 8*dataBlock, len(full) - want.Len() + 3} {
+		if _, err := ReadGrid(bytes.NewReader(full[:cut])); err == nil {
+			t.Fatalf("grid truncated to %d of %d bytes was accepted", cut, len(full))
 		}
 	}
 }

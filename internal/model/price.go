@@ -46,7 +46,12 @@ func (m Machine) IngestSeconds(spec grid.Spec, n int) float64 {
 }
 
 // AdvanceSeconds bounds a window advance: in the worst case every layer
-// of the ring is re-zeroed, one pass over the window grid.
+// of the ring is re-zeroed, one pass over the window grid. Since the
+// updater fills its lookahead layers at ingest, an advance applies no
+// event (beyond the few ingested ahead of the window) and only rotates,
+// zeroes and copies layers in, so the one-pass figure is a true upper
+// bound. While advances re-applied every event near the window's end it
+// under-priced them about sixfold (benchmark `model.advance_ratio` 0.15).
 func (m Machine) AdvanceSeconds(spec grid.Spec) float64 {
 	return float64(spec.Bytes()) / m.InitBytesPerSec
 }

@@ -134,11 +134,11 @@ type datasetJSON struct {
 }
 
 func toDatasetJSON(ds *dataset) datasetJSON {
-	lo, hi := ds.boundsBox()
+	lo, hi, n := ds.boundsBox()
 	out := datasetJSON{
 		Dataset: ds.id,
-		Stream:  ds.stream,
-		Points:  ds.size(),
+		Stream:  ds.live != nil,
+		Points:  n,
 		Added:   ds.added,
 	}
 	if out.Points > 0 {

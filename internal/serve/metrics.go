@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/simd"
 )
@@ -114,6 +115,27 @@ func newMetrics() *metrics {
 func (m *metrics) publishAdmission(a *admission) {
 	m.m.Set("admission_queue_depth", expvar.Func(func() any { return a.queueDepth() }))
 	m.m.Set("admission_wait_error_ms", expvar.Func(func() any { return a.waitErrorMS() }))
+}
+
+// publishStreams exposes the advance work counters of core.UpdaterStats,
+// summed over the live local windows (a sharded window's updaters live in
+// the rank processes): event applications performed inside advances — zero
+// while no stream ingests ahead of its window — and layers copied in from
+// the lookahead.
+func (m *metrics) publishStreams(t *streamTable) {
+	sum := func(pick func(core.UpdaterStats) int64) expvar.Func {
+		return func() any {
+			var n int64
+			for _, st := range t.list() {
+				if lw, ok := st.up.(localWindow); ok {
+					n += pick(lw.Stats())
+				}
+			}
+			return n
+		}
+	}
+	m.m.Set("stream_advance_reapplied", sum(func(us core.UpdaterStats) int64 { return us.AdvanceReapplied }))
+	m.m.Set("stream_advance_copied", sum(func(us core.UpdaterStats) int64 { return us.AdvanceCopied }))
 }
 
 // publishShard exposes the connected cluster's rank count, cumulative

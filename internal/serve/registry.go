@@ -8,6 +8,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -17,84 +18,68 @@ import (
 // dataset is one registered event set. Batch datasets are
 // content-addressed by the hash of their points, so identical uploads
 // deduplicate and ids are immutable. Stream datasets (created by
-// POST /v1/streams) are mutable: ingest appends events and window advances
-// replace the live set, so their points live behind a lock and carry a
-// version that cache fills check against.
+// POST /v1/streams) are mutable and own no events: the live window is the
+// one copy of the live set, read on demand, and the dataset carries only
+// the version that cache fills check against.
 type dataset struct {
-	id     string
-	stream bool
-	added  time.Time
+	id    string
+	added time.Time
+	live  liveWindow // a stream's window; nil for batch datasets
 
-	mu      sync.RWMutex
-	pts     []grid.Point
-	bounds  [2]grid.Point // tight bounding box: min, max per axis
-	version int64         // bumped on every mutation (streams only)
+	pts    []grid.Point  // batch datasets: immutable after add
+	bounds [2]grid.Point // ... and their tight bounding box: min, max per axis
+
+	version atomic.Int64 // bumped after every stream mutation
 }
 
-// points returns the current event snapshot. The returned slice must not
-// be mutated; its prefix is never rewritten, so concurrent appends are
-// safe.
+// points returns the current event snapshot, which must not be mutated.
+// For a stream it is a copy of the window's live set.
 func (ds *dataset) points() []grid.Point {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
+	if ds.live != nil {
+		return ds.live.Live()
+	}
 	return ds.pts
 }
 
 // size returns the current event count.
 func (ds *dataset) size() int {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
+	if ds.live != nil {
+		return ds.live.N()
+	}
 	return len(ds.pts)
 }
 
-// boundsBox returns the current tight bounding box.
-func (ds *dataset) boundsBox() (lo, hi grid.Point) {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	return ds.bounds[0], ds.bounds[1]
+// boundsBox returns the tight bounding box of the current events and
+// their count (for a stream, both from one read of the live set).
+func (ds *dataset) boundsBox() (lo, hi grid.Point, n int) {
+	if ds.live == nil {
+		return ds.bounds[0], ds.bounds[1], len(ds.pts)
+	}
+	pts := ds.live.Live()
+	b := boundsOf(pts)
+	return b[0], b[1], len(pts)
 }
 
 // ver returns the mutation version.
-func (ds *dataset) ver() int64 {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	return ds.version
-}
+func (ds *dataset) ver() int64 { return ds.version.Load() }
 
-// appendPoints appends ingested events (stream datasets), expanding the
-// bounding box and bumping the version. It returns the new total.
-func (ds *dataset) appendPoints(pts []grid.Point) int {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if len(ds.pts) == 0 {
-		ds.bounds = emptyBounds()
-	}
-	ds.pts = append(ds.pts, pts...)
-	for _, p := range pts {
-		expandBounds(&ds.bounds, p)
-	}
-	ds.version++
-	return len(ds.pts)
-}
+// bump records a stream mutation. Callers bump after the window has
+// changed and before invalidating derived caches: a concurrent fill that
+// read the version first then either sees the mutation in the events it
+// reads or fails its version check.
+func (ds *dataset) bump() { ds.version.Add(1) }
 
-// replacePoints swaps the whole event set (after a stream window advance
-// expires events), recomputing the bounding box and bumping the version.
-func (ds *dataset) replacePoints(pts []grid.Point) {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	ds.pts = pts
-	ds.bounds = emptyBounds()
-	for _, p := range pts {
-		expandBounds(&ds.bounds, p)
-	}
-	ds.version++
-}
-
-func emptyBounds() [2]grid.Point {
-	return [2]grid.Point{
+// boundsOf returns the tight bounding box of pts (inverted infinities for
+// an empty set).
+func boundsOf(pts []grid.Point) [2]grid.Point {
+	b := [2]grid.Point{
 		{X: math.Inf(1), Y: math.Inf(1), T: math.Inf(1)},
 		{X: math.Inf(-1), Y: math.Inf(-1), T: math.Inf(-1)},
 	}
+	for _, p := range pts {
+		expandBounds(&b, p)
+	}
+	return b
 }
 
 func expandBounds(b *[2]grid.Point, p grid.Point) {
@@ -164,21 +149,18 @@ func (r *registry) add(pts []grid.Point) (*dataset, bool) {
 	if ds, ok := r.sets[id]; ok {
 		return ds, false
 	}
-	bounds := emptyBounds()
-	for _, p := range pts {
-		expandBounds(&bounds, p)
-	}
-	ds := &dataset{id: id, pts: pts, bounds: bounds, added: time.Now()}
+	ds := &dataset{id: id, pts: pts, bounds: boundsOf(pts), added: time.Now()}
 	r.sets[id] = ds
 	return ds, true
 }
 
-// addStream registers an empty mutable dataset under the given id (stream
-// ids are allocated by the stream table, not content-addressed).
-func (r *registry) addStream(id string) *dataset {
+// addStream registers the mutable dataset of a live window under the
+// given id (stream ids are allocated by the stream table, not
+// content-addressed).
+func (r *registry) addStream(id string, live liveWindow) *dataset {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ds := &dataset{id: id, stream: true, bounds: emptyBounds(), added: time.Now()}
+	ds := &dataset{id: id, live: live, added: time.Now()}
 	r.sets[id] = ds
 	return ds
 }
@@ -237,9 +219,9 @@ func (r *registry) list() []*dataset {
 // The publish is version-checked: a build that raced a stream mutation
 // (whose invalidateQueries already ran) answers the request but is not
 // cached, so a stale index can never outlive the mutation that obsoleted
-// it. The version is captured before the point snapshot — appendPoints
-// bumps them together, so an unchanged version at publish time proves the
-// snapshot is still current.
+// it. The version is captured before the point snapshot and a mutation
+// bumps it after changing the window, so an unchanged version at publish
+// time proves the snapshot is still current.
 func (r *registry) queryIndex(ds *dataset, spec grid.Spec) (*core.Query, error) {
 	k := queryKey{Dataset: ds.id, Spec: spec}
 	r.mu.RLock()
@@ -275,7 +257,7 @@ func (r *registry) queryIndex(ds *dataset, spec grid.Spec) (*core.Query, error) 
 // derivation as cmd/stkde). It is deterministic, so requests that omit the
 // domain agree on the cache key.
 func (ds *dataset) defaultDomain(hs, ht float64) grid.Domain {
-	lo, hi := ds.boundsBox()
+	lo, hi, _ := ds.boundsBox()
 	return grid.Domain{
 		X0: lo.X - hs, Y0: lo.Y - hs, T0: lo.T - ht,
 		GX: hi.X - lo.X + 2*hs + 1e-9,

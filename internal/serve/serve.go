@@ -279,6 +279,7 @@ func New(cfg Config) *Server {
 	}
 	s.adm = newAdmission(*cfg.Admission, cfg.Workers, s.met)
 	s.met.publishAdmission(s.adm)
+	s.met.publishStreams(s.streams)
 	s.mux = s.routes()
 	return s
 }

@@ -304,10 +304,10 @@ func (t *streamTable) count() int {
 	return len(t.m)
 }
 
-// pinnedBytes is the byte total of all live window rings held in this
-// process (their specs never resize, so the creation spec's size is
-// exact). Sharded windows keep their rings in the rank processes and are
-// not counted.
+// pinnedBytes is the byte total of all live windows (ring + lookahead)
+// held in this process (their specs never resize, so the creation spec's
+// size is exact). Sharded windows keep theirs in the rank processes and
+// are not counted.
 func (t *streamTable) pinnedBytes() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -316,7 +316,7 @@ func (t *streamTable) pinnedBytes() int64 {
 		if st.sharded {
 			continue
 		}
-		sum += st.base.Bytes()
+		sum += core.WindowBytes(st.base)
 	}
 	return sum
 }
@@ -372,18 +372,19 @@ func (s *Server) createStream(spec grid.Spec) (*stream, error) {
 	// never permanently crowd every cached cube out of the LRU (and a
 	// doomed request must be rejected before evictFor flushes residents
 	// for nothing).
+	need := core.WindowBytes(spec)
 	if limit := s.cache.budgetHandle().Limit(); limit > 0 {
-		if pinned := s.streams.pinnedBytes(); pinned+spec.Bytes() > limit/2 {
+		if pinned := s.streams.pinnedBytes(); pinned+need > limit/2 {
 			return nil, fmt.Errorf("serve: %w: stream window needs %d bytes with %d already pinned, over half the %d-byte cache budget; coarsen the spec or raise CacheBytes",
-				grid.ErrMemoryBudget, spec.Bytes(), pinned, limit)
+				grid.ErrMemoryBudget, need, pinned, limit)
 		}
 	}
-	// Charge the ring against the shared budget, evicting cached cubes to
+	// Charge the window against the shared budget, evicting cached cubes to
 	// make room. A concurrent estimation's cache.put can steal freed room
 	// between the eviction and the allocation, so retry as long as
 	// eviction makes progress; the loop ends with the ring charged or the
 	// cache empty.
-	s.met.evictions.Add(int64(s.cache.evictFor(spec.Bytes())))
+	s.met.evictions.Add(int64(s.cache.evictFor(need)))
 	var up *core.Updater
 	for {
 		var err error
@@ -397,7 +398,7 @@ func (s *Server) createStream(spec grid.Spec) (*stream, error) {
 		if !errors.Is(err, grid.ErrMemoryBudget) {
 			return nil, err
 		}
-		evicted := s.cache.evictFor(spec.Bytes())
+		evicted := s.cache.evictFor(need)
 		s.met.evictions.Add(int64(evicted))
 		if evicted == 0 {
 			return nil, err
@@ -442,7 +443,7 @@ func (s *Server) openCreateJournal(id string, spec grid.Spec) (*streamJournal, e
 // fresh registry entry. Callers hold createMu (or are Recover, which runs
 // before any traffic).
 func (s *Server) registerStream(id string, up liveWindow, spec grid.Spec, sharded bool, jr *streamJournal) *stream {
-	st := &stream{id: id, ds: s.reg.addStream(id), base: spec, sharded: sharded, jr: jr, up: up}
+	st := &stream{id: id, ds: s.reg.addStream(id, up), base: spec, sharded: sharded, jr: jr, up: up}
 	s.streams.put(st)
 	s.met.streams.Add(1)
 	return st
@@ -456,9 +457,9 @@ const ingestChunk = 4096
 // streamIngest appends events to a live stream: each chunk is journaled
 // and then applied under one st.mu hold (so the journal orders records
 // exactly like the window mutations), the window grid is updated in place
-// through the signed-weight apply path, the registry snapshot grows, and
-// every derived cache for the dataset (grids, exact-query indexes) is
-// invalidated under the stream lock. The commit barrier runs after the
+// through the signed-weight apply path, and every derived cache for the
+// dataset (grids, exact-query indexes) is invalidated under the stream
+// lock. The commit barrier runs after the
 // last chunk, before the caller acks.
 //
 // On a sharded window a down rank surfaces as *dist.DegradedError: the
@@ -494,7 +495,8 @@ func (s *Server) streamIngest(st *stream, pts []grid.Point) (total int, cov dist
 			cov = de.Coverage
 			s.met.shardDegraded.Add(1)
 		}
-		total = st.ds.appendPoints(chunk)
+		total = st.up.N()
+		st.ds.bump()
 		s.invalidateStream(st)
 		s.met.streamEvents.Add(int64(n))
 		st.mu.Unlock()
@@ -534,7 +536,7 @@ func (s *Server) streamAdvance(st *stream, t float64) (advanced, expired int, co
 		s.met.shardDegraded.Add(1)
 	}
 	if advanced > 0 {
-		st.ds.replacePoints(st.up.Live())
+		st.ds.bump()
 		s.invalidateStream(st)
 		s.met.streamAdvances.Add(1)
 	}

@@ -658,3 +658,91 @@ func TestStreamStaleSnapshotNotCached(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamListingAndFallbackReadTheWindow: a stream's registry entry owns
+// no events — the dataset listing (count, tight bounds) and the batch
+// fallback for a spec that is not the window's are read from the live
+// window on demand — so both must describe exactly the live events before
+// an advance and exactly the survivors after one that expires some.
+func TestStreamListingAndFallbackReadTheWindow(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	id := createStream(t, ts)
+	early, late := streamEvents(25, 3, 4), streamEvents(30, 17, 5)
+	postEvents(t, ts, id, early)
+	postEvents(t, ts, id, late)
+
+	// Coarser than the window spec: region answers come from a batch
+	// estimate over the stream's current events, never from the ring.
+	other, err := grid.NewSpec(streamTestDomain, 4, 2, 8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(tag string, want []grid.Point) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/datasets")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var list struct {
+			Datasets []datasetJSON `json:"datasets"`
+		}
+		decodeBody(t, resp, &list)
+		if len(list.Datasets) != 1 || list.Datasets[0].Dataset != id || !list.Datasets[0].Stream {
+			t.Fatalf("%s: listing = %+v, want the one stream %s", tag, list.Datasets, id)
+		}
+		b := boundsOf(want)
+		wantBounds := domainJSON{X0: b[0].X, Y0: b[0].Y, T0: b[0].T,
+			GX: b[1].X - b[0].X, GY: b[1].Y - b[0].Y, GT: b[1].T - b[0].T}
+		if got := list.Datasets[0]; got.Points != len(want) || got.Bounds != wantBounds {
+			t.Fatalf("%s: listing says %d events in %+v, want %d in %+v", tag, got.Points, got.Bounds, len(want), wantBounds)
+		}
+
+		before := s.met.estimations.Value()
+		resp, err = http.Get(fmt.Sprintf("%s/v1/region?dataset=%s&sres=4&tres=2&hs=8&ht=4&bx0=1&bx1=7&by0=0&by1=5&bt0=0&bt1=%d",
+			ts.URL, id, other.Gt-1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var region struct {
+			Mass  float64 `json:"mass"`
+			Error string  `json:"error"`
+		}
+		decodeBody(t, resp, &region)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: region status %d: %s", tag, resp.StatusCode, region.Error)
+		}
+		if s.met.estimations.Value() != before+1 {
+			t.Fatalf("%s: a non-window spec did not take the batch fallback", tag)
+		}
+		batch, err := core.Estimate(core.AlgPBSYM, want, other, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantMass := batch.Grid.BoxMass(grid.Box{X0: 1, X1: 7, Y0: 0, Y1: 5, T0: 0, T1: other.Gt - 1})
+		if math.Abs(region.Mass-wantMass) > 1e-9*math.Max(1, math.Abs(wantMass)) {
+			t.Fatalf("%s: fallback region mass %g, batch over the expected events %g", tag, region.Mass, wantMass)
+		}
+	}
+
+	check("before the advance", append(append([]grid.Point{}, early...), late...))
+	if sj := advance(t, ts, id, 29); sj.Expired != len(early) || sj.Points != len(late) {
+		t.Fatalf("advance expired %d events leaving %d, want %d leaving %d", sj.Expired, sj.Points, len(early), len(late))
+	}
+	check("after the advance", late)
+
+	// The advance's work counters surface next to the stream counters: ten
+	// layers moved, the lookahead's three copied in, no event re-applied
+	// (none lay ahead of the window).
+	resp, err := http.Get(ts.URL + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vars map[string]any
+	decodeBody(t, resp, &vars)
+	if vars["stream_advance_copied"] != float64(streamTestSpec(t).Ht) || vars["stream_advance_reapplied"] != float64(0) {
+		t.Fatalf("/debug/vars advance counters: copied %v, reapplied %v; want %d and 0",
+			vars["stream_advance_copied"], vars["stream_advance_reapplied"], streamTestSpec(t).Ht)
+	}
+}

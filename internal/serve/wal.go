@@ -302,20 +302,20 @@ func (s *Server) recoverStream(id string, jr *streamJournal, rec wal.Recovered) 
 			return s.recoverShardStream(id, cl, jr, tail)
 		}
 	}
-	var ringBytes int64
+	var need int64
 	if rec.Snapshot != nil {
-		ringBytes = rec.Snapshot.Grid.Spec.Bytes()
+		need = core.WindowBytes(rec.Snapshot.Grid.Spec)
 	} else {
 		if len(tail) == 0 || tail[0].Kind != wal.KindCreate || tail[0].LSN != 1 {
 			return nil, 0, fmt.Errorf("journal has no snapshot and no create record")
 		}
-		ringBytes = tail[0].Spec.Bytes()
+		need = core.WindowBytes(tail[0].Spec)
 	}
 	cfg := core.UpdaterConfig{Options: core.Options{
 		Threads: s.cfg.Threads,
 		Budget:  s.cache.budgetHandle(),
 	}}
-	s.met.evictions.Add(int64(s.cache.evictFor(ringBytes)))
+	s.met.evictions.Add(int64(s.cache.evictFor(need)))
 	var up *core.Updater
 	for {
 		var err error
@@ -332,7 +332,7 @@ func (s *Server) recoverStream(id string, jr *streamJournal, rec wal.Recovered) 
 		if !errors.Is(err, grid.ErrMemoryBudget) {
 			return nil, 0, err
 		}
-		evicted := s.cache.evictFor(ringBytes)
+		evicted := s.cache.evictFor(need)
 		s.met.evictions.Add(int64(evicted))
 		if evicted == 0 {
 			return nil, 0, err
@@ -358,9 +358,7 @@ func (s *Server) recoverStream(id string, jr *streamJournal, rec wal.Recovered) 
 	// own spec has followed every replayed advance.
 	base := up.Spec()
 	base.OT = 0
-	st := s.registerStream(id, localWindow{up}, base, false, jr)
-	st.ds.replacePoints(up.Live())
-	return st, replayed, nil
+	return s.registerStream(id, localWindow{up}, base, false, jr), replayed, nil
 }
 
 // recoverShardStream rebuilds a sharded stream by re-creating it on the
@@ -406,9 +404,7 @@ func (s *Server) recoverShardStream(id string, cl *dist.Cluster, jr *streamJourn
 	}
 	base := sg.Spec()
 	base.OT = 0
-	st := s.registerStream(id, sg, base, true, jr)
-	st.ds.replacePoints(sg.Live())
-	return st, replayed, nil
+	return s.registerStream(id, sg, base, true, jr), replayed, nil
 }
 
 // parseStreamID parses the "s%016x" stream-id shape, reporting whether

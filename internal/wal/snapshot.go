@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -101,46 +100,80 @@ func writeSnapshotFile(path string, s *Snapshot) error {
 // CRC over the whole body, strict field decoding, and an exact-length
 // check so trailing bytes are rejected. Recovery treats any error as "this
 // snapshot does not exist" and falls back to the previous one.
+//
+// The file is streamed twice — once through the CRC, before a byte of it
+// is trusted, then through the decoder — so a restore allocates the window
+// and the live events it returns and no copy of the file beside them.
 func ReadSnapshot(path string) (*Snapshot, error) {
-	b, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("wal: read snapshot: %w", err)
 	}
-	if len(b) < len(snapMagic)+4 || string(b[:len(snapMagic)]) != snapMagic {
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("wal: read snapshot: %w", err)
+	}
+	magic := make([]byte, len(snapMagic))
+	if fi.Size() < int64(len(snapMagic)+4) {
 		return nil, fmt.Errorf("wal: snapshot %s: bad magic or truncated", path)
 	}
-	bodyEnd := len(b) - 4
-	body := b[len(snapMagic):bodyEnd]
-	if got, want := crc32.Checksum(body, crcTable), le.Uint32(b[bodyEnd:]); got != want {
+	if _, err := io.ReadFull(f, magic); err != nil || string(magic) != snapMagic {
+		return nil, fmt.Errorf("wal: snapshot %s: bad magic or truncated", path)
+	}
+	bodyLen := fi.Size() - int64(len(snapMagic)) - 4
+	buf := make([]byte, 1<<20)
+	crc := crc32.New(crcTable)
+	var sum [4]byte
+	if n, err := io.CopyBuffer(crc, io.LimitReader(f, bodyLen), buf); err != nil || n != bodyLen {
+		return nil, fmt.Errorf("wal: snapshot %s: short read (%d of %d body bytes): %v", path, n, bodyLen, err)
+	}
+	if _, err := io.ReadFull(f, sum[:]); err != nil || crc.Sum32() != le.Uint32(sum[:]) {
 		return nil, fmt.Errorf("wal: snapshot %s: CRC mismatch", path)
 	}
+	if _, err := f.Seek(int64(len(snapMagic)), io.SeekStart); err != nil {
+		return nil, fmt.Errorf("wal: read snapshot: %w", err)
+	}
 
-	r := &reader{b: body}
+	const fixed = 5 * 8 // lsn, ot, residual, ops, nlive
+	body := io.LimitReader(f, bodyLen)
+	if _, err := io.ReadFull(body, buf[:fixed]); err != nil {
+		return nil, fmt.Errorf("wal: snapshot %s: truncated header", path)
+	}
+	r := &reader{b: buf[:fixed]}
 	s := &Snapshot{LSN: r.u64()}
 	ot := r.i64()
 	s.Residual = r.f64()
 	s.Ops = r.i64()
 	nlive := r.u64()
-	if r.err == nil && (nlive > uint64(len(body))/pointBytes) {
-		r.err = fmt.Errorf("wal: snapshot claims %d live events in %d bytes", nlive, len(body))
-	}
-	s.Live = r.points(int(nlive))
-	gridBytes := r.rest()
-	if r.err != nil {
-		return nil, fmt.Errorf("wal: snapshot %s: %w", path, r.err)
+	if nlive > uint64(bodyLen-fixed)/pointBytes {
+		return nil, fmt.Errorf("wal: snapshot %s: claims %d live events in %d bytes", path, nlive, bodyLen)
 	}
 	if s.LSN == 0 || ot < 0 || ot > int64(math.MaxInt64)/2 ||
 		math.IsNaN(s.Residual) || s.Residual < 0 || s.Ops < 0 {
 		return nil, fmt.Errorf("wal: snapshot %s: header fields out of range", path)
 	}
-	g, err := gio.ReadGrid(bytes.NewReader(gridBytes))
+	s.Live = make([]grid.Point, 0, nlive)
+	for left := int(nlive); left > 0; {
+		n := min(left, len(buf)/pointBytes)
+		if _, err := io.ReadFull(body, buf[:n*pointBytes]); err != nil {
+			return nil, fmt.Errorf("wal: snapshot %s: truncated live events", path)
+		}
+		r := &reader{b: buf[:n*pointBytes]}
+		for i := 0; i < n; i++ {
+			s.Live = append(s.Live, grid.Point{X: r.f64(), Y: r.f64(), T: r.f64()})
+		}
+		left -= n
+	}
+	g, err := gio.ReadGrid(body)
 	if err != nil {
 		return nil, fmt.Errorf("wal: snapshot %s: %w", path, err)
 	}
 	// gio's codec is self-describing but not self-terminating; require the
 	// embedded grid to account for every remaining byte.
-	if want := len("STKDEG1\n") + 10*8 + g.Spec.Voxels()*8; len(gridBytes) != want {
-		return nil, fmt.Errorf("wal: snapshot %s: %d trailing bytes after the grid", path, len(gridBytes)-want)
+	gridBytes := bodyLen - fixed - int64(nlive)*pointBytes
+	if want := int64(len("STKDEG1\n") + 10*8 + g.Spec.Voxels()*8); gridBytes != want {
+		return nil, fmt.Errorf("wal: snapshot %s: %d trailing bytes after the grid", path, gridBytes-want)
 	}
 	g.Spec.OT = int(ot) // gio rebuilds the spec with OT 0; restore the frame
 	s.Grid = g

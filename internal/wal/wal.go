@@ -16,12 +16,14 @@
 // Durability is group-committed: Append assigns an LSN and writes without
 // syncing; Commit makes everything appended so far durable per the
 // configured policy, and concurrent committers share one fsync (a leader
-// syncs while followers wait on the synced-LSN watermark).
+// syncs while followers wait on the synced-LSN watermark). The fsync runs
+// outside the log's mutex, so appends never wait for the disk.
 //
 // Only the standard library is used.
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -409,18 +411,14 @@ func (l *Log) syncTo(target uint64) error {
 		l.syncMu.Unlock()
 
 		l.mu.Lock()
-		high := l.lsn
-		err := l.failed
+		f, high, err := l.f, l.lsn, l.failed
 		if err == nil && l.closed {
 			err = errClosed
 		}
-		if err == nil {
-			if err = l.f.Sync(); err != nil {
-				err = fmt.Errorf("wal: fsync: %w", err)
-				l.failed = err
-			}
-		}
 		l.mu.Unlock()
+		if err == nil {
+			err = l.fsync(f)
+		}
 
 		l.syncMu.Lock()
 		l.syncs++
@@ -436,6 +434,30 @@ func (l *Log) syncTo(target uint64) error {
 		// Loop: a follower whose record landed after the leader read the
 		// watermark retries and becomes the next leader.
 	}
+}
+
+// fsync syncs f — the segment that was current when the caller read the
+// LSN it wants durable — without holding l.mu, so Append keeps writing
+// (into f or, after a roll-over, the next segment) while the disk works:
+// an fsync takes a millisecond on an idle disk and tens on a busy one, and
+// every stream mutation appends under its stream's lock. A roll-over or a
+// Close that wins the race closes f only after syncing it itself, so
+// "already closed" means the records are durable.
+func (l *Log) fsync(f *os.File) error {
+	err := f.Sync()
+	if err == nil {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if errors.Is(err, os.ErrClosed) {
+		if l.closed {
+			return errClosed
+		}
+		return l.failed // nil after a clean roll-over
+	}
+	l.failed = fmt.Errorf("wal: fsync: %w", err)
+	return l.failed
 }
 
 // flushLoop is the SyncInterval background committer.
