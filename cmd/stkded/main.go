@@ -153,7 +153,7 @@ func parseArgs(args []string) (options, error) {
 		addr     = fs.String("addr", ":8377", "listen address")
 		cacheMB  = fs.Int64("cache-mb", 256, "grid cache budget in MB")
 		workers  = fs.Int("workers", 0, "concurrent estimations (0 = all cores)")
-		threads  = fs.Int("threads", 1, "threads per estimation")
+		threads  = fs.Int("threads", 1, "threads per batch estimation (live streams ingest on every core)")
 		algo     = fs.String("algo", stkde.AlgPBSYM, "default algorithm: "+strings.Join(stkde.Algorithms(), ", "))
 		preload  = fs.String("preload", "", "comma-separated CSV files to ingest at startup")
 		drain    = fs.Duration("drain", 30*time.Second, "graceful shutdown deadline")

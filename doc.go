@@ -52,10 +52,12 @@
 // a ring-buffer grid (grid.Ring, built on the Spec.OT frame-offset
 // machinery), folds events in and retracts them through the engine's
 // signed-weight contribution primitive — each event applied once, over the
-// window and a lookahead of Ht layer images just past its end — advances
-// the window by rotating the ring, zeroing only the freed layers and
-// copying the lookahead layers that entered it in (no event is re-applied;
-// only events ingested ahead of the window are touched again), and bounds
+// window and a lookahead of Ht layer images just past its end, and each
+// batch split over X strips on every core (the paper's PB-SYM-DD inside the
+// window, bitwise the same for any thread count) — advances the window by
+// rotating the ring and rewriting only the freed layers, copying in the
+// lookahead layers that entered it (no event is re-applied; only events
+// ingested ahead of the window are touched again), and bounds
 // floating-point cancellation drift with a running residual estimate plus
 // periodic compaction. The serving subsystem exposes it as mutable stream datasets
 // (POST /v1/streams, /v1/datasets/{id}/events, /v1/datasets/{id}/advance)

@@ -19,9 +19,9 @@ import (
 //     contribution primitive with weight -1 (the bitwise negation of the
 //     Add, so cancellation drift is bounded by accumulation rounding);
 //   - AdvanceTo slides the window forward by whole voxel layers: an O(1)
-//     ring rotation, zeroing only the freed layers, copying the layers
-//     that enter the window in from the lookahead, and expiring events
-//     that can no longer reach the window.
+//     ring rotation, one pass writing the freed layers — copied in from
+//     the lookahead as they enter the window, zeroed otherwise — and
+//     expiring events that can no longer reach the window.
 //
 // Every event is applied once. Beside the Gt-layer ring the updater keeps
 // a lookahead: Ht layer images ([layer][X][Y], Y contiguous) covering the
@@ -33,6 +33,22 @@ import (
 // list: events whose support reaches past the lookahead (ingested ahead of
 // the window, or a shard rank's halo events) are applied, at each advance,
 // to the layers that newly come into reach.
+//
+// Every bulk apply — Add, Remove, the compaction and restore replay, and
+// an advance's future-list apply — runs on up to P = Options.Threads cores
+// as the paper's PB-SYM-DD (Algorithm 5) over one batch: the X axis is cut
+// into P contiguous strips holding equal shares of the batch's box
+// columns, and every strip worker walks the whole batch in batch order,
+// applying each event clipped to its strip. The ring and the lookahead are
+// both X-major, so the strips write disjoint memory, and a voxel lies in
+// exactly one strip: it receives the same products in the same order as
+// under a one-strip apply. The window is therefore bitwise identical for
+// every P and every cut, and every contract below holds unchanged. An
+// event whose box spans a cut evaluates its disk and bar once per strip;
+// UpdaterStats.StripApplies counts that overhead, the analogue of
+// Stats.PointAssignments. The sketch bookkeeping and the drift bound stay
+// on the calling goroutine, once per event in batch order. P = 1, and any
+// batch below stripMinEvents, is the same code with one strip, run inline.
 //
 // Like the Accumulator, the ring stores *unnormalized* contributions
 // (ks·kt/(hs²·ht)); Snapshot and At divide by the live event count so the
@@ -53,9 +69,19 @@ type Updater struct {
 	ring *grid.Ring
 	pos  ctx // weight +1, unnormalized (n=1); spec is the combined Gt+Ht frame
 	neg  ctx // weight -1
-	sc   *scratch
 	live []grid.Point
 	cfg  UpdaterConfig
+
+	// threads is P, the most X strips a bulk apply is cut into; scs holds
+	// one scratch per strip worker, grown on demand. reach indexes the
+	// batch events that reach the layers being applied, cols is their
+	// box-column histogram in difference form (Gx+1 entries, zero between
+	// applies) and cuts the strip boundaries of the current apply.
+	threads int
+	scs     []*scratch
+	reach   []int32
+	cols    []int
+	cuts    []int
 
 	// look holds the Ht lookahead images: look[j] is combined layer Gt+j,
 	// Gx·Gy doubles with Y contiguous. An advance rotates the slice.
@@ -75,8 +101,11 @@ type Updater struct {
 // UpdaterConfig configures a streaming Updater.
 type UpdaterConfig struct {
 	// Options configures kernels, engine and memory budget exactly like a
-	// batch estimation run. AdaptiveBandwidth is not supported (per-point
-	// normalization would make retraction ambiguous).
+	// batch estimation run. Threads is the most X strips (and cores) a bulk
+	// apply and an advance's copy-in are split over; values < 1 mean
+	// GOMAXPROCS. The window is bitwise the same for every value.
+	// AdaptiveBandwidth is not supported (per-point normalization would make
+	// retraction ambiguous).
 	Options Options
 
 	// ResidualLimit triggers a compaction (full re-estimate of the live
@@ -106,6 +135,13 @@ type UpdaterStats struct {
 	AdvanceReapplied int64
 	AdvanceCopied    int64   // layers copied into the window from the lookahead
 	ResidualBound    float64 // current normalized drift bound
+	// StripApplies counts event × strip applications by the mutations Ops
+	// counts (compaction and restore replays excluded, as from Ops): an
+	// event whose box spans k strips counts k. With one strip it equals the
+	// applications that reached the window, which is Ops when every event
+	// does; the excess is the parallel apply's recomputation overhead.
+	StripApplies int64
+	Threads      int // P: the most strips a bulk apply is split into
 }
 
 // eps is the double-precision unit roundoff used by the residual bound.
@@ -149,7 +185,7 @@ func newUpdater(ring *grid.Ring, cfg UpdaterConfig) (*Updater, error) {
 		ring.Release()
 		return nil, err
 	}
-	u := &Updater{ring: ring, cfg: cfg, budget: opt.Budget}
+	u := &Updater{ring: ring, cfg: cfg, budget: opt.Budget, threads: opt.Threads, cols: make([]int, spec.Gx+1)}
 	plane := spec.Gx * spec.Gy
 	buf := make([]float64, plane*spec.Ht)
 	u.look = make([][]float64, spec.Ht)
@@ -163,7 +199,6 @@ func newUpdater(ring *grid.Ring, cfg UpdaterConfig) (*Updater, error) {
 	u.pos.n = 1
 	u.neg = u.pos.withWeight(-1)
 	u.setFrame()
-	u.sc = newScratch(&u.pos)
 	// Peak voxel contribution of one event: the provided kernels all peak
 	// at the origin. (For exotic user kernels this is an estimate; the
 	// bound stays a heuristic trigger, correctness comes from compaction.)
@@ -244,77 +279,184 @@ func RestoreUpdater(st UpdaterState, cfg UpdaterConfig) (*Updater, error) {
 	return u, nil
 }
 
-// applyPoint streams one signed contribution into combined layers
-// [tlo, thi] and reports whether the event reached any of them. The disk
-// and the bar are evaluated once; per disk column the bar's head goes to
-// the ring's T-innermost rows (split at the wrap point) and each tail
-// entry to its lookahead image as one Y-contiguous axpy. Every voxel
-// receives the product of the same two factors whichever side of the
-// window's end it lies on. The ring part of the event's bandwidth box —
-// the dirty AABB the analytics sketch repairs lazily — is forwarded to the
-// ring when a sketch is attached.
-func (u *Updater) applyPoint(c *ctx, p grid.Point, tlo, thi int) bool {
-	g := c.geom(p)
-	box := g.box
-	box.T0, box.T1 = max(box.T0, tlo), min(box.T1, thi)
-	if box.Empty() {
-		return false
-	}
-	sc := u.sc
-	nx, ny, nt := box.Dims()
-	sc.ensure(nx, ny, nt)
-	fillBar(c, p, g, box, sc)
-	if sc.barN == 0 {
-		return false
-	}
-	fillDisk(c, p, g, box, sc)
+// stripMinEvents is the number of reaching events from which a bulk apply
+// is split into X strips; a smaller batch applies inline as one strip.
+// Waking a second core costs tens of microseconds on a virtualized host:
+// on the repository benchmark's window (Hs 13, Ht 4, ~6 µs per event) two
+// strips lost to one up to 32-event batches and won from 48 on (2-vCPU
+// AVX2 host, BenchmarkUpdaterStrips with the cutoff lowered to 1).
+const stripMinEvents = 48
 
-	gy, gt := c.spec.Gy, c.spec.Gt-c.spec.Ht // c.spec is the combined frame
-	bar := sc.bar[:sc.barN]
-	t0 := box.T0 + sc.barLo              // combined layer of bar[0]
-	head := min(len(bar), max(gt-t0, 0)) // bar entries inside the window
-	p0, n1 := 0, 0                       // the head's first physical run
-	if head > 0 {
-		p0 = u.ring.PhysOf(t0)
-		n1 = min(head, gt-p0)
+// applyBatch streams c's signed contribution of every event in pts into
+// combined layers [tlo, thi] and returns how many events reached any of
+// them and how many event × strip applications that took. The calling
+// goroutine walks the batch once, in order: it clips each event's box,
+// forwards the ring part of the box — the dirty AABB the analytics sketch
+// repairs lazily — to the ring when a sketch is attached, and indexes the
+// events that reach the layers and histograms their X columns for the
+// cut. The strip workers then apply those events (applyStrip), so a
+// restore's replay, which most live events do not reach, walks the whole
+// live set once.
+func (u *Updater) applyBatch(c *ctx, pts []grid.Point, tlo, thi int) (reached int, applied int64) {
+	gt := c.spec.Gt - c.spec.Ht // c.spec is the combined frame
+	sketch := u.ring.Sketch() != nil
+	// A positive apply can raise a voxel by at most the event's peak kernel
+	// contribution (contribMax — exact for the provided kernels, which peak
+	// at the origin; a heuristic for exotic user kernels, like the residual
+	// bound); a retraction only lowers values.
+	peak := 0.0
+	if c == &u.pos {
+		peak = u.contribMax
 	}
-	var tail [][]float64 // tail[j] is the image bar[head+j] lands in
-	if head < len(bar) {
-		tail = u.look[t0+head-gt:]
-	}
-	data := u.ring.Data
-	off := 0
-	for ix := 0; ix < nx; ix++ {
-		n := int(sc.spanN[ix])
-		if n == 0 {
+	total := 0
+	reach := u.reach[:0]
+	for i, p := range pts {
+		g := c.geom(p)
+		box := g.box
+		box.T0, box.T1 = max(box.T0, tlo), min(box.T1, thi)
+		if box.Empty() {
 			continue
 		}
-		ks := sc.disk[off : off+n]
-		off += n
-		col := (box.X0+ix)*gy + box.Y0 + int(sc.spanLo[ix])
+		lo, hi := barBounds(c, p, g, box)
+		if lo > hi {
+			continue
+		}
+		reach = append(reach, int32(i))
+		if sketch && lo < gt { // the bar has entries inside the window
+			u.ring.MarkDirty(box, peak) // clipped to the window's layers
+		}
+		u.cols[box.X0]++
+		u.cols[box.X1+1]--
+		total += box.X1 - box.X0 + 1
+	}
+	u.reach = reach
+	if len(reach) == 0 {
+		return 0, 0
+	}
+	cuts := u.cut(total, len(reach))
+	for len(u.scs) < len(cuts)-1 {
+		u.scs = append(u.scs, newScratch(&u.pos))
+	}
+	counts := make([]int64, len(cuts)-1)
+	inStrips(cuts, func(w, x0, x1 int) {
+		counts[w] = u.applyStrip(c, pts, reach, tlo, thi, x0, x1, u.scs[w])
+	})
+	for _, n := range counts {
+		applied += n
+	}
+	return len(reach), applied
+}
+
+// cut places the strip boundaries of a batch whose boxes u.cols histograms
+// (in difference form) over total columns: at most P strips, the k-th
+// ending at the first column where the running count reaches k/P of the
+// total — the paper's DD load balance, O(Gx) — and each ending on a
+// column some box covers, so no strip is idle. A batch of fewer than
+// stripMinEvents reaching events keeps one strip. cut leaves u.cols zero.
+func (u *Updater) cut(total, events int) []int {
+	p := u.threads
+	if events < stripMinEvents {
+		p = 1
+	}
+	gx := len(u.cols) - 1
+	cuts := append(u.cuts[:0], 0)
+	run, cover := 0, 0
+	for X := 0; X < gx; X++ {
+		cover += u.cols[X]
+		u.cols[X] = 0
+		run += cover
+		if k := len(cuts); k < p && cover > 0 && run < total && run*p >= total*k {
+			cuts = append(cuts, X+1)
+		}
+	}
+	u.cols[gx] = 0
+	u.cuts = append(cuts, gx)
+	return u.cuts
+}
+
+// inStrips runs body(w, cuts[w], cuts[w+1]) for every strip w, each on its
+// own goroutine but the last, which runs on the calling goroutine, and
+// returns when all are done: no strip worker outlives the call.
+func inStrips(cuts []int, body func(w, x0, x1 int)) {
+	last := len(cuts) - 2
+	var wg sync.WaitGroup
+	wg.Add(last)
+	for w := 0; w < last; w++ {
+		go func(w int) {
+			defer wg.Done()
+			body(w, cuts[w], cuts[w+1])
+		}(w)
+	}
+	body(last, cuts[last], cuts[last+1])
+	wg.Wait()
+}
+
+// applyStrip is one strip worker of applyBatch: it streams every reaching
+// event of the batch (pts[i] for i in reach), in batch order, into combined
+// layers [tlo, thi] of the X columns [x0, x1) — clipping X exactly as T is
+// clipped — and returns how many events touched the strip. The disk and
+// the bar are evaluated once per event and strip, column by column exactly
+// as for the whole box; per disk column the bar's head goes to the ring's
+// T-innermost rows (split at the wrap point) and each tail entry to its
+// lookahead image as one Y-contiguous axpy. Every voxel receives the
+// product of the same two factors whichever side of the window's end, and
+// whichever strip, it lies in. Nothing outside the strip's columns is
+// written.
+func (u *Updater) applyStrip(c *ctx, pts []grid.Point, reach []int32, tlo, thi, x0, x1 int, sc *scratch) (applied int64) {
+	gy, gt := c.spec.Gy, c.spec.Gt-c.spec.Ht
+	data := u.ring.Data
+	for _, i := range reach {
+		p := pts[i]
+		g := c.geom(p)
+		box := g.box
+		box.X0, box.X1 = max(box.X0, x0), min(box.X1, x1-1)
+		box.T0, box.T1 = max(box.T0, tlo), min(box.T1, thi)
+		if box.Empty() {
+			continue
+		}
+		nx, ny, nt := box.Dims()
+		sc.ensure(nx, ny, nt)
+		fillBar(c, p, g, box, sc)
+		if sc.barN == 0 {
+			continue
+		}
+		fillDisk(c, p, g, box, sc)
+		applied++
+
+		bar := sc.bar[:sc.barN]
+		t0 := box.T0 + sc.barLo              // combined layer of bar[0]
+		head := min(len(bar), max(gt-t0, 0)) // bar entries inside the window
+		p0, n1 := 0, 0                       // the head's first physical run
 		if head > 0 {
-			c.mulAddRows(data[col*gt+p0:], gt, ks, bar[:n1])
-			if n1 < head {
-				c.mulAddRows(data[col*gt:], gt, ks, bar[n1:head])
+			p0 = u.ring.PhysOf(t0)
+			n1 = min(head, gt-p0)
+		}
+		var tail [][]float64 // tail[j] is the image bar[head+j] lands in
+		if head < len(bar) {
+			tail = u.look[t0+head-gt:]
+		}
+		off := 0
+		for ix := 0; ix < nx; ix++ {
+			n := int(sc.spanN[ix])
+			if n == 0 {
+				continue
 			}
+			ks := sc.disk[off : off+n]
+			off += n
+			col := (box.X0+ix)*gy + box.Y0 + int(sc.spanLo[ix])
+			if head > 0 {
+				c.mulAddRows(data[col*gt+p0:], gt, ks, bar[:n1])
+				if n1 < head {
+					c.mulAddRows(data[col*gt:], gt, ks, bar[n1:head])
+				}
+			}
+			for j, kt := range bar[head:] {
+				c.axpy(tail[j][col:col+n], ks, kt)
+			}
+			sc.updates += int64(n * len(bar))
 		}
-		for j, kt := range bar[head:] {
-			c.axpy(tail[j][col:col+n], ks, kt)
-		}
-		sc.updates += int64(n * len(bar))
 	}
-	if head > 0 && u.ring.Sketch() != nil {
-		// A positive apply can raise a voxel by at most the event's peak
-		// kernel contribution (contribMax — exact for the provided kernels,
-		// which peak at the origin; a heuristic for exotic user kernels,
-		// like the residual bound); a retraction only lowers values.
-		peak := 0.0
-		if c == &u.pos {
-			peak = u.contribMax
-		}
-		u.ring.MarkDirty(box, peak) // clipped to the window's layers
-	}
-	return true
+	return applied
 }
 
 // mulAddRows is the PB-SYM block update of one disk span on T-innermost
@@ -367,9 +509,9 @@ func (u *Updater) charge() {
 func (u *Updater) Add(pts ...grid.Point) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	end := u.pos.spec.Gt - 1
+	_, applied := u.applyBatch(&u.pos, pts, 0, u.pos.spec.Gt-1)
+	u.stats.StripApplies += applied
 	for _, p := range pts {
-		u.applyPoint(&u.pos, p, 0, end)
 		u.live = append(u.live, p)
 		if u.beyondLookahead(p) {
 			u.future = append(u.future, p)
@@ -416,9 +558,9 @@ func (u *Updater) Remove(pts ...grid.Point) error {
 		}
 	}
 	u.future = dropEach(u.future, need)
-	end := u.pos.spec.Gt - 1
-	for _, p := range pts {
-		u.applyPoint(&u.neg, p, 0, end)
+	_, applied := u.applyBatch(&u.neg, pts, 0, u.pos.spec.Gt-1)
+	u.stats.StripApplies += applied
+	for range pts {
 		u.charge()
 	}
 	u.maybeCompact()
@@ -440,14 +582,14 @@ func dropEach(list []grid.Point, need map[grid.Point]int) []grid.Point {
 }
 
 // AdvanceTo slides the window forward so its last voxel layer covers time
-// t: an O(1) ring rotation, zeroing only the freed layers, and a copy of
-// the lookahead images that now lie inside the window into them — every
-// live event's contribution to the new layers was made when the event was
-// added. Events whose temporal support no longer reaches the window are
-// expired (dropped without retraction — their surviving-layer
-// contributions are exactly zero by kernel support). It returns the number
-// of layers advanced (0 when t is already covered; the window never moves
-// backward) and the number of expired events.
+// t: an O(1) ring rotation and one pass over the freed layers, copying
+// into them the lookahead images that now lie inside the window (zeroing
+// the rest) — every live event's contribution to the new layers was made
+// when the event was added. Events whose temporal support no longer
+// reaches the window are expired (dropped without retraction — their
+// surviving-layer contributions are exactly zero by kernel support). It
+// returns the number of layers advanced (0 when t is already covered; the
+// window never moves backward) and the number of expired events.
 func (u *Updater) AdvanceTo(t float64) (advanced, expired int) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -485,7 +627,7 @@ func (u *Updater) AdvanceBy(k int) (advanced, expired int) {
 
 // advance is the shared body of AdvanceTo and AdvanceBy; k > 0, mu held.
 func (u *Updater) advance(k int) (advanced, expired int) {
-	u.ring.Advance(k)
+	u.ring.Rotate(k)
 	u.setFrame()
 	u.copyIn(k)
 	sp := u.ring.Spec()
@@ -506,12 +648,14 @@ func (u *Updater) advance(k int) (advanced, expired int) {
 	// lookahead, so only future-list events can touch them; the ones whose
 	// support no longer reaches past the new lookahead then leave the list.
 	end := u.pos.spec.Gt - 1
+	reached, applied := u.applyBatch(&u.pos, u.future, max(end-k+1, 0), end)
+	u.stats.AdvanceReapplied += int64(reached)
+	u.stats.StripApplies += applied
+	for i := 0; i < reached; i++ {
+		u.charge()
+	}
 	stillFuture := u.future[:0]
 	for _, p := range u.future {
-		if u.applyPoint(&u.pos, p, max(end-k+1, 0), end) {
-			u.stats.AdvanceReapplied++
-			u.charge()
-		}
 		if u.beyondLookahead(p) {
 			stillFuture = append(stillFuture, p)
 		}
@@ -523,27 +667,60 @@ func (u *Updater) advance(k int) (advanced, expired int) {
 	return k, expired
 }
 
-// copyIn completes a k-layer ring advance: the first min(k, Ht) lookahead
-// images are now window layers Gt-k+j, so each is copied into its freshly
-// zeroed ring layer (skipped when k overshot it out of the window again)
-// and cleared, and the lookahead rotates past them.
+// copyIn completes a k-layer ring rotation by writing every voxel of the
+// new window layers, which the rotation left unzeroed: the first
+// min(k, Ht) lookahead images are now window layers Gt-k+j, so each is
+// copied into its layer (skipped when k overshot it out of the window
+// again) and cleared, every other new layer is zeroed, and the lookahead
+// rotates past the images. The writes are split over P equal X strips —
+// about the columns each core wrote at ingest — and go row by row, so a
+// multi-layer advance touches each row once.
 func (u *Updater) copyIn(k int) {
 	sp := u.ring.Spec()
-	gt, m := sp.Gt, min(k, sp.Ht)
-	peak := 0.0
-	for j, img := range u.look[:m] {
-		if T := gt - k + j; T >= 0 {
-			dst := u.ring.Data[u.ring.PhysOf(T):]
-			for i, v := range img {
-				dst[i*gt] = v
+	gt, gy, m := sp.Gt, sp.Gy, min(k, sp.Ht)
+	var phys []int      // physical layer of each new window layer
+	var src [][]float64 // the image it copies, nil for a zeroed layer
+	for T := max(gt-k, 0); T < gt; T++ {
+		phys = append(phys, u.ring.PhysOf(T))
+		if j := T - (gt - k); j < m {
+			src = append(src, u.look[j])
+			u.stats.AdvanceCopied++
+		} else {
+			src = append(src, nil)
+		}
+	}
+	p := min(u.threads, sp.Gx)
+	cuts := u.cuts[:0]
+	for w := 0; w <= p; w++ {
+		cuts = append(cuts, w*sp.Gx/p)
+	}
+	u.cuts = cuts
+	peaks := make([]float64, p)
+	inStrips(cuts, func(w, x0, x1 int) {
+		lo, hi := x0*gy, x1*gy
+		peak := 0.0
+		for i := lo; i < hi; i++ {
+			row := u.ring.Data[i*gt : (i+1)*gt]
+			for j, ph := range phys {
+				v := 0.0
+				if img := src[j]; img != nil {
+					v = img[i]
+				}
+				row[ph] = v
 				peak = max(peak, v)
 			}
-			u.stats.AdvanceCopied++
 		}
-		clear(img)
+		for _, img := range u.look[:m] {
+			clear(img[lo:hi])
+		}
+		peaks[w] = peak
+	})
+	peak := 0.0
+	for _, v := range peaks {
+		peak = max(peak, v)
 	}
 	// No copied voxel rose above peak, which keeps the sketch's block
-	// maxima bounds sound over the layers Advance reported as zeroed.
+	// maxima bounds sound over the layers Rotate reported as zeroed.
 	u.ring.MarkDirty(grid.Box{X0: 0, X1: sp.Gx - 1, Y0: 0, Y1: sp.Gy - 1, T0: gt - k, T1: gt - k + m - 1}, peak)
 	for ; m > 0; m-- { // rotate the cleared images to the far end
 		img := u.look[0]
@@ -588,10 +765,9 @@ func (u *Updater) replay(tlo int) {
 	for _, img := range u.look {
 		clear(img)
 	}
+	u.applyBatch(&u.pos, u.live, tlo, u.pos.spec.Gt-1)
 	u.future = u.future[:0]
-	end := u.pos.spec.Gt - 1
 	for _, p := range u.live {
-		u.applyPoint(&u.pos, p, tlo, end)
 		if u.beyondLookahead(p) {
 			u.future = append(u.future, p)
 		}
@@ -663,7 +839,7 @@ func (u *Updater) Snapshot(b *grid.Budget) (*grid.Grid, error) {
 // ensureSketch attaches (lazily, on the first analytics query) the ring's
 // incremental block sketch, charged to the updater's budget. Callers hold
 // u.mu. Every mutation path already reports dirty boxes through
-// applyPoint and the ring's Advance/Zero hooks, so a sketch enabled at any
+// applyBatch and the ring's Rotate/Zero hooks, so a sketch enabled at any
 // point in the stream's life stays consistent.
 func (u *Updater) ensureSketch() (*grid.RingSketch, error) {
 	return u.ring.EnableSketch(u.budget)
@@ -779,6 +955,7 @@ func (u *Updater) Stats() UpdaterStats {
 	st := u.stats
 	st.N = len(u.live)
 	st.ResidualBound = u.normResidual()
+	st.Threads = u.threads
 	return st
 }
 

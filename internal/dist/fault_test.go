@@ -24,20 +24,24 @@ type faultHarness struct {
 	cl    *Cluster
 	addrs []string
 	srv   []*RankServer
+	rank  ServerOptions
 }
 
-func newFaultHarness(t *testing.T, r int, seed int64, opt ClusterOptions) *faultHarness {
+// newFaultHarness starts r ranks whose own core count is rankThreads (0:
+// GOMAXPROCS) behind a chaos transport seeded with seed.
+func newFaultHarness(t *testing.T, r int, seed int64, opt ClusterOptions, rankThreads int) *faultHarness {
 	t.Helper()
 	h := &faultHarness{
 		t:     t,
 		n:     NewNetwork(),
 		addrs: make([]string, r),
 		srv:   make([]*RankServer, r),
+		rank:  ServerOptions{Local: core.Options{Threads: rankThreads}},
 	}
 	h.ch = NewChaos(h.n, seed)
 	for i := 0; i < r; i++ {
 		h.addrs[i] = fmt.Sprintf("inproc://fault-%s-%d", t.Name(), i)
-		s, err := ListenRank(h.n, h.addrs[i], ServerOptions{})
+		s, err := ListenRank(h.n, h.addrs[i], h.rank)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +75,7 @@ func (h *faultHarness) kill(i int) {
 // restart brings rank i back at the same address with empty state.
 func (h *faultHarness) restart(i int) {
 	h.t.Helper()
-	s, err := ListenRank(h.n, h.addrs[i], ServerOptions{})
+	s, err := ListenRank(h.n, h.addrs[i], h.rank)
 	if err != nil {
 		h.t.Fatal(err)
 	}
@@ -233,7 +237,7 @@ func TestRPCTimeoutBoundsExchange(t *testing.T) {
 // snapshots fail fast with ErrRankDown — and a heal restores exact parity
 // with the single-process reference.
 func TestStreamRankDeathAttribution(t *testing.T) {
-	h := newFaultHarness(t, 2, 1, ClusterOptions{})
+	h := newFaultHarness(t, 2, 1, ClusterOptions{}, 0)
 	spec := testSpec(t, 20, 1)
 	pts := testPoints(400, spec.Domain, 7)
 	sg, err := h.cl.NewStream(spec, 1)
@@ -328,7 +332,7 @@ func TestStreamRankDeathAttribution(t *testing.T) {
 // TestGatherFailFast: under the failfast policy a degraded gather is an
 // attributed error, never a silent partial answer.
 func TestGatherFailFast(t *testing.T) {
-	h := newFaultHarness(t, 2, 1, ClusterOptions{Policy: GatherFailFast})
+	h := newFaultHarness(t, 2, 1, ClusterOptions{Policy: GatherFailFast}, 0)
 	spec := testSpec(t, 20, 1)
 	sg, err := h.cl.NewStream(spec, 1)
 	if err != nil {
@@ -355,16 +359,26 @@ func TestGatherFailFast(t *testing.T) {
 // cluster that never failed — same slab carving, same message sequence,
 // same Updater state, voxel for voxel with ==, not a tolerance.
 func TestReseedBitwiseMatchesUninterrupted(t *testing.T) {
+	for _, p := range rankStrips {
+		t.Run(fmt.Sprintf("P%d", p), func(t *testing.T) { testReseedBitwise(t, p) })
+	}
+}
+
+// rankStrips are the strip counts the re-seed and chaos suites run the
+// rank updaters at: every batch applied inline, or split over two strips.
+var rankStrips = []int{1, 2}
+
+func testReseedBitwise(t *testing.T, p int) {
 	spec := testSpec(t, 24, 1)
 	pts := testPoints(600, spec.Domain, 9)
-	h := newFaultHarness(t, 2, 1, ClusterOptions{})
-	h2 := newFaultHarness(t, 2, 2, ClusterOptions{})
-	sg, err := h.cl.NewStream(spec, 1)
+	h := newFaultHarness(t, 2, 1, ClusterOptions{}, p)
+	h2 := newFaultHarness(t, 2, 2, ClusterOptions{}, p)
+	sg, err := h.cl.NewStream(spec, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sg.Release()
-	ref, err := h2.cl.NewStream(spec, 1)
+	ref, err := h2.cl.NewStream(spec, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,85 +444,89 @@ func TestReseedBitwiseMatchesUninterrupted(t *testing.T) {
 func TestChaosRandomKillHealMatchesReference(t *testing.T) {
 	for _, seed := range []int64{3, 17, 42} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			r := 2 + rng.Intn(2)
-			h := newFaultHarness(t, r, seed, ClusterOptions{})
-			spec := testSpec(t, 24, 1)
-			pts := testPoints(900, spec.Domain, uint64(seed))
-			sg, err := h.cl.NewStream(spec, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sg.Release()
-			u, err := core.NewUpdater(spec, core.UpdaterConfig{Options: core.Options{Threads: 1}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer u.Release()
+			for _, p := range rankStrips {
+				t.Run(fmt.Sprintf("P%d", p), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(seed))
+					r := 2 + rng.Intn(2)
+					h := newFaultHarness(t, r, seed, ClusterOptions{}, p)
+					spec := testSpec(t, 24, 1)
+					pts := testPoints(900, spec.Domain, uint64(seed))
+					sg, err := h.cl.NewStream(spec, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer sg.Release()
+					u, err := core.NewUpdater(spec, core.UpdaterConfig{Options: core.Options{Threads: 1}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer u.Release()
 
-			killAt := 2 + rng.Intn(4)
-			healAt := killAt + 1 + rng.Intn(4)
-			down := -1
-			next := 0
-			lead := 0 // layers advanced past the initial window
-			for op := 0; op < 12; op++ {
-				if op == killAt {
-					down = rng.Intn(r)
-					h.kill(down)
-					h.ch.Partition(h.addrs[down], true)
-				}
-				if op == healAt {
-					h.ch.Partition(h.addrs[down], false)
-					h.restart(down)
-					h.cl.Probe()
-					if cov := sg.Coverage(); cov.Degraded() {
-						t.Fatalf("op %d: coverage %+v right after heal", op, cov)
+					killAt := 2 + rng.Intn(4)
+					healAt := killAt + 1 + rng.Intn(4)
+					down := -1
+					next := 0
+					lead := 0 // layers advanced past the initial window
+					for op := 0; op < 12; op++ {
+						if op == killAt {
+							down = rng.Intn(r)
+							h.kill(down)
+							h.ch.Partition(h.addrs[down], true)
+						}
+						if op == healAt {
+							h.ch.Partition(h.addrs[down], false)
+							h.restart(down)
+							h.cl.Probe()
+							if cov := sg.Coverage(); cov.Degraded() {
+								t.Fatalf("op %d: coverage %+v right after heal", op, cov)
+							}
+							down = -1
+						}
+						if rng.Float64() < 0.7 && next < len(pts) {
+							end := min(next+80, len(pts))
+							batch := make([]grid.Point, 0, end-next)
+							for _, p := range pts[next:end] {
+								p.T += float64(lead) * spec.TRes // keep the batch inside the slid window
+								batch = append(batch, p)
+							}
+							next = end
+							err := sg.Add(batch...)
+							u.Add(batch...)
+							var de *DegradedError
+							if down < 0 && err != nil {
+								t.Fatalf("op %d: healthy ingest failed: %v", op, err)
+							}
+							if err != nil && !errors.As(err, &de) {
+								t.Fatalf("op %d: degraded ingest returned %v, want DegradedError", op, err)
+							}
+						} else {
+							lead += 1 + rng.Intn(2)
+							to := spec.Domain.T0 + spec.Domain.GT + float64(lead)*spec.TRes
+							ga, ge, err := sg.AdvanceTo(to)
+							ua, ue := u.AdvanceTo(to)
+							if ga != ua || ge != ue {
+								t.Fatalf("op %d: advance (%d,%d), reference (%d,%d)", op, ga, ge, ua, ue)
+							}
+							if down < 0 && err != nil {
+								t.Fatalf("op %d: healthy advance failed: %v", op, err)
+							}
+						}
+						// Every response must be honest about coverage: degraded
+						// exactly while a rank is down, full otherwise.
+						_, cov, err := sg.BoxMassCov(spec.Bounds())
+						if err != nil {
+							t.Fatalf("op %d: box mass under GatherPartial errored: %v", op, err)
+						}
+						if gotDeg := cov.Degraded(); gotDeg != (down >= 0) {
+							t.Fatalf("op %d: coverage %+v with down=%d", op, cov, down)
+						}
+						if sg.N() != u.N() {
+							t.Fatalf("op %d: live count %d diverged from reference %d", op, sg.N(), u.N())
+						}
 					}
-					down = -1
-				}
-				if rng.Float64() < 0.7 && next < len(pts) {
-					end := min(next+80, len(pts))
-					batch := make([]grid.Point, 0, end-next)
-					for _, p := range pts[next:end] {
-						p.T += float64(lead) * spec.TRes // keep the batch inside the slid window
-						batch = append(batch, p)
-					}
-					next = end
-					err := sg.Add(batch...)
-					u.Add(batch...)
-					var de *DegradedError
-					if down < 0 && err != nil {
-						t.Fatalf("op %d: healthy ingest failed: %v", op, err)
-					}
-					if err != nil && !errors.As(err, &de) {
-						t.Fatalf("op %d: degraded ingest returned %v, want DegradedError", op, err)
-					}
-				} else {
-					lead += 1 + rng.Intn(2)
-					to := spec.Domain.T0 + spec.Domain.GT + float64(lead)*spec.TRes
-					ga, ge, err := sg.AdvanceTo(to)
-					ua, ue := u.AdvanceTo(to)
-					if ga != ua || ge != ue {
-						t.Fatalf("op %d: advance (%d,%d), reference (%d,%d)", op, ga, ge, ua, ue)
-					}
-					if down < 0 && err != nil {
-						t.Fatalf("op %d: healthy advance failed: %v", op, err)
-					}
-				}
-				// Every response must be honest about coverage: degraded
-				// exactly while a rank is down, full otherwise.
-				_, cov, err := sg.BoxMassCov(spec.Bounds())
-				if err != nil {
-					t.Fatalf("op %d: box mass under GatherPartial errored: %v", op, err)
-				}
-				if gotDeg := cov.Degraded(); gotDeg != (down >= 0) {
-					t.Fatalf("op %d: coverage %+v with down=%d", op, cov, down)
-				}
-				if sg.N() != u.N() {
-					t.Fatalf("op %d: live count %d diverged from reference %d", op, sg.N(), u.N())
-				}
+					compareShardStream(t, sg, u)
+				})
 			}
-			compareShardStream(t, sg, u)
 		})
 	}
 }
@@ -517,7 +535,7 @@ func TestChaosRandomKillHealMatchesReference(t *testing.T) {
 // connection died (the rank process bounced between requests) must heal
 // and retry transparently, returning the exact same volume.
 func TestEstimateRetriesAfterRankRestart(t *testing.T) {
-	h := newFaultHarness(t, 2, 1, ClusterOptions{})
+	h := newFaultHarness(t, 2, 1, ClusterOptions{}, 0)
 	spec := testSpec(t, 20, 1)
 	pts := testPoints(500, spec.Domain, 3)
 	ref, err := core.Estimate(core.AlgPBSYM, pts, spec, core.Options{Threads: 1})
@@ -548,7 +566,7 @@ func TestEstimateRetriesAfterRankRestart(t *testing.T) {
 // estimate must cancel the other ranks' in-flight RPCs and return the
 // culprit's error promptly — not wait out a slow rank's full exchange.
 func TestEstimateCancelsStragglers(t *testing.T) {
-	h := newFaultHarness(t, 2, 1, ClusterOptions{})
+	h := newFaultHarness(t, 2, 1, ClusterOptions{}, 0)
 	spec := testSpec(t, 20, 1)
 	pts := testPoints(300, spec.Domain, 5)
 
@@ -577,7 +595,7 @@ func TestEstimateCancelsStragglers(t *testing.T) {
 // and restarted rank is detected and re-seeded with no manual probe, and
 // the stream converges back to exact parity.
 func TestBackgroundMonitorHeals(t *testing.T) {
-	h := newFaultHarness(t, 2, 1, ClusterOptions{HeartbeatEvery: 2 * time.Millisecond})
+	h := newFaultHarness(t, 2, 1, ClusterOptions{HeartbeatEvery: 2 * time.Millisecond}, 0)
 	spec := testSpec(t, 20, 1)
 	pts := testPoints(300, spec.Domain, 11)
 	sg, err := h.cl.NewStream(spec, 1)

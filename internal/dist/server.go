@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/par"
 )
 
 // ServerOptions configures a rank endpoint.
@@ -15,7 +16,9 @@ type ServerOptions struct {
 	// threads, normalization count, spec, points — arrive over the wire;
 	// function-valued options (kernels, adaptive bandwidth) cannot cross a
 	// real network and therefore live here, configured by whoever starts
-	// the rank process.
+	// the rank process. Local.Threads (GOMAXPROCS when unset) is the
+	// rank's own core count: it caps the wire-carried thread counts, and a
+	// stream created with thread count 0 uses all of it.
 	Local core.Options
 }
 
@@ -154,7 +157,7 @@ func (s *RankServer) handle(streams map[uint64]*rankStream, msg []byte) []byte {
 			return encodeErr("create", fmt.Sprintf("stream %d already exists", id))
 		}
 		opt := s.opt.Local
-		opt.Threads = threads
+		opt.Threads = s.workers(threads, s.ownThreads())
 		up, err := core.NewUpdater(spec, core.UpdaterConfig{Options: opt})
 		if err != nil {
 			return encodeErr("create", err.Error())
@@ -243,15 +246,27 @@ func (s *RankServer) handle(streams map[uint64]*rankStream, msg []byte) []byte {
 	}
 }
 
+// ownThreads is the rank's own core count: ServerOptions.Local.Threads,
+// GOMAXPROCS when unset.
+func (s *RankServer) ownThreads() int { return par.Threads(s.opt.Local.Threads) }
+
+// workers turns a wire-carried thread count into the workers a request
+// may use: below 1 it becomes unset (the caller's default), and it never
+// exceeds the rank's own core count — a frame must not make a rank
+// allocate per-worker replicas or scratches by the billion.
+func (s *RankServer) workers(wire, unset int) int {
+	if wire < 1 {
+		return unset
+	}
+	return min(wire, s.ownThreads())
+}
+
 // handleEstimate runs one batch slab estimation with the server's local
 // resources and the request's wire-carried knobs. The reply is the raw slab
 // grid in a gather message (t0 = 0: the coordinator knows its slab table).
 func (s *RankServer) handleEstimate(q estimateReq) []byte {
 	opt := s.opt.Local
-	opt.Threads = q.threads
-	if opt.Threads < 1 {
-		opt.Threads = 1
-	}
+	opt.Threads = s.workers(q.threads, 1)
 	opt.NormN = q.normN
 	// The coordinator pre-sorts each rank's points by the ROOT spec's
 	// Morton key (the sub-spec frame would derange the bits); a rank-local

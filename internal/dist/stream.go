@@ -169,7 +169,8 @@ func (rt *router) advanceTo(t float64) (k, expired int, batches [][]grid.Point) 
 // NewStream creates a sharded live window over the cluster: the window
 // spec's time axis is carved into one slab per connected rank (clamped to
 // the layer count and the bitmask width) and each rank builds an empty
-// slab Updater with the given thread count. Creation requires every
+// slab Updater with the given thread count, capped at the rank's own core
+// count; 0 lets every rank use all of its cores. Creation requires every
 // participating rank healthy; an established stream then survives rank
 // failures (see the fault-tolerance notes on StreamGroup).
 func (c *Cluster) NewStream(spec grid.Spec, threads int) (*StreamGroup, error) {
@@ -178,9 +179,6 @@ func (c *Cluster) NewStream(spec grid.Spec, threads int) (*StreamGroup, error) {
 		ranks = maxStreamRanks
 	}
 	slabs := spec.CarveT(ranks)
-	if threads < 1 {
-		threads = 1
-	}
 	g := &StreamGroup{
 		c:        c,
 		id:       c.nextStream.Add(1),

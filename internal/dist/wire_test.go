@@ -2,9 +2,12 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"io"
+	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/grid"
 )
 
@@ -142,5 +145,77 @@ func TestTruncatedFrame(t *testing.T) {
 	}
 	if _, err := readFrame(bytes.NewReader(nil)); err != io.EOF {
 		t.Fatalf("empty stream: %v, want io.EOF", err)
+	}
+}
+
+// TestRankCapsWireThreads: a frame claiming 2^32-1 worker threads must not
+// make a rank allocate per-worker replicas (pb-sym-dr), subdomain scratches
+// (pb-sym-dd) or strip scratches (a stream's updater) for them. The rank
+// runs each request on at most its own cores: the estimates answer bitwise
+// what the same estimate gives at GOMAXPROCS threads, and the stream's
+// updater splits its applies over at most GOMAXPROCS strips.
+func TestRankCapsWireThreads(t *testing.T) {
+	const hostile = 1<<32 - 1
+	own := runtime.GOMAXPROCS(0)
+	n := NewNetwork()
+	s, err := ListenRank(n, "inproc://hostile-threads", ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := n.Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	exchange := func(frame []byte) []byte {
+		t.Helper()
+		if err := c.Send(ctx, frame); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := c.Recv(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply
+	}
+
+	spec := testSpec(t, 12, 1)
+	pts := testPoints(300, spec.Domain, 4)
+	for _, alg := range []string{core.AlgPBSYMDD, core.AlgPBSYMDR} {
+		frame := encodeEstimate(estimateReq{threads: hostile, normN: len(pts), alg: alg, spec: spec, pts: pts})
+		if got := le.Uint32(frame[8:]); got != hostile {
+			t.Fatalf("frame carries %d threads, want %d", got, uint32(hostile))
+		}
+		_, _, data, err := decodeGather(exchange(frame))
+		if err != nil {
+			t.Fatalf("%s with %d threads: %v", alg, uint32(hostile), err)
+		}
+		want, err := core.Estimate(alg, pts, spec, core.Options{Threads: own, NormN: len(pts), NoSort: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range want.Grid.Data {
+			if data[i] != v {
+				t.Fatalf("%s: voxel %d = %g, want %g (the estimate at %d threads)", alg, i, data[i], v, own)
+			}
+		}
+		want.Grid.Release()
+	}
+
+	create := encodeStreamCreate(1, hostile, spec)
+	if _, _, err := decodeOK(exchange(create)); err != nil {
+		t.Fatalf("stream create with %d threads: %v", uint32(hostile), err)
+	}
+	streams := make(map[uint64]*rankStream)
+	for id, threads := range map[uint64]int{2: hostile, 3: 0} {
+		if _, _, err := decodeOK(s.handle(streams, encodeStreamCreate(id, threads, spec))); err != nil {
+			t.Fatal(err)
+		}
+		if got := streams[id].up.Stats().Threads; got != own {
+			t.Fatalf("stream created with %d threads runs %d strips, want the rank's %d", threads, got, own)
+		}
+		streams[id].up.Release()
 	}
 }

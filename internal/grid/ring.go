@@ -90,17 +90,32 @@ func (r *Ring) Advance(k int) {
 	if k <= 0 {
 		return
 	}
-	gt := r.spec.Gt
-	if k >= gt {
+	if k >= r.spec.Gt {
 		zeroPar(r.Data, 1)
+	} else {
+		r.zeroPhysLayers(r.base, k)
+	}
+	r.Rotate(k)
+}
+
+// Rotate is Advance for a writer that overwrites every voxel of the freed
+// layers itself — all Gt of them when k >= Gt — before the ring is read
+// again: the base and the frame offset move and the sketch treats the
+// freed layers as zeroed, but their data is left for the writer. It saves
+// the zeroing pass over layers about to be overwritten anyway.
+func (r *Ring) Rotate(k int) {
+	if k <= 0 {
+		return
+	}
+	gt := r.spec.Gt
+	r.spec.OT += k
+	if k >= gt {
 		r.base = 0
-		r.spec.OT += k
 		if r.sketch != nil {
 			r.sketch.resetZeroed()
 		}
 		return
 	}
-	r.zeroPhysLayers(r.base, k)
 	// The sketch rotates for free: its blocks live in physical
 	// coordinates, so only the freed layers change (whole T-blocks become
 	// exactly zero, boundary blocks go dirty). Updating before the base
@@ -109,7 +124,6 @@ func (r *Ring) Advance(k int) {
 		r.sketch.zeroedPhysLayers(r.base, k)
 	}
 	r.base = (r.base + k) % gt
-	r.spec.OT += k
 }
 
 // zeroPhysLayers zeroes the k physical layers starting at p0 (mod Gt),

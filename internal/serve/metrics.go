@@ -117,11 +117,12 @@ func (m *metrics) publishAdmission(a *admission) {
 	m.m.Set("admission_wait_error_ms", expvar.Func(func() any { return a.waitErrorMS() }))
 }
 
-// publishStreams exposes the advance work counters of core.UpdaterStats,
-// summed over the live local windows (a sharded window's updaters live in
-// the rank processes): event applications performed inside advances — zero
-// while no stream ingests ahead of its window — and layers copied in from
-// the lookahead.
+// publishStreams exposes work counters of core.UpdaterStats, summed over
+// the live local windows (a sharded window's updaters live in the rank
+// processes): event applications performed inside advances — zero while
+// no stream ingests ahead of its window — layers copied in from the
+// lookahead, and event × strip applications of the parallel apply, whose
+// excess over the applied events is its recomputation overhead.
 func (m *metrics) publishStreams(t *streamTable) {
 	sum := func(pick func(core.UpdaterStats) int64) expvar.Func {
 		return func() any {
@@ -136,6 +137,7 @@ func (m *metrics) publishStreams(t *streamTable) {
 	}
 	m.m.Set("stream_advance_reapplied", sum(func(us core.UpdaterStats) int64 { return us.AdvanceReapplied }))
 	m.m.Set("stream_advance_copied", sum(func(us core.UpdaterStats) int64 { return us.AdvanceCopied }))
+	m.m.Set("stream_strip_applies", sum(func(us core.UpdaterStats) int64 { return us.StripApplies }))
 }
 
 // publishShard exposes the connected cluster's rank count, cumulative

@@ -74,9 +74,11 @@ type Config struct {
 	// GOMAXPROCS). Further estimations queue on the pool.
 	Workers int
 
-	// Threads is the thread count passed to each estimation (default 1:
-	// with Workers parallel estimations the cores are saturated by
-	// concurrency; raise it for latency-sensitive single-tenant use).
+	// Threads is the thread count passed to each batch estimation
+	// (default 1: with Workers parallel estimations the cores are
+	// saturated by concurrency; raise it for latency-sensitive
+	// single-tenant use). It does not apply to live streams, which ingest
+	// on every core of the process holding the window.
 	Threads int
 
 	// DefaultAlgorithm is used when a request does not name one (default

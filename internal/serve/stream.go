@@ -348,7 +348,7 @@ func (s *Server) createStream(spec grid.Spec) (*stream, error) {
 	if cl, err := s.shardCluster(); err != nil {
 		return nil, err
 	} else if cl != nil {
-		sg, err := cl.NewStream(spec, s.cfg.Threads)
+		sg, err := cl.NewStream(spec, 0) // every rank ingests on all its cores
 		if err != nil {
 			return nil, err
 		}
@@ -388,9 +388,10 @@ func (s *Server) createStream(spec grid.Spec) (*stream, error) {
 	var up *core.Updater
 	for {
 		var err error
+		// Threads unset: a stream ingests on every core (Config.Threads
+		// sizes batch estimations only).
 		up, err = core.NewUpdater(spec, core.UpdaterConfig{Options: core.Options{
-			Threads: s.cfg.Threads,
-			Budget:  s.cache.budgetHandle(),
+			Budget: s.cache.budgetHandle(),
 		}})
 		if err == nil {
 			break

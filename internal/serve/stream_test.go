@@ -745,4 +745,8 @@ func TestStreamListingAndFallbackReadTheWindow(t *testing.T) {
 		t.Fatalf("/debug/vars advance counters: copied %v, reapplied %v; want %d and 0",
 			vars["stream_advance_copied"], vars["stream_advance_reapplied"], streamTestSpec(t).Ht)
 	}
+	// Every ingested event reached the window, once per strip it spans.
+	if n, ok := vars["stream_strip_applies"].(float64); !ok || n < float64(len(early)+len(late)) {
+		t.Fatalf("/debug/vars stream_strip_applies = %v, want at least the %d events ingested", vars["stream_strip_applies"], len(early)+len(late))
+	}
 }

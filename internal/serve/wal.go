@@ -311,10 +311,7 @@ func (s *Server) recoverStream(id string, jr *streamJournal, rec wal.Recovered) 
 		}
 		need = core.WindowBytes(tail[0].Spec)
 	}
-	cfg := core.UpdaterConfig{Options: core.Options{
-		Threads: s.cfg.Threads,
-		Budget:  s.cache.budgetHandle(),
-	}}
+	cfg := core.UpdaterConfig{Options: core.Options{Budget: s.cache.budgetHandle()}}
 	s.met.evictions.Add(int64(s.cache.evictFor(need)))
 	var up *core.Updater
 	for {
@@ -373,7 +370,7 @@ func (s *Server) recoverShardStream(id string, cl *dist.Cluster, jr *streamJourn
 	if len(tail) == 0 || tail[0].Kind != wal.KindCreate || tail[0].LSN != 1 {
 		return nil, 0, fmt.Errorf("journal has no snapshot and no create record")
 	}
-	sg, err := cl.NewStream(tail[0].Spec, s.cfg.Threads)
+	sg, err := cl.NewStream(tail[0].Spec, 0)
 	if err != nil {
 		return nil, 0, err
 	}
