@@ -13,9 +13,10 @@
 //
 //	stkded -addr :8378 -shard-listen :9378
 //
-// and a coordinator daemon names its ranks with -peers; every live stream
-// it creates is then carved across them by temporal slab, with region and
-// hotspot queries answered by merging the ranks' incremental sketches:
+// and a coordinator daemon names its ranks with -peers; every rank then
+// holds the whole window of each live stream and a round-robin share of
+// its events, and point, region and hotspot queries sum the ranks' raw
+// partials:
 //
 //	stkded -addr :8377 -peers hostA:9378,hostB:9378
 //
@@ -27,16 +28,16 @@
 // Shard fault tolerance: every rank connection runs a health state
 // machine (up → suspect → down → reconnecting) driven by background
 // heartbeat pings and error streaks, with -shard-rpc-timeout bounding
-// each exchange. A down rank degrades — not breaks — the service: region
-// and hotspot answers merge the live ranks' sketches and carry
-// "coverage" and "degraded" fields (-shard-degraded failfast refuses
-// them with the attributed rank error instead), stream mutations commit
-// on the coordinator and every live rank (their responses carry the same
-// flags), and point queries on the dead rank's temporal slab are refused
-// with 503 + Retry-After. When the rank comes back, the coordinator
-// verifies the link and rebuilds the rank's slab by deterministic replay
-// of the journaled mutation record; answers return to full coverage
-// without operator action.
+// each exchange. A down rank degrades — not breaks — the service: point,
+// region and hotspot answers sum the live ranks' shares (the dead rank's
+// events are missing from every voxel) and carry "coverage" and
+// "degraded" fields (-shard-degraded failfast refuses them with 503 +
+// Retry-After and the attributed rank error instead), and stream
+// mutations commit on the coordinator and every live rank (their
+// responses carry the same flags). When the rank comes back, the
+// coordinator verifies the link and rebuilds the rank's replica by
+// deterministic replay of the journaled mutation record; answers return
+// to full coverage without operator action.
 //
 // Durability: -wal-dir journals every live-stream mutation (create,
 // ingest, advance) to a segmented write-ahead log before it is

@@ -15,9 +15,13 @@
 // any of the twelve shared-memory strategies on its slab, reached over
 // framed TCP or a zero-copy in-process channel — one wire protocol behind
 // both transports, with scatter/gather bytes counted at the framing layer.
-// A cluster also hosts sharded live-stream windows whose region/hotspot
-// queries are answered by merging per-rank incremental sketches instead of
-// gathering grids. It is exposed as stkde.EstimateDistributed and the
+// A cluster also hosts sharded live-stream windows, partitioned by event
+// instead of by slab (the paper's PB-SYM-DR layout): every rank holds the
+// whole window and a 1/R share of the events, advances ship nothing, and
+// point/region/hotspot queries sum the ranks' raw partials — hotspots by a
+// threshold top-k gather — instead of gathering grids. A dead rank thins
+// the answers by its share until it is re-seeded. It is exposed as
+// stkde.EstimateDistributed and the
 // ShardNetwork/ShardRank/ShardCluster surface, the -ranks flag of
 // cmd/stkde, the -shard-listen/-peers flags of cmd/stkded, and the "dist"
 // and "shard" experiments of cmd/stkdebench.

@@ -26,7 +26,7 @@ import (
 // Every phase yields one row with availability, the minimum coverage any
 // answer carried, and mean/p99 query latency; the healed row additionally
 // records heal_ms, the time from restart to the first full-coverage answer
-// (detection + redial + ping + journal replay of the dead slab). The
+// (detection + redial + ping + journal replay of the dead rank). The
 // committed BENCH_faults.json records this trajectory; the acceptance bar
 // is availability 1.0 in every phase under the partial-gather policy.
 func (h *harness) faultsExp() (*Report, error) {
@@ -187,7 +187,7 @@ func (h *harness) faultsInstance(name string, pts []grid.Point, spec grid.Spec) 
 
 	// Restart the rank empty on its original address and measure the time
 	// to the first full-coverage answer: probe (dial + ping + replay
-	// re-seed of the dead slab) plus the verifying gather.
+	// re-seed of the dead rank) plus the verifying gather.
 	rs, err := dist.ListenRank(n, addrs[victim], dist.ServerOptions{})
 	if err != nil {
 		return fail(err)

@@ -13,11 +13,11 @@ import (
 // the wire bytes are exactly what TCP ranks would move, without NIC noise):
 //
 //	grid-gather    the baseline a naive sharded server pays per query:
-//	               every rank ships its O(G) slab grid (StreamGroup.
+//	               every rank ships its O(G) raw window (StreamGroup.
 //	               Snapshot) and the coordinator scans the merged volume
 //	sketch-merge   the rank-side incremental sketches answer instead:
-//	               O(1) raw partial sums for region mass, O(k) candidate
-//	               lists for hotspots, merged at the coordinator
+//	               O(1) raw partial sums for region mass, a threshold
+//	               top-k gather for hotspots, summed at the coordinator
 //
 // Every instance yields one row per method with the per-query wire bytes
 // (measured at the transport framing layer via Cluster.CommStats) and the

@@ -30,11 +30,12 @@
 //     disjoint slabs are merged into the global density volume.
 //
 // Beyond batch estimation, a Cluster hosts sharded live windows
-// (StreamGroup): a streaming ingest is carved across the ranks with the
-// same owner + halo rule, window advances broadcast a single layer count,
-// and region/hotspot analytics are answered by merging the ranks'
-// incremental block sketches — O(1) partial sums and O(k) candidate lists
-// on the wire instead of O(G) slab grids.
+// (StreamGroup). A sliding window is partitioned by event, not by slab —
+// the paper's PB-SYM-DR layout: every rank holds the whole window, the
+// i-th ingested event goes to rank i mod R, window advances broadcast a
+// single layer count and ship no events, and reads sum the ranks' raw
+// partials — O(1) values per rank for point and region reads, and a
+// threshold-algorithm top-k gather for hotspots, instead of O(G) grids.
 //
 // Fault tolerance: every rank connection runs a health state machine
 // (up → suspect → down → reconnecting; see health.go). RPC exchanges carry
@@ -42,16 +43,17 @@
 // jittered backoff, and transport-error streaks mark the rank down;
 // ConnectCluster's heartbeat monitor pings idle ranks and heals failed
 // ones in the background (dial, nonce-echo ping, then rebuild the rank's
-// slab state by deterministic replay of each StreamGroup's live events).
-// While a rank is down, sketch gathers merge the surviving ranks under
-// GatherPartial and report Coverage alongside the answer (GatherFailFast
-// refuses instead), mutations commit on the coordinator and live ranks
-// and return a DegradedError naming the reduced coverage — they are never
-// retried on the wire, since a resend could double-apply — and operations
-// pinned to the dead slab fail fast with an attributed RankError wrapping
-// ErrRankDown. The chaos harness (chaos.go, fault_test.go) kills and heals
-// ranks under a deterministic seed and asserts the healed cluster matches
-// a single-process reference within 1e-9.
+// replica by deterministic replay of each StreamGroup's mutation log).
+// While a rank is down, stream reads sum the surviving ranks under
+// GatherPartial — a dead rank thins every voxel by its share of the
+// events — and report Coverage alongside the answer (GatherFailFast
+// refuses with an attributed RankError instead); mutations commit on the
+// coordinator and live ranks and return a DegradedError naming the
+// reduced coverage — they are never retried on the wire, since a resend
+// could double-apply — and snapshots, which need every share, fail fast
+// with ErrRankDown. The chaos harness (chaos.go, fault_test.go) kills and
+// heals ranks under a deterministic seed and asserts the healed cluster
+// matches a single-process reference within 1e-9.
 //
 // Exactness: slab sub-specs sample bitwise-identical voxel centers
 // (grid.Spec.SubSpecT), halo replication is conservative (the kernel

@@ -233,9 +233,10 @@ func TestRPCTimeoutBoundsExchange(t *testing.T) {
 // TestStreamRankDeathAttribution kills a rank under a live sharded stream
 // and checks the whole degradation contract: mutations commit on the
 // coordinator and surface DegradedError with the failed rank and phase
-// attributed, gathers answer at reduced coverage, single-voxel reads and
-// snapshots fail fast with ErrRankDown — and a heal restores exact parity
-// with the single-process reference.
+// attributed, gathers and single-voxel reads answer the live rank's share
+// at reduced coverage, snapshots fail fast with ErrRankDown, the
+// coordinator's live count stays exact — and a heal restores parity with
+// the single-process reference.
 func TestStreamRankDeathAttribution(t *testing.T) {
 	h := newFaultHarness(t, 2, 1, ClusterOptions{}, 0)
 	spec := testSpec(t, 20, 1)
@@ -277,8 +278,8 @@ func TestStreamRankDeathAttribution(t *testing.T) {
 		t.Fatalf("coordinator live count %d diverged from reference %d", sg.N(), u.N())
 	}
 
-	// Mid-advance: the slide and its halo top-up still commit, counts are
-	// valid, and the failure is attributed to the advance phase.
+	// Mid-advance: the slide still commits, counts are valid, and the
+	// failure is attributed to the advance phase.
 	to := spec.Domain.T0 + spec.Domain.GT + 5*spec.TRes
 	ga, ge, err := sg.AdvanceTo(to)
 	ua, ue := u.AdvanceTo(to)
@@ -294,24 +295,46 @@ func TestStreamRankDeathAttribution(t *testing.T) {
 	if !errors.Is(de.Err, ErrRankDown) {
 		t.Fatalf("second strike on a severed rank should fail fast, got %v", de.Err)
 	}
+	if sg.N() != u.N() {
+		t.Fatalf("coordinator live count %d after a degraded advance, reference %d", sg.N(), u.N())
+	}
 
-	// Gathers answer from the live slab at reduced, honest coverage.
-	_, cov, err := sg.BoxMassCov(sg.Spec().Bounds())
+	// Reads thin instead of failing: they answer the live rank's share of
+	// the events (the even routing numbers) over the global live count.
+	share0, err := core.NewUpdater(spec, core.UpdaterConfig{Options: core.Options{Threads: 1}})
 	if err != nil {
-		t.Fatalf("degraded box mass errored under GatherPartial: %v", err)
+		t.Fatal(err)
 	}
-	if cov != (Coverage{Live: 1, Total: 2}) || !cov.Degraded() {
-		t.Fatalf("box mass coverage = %+v", cov)
+	defer share0.Release()
+	share0.Add(share(pts[:200], 0, 2, 0)...)
+	share0.Add(share(pts[200:300], 200, 2, 0)...)
+	share0.AdvanceTo(to)
+	thinned := 1 / float64(u.N())
+	degraded := Coverage{Live: 1, Total: 2}
+	mass, cov, err := sg.BoxMassCov(sg.Spec().Bounds())
+	want, _ := share0.BoxSumRaw(sg.Spec().Bounds())
+	want *= thinned * spec.SRes * spec.SRes * spec.TRes
+	if err != nil || cov != degraded || !closeTo(mass, want) {
+		t.Fatalf("degraded box mass %g (cov %+v, %v), want the live share %g", mass, cov, err, want)
 	}
-	if _, cov, err = sg.TopKCov(4); err != nil || !cov.Degraded() {
-		t.Fatalf("degraded top-k: cov %+v, err %v", cov, err)
+	top, cov, err := sg.TopKCov(4)
+	wantTop, _ := share0.TopKScaled(4, thinned)
+	if err != nil || cov != degraded || len(top) != len(wantTop) {
+		t.Fatalf("degraded top-k %v (cov %+v, %v), want the live share's %v", top, cov, err, wantTop)
 	}
-
-	// A voxel owned by the dead slab fails fast and attributed.
-	if _, err := sg.At(0, 0, sg.Spec().Gt-1); !errors.Is(err, ErrRankDown) {
-		t.Fatalf("At on a dead slab = %v, want ErrRankDown", err)
-	} else if !errors.As(err, &re) || re.Rank != 1 {
-		t.Fatalf("At error not attributed to rank 1: %v", err)
+	for i := range top {
+		if !closeTo(top[i].V, wantTop[i].V) {
+			t.Fatalf("degraded top-k[%d] = %g, want the live share's %g", i, top[i].V, wantTop[i].V)
+		}
+	}
+	for _, vd := range mustTopK(t, u, 3) {
+		v, cov, err := sg.AtCov(vd.X, vd.Y, vd.T)
+		if err != nil || cov != degraded {
+			t.Fatalf("degraded At(%d,%d,%d): cov %+v, err %v", vd.X, vd.Y, vd.T, cov, err)
+		}
+		if want := share0.Ring().At(vd.X, vd.Y, vd.T) * thinned; !closeTo(v, want) || v >= vd.V {
+			t.Fatalf("degraded At(%d,%d,%d) = %g, want the live share %g below the full %g", vd.X, vd.Y, vd.T, v, want, vd.V)
+		}
 	}
 	if _, err := sg.Snapshot(nil); !errors.Is(err, ErrRankDown) {
 		t.Fatalf("snapshot with a dead rank = %v, want ErrRankDown", err)

@@ -37,9 +37,10 @@ func rankErr(rank int, phase string, err error) error {
 var ErrRankDown = errors.New("dist: rank down")
 
 // Coverage reports how much of a sharded window contributed to an answer:
-// Live of Total slab ranks. Full coverage (Live == Total) means the
-// answer is exact; anything less is a principled partial estimate — the
-// merged density of the live slabs only.
+// Live of Total ranks. Full coverage (Live == Total) means the answer is
+// exact; anything less is a principled partial estimate — the live ranks'
+// shares of the events over the global live count, so every voxel is
+// thinned by the missing shares.
 type Coverage struct {
 	Live  int `json:"live"`
 	Total int `json:"total"`
@@ -53,12 +54,33 @@ func (c Coverage) Fraction() float64 {
 	return float64(c.Live) / float64(c.Total)
 }
 
-// Degraded reports whether any slab rank was missing from the answer.
+// Degraded reports whether any rank was missing from the answer.
 func (c Coverage) Degraded() bool { return c.Live < c.Total }
+
+// answered is the coverage of a fan-out read: the ranks without an error.
+func answered(errs []error) Coverage {
+	cov := Coverage{Total: len(errs)}
+	for _, err := range errs {
+		if err == nil {
+			cov.Live++
+		}
+	}
+	return cov
+}
+
+// firstErr returns the first non-nil error of a per-rank slice.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // DegradedError reports a mutation that committed on the coordinator and
 // every healthy rank but could not reach at least one failed rank. The
-// coordinator's state (live list, mutation log, journal) is authoritative
+// coordinator's state (mutation log, live counts, journal) is authoritative
 // and the failed rank will be rebuilt from it on reconnect, so callers
 // that tolerate temporary partial coverage may treat this as success;
 // Unwrap exposes the attributed RankError of the first failed rank.
@@ -93,8 +115,8 @@ func isTransportErr(err error) bool {
 type GatherPolicy int
 
 const (
-	// GatherPartial (default) merges the live ranks' sketches and reports
-	// the reduced coverage alongside the answer.
+	// GatherPartial (default) answers from the live ranks and reports the
+	// reduced coverage alongside the answer.
 	GatherPartial GatherPolicy = iota
 	// GatherFailFast refuses degraded answers: any down rank fails the
 	// query with its attributed RankError.

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/core"
@@ -106,6 +107,13 @@ func (s *RankServer) serveConn(c Conn) {
 		for _, st := range streams {
 			st.up.Release()
 		}
+		if len(streams) > 0 {
+			// Every stream window is a full window (StreamGroup shards by
+			// event), and a reconnecting coordinator re-seeds new ones at
+			// once: collect the dead connection's windows now, so the rank
+			// never holds two generations of them.
+			runtime.GC()
+		}
 		s.mu.Lock()
 		delete(s.conns, c)
 		s.mu.Unlock()
@@ -186,7 +194,7 @@ func (s *RankServer) handle(streams map[uint64]*rankStream, msg []byte) []byte {
 		st.up.Add(pts...)
 		return encodeOK(int64(len(pts)), 0)
 	case msgAdvance:
-		id, k, newNeeded, err := decodeAdvance(msg)
+		id, k, err := decodeAdvance(msg)
 		if err != nil {
 			return encodeErr("decode", err.Error())
 		}
@@ -195,8 +203,27 @@ func (s *RankServer) handle(streams map[uint64]*rankStream, msg []byte) []byte {
 			return encodeErr("advance", fmt.Sprintf("no stream %d", id))
 		}
 		adv, exp := st.up.AdvanceBy(k)
-		st.up.Add(newNeeded...)
 		return encodeOK(int64(adv), int64(exp))
+	case msgFetch:
+		id, vs, err := decodeFetch(msg)
+		if err != nil {
+			return encodeErr("decode", err.Error())
+		}
+		st, ok := streams[id]
+		if !ok {
+			return encodeErr("query", fmt.Sprintf("no stream %d", id))
+		}
+		// The connection serves one request at a time, so the ring is not
+		// being mutated while it is read.
+		ring := st.up.Ring()
+		vals := make([]float64, len(vs))
+		for i, v := range vs {
+			if !inWindow(ring.Spec(), v) {
+				return encodeErr("query", fmt.Sprintf("voxel (%d,%d,%d) outside the window", v.X, v.Y, v.T))
+			}
+			vals[i] = ring.At(v.X, v.Y, v.T)
+		}
+		return encodeFetchAns(vals)
 	case msgRegion:
 		id, box, err := decodeRegion(msg)
 		if err != nil {

@@ -120,37 +120,63 @@ func compareShardStream(t *testing.T, sg *StreamGroup, u *core.Updater) {
 		}
 	}
 
-	const k = 8
-	want, err := u.TopK(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sg.TopK(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("sharded top-k has %d entries, updater %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].X != want[i].X || got[i].Y != want[i].Y || got[i].T != want[i].T {
-			t.Fatalf("top-k[%d]: sharded voxel (%d,%d,%d), updater (%d,%d,%d)",
-				i, got[i].X, got[i].Y, got[i].T, want[i].X, want[i].Y, want[i].T)
-		}
-		if math.Abs(got[i].V-want[i].V) > 1e-9*math.Max(1, want[i].V) {
-			t.Fatalf("top-k[%d]: sharded density %g, updater %g", i, got[i].V, want[i].V)
-		}
-	}
-
+	want := checkTopK(t, sg, u, 8)
 	for _, vd := range want[:min(3, len(want))] {
 		gv, err := sg.At(vd.X, vd.Y, vd.T)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if uv := u.At(vd.X, vd.Y, vd.T); math.Abs(gv-uv) > 1e-9*math.Max(1, uv) {
+		if uv := u.At(vd.X, vd.Y, vd.T); !closeTo(gv, uv) {
 			t.Fatalf("At(%d,%d,%d): sharded %g, updater %g", vd.X, vd.Y, vd.T, gv, uv)
 		}
 	}
+}
+
+// closeTo is the sharded contract: equal within 1e-9 (relative above 1).
+func closeTo(got, want float64) bool {
+	return math.Abs(got-want) <= 1e-9*math.Max(1, math.Abs(want))
+}
+
+func mustTopK(t *testing.T, u *core.Updater, k int) []grid.VoxelDensity {
+	t.Helper()
+	top, err := u.TopK(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return top
+}
+
+// checkTopK asserts the sharded top-k matches the updater's within 1e-9,
+// tolerating ties: entry i carries the reference's i-th density, the voxel
+// the sharded window names there really has that density (a tied voxel
+// may stand in for another), and no voxel appears twice. It returns the
+// reference list.
+func checkTopK(t *testing.T, sg *StreamGroup, u *core.Updater, k int) []grid.VoxelDensity {
+	t.Helper()
+	want := mustTopK(t, u, k)
+	got, err := sg.TopK(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("top-%d: sharded has %d entries, updater %d", k, len(got), len(want))
+	}
+	seen := make(map[voxel]bool, len(got))
+	for i, g := range got {
+		v := voxel{g.X, g.Y, g.T}
+		if seen[v] {
+			t.Fatalf("top-%d[%d]: voxel %v listed twice", k, i, v)
+		}
+		seen[v] = true
+		if !closeTo(g.V, want[i].V) {
+			t.Fatalf("top-%d[%d]: sharded density %g, updater %g", k, i, g.V, want[i].V)
+		}
+		if uv := u.At(g.X, g.Y, g.T); !closeTo(uv, want[i].V) {
+			t.Fatalf("top-%d[%d]: sharded names voxel %v of density %g, updater's entry is %g",
+				k, i, v, uv, want[i].V)
+		}
+	}
+	return want
 }
 
 // TestShardedStreamMatchesUpdater: a live window carved across R ranks

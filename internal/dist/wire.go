@@ -19,13 +19,15 @@ import (
 //	streamCreate: kind id threads spec
 //	streamClose:  kind id
 //	ingest:       kind id count points
-//	advance:      kind id k count points        (count = newly needed events)
+//	advance:      kind id k
 //	region:       kind id box(6 x i64)          -> sum
 //	sum:          kind value(f64) rebuilds(i64)
 //	topk:         kind id k scale(f64)          -> topkAns
 //	topkAns:      kind rebuilds(i64) count then count x (X, Y, T i64, V f64)
 //	snapshot:     kind id                       -> gather
 //	ping:         kind nonce(u64)               -> ok(nonce, 0)
+//	fetch:        kind id count then count x (X, Y, T u32) -> fetchAns
+//	fetchAns:     kind count then count x raw value(f64), in request order
 const (
 	msgEstimate     uint32 = 3
 	msgErr          uint32 = 4
@@ -40,9 +42,12 @@ const (
 	msgTopKAns      uint32 = 13
 	msgSnapshot     uint32 = 14
 	msgPing         uint32 = 15
+	msgFetch        uint32 = 16
+	msgFetchAns     uint32 = 17
 
 	specBytes      = 16 * 8 // 10 float64 fields + 6 integer fields
 	candidateBytes = 32     // X, Y, T as i64 plus V as f64
+	voxelBytes     = 12     // X, Y, T as u32
 
 	// maxWireDim bounds decoded grid dimensions and bandwidths: a corrupt
 	// spec must fail decoding, not size a gigavoxel allocation rank-side.
@@ -345,32 +350,28 @@ func decodeIngest(msg []byte) (id uint64, pts []grid.Point, err error) {
 	return id, pts, r.done()
 }
 
-func encodeAdvance(id uint64, k int, newNeeded []grid.Point) []byte {
-	w := newWriter(24 + pointBytes*len(newNeeded))
+func encodeAdvance(id uint64, k int) []byte {
+	w := newWriter(20)
 	w.u32(msgAdvance)
 	w.u64(id)
 	w.u64(uint64(k))
-	w.u32(uint32(len(newNeeded)))
-	w.points(newNeeded)
 	return w.b
 }
 
-func decodeAdvance(msg []byte) (id uint64, k int, newNeeded []grid.Point, err error) {
+func decodeAdvance(msg []byte) (id uint64, k int, err error) {
 	r := &reader{b: msg}
 	if r.u32() != msgAdvance {
-		return 0, 0, nil, fmt.Errorf("dist: not an advance message")
+		return 0, 0, fmt.Errorf("dist: not an advance message")
 	}
 	id = r.u64()
 	kw := r.u64()
-	count := int(r.u32())
-	newNeeded = r.points(count)
 	if err := r.done(); err != nil {
-		return 0, 0, nil, err
+		return 0, 0, err
 	}
 	if kw > math.MaxInt32 {
-		return 0, 0, nil, fmt.Errorf("dist: advance of %d layers out of range", kw)
+		return 0, 0, fmt.Errorf("dist: advance of %d layers out of range", kw)
 	}
-	return id, int(kw), newNeeded, nil
+	return id, int(kw), nil
 }
 
 // --------------------------------------------------------- queries ----
@@ -504,6 +505,80 @@ func decodeSnapshot(msg []byte) (id uint64, err error) {
 	return id, r.done()
 }
 
+// voxel is one window voxel in logical coordinates.
+type voxel struct{ X, Y, T int }
+
+// inWindow reports whether v lies inside sp's voxel grid.
+func inWindow(sp grid.Spec, v voxel) bool {
+	return v.X >= 0 && v.X < sp.Gx && v.Y >= 0 && v.Y < sp.Gy && v.T >= 0 && v.T < sp.Gt
+}
+
+func encodeFetch(id uint64, vs []voxel) []byte {
+	w := newWriter(16 + voxelBytes*len(vs))
+	w.u32(msgFetch)
+	w.u64(id)
+	w.u32(uint32(len(vs)))
+	for _, v := range vs {
+		w.u32(uint32(v.X))
+		w.u32(uint32(v.Y))
+		w.u32(uint32(v.T))
+	}
+	return w.b
+}
+
+// decodeFetch refuses a count that disagrees with the frame length before
+// allocating; the rank range-checks the coordinates against its window.
+func decodeFetch(msg []byte) (id uint64, vs []voxel, err error) {
+	r := &reader{b: msg}
+	if r.u32() != msgFetch {
+		return 0, nil, fmt.Errorf("dist: not a fetch message")
+	}
+	id = r.u64()
+	count := r.u32()
+	if r.err != nil {
+		return 0, nil, r.err
+	}
+	if uint64(count)*voxelBytes != uint64(len(msg)-r.off) {
+		return 0, nil, fmt.Errorf("dist: fetch of %d voxels does not fit %d bytes", count, len(msg))
+	}
+	vs = make([]voxel, count)
+	for i := range vs {
+		vs[i] = voxel{int(r.u32()), int(r.u32()), int(r.u32())}
+	}
+	return id, vs, r.done()
+}
+
+func encodeFetchAns(vals []float64) []byte {
+	w := newWriter(8 + 8*len(vals))
+	w.u32(msgFetchAns)
+	w.u32(uint32(len(vals)))
+	for _, v := range vals {
+		w.f64(v)
+	}
+	return w.b
+}
+
+// decodeFetchAns refuses a count that disagrees with the frame length
+// before allocating.
+func decodeFetchAns(msg []byte) ([]float64, error) {
+	r := &reader{b: msg}
+	if r.u32() != msgFetchAns {
+		return nil, fmt.Errorf("dist: not a fetch answer")
+	}
+	count := r.u32()
+	if r.err != nil {
+		return nil, r.err
+	}
+	if uint64(count)*8 != uint64(len(msg)-r.off) {
+		return nil, fmt.Errorf("dist: fetch answer of %d values does not fit %d bytes", count, len(msg))
+	}
+	vals := make([]float64, count)
+	for i := range vals {
+		vals[i] = r.f64()
+	}
+	return vals, r.done()
+}
+
 // encodePing builds a heartbeat probe; the rank echoes the nonce in a
 // msgOK reply, proving the connection pairs requests with replies (a stale
 // or crossed reply fails the nonce check, not just the transport).
@@ -550,7 +625,7 @@ func decodeAny(msg []byte) error {
 	case msgIngest:
 		_, _, err = decodeIngest(msg)
 	case msgAdvance:
-		_, _, _, err = decodeAdvance(msg)
+		_, _, err = decodeAdvance(msg)
 	case msgRegion:
 		_, _, err = decodeRegion(msg)
 	case msgSum:
@@ -563,6 +638,10 @@ func decodeAny(msg []byte) error {
 		_, err = decodeSnapshot(msg)
 	case msgPing:
 		_, err = decodePing(msg)
+	case msgFetch:
+		_, _, err = decodeFetch(msg)
+	case msgFetchAns:
+		_, err = decodeFetchAns(msg)
 	default:
 		err = fmt.Errorf("dist: unknown message kind %d", le.Uint32(msg))
 	}

@@ -27,13 +27,17 @@ func wireCorpus(t testing.TB) [][]byte {
 		encodeStreamCreate(9, 2, spec),
 		encodeStreamClose(9),
 		encodeIngest(9, pts),
-		encodeAdvance(9, 3, pts),
+		encodeAdvance(9, 3),
 		encodeRegion(9, grid.Box{X0: 1, X1: 4, Y0: 0, Y1: 3, T0: 2, T1: 6}),
 		encodeSum(0.25, 11),
 		encodeTopK(9, 5, 0.5),
 		encodeTopKAns(4, []grid.VoxelDensity{{X: 1, Y: 2, T: 3, V: 0.5}}),
 		encodeSnapshot(9),
 		encodePing(31),
+		encodeFetch(9, []voxel{{1, 2, 3}, {19, 15, 11}}),
+		encodeFetchAns([]float64{0.5, -1e-300}),
+		encodeFetch(9, nil),
+		encodeFetchAns(nil),
 	}
 }
 
@@ -70,6 +74,20 @@ func TestDecodeCorruptMessages(t *testing.T) {
 	if err := decodeAny(huge); err == nil {
 		t.Error("ingest with absurd point count decoded without error")
 	}
+	// A fetch (or its answer) whose count disagrees with the frame length
+	// is refused before anything is allocated, in either direction.
+	for _, count := range []uint32{0, 1, 3, 1<<32 - 1} {
+		fetch := encodeFetch(1, []voxel{{1, 1, 1}, {2, 2, 2}})
+		le.PutUint32(fetch[12:], count)
+		if _, _, err := decodeFetch(fetch); err == nil {
+			t.Errorf("fetch of 2 voxels claiming %d decoded without error", count)
+		}
+		ans := encodeFetchAns([]float64{1, 2})
+		le.PutUint32(ans[4:], count)
+		if _, err := decodeFetchAns(ans); err == nil {
+			t.Errorf("fetch answer of 2 values claiming %d decoded without error", count)
+		}
+	}
 
 	unknown := make([]byte, 8)
 	le.PutUint32(unknown, 999)
@@ -79,6 +97,45 @@ func TestDecodeCorruptMessages(t *testing.T) {
 
 	if err := decodeAny(nil); err == nil {
 		t.Error("empty message decoded without error")
+	}
+}
+
+// TestRankFetchBoundsChecked: a fetch naming any voxel outside the rank's
+// window is refused with an attributed msgErr — never a panic, and never a
+// partial answer — while in-window voxels read the raw ring values.
+func TestRankFetchBoundsChecked(t *testing.T) {
+	s := &RankServer{}
+	streams := make(map[uint64]*rankStream)
+	spec := testSpec(t, 12, 1)
+	if _, _, err := decodeOK(s.handle(streams, encodeStreamCreate(1, 1, spec))); err != nil {
+		t.Fatal(err)
+	}
+	defer streams[1].up.Release()
+	pts := testPoints(200, spec.Domain, 3)
+	if _, _, err := decodeOK(s.handle(streams, encodeIngest(1, pts))); err != nil {
+		t.Fatal(err)
+	}
+	X, Y, T := spec.VoxelOf(pts[0])
+	inside := voxel{X, Y, T} // an event's own voxel: certainly non-zero
+	for _, bad := range []voxel{
+		{-1, 0, 0}, {spec.Gx, 0, 0}, {0, spec.Gy, 0}, {0, 0, spec.Gt}, {0, 0, -1}, {1<<32 - 1, 1<<32 - 1, 1<<32 - 1},
+	} {
+		reply := s.handle(streams, encodeFetch(1, []voxel{inside, bad}))
+		phase, _, err := decodeErr(reply)
+		if err != nil || phase != "query" {
+			t.Fatalf("fetch of %v: reply kind %d phase %q (%v), want a query msgErr", bad, le.Uint32(reply), phase, err)
+		}
+	}
+	if _, _, err := decodeErr(s.handle(streams, encodeFetch(2, []voxel{inside}))); err != nil {
+		t.Fatalf("fetch from an unknown stream: %v, want msgErr", err)
+	}
+	vals, err := decodeFetchAns(s.handle(streams, encodeFetch(1, []voxel{inside, {0, 0, 0}})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := streams[1].up.Ring()
+	if vals[0] != ring.At(inside.X, inside.Y, inside.T) || vals[1] != ring.At(0, 0, 0) || vals[0] == 0 {
+		t.Fatalf("fetched %v, ring holds %g and %g", vals, ring.At(inside.X, inside.Y, inside.T), ring.At(0, 0, 0))
 	}
 }
 

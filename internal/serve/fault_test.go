@@ -36,7 +36,11 @@ func shardFaultServer(t *testing.T, r int, cfg Config) (*Server, *httptest.Serve
 			}
 		}
 	})
-	cfg.Shard = &ShardConfig{Peers: fc.addrs, Network: fc.n, HeartbeatEvery: -1}
+	var policy dist.GatherPolicy
+	if cfg.Shard != nil {
+		policy = cfg.Shard.Policy
+	}
+	cfg.Shard = &ShardConfig{Peers: fc.addrs, Network: fc.n, HeartbeatEvery: -1, Policy: policy}
 	s := New(cfg)
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
@@ -206,44 +210,80 @@ func TestServeDegradedGatherAndRecovery(t *testing.T) {
 	}
 }
 
-// TestServeQueryRankDownFailsFast: a /v1/query hitting the down rank's
-// temporal slab is refused with 503 + Retry-After and the attributed
-// rank — not silently answered by the exact fallback — while queries on
-// the surviving rank's slab keep streaming.
-func TestServeQueryRankDownFailsFast(t *testing.T) {
-	_, sts, fc := shardFaultServer(t, 2, Config{})
-	sid := createStream(t, sts)
-	postEvents(t, sts, sid, append(streamEvents(150, 5, 79), streamEvents(150, 15, 80)...))
-	sparams := "dataset=" + sid + "&sres=2&tres=1&hs=6&ht=3"
+// queryResp is the /v1/query stream answer including its coverage fields,
+// or the attributed refusal.
+type queryResp struct {
+	Density  float64 `json:"density"`
+	Source   string  `json:"source"`
+	Coverage float64 `json:"coverage"`
+	Degraded bool    `json:"degraded"`
+	Error    string  `json:"error"`
+	Rank     *int    `json:"rank"`
+	Phase    string  `json:"phase"`
+}
 
-	fc.kill(1)
-	getRegionCov(t, sts, sparams) // one degraded gather detects the failure
-
-	// Rank 1 owns the upper temporal slab of the 20-layer window.
-	url := fmt.Sprintf("%s/v1/query?%s&x=20&y=15&t=15", sts.URL, sparams)
-	resp, err := http.Get(url)
+func getQuery(t *testing.T, ts *httptest.Server, params string) (queryResp, *http.Response) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/query?" + params + "&x=20&y=15&t=15")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out struct {
-		Err   string `json:"error"`
-		Rank  *int   `json:"rank"`
-		Phase string `json:"phase"`
-	}
+	var out queryResp
 	decodeBody(t, resp, &out)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("query on dead slab: status %d (%s), want 503", resp.StatusCode, out.Err)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 refusal carries no Retry-After header")
-	}
-	if out.Rank == nil || *out.Rank != 1 || out.Phase != "query" {
-		t.Fatalf("refusal attribution rank=%v phase=%q, want rank 1 / query", out.Rank, out.Phase)
-	}
+	return out, resp
+}
 
-	// The live rank's slab still answers from the window ring.
-	if _, src := queryDensity(t, sts, sid, 20, 15, 5); src != "stream" {
-		t.Fatalf("query on live slab source %q, want stream", src)
+// TestServeQueryRankDownFailsFast: with a rank down, a /v1/query on a
+// sharded stream answers the live ranks' share with coverage 1/2 under the
+// partial policy, and returns to full coverage and the unsharded answer
+// after heal; under the fail-fast policy it is refused with 503 +
+// Retry-After and the attributed rank — never silently answered by the
+// exact fallback.
+func TestServeQueryRankDownFailsFast(t *testing.T) {
+	pts := append(streamEvents(150, 5, 79), streamEvents(150, 15, 80)...)
+	_, lts, _ := testServer(t, Config{})
+	lid := createStream(t, lts)
+	postEvents(t, lts, lid, pts)
+	want, _ := getQuery(t, lts, "dataset="+lid+"&sres=2&tres=1&hs=6&ht=3")
+
+	for _, policy := range []dist.GatherPolicy{dist.GatherPartial, dist.GatherFailFast} {
+		t.Run(policy.String(), func(t *testing.T) {
+			s, sts, fc := shardFaultServer(t, 2, Config{Shard: &ShardConfig{Policy: policy}})
+			sid := createStream(t, sts)
+			postEvents(t, sts, sid, pts)
+			sparams := "dataset=" + sid + "&sres=2&tres=1&hs=6&ht=3"
+			if got, _ := getQuery(t, sts, sparams); got.Source != "stream" || got.Degraded || got.Coverage != 1 ||
+				math.Abs(got.Density-want.Density) > 1e-9*math.Max(1, want.Density) {
+				t.Fatalf("healthy query %+v, want the unsharded density %g at coverage 1", got, want.Density)
+			}
+
+			fc.kill(1)
+			got, resp := getQuery(t, sts, sparams)
+			if policy == dist.GatherPartial {
+				if resp.StatusCode != http.StatusOK || got.Source != "stream" || !got.Degraded || got.Coverage != 0.5 {
+					t.Fatalf("degraded query status %d %+v, want a stream answer at coverage 0.5", resp.StatusCode, got)
+				}
+				if !(got.Density > 0 && got.Density < want.Density) {
+					t.Fatalf("degraded density %g, want the live rank's share of %g", got.Density, want.Density)
+				}
+				fc.restart(1)
+				probeShard(t, s)
+				if got, _ = getQuery(t, sts, sparams); got.Degraded || got.Coverage != 1 ||
+					math.Abs(got.Density-want.Density) > 1e-9*math.Max(1, want.Density) {
+					t.Fatalf("healed query %+v, want the unsharded density %g at coverage 1", got, want.Density)
+				}
+				return
+			}
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("fail-fast query with a rank down: status %d %+v, want 503", resp.StatusCode, got)
+			}
+			if resp.Header.Get("Retry-After") == "" {
+				t.Fatal("503 refusal carries no Retry-After header")
+			}
+			if got.Rank == nil || *got.Rank != 1 || got.Phase != "query" {
+				t.Fatalf("refusal attribution rank=%v phase=%q, want rank 1 / query", got.Rank, got.Phase)
+			}
+		})
 	}
 }
 

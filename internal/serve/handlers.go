@@ -417,25 +417,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// through to the exact evaluator over the live events.
 	if !exactReq {
 		if st, ok := s.streams.get(k.Dataset); ok {
-			density, vox, window, ok, verr := st.voxelDensity(k.Spec, x, y, t)
+			rd, ok, verr := st.voxelDensity(k.Spec, x, y, t)
 			if verr != nil {
-				// The voxel's owning slab rank is down: there is no partial
-				// answer for a point query, and the exact fallback would
-				// silently serve a different (coordinator-local) estimate.
-				// Refuse with the attributed rank so the client retries
-				// after the heal.
+				// Fail-fast policy with a rank down: the exact fallback
+				// would silently serve a full-coverage estimate from the
+				// coordinator's log. Refuse with the attributed rank so the
+				// client retries after the heal.
 				writeStreamErr(w, http.StatusServiceUnavailable, verr)
 				return
 			}
 			if ok {
 				s.met.streamReads.Add(1)
 				writeJSON(w, http.StatusOK, map[string]any{
-					"density": density,
+					"density": rd.density,
 					"source":  "stream",
-					"voxel":   vox,
-					"center": [3]float64{k.Spec.CenterX(vox[0]),
-						k.Spec.CenterY(vox[1]), k.Spec.CenterT(vox[2])},
-					"window": window,
+					"voxel":   rd.vox,
+					"center": [3]float64{k.Spec.CenterX(rd.vox[0]),
+						k.Spec.CenterY(rd.vox[1]), k.Spec.CenterT(rd.vox[2])},
+					"window":   rd.window,
+					"coverage": rd.cov.Fraction(),
+					"degraded": rd.cov.Degraded(),
 				})
 				return
 			}
@@ -660,9 +661,9 @@ type streamJSON struct {
 	Grid     [3]int     `json:"grid"`
 	Version  int64      `json:"version"`
 	// Degraded and Coverage appear exactly when a sharded mutation
-	// committed with a slab rank down: the mutation is durable on the
-	// coordinator and reached Coverage (< 1) of the slab ranks; the rest
-	// catch up by replay when they heal.
+	// committed with a rank down: the mutation is durable on the
+	// coordinator and reached Coverage (< 1) of the ranks; the rest catch
+	// up by replay when they heal.
 	Degraded bool    `json:"degraded,omitempty"`
 	Coverage float64 `json:"coverage,omitempty"`
 }

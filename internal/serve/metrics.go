@@ -122,9 +122,12 @@ func (m *metrics) publishAdmission(a *admission) {
 // processes): event applications performed inside advances — zero while
 // no stream ingests ahead of its window — layers copied in from the
 // lookahead, and event × strip applications of the parallel apply, whose
-// excess over the applied events is its recomputation overhead.
+// excess over the applied events is its recomputation overhead. The
+// shard_stream_* counters sum dist.StreamStats over the live sharded
+// windows: events shipped to ranks (the events ingested, when every rank
+// is up), threshold top-k rounds, and raw voxel values fetched.
 func (m *metrics) publishStreams(t *streamTable) {
-	sum := func(pick func(core.UpdaterStats) int64) expvar.Func {
+	local := func(pick func(core.UpdaterStats) int64) expvar.Func {
 		return func() any {
 			var n int64
 			for _, st := range t.list() {
@@ -135,9 +138,23 @@ func (m *metrics) publishStreams(t *streamTable) {
 			return n
 		}
 	}
-	m.m.Set("stream_advance_reapplied", sum(func(us core.UpdaterStats) int64 { return us.AdvanceReapplied }))
-	m.m.Set("stream_advance_copied", sum(func(us core.UpdaterStats) int64 { return us.AdvanceCopied }))
-	m.m.Set("stream_strip_applies", sum(func(us core.UpdaterStats) int64 { return us.StripApplies }))
+	m.m.Set("stream_advance_reapplied", local(func(us core.UpdaterStats) int64 { return us.AdvanceReapplied }))
+	m.m.Set("stream_advance_copied", local(func(us core.UpdaterStats) int64 { return us.AdvanceCopied }))
+	m.m.Set("stream_strip_applies", local(func(us core.UpdaterStats) int64 { return us.StripApplies }))
+	sharded := func(pick func(dist.StreamStats) int64) expvar.Func {
+		return func() any {
+			var n int64
+			for _, st := range t.list() {
+				if sg, ok := st.up.(*dist.StreamGroup); ok {
+					n += pick(sg.Stats())
+				}
+			}
+			return n
+		}
+	}
+	m.m.Set("shard_stream_events_shipped", sharded(func(ss dist.StreamStats) int64 { return ss.EventsShipped }))
+	m.m.Set("shard_stream_topk_rounds", sharded(func(ss dist.StreamStats) int64 { return ss.TopKRounds }))
+	m.m.Set("shard_stream_voxels_fetched", sharded(func(ss dist.StreamStats) int64 { return ss.VoxelsFetched }))
 }
 
 // publishShard exposes the connected cluster's rank count, cumulative

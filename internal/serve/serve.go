@@ -30,15 +30,15 @@
 //     expvar-style metrics and graceful shutdown that drains in-flight
 //     estimations.
 //
-// With Config.Shard set, stream windows are carved across a rank cluster
-// (repro/internal/dist) and the server degrades instead of breaking when
-// a rank dies: region/hotspot answers merge the live ranks' sketches and
-// carry "coverage"/"degraded" fields (ShardConfig.Policy selects failing
-// fast instead), mutations commit on the coordinator and live ranks and
-// report the same flags, point queries on a dead rank's slab are refused
-// with 503 + Retry-After and the attributed rank, /healthz gains a
-// per-rank "shard" health section, and a reconnecting rank is re-seeded
-// by replay. Sharded streams journal through Config.WAL like local ones
+// With Config.Shard set, stream events are dealt across a rank cluster
+// (repro/internal/dist), every rank holding the whole window, and the
+// server degrades instead of breaking when a rank dies: point, region and
+// hotspot answers sum the live ranks' shares and carry
+// "coverage"/"degraded" fields (ShardConfig.Policy selects failing fast
+// with 503 + Retry-After and the attributed rank instead), mutations
+// commit on the coordinator and live ranks and report the same flags,
+// /healthz gains a per-rank "shard" health section, and a reconnecting
+// rank is re-seeded by replay. Sharded streams journal through Config.WAL like local ones
 // (minus snapshots), so a coordinator restart rebuilds them by replaying
 // the journal through the cluster.
 //
@@ -107,10 +107,11 @@ type Config struct {
 	WAL *WALConfig
 
 	// Shard, when non-nil with peers, backs every live stream with the
-	// named rank cluster instead of a local window ring: ingest is carved
-	// across the ranks by temporal slab, and region/hotspot queries are
-	// answered by merging the ranks' incremental sketches — O(1) partial
-	// sums and O(k) candidate lists on the wire instead of O(G) grids.
+	// named rank cluster instead of a local window ring: events are dealt
+	// round-robin to the ranks, each holding the whole window, and
+	// point/region/hotspot queries sum the ranks' raw partials — O(1)
+	// values per rank, and a threshold top-k gather of a few candidate
+	// lists, on the wire instead of O(G) grids.
 	Shard *ShardConfig
 
 	// Admission configures the multi-tenant admission-control layer in

@@ -119,8 +119,8 @@ func TestShardedStreamEndpoints(t *testing.T) {
 				}
 			}
 
-			// Advance both windows and re-compare: the slab carve is fixed
-			// window-relative, so sliding must stay in lockstep.
+			// Advance both windows and re-compare: every rank broadcasts the same
+			// layer count, so sliding must stay in lockstep.
 			advance(t, lts, lid, 24)
 			advance(t, sts, sid, 24)
 			late := streamEvents(120, 21, 42)
@@ -145,6 +145,13 @@ func TestShardedStreamEndpoints(t *testing.T) {
 			}
 			if _, ok := vars["shard_gather_p50_ms"].(float64); !ok {
 				t.Fatalf("expvar shard_gather_p50_ms = %v, want a number", vars["shard_gather_p50_ms"])
+			}
+			// Every event crossed the wire exactly once.
+			if v := vars["shard_stream_events_shipped"]; v != float64(len(pts)+len(late)) {
+				t.Fatalf("expvar shard_stream_events_shipped = %v, want %d", v, len(pts)+len(late))
+			}
+			if v, ok := vars["shard_stream_topk_rounds"].(float64); !ok || v < 1 {
+				t.Fatalf("expvar shard_stream_topk_rounds = %v, want at least the one hotspot read", vars["shard_stream_topk_rounds"])
 			}
 			comm, ok := vars["shard_comm"].([]any)
 			if !ok || len(comm) != r {

@@ -36,9 +36,10 @@ type liveWindow interface {
 
 // coverageWindow is the optional fault-tolerance extension of liveWindow:
 // a sharded window (dist.StreamGroup) reports, next to every gather, how
-// many of its slab ranks actually contributed. Local windows do not
-// implement it — their coverage is definitionally full.
+// many of its ranks actually contributed. Local windows do not implement
+// it — their coverage is definitionally full.
 type coverageWindow interface {
+	AtCov(X, Y, T int) (float64, dist.Coverage, error)
 	BoxMassCov(b grid.Box) (float64, dist.Coverage, error)
 	TopKCov(k int) ([]grid.VoxelDensity, dist.Coverage, error)
 	Coverage() dist.Coverage
@@ -87,7 +88,7 @@ type stream struct {
 
 	// jr is the stream's durability journal (nil without a WAL config).
 	// Sharded streams journal too — the coordinator's mutation record is
-	// what rebuilds rank slabs on reconnect and re-creates the cluster
+	// what rebuilds rank replicas on reconnect and re-creates the cluster
 	// state after a coordinator restart — but never checkpoint: the
 	// window ring lives in the rank processes, so there is no local state
 	// to snapshot. Immutable after registerStream.
@@ -115,41 +116,52 @@ func (st *stream) windowSpec(req grid.Spec) (grid.Spec, bool) {
 	return st.up.Spec(), true
 }
 
+// voxelRead is a point query answered from a live window.
+type voxelRead struct {
+	density float64
+	vox     [3]int
+	window  [2]float64
+	cov     dist.Coverage
+}
+
 // voxelDensity answers a query for (x, y, t) straight from the live window
 // ring when the spec is the current window and the location falls inside
 // it, returning the window time range from the same lock hold so the
 // response fields are mutually consistent. The boolean reports whether
 // the stream could answer; callers fall back to the exact evaluator when
-// it is false AND err is nil. A non-nil err means the voxel's owning
-// shard rank is down: there is no partial answer for a single voxel, so
-// the failure is surfaced (attributed RankError) for the handler to turn
-// into a retryable refusal rather than silently scanning the full live
-// list.
-func (st *stream) voxelDensity(spec grid.Spec, x, y, t float64) (density float64, vox [3]int, window [2]float64, ok bool, err error) {
+// it is false AND err is nil. A sharded window answers like a region
+// gather: under the partial policy a down rank only thins the density
+// (cov says by how much); a non-nil err (fail-fast policy) is the
+// attributed RankError, for the handler to turn into a retryable refusal
+// rather than silently scanning the full live list.
+func (st *stream) voxelDensity(spec grid.Spec, x, y, t float64) (rd voxelRead, ok bool, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.deleted || spec != st.up.Spec() {
-		return 0, [3]int{}, [2]float64{}, false, nil
+		return rd, false, nil
 	}
 	// Inclusion form, so a NaN coordinate fails the guard instead of
 	// slipping past two exclusion comparisons (CoversT likewise rejects
 	// NaN t: its comparisons are all false).
 	d := spec.Domain
 	if !(x >= d.X0 && x < d.X0+d.GX && y >= d.Y0 && y < d.Y0+d.GY) || !spec.CoversT(t) {
-		return 0, [3]int{}, [2]float64{}, false, nil
+		return rd, false, nil
 	}
 	// CoversT holds, so VoxelOf's clamped layer is the true layer.
 	X, Y, T := spec.VoxelOf(grid.Point{X: x, Y: y, T: t})
-	t0, t1 := st.up.Window()
-	dens, err := st.up.At(X, Y, T)
-	if err != nil {
+	rd.vox = [3]int{X, Y, T}
+	rd.window[0], rd.window[1] = st.up.Window()
+	rd.cov = fullCoverage
+	if cw, sharded := st.up.(coverageWindow); sharded {
+		rd.density, rd.cov, err = cw.AtCov(X, Y, T)
 		var re *dist.RankError
-		if st.sharded && errors.As(err, &re) {
-			return 0, [3]int{}, [2]float64{}, false, err
+		if errors.As(err, &re) {
+			return rd, false, err
 		}
-		return 0, [3]int{}, [2]float64{}, false, nil
+	} else {
+		rd.density, err = st.up.At(X, Y, T)
 	}
-	return dens, [3]int{X, Y, T}, [2]float64{t0, t1}, true, nil
+	return rd, err == nil, nil
 }
 
 // sketchBoxMass answers a region query for the live window straight from
@@ -353,7 +365,7 @@ func (s *Server) createStream(spec grid.Spec) (*stream, error) {
 			return nil, err
 		}
 		// Sharded windows keep their rings in the rank processes, but rank
-		// memory is volatile: any reconnect rebuilds a rank's slab by
+		// memory is volatile: any reconnect rebuilds a rank's replica by
 		// replaying the coordinator's record of the stream. Journaling the
 		// mutations here (exactly like a local stream, minus snapshots —
 		// the window lives elsewhere) makes the coordinator's record
@@ -468,7 +480,7 @@ const ingestChunk = 4096
 // clock) and every healthy rank, and the failed rank will be rebuilt by
 // replay on reconnect — so the ingest is reported as a success with the
 // reduced coverage, not an error, and the client learns its events landed
-// on cov.Live of cov.Total slabs.
+// on cov.Live of cov.Total ranks.
 func (s *Server) streamIngest(st *stream, pts []grid.Point) (total int, cov dist.Coverage, err error) {
 	cov = fullCoverage
 	for len(pts) > 0 {

@@ -74,10 +74,12 @@ func AnalyzeSchedule(pts []Point, spec Spec, opt Options, loadAware bool) (Stats
 	return core.AnalyzePD(pts, spec, opt, loadAware)
 }
 
-// Distributed-memory estimation (the paper's future-work item): temporal
-// slab sharding across rank endpoints speaking a framed shard protocol
-// over real transports — TCP between processes or machines, a zero-copy
-// in-process channel when ranks share the coordinator's process.
+// Distributed-memory estimation (the paper's future-work item): batch
+// estimates shard the time axis into slabs, live streams shard their
+// events over ranks that each hold the whole window, and rank endpoints
+// speak a framed shard protocol over real transports — TCP between
+// processes or machines, a zero-copy in-process channel when ranks share
+// the coordinator's process.
 type (
 	// DistOptions configures a distributed-memory run.
 	DistOptions = dist.Options
@@ -108,7 +110,7 @@ type (
 	// ShardGatherPolicy selects how sharded analytics behave when a rank
 	// is down: merge the live ranks and report coverage, or fail fast.
 	ShardGatherPolicy = dist.GatherPolicy
-	// ShardCoverage reports how many slab ranks contributed to an answer.
+	// ShardCoverage reports how many ranks contributed to an answer.
 	ShardCoverage = dist.Coverage
 	// ShardDegradedError reports a mutation that committed everywhere but
 	// on at least one failed rank (rebuilt by replay when it heals).

@@ -19,9 +19,9 @@ type (
 	// production-safe.
 	ServeConfig = serve.Config
 	// ShardServeConfig names the rank cluster a DensityServer shards its
-	// live streams across (ServeConfig.Shard): ingest is carved over the
-	// ranks by temporal slab and region/hotspot queries are answered by
-	// merging the ranks' incremental sketches.
+	// live streams across (ServeConfig.Shard): events are dealt
+	// round-robin to the ranks, each holding the whole window, and
+	// point/region/hotspot queries sum the ranks' raw partials.
 	ShardServeConfig = serve.ShardConfig
 	// DensityServer is the serving subsystem; it implements http.Handler,
 	// so it mounts directly on an http.Server or test mux.
