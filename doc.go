@@ -55,13 +55,14 @@
 // public stkde.Stream) owns a sliding temporal window of density stored in
 // a ring-buffer grid (grid.Ring, built on the Spec.OT frame-offset
 // machinery), folds events in and retracts them through the engine's
-// signed-weight contribution primitive — each event applied once, over the
-// window and a lookahead of Ht layer images just past its end, and each
-// batch split over X strips on every core (the paper's PB-SYM-DD inside the
-// window, bitwise the same for any thread count) — advances the window by
-// rotating the ring and rewriting only the freed layers, copying in the
-// lookahead layers that entered it (no event is re-applied; only events
-// ingested ahead of the window are touched again), and bounds
+// signed-weight contribution primitive — each event applied once, its
+// whole cylinder written into the ring's Gt window layers and Ht hidden
+// layers just past the window's end, and each batch split over X strips on
+// every core (the paper's PB-SYM-DD inside the window, bitwise the same for
+// any thread count) — advances the window by rotating the ring and zeroing
+// only the freed layers, the hidden layers sliding in already filled (no
+// event is re-applied; only events ingested ahead of the window are
+// touched again), and bounds
 // floating-point cancellation drift with a running residual estimate plus
 // periodic compaction. The serving subsystem exposes it as mutable stream datasets
 // (POST /v1/streams, /v1/datasets/{id}/events, /v1/datasets/{id}/advance)

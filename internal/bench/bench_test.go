@@ -149,7 +149,6 @@ func TestTable3Speedups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Table 3's headline: VB costs orders of magnitude more than PB.
 	times := map[string]map[string]float64{}
 	for _, r := range rep.Rows {
 		if times[r.Instance] == nil {
@@ -157,10 +156,21 @@ func TestTable3Speedups(t *testing.T) {
 		}
 		times[r.Instance][r.Algo] = r.Seconds
 	}
+	if len(times) == 0 {
+		t.Fatal("no rows")
+	}
+	// Table 3's headline: VB costs orders of magnitude more than PB. That
+	// is a wall-clock comparison, which a loaded machine can invert on the
+	// tiny test instances, so tier-1 checks only that PB ran; the CI
+	// overload smoke sets STKDE_TIMING_TESTS=1 and enforces it.
+	timed := os.Getenv("STKDE_TIMING_TESTS") == "1"
 	for inst, tm := range times {
 		vb, okVB := tm[core.AlgVB]
 		pb, okPB := tm[core.AlgPB]
-		if okVB && okPB && vb < pb {
+		if !okPB || pb <= 0 {
+			t.Errorf("%s: no timed PB row", inst)
+		}
+		if timed && okVB && okPB && vb < pb {
 			t.Errorf("%s: VB (%.4fs) unexpectedly faster than PB (%.4fs)", inst, vb, pb)
 		}
 	}

@@ -197,7 +197,7 @@ func TestQueryMatchesAccumulator(t *testing.T) {
 }
 
 // TestUpdaterCompactionAnywhere: a compaction forced between any two
-// mutations — it zeroes the ring and the lookahead and replays the live
+// mutations — it zeroes the ring and replays the live
 // events, rebuilding the future list — never changes what the window
 // holds. A twin that compacts after every mutation keeps the same live
 // set as an updater that never does, and both agree with batch estimation

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/grid"
+	"repro/internal/par"
 	"repro/internal/simd"
 )
 
@@ -19,36 +20,33 @@ import (
 //     contribution primitive with weight -1 (the bitwise negation of the
 //     Add, so cancellation drift is bounded by accumulation rounding);
 //   - AdvanceTo slides the window forward by whole voxel layers: an O(1)
-//     ring rotation, one pass writing the freed layers — copied in from
-//     the lookahead as they enter the window, zeroed otherwise — and
-//     expiring events that can no longer reach the window.
+//     ring rotation, one pass zeroing the freed layers, and expiring
+//     events that can no longer reach the window.
 //
-// Every event is applied once. Beside the Gt-layer ring the updater keeps
-// a lookahead: Ht layer images ([layer][X][Y], Y contiguous) covering the
-// layers just past the window's end. Add, Remove and compaction evaluate
-// an event's disk and bar once over the combined Gt+Ht layers and scatter
-// the bar's head into the ring and its tail into the lookahead, so when
-// the window advances, its new layers already hold every live event's
+// Every event is applied once. The ring holds Ht hidden layers just past
+// the window's end (grid.Ring), and Add, Remove and compaction write each
+// event's whole disk × bar over the ring's Gt+Ht layers, so when the
+// window advances, the layers entering it already hold every live event's
 // contribution and nothing is re-applied. The one exception is the future
-// list: events whose support reaches past the lookahead (ingested ahead of
-// the window, or a shard rank's halo events) are applied, at each advance,
-// to the layers that newly come into reach.
+// list: events whose support reaches past the hidden layers (ingested
+// ahead of the window) are applied, at each advance, to the layers that
+// newly come into reach.
 //
 // Every bulk apply — Add, Remove, the compaction and restore replay, and
 // an advance's future-list apply — runs on up to P = Options.Threads cores
 // as the paper's PB-SYM-DD (Algorithm 5) over one batch: the X axis is cut
 // into P contiguous strips holding equal shares of the batch's box
 // columns, and every strip worker walks the whole batch in batch order,
-// applying each event clipped to its strip. The ring and the lookahead are
-// both X-major, so the strips write disjoint memory, and a voxel lies in
-// exactly one strip: it receives the same products in the same order as
-// under a one-strip apply. The window is therefore bitwise identical for
-// every P and every cut, and every contract below holds unchanged. An
-// event whose box spans a cut evaluates its disk and bar once per strip;
-// UpdaterStats.StripApplies counts that overhead, the analogue of
-// Stats.PointAssignments. The sketch bookkeeping and the drift bound stay
-// on the calling goroutine, once per event in batch order. P = 1, and any
-// batch below stripMinEvents, is the same code with one strip, run inline.
+// applying each event clipped to its strip. The ring is X-major, so the
+// strips write disjoint memory, and a voxel lies in exactly one strip: it
+// receives the same products in the same order as under a one-strip
+// apply. The window is therefore bitwise identical for every P and every
+// cut, and every contract below holds unchanged. An event whose box spans
+// a cut evaluates its disk and bar once per strip; UpdaterStats.StripApplies
+// counts that overhead, the analogue of Stats.PointAssignments. The sketch
+// bookkeeping and the drift bound stay on the calling goroutine, once per
+// event in batch order. P = 1, and any batch below stripMinEvents, is the
+// same code with one strip, run inline.
 //
 // Like the Accumulator, the ring stores *unnormalized* contributions
 // (ks·kt/(hs²·ht)); Snapshot and At divide by the live event count so the
@@ -58,16 +56,15 @@ import (
 // upper estimate of accumulated cancellation rounding, per voxel, in
 // normalized density units). When the bound crosses ResidualLimit — or
 // every CompactEvery mutations — the updater compacts: it zeroes the ring
-// and the lookahead and re-applies every live event, resetting the bound.
-// The property tests assert ≤1e-9 agreement with batch estimation across
-// arbitrary Add/Remove/AdvanceTo interleavings, including compaction
-// boundaries.
+// and re-applies every live event, resetting the bound. The property tests
+// assert ≤1e-9 agreement with batch estimation across arbitrary
+// Add/Remove/AdvanceTo interleavings, including compaction boundaries.
 //
 // Updater is safe for concurrent use.
 type Updater struct {
 	mu   sync.Mutex
 	ring *grid.Ring
-	pos  ctx // weight +1, unnormalized (n=1); spec is the combined Gt+Ht frame
+	pos  ctx // weight +1, unnormalized (n=1); spec spans the ring's Gt+Ht layers
 	neg  ctx // weight -1
 	live []grid.Point
 	cfg  UpdaterConfig
@@ -83,14 +80,11 @@ type Updater struct {
 	cols    []int
 	cuts    []int
 
-	// look holds the Ht lookahead images: look[j] is combined layer Gt+j,
-	// Gx·Gy doubles with Y contiguous. An advance rotates the slice.
-	look [][]float64
 	// future lists, in live order, the live events whose support reaches
-	// past the lookahead.
+	// past the ring's hidden layers.
 	future []grid.Point
 
-	budget *grid.Budget // charged for the ring, the lookahead and the lazy analytics sketch
+	budget *grid.Budget // charged for the ring and the lazy analytics sketch
 
 	ops        int64   // mutations since the last compaction
 	residual   float64 // running rounding bound, unnormalized
@@ -102,7 +96,7 @@ type Updater struct {
 type UpdaterConfig struct {
 	// Options configures kernels, engine and memory budget exactly like a
 	// batch estimation run. Threads is the most X strips (and cores) a bulk
-	// apply and an advance's copy-in are split over; values < 1 mean
+	// apply and an advance's zeroing are split over; values < 1 mean
 	// GOMAXPROCS. The window is bitwise the same for every value.
 	// AdaptiveBandwidth is not supported (per-point normalization would make
 	// retraction ambiguous).
@@ -133,7 +127,6 @@ type UpdaterStats struct {
 	// advances: future-list events applied to newly reachable layers. A
 	// stream whose events never lie ahead of the window keeps it at zero.
 	AdvanceReapplied int64
-	AdvanceCopied    int64   // layers copied into the window from the lookahead
 	ResidualBound    float64 // current normalized drift bound
 	// StripApplies counts event × strip applications by the mutations Ops
 	// counts (compaction and restore replays excluded, as from Ops): an
@@ -148,14 +141,10 @@ type UpdaterStats struct {
 const eps = 0x1p-52
 
 // WindowBytes returns the bytes a streaming window on spec pins for its
-// whole life, and charges to its budget: the Gt-layer ring plus the Ht
-// lookahead layer images. (The analytics sketch attaches lazily and is
-// charged separately, grid.RingSketchBytes.)
-func WindowBytes(spec grid.Spec) int64 { return spec.Bytes() + lookaheadBytes(spec) }
-
-func lookaheadBytes(spec grid.Spec) int64 {
-	return int64(spec.Gx) * int64(spec.Gy) * int64(spec.Ht) * 8
-}
+// whole life, and charges to its budget: the ring's Gt visible and Ht
+// hidden layers, grid.RingBytes. (The analytics sketch attaches lazily and
+// is charged separately, grid.RingSketchBytes.)
+func WindowBytes(spec grid.Spec) int64 { return grid.RingBytes(spec) }
 
 // NewUpdater creates an empty streaming estimator whose window is the
 // temporal extent of spec. The window slides forward with AdvanceTo; spec's
@@ -169,29 +158,17 @@ func NewUpdater(spec grid.Spec, cfg UpdaterConfig) (*Updater, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newUpdater(ring, cfg)
+	return newUpdater(ring, cfg), nil
 }
 
-// newUpdater wraps a ring (fresh or restored) with a zeroed lookahead and
-// the evaluation contexts; the ring is released if the lookahead does not
-// fit the budget.
-func newUpdater(ring *grid.Ring, cfg UpdaterConfig) (*Updater, error) {
+// newUpdater wraps a ring (fresh or restored) with the evaluation contexts.
+func newUpdater(ring *grid.Ring, cfg UpdaterConfig) *Updater {
 	opt := cfg.Options.withDefaults()
 	if cfg.ResidualLimit <= 0 {
 		cfg.ResidualLimit = 1e-10
 	}
 	spec := ring.Spec()
-	if err := opt.Budget.Alloc(lookaheadBytes(spec)); err != nil {
-		ring.Release()
-		return nil, err
-	}
 	u := &Updater{ring: ring, cfg: cfg, budget: opt.Budget, threads: opt.Threads, cols: make([]int, spec.Gx+1)}
-	plane := spec.Gx * spec.Gy
-	buf := make([]float64, plane*spec.Ht)
-	u.look = make([][]float64, spec.Ht)
-	for j := range u.look {
-		u.look[j] = buf[j*plane : (j+1)*plane]
-	}
 	u.pos = newCtx(nil, spec, opt)
 	// Unnormalized contributions: weigh each event by 1/(hs^2*ht) only;
 	// Snapshot divides by the live count (exactly like the Accumulator).
@@ -203,13 +180,12 @@ func newUpdater(ring *grid.Ring, cfg UpdaterConfig) (*Updater, error) {
 	// at the origin. (For exotic user kernels this is an estimate; the
 	// bound stays a heuristic trigger, correctness comes from compaction.)
 	u.contribMax = math.Abs(u.pos.norm * opt.Spatial.Eval(0, 0) * opt.Temporal.Eval(0))
-	return u, nil
+	return u
 }
 
 // setFrame points the evaluation contexts at the window's current frame,
-// extended by the lookahead: combined layers [0, Gt) are the ring's,
-// [Gt, Gt+Ht) the lookahead's, so an event's influence box and bar cover
-// both in one evaluation.
+// extended over the ring's hidden layers: an event's influence box and bar
+// cover logical layers [0, Gt+Ht) in one evaluation.
 func (u *Updater) setFrame() {
 	ext := u.ring.Spec()
 	ext.Gt += ext.Ht
@@ -248,15 +224,15 @@ func (u *Updater) State(b *grid.Budget) (UpdaterState, error) {
 }
 
 // RestoreUpdater rebuilds a streaming estimator from a captured State. The
-// ring adopts the state's grid and the updater its live slice (neither may
-// be used afterwards); the drift counters resume as captured, and the
-// lookahead — which a State does not carry — is rebuilt from the live
-// events in live order. Applying the same mutations to the restored
-// updater and the original then produces bitwise identical windows as long
-// as the captured history holds no Remove (live order is then ingest
-// order, the order the original's lookahead was filled in), and windows
-// within accumulation rounding otherwise. Work stats (Stats) restart from
-// zero.
+// ring copies the state's grid into its visible layers and the updater
+// adopts its live slice (which may not be used afterwards); the drift
+// counters resume as captured, and the ring's hidden layers — which a
+// State does not carry — are rebuilt from the live events in live order.
+// Applying the same mutations to the restored updater and the original
+// then produces bitwise identical windows as long as the captured history
+// holds no Remove (live order is then ingest order, the order the
+// original's hidden layers were filled in), and windows within
+// accumulation rounding otherwise. Work stats (Stats) restart from zero.
 func RestoreUpdater(st UpdaterState, cfg UpdaterConfig) (*Updater, error) {
 	if cfg.Options.AdaptiveBandwidth != nil {
 		return nil, fmt.Errorf("core: updater does not support adaptive bandwidths")
@@ -268,10 +244,7 @@ func RestoreUpdater(st UpdaterState, cfg UpdaterConfig) (*Updater, error) {
 	if err != nil {
 		return nil, err
 	}
-	u, err := newUpdater(ring, cfg)
-	if err != nil {
-		return nil, err
-	}
+	u := newUpdater(ring, cfg)
 	u.live = st.Live
 	u.residual = st.Residual
 	u.ops = st.Ops
@@ -288,18 +261,15 @@ func RestoreUpdater(st UpdaterState, cfg UpdaterConfig) (*Updater, error) {
 const stripMinEvents = 48
 
 // applyBatch streams c's signed contribution of every event in pts into
-// combined layers [tlo, thi] and returns how many events reached any of
-// them and how many event × strip applications that took. The calling
+// ring layers [tlo, thi] and returns how many events reached any of them
+// and how many event × strip applications that took. The calling
 // goroutine walks the batch once, in order: it clips each event's box,
-// forwards the ring part of the box — the dirty AABB the analytics sketch
-// repairs lazily — to the ring when a sketch is attached, and indexes the
-// events that reach the layers and histograms their X columns for the
-// cut. The strip workers then apply those events (applyStrip), so a
-// restore's replay, which most live events do not reach, walks the whole
-// live set once.
+// forwards it — the dirty AABB the analytics sketch repairs lazily — to
+// the ring, and indexes the events that reach the layers and histograms
+// their X columns for the cut. The strip workers then apply those events
+// (applyStrip), so a restore's replay, which most live events do not
+// reach, walks the whole live set once.
 func (u *Updater) applyBatch(c *ctx, pts []grid.Point, tlo, thi int) (reached int, applied int64) {
-	gt := c.spec.Gt - c.spec.Ht // c.spec is the combined frame
-	sketch := u.ring.Sketch() != nil
 	// A positive apply can raise a voxel by at most the event's peak kernel
 	// contribution (contribMax — exact for the provided kernels, which peak
 	// at the origin; a heuristic for exotic user kernels, like the residual
@@ -317,14 +287,11 @@ func (u *Updater) applyBatch(c *ctx, pts []grid.Point, tlo, thi int) (reached in
 		if box.Empty() {
 			continue
 		}
-		lo, hi := barBounds(c, p, g, box)
-		if lo > hi {
+		if lo, hi := barBounds(c, p, g, box); lo > hi {
 			continue
 		}
 		reach = append(reach, int32(i))
-		if sketch && lo < gt { // the bar has entries inside the window
-			u.ring.MarkDirty(box, peak) // clipped to the window's layers
-		}
+		u.ring.MarkDirty(box, peak)
 		u.cols[box.X0]++
 		u.cols[box.X1+1]--
 		total += box.X1 - box.X0 + 1
@@ -338,7 +305,7 @@ func (u *Updater) applyBatch(c *ctx, pts []grid.Point, tlo, thi int) (reached in
 		u.scs = append(u.scs, newScratch(&u.pos))
 	}
 	counts := make([]int64, len(cuts)-1)
-	inStrips(cuts, func(w, x0, x1 int) {
+	par.Strips(cuts, func(w, x0, x1 int) {
 		counts[w] = u.applyStrip(c, pts, reach, tlo, thi, x0, x1, u.scs[w])
 	})
 	for _, n := range counts {
@@ -374,36 +341,18 @@ func (u *Updater) cut(total, events int) []int {
 	return u.cuts
 }
 
-// inStrips runs body(w, cuts[w], cuts[w+1]) for every strip w, each on its
-// own goroutine but the last, which runs on the calling goroutine, and
-// returns when all are done: no strip worker outlives the call.
-func inStrips(cuts []int, body func(w, x0, x1 int)) {
-	last := len(cuts) - 2
-	var wg sync.WaitGroup
-	wg.Add(last)
-	for w := 0; w < last; w++ {
-		go func(w int) {
-			defer wg.Done()
-			body(w, cuts[w], cuts[w+1])
-		}(w)
-	}
-	body(last, cuts[last], cuts[last+1])
-	wg.Wait()
-}
-
 // applyStrip is one strip worker of applyBatch: it streams every reaching
-// event of the batch (pts[i] for i in reach), in batch order, into combined
+// event of the batch (pts[i] for i in reach), in batch order, into ring
 // layers [tlo, thi] of the X columns [x0, x1) — clipping X exactly as T is
 // clipped — and returns how many events touched the strip. The disk and
 // the bar are evaluated once per event and strip, column by column exactly
-// as for the whole box; per disk column the bar's head goes to the ring's
-// T-innermost rows (split at the wrap point) and each tail entry to its
-// lookahead image as one Y-contiguous axpy. Every voxel receives the
-// product of the same two factors whichever side of the window's end, and
-// whichever strip, it lies in. Nothing outside the strip's columns is
-// written.
+// as for the whole box, and per disk column the whole bar goes to the
+// ring's T-innermost rows as one block update, split in two where it
+// crosses the ring's physical wrap. Every voxel receives the product of
+// the same two factors whichever side of the window's end, and whichever
+// strip, it lies in. Nothing outside the strip's columns is written.
 func (u *Updater) applyStrip(c *ctx, pts []grid.Point, reach []int32, tlo, thi, x0, x1 int, sc *scratch) (applied int64) {
-	gy, gt := c.spec.Gy, c.spec.Gt-c.spec.Ht
+	gy, L := c.spec.Gy, u.ring.Layers()
 	data := u.ring.Data
 	for _, i := range reach {
 		p := pts[i]
@@ -424,17 +373,8 @@ func (u *Updater) applyStrip(c *ctx, pts []grid.Point, reach []int32, tlo, thi, 
 		applied++
 
 		bar := sc.bar[:sc.barN]
-		t0 := box.T0 + sc.barLo              // combined layer of bar[0]
-		head := min(len(bar), max(gt-t0, 0)) // bar entries inside the window
-		p0, n1 := 0, 0                       // the head's first physical run
-		if head > 0 {
-			p0 = u.ring.PhysOf(t0)
-			n1 = min(head, gt-p0)
-		}
-		var tail [][]float64 // tail[j] is the image bar[head+j] lands in
-		if head < len(bar) {
-			tail = u.look[t0+head-gt:]
-		}
+		p0 := u.ring.PhysOf(box.T0 + sc.barLo) // physical layer of bar[0]
+		n1 := min(len(bar), L-p0)              // bar entries before the wrap
 		off := 0
 		for ix := 0; ix < nx; ix++ {
 			n := int(sc.spanN[ix])
@@ -444,14 +384,9 @@ func (u *Updater) applyStrip(c *ctx, pts []grid.Point, reach []int32, tlo, thi, 
 			ks := sc.disk[off : off+n]
 			off += n
 			col := (box.X0+ix)*gy + box.Y0 + int(sc.spanLo[ix])
-			if head > 0 {
-				c.mulAddRows(data[col*gt+p0:], gt, ks, bar[:n1])
-				if n1 < head {
-					c.mulAddRows(data[col*gt:], gt, ks, bar[n1:head])
-				}
-			}
-			for j, kt := range bar[head:] {
-				c.axpy(tail[j][col:col+n], ks, kt)
+			c.mulAddRows(data[col*L+p0:], L, ks, bar[:n1])
+			if n1 < len(bar) {
+				c.mulAddRows(data[col*L:], L, ks, bar[n1:])
 			}
 			sc.updates += int64(n * len(bar))
 		}
@@ -475,20 +410,8 @@ func (c *ctx) mulAddRows(data []float64, stride int, ks, bar []float64) {
 	}
 }
 
-// axpy is the same update on Y-contiguous storage: dst += kt·ks for one
-// disk span of one lookahead image.
-func (c *ctx) axpy(dst, ks []float64, kt float64) {
-	if c.vector && len(dst) >= vectorSpanCutoff {
-		simd.AxpyScaled(dst, ks, kt)
-		return
-	}
-	for i, k := range ks {
-		dst[i] += kt * k
-	}
-}
-
 // beyondLookahead reports whether the event's temporal support can reach
-// past the lookahead's last layer — the future-list membership test. The
+// past the ring's last hidden layer — the future-list membership test. The
 // window only moves forward, so once false it stays false.
 func (u *Updater) beyondLookahead(p grid.Point) bool {
 	ext := &u.pos.spec
@@ -582,10 +505,10 @@ func dropEach(list []grid.Point, need map[grid.Point]int) []grid.Point {
 }
 
 // AdvanceTo slides the window forward so its last voxel layer covers time
-// t: an O(1) ring rotation and one pass over the freed layers, copying
-// into them the lookahead images that now lie inside the window (zeroing
-// the rest) — every live event's contribution to the new layers was made
-// when the event was added. Events whose temporal support no longer
+// t: an O(1) ring rotation and one pass zeroing the freed layers, which
+// become the newest hidden ones — every live event's contribution to the
+// layers entering the window was made when the event was added, into the
+// hidden layers. Events whose temporal support no longer
 // reaches the window are expired (dropped without retraction — their
 // surviving-layer contributions are exactly zero by kernel support). It
 // returns the number of layers advanced (0 when t is already covered; the
@@ -615,7 +538,8 @@ func (u *Updater) AdvanceTo(t float64) (advanced, expired int) {
 // AdvanceBy slides the window forward by exactly k voxel layers. It is the
 // layer-count form of AdvanceTo for drivers that compute the advance once
 // and replicate it — the distributed stream coordinator broadcasts one k to
-// every rank so all slab windows stay in the same frame. k <= 0 is a no-op.
+// every rank so the ranks' full windows, each over its share of the
+// events, stay in the same frame. k <= 0 is a no-op.
 func (u *Updater) AdvanceBy(k int) (advanced, expired int) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -627,9 +551,8 @@ func (u *Updater) AdvanceBy(k int) (advanced, expired int) {
 
 // advance is the shared body of AdvanceTo and AdvanceBy; k > 0, mu held.
 func (u *Updater) advance(k int) (advanced, expired int) {
-	u.ring.Rotate(k)
+	u.ring.Advance(k, u.threads)
 	u.setFrame()
-	u.copyIn(k)
 	sp := u.ring.Spec()
 	// Expire events that cannot contribute to any window layer: the dense
 	// predicate keeps voxels with |CenterT - p.T| <= ht, so an event whose
@@ -644,9 +567,10 @@ func (u *Updater) advance(k int) (advanced, expired int) {
 		kept = append(kept, p)
 	}
 	u.live = kept
-	// The k combined layers that came into reach lay past the old
-	// lookahead, so only future-list events can touch them; the ones whose
-	// support no longer reaches past the new lookahead then leave the list.
+	// The k ring layers that came into reach lay past the old hidden
+	// layers, so only future-list events can touch them; the ones whose
+	// support no longer reaches past the new hidden layers then leave the
+	// list.
 	end := u.pos.spec.Gt - 1
 	reached, applied := u.applyBatch(&u.pos, u.future, max(end-k+1, 0), end)
 	u.stats.AdvanceReapplied += int64(reached)
@@ -667,68 +591,6 @@ func (u *Updater) advance(k int) (advanced, expired int) {
 	return k, expired
 }
 
-// copyIn completes a k-layer ring rotation by writing every voxel of the
-// new window layers, which the rotation left unzeroed: the first
-// min(k, Ht) lookahead images are now window layers Gt-k+j, so each is
-// copied into its layer (skipped when k overshot it out of the window
-// again) and cleared, every other new layer is zeroed, and the lookahead
-// rotates past the images. The writes are split over P equal X strips —
-// about the columns each core wrote at ingest — and go row by row, so a
-// multi-layer advance touches each row once.
-func (u *Updater) copyIn(k int) {
-	sp := u.ring.Spec()
-	gt, gy, m := sp.Gt, sp.Gy, min(k, sp.Ht)
-	var phys []int      // physical layer of each new window layer
-	var src [][]float64 // the image it copies, nil for a zeroed layer
-	for T := max(gt-k, 0); T < gt; T++ {
-		phys = append(phys, u.ring.PhysOf(T))
-		if j := T - (gt - k); j < m {
-			src = append(src, u.look[j])
-			u.stats.AdvanceCopied++
-		} else {
-			src = append(src, nil)
-		}
-	}
-	p := min(u.threads, sp.Gx)
-	cuts := u.cuts[:0]
-	for w := 0; w <= p; w++ {
-		cuts = append(cuts, w*sp.Gx/p)
-	}
-	u.cuts = cuts
-	peaks := make([]float64, p)
-	inStrips(cuts, func(w, x0, x1 int) {
-		lo, hi := x0*gy, x1*gy
-		peak := 0.0
-		for i := lo; i < hi; i++ {
-			row := u.ring.Data[i*gt : (i+1)*gt]
-			for j, ph := range phys {
-				v := 0.0
-				if img := src[j]; img != nil {
-					v = img[i]
-				}
-				row[ph] = v
-				peak = max(peak, v)
-			}
-		}
-		for _, img := range u.look[:m] {
-			clear(img[lo:hi])
-		}
-		peaks[w] = peak
-	})
-	peak := 0.0
-	for _, v := range peaks {
-		peak = max(peak, v)
-	}
-	// No copied voxel rose above peak, which keeps the sketch's block
-	// maxima bounds sound over the layers Rotate reported as zeroed.
-	u.ring.MarkDirty(grid.Box{X0: 0, X1: sp.Gx - 1, Y0: 0, Y1: sp.Gy - 1, T0: gt - k, T1: gt - k + m - 1}, peak)
-	for ; m > 0; m-- { // rotate the cleared images to the far end
-		img := u.look[0]
-		copy(u.look, u.look[1:])
-		u.look[len(u.look)-1] = img
-	}
-}
-
 // maybeCompact runs drift control after a mutation batch.
 func (u *Updater) maybeCompact() {
 	if (u.cfg.CompactEvery > 0 && u.ops >= int64(u.cfg.CompactEvery)) ||
@@ -745,9 +607,8 @@ func (u *Updater) normResidual() float64 {
 	return u.residual
 }
 
-// compact is the periodic full re-estimate: zero the window and the
-// lookahead and re-apply every live event, discarding all accumulated
-// cancellation rounding.
+// compact is the periodic full re-estimate: zero the ring and re-apply
+// every live event, discarding all accumulated cancellation rounding.
 func (u *Updater) compact() {
 	u.ring.Zero()
 	u.replay(0)
@@ -756,15 +617,12 @@ func (u *Updater) compact() {
 	u.stats.Compactions++
 }
 
-// replay zeroes the lookahead, re-applies every live event in live order
-// to combined layers tlo and up, and rebuilds the future list: compaction
-// replays everything (tlo 0), a restore only what its adopted ring does
-// not hold (tlo Gt — events that end before the lookahead are rejected by
-// their box, before any kernel is evaluated).
+// replay re-applies every live event in live order to ring layers tlo and
+// up, into zeroed layers, and rebuilds the future list: compaction replays
+// everything (tlo 0), a restore only the hidden layers its copied-in
+// window lacks (tlo Gt — events that end before them are rejected by their
+// box, before any kernel is evaluated).
 func (u *Updater) replay(tlo int) {
-	for _, img := range u.look {
-		clear(img)
-	}
 	u.applyBatch(&u.pos, u.live, tlo, u.pos.spec.Gt-1)
 	u.future = u.future[:0]
 	for _, p := range u.live {
@@ -839,7 +697,7 @@ func (u *Updater) Snapshot(b *grid.Budget) (*grid.Grid, error) {
 // ensureSketch attaches (lazily, on the first analytics query) the ring's
 // incremental block sketch, charged to the updater's budget. Callers hold
 // u.mu. Every mutation path already reports dirty boxes through
-// applyBatch and the ring's Rotate/Zero hooks, so a sketch enabled at any
+// applyBatch and the ring's Advance/Zero hooks, so a sketch enabled at any
 // point in the stream's life stays consistent.
 func (u *Updater) ensureSketch() (*grid.RingSketch, error) {
 	return u.ring.EnableSketch(u.budget)
@@ -887,9 +745,11 @@ func (u *Updater) BoxMass(b grid.Box) (float64, error) {
 
 // BoxSumRaw returns the raw (unnormalized) sum of the window voxels in the
 // logical box, answered from the incremental sketch. It is the mergeable
-// shard primitive: a coordinator sums the raw partials from disjoint slab
-// ranks and applies the global 1/n normalization once, so the merged answer
-// matches a single-process BoxMass over the union of the ranks' events.
+// shard primitive: each rank holds the full window over its share of the
+// events, so a coordinator sums the ranks' raw partials in rank order and
+// applies the global 1/n normalization once, and the merged answer matches
+// a single-process BoxMass over the union of the ranks' events to within
+// accumulation rounding.
 func (u *Updater) BoxSumRaw(b grid.Box) (float64, error) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -901,10 +761,11 @@ func (u *Updater) BoxSumRaw(b grid.Box) (float64, error) {
 }
 
 // TopKScaled is TopK with a caller-supplied normalization scale instead of
-// the local 1/n. A shard coordinator passes the global 1/n so every rank's
-// candidate densities are bitwise identical to the voxels a single-process
-// scan of the merged, normalized window would see — which keeps the merged
-// selection (including index tie-breaks) exact.
+// the local 1/n. Shard ranks pass scale 1: the coordinator's threshold
+// top-k takes each rank's raw candidates, sums the raw values of a voxel
+// across the ranks and normalizes once, so the merged selection matches a
+// single-process TopK to within accumulation rounding — tied densities are
+// equal only within 1e-9, and their index order may differ.
 func (u *Updater) TopKScaled(k int, scale float64) ([]grid.VoxelDensity, error) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -916,8 +777,9 @@ func (u *Updater) TopKScaled(k int, scale float64) ([]grid.VoxelDensity, error) 
 }
 
 // RawSnapshot copies the window without normalizing — the values are the
-// accumulated ks·kt/(hs²·ht) contributions. Shard ranks gather raw slabs so
-// the coordinator can merge them and normalize once by the global count.
+// accumulated ks·kt/(hs²·ht) contributions. Shard ranks each return their
+// full raw window, over their share of the events, so the coordinator can
+// sum them voxel by voxel and normalize once by the global count.
 func (u *Updater) RawSnapshot(b *grid.Budget) (*grid.Grid, error) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -959,14 +821,10 @@ func (u *Updater) Stats() UpdaterStats {
 	return st
 }
 
-// Release frees the window ring and the lookahead back to their budget.
-// The updater must not be used afterwards.
+// Release frees the window ring back to its budget. The updater must not
+// be used afterwards.
 func (u *Updater) Release() {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	u.ring.Release()
-	if u.look != nil {
-		u.budget.Free(lookaheadBytes(u.ring.Spec()))
-		u.look = nil
-	}
 }

@@ -25,7 +25,7 @@ const windowDigest = 0x8b55d36a6053257
 // TestUpdaterWindowDigest runs one fixed script against a window whose
 // length is not a multiple of the sketch's 4-layer blocks (Gt 19, Ht 3):
 // strip-sized and small batches with late events (behind the window's
-// start), events past the window's end and events beyond the lookahead,
+// start), events past the window's end and events beyond the hidden layers,
 // one retraction, forced compactions, advances by 1, Ht, Ht+1, Gt and
 // Gt+Ht+1 layers, and a State/RestoreUpdater round trip mid-script, after
 // which the restored updater carries on. It asserts the digest of every

@@ -9,7 +9,7 @@ import (
 // mutateStream applies n deterministic Add/AdvanceTo mutations — and, when
 // removes is set, retractions of random live events — returning the
 // advanced frontier. Most advances move zero to two layers, one in eight
-// jumps past the lookahead or the whole window. Driving two updaters with
+// jumps past the hidden layers or the whole window. Driving two updaters with
 // the same rng state applies bitwise identical mutation sequences (a
 // retraction picks its victim from the updater's own live set, so the
 // sequences stay identical only while the live sets do).
@@ -118,15 +118,15 @@ func TestUpdaterStateRestoreBitwise(t *testing.T) {
 }
 
 // TestUpdaterRestoreMidStream captures State at many points of a stream
-// that keeps events ahead of the window (so the lookahead and the future
-// list are populated at the capture), restores, and drives original and
-// restored with the same later mutations. The restored updater rebuilds
-// its lookahead from the live events in live order. With no Remove in the
-// history — all a journal can hold — that is ingest order, so both sides
-// perform the same float operations: equal live sets, equal compaction
-// points, bitwise equal windows. With retractions in the history live
-// order no longer is the order the original's lookahead was filled in, and
-// the windows agree to rounding instead.
+// that keeps events ahead of the window (so the ring's hidden layers and
+// the future list are populated at the capture), restores, and drives
+// original and restored with the same later mutations. The restored
+// updater rebuilds its hidden layers from the live events in live order.
+// With no Remove in the history — all a journal can hold — that is ingest
+// order, so both sides perform the same float operations: equal live sets,
+// equal compaction points, bitwise equal windows. With retractions in the
+// history live order no longer is the order the original's hidden layers
+// were filled in, and the windows agree to rounding instead.
 func TestUpdaterRestoreMidStream(t *testing.T) {
 	spec := updaterSpec(t)
 	cfg := UpdaterConfig{CompactEvery: 29}
@@ -146,7 +146,7 @@ func TestUpdaterRestoreMidStream(t *testing.T) {
 			if err != nil {
 				t.Fatalf("RestoreUpdater: %v", err)
 			}
-			expectBitwise(t, "immediately after restore", u, r) // the ring is adopted as captured
+			expectBitwise(t, "immediately after restore", u, r) // the window is copied as captured
 			// Later mutations must not retract: a victim is drawn from the
 			// updater's own live set, which the two sides are yet to prove
 			// equal.
@@ -205,9 +205,9 @@ func TestRestoreUpdaterValidation(t *testing.T) {
 		t.Fatalf("mis-sized grid accepted")
 	}
 
-	// Budget accounting: the restored window (adopted ring + rebuilt
-	// lookahead) is charged, and released back; a budget that fits the
-	// ring but not the lookahead fails and leaves nothing charged.
+	// Budget accounting: the restored window (visible and hidden layers) is
+	// charged, and released back; a budget that fits the visible layers
+	// but not the hidden ones fails and leaves nothing charged.
 	b := grid.NewBudget(spec.Bytes())
 	if _, err := RestoreUpdater(st, UpdaterConfig{Options: Options{Budget: b}}); err == nil {
 		t.Fatalf("restore fit in a ring-only budget")

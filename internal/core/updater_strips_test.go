@@ -57,9 +57,9 @@ func lockstep(t *testing.T, tag string, us []*Updater, rng lcg, frontier float64
 	return next, f
 }
 
-// expectSameAsOneStrip asserts that u holds bitwise the window, lookahead,
-// live set and analytics answers of ref, and did the same counted work
-// apart from its strip applications.
+// expectSameAsOneStrip asserts that u holds bitwise the whole ring — its
+// Gt visible and Ht hidden layers — live set and analytics answers of ref,
+// and did the same counted work apart from its strip applications.
 func expectSameAsOneStrip(t *testing.T, tag string, ref, u *Updater) {
 	t.Helper()
 	if ref.Spec() != u.Spec() || ref.ring.Base() != u.ring.Base() {
@@ -73,9 +73,6 @@ func expectSameAsOneStrip(t *testing.T, tag string, ref, u *Updater) {
 		}
 	}
 	same("ring", ref.ring.Data, u.ring.Data)
-	for j := range ref.look {
-		same(fmt.Sprintf("lookahead image %d", j), ref.look[j], u.look[j])
-	}
 	expectSameLive(t, tag, ref, u)
 	if len(ref.future) != len(u.future) {
 		t.Fatalf("%s: future lists differ in size: %d vs %d", tag, len(ref.future), len(u.future))
@@ -129,7 +126,7 @@ func expectSameAsOneStrip(t *testing.T, tag string, ref, u *Updater) {
 var stripBatchSizes = []int{1, 7, stripMinEvents - 1, stripMinEvents, 2*stripMinEvents + 5}
 
 // mutateBatches is one step of the strip scenario: an advance (by less
-// than, exactly and more than the lookahead and the window), a retraction
+// than, exactly and more than the hidden layers and the window), a retraction
 // of a batch of live events, or the addition of a batch that is mixed
 // (inside, just past and far ahead of the window), lies partly or wholly
 // off the grid in X, or clusters in one column. Batch sizes come from
@@ -197,7 +194,7 @@ func streamMutation(u *Updater, rng *lcg, frontier float64) float64 {
 }
 
 // TestUpdaterStripsBitwise is the parallel apply's contract: at every strip
-// count, whatever the cut, the ring, the lookahead, the live set, TopK,
+// count, whatever the cut, the whole ring, the live set, TopK,
 // BoxMass and the sketch's rebuild count are bitwise those of the one-strip
 // apply after every mutation — for the existing stream scenario and for
 // batch-sized ones, with a compaction after every mutation, and on a grid
@@ -245,7 +242,7 @@ func TestUpdaterStripsBitwise(t *testing.T) {
 }
 
 // TestUpdaterStripsRestore restores a stream captured mid-way at every
-// strip count: each restore rebuilds its lookahead with the parallel
+// strip count: each restore rebuilds its hidden layers with the parallel
 // replay, and the restored updaters stay bitwise equal through later
 // batches, retractions and advances.
 func TestUpdaterStripsRestore(t *testing.T) {
@@ -267,7 +264,7 @@ func TestUpdaterStripsRestore(t *testing.T) {
 		frontier = mutateStream(orig, &rng, frontier, 2, false)
 	}
 	if len(orig.future) == 0 || orig.N() < stripMinEvents {
-		t.Fatalf("capture holds %d live and %d future events; want a populated lookahead", orig.N(), len(orig.future))
+		t.Fatalf("capture holds %d live and %d future events; want populated hidden layers", orig.N(), len(orig.future))
 	}
 	us := make([]*Updater, len(stripThreads))
 	for i, p := range stripThreads {
@@ -370,8 +367,8 @@ func TestUpdaterStripApplyContract(t *testing.T) {
 	}
 }
 
-// TestUpdaterStripWorkersExit: the strip workers of a bulk apply and of a
-// copy-in never outlive the call, whether the batch splits, is empty or
+// TestUpdaterStripWorkersExit: the strip workers of a bulk apply and of an
+// advance's zeroing never outlive the call, whether the batch splits, is empty or
 // lies wholly off the grid.
 func TestUpdaterStripWorkersExit(t *testing.T) {
 	settled := func() int {

@@ -31,7 +31,7 @@ func (r *lcg) float() float64 { return float64(r.next()%1_000_000) / 1_000_000 }
 
 // streamEvent draws an event near time frontier (so sliding windows stay
 // populated), inside the spatial domain. One in six lands well ahead of
-// the window — beyond the updater's lookahead, by up to more than a window
+// the window — beyond the ring's hidden layers, by up to more than a window
 // length — so every scenario exercises the future list.
 func streamEvent(r *lcg, d grid.Domain, frontier float64) grid.Point {
 	p := grid.Point{
@@ -130,7 +130,7 @@ func runUpdaterScenario(t *testing.T, cfg UpdaterConfig, seed lcg) *Updater {
 	var mirror []grid.Point // every event added and not removed (expiry kept)
 	frontier := spec.Domain.T0 + 8.0
 
-	// Advance steps on both sides of the lookahead depth (Ht=3) and of the
+	// Advance steps on both sides of the hidden layers' depth (Ht=3) and of the
 	// window length (Gt=16).
 	advances := []int{1, spec.Ht, spec.Ht + 1, 2, spec.Gt, 1, spec.Gt + 3}
 	step := 0
@@ -345,7 +345,7 @@ func TestUpdaterWindowTracksAdvance(t *testing.T) {
 // budget failure instead of scanning when it cannot fit.
 func TestUpdaterSketchBudget(t *testing.T) {
 	spec := updaterSpec(t)
-	tight := grid.NewBudget(WindowBytes(spec)) // room for the ring and the lookahead only
+	tight := grid.NewBudget(WindowBytes(spec)) // room for the ring only
 	u, err := NewUpdater(spec, UpdaterConfig{Options: Options{Budget: tight}})
 	if err != nil {
 		t.Fatal(err)
@@ -380,13 +380,13 @@ func TestUpdaterSketchBudget(t *testing.T) {
 	}
 }
 
-// TestUpdaterBudget: the window — ring plus Ht lookahead images — is
-// charged to the configured budget, to the byte, and released.
+// TestUpdaterBudget: the window — a ring of Gt visible and Ht hidden
+// layers — is charged to the configured budget, to the byte, and released.
 func TestUpdaterBudget(t *testing.T) {
 	spec := updaterSpec(t)
 	want := spec.Bytes() + int64(spec.Gx*spec.Gy*spec.Ht)*8
 	if WindowBytes(spec) != want {
-		t.Fatalf("WindowBytes = %d, want ring + lookahead = %d", WindowBytes(spec), want)
+		t.Fatalf("WindowBytes = %d, want Gt+Ht layers = %d", WindowBytes(spec), want)
 	}
 	if _, err := NewUpdater(spec, UpdaterConfig{Options: Options{Budget: grid.NewBudget(want - 1)}}); err == nil {
 		t.Fatal("updater fit in a budget one byte short of its window")
@@ -412,17 +412,16 @@ func TestUpdaterBudget(t *testing.T) {
 }
 
 // advanceBy slides the window by k layers and returns how many event
-// applications and lookahead copies the advance performed.
-func advanceBy(u *Updater, k int) (reapplied, copied int64) {
+// applications the advance performed.
+func advanceBy(u *Updater, k int) (reapplied int64) {
 	before := u.Stats()
 	u.AdvanceBy(k)
-	after := u.Stats()
-	return after.AdvanceReapplied - before.AdvanceReapplied, after.AdvanceCopied - before.AdvanceCopied
+	return u.Stats().AdvanceReapplied - before.AdvanceReapplied
 }
 
 // reachesNewLayers counts the events whose temporal support contains the
-// center of one of the k combined layers (window plus lookahead) an
-// advance has just brought into reach — spec is the window after it.
+// center of one of the k ring layers (visible or hidden) an advance has
+// just brought into reach — spec is the window after it.
 func reachesNewLayers(spec grid.Spec, k int, events []grid.Point) int64 {
 	end := spec.Gt + spec.Ht
 	var n int64
@@ -441,10 +440,11 @@ func reachesNewLayers(spec grid.Spec, k int, events []grid.Point) int64 {
 // window advance costs. On a time-ordered stream of the repository
 // benchmark's shape (events arrive inside the window; the window moves one
 // layer whenever the next batch reaches past its end) an advance applies
-// no event at all — it copies one lookahead layer in — and every event is
-// applied exactly once over the stream's life. With events seeded ahead of
-// the window, an advance applies exactly those whose support reaches a
-// layer that has just come into reach of the window and its lookahead.
+// no event at all — the hidden layer that enters the window is already
+// filled — and every event is applied exactly once over the stream's life.
+// With events seeded ahead of the window, an advance applies exactly those
+// whose support reaches a layer that has just come into reach of the
+// ring's visible and hidden layers.
 func TestUpdaterAdvanceWorkContract(t *testing.T) {
 	spec, err := grid.NewSpec(grid.Domain{GX: 33, GY: 15, GT: 21}, 1, 1, 2.6, 2)
 	if err != nil {
@@ -480,14 +480,13 @@ func TestUpdaterAdvanceWorkContract(t *testing.T) {
 			}
 			for _, t1 := u.Window(); pts[batch-1].T >= t1; _, t1 = u.Window() {
 				live := u.Live()
-				reapplied, copied := advanceBy(u, 1)
+				reapplied := advanceBy(u, 1)
 				want := reachesNewLayers(u.Spec(), 1, live)
 				if ahead == 0 && want != 0 {
 					t.Fatalf("time-ordered script has %d events ahead of the window", want)
 				}
-				if reapplied != want || copied != 1 {
-					t.Fatalf("ahead=%d advance %d applied %d events and copied %d layers, want %d and 1",
-						ahead, advances, reapplied, copied, want)
+				if reapplied != want {
+					t.Fatalf("ahead=%d advance %d applied %d events, want %d", ahead, advances, reapplied, want)
 				}
 				wantReapplied += want
 				advances++
@@ -505,17 +504,14 @@ func TestUpdaterAdvanceWorkContract(t *testing.T) {
 		if st.AdvanceReapplied != wantReapplied || st.Ops != ingested+wantReapplied {
 			t.Fatalf("ahead=%d: stats %+v, want AdvanceReapplied %d and Ops %d", ahead, st, wantReapplied, ingested+wantReapplied)
 		}
-		if st.AdvanceCopied != int64(advances) {
-			t.Fatalf("ahead=%d: %d layers copied over %d one-layer advances", ahead, st.AdvanceCopied, advances)
-		}
 		u.Release()
 	}
 }
 
 // TestUpdaterFutureEvents walks events at every position relative to the
-// window — inside it, past its end but inside the lookahead, and beyond
-// the lookahead — through advances shorter than, equal to and longer than
-// the lookahead and the window, retracts one while it is still ahead, and
+// window — inside it, past its end but inside the hidden layers, and
+// beyond them — through advances shorter than, equal to and longer than
+// the hidden layers and the window, retracts one while it is still ahead, and
 // checks agreement with batch estimation at every step, with and without
 // a compaction forced after every mutation.
 func TestUpdaterFutureEvents(t *testing.T) {
@@ -546,7 +542,7 @@ func TestUpdaterFutureEvents(t *testing.T) {
 		}
 		for i, k := range []int{1, spec.Ht, spec.Ht + 1, spec.Gt, spec.Gt + 3, 1, spec.Ht} {
 			if i == 3 {
-				// Still beyond the lookahead: the retraction must also take
+				// Still beyond the hidden layers: the retraction must also take
 				// the event off the future list, or a later advance would
 				// apply it to the layers it then reaches.
 				if err := u.Remove(ahead[0]); err != nil {
@@ -567,8 +563,8 @@ func TestUpdaterFutureEvents(t *testing.T) {
 			_, end = u.Window()
 			add(at(end-0.5), at(end+0.5), at(end+float64(spec.Ht)+2.5))
 		}
-		if st := u.Stats(); st.AdvanceReapplied == 0 || st.AdvanceCopied == 0 {
-			t.Fatalf("scenario exercised neither the future list nor the lookahead: %+v", st)
+		if st := u.Stats(); st.AdvanceReapplied == 0 {
+			t.Fatalf("scenario never exercised the future list: %+v", st)
 		}
 		u.Release()
 	}

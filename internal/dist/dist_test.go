@@ -229,18 +229,8 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
-// TestCodecRoundTrip checks the wire format is lossless.
+// TestCodecRoundTrip checks the gather format is lossless.
 func TestCodecRoundTrip(t *testing.T) {
-	pts := []grid.Point{{X: 1.5, Y: -2.25, T: 1e-300}, {X: math.Pi, Y: 0, T: 42}}
-	rank, got, err := decodeScatter(encodeScatter(3, pts))
-	if err != nil || rank != 3 || len(got) != len(pts) {
-		t.Fatalf("scatter round trip: rank=%d err=%v", rank, err)
-	}
-	for i := range pts {
-		if got[i] != pts[i] {
-			t.Errorf("point %d = %+v, want %+v", i, got[i], pts[i])
-		}
-	}
 	vals := []float64{0, -1.25, math.Inf(1), 1e-308}
 	rank, t0, data, err := decodeGather(encodeGather(2, 17, vals))
 	if err != nil || rank != 2 || t0 != 17 {
@@ -251,10 +241,10 @@ func TestCodecRoundTrip(t *testing.T) {
 			t.Errorf("voxel %d = %v, want %v", i, data[i], vals[i])
 		}
 	}
-	if _, _, err := decodeScatter([]byte{1, 2, 3}); err == nil {
-		t.Error("truncated scatter should fail")
+	if _, _, _, err := decodeGather([]byte{2, 0, 0}); err == nil {
+		t.Error("truncated gather should fail")
 	}
-	if _, _, _, err := decodeGather(encodeScatter(0, nil)); err == nil {
+	if _, _, _, err := decodeGather(encodeOK(0, 0)); err == nil {
 		t.Error("kind mismatch should fail")
 	}
 }

@@ -1,18 +1,23 @@
 package dist
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
 	"repro/internal/grid"
 )
 
-// wire.go extends the original scatter/gather codec with the full shard
-// protocol. Every message is one frame (frame.go); the first u32 of the
-// payload is the message kind. Replies reuse message shapes where they fit:
-// a batch estimate and a stream snapshot both answer with msgGather, every
-// simple acknowledgement is msgOK, and any rank-side failure is msgErr.
+// wire.go is the shard protocol's codec. Every message is one frame
+// (frame.go); the first u32 of the payload is the message kind, and every
+// field is little-endian. Every byte a rank exchange moves is actually
+// written here and read back on the receiving side, so the byte counts in
+// Stats are measured, not estimated. Replies reuse message shapes where
+// they fit: a batch estimate and a stream snapshot both answer with
+// msgGather, every simple acknowledgement is msgOK, and any rank-side
+// failure is msgErr.
 //
+//	gather:       kind rank t0 voxels(u32) then voxels x f64
 //	estimate:     kind rank threads normN algLen count spec alg points
 //	err:          kind phaseLen textLen phase text
 //	ok:           kind a(i64) b(i64)
@@ -29,6 +34,7 @@ import (
 //	fetch:        kind id count then count x (X, Y, T u32) -> fetchAns
 //	fetchAns:     kind count then count x raw value(f64), in request order
 const (
+	msgGather       uint32 = 2
 	msgEstimate     uint32 = 3
 	msgErr          uint32 = 4
 	msgOK           uint32 = 5
@@ -45,14 +51,18 @@ const (
 	msgFetch        uint32 = 16
 	msgFetchAns     uint32 = 17
 
-	specBytes      = 16 * 8 // 10 float64 fields + 6 integer fields
-	candidateBytes = 32     // X, Y, T as i64 plus V as f64
-	voxelBytes     = 12     // X, Y, T as u32
+	gatherHeaderBytes = 16
+	pointBytes        = 24     // x, y, t as f64
+	specBytes         = 16 * 8 // 10 float64 fields + 6 integer fields
+	candidateBytes    = 32     // X, Y, T as i64 plus V as f64
+	voxelBytes        = 12     // X, Y, T as u32
 
 	// maxWireDim bounds decoded grid dimensions and bandwidths: a corrupt
 	// spec must fail decoding, not size a gigavoxel allocation rank-side.
 	maxWireDim = 1 << 24
 )
+
+var le = binary.LittleEndian
 
 // reader is a cursor over a received payload with a sticky error: decoders
 // chain field reads and check err once, so truncated or corrupt frames
@@ -141,6 +151,45 @@ func (r *reader) points(count int) []grid.Point {
 		pts[i] = grid.Point{X: r.f64(), Y: r.f64(), T: r.f64()}
 	}
 	return pts
+}
+
+// ---------------------------------------------------------- gather ----
+
+// encodeGather serializes one rank's computed grid — a batch slab or a
+// stream window — as its density values plus the root layer t0 where it
+// starts.
+func encodeGather(rank, t0 int, data []float64) []byte {
+	msg := make([]byte, gatherHeaderBytes+8*len(data))
+	le.PutUint32(msg[0:], msgGather)
+	le.PutUint32(msg[4:], uint32(rank))
+	le.PutUint32(msg[8:], uint32(t0))
+	le.PutUint32(msg[12:], uint32(len(data)))
+	off := gatherHeaderBytes
+	for _, v := range data {
+		le.PutUint64(msg[off:], math.Float64bits(v))
+		off += 8
+	}
+	return msg
+}
+
+// decodeGather is the receiving side of encodeGather.
+func decodeGather(msg []byte) (rank, t0 int, data []float64, err error) {
+	if len(msg) < gatherHeaderBytes || le.Uint32(msg[0:]) != msgGather {
+		return 0, 0, nil, fmt.Errorf("dist: malformed gather message (%d bytes)", len(msg))
+	}
+	rank = int(le.Uint32(msg[4:]))
+	t0 = int(le.Uint32(msg[8:]))
+	count := int(le.Uint32(msg[12:]))
+	if len(msg) != gatherHeaderBytes+8*count {
+		return 0, 0, nil, fmt.Errorf("dist: gather message length %d does not match count %d", len(msg), count)
+	}
+	data = make([]float64, count)
+	off := gatherHeaderBytes
+	for i := range data {
+		data[i] = math.Float64frombits(le.Uint64(msg[off:]))
+		off += 8
+	}
+	return rank, t0, data, nil
 }
 
 // ------------------------------------------------------------ spec ----
@@ -608,8 +657,6 @@ func decodeAny(msg []byte) error {
 	}
 	var err error
 	switch le.Uint32(msg) {
-	case msgScatter:
-		_, _, err = decodeScatter(msg)
 	case msgGather:
 		_, _, _, err = decodeGather(msg)
 	case msgEstimate:

@@ -19,7 +19,6 @@ func wireCorpus(t testing.TB) [][]byte {
 	}
 	pts := []grid.Point{{X: 1, Y: 2, T: 3}, {X: 4.5, Y: 6.25, T: 7.125}}
 	return [][]byte{
-		encodeScatter(3, pts),
 		encodeGather(2, 5, []float64{1, 2.5, -3}),
 		encodeEstimate(estimateReq{rank: 1, threads: 2, normN: 42, alg: "pb-sym", spec: spec, pts: pts}),
 		encodeErr("scatter", "boom"),

@@ -14,14 +14,20 @@ func ringSpec(t *testing.T, gt int) Spec {
 	return s
 }
 
-// fillLogical stamps every voxel with a value encoding its root-frame
-// coordinates, so rotations are detectable.
+// ringVoxel returns the address of logical voxel (X, Y, T) of the ring,
+// T in [0, Gt+Ht): the hidden layers included.
+func ringVoxel(r *Ring, X, Y, T int) *float64 {
+	return &r.Data[(X*r.Spec().Gy+Y)*r.Layers()+r.PhysOf(T)]
+}
+
+// fillLogical stamps every voxel, hidden layers included, with a value
+// encoding its root-frame coordinates, so rotations are detectable.
 func fillLogical(r *Ring) {
 	s := r.Spec()
 	for X := 0; X < s.Gx; X++ {
 		for Y := 0; Y < s.Gy; Y++ {
-			for T := 0; T < s.Gt; T++ {
-				r.Data[(X*s.Gy+Y)*s.Gt+r.PhysOf(T)] = encode(X, Y, T+s.OT)
+			for T := 0; T < r.Layers(); T++ {
+				*ringVoxel(r, X, Y, T) = encode(X, Y, T+s.OT)
 			}
 		}
 	}
@@ -37,28 +43,35 @@ func TestRingAdvanceRotates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if r.Layers() != spec.Gt+spec.Ht || spec.Ht < 2 {
+		t.Fatalf("ring of %d layers for Gt %d, Ht %d", r.Layers(), spec.Gt, spec.Ht)
+	}
 	fillLogical(r)
-	// Advance in uneven steps so base wraps several times.
+	// Advance in uneven steps so base wraps several times, some landing
+	// hidden layers inside the window and some skipping past them.
 	advanced := 0
-	for _, k := range []int{3, 1, 5, 2, 7} {
+	for _, k := range []int{3, 1, 5, 2, 7, spec.Ht, spec.Ht + 1} {
 		oldSpec := r.Spec()
-		r.Advance(k)
+		r.Advance(k, 1+k%3)
 		advanced += k
 		s := r.Spec()
 		if s.OT != oldSpec.OT+k {
 			t.Fatalf("after Advance(%d): OT = %d, want %d", k, s.OT, oldSpec.OT+k)
 		}
-		// Surviving layers keep their root-frame stamps; freed layers are 0.
+		// Surviving layers, hidden ones included, keep their root-frame
+		// stamps; the freed layers are the newest hidden ones, and 0.
 		for X := 0; X < s.Gx; X++ {
 			for Y := 0; Y < s.Gy; Y++ {
-				for T := 0; T < s.Gt; T++ {
-					root := T + s.OT
-					want := encode(X, Y, root)
-					if T >= s.Gt-k || k >= s.Gt {
+				for T := 0; T < r.Layers(); T++ {
+					want := encode(X, Y, T+s.OT)
+					if T >= r.Layers()-k {
 						want = 0
 					}
-					if got := r.At(X, Y, T); got != want {
-						t.Fatalf("Advance(%d): At(%d,%d,%d) = %g, want %g", k, X, Y, T, got, want)
+					if got := *ringVoxel(r, X, Y, T); got != want {
+						t.Fatalf("Advance(%d): layer %d of (%d,%d) = %g, want %g", k, T, X, Y, got, want)
+					}
+					if T < s.Gt && r.At(X, Y, T) != want {
+						t.Fatalf("Advance(%d): At(%d,%d,%d) = %g, want %g", k, X, Y, T, r.At(X, Y, T), want)
 					}
 				}
 			}
@@ -77,10 +90,10 @@ func TestRingAdvanceWholeWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillLogical(r)
-	r.Advance(spec.Gt + 3) // larger than the window: everything is freed
+	r.Advance(spec.Gt+spec.Ht+1, 2) // larger than the ring: everything is freed
 	s := r.Spec()
-	if s.OT != spec.Gt+3 {
-		t.Fatalf("OT = %d, want %d", s.OT, spec.Gt+3)
+	if s.OT != spec.Gt+spec.Ht+1 {
+		t.Fatalf("OT = %d, want %d", s.OT, spec.Gt+spec.Ht+1)
 	}
 	for i, v := range r.Data {
 		if v != 0 {
@@ -95,9 +108,9 @@ func TestRingSegmentsCoverContiguously(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Advance(4) // base = 4: ranges crossing layer 3 wrap
-	for t0 := 0; t0 < spec.Gt; t0++ {
-		for t1 := t0; t1 < spec.Gt; t1++ {
+	r.Advance(4, 1) // base = 4: ranges crossing the last physical layer wrap
+	for t0 := 0; t0 < r.Layers(); t0++ {
+		for t1 := t0; t1 < r.Layers(); t1++ {
 			segs := r.Segments(t0, t1)
 			if len(segs) == 0 || len(segs) > 2 {
 				t.Fatalf("Segments(%d,%d) = %v: want 1 or 2 runs", t0, t1, segs)
@@ -113,8 +126,8 @@ func TestRingSegmentsCoverContiguously(t *testing.T) {
 						t.Fatalf("Segments(%d,%d): layer %d maps to phys %d, want %d",
 							t0, t1, T, phys, r.PhysOf(T))
 					}
-					if phys >= spec.Gt {
-						t.Fatalf("Segments(%d,%d): run wraps past Gt", t0, t1)
+					if phys >= r.Layers() {
+						t.Fatalf("Segments(%d,%d): run wraps past the last layer", t0, t1)
 					}
 				}
 				next = sg.T1 + 1
@@ -135,7 +148,7 @@ func TestRingSnapshotLogicalOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Advance(4)
+	r.Advance(4, 1)
 	fillLogical(r)
 	g, err := r.Snapshot(nil)
 	if err != nil {
@@ -158,16 +171,20 @@ func TestRingSnapshotLogicalOrder(t *testing.T) {
 
 func TestRingBudgetAccounting(t *testing.T) {
 	spec := ringSpec(t, 4)
-	b := NewBudget(spec.Bytes())
+	want := int64(spec.Gx*spec.Gy*(spec.Gt+spec.Ht)) * 8
+	if RingBytes(spec) != want {
+		t.Fatalf("RingBytes = %d, want Gt+Ht layers = %d", RingBytes(spec), want)
+	}
+	b := NewBudget(want)
 	r, err := NewRing(spec, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := b.Used(); got != spec.Bytes() {
-		t.Fatalf("budget used = %d, want %d", got, spec.Bytes())
+	if got := b.Used(); got != want {
+		t.Fatalf("budget used = %d, want %d", got, want)
 	}
 	if _, err := NewRing(spec, b); err == nil {
-		t.Fatal("second ring fit in a one-grid budget")
+		t.Fatal("second ring fit in a one-ring budget")
 	}
 	r.Release()
 	if got := b.Used(); got != 0 {
@@ -182,12 +199,59 @@ func TestRingCenterTTracksRootFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := spec
-	r.Advance(9)
+	r.Advance(9, 1)
 	s := r.Spec()
 	for T := 0; T < s.Gt; T++ {
 		want := root.Domain.T0 + (float64(T+9)+0.5)*root.TRes
 		if got := s.CenterT(T); math.Abs(got-want) != 0 {
 			t.Fatalf("CenterT(%d) = %g, want %g", T, got, want)
 		}
+	}
+}
+
+// TestRestoreRingCopiesVisibleLayers: a restored ring holds the snapshot's
+// window in its visible layers, zeroed hidden layers, and does not share
+// the snapshot's array.
+func TestRestoreRingCopiesVisibleLayers(t *testing.T) {
+	spec := ringSpec(t, 7)
+	r, err := NewRing(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Advance(5, 1)
+	fillLogical(r)
+	g, err := r.Snapshot(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBudget(RingBytes(spec))
+	rr, err := RestoreRing(g, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Used() != RingBytes(spec) || rr.Spec() != r.Spec() || rr.Base() != 0 {
+		t.Fatalf("restored ring: %d bytes charged, spec %+v, base %d", b.Used(), rr.Spec(), rr.Base())
+	}
+	s := rr.Spec()
+	for X := 0; X < s.Gx; X++ {
+		for Y := 0; Y < s.Gy; Y++ {
+			for T := 0; T < rr.Layers(); T++ {
+				want := 0.0
+				if T < s.Gt {
+					want = r.At(X, Y, T)
+				}
+				if got := *ringVoxel(rr, X, Y, T); got != want {
+					t.Fatalf("restored layer %d of (%d,%d) = %g, want %g", T, X, Y, got, want)
+				}
+			}
+		}
+	}
+	g.Data[0]++
+	if rr.At(0, 0, 0) == g.Data[0] {
+		t.Fatal("restored ring shares the snapshot's array")
+	}
+	rr.Release()
+	if b.Used() != 0 {
+		t.Fatalf("budget used after Release = %d, want 0", b.Used())
 	}
 }

@@ -21,19 +21,26 @@ func sketchBlocksFor(n int) int { return (n + sketchEdge - 1) >> sketchShift }
 // RingSketch is the incremental analytics sketch of a live window ring: the
 // streaming counterpart of Pyramid. Instead of snapshotting the O(G) window
 // to answer region and hotspot queries, the sketch keeps per-4x4x4-block
-// sums and maxima over the ring's *physical* layout and repairs them
-// lazily:
+// sums and maxima over the ring's *physical* layout — all Gt+Ht layers,
+// hidden ones included — and repairs them lazily:
 //
 //   - writers mark the axis-aligned bandwidth box of every applied event
-//     dirty (MarkDirty, called by core.Updater's apply path);
+//     dirty (MarkDirty, called by core.Updater's apply path), hidden
+//     layers included, so each block's maximum bound grows by the peaks of
+//     the events that wrote it, whichever side of the window's end;
 //   - Ring.Advance rotates the sketch for free — blocks live in physical
 //     coordinates, so the O(1) base rotation moves no sketch data; freed
 //     layers either zero whole blocks in place or mark boundary blocks
 //     dirty;
 //   - queries rebuild only the dirty blocks they are about to trust
-//     (refresh), then answer from block sums (BoxSum: full blocks summed,
-//     boundary blocks scanned) and block maxima (TopK: best-first block
-//     scan with the same floor pruning as Pyramid.TopK).
+//     (refresh), then answer from block sums (BoxSum: blocks wholly inside
+//     the box summed, boundary blocks scanned) and block maxima (TopK:
+//     best-first block scan with the same floor pruning as Pyramid.TopK).
+//
+// A block that straddles the window's end or start holds visible and
+// hidden voxels: its sum is never trusted (no visible box contains it
+// whole) and its maximum is still an upper bound on its visible voxels.
+// TopK skips hidden voxels and never rebuilds a wholly hidden block.
 //
 // The sketch stores raw (unnormalized) ring values; TopK takes the
 // normalization scale so its candidate densities are bitwise identical to
@@ -67,9 +74,10 @@ type RingSketch struct {
 }
 
 // RingSketchBytes returns the memory footprint of a ring sketch for the
-// spec: three float64 tables plus the dirty map, ~2% of the ring itself.
+// spec: three float64 tables plus the dirty map over all Gt+Ht layers,
+// ~2% of the ring itself.
 func RingSketchBytes(s Spec) int64 {
-	nb := int64(sketchBlocksFor(s.Gx)) * int64(sketchBlocksFor(s.Gy)) * int64(sketchBlocksFor(s.Gt))
+	nb := int64(sketchBlocksFor(s.Gx)) * int64(sketchBlocksFor(s.Gy)) * int64(sketchBlocksFor(s.Gt+s.Ht))
 	return nb * (3*8 + 1)
 }
 
@@ -87,7 +95,7 @@ func (r *Ring) EnableSketch(b *Budget) (*RingSketch, error) {
 	}
 	sk := &RingSketch{
 		r:  r,
-		bx: sketchBlocksFor(r.spec.Gx), by: sketchBlocksFor(r.spec.Gy), bt: sketchBlocksFor(r.spec.Gt),
+		bx: sketchBlocksFor(r.spec.Gx), by: sketchBlocksFor(r.spec.Gy), bt: sketchBlocksFor(r.layers),
 		budget: b,
 	}
 	nb := sk.bx * sk.by * sk.bt
@@ -108,14 +116,14 @@ func (r *Ring) Sketch() *RingSketch { return r.sketch }
 // bound on how much the write can raise any single voxel — the event's
 // peak kernel contribution for an addition, 0 for a retraction (which only
 // lowers values); it keeps the blocks' maximum upper bounds sound without
-// rebuilding them. The box is clipped to the window; its logical T range
-// is split at the ring's wrap point.
+// rebuilding them. The box's logical T range may reach into the hidden
+// layers; the box is clipped to the ring and split at its wrap point.
 func (r *Ring) MarkDirty(b Box, peak float64) {
 	sk := r.sketch
 	if sk == nil {
 		return
 	}
-	b = b.Clip(r.spec.Bounds())
+	b = b.Clip(Box{0, r.spec.Gx - 1, 0, r.spec.Gy - 1, 0, r.layers - 1})
 	if b.Empty() {
 		return
 	}
@@ -168,11 +176,7 @@ func (sk *RingSketch) resetZeroed() {
 // been zeroed across the whole X-Y extent: T-blocks fully inside the range
 // become exactly zero in place, boundary T-blocks are marked dirty.
 func (sk *RingSketch) zeroedPhysLayers(p0, k int) {
-	gt := sk.r.spec.Gt
-	n1 := k
-	if p0+n1 > gt {
-		n1 = gt - p0
-	}
+	n1 := min(k, sk.r.layers-p0)
 	sk.zeroedPhysRun(p0, p0+n1-1)
 	if n2 := k - n1; n2 > 0 {
 		sk.zeroedPhysRun(0, n2-1)
@@ -181,10 +185,9 @@ func (sk *RingSketch) zeroedPhysLayers(p0, k int) {
 
 // zeroedPhysRun handles one contiguous zeroed physical layer run [p0, p1].
 func (sk *RingSketch) zeroedPhysRun(p0, p1 int) {
-	gt := sk.r.spec.Gt
 	for bT := p0 >> sketchShift; bT <= p1>>sketchShift; bT++ {
 		blkLo := bT << sketchShift
-		blkHi := min((bT+1)<<sketchShift, gt) - 1
+		blkHi := min((bT+1)<<sketchShift, sk.r.layers) - 1
 		if p0 <= blkLo && blkHi <= p1 {
 			// The whole T-block is zero for every spatial block column.
 			for bc := 0; bc < sk.bx*sk.by; bc++ {
@@ -223,16 +226,16 @@ func (sk *RingSketch) Rebuilt() int64 { return sk.rebuilt }
 
 // rebuildBlock recomputes one dirty block's aggregates from the ring.
 func (sk *RingSketch) rebuildBlock(b int) {
-	s := sk.r.spec
+	s, L := sk.r.spec, sk.r.layers
 	bT := b % sk.bt
 	bY := (b / sk.bt) % sk.by
 	bX := b / (sk.bt * sk.by)
-	t0, t1 := bT<<sketchShift, min((bT+1)<<sketchShift, s.Gt)
+	t0, t1 := bT<<sketchShift, min((bT+1)<<sketchShift, L)
 	sum, mx := 0.0, 0.0
 	first := true
 	for X := bX << sketchShift; X < min((bX+1)<<sketchShift, s.Gx); X++ {
 		for Y := bY << sketchShift; Y < min((bY+1)<<sketchShift, s.Gy); Y++ {
-			row := sk.r.Data[(X*s.Gy+Y)*s.Gt+t0 : (X*s.Gy+Y)*s.Gt+t1]
+			row := sk.r.Data[(X*s.Gy+Y)*L+t0 : (X*s.Gy+Y)*L+t1]
 			for _, v := range row {
 				sum += v
 				if first || v > mx {
@@ -247,8 +250,8 @@ func (sk *RingSketch) rebuildBlock(b int) {
 	sk.rebuilt++
 }
 
-// BoxSum returns the raw (unnormalized) sum of the window voxels in the
-// logical box: full blocks contribute their cached sums, boundary blocks
+// BoxSum returns the raw (unnormalized) sum of the visible window voxels
+// in the logical box: full blocks contribute their cached sums, boundary blocks
 // are scanned voxel by voxel — O(box/sketchEdge³ + boundary) instead of
 // O(box). Repair is demand-driven: only dirty blocks whose cached sum the
 // query actually trusts are rebuilt (boundary blocks read raw voxels and
@@ -266,17 +269,18 @@ func (sk *RingSketch) BoxSum(b Box) float64 {
 	return total
 }
 
-// physBoxSum sums the physical voxel box [x0,x1]x[y0,y1]x[p0,p1].
+// physBoxSum sums the physical voxel box [x0,x1]x[y0,y1]x[p0,p1]; a
+// block's cached sum is trusted only when the block lies wholly inside.
 func (sk *RingSketch) physBoxSum(x0, x1, y0, y1, p0, p1 int) float64 {
-	s := sk.r.spec
+	gy, L := sk.r.spec.Gy, sk.r.layers
 	total := 0.0
 	for bX := x0 >> sketchShift; bX <= x1>>sketchShift; bX++ {
-		fullX := bX<<sketchShift >= x0 && (bX+1)<<sketchShift-1 <= x1 && (bX+1)<<sketchShift <= s.Gx
+		fullX := bX<<sketchShift >= x0 && (bX+1)<<sketchShift-1 <= x1
 		for bY := y0 >> sketchShift; bY <= y1>>sketchShift; bY++ {
-			fullY := bY<<sketchShift >= y0 && (bY+1)<<sketchShift-1 <= y1 && (bY+1)<<sketchShift <= s.Gy
+			fullY := bY<<sketchShift >= y0 && (bY+1)<<sketchShift-1 <= y1
 			blockRow := (bX*sk.by + bY) * sk.bt
 			for bT := p0 >> sketchShift; bT <= p1>>sketchShift; bT++ {
-				fullT := bT<<sketchShift >= p0 && (bT+1)<<sketchShift-1 <= p1 && (bT+1)<<sketchShift <= s.Gt
+				fullT := bT<<sketchShift >= p0 && (bT+1)<<sketchShift-1 <= p1
 				if fullX && fullY && fullT {
 					bi := blockRow + bT
 					if sk.dirty[bi] {
@@ -291,7 +295,7 @@ func (sk *RingSketch) physBoxSum(x0, x1, y0, y1, p0, p1 int) float64 {
 				ct0, ct1 := max(p0, bT<<sketchShift), min(p1, (bT+1)<<sketchShift-1)
 				for X := cx0; X <= cx1; X++ {
 					for Y := cy0; Y <= cy1; Y++ {
-						row := sk.r.Data[(X*s.Gy+Y)*s.Gt+ct0 : (X*s.Gy+Y)*s.Gt+ct1+1]
+						row := sk.r.Data[(X*gy+Y)*L+ct0 : (X*gy+Y)*L+ct1+1]
 						for _, v := range row {
 							total += v
 						}
@@ -303,8 +307,8 @@ func (sk *RingSketch) physBoxSum(x0, x1, y0, y1, p0, p1 int) float64 {
 	return total
 }
 
-// TopK returns the k highest-density voxels of the window in logical
-// coordinates, each raw value multiplied by scale (the owner's 1/n
+// TopK returns the k highest-density voxels of the visible window in
+// logical coordinates, each raw value multiplied by scale (the owner's 1/n
 // normalization) exactly as Snapshot normalizes, in descending density
 // order with ties broken by ascending logical flat index — the same
 // selection a sequential scan of the normalized snapshot makes. Blocks are
@@ -316,9 +320,7 @@ func (sk *RingSketch) TopK(k int, scale float64) []VoxelDensity {
 	if k <= 0 {
 		return nil
 	}
-	if k > len(sk.r.Data) {
-		k = len(sk.r.Data)
-	}
+	k = min(k, s.Voxels())
 	// Raw bounds order candidates correctly for any scale > 0: rounding a
 	// shared multiplication is monotone, so raw a <= b implies a*scale <=
 	// b*scale after rounding.
@@ -326,7 +328,7 @@ func (sk *RingSketch) TopK(k int, scale float64) []VoxelDensity {
 	bh.init(sk.heapScratch, len(sk.ub), sk.ub)
 	sk.heapScratch = bh.idx[:0]
 	h := newTopKSelector(k)
-	gt, base := s.Gt, sk.r.base
+	gt, L, base := s.Gt, sk.r.layers, sk.r.base
 	for {
 		bi, ok := bh.pop()
 		if !ok {
@@ -335,33 +337,38 @@ func (sk *RingSketch) TopK(k int, scale float64) []VoxelDensity {
 		if h.full() && sk.ub[bi]*scale < h.floor().v {
 			break
 		}
+		b := int(bi)
+		bT := b % sk.bt
+		t0, t1 := bT<<sketchShift, min((bT+1)<<sketchShift, L)
+		if lo, hi := (t0-base+L)%L, (t1-1-base+L)%L; lo >= gt && hi >= lo {
+			continue // every layer of the block is hidden: no rebuild, no scan
+		}
 		if sk.dirty[bi] {
 			// The optimistic bound reaches the floor: pay for the exact
 			// maximum and re-queue (everything still on the heap has a
 			// lower bound, so ordering stays best-first).
-			sk.rebuildBlock(int(bi))
+			sk.rebuildBlock(b)
 			bh.push(bi)
 			continue
 		}
-		b := int(bi)
-		bT := b % sk.bt
 		bY := (b / sk.bt) % sk.by
 		bX := b / (sk.bt * sk.by)
-		t0, t1 := bT<<sketchShift, min((bT+1)<<sketchShift, gt)
 		for X := bX << sketchShift; X < min((bX+1)<<sketchShift, s.Gx); X++ {
 			for Y := bY << sketchShift; Y < min((bY+1)<<sketchShift, s.Gy); Y++ {
-				rowBase := (X*s.Gy + Y) * gt
-				logBase := rowBase // logical flat index base of this row
+				row := X*s.Gy + Y
 				for p := t0; p < t1; p++ {
-					v := sk.r.Data[rowBase+p] * scale
+					logT := p - base
+					if logT < 0 {
+						logT += L
+					}
+					if logT >= gt {
+						continue // a hidden layer
+					}
+					v := sk.r.Data[row*L+p] * scale
 					if h.full() && v < h.floor().v {
 						continue
 					}
-					logT := p - base
-					if logT < 0 {
-						logT += gt
-					}
-					h.offer(logBase+logT, v)
+					h.offer(row*gt+logT, v)
 				}
 			}
 		}

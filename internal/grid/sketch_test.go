@@ -45,7 +45,7 @@ func applyBox(r *Ring, b Box, delta float64) {
 	for X := b.X0; X <= b.X1; X++ {
 		for Y := b.Y0; Y <= b.Y1; Y++ {
 			for T := b.T0; T <= b.T1; T++ {
-				r.Data[(X*s.Gy+Y)*s.Gt+r.PhysOf(T)] += delta
+				*ringVoxel(r, X, Y, T) += delta
 			}
 		}
 	}
@@ -116,7 +116,7 @@ func TestRingSketchInterleavings(t *testing.T) {
 			case 2: // remove: retract from a box (signed negative apply)
 				applyBox(r, randomBox(rng, s), -rng.Float64())
 			case 3: // advance, sometimes past the whole window
-				r.Advance(1 + rng.Intn(s.Gt+2))
+				r.Advance(1+rng.Intn(s.Gt+s.Ht+2), 1+rng.Intn(3))
 			}
 			if step%7 == 0 || step == 59 {
 				checkSketchAgainstSnapshot(t, r, sk, rng, step)
@@ -138,7 +138,7 @@ func TestRingSketchAdvanceZeroFastPath(t *testing.T) {
 	// Advance by 10 layers: physical layers 0..9 are freed. T-blocks 0
 	// ([0,4)) and 1 ([4,8)) are fully inside and must be clean zero; block
 	// 2 ([8,12)) is split and must be dirty.
-	r.Advance(10)
+	r.Advance(10, 2)
 	if sk.ndirty != sk.bx*sk.by {
 		t.Fatalf("dirty blocks = %d, want one boundary T-block per column = %d", sk.ndirty, sk.bx*sk.by)
 	}
@@ -162,7 +162,7 @@ func TestRingSketchAdvanceZeroFastPath(t *testing.T) {
 
 func TestRingSketchBudgetAndRelease(t *testing.T) {
 	s := mustSpec(t, Domain{GX: 12, GY: 10, GT: 16}, 1, 1, 2, 2)
-	b := NewBudget(s.Bytes() + RingSketchBytes(s))
+	b := NewBudget(RingBytes(s) + RingSketchBytes(s))
 	r, err := NewRing(s, b)
 	if err != nil {
 		t.Fatal(err)
@@ -170,13 +170,13 @@ func TestRingSketchBudgetAndRelease(t *testing.T) {
 	if _, err := r.EnableSketch(b); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := b.Used(), s.Bytes()+RingSketchBytes(s); got != want {
+	if got, want := b.Used(), RingBytes(s)+RingSketchBytes(s); got != want {
 		t.Fatalf("budget used = %d, want %d", got, want)
 	}
 	if sk2, err := r.EnableSketch(b); err != nil || sk2 != r.Sketch() {
 		t.Fatalf("EnableSketch is not idempotent: %v", err)
 	}
-	if got, want := b.Used(), s.Bytes()+RingSketchBytes(s); got != want {
+	if got, want := b.Used(), RingBytes(s)+RingSketchBytes(s); got != want {
 		t.Fatalf("idempotent enable recharged the budget: %d != %d", got, want)
 	}
 	r.Release()
@@ -199,5 +199,117 @@ func TestRingSketchRebuildsOnlyDirty(t *testing.T) {
 	}
 	if sk.BoxSum(Box{3, 5, 9, 10, 17, 18}) != float64(3*2*2)*2 {
 		t.Fatalf("BoxSum = %g, want %g", sk.BoxSum(Box{3, 5, 9, 10, 17, 18}), float64(3*2*2)*2)
+	}
+}
+
+// TestRingSketchHiddenLayers fills the hidden layers with values above
+// anything visible and checks At, Snapshot, BoxSum and TopK (exactly,
+// including the order of the many ties integer values make) against a
+// logical model of the visible layers alone, across advances by 1, Ht,
+// Ht+1 and Gt+Ht+1 layers. The window is 10 layers over a 13-layer ring,
+// so its end and its start fall inside 4-layer sketch blocks.
+func TestRingSketchHiddenLayers(t *testing.T) {
+	s := mustSpec(t, Domain{GX: 9, GY: 7, GT: 10}, 1, 1, 2, 2.5)
+	r, err := NewRing(s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := r.EnableSketch(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	L := r.Layers()
+	if s.Ht != 3 || L != s.Gt+s.Ht {
+		t.Fatalf("Gt %d, Ht %d, %d layers: want 10, 3, 13", s.Gt, s.Ht, L)
+	}
+	model := make([]float64, s.Gx*s.Gy*L) // logical layers, T innermost
+	rng := rand.New(rand.NewSource(23))
+	write := func(b Box, delta float64) {
+		for X := b.X0; X <= b.X1; X++ {
+			for Y := b.Y0; Y <= b.Y1; Y++ {
+				for T := b.T0; T <= b.T1; T++ {
+					*ringVoxel(r, X, Y, T) += delta
+					model[(X*s.Gy+Y)*L+T] += delta
+				}
+			}
+		}
+		r.MarkDirty(b, math.Max(delta, 0))
+	}
+	randBox := func(t0, t1 int) Box {
+		x0, y0, T0 := rng.Intn(s.Gx), rng.Intn(s.Gy), t0+rng.Intn(t1-t0+1)
+		return Box{x0, x0 + rng.Intn(s.Gx-x0), y0, y0 + rng.Intn(s.Gy-y0), T0, T0 + rng.Intn(t1-T0+1)}
+	}
+	endInBlock := false
+	check := func(tag string) {
+		t.Helper()
+		sp := r.Spec()
+		endInBlock = endInBlock || (r.Base()+sp.Gt)%L%sketchEdge != 0
+		want, err := NewGrid(sp, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for row := 0; row < sp.Gx*sp.Gy; row++ {
+			copy(want.Data[row*sp.Gt:(row+1)*sp.Gt], model[row*L:])
+		}
+		snap, err := r.Snapshot(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range want.Data {
+			X, Y, T := i/(sp.Gt*sp.Gy), i/sp.Gt%sp.Gy, i%sp.Gt
+			if snap.Data[i] != v || r.At(X, Y, T) != v {
+				t.Fatalf("%s: voxel (%d,%d,%d): snapshot %g, At %g, visible model %g", tag, X, Y, T, snap.Data[i], r.At(X, Y, T), v)
+			}
+		}
+		for trial := 0; trial < 30; trial++ {
+			b := randBox(0, L-1) // may reach past the window: clipped
+			if trial == 0 {
+				b = sp.Bounds()
+			}
+			sum := 0.0
+			if cb := b.Clip(sp.Bounds()); !cb.Empty() {
+				for X := cb.X0; X <= cb.X1; X++ {
+					for Y := cb.Y0; Y <= cb.Y1; Y++ {
+						for T := cb.T0; T <= cb.T1; T++ {
+							sum += want.At(X, Y, T)
+						}
+					}
+				}
+			}
+			if got := sk.BoxSum(b); got != sum {
+				t.Fatalf("%s: BoxSum(%+v) = %g, visible scan %g", tag, b, got, sum)
+			}
+		}
+		const scale = 1.0 / 3
+		for i := range want.Data {
+			want.Data[i] *= scale
+		}
+		for _, k := range []int{1, 9, 40, sp.Voxels() + 5} {
+			wantTop, got := want.TopK(k), sk.TopK(k, scale)
+			if len(got) != len(wantTop) {
+				t.Fatalf("%s k=%d: sketch %d voxels, visible scan %d", tag, k, len(got), len(wantTop))
+			}
+			for i := range wantTop {
+				if got[i] != wantTop[i] {
+					t.Fatalf("%s k=%d rank %d: sketch %+v, visible scan %+v", tag, k, i, got[i], wantTop[i])
+				}
+			}
+		}
+	}
+	for _, k := range []int{1, s.Ht, s.Ht + 1, s.Gt + s.Ht + 1, 1, s.Ht, s.Ht + 1, 1} {
+		for i := 0; i < 6; i++ {
+			write(randBox(0, L-1), float64(rng.Intn(3)-1))
+			write(randBox(s.Gt, L-1), float64(50+rng.Intn(4))) // hidden only
+		}
+		check("written")
+		r.Advance(k, 2)
+		for row := 0; row < s.Gx*s.Gy; row++ {
+			m := model[row*L : (row+1)*L]
+			clear(m[copy(m, m[min(k, L):]):])
+		}
+		check("advanced")
+	}
+	if !endInBlock {
+		t.Fatal("the window's end never fell inside a sketch block")
 	}
 }

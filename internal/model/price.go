@@ -47,13 +47,15 @@ func (m Machine) IngestSeconds(spec grid.Spec, n int) float64 {
 	return float64(n) * (upd/m.UpdatePerSec + ske/m.SpatialEvalPerSec + tke/m.TemporalEvalPerSec)
 }
 
-// AdvanceSeconds bounds a window advance: in the worst case every layer
-// of the ring is re-zeroed, one pass over the window grid. Since the
-// updater fills its lookahead layers at ingest, an advance applies no
-// event (beyond the few ingested ahead of the window) and only rotates,
-// zeroes and copies layers in, so the one-pass figure is a true upper
-// bound. While advances re-applied every event near the window's end it
-// under-priced them about sixfold (benchmark `model.advance_ratio` 0.15).
+// AdvanceSeconds bounds a window advance by one pass over the window
+// grid. Since the updater writes each event's whole cylinder at ingest,
+// into the window and the ring's Ht hidden layers past its end, an advance
+// applies no event (beyond the few ingested ahead of the window) and only
+// rotates the ring and zeroes the freed layers — one per layer advanced,
+// so the one-pass figure bounds every advance short of a jump past the
+// whole ring, which zeroes Ht layers more. While advances re-applied every
+// event near the window's end it under-priced them about sixfold
+// (benchmark `model.advance_ratio` 0.15).
 func (m Machine) AdvanceSeconds(spec grid.Spec) float64 {
 	return float64(spec.Bytes()) / m.InitBytesPerSec
 }

@@ -66,6 +66,24 @@ func BlocksMin(p, n, min int, body func(worker, lo, hi int)) {
 	Blocks(p, n, body)
 }
 
+// Strips runs body(w, cuts[w], cuts[w+1]) for every strip w of the
+// boundaries cuts (at least two), each on its own goroutine but the last,
+// which runs on the calling goroutine, and returns when all are done: no
+// worker outlives the call, and a one-strip call starts no goroutine.
+func Strips(cuts []int, body func(w, lo, hi int)) {
+	last := len(cuts) - 2
+	var wg sync.WaitGroup
+	wg.Add(last)
+	for w := 0; w < last; w++ {
+		go func(w int) {
+			defer wg.Done()
+			body(w, cuts[w], cuts[w+1])
+		}(w)
+	}
+	body(last, cuts[last], cuts[last+1])
+	wg.Wait()
+}
+
 // For runs body(i) for every i in [0, n) using a static block schedule over
 // p workers.
 func For(p, n int, body func(i int)) {

@@ -30,6 +30,25 @@ func TestBlocksCoverage(t *testing.T) {
 	}
 }
 
+// TestStripsCoverage: Strips calls the body once per strip, with that
+// strip's index and bounds, and every call has returned when it does.
+func TestStripsCoverage(t *testing.T) {
+	for _, cuts := range [][]int{{0, 5}, {0, 3, 3, 9}, {2, 4, 6, 8, 10}} {
+		calls := make([]int32, len(cuts)-1)
+		Strips(cuts, func(w, lo, hi int) {
+			if lo != cuts[w] || hi != cuts[w+1] {
+				t.Errorf("cuts %v: strip %d got [%d, %d)", cuts, w, lo, hi)
+			}
+			atomic.AddInt32(&calls[w], 1)
+		})
+		for w, n := range calls {
+			if atomic.LoadInt32(&calls[w]) != 1 {
+				t.Fatalf("cuts %v: strip %d ran %d times", cuts, w, n)
+			}
+		}
+	}
+}
+
 func TestBlocksWorkerIDsDisjoint(t *testing.T) {
 	const p, n = 7, 1000
 	owner := make([]int32, n)

@@ -120,9 +120,9 @@ func (m *metrics) publishAdmission(a *admission) {
 // publishStreams exposes work counters of core.UpdaterStats, summed over
 // the live local windows (a sharded window's updaters live in the rank
 // processes): event applications performed inside advances — zero while
-// no stream ingests ahead of its window — layers copied in from the
-// lookahead, and event × strip applications of the parallel apply, whose
-// excess over the applied events is its recomputation overhead. The
+// no stream ingests ahead of its window — and event × strip applications
+// of the parallel apply, whose excess over the applied events is its
+// recomputation overhead. The
 // shard_stream_* counters sum dist.StreamStats over the live sharded
 // windows: events shipped to ranks (the events ingested, when every rank
 // is up), threshold top-k rounds, and raw voxel values fetched.
@@ -139,7 +139,6 @@ func (m *metrics) publishStreams(t *streamTable) {
 		}
 	}
 	m.m.Set("stream_advance_reapplied", local(func(us core.UpdaterStats) int64 { return us.AdvanceReapplied }))
-	m.m.Set("stream_advance_copied", local(func(us core.UpdaterStats) int64 { return us.AdvanceCopied }))
 	m.m.Set("stream_strip_applies", local(func(us core.UpdaterStats) int64 { return us.StripApplies }))
 	sharded := func(pick func(dist.StreamStats) int64) expvar.Func {
 		return func() any {

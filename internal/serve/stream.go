@@ -316,7 +316,8 @@ func (t *streamTable) count() int {
 	return len(t.m)
 }
 
-// pinnedBytes is the byte total of all live windows (ring + lookahead)
+// pinnedBytes is the byte total of all live windows (their rings, hidden
+// layers included)
 // held in this process (their specs never resize, so the creation spec's
 // size is exact). Sharded windows keep theirs in the rank processes and
 // are not counted.

@@ -20,10 +20,10 @@ func NewAccumulator(spec Spec, opt Options) (*Accumulator, error) {
 // long-lived engine owning a temporal ring-buffer window of density that
 // stays exact under Add (fold events in, O(Hs²·Ht) each), Remove (retract
 // with the bitwise-exact signed-weight negation), and AdvanceTo (slide the
-// window forward by whole voxel layers — an O(1) ring rotation, zeroing
-// only the freed layers and copying in the layers that enter from a
-// lookahead every Add has already filled, expiring events the window
-// leaves behind). Drift from floating-point cancellation is tracked by a running
+// window forward by whole voxel layers — an O(1) ring rotation and
+// zeroing only the freed layers, while the layers entering the window
+// arrive already filled by every Add, expiring events the window leaves
+// behind). Drift from floating-point cancellation is tracked by a running
 // residual bound; crossing it (or every StreamConfig.CompactEvery
 // mutations) triggers a full re-estimate of the live events.
 type Stream = core.Updater
