@@ -16,7 +16,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/grid"
@@ -367,20 +366,6 @@ func BenchmarkModelPrediction(b *testing.B) {
 		w := model.NewWorkload(f.pts, f.spec, [3]int{8, 8, 8})
 		if _, preds := model.Pick(w, m); len(preds) == 0 {
 			b.Fatal("no predictions")
-		}
-	}
-}
-
-// BenchmarkHarness measures a full harness experiment (fig7 on two
-// instances), ensuring the reporting layer adds negligible cost.
-func BenchmarkHarness(b *testing.B) {
-	cfg := bench.Config{
-		Scale:     0.05,
-		Instances: []string{"Dengue_Lr-Lb", "Flu_Lr-Lb"},
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Run("fig7", cfg); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

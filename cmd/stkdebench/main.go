@@ -8,7 +8,6 @@
 //	stkdebench -exp fig10 -scale 0.15 -maxthreads 16 -instances Dengue_Hr-VHb,PollenUS_Hr-Mb
 //	stkdebench -exp all -scale 0.1 -csv results
 //	stkdebench -exp kernels -scale 0.1 -repeats 3 -json BENCH
-//	stkdebench -experiment stream -scale 0.1 -repeats 3 -json BENCH
 //
 // The "kernels" experiment A/Bs the compute-engine tiers on sequential
 // PB-SYM — the dense pre-rewrite scan, generic interface dispatch, the
@@ -16,23 +15,19 @@
 // of repro/internal/simd (vector-*, the default engine) — with and
 // without the Morton locality sort; every emitted row carries an "isa"
 // field recording whether internal/simd dispatched to "avx2" or "scalar"
-// on the measuring host. The "stream" experiment measures the streaming update path: the
-// per-event cost and sustained events/sec of folding single events into a
-// live core.Updater window, the cost of a one-layer window advance, and
-// the speedup over the full batch recompute each ingest replaces. The
-// "analytics" experiment measures region-mass and top-k hotspot query
-// latency: the naive O(G) grid scans versus the summed-volume pyramid on
-// static grids, and the O(G) snapshot path versus the incremental ring
-// sketch on live streams. The "recover" experiment measures the durability
-// subsystem's boot path: cold WAL replay (events/sec) versus snapshot
-// warm-restart recovery of a journaled stream. The "overload" experiment
-// drives a server with admission control at roughly 9x its measured
-// capacity (one flooding tenant plus three polite ones) and reports the
-// admitted p99 against the SLO, the shed counts by reason, Retry-After
-// coverage, and the polite tenants' admitted fraction. With -json they
-// emit the stkde-bench/v1 trajectories committed as BENCH_stream.json,
-// BENCH_analytics.json, BENCH_recover.json and BENCH_overload.json.
-// (-experiment is an alias for -exp.)
+// on the measuring host. The "overload" experiment drives a server with
+// admission control at roughly 9x its measured capacity (one flooding
+// tenant plus three polite ones) and reports the admitted p99 against the
+// SLO, the shed counts by reason, Retry-After coverage, and the polite
+// tenants' admitted fraction. The "faults" experiment kills one rank of a
+// sharded live window and reports query availability, coverage and
+// latency while it is down and after it heals. With -json they emit the
+// stkde-bench/v1 trajectories committed as BENCH_kernels.json,
+// BENCH_overload.json and BENCH_faults.json.
+//
+// Serving, streaming, durability, live analytics and sharded live streams
+// are measured by the repository benchmark instead: bash benchmark/run.sh
+// --workload <name> --trace 1 writes their per-layer metrics.
 package main
 
 import (
@@ -54,7 +49,7 @@ func main() {
 
 func run() error {
 	var (
-		exp        = flag.String("exp", "", "experiment id or \"all\": "+strings.Join(bench.Experiments(), ", ")+" (stream reports events/sec and the speedup of incremental ingest vs full recompute)")
+		exp        = flag.String("exp", "", "experiment id or \"all\": "+strings.Join(bench.Experiments(), ", "))
 		scale      = flag.Float64("scale", 0.15, "instance scale in (0,1]")
 		threads    = flag.String("threads", "", "thread sweep for fig8, e.g. 1,2,4,8,16")
 		maxThreads = flag.Int("maxthreads", 0, "P for per-decomposition experiments (0 = min(16, cores))")
@@ -68,7 +63,6 @@ func run() error {
 		jsonPrefix = flag.String("json", "", "also write <prefix>_<exp>.json (the BENCH_*.json trajectory format)")
 		list       = flag.Bool("list", false, "list experiments and exit")
 	)
-	flag.StringVar(exp, "experiment", "", "alias for -exp")
 	flag.Parse()
 
 	if *list {

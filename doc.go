@@ -5,7 +5,11 @@
 // Import the public API from repro/stkde (estimation) and repro/synth
 // (synthetic datasets and the Table 2 benchmark catalog). The command-line
 // tools live under cmd/ and the paper's tables and figures are regenerated
-// by cmd/stkdebench and the benchmarks in bench_test.go.
+// by cmd/stkdebench and the benchmarks in bench_test.go. The layers beyond
+// the paper (serving, streaming, analytics, durability, sharded streams)
+// are measured per layer by the repository benchmark: BENCHMARK.json names
+// the metrics and `bash benchmark/run.sh --workload <name> --trace 1`
+// writes them.
 //
 // Beyond the paper's shared-memory algorithms, repro/internal/dist
 // implements the paper's future-work item as a real distributed-memory
@@ -23,8 +27,10 @@
 // the answers by its share until it is re-seeded. It is exposed as
 // stkde.EstimateDistributed and the
 // ShardNetwork/ShardRank/ShardCluster surface, the -ranks flag of
-// cmd/stkde, the -shard-listen/-peers flags of cmd/stkded, and the "dist"
-// and "shard" experiments of cmd/stkdebench.
+// cmd/stkde, the -shard-listen/-peers flags of cmd/stkded, the "dist" and
+// "faults" experiments of cmd/stkdebench, and the benchmark's stream-shard
+// workload (dist.gather_boxmass_us, dist.gather_topk_us,
+// dist.bytes_per_gather).
 //
 // The PB-family hot path is a specialized compute engine: the in-disk Y
 // range of every X column is computed once (disk spans), points are
@@ -48,8 +54,9 @@
 // under a byte budget, singleflight request coalescing over a bounded
 // estimation pool, and JSON HTTP endpoints for estimation jobs, voxel
 // queries, region mass and top-k hotspots. It is exposed as
-// stkde.NewDensityServer, the cmd/stkded daemon, and the "serve"
-// experiment of cmd/stkdebench.
+// stkde.NewDensityServer and the cmd/stkded daemon, and measured by the
+// benchmark's serve-read workload (serve.read_rps, serve.cache_hits,
+// serve.cache_misses, serve.estimations).
 //
 // Estimation is also available as a streaming process: core.Updater (the
 // public stkde.Stream) owns a sliding temporal window of density stored in
@@ -66,9 +73,8 @@
 // floating-point cancellation drift with a running residual estimate plus
 // periodic compaction. The serving subsystem exposes it as mutable stream datasets
 // (POST /v1/streams, /v1/datasets/{id}/events, /v1/datasets/{id}/advance)
-// whose grids are updated in place, and the "stream" experiment of
-// cmd/stkdebench records the ingest-vs-recompute trajectory in
-// BENCH_stream.json.
+// whose grids are updated in place; the benchmark's stream-mixed workload
+// measures it (core.updater_add_us_per_event, core.updater_advance_ms).
 //
 // Analytics over the volume are sublinear: grid.Pyramid (the public
 // stkde.NewPyramid) holds a 3-D summed-volume table answering box masses
@@ -77,8 +83,9 @@
 // maintains the same aggregates incrementally inside a live stream's ring
 // (per-event dirty bandwidth boxes, lazily rebuilt at query time), so the
 // serving tier's /v1/region and /v1/hotspots answer from sketches on both
-// static grids and live windows — the "analytics" experiment of
-// cmd/stkdebench records the trajectory in BENCH_analytics.json.
+// static grids and live windows — measured as grid.pyramid_* on the
+// benchmark's serve-read workload and core.updater_boxmass_us,
+// core.updater_topk_us and core.sketch_rebuilds on stream-mixed.
 //
 // Live streams are durable: repro/internal/wal is a segmented write-ahead
 // log (CRC-framed records, group-commit fsync batching, torn-tail
@@ -87,8 +94,8 @@
 // crashed daemon restarts warm — snapshot load plus bounded tail replay,
 // bitwise-identical to an uninterrupted run. Enabled by the -wal-dir /
 // -wal-sync / -snapshot-every flags of cmd/stkded, inspected offline by
-// cmd/stkdewal, and measured by the "recover" experiment of cmd/stkdebench
-// (BENCH_recover.json).
+// cmd/stkdewal, and measured by the benchmark's stream-mixed workload
+// (serve.recover_s, wal.replay_events_per_s, wal.snapshot_write_s).
 //
 // The serving tier is overload-safe: an admission layer in front of the
 // estimation pool prices every request with the paper's performance model

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,8 +25,11 @@ func quickCfg(out *bytes.Buffer) Config {
 }
 
 func TestExperimentsList(t *testing.T) {
-	if len(Experiments()) != 20 {
-		t.Fatalf("expected 20 experiments, got %d", len(Experiments()))
+	want := []string{"table2", "table3", "fig7", "fig8", "fig9", "fig10",
+		"fig11", "fig12", "fig13", "fig14", "fig15", "dist", "kernels",
+		"overload", "faults"}
+	if got := Experiments(); !slices.Equal(got, want) {
+		t.Fatalf("Experiments() = %v, want %v", got, want)
 	}
 	var out bytes.Buffer
 	for _, exp := range Experiments() {
@@ -49,8 +53,13 @@ func TestExperimentsList(t *testing.T) {
 }
 
 func TestUnknownExperiment(t *testing.T) {
-	if _, err := Run("fig99", Config{}); err == nil {
-		t.Fatal("expected error for unknown experiment")
+	// fig99 never existed; the rest are retired experiments whose
+	// measurements moved to the repository benchmark's per-layer metrics.
+	for _, exp := range []string{"fig99", "stream", "recover", "shard", "analytics", "serve"} {
+		_, err := Run(exp, Config{})
+		if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Errorf("Run(%q) error = %v, want unknown experiment", exp, err)
+		}
 	}
 }
 
@@ -58,63 +67,6 @@ func TestUnknownInstance(t *testing.T) {
 	cfg := Config{Instances: []string{"NotAnInstance"}}
 	if _, err := Run("fig7", cfg); err == nil {
 		t.Fatal("expected error for unknown instance")
-	}
-}
-
-func TestStreamExperimentShape(t *testing.T) {
-	var out bytes.Buffer
-	rep, err := Run("stream", quickCfg(&out))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 2 {
-		t.Fatalf("expected 2 rows, got %d", len(rep.Rows))
-	}
-	for _, r := range rep.Rows {
-		if r.Seconds <= 0 {
-			t.Errorf("%s: non-positive per-event cost %g", r.Instance, r.Seconds)
-		}
-		// A single-event ingest must beat the full recompute it replaces
-		// (the committed BENCH_stream.json asserts >= 10x at real scale).
-		if r.Speedup <= 1 {
-			t.Errorf("%s: incremental ingest slower than recompute: %+v", r.Instance, r)
-		}
-		for _, key := range []string{"events_per_sec", "advance_s", "recompute_s", "ingested"} {
-			if _, ok := r.Extra[key]; !ok {
-				t.Errorf("%s: missing extra %q", r.Instance, key)
-			}
-		}
-	}
-	if !strings.Contains(out.String(), "Streaming") {
-		t.Error("missing table banner")
-	}
-}
-
-func TestRecoverExperimentShape(t *testing.T) {
-	var out bytes.Buffer
-	rep, err := Run("recover", quickCfg(&out))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 2 {
-		t.Fatalf("expected 2 rows, got %d", len(rep.Rows))
-	}
-	for _, r := range rep.Rows {
-		if r.Seconds <= 0 {
-			t.Errorf("%s: non-positive replay time %g", r.Instance, r.Seconds)
-		}
-		if r.Speedup <= 0 {
-			t.Errorf("%s: snapshot speedup not recorded: %+v", r.Instance, r)
-		}
-		for _, key := range []string{"records", "journal_bytes", "replay_s",
-			"replay_events_per_sec", "snapshot_load_s", "snapshot_bytes"} {
-			if v, ok := r.Extra[key]; !ok || v <= 0 {
-				t.Errorf("%s: extra %q = %g (missing or non-positive)", r.Instance, key, v)
-			}
-		}
-	}
-	if !strings.Contains(out.String(), "Durability") {
-		t.Error("missing table banner")
 	}
 }
 
@@ -320,38 +272,9 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Scale != 0.15 || c.MaxThreads < 1 || len(c.Decomps) != 7 || c.VBOpsLimit != 2e9 {
 		t.Errorf("unexpected defaults: %+v", c)
 	}
-}
-
-func TestServeExperiment(t *testing.T) {
-	var out bytes.Buffer
-	cfg := quickCfg(&out)
-	cfg.Instances = cfg.Instances[:1]
-	rep, err := Run("serve", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 1 {
-		t.Fatalf("got %d rows, want 1", len(rep.Rows))
-	}
-	row := rep.Rows[0]
-	for _, key := range []string{"ingest_s", "cold_s", "warm_s", "query_qps", "hotspots_s", "estimations"} {
-		if _, ok := row.Extra[key]; !ok {
-			t.Errorf("row missing %q: %+v", key, row.Extra)
-		}
-	}
-	// The warm request is a cache hit: exactly one estimation ran, and the
-	// repeat was not slower than the cold request by more than noise.
-	if row.Extra["estimations"] != 1 {
-		t.Errorf("estimations = %g, want 1 (warm request must hit the cache)", row.Extra["estimations"])
-	}
-	if row.Speedup <= 0 {
-		t.Errorf("cache-hit speedup = %g, want > 0", row.Speedup)
-	}
-	if row.Extra["query_qps"] <= 0 {
-		t.Errorf("query qps = %g", row.Extra["query_qps"])
-	}
-	if !strings.Contains(out.String(), "cache-hit speedup") {
-		t.Error("report title missing from formatted output")
+	// The sweep is not clamped to the host: -modeled predicts beyond it.
+	if want := []int{1, 2, 4, 8, 16}; !slices.Equal(c.Threads, want) {
+		t.Errorf("Threads = %v, want %v", c.Threads, want)
 	}
 }
 

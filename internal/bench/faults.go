@@ -111,8 +111,7 @@ func (h *harness) faultsInstance(name string, pts []grid.Point, spec grid.Spec) 
 		return fail(err)
 	}
 
-	// The query box: the central ~1/8 of the domain, matching the shard
-	// experiment's drill-down shape.
+	// The query box: the central ~1/8 of the domain, a drill-down region.
 	b := spec.Bounds()
 	box := grid.Box{
 		X0: b.X1 / 4, X1: b.X1 / 4 * 3, Y0: b.Y1 / 4, Y1: b.Y1 / 4 * 3,

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -104,6 +105,26 @@ func overloadBoot(srv *serve.Server, ts *httptest.Server, pts []grid.Point) (str
 		return "", err
 	}
 	return ds.Dataset, nil
+}
+
+func postJSON(url, contentType string, body []byte, out any) error {
+	resp, err := http.Post(url, contentType, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	return decodeJSON(resp, out)
+}
+
+func decodeJSON(resp *http.Response, out any) error {
+	defer resp.Body.Close()
+	if resp.StatusCode >= 400 {
+		var e struct {
+			Error string `json:"error"`
+		}
+		json.NewDecoder(resp.Body).Decode(&e)
+		return fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(e.Error))
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // overloadOutcome is one request's fate under load.

@@ -5,26 +5,9 @@ import (
 	"testing"
 )
 
-// BenchmarkServe measures the serving experiment end to end (HTTP ingest,
-// cold estimation, warm cache hit, query sweep) on one small instance; the
-// CI smoke step runs it once so the serving path cannot silently rot.
-func BenchmarkServe(b *testing.B) {
-	cfg := Config{
-		Scale:      0.05,
-		MaxThreads: 2,
-		Instances:  []string{"Dengue_Lr-Lb"},
-		Out:        io.Discard,
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run("serve", cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEstimateHarness keeps the measured (non-HTTP) harness path in
-// the smoke run as well.
+// BenchmarkEstimateHarness measures a full harness experiment (fig7) on one
+// small instance; the CI smoke step runs it once so the reporting layer
+// cannot silently rot.
 func BenchmarkEstimateHarness(b *testing.B) {
 	cfg := Config{
 		Scale:     0.05,

@@ -42,14 +42,6 @@ func detectAVX2() bool {
 	return ebx7&avx2Bit != 0
 }
 
-func axpyScaled(dst, src []float64, c float64) {
-	if useAVX2 {
-		axpyScaledAVX2(dst, src, c)
-		return
-	}
-	axpyScaledGeneric(dst, src, c)
-}
-
 func add(dst, src []float64) {
 	if useAVX2 {
 		addAVX2(dst, src)

@@ -10,8 +10,6 @@ const (
 	vectorEnabled = false
 )
 
-func axpyScaled(dst, src []float64, c float64) { axpyScaledGeneric(dst, src, c) }
-
 func add(dst, src []float64) { addGeneric(dst, src) }
 
 func mulAddRows(data []float64, stride int, ks, bar []float64) {

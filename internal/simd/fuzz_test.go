@@ -36,21 +36,6 @@ func fuzzEq(t *testing.T, name string, got, want []float64) {
 	}
 }
 
-func FuzzAxpyScaled(f *testing.F) {
-	f.Add(make([]byte, 8*13), math.Pi)
-	f.Add([]byte{}, 0.0)
-	f.Fuzz(func(t *testing.T, raw []byte, c float64) {
-		vals := floatsFromBytes(raw, 512)
-		n := len(vals) / 2
-		dst := append([]float64(nil), vals[:n]...)
-		want := append([]float64(nil), vals[:n]...)
-		src := vals[n : 2*n]
-		axpyScaledGeneric(want, src, c)
-		AxpyScaled(dst, src, c)
-		fuzzEq(t, "AxpyScaled", dst, want)
-	})
-}
-
 func FuzzAdd(f *testing.F) {
 	f.Add(make([]byte, 8*17))
 	f.Fuzz(func(t *testing.T, raw []byte) {

@@ -30,61 +30,6 @@ GLOBL maskTab<>(SB), RODATA|NOPTR, $56
 DATA fpOne<>+0x00(SB)/8, $0x3ff0000000000000
 GLOBL fpOne<>(SB), RODATA|NOPTR, $8
 
-// func axpyScaledAVX2(dst, src []float64, c float64)
-//
-// dst[i] += c * src[i]; len(dst) == len(src) (wrapper reslices).
-TEXT ·axpyScaledAVX2(SB), NOSPLIT, $0-56
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	MOVQ src_base+24(FP), SI
-	VBROADCASTSD c+48(FP), Y0
-	XORQ AX, AX
-	MOVQ CX, BX
-	ANDQ $-8, BX
-	JZ   axpyHead4
-
-axpyLoop8:
-	VMOVUPD (SI)(AX*8), Y1
-	VMOVUPD 32(SI)(AX*8), Y2
-	VMULPD  Y1, Y0, Y1
-	VMULPD  Y2, Y0, Y2
-	VADDPD  (DI)(AX*8), Y1, Y1
-	VADDPD  32(DI)(AX*8), Y2, Y2
-	VMOVUPD Y1, (DI)(AX*8)
-	VMOVUPD Y2, 32(DI)(AX*8)
-	ADDQ    $8, AX
-	CMPQ    AX, BX
-	JLT     axpyLoop8
-
-axpyHead4:
-	MOVQ CX, DX
-	SUBQ AX, DX
-	CMPQ DX, $4
-	JLT  axpyTail
-	VMOVUPD (SI)(AX*8), Y1
-	VMULPD  Y1, Y0, Y1
-	VADDPD  (DI)(AX*8), Y1, Y1
-	VMOVUPD Y1, (DI)(AX*8)
-	ADDQ    $4, AX
-	SUBQ    $4, DX
-
-axpyTail:
-	TESTQ DX, DX
-	JZ    axpyDone
-	MOVQ  $4, R8
-	SUBQ  DX, R8
-	LEAQ  maskTab<>(SB), R9
-	VMOVUPD    (R9)(R8*8), Y3
-	VMASKMOVPD (SI)(AX*8), Y3, Y1
-	VMULPD     Y1, Y0, Y1
-	VMASKMOVPD (DI)(AX*8), Y3, Y2
-	VADDPD     Y2, Y1, Y1
-	VMASKMOVPD Y1, Y3, (DI)(AX*8)
-
-axpyDone:
-	VZEROUPPER
-	RET
-
 // func addAVX2(dst, src []float64)
 //
 // dst[i] += src[i]; len(dst) == len(src) (wrapper reslices).

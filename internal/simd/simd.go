@@ -30,16 +30,6 @@ func Active() string { return activeISA }
 // below then branches on the same flag.
 func Enabled() bool { return vectorEnabled }
 
-// AxpyScaled computes dst[i] += c * src[i] over len(dst) elements — the
-// span engine's row update with the disk invariant as the scale. src must
-// be at least as long as dst; extra src elements are ignored.
-func AxpyScaled(dst, src []float64, c float64) {
-	if len(dst) == 0 {
-		return
-	}
-	axpyScaled(dst, src[:len(dst)], c)
-}
-
 // Add computes dst[i] += src[i] over len(dst) elements — the replica-grid
 // and replication-buffer reductions. src must be at least as long as dst.
 func Add(dst, src []float64) {
@@ -122,12 +112,6 @@ func FillBarPoly(dst, w []float64, kc float64, deg int) {
 // path and the oracle the fuzz targets diff the assembly against. Each loop
 // states the per-element operation sequence the assembly must reproduce.
 // ---------------------------------------------------------------------------
-
-func axpyScaledGeneric(dst, src []float64, c float64) {
-	for i, s := range src {
-		dst[i] += c * s
-	}
-}
 
 func addGeneric(dst, src []float64) {
 	for i, s := range src {

@@ -84,30 +84,6 @@ func TestActiveMatchesRequired(t *testing.T) {
 // boundaries, and a few long spans.
 var testLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 15, 16, 17, 23, 31, 32, 33, 63, 64, 65, 67, 128, 129}
 
-func TestAxpyScaledMatchesGeneric(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range testLengths {
-		for _, c := range []float64{0, 1, -1, 0.37, -2.5e-3, 1e17} {
-			src := randFloats(rng, n+3) // longer than dst: extra elements must be ignored
-			dst, check := guarded(t, n)
-			want := make([]float64, n)
-			for i := range dst {
-				dst[i] = rng.NormFloat64()
-				want[i] = dst[i]
-			}
-			axpyScaledGeneric(want, src[:n], c)
-			AxpyScaled(dst, src, c)
-			check()
-			for i := range dst {
-				if !eqBits(dst[i], want[i]) {
-					t.Fatalf("n=%d c=%v: dst[%d] = %x, want %x", n, c, i,
-						math.Float64bits(dst[i]), math.Float64bits(want[i]))
-				}
-			}
-		}
-	}
-}
-
 func TestAddMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range testLengths {
@@ -300,7 +276,6 @@ func TestFillPanicsOnBadDegree(t *testing.T) {
 }
 
 func TestEmptyInputsAreNoOps(t *testing.T) {
-	AxpyScaled(nil, nil, 2)
 	Add(nil, nil)
 	MulAddRows(nil, 5, nil, nil)
 	MulAddRows(nil, 0, []float64{1}, nil) // bn == 0: no rows to touch

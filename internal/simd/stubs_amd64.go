@@ -7,9 +7,6 @@ package simd
 // mulAddRowsAVX2, that data covers (len(ks)-1)*stride+len(bar) elements.
 
 //go:noescape
-func axpyScaledAVX2(dst, src []float64, c float64)
-
-//go:noescape
 func addAVX2(dst, src []float64)
 
 //go:noescape
