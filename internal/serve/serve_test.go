@@ -656,6 +656,79 @@ func TestSketchBudgetFallback(t *testing.T) {
 	if entries, bytes, limit := s.CacheStats(); bytes > limit || entries != 1 {
 		t.Fatalf("fallback disturbed the cache: %d entries, %d/%d bytes", entries, bytes, limit)
 	}
+
+	// A local stream window whose ring fits but whose ring sketch does not:
+	// the read evicts cached cubes and retries once. With nothing to evict
+	// it answers from a snapshot scan (source "grid"); when an evictable
+	// cube holds the room, the retry answers from the sketch.
+	for _, tc := range []struct {
+		name   string
+		cube   bool
+		source string
+	}{{"nothing to evict", false, "grid"}, {"evict a cube", true, "sketch"}} {
+		s, ts, id := testServer(t, Config{CacheBytes: 1 << 20})
+		streamID := createStream(t, ts)
+		postEvents(t, ts, streamID, streamEvents(100, 8, 5))
+		if tc.cube {
+			if j := postEstimate(t, ts, estimateBody(id, core.AlgPBSYM)); pollJob(t, ts, j.Job).State != jobDone {
+				t.Fatalf("%s: estimate failed", tc.name)
+			}
+		}
+		// An in-flight charge nobody can evict leaves one byte too few
+		// for the sketch.
+		st, _ := s.streams.get(streamID)
+		b := s.cache.budgetHandle()
+		hold := b.Limit() - b.Used() - grid.RingSketchBytes(st.base) + 1
+		if err := b.Alloc(hold); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := st.up.Snapshot(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evictions := s.met.evictions.Value()
+		params := "dataset=" + streamID + "&sres=2&tres=1&hs=6&ht=3"
+		box := grid.Box{X0: 3, X1: 11, Y0: 2, Y1: 9, T0: 1, T1: 12}
+		resp, err := http.Get(fmt.Sprintf("%s/v1/region?%s&bx0=%d&bx1=%d&by0=%d&by1=%d&bt0=%d&bt1=%d",
+			ts.URL, params, box.X0, box.X1, box.Y0, box.Y1, box.T0, box.T1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		decodeBody(t, resp, &region)
+		want := snap.BoxMass(box)
+		if region.Source != tc.source || math.Abs(region.Mass-want) > 1e-9*math.Abs(want) ||
+			(tc.source == "grid" && region.Mass != want) {
+			t.Fatalf("%s: region = %+v, want source %q and the snapshot's mass %g", tc.name, region, tc.source, want)
+		}
+		var hot struct {
+			Hotspots []hotspotJSON `json:"hotspots"`
+			Source   string        `json:"source"`
+		}
+		resp, err = http.Get(ts.URL + "/v1/hotspots?" + params + "&k=5")
+		if err != nil {
+			t.Fatal(err)
+		}
+		decodeBody(t, resp, &hot)
+		if hot.Source != tc.source {
+			t.Fatalf("%s: hotspots source = %q, want %q", tc.name, hot.Source, tc.source)
+		}
+		for i, h := range snap.TopK(5) {
+			got := hot.Hotspots[i]
+			if got.Voxel != [3]int{h.X, h.Y, h.T} || math.Abs(got.Density-h.V) > 1e-9*h.V ||
+				(tc.source == "grid" && got.Density != h.V) {
+				t.Fatalf("%s: hotspot %d = %+v, snapshot scan %+v", tc.name, i, got, h)
+			}
+		}
+		if rose := s.met.evictions.Value() > evictions; rose != tc.cube {
+			t.Fatalf("%s: cache_evictions %d -> %d", tc.name, evictions, s.met.evictions.Value())
+		}
+		// Only the ring sketch answers without an O(G) snapshot (a cached
+		// snapshot's pyramid would also say "sketch").
+		if snaps := s.met.streamSnapshots.Value(); (snaps == 0) != tc.cube {
+			t.Fatalf("%s: %d stream snapshots", tc.name, snaps)
+		}
+		b.Free(hold)
+	}
 }
 
 func TestErrorPaths(t *testing.T) {
