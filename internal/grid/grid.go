@@ -62,8 +62,19 @@ type Spec struct {
 	OT int
 }
 
+// maxVoxelCount bounds every derived voxel-space quantity: at 2^52 a
+// float64 stops counting single voxels, and past 2^63 the int conversion
+// overflows.
+const maxVoxelCount = 1 << 52
+
 // NewSpec validates the inputs and derives the voxel-space quantities.
 func NewSpec(d Domain, sres, tres, hs, ht float64) (Spec, error) {
+	for _, v := range [...]float64{d.X0, d.Y0, d.T0, d.GX, d.GY, d.GT, sres, tres, hs, ht} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return Spec{}, fmt.Errorf("grid: domain, resolutions and bandwidths must be finite, got domain (%g, %g, %g)+(%g, %g, %g) sres=%g tres=%g hs=%g ht=%g",
+				d.X0, d.Y0, d.T0, d.GX, d.GY, d.GT, sres, tres, hs, ht)
+		}
+	}
 	switch {
 	case d.GX <= 0 || d.GY <= 0 || d.GT <= 0:
 		return Spec{}, fmt.Errorf("grid: domain extents must be positive, got (%g, %g, %g)", d.GX, d.GY, d.GT)
@@ -72,15 +83,18 @@ func NewSpec(d Domain, sres, tres, hs, ht float64) (Spec, error) {
 	case hs <= 0 || ht <= 0:
 		return Spec{}, fmt.Errorf("grid: bandwidths must be positive, got hs=%g ht=%g", hs, ht)
 	}
+	gx, gy, gt := math.Ceil(d.GX/sres), math.Ceil(d.GY/sres), math.Ceil(d.GT/tres)
+	hsv, htv := math.Ceil(hs/sres), math.Ceil(ht/tres)
+	if max(gx, gy, gt, hsv, htv) >= maxVoxelCount {
+		return Spec{}, fmt.Errorf("grid: derived voxel counts %gx%gx%g (Hs %g, Ht %g) reach 2^52; coarsen sres/tres or shrink the domain and bandwidths",
+			gx, gy, gt, hsv, htv)
+	}
 	s := Spec{
 		Domain: d,
 		SRes:   sres, TRes: tres,
 		HS: hs, HT: ht,
-		Gx: int(math.Ceil(d.GX / sres)),
-		Gy: int(math.Ceil(d.GY / sres)),
-		Gt: int(math.Ceil(d.GT / tres)),
-		Hs: int(math.Ceil(hs / sres)),
-		Ht: int(math.Ceil(ht / tres)),
+		Gx: int(gx), Gy: int(gy), Gt: int(gt),
+		Hs: int(hsv), Ht: int(htv),
 	}
 	if s.Gx <= 0 || s.Gy <= 0 || s.Gt <= 0 {
 		return Spec{}, fmt.Errorf("grid: derived grid is empty: %dx%dx%d", s.Gx, s.Gy, s.Gt)

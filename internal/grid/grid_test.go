@@ -34,6 +34,16 @@ func TestNewSpecValidation(t *testing.T) {
 		{"zero tres", good, 1, 0, 1, 1, true, 0, 0},
 		{"zero hs", good, 1, 1, 0, 1, true, 0, 0},
 		{"negative ht", good, 1, 1, 1, -2, true, 0, 0},
+		{"NaN origin", Domain{X0: math.NaN(), GX: 10, GY: 10, GT: 10}, 1, 1, 3, 2, true, 0, 0},
+		{"NaN extent", Domain{GX: math.NaN(), GY: 10, GT: 10}, 1, 1, 3, 2, true, 0, 0},
+		{"NaN sres", good, math.NaN(), 1, 3, 2, true, 0, 0},
+		{"NaN hs", good, 1, 1, math.NaN(), 2, true, 0, 0},
+		{"Inf ht", good, 1, 1, 3, math.Inf(1), true, 0, 0},
+		{"Inf extent", Domain{GX: 10, GY: 10, GT: math.Inf(1)}, 1, 1, 3, 2, true, 0, 0},
+		{"huge hs", good, 1, 1, 1e300, 2, true, 0, 0},
+		{"tiny sres", good, 1e-300, 1, 3, 2, true, 0, 0},
+		{"Gx at 2^52", Domain{GX: 1 << 52, GY: 10, GT: 10}, 1, 1, 3, 2, true, 0, 0},
+		{"Gx below 2^52", Domain{GX: 1<<52 - 1, GY: 10, GT: 10}, 1, 1, 3, 2, false, 1<<52 - 1, 3},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -764,6 +764,25 @@ func TestErrorPaths(t *testing.T) {
 		{"hotspots bad k", func() (*http.Response, error) {
 			return http.Get(ts.URL + "/v1/hotspots?" + specParams(id, core.AlgPBSYM) + "&k=-1")
 		}, http.StatusBadRequest},
+		{"query NaN hs", func() (*http.Response, error) {
+			return http.Get(ts.URL + "/v1/query?" + strings.Replace(specParams(id, core.AlgPBSYM), "hs=10", "hs=NaN", 1) + "&x=50&y=40&t=15")
+		}, http.StatusBadRequest},
+		{"region NaN x0", func() (*http.Response, error) {
+			return http.Get(ts.URL + "/v1/region?" + strings.Replace(specParams(id, core.AlgPBSYM), "x0=0", "x0=NaN", 1))
+		}, http.StatusBadRequest},
+		{"hotspots NaN x0", func() (*http.Response, error) {
+			return http.Get(ts.URL + "/v1/hotspots?" + strings.Replace(specParams(id, core.AlgPBSYM), "x0=0", "x0=NaN", 1))
+		}, http.StatusBadRequest},
+		{"query huge hs", func() (*http.Response, error) {
+			return http.Get(ts.URL + "/v1/query?" + strings.Replace(specParams(id, core.AlgPBSYM), "hs=10", "hs=1e300", 1) + "&x=50&y=40&t=15")
+		}, http.StatusBadRequest},
+		{"region Inf ht", func() (*http.Response, error) {
+			return http.Get(ts.URL + "/v1/region?" + strings.Replace(specParams(id, core.AlgPBSYM), "ht=3", "ht=Inf", 1))
+		}, http.StatusBadRequest},
+		{"estimate huge hs", func() (*http.Response, error) {
+			return http.Post(ts.URL+"/v1/estimate", "application/json",
+				strings.NewReader(strings.Replace(estimateBody(id, core.AlgPBSYM), `"hs":10`, `"hs":1e300`, 1)))
+		}, http.StatusBadRequest},
 	} {
 		resp, err := tc.do()
 		if err != nil {

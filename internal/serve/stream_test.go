@@ -512,6 +512,23 @@ func TestStreamCreationValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("domainless stream returned %d, want 400", resp.StatusCode)
 	}
+	// Derived voxel counts at or past 2^52 (a huge bandwidth or extent, a
+	// tiny resolution) are refused before any ring is sized from them.
+	for _, body := range []string{
+		`{"sres":2,"tres":1,"hs":1e300,"ht":3,"domain":{"x0":0,"y0":0,"t0":0,"gx":40,"gy":30,"gt":20}}`,
+		`{"sres":2,"tres":1,"hs":6,"ht":1e300,"domain":{"x0":0,"y0":0,"t0":0,"gx":40,"gy":30,"gt":20}}`,
+		`{"sres":1e-300,"tres":1,"hs":6,"ht":3,"domain":{"x0":0,"y0":0,"t0":0,"gx":40,"gy":30,"gt":20}}`,
+		`{"sres":2,"tres":1,"hs":6,"ht":3,"domain":{"x0":0,"y0":0,"t0":0,"gx":1e300,"gy":30,"gt":20}}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/streams", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("stream %s returned %d, want 400", body, resp.StatusCode)
+		}
+	}
 
 	createStream(t, ts)
 	resp, err = http.Post(ts.URL+"/v1/streams", "application/json",
