@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -148,20 +149,28 @@ func toDatasetJSON(ds *dataset) datasetJSON {
 	return out
 }
 
-// validatePoints rejects non-finite event coordinates at the ingestion
-// boundary: strconv.ParseFloat accepts "NaN"/"Inf", and one NaN event
-// would poison every density derived from the dataset (and, for a stream,
-// the long-lived window ring itself — compaction re-applies it, so drift
-// control could never heal it).
-func validatePoints(pts []grid.Point) error {
+// readEvents reads the CSV event body of POST /v1/datasets and of a
+// stream's /events, refusing an empty one and non-finite coordinates:
+// strconv.ParseFloat accepts "NaN"/"Inf", and one NaN event would poison
+// every density derived from the dataset (and, for a stream, the
+// long-lived window ring itself — compaction re-applies it, so drift
+// control could never heal it). what names the body in the empty error.
+func readEvents(r *http.Request, what string) ([]grid.Point, error) {
+	pts, err := gio.ReadPoints(r.Body)
+	if err != nil {
+		return nil, fmt.Errorf("parse CSV body: %v", err)
+	}
+	if len(pts) == 0 {
+		return nil, fmt.Errorf("%s has no events", what)
+	}
 	for i, p := range pts {
 		for _, v := range [3]float64{p.X, p.Y, p.T} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("event %d has a non-finite coordinate (%g, %g, %g)", i, p.X, p.Y, p.T)
+				return nil, fmt.Errorf("event %d has a non-finite coordinate (%g, %g, %g)", i, p.X, p.Y, p.T)
 			}
 		}
 	}
-	return nil
+	return pts, nil
 }
 
 // handleDatasets ingests a CSV event set (POST) or lists the registry
@@ -173,16 +182,8 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		if _, ok := s.admitTenant(w, r); !ok {
 			return
 		}
-		pts, err := gio.ReadPoints(r.Body)
+		pts, err := readEvents(r, "dataset")
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, "parse CSV body: %v", err)
-			return
-		}
-		if len(pts) == 0 {
-			writeErr(w, http.StatusBadRequest, "dataset has no events")
-			return
-		}
-		if err := validatePoints(pts); err != nil {
 			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
@@ -331,159 +332,71 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.snapshot())
 }
 
+// floatParam parses one required float query parameter.
+func floatParam(q url.Values, name string) (float64, error) {
+	v := q.Get(name)
+	if v == "" {
+		return 0, fmt.Errorf("missing required parameter %q", name)
+	}
+	f, err := strconv.ParseFloat(v, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad %s=%q: %v", name, v, err)
+	}
+	return f, nil
+}
+
 // queryParams parses the spec-defining parameters shared by the GET
-// endpoints and resolves them to a cache key.
-func (s *Server) queryParams(r *http.Request) (estimateKey, *dataset, error) {
-	q := r.URL.Query()
-	get := func(name string) (float64, error) {
-		v := q.Get(name)
-		if v == "" {
-			return 0, fmt.Errorf("missing required parameter %q", name)
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return 0, fmt.Errorf("bad %s=%q: %v", name, v, err)
-		}
-		return f, nil
-	}
+// endpoints and resolves them to a cache key. The domain is explicit when
+// x0 or gx is given, and then needs all six of its parameters.
+func (s *Server) queryParams(q url.Values) (estimateKey, *dataset, error) {
 	var sres, tres, hs, ht float64
-	var err error
-	if sres, err = get("sres"); err != nil {
-		return estimateKey{}, nil, err
-	}
-	if tres, err = get("tres"); err != nil {
-		return estimateKey{}, nil, err
-	}
-	if hs, err = get("hs"); err != nil {
-		return estimateKey{}, nil, err
-	}
-	if ht, err = get("ht"); err != nil {
-		return estimateKey{}, nil, err
-	}
-	var dom *grid.Domain
+	var d grid.Domain
+	params := [...]struct {
+		name string
+		dst  *float64
+	}{{"sres", &sres}, {"tres", &tres}, {"hs", &hs}, {"ht", &ht},
+		{"x0", &d.X0}, {"y0", &d.Y0}, {"t0", &d.T0}, {"gx", &d.GX}, {"gy", &d.GY}, {"gt", &d.GT}}
+	n, dom := 4, (*grid.Domain)(nil)
 	if q.Get("x0") != "" || q.Get("gx") != "" {
-		var d grid.Domain
-		for _, f := range []struct {
-			name string
-			dst  *float64
-		}{{"x0", &d.X0}, {"y0", &d.Y0}, {"t0", &d.T0}, {"gx", &d.GX}, {"gy", &d.GY}, {"gt", &d.GT}} {
-			if *f.dst, err = get(f.name); err != nil {
-				return estimateKey{}, nil, err
-			}
+		n, dom = len(params), &d
+	}
+	for _, f := range params[:n] {
+		var err error
+		if *f.dst, err = floatParam(q, f.name); err != nil {
+			return estimateKey{}, nil, err
 		}
-		dom = &d
 	}
 	return s.resolveKey(q.Get("dataset"), q.Get("algorithm"), sres, tres, hs, ht, dom)
 }
 
-// handleQuery answers a density query at a continuous (x, y, t) location.
-// When the grid for (dataset, spec, algorithm) is resident it is a pure
-// O(1) voxel lookup; otherwise (or with exact=1) it falls back to the
-// exact core.Query evaluation — never triggering an estimation.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	if _, ok := s.admitTenant(w, r); !ok {
-		return
-	}
-	k, ds, err := s.queryParams(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	q := r.URL.Query()
-	var x, y, t float64
-	for _, f := range []struct {
-		name string
-		dst  *float64
-	}{{"x", &x}, {"y", &y}, {"t", &t}} {
-		v := q.Get(f.name)
-		if v == "" {
-			writeErr(w, http.StatusBadRequest, "missing required parameter %q", f.name)
-			return
-		}
-		if *f.dst, err = strconv.ParseFloat(v, 64); err != nil {
-			writeErr(w, http.StatusBadRequest, "bad %s=%q: %v", f.name, v, err)
-			return
-		}
-	}
-	exactReq := q.Get("exact") == "1" || q.Get("exact") == "true"
-	// Stream fast path: a query matching the live window spec reads the
-	// in-place ring directly — always fresh, no cache, no estimation. The
-	// window does its own coverage check (its time range has outrun the
-	// creation domain after advances), and anything it cannot answer falls
-	// through to the exact evaluator over the live events.
-	if !exactReq {
-		if st, ok := s.streams.get(k.Dataset); ok {
-			rd, ok, verr := st.voxelDensity(k.Spec, x, y, t)
-			if verr != nil {
-				// Fail-fast policy with a rank down: the exact fallback
-				// would silently serve a full-coverage estimate from the
-				// coordinator's log. Refuse with the attributed rank so the
-				// client retries after the heal.
-				writeStreamErr(w, http.StatusServiceUnavailable, verr)
-				return
-			}
-			if ok {
-				s.met.streamReads.Add(1)
-				writeJSON(w, http.StatusOK, map[string]any{
-					"density": rd.density,
-					"source":  "stream",
-					"voxel":   rd.vox,
-					"center": [3]float64{k.Spec.CenterX(rd.vox[0]),
-						k.Spec.CenterY(rd.vox[1]), k.Spec.CenterT(rd.vox[2])},
-					"window":   rd.window,
-					"coverage": rd.cov.Fraction(),
-					"degraded": rd.cov.Degraded(),
-				})
-				return
-			}
-		}
-	}
-	// Out-of-domain locations bypass the grid: VoxelOf would clamp them
-	// to an edge voxel and report its (wrong, possibly large) density,
-	// while the exact evaluator correctly decays to zero. CoversT guards
-	// the temporal window separately: an advanced stream window's cached
-	// snapshot no longer covers creation-domain times the window left
-	// behind (Domain.Contains cannot see the OT frame offset).
-	exact := exactReq ||
-		!k.Spec.Domain.Contains(grid.Point{X: x, Y: y, T: t}) ||
-		!k.Spec.CoversT(t)
-	if !exact {
-		if g, ok := s.cache.get(k); ok {
-			s.met.cacheHits.Add(1)
-			X, Y, T := k.Spec.VoxelOf(grid.Point{X: x, Y: y, T: t})
-			writeJSON(w, http.StatusOK, map[string]any{
-				"density": g.At(X, Y, T),
-				"source":  "grid",
-				"voxel":   [3]int{X, Y, T},
-				"center":  [3]float64{k.Spec.CenterX(X), k.Spec.CenterY(Y), k.Spec.CenterT(T)},
-			})
-			return
-		}
-		s.met.cacheMisses.Add(1)
-	}
-	idx, err := s.reg.queryIndex(ds, k.Spec)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"density": idx.At(x, y, t),
-		"source":  "exact",
-	})
+// readPlan is the part of one GET analytics read that differs by
+// endpoint, built by the endpoint from its own parameters; serveRead runs
+// the rest.
+type readPlan struct {
+	// window reads a stream's live window, under the stream lock, into
+	// the answer's endpoint fields; nil skips the window. It may decline
+	// with a nil answer and a nil error (see readWindow).
+	window func(liveWindow) (map[string]any, dist.Coverage, error)
+	// cube answers a sketch read (region, hotspots) from the dataset's
+	// cube: from its pyramid when py is non-nil, else by the naive scan
+	// of g. A plan without one is a point query, which static answers.
+	cube   func(py *grid.Pyramid, g *grid.Grid) map[string]any
+	static func(w http.ResponseWriter)
 }
 
-// handleRegion integrates the density over a voxel box: the estimated
-// probability mass of a space-time region. Live streams answer from the
-// window's incremental sketch (no O(G) snapshot); static grids answer from
-// the summed-volume pyramid in O(1), computing the grid (through the
-// coalescing and pool layers) when not yet resident. Either sketch answer
-// is reported with source "sketch"; the naive O(box) scan remains as the
-// exact fallback (source "grid") when a sketch cannot fit the budget.
-func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request) {
+// serveRead is the one pipeline of the GET analytics endpoints /v1/query,
+// /v1/region and /v1/hotspots: method check, tenant rate limit, spec
+// resolution, the endpoint's own parameters (plan), then the live window
+// when the dataset is a stream whose current window the spec names, then
+// the dataset's grid. A sketch read computes the grid (through the
+// coalescing and pool layers) when it is not resident, and answers from
+// its summed-volume pyramid (source "sketch") unless the pyramid cannot
+// fit the budget, when the naive scan answers (source "grid"). Every
+// window answer carries the coverage of its gather. A sharded window's
+// failure is refused with the attributed rank rather than answered by the
+// grid paths, which would read the coordinator's live list as if coverage
+// were full.
+func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, plan func(k estimateKey, ds *dataset, q url.Values) (readPlan, error)) {
 	if r.Method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, "use GET")
 		return
@@ -492,72 +405,187 @@ func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	k, _, err := s.queryParams(r)
+	q := r.URL.Query()
+	k, ds, err := s.queryParams(q)
+	var p readPlan
+	if err == nil {
+		p, err = plan(k, ds, q)
+	}
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	q := r.URL.Query()
-	box := k.Spec.Bounds()
-	for _, f := range []struct {
-		name string
-		dst  *int
-	}{{"bx0", &box.X0}, {"bx1", &box.X1}, {"by0", &box.Y0}, {"by1", &box.Y1}, {"bt0", &box.T0}, {"bt1", &box.T1}} {
-		if v := q.Get(f.name); v != "" {
-			if *f.dst, err = strconv.Atoi(v); err != nil {
-				writeErr(w, http.StatusBadRequest, "bad %s=%q: %v", f.name, v, err)
-				return
+	sketch := p.cube != nil
+	if st, ok := s.streams.get(k.Dataset); ok && p.window != nil {
+		answer, cov, rebuilt, err := s.readWindow(st, k.Spec, sketch, p.window)
+		if err != nil {
+			writeStreamErr(w, http.StatusServiceUnavailable, err)
+			return
+		}
+		if answer != nil {
+			if sketch {
+				s.met.sketchHits.Add(1)
+				s.met.sketchRebuilds.Add(rebuilt)
+				answer["cached"], answer["source"] = false, "sketch"
+			} else {
+				s.met.streamReads.Add(1)
+				answer["source"] = "stream"
 			}
+			answer["coverage"], answer["degraded"] = cov.Fraction(), cov.Degraded()
+			writeJSON(w, http.StatusOK, answer)
+			return
 		}
 	}
-	clipped := box.Clip(k.Spec.Bounds())
-	boxJSON := [6]int{clipped.X0, clipped.X1, clipped.Y0, clipped.Y1, clipped.T0, clipped.T1}
-	if st, isStream := s.streams.get(k.Dataset); isStream {
-		mass, cov, rebuilt, ok, serr := s.sketchBoxMass(st, k.Spec, box)
-		if serr != nil {
-			// Fail-fast policy, or every rank down: refuse rather than fall
-			// back to the batch path, which would answer from the
-			// coordinator's live list as if coverage were full.
-			writeStreamErr(w, http.StatusServiceUnavailable, serr)
-			return
-		}
-		if ok {
-			s.met.sketchHits.Add(1)
-			s.met.sketchRebuilds.Add(rebuilt)
-			writeJSON(w, http.StatusOK, map[string]any{
-				"mass":     mass,
-				"box":      boxJSON,
-				"voxels":   clipped.Count(),
-				"cached":   false,
-				"source":   "sketch",
-				"coverage": cov.Fraction(),
-				"degraded": cov.Degraded(),
-			})
-			return
-		}
+	if !sketch {
+		p.static(w)
+		return
 	}
 	res, cached, err := s.ensureGrid(r.Context(), k, tenant, false)
 	if err != nil {
 		writeWorkErr(w, err)
 		return
 	}
-	var mass float64
+	var answer map[string]any
 	source := "grid"
 	if py, done, perr := s.ensurePyramid(k, res.Grid); perr == nil {
-		mass = py.BoxMass(box)
+		answer = p.cube(py, res.Grid)
 		done()
 		source = "sketch"
 		s.met.sketchHits.Add(1)
 	} else {
-		mass = res.Grid.BoxMass(box)
+		answer = p.cube(nil, res.Grid)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"mass":   mass,
-		"box":    boxJSON,
-		"voxels": clipped.Count(),
-		"cached": cached,
-		"source": source,
+	answer["cached"], answer["source"] = cached, source
+	writeJSON(w, http.StatusOK, answer)
+}
+
+// voxelAnswer holds the fields of a point query answered at voxel (X, Y, T).
+func voxelAnswer(spec grid.Spec, X, Y, T int) map[string]any {
+	return map[string]any{
+		"voxel":  [3]int{X, Y, T},
+		"center": [3]float64{spec.CenterX(X), spec.CenterY(Y), spec.CenterT(T)},
+	}
+}
+
+// handleQuery answers a density query at a continuous (x, y, t) location:
+// from a live window's ring when the location falls inside the stream's
+// current window (source "stream"; always fresh, no cache, no estimation),
+// by an O(1) voxel lookup when the grid for (dataset, spec, algorithm) is
+// resident (source "grid"), and otherwise — or with exact=1 — by the exact
+// core.Query evaluation (source "exact"), never triggering an estimation.
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	s.serveRead(w, r, func(k estimateKey, ds *dataset, q url.Values) (p readPlan, err error) {
+		var at grid.Point
+		for _, f := range [...]struct {
+			name string
+			dst  *float64
+		}{{"x", &at.X}, {"y", &at.Y}, {"t", &at.T}} {
+			if *f.dst, err = floatParam(q, f.name); err != nil {
+				return p, err
+			}
+		}
+		spec, d := k.Spec, k.Spec.Domain
+		exact := q.Get("exact") == "1" || q.Get("exact") == "true"
+		// The window's own coverage check: its time range has outrun the
+		// creation domain after advances. Inclusion form, so a NaN
+		// coordinate fails the guard instead of slipping past two exclusion
+		// comparisons (CoversT likewise rejects NaN t).
+		if !exact && at.X >= d.X0 && at.X < d.X0+d.GX && at.Y >= d.Y0 && at.Y < d.Y0+d.GY && spec.CoversT(at.T) {
+			// CoversT holds, so VoxelOf's clamped layer is the true layer.
+			X, Y, T := spec.VoxelOf(at)
+			p.window = func(lw liveWindow) (map[string]any, dist.Coverage, error) {
+				density, cov, err := lw.AtCov(X, Y, T)
+				if err != nil {
+					// A rank refusal (fail-fast policy) is surfaced: the
+					// exact evaluator would serve a full-coverage answer
+					// from the coordinator's log. Anything else leaves the
+					// answer to it.
+					var re *dist.RankError
+					if !errors.As(err, &re) {
+						err = nil
+					}
+					return nil, cov, err
+				}
+				answer := voxelAnswer(spec, X, Y, T)
+				t0, t1 := lw.Window()
+				answer["density"], answer["window"] = density, [2]float64{t0, t1}
+				return answer, cov, nil
+			}
+		}
+		p.static = func(w http.ResponseWriter) {
+			// Out-of-domain locations bypass the grid: VoxelOf would clamp
+			// them to an edge voxel and report its (wrong, possibly large)
+			// density, while the exact evaluator correctly decays to zero.
+			// CoversT guards the temporal window separately: an advanced
+			// stream window's cached snapshot no longer covers
+			// creation-domain times the window left behind
+			// (Domain.Contains cannot see the OT frame offset).
+			if !exact && d.Contains(at) && spec.CoversT(at.T) {
+				if g, ok := s.cache.get(k); ok {
+					s.met.cacheHits.Add(1)
+					X, Y, T := spec.VoxelOf(at)
+					answer := voxelAnswer(spec, X, Y, T)
+					answer["density"], answer["source"] = g.At(X, Y, T), "grid"
+					writeJSON(w, http.StatusOK, answer)
+					return
+				}
+				s.met.cacheMisses.Add(1)
+			}
+			idx, err := s.reg.queryIndex(ds, spec)
+			if err != nil {
+				writeErr(w, http.StatusBadRequest, "%v", err)
+				return
+			}
+			writeJSON(w, http.StatusOK, map[string]any{
+				"density": idx.At(at.X, at.Y, at.T),
+				"source":  "exact",
+			})
+		}
+		return p, nil
 	})
+}
+
+// handleRegion integrates the density over a voxel box (bx0..bt1, the
+// whole grid by default): the estimated probability mass of a space-time
+// region, from a live window's incremental sketch or the dataset's cube
+// (see serveRead).
+func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request) {
+	s.serveRead(w, r, func(k estimateKey, _ *dataset, q url.Values) (readPlan, error) {
+		box := k.Spec.Bounds()
+		for _, f := range [...]struct {
+			name string
+			dst  *int
+		}{{"bx0", &box.X0}, {"bx1", &box.X1}, {"by0", &box.Y0}, {"by1", &box.Y1}, {"bt0", &box.T0}, {"bt1", &box.T1}} {
+			if v := q.Get(f.name); v != "" {
+				var err error
+				if *f.dst, err = strconv.Atoi(v); err != nil {
+					return readPlan{}, fmt.Errorf("bad %s=%q: %v", f.name, v, err)
+				}
+			}
+		}
+		c := box.Clip(k.Spec.Bounds())
+		return readPlan{
+			window: func(lw liveWindow) (map[string]any, dist.Coverage, error) {
+				mass, cov, err := lw.BoxMassCov(box)
+				return regionAnswer(c, mass), cov, err
+			},
+			cube: func(py *grid.Pyramid, g *grid.Grid) map[string]any {
+				if py != nil {
+					return regionAnswer(c, py.BoxMass(box))
+				}
+				return regionAnswer(c, g.BoxMass(box))
+			},
+		}, nil
+	})
+}
+
+// regionAnswer holds the fields of a region answer over the clipped box c.
+func regionAnswer(c grid.Box, mass float64) map[string]any {
+	return map[string]any{
+		"mass":   mass,
+		"box":    [6]int{c.X0, c.X1, c.Y0, c.Y1, c.T0, c.T1},
+		"voxels": c.Count(),
+	}
 }
 
 // hotspotJSON is the wire shape of one hotspot voxel.
@@ -567,7 +595,8 @@ type hotspotJSON struct {
 	Density float64    `json:"density"`
 }
 
-func toHotspotsJSON(spec grid.Spec, top []grid.VoxelDensity) []hotspotJSON {
+// hotspotsAnswer holds the fields of a hotspot answer over spec's grid.
+func hotspotsAnswer(spec grid.Spec, top []grid.VoxelDensity) map[string]any {
 	out := make([]hotspotJSON, 0, len(top))
 	for _, h := range top {
 		out = append(out, hotspotJSON{
@@ -576,74 +605,33 @@ func toHotspotsJSON(spec grid.Spec, top []grid.VoxelDensity) []hotspotJSON {
 			Density: h.V,
 		})
 	}
-	return out
+	return map[string]any{"hotspots": out}
 }
 
-// handleHotspots reports the k highest-density voxels. Live streams answer
-// from the window's incremental sketch (best-first block scan, no O(G)
-// snapshot); static grids answer from the block pyramid, computing the
-// grid (coalesced, pooled) when not yet resident. Sketch answers carry
-// source "sketch"; the naive O(G·log k) scan remains as the exact fallback
-// (source "grid").
+// handleHotspots reports the k highest-density voxels (k=10 by default),
+// from a live window's incremental sketch (best-first block scan) or the
+// dataset's cube (see serveRead).
 func (s *Server) handleHotspots(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	tenant, ok := s.admitTenant(w, r)
-	if !ok {
-		return
-	}
-	k, _, err := s.queryParams(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	topK := 10
-	if v := r.URL.Query().Get("k"); v != "" {
-		if topK, err = strconv.Atoi(v); err != nil || topK < 1 {
-			writeErr(w, http.StatusBadRequest, "bad k=%q: want a positive integer", v)
-			return
+	s.serveRead(w, r, func(_ estimateKey, _ *dataset, q url.Values) (readPlan, error) {
+		topK := 10
+		if v := q.Get("k"); v != "" {
+			var err error
+			if topK, err = strconv.Atoi(v); err != nil || topK < 1 {
+				return readPlan{}, fmt.Errorf("bad k=%q: want a positive integer", v)
+			}
 		}
-	}
-	if st, isStream := s.streams.get(k.Dataset); isStream {
-		top, cov, rebuilt, ok, serr := s.sketchTopK(st, k.Spec, topK)
-		if serr != nil {
-			writeStreamErr(w, http.StatusServiceUnavailable, serr)
-			return
-		}
-		if ok {
-			s.met.sketchHits.Add(1)
-			s.met.sketchRebuilds.Add(rebuilt)
-			writeJSON(w, http.StatusOK, map[string]any{
-				"hotspots": toHotspotsJSON(k.Spec, top),
-				"cached":   false,
-				"source":   "sketch",
-				"coverage": cov.Fraction(),
-				"degraded": cov.Degraded(),
-			})
-			return
-		}
-	}
-	res, cached, err := s.ensureGrid(r.Context(), k, tenant, false)
-	if err != nil {
-		writeWorkErr(w, err)
-		return
-	}
-	var top []grid.VoxelDensity
-	source := "grid"
-	if py, done, perr := s.ensurePyramid(k, res.Grid); perr == nil {
-		top = py.TopK(topK)
-		done()
-		source = "sketch"
-		s.met.sketchHits.Add(1)
-	} else {
-		top = res.Grid.TopK(topK)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"hotspots": toHotspotsJSON(k.Spec, top),
-		"cached":   cached,
-		"source":   source,
+		return readPlan{
+			window: func(lw liveWindow) (map[string]any, dist.Coverage, error) {
+				top, cov, err := lw.TopKCov(topK)
+				return hotspotsAnswer(lw.Spec(), top), cov, err
+			},
+			cube: func(py *grid.Pyramid, g *grid.Grid) map[string]any {
+				if py != nil {
+					return hotspotsAnswer(g.Spec, py.TopK(topK))
+				}
+				return hotspotsAnswer(g.Spec, g.TopK(topK))
+			},
+		}, nil
 	})
 }
 
@@ -782,16 +770,8 @@ func (s *Server) handleDatasetSub(w http.ResponseWriter, r *http.Request) {
 	}
 	switch action {
 	case "events":
-		pts, err := gio.ReadPoints(r.Body)
+		pts, err := readEvents(r, "ingest")
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, "parse CSV body: %v", err)
-			return
-		}
-		if len(pts) == 0 {
-			writeErr(w, http.StatusBadRequest, "ingest has no events")
-			return
-		}
-		if err := validatePoints(pts); err != nil {
 			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}

@@ -19,6 +19,8 @@ import (
 // across a rank cluster when the server was configured with shard peers.
 // The two expose one contract, so every stream operation — ingest,
 // advance, voxel reads, sketch analytics, snapshots — is written once.
+// Every read reports the coverage that produced it: how many of the
+// window's ranks contributed, always one of one for a local window.
 type liveWindow interface {
 	Spec() grid.Spec
 	Window() (t0, t1 float64)
@@ -26,23 +28,12 @@ type liveWindow interface {
 	Live() []grid.Point
 	Add(pts ...grid.Point) error
 	AdvanceTo(t float64) (advanced, expired int, err error)
-	At(X, Y, T int) (float64, error)
-	BoxMass(b grid.Box) (float64, error)
-	TopK(k int) ([]grid.VoxelDensity, error)
-	Snapshot(b *grid.Budget) (*grid.Grid, error)
-	SketchRebuilds() int64
-	Release()
-}
-
-// coverageWindow is the optional fault-tolerance extension of liveWindow:
-// a sharded window (dist.StreamGroup) reports, next to every gather, how
-// many of its ranks actually contributed. Local windows do not implement
-// it — their coverage is definitionally full.
-type coverageWindow interface {
 	AtCov(X, Y, T int) (float64, dist.Coverage, error)
 	BoxMassCov(b grid.Box) (float64, dist.Coverage, error)
 	TopKCov(k int) ([]grid.VoxelDensity, dist.Coverage, error)
-	Coverage() dist.Coverage
+	Snapshot(b *grid.Budget) (*grid.Grid, error)
+	SketchRebuilds() int64
+	Release()
 }
 
 // fullCoverage is the coverage of a window that lives entirely in this
@@ -63,8 +54,18 @@ func (w localWindow) AdvanceTo(t float64) (advanced, expired int, err error) {
 	return advanced, expired, nil
 }
 
-func (w localWindow) At(X, Y, T int) (float64, error) {
-	return w.Updater.At(X, Y, T), nil
+func (w localWindow) AtCov(X, Y, T int) (float64, dist.Coverage, error) {
+	return w.Updater.At(X, Y, T), fullCoverage, nil
+}
+
+func (w localWindow) BoxMassCov(b grid.Box) (float64, dist.Coverage, error) {
+	mass, err := w.Updater.BoxMass(b)
+	return mass, fullCoverage, err
+}
+
+func (w localWindow) TopKCov(k int) ([]grid.VoxelDensity, dist.Coverage, error) {
+	top, err := w.Updater.TopK(k)
+	return top, fullCoverage, err
 }
 
 // stream is one mutable (live-ingest) dataset: a registry entry whose
@@ -116,122 +117,41 @@ func (st *stream) windowSpec(req grid.Spec) (grid.Spec, bool) {
 	return st.up.Spec(), true
 }
 
-// voxelRead is a point query answered from a live window.
-type voxelRead struct {
-	density float64
-	vox     [3]int
-	window  [2]float64
-	cov     dist.Coverage
-}
-
-// voxelDensity answers a query for (x, y, t) straight from the live window
-// ring when the spec is the current window and the location falls inside
-// it, returning the window time range from the same lock hold so the
-// response fields are mutually consistent. The boolean reports whether
-// the stream could answer; callers fall back to the exact evaluator when
-// it is false AND err is nil. A sharded window answers like a region
-// gather: under the partial policy a down rank only thins the density
-// (cov says by how much); a non-nil err (fail-fast policy) is the
-// attributed RankError, for the handler to turn into a retryable refusal
-// rather than silently scanning the full live list.
-func (st *stream) voxelDensity(spec grid.Spec, x, y, t float64) (rd voxelRead, ok bool, err error) {
+// readWindow runs one read on a stream's live window under st.mu, the lock
+// every mutation holds, so the answer is exactly consistent with the events
+// ingested so far — provided spec still names the window's current
+// position. It is the one locked read behind /v1/query, /v1/region and
+// /v1/hotspots. A sketch read (region, hotspots) is timed as a shard gather
+// and reports the sketch blocks it rebuilt.
+//
+// A nil answer with a nil error means the stream cannot answer and the
+// caller falls back: the stream is gone, the window moved, the read itself
+// declined, or a local ring sketch does not fit the cache budget even after
+// one round of evicting cached cubes and a retry. A sharded window's error
+// is returned, for the caller to surface: the fallbacks would answer from
+// the coordinator's live list as if coverage were full.
+func (s *Server) readWindow(st *stream, spec grid.Spec, sketch bool, read func(liveWindow) (map[string]any, dist.Coverage, error)) (answer map[string]any, cov dist.Coverage, rebuilt int64, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.deleted || spec != st.up.Spec() {
-		return rd, false, nil
+		return nil, cov, 0, nil
 	}
-	// Inclusion form, so a NaN coordinate fails the guard instead of
-	// slipping past two exclusion comparisons (CoversT likewise rejects
-	// NaN t: its comparisons are all false).
-	d := spec.Domain
-	if !(x >= d.X0 && x < d.X0+d.GX && y >= d.Y0 && y < d.Y0+d.GY) || !spec.CoversT(t) {
-		return rd, false, nil
+	if sketch {
+		defer s.observeShardGather(st)()
 	}
-	// CoversT holds, so VoxelOf's clamped layer is the true layer.
-	X, Y, T := spec.VoxelOf(grid.Point{X: x, Y: y, T: t})
-	rd.vox = [3]int{X, Y, T}
-	rd.window[0], rd.window[1] = st.up.Window()
-	rd.cov = fullCoverage
-	if cw, sharded := st.up.(coverageWindow); sharded {
-		rd.density, rd.cov, err = cw.AtCov(X, Y, T)
-		var re *dist.RankError
-		if errors.As(err, &re) {
-			return rd, false, err
-		}
-	} else {
-		rd.density, err = st.up.At(X, Y, T)
-	}
-	return rd, err == nil, nil
-}
-
-// sketchBoxMass answers a region query for the live window straight from
-// the updater's incremental sketch — no O(G) snapshot, no estimation. The
-// boolean reports whether the stream could answer (the spec must be the
-// current window and, locally, the lazy sketch must fit the budget);
-// callers fall back to the snapshot path when it is false AND err is nil.
-// Dirty blocks are rebuilt under st.mu, the lock every mutation already
-// holds, so the answer is exactly consistent with the events ingested so
-// far. A sharded window additionally reports its gather coverage: under
-// the partial policy a down rank reduces cov below full instead of
-// failing, and a non-nil err (fail-fast policy, or every rank down) must
-// be surfaced to the client — the batch fallback would silently answer
-// from the coordinator's live list as if coverage were full.
-func (s *Server) sketchBoxMass(st *stream, spec grid.Spec, b grid.Box) (mass float64, cov dist.Coverage, rebuilt int64, ok bool, err error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	cov = fullCoverage
-	if st.deleted || spec != st.up.Spec() {
-		return 0, cov, 0, false, nil
-	}
-	defer s.observeShardGather(st)()
 	before := st.up.SketchRebuilds()
-	if cw, sharded := st.up.(coverageWindow); sharded {
-		mass, cov, err = cw.BoxMassCov(b)
-		if err != nil {
-			return 0, cov, 0, false, err
-		}
-		return mass, cov, st.up.SketchRebuilds() - before, true, nil
+	answer, cov, err = read(st.up)
+	if err != nil && !st.sharded && s.evictForSketch(spec, err) {
+		answer, cov, err = read(st.up)
 	}
-	mass, berr := st.up.BoxMass(b)
-	if berr != nil {
-		if !s.evictForSketch(spec, berr) {
-			return 0, cov, 0, false, nil
-		}
-		if mass, berr = st.up.BoxMass(b); berr != nil {
-			return 0, cov, 0, false, nil
-		}
+	switch {
+	case err == nil:
+		return answer, cov, st.up.SketchRebuilds() - before, nil
+	case st.sharded:
+		return nil, cov, 0, err
+	default: // a local ring sketch that does not fit even after eviction
+		return nil, cov, 0, nil
 	}
-	return mass, cov, st.up.SketchRebuilds() - before, true, nil
-}
-
-// sketchTopK answers a hotspot query from the live window's incremental
-// sketch, under the same contract as sketchBoxMass.
-func (s *Server) sketchTopK(st *stream, spec grid.Spec, k int) (top []grid.VoxelDensity, cov dist.Coverage, rebuilt int64, ok bool, err error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	cov = fullCoverage
-	if st.deleted || spec != st.up.Spec() {
-		return nil, cov, 0, false, nil
-	}
-	defer s.observeShardGather(st)()
-	before := st.up.SketchRebuilds()
-	if cw, sharded := st.up.(coverageWindow); sharded {
-		top, cov, err = cw.TopKCov(k)
-		if err != nil {
-			return nil, cov, 0, false, err
-		}
-		return top, cov, st.up.SketchRebuilds() - before, true, nil
-	}
-	top, terr := st.up.TopK(k)
-	if terr != nil {
-		if !s.evictForSketch(spec, terr) {
-			return nil, cov, 0, false, nil
-		}
-		if top, terr = st.up.TopK(k); terr != nil {
-			return nil, cov, 0, false, nil
-		}
-	}
-	return top, cov, st.up.SketchRebuilds() - before, true, nil
 }
 
 // observeShardGather times one cross-shard gather (a sketch merge or a
