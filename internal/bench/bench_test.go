@@ -321,7 +321,7 @@ func TestOverloadExperiment(t *testing.T) {
 		// inflates the loaded service time far past the SLO derived from the
 		// unloaded measurement), so tier-1 only reports them. The CI overload
 		// smoke job sets STKDE_TIMING_TESTS=1 and enforces them on a quiet
-		// runner; ROADMAP item 4 is to make the guarantee provable without a
+		// runner; ROADMAP item 7 is to make the guarantee provable without a
 		// clock.
 		t.Logf("timing bounds not enforced (race %v, STKDE_TIMING_TESTS=%q): p99 %.0f ms, SLO %.0f ms, polite %.2f",
 			raceEnabled, os.Getenv("STKDE_TIMING_TESTS"),

@@ -63,9 +63,9 @@ type Spec struct {
 }
 
 // maxVoxelCount bounds every derived voxel-space quantity: at 2^52 a
-// float64 stops counting single voxels, and past 2^63 the int conversion
-// overflows.
-const maxVoxelCount = 1 << 52
+// float64 stops counting single voxels, and past the platform's largest
+// int the conversion overflows.
+const maxVoxelCount = min(1<<52, math.MaxInt)
 
 // NewSpec validates the inputs and derives the voxel-space quantities.
 func NewSpec(d Domain, sres, tres, hs, ht float64) (Spec, error) {
@@ -86,8 +86,8 @@ func NewSpec(d Domain, sres, tres, hs, ht float64) (Spec, error) {
 	gx, gy, gt := math.Ceil(d.GX/sres), math.Ceil(d.GY/sres), math.Ceil(d.GT/tres)
 	hsv, htv := math.Ceil(hs/sres), math.Ceil(ht/tres)
 	if max(gx, gy, gt, hsv, htv) >= maxVoxelCount {
-		return Spec{}, fmt.Errorf("grid: derived voxel counts %gx%gx%g (Hs %g, Ht %g) reach 2^52; coarsen sres/tres or shrink the domain and bandwidths",
-			gx, gy, gt, hsv, htv)
+		return Spec{}, fmt.Errorf("grid: derived voxel counts %gx%gx%g (Hs %g, Ht %g) reach the %d limit; coarsen sres/tres or shrink the domain and bandwidths",
+			gx, gy, gt, hsv, htv, maxVoxelCount)
 	}
 	s := Spec{
 		Domain: d,

@@ -42,8 +42,8 @@ func TestNewSpecValidation(t *testing.T) {
 		{"Inf extent", Domain{GX: 10, GY: 10, GT: math.Inf(1)}, 1, 1, 3, 2, true, 0, 0},
 		{"huge hs", good, 1, 1, 1e300, 2, true, 0, 0},
 		{"tiny sres", good, 1e-300, 1, 3, 2, true, 0, 0},
-		{"Gx at 2^52", Domain{GX: 1 << 52, GY: 10, GT: 10}, 1, 1, 3, 2, true, 0, 0},
-		{"Gx below 2^52", Domain{GX: 1<<52 - 1, GY: 10, GT: 10}, 1, 1, 3, 2, false, 1<<52 - 1, 3},
+		{"Gx at the limit", Domain{GX: maxVoxelCount, GY: 10, GT: 10}, 1, 1, 3, 2, true, 0, 0},
+		{"Gx below the limit", Domain{GX: maxVoxelCount - 1, GY: 10, GT: 10}, 1, 1, 3, 2, false, maxVoxelCount - 1, 3},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -121,8 +121,10 @@ func (st *stream) windowSpec(req grid.Spec) (grid.Spec, bool) {
 // every mutation holds, so the answer is exactly consistent with the events
 // ingested so far — provided spec still names the window's current
 // position. It is the one locked read behind /v1/query, /v1/region and
-// /v1/hotspots. A sketch read (region, hotspots) is timed as a shard gather
-// and reports the sketch blocks it rebuilt.
+// /v1/hotspots, and reports the coverage of the read and the sketch blocks
+// it rebuilt. A sketch read (region, hotspots) is also timed as a shard
+// gather. Under the partial gather policy a down rank only lowers the
+// coverage.
 //
 // A nil answer with a nil error means the stream cannot answer and the
 // caller falls back: the stream is gone, the window moved, the read itself
