@@ -664,6 +664,14 @@ func barBounds(c *ctx, p grid.Point, g geom, box grid.Box) (int, int) {
 // dispatches through the interface once per in-disk voxel.
 func fillDisk(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) {
 	fillYCaches(c, p, g, box, sc)
+	fillDiskCols(c, p, g, box, sc)
+}
+
+// fillDiskCols is fillDisk after the Y-row caches: the disk spans and the
+// packed disk of box's columns, from the caches sc already holds for box's
+// Y rows. A caller that applies one event in several X pieces fills the
+// caches once and each piece's columns here.
+func fillDiskCols(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) {
 	total := diskSpans(c, p, g, box, sc)
 	sc.skEvals += int64(total)
 	if c.skFast {

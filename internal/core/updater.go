@@ -40,20 +40,27 @@ import (
 // layers that newly come into reach.
 //
 // Every bulk apply — Add, Remove, the compaction and restore replay, and
-// an advance's look-ahead apply — runs on up to P = Options.Threads cores
-// as the paper's PB-SYM-DD (Algorithm 5) over one batch: the X axis is cut
-// into P contiguous strips holding equal shares of the batch's box
-// columns, and every strip worker walks the whole batch in batch order,
-// applying each event clipped to its strip. The ring is X-major, so the
-// strips write disjoint memory, and a voxel lies in exactly one strip: it
-// receives the same products in the same order as under a one-strip
-// apply. The window is therefore bitwise identical for every P and every
-// cut, and every contract below holds unchanged. An event whose box spans
-// a cut evaluates its disk and bar once per strip; UpdaterStats.StripApplies
-// counts that overhead, the analogue of Stats.PointAssignments. The sketch
+// an advance's look-ahead apply — is the paper's PB-SYM-DD (Algorithm 5)
+// over one batch, blocked for the cache. The batch runs in chunks of at
+// most prepChunk reaching events, one after another. For each chunk the
+// calling goroutine first walks the events once, in batch order, and
+// evaluates all that does not depend on the X column: the box clipped to
+// the layers, the bar and the Y-row caches. It then cuts the X axis into
+// k contiguous strips holding equal shares of the chunk's box columns — k
+// at least P = Options.Threads, and large enough that each strip writes
+// about stripBytes of the ring at most, so its writes stay in cache — and
+// runs the strips over up to P cores. A strip walks the whole chunk
+// in batch order and, for each event, evaluates the disk of the event's
+// columns in the strip and adds disk × bar into them. The ring is X-major,
+// so the strips write disjoint memory, and a voxel lies in exactly one
+// strip: it receives the same products in the same order as under a
+// one-strip apply of the whole batch. The window is therefore bitwise
+// identical for every P, every cut and every chunking, and every contract
+// below holds unchanged. UpdaterStats.StripApplies counts the event ×
+// strip applications, the analogue of Stats.PointAssignments. The sketch
 // bookkeeping and the drift bound stay on the calling goroutine, once per
-// event in batch order. P = 1, and any batch below stripMinEvents, is the
-// same code with one strip, run inline.
+// event in batch order. A chunk below stripMinEvents reaching events runs
+// its strips inline.
 //
 // Like the Accumulator, the ring stores *unnormalized* contributions
 // (ks·kt/(hs²·ht)); Snapshot and At divide by the live event count so the
@@ -81,14 +88,19 @@ type Updater struct {
 	n    int
 	seq  int64
 
-	// threads is P, the most X strips a bulk apply is cut into; scs holds
-	// one scratch per strip worker, grown on demand. reach indexes the
-	// batch events that reach the layers being applied, cols is their
-	// box-column histogram in difference form (Gx+1 entries, zero between
-	// applies) and cuts the strip boundaries of the current apply.
+	// threads is P, the most cores a bulk apply runs on; scs holds one
+	// scratch per strip worker, grown on demand. The prepass evaluates
+	// each event with its own scratch, pre (a worker's Y-row caches are
+	// views into ys), and leaves the chunk in recs, with their Y-row
+	// caches in ys and their bars in bars; cols is the chunk's box-column
+	// histogram in difference form (Gx+1 entries, zero between chunks) and
+	// cuts the strip boundaries of the current chunk.
 	threads int
-	scs     []*scratch
-	reach   []int32
+	scs     []*stripScratch
+	pre     *scratch
+	recs    []prepped
+	ys      []float64
+	bars    []float64
 	cols    []int
 	cuts    []int
 
@@ -103,11 +115,10 @@ type Updater struct {
 // UpdaterConfig configures a streaming Updater.
 type UpdaterConfig struct {
 	// Options configures kernels, engine and memory budget exactly like a
-	// batch estimation run. Threads is the most X strips (and cores) a bulk
-	// apply and an advance's zeroing are split over; values < 1 mean
-	// GOMAXPROCS. The window is bitwise the same for every value.
-	// AdaptiveBandwidth is not supported (per-point normalization would make
-	// retraction ambiguous).
+	// batch estimation run. Threads is the most cores a bulk apply and an
+	// advance's zeroing run on; values < 1 mean GOMAXPROCS. The window is
+	// bitwise the same for every value. AdaptiveBandwidth is not supported
+	// (per-point normalization would make retraction ambiguous).
 	Options Options
 
 	// ResidualLimit triggers a compaction (full re-estimate of the live
@@ -122,6 +133,11 @@ type UpdaterConfig struct {
 	// advance applies to newly reachable layers). Zero leaves compaction
 	// purely residual-driven.
 	CompactEvery int
+
+	// strips, when positive, replaces the strip count k a bulk apply cuts
+	// each chunk into. It lets the package's tests drive the cut at strip
+	// counts the window size would not pick.
+	strips int
 }
 
 // UpdaterStats reports the work an Updater has done.
@@ -143,9 +159,10 @@ type UpdaterStats struct {
 	// counts (compaction and restore replays excluded, as from Ops): an
 	// event whose box spans k strips counts k. With one strip it equals the
 	// applications that reached the window, which is Ops when every event
-	// does; the excess is the parallel apply's recomputation overhead.
+	// does; the excess is the cut's overhead, a disk evaluation's fixed
+	// cost per extra strip.
 	StripApplies int64
-	Threads      int // P: the most strips a bulk apply is split into
+	Threads      int // P: the most cores a bulk apply runs on
 }
 
 // eps is the double-precision unit roundoff used by the residual bound.
@@ -187,6 +204,7 @@ func newUpdater(ring *grid.Ring, cfg UpdaterConfig) *Updater {
 	u.pos.n = 1
 	u.neg = u.pos.withWeight(-1)
 	u.setFrame()
+	u.pre = newScratch(&u.pos)
 	// Peak voxel contribution of one event: the provided kernels all peak
 	// at the origin. (For exotic user kernels this is an estimate; the
 	// bound stays a heuristic trigger, correctness comes from compaction.)
@@ -300,23 +318,80 @@ func (u *Updater) liveEvents() []grid.Point {
 	return inSeqOrder(es)
 }
 
-// stripMinEvents is the number of reaching events from which a bulk apply
-// is split into X strips; a smaller batch applies inline as one strip.
-// Waking a second core costs tens of microseconds on a virtualized host:
-// on the repository benchmark's window (Hs 13, Ht 4, ~6 µs per event) two
-// strips lost to one up to 32-event batches and won from 48 on (2-vCPU
-// AVX2 host, BenchmarkUpdaterStrips with the cutoff lowered to 1).
+// stripMinEvents is the number of reaching events in a chunk from which
+// its strips are handed out to P workers; a smaller chunk runs all its
+// strips inline, on the calling goroutine. Waking a second core costs tens
+// of microseconds on a virtualized host: on the repository benchmark's
+// window (Hs 13, Ht 4, ~5 µs per event) two workers lost to one up to
+// 32-event batches and won from 48 on (2-vCPU AVX2 host,
+// BenchmarkUpdaterStrips with the cutoff lowered to 1), and still lost up
+// to 16 and won at 64 once the strips were sized to the cache.
 const stripMinEvents = 48
+
+// stripBytes is B, the ring bytes one X strip of a bulk apply writes at
+// most: a chunk whose boxes cover V voxels of a ring of R is cut into at
+// least ⌈8·min(V, R)/B⌉ strips, so a strip walks its share of the chunk's
+// events inside a slice of the ring that stays in a core's L2 cache (2 MiB
+// per core on the host below). Smaller strips split more events, each
+// split adding a disk evaluation's fixed cost. BenchmarkUpdaterStream add,
+// µs/event at P=1 / P=2 (median of three rounds, 2-vCPU AVX2 host, the
+// benchmark window's 18 MB ring; strip applications per event; the last
+// row is k = P, no cache floor):
+//
+//	B = 256 KiB   3.47 / 2.20   (6.99)
+//	B = 512 KiB   3.28 / 2.07   (3.97)
+//	B =   1 MiB   3.17 / 2.01   (2.51)
+//	B =   2 MiB   2.98 / 1.91   (1.71)
+//	B =   4 MiB   3.13 / 2.17   (1.35)
+//	B =   8 MiB   3.28 / 2.43   (1.18)
+//	P strips      4.63 / 2.40   (1.00 / 1.09)
+const stripBytes = 2 << 20
+
+// prepChunk is C, the most reaching events one prepass holds. Its buffers
+// hold, per event, a record, the Y-row caches (3·(2Hs+1) entries) and the
+// bar (at most 2Ht+1 entries) — about 1.8 MB per chunk on the repository
+// benchmark's window — so a compaction or restore replay, which hands the
+// whole live set to applyBatch, holds one chunk at a time, not the live
+// set, and drops it when done (kept, the restored windows' chunks raised
+// the benchmark's stream-mixed peak RSS by about 15 MB). A chunk is also
+// the unit the strips share out: larger ones spread each chunk's fan-out
+// over more events.
+const prepChunk = 2048
+
+// stripScratch is a strip worker's scratch, padded past its last field: a
+// worker writes its scratch for every event, and two workers' scratches
+// sharing a cache line would bounce the line between their cores (20–30 %
+// more CPU per event at two workers, on a replay of the benchmark's
+// stream-mixed events).
+type stripScratch struct {
+	scratch
+	_ [64]byte
+}
+
+// prepped is one reaching event of a chunk, as the prepass leaves it for
+// the strips: its geometry, with the box clipped to the applied layers;
+// the offsets of its Y-row caches (dy2, nv and nv2 rows of ny entries
+// each) in u.ys and of its bar in u.bars; and the ring's physical layer
+// of the bar's first entry.
+type prepped struct {
+	p         grid.Point
+	g         geom
+	ys        int
+	bar, barN int
+	phys      int
+}
 
 // applyBatch streams c's signed contribution of every event in pts into
 // ring layers [tlo, thi] and returns how many events reached any of them
 // and how many event × strip applications that took. The calling
-// goroutine walks the batch once, in order: it clips each event's box,
-// forwards it — the dirty AABB the analytics sketch repairs lazily — to
-// the ring, and indexes the events that reach the layers and histograms
-// their X columns for the cut. The strip workers then apply those events
-// (applyStrip), so a restore's replay, which most live events do not
-// reach, walks the whole live set once.
+// goroutine walks the batch once, in order — the prepass: it clips each
+// event's box to the layers, forwards it — the dirty AABB the analytics
+// sketch repairs lazily — to the ring, evaluates the event's bar and
+// Y-row caches into a record and histograms its X columns for the cut.
+// Every prepChunk reaching events, and at the end of the batch, the chunk
+// so far is applied (applyChunk) before the walk goes on, so a restore's
+// replay, which most live events do not reach, walks the whole live set
+// once and holds at most one chunk.
 func (u *Updater) applyBatch(c *ctx, pts []grid.Point, tlo, thi int) (reached int, applied int64) {
 	// A positive apply can raise a voxel by at most the event's peak kernel
 	// contribution (contribMax — exact for the provided kernels, which peak
@@ -326,53 +401,118 @@ func (u *Updater) applyBatch(c *ctx, pts []grid.Point, tlo, thi int) (reached in
 	if c == &u.pos {
 		peak = u.contribMax
 	}
-	total := 0
-	reach := u.reach[:0]
+	held := cap(u.recs)
+	sc := u.pre
+	total, vox := 0, 0
 	for i, p := range pts {
 		g := c.geom(p)
-		box := g.box
+		box := &g.box
 		box.T0, box.T1 = max(box.T0, tlo), min(box.T1, thi)
 		if box.Empty() {
 			continue
 		}
-		if lo, hi := barBounds(c, p, g, box); lo > hi {
+		nx, ny, nt := box.Dims()
+		sc.ensure(nx, ny, nt)
+		fillBar(c, p, g, *box, sc)
+		if sc.barN == 0 {
 			continue
 		}
-		reach = append(reach, int32(i))
-		u.ring.MarkDirty(box, peak)
+		fillYCaches(c, p, g, *box, sc)
+		if len(u.recs) == 0 {
+			u.reserve(min(len(pts)-i, prepChunk))
+		}
+		u.recs = append(u.recs, prepped{
+			p: p, g: g, ys: len(u.ys), bar: len(u.bars), barN: sc.barN,
+			phys: u.ring.PhysOf(box.T0 + sc.barLo),
+		})
+		u.ys = append(append(append(u.ys, sc.dy2...), sc.nv...), sc.nv2...)
+		u.bars = append(u.bars, sc.bar[:sc.barN]...)
+		u.ring.MarkDirty(*box, peak)
 		u.cols[box.X0]++
 		u.cols[box.X1+1]--
-		total += box.X1 - box.X0 + 1
+		total += nx
+		vox += nx * ny * nt
+		if len(u.recs) == prepChunk {
+			reached += len(u.recs)
+			applied += u.applyChunk(c, total, vox)
+			total, vox = 0, 0
+		}
 	}
-	u.reach = reach
-	if len(reach) == 0 {
-		return 0, 0
+	if len(u.recs) > 0 {
+		reached += len(u.recs)
+		applied += u.applyChunk(c, total, vox)
 	}
-	cuts := u.cut(total, len(reach))
-	for len(u.scs) < len(cuts)-1 {
-		u.scs = append(u.scs, newScratch(&u.pos))
+	if len(pts) > prepChunk && cap(u.recs) > held {
+		// A replay (compaction, restore, a long look-ahead) grew the
+		// buffers to a chunk: let them go, so a window keeps only what
+		// its batches need.
+		u.recs, u.ys, u.bars = nil, nil, nil
 	}
-	counts := make([]int64, len(cuts)-1)
-	par.Strips(cuts, func(w, x0, x1 int) {
-		counts[w] = u.applyStrip(c, pts, reach, tlo, thi, x0, x1, u.scs[w])
+	return reached, applied
+}
+
+// reserve sizes the empty prepass buffers for a chunk of n events, each
+// at its largest, so appending the chunk never grows them and they never
+// hold more than one chunk. applyBatch calls it at a chunk's first
+// reaching event, so an apply that reaches nothing allocates nothing.
+func (u *Updater) reserve(n int) {
+	dxy, dt := 2*u.pos.maxHsVoxels()+1, 2*u.pos.maxHtVoxels()+1
+	if cap(u.recs) < n {
+		u.recs = make([]prepped, 0, n)
+	}
+	if cap(u.ys) < 3*dxy*n {
+		u.ys = make([]float64, 0, 3*dxy*n)
+	}
+	if cap(u.bars) < dt*n {
+		u.bars = make([]float64, 0, dt*n)
+	}
+}
+
+// applyChunk cuts the prepass's chunk, whose boxes span total columns and
+// vox voxels, into X strips and applies them over up to P workers — one,
+// the calling goroutine, below stripMinEvents events — each strip handed
+// to whichever worker is free. It empties the chunk and returns its event
+// × strip applications.
+func (u *Updater) applyChunk(c *ctx, total, vox int) (applied int64) {
+	cuts := u.cut(total, u.stripCount(vox))
+	w := u.threads
+	if len(u.recs) < stripMinEvents {
+		w = 1
+	}
+	w = min(w, len(cuts)-1)
+	for len(u.scs) < w {
+		u.scs = append(u.scs, &stripScratch{scratch: *newScratch(&u.pos)})
+	}
+	counts := make([]int64, w)
+	par.Strips(w, cuts, func(w, x0, x1 int) {
+		counts[w] += u.applyStrip(c, x0, x1, &u.scs[w].scratch)
 	})
 	for _, n := range counts {
 		applied += n
 	}
-	return len(reach), applied
+	u.recs, u.ys, u.bars = u.recs[:0], u.ys[:0], u.bars[:0]
+	return applied
 }
 
-// cut places the strip boundaries of a batch whose boxes u.cols histograms
-// (in difference form) over total columns: at most P strips, the k-th
-// ending at the first column where the running count reaches k/P of the
-// total — the paper's DD load balance, O(Gx) — and each ending on a
-// column some box covers, so no strip is idle. A batch of fewer than
-// stripMinEvents reaching events keeps one strip. cut leaves u.cols zero.
-func (u *Updater) cut(total, events int) []int {
-	p := u.threads
-	if events < stripMinEvents {
-		p = 1
+// stripCount returns k, the X strips a chunk whose boxes cover vox voxels
+// is cut into: at least P, and enough that each strip's share of the
+// chunk's writes — at most the whole ring — is about stripBytes. A chunk
+// whose writes already fit in cache, such as a small batch, keeps P
+// strips. UpdaterConfig.strips overrides it.
+func (u *Updater) stripCount(vox int) int {
+	if u.cfg.strips > 0 {
+		return u.cfg.strips
 	}
+	b := 8 * min(vox, len(u.ring.Data))
+	return max(u.threads, (b+stripBytes-1)/stripBytes)
+}
+
+// cut places the boundaries of at most k strips of a chunk whose boxes
+// u.cols histograms (in difference form) over total columns: the j-th
+// strip ends at the first column where the running count reaches j/k of
+// the total — the paper's DD load balance, O(Gx) — and each ends on a
+// column some box covers, so no strip is idle. cut leaves u.cols zero.
+func (u *Updater) cut(total, k int) []int {
 	gx := len(u.cols) - 1
 	cuts := append(u.cuts[:0], 0)
 	run, cover := 0, 0
@@ -380,7 +520,7 @@ func (u *Updater) cut(total, events int) []int {
 		cover += u.cols[X]
 		u.cols[X] = 0
 		run += cover
-		if k := len(cuts); k < p && cover > 0 && run < total && run*p >= total*k {
+		if j := len(cuts); j < k && cover > 0 && run < total && run*k >= total*j {
 			cuts = append(cuts, X+1)
 		}
 	}
@@ -389,40 +529,35 @@ func (u *Updater) cut(total, events int) []int {
 	return u.cuts
 }
 
-// applyStrip is one strip worker of applyBatch: it streams every reaching
-// event of the batch (pts[i] for i in reach), in batch order, into ring
-// layers [tlo, thi] of the X columns [x0, x1) — clipping X exactly as T is
-// clipped — and returns how many events touched the strip. The disk and
-// the bar are evaluated once per event and strip, column by column exactly
-// as for the whole box, and per disk column the whole bar goes to the
-// ring's T-innermost rows as one block update, split in two where it
-// crosses the ring's physical wrap. Every voxel receives the product of
-// the same two factors whichever side of the window's end, and whichever
-// strip, it lies in. Nothing outside the strip's columns is written.
-func (u *Updater) applyStrip(c *ctx, pts []grid.Point, reach []int32, tlo, thi, x0, x1 int, sc *scratch) (applied int64) {
+// applyStrip is one strip of applyChunk: it streams every event of the
+// chunk, in batch order, into the X columns [x0, x1) — clipping X exactly
+// as the prepass clipped T — and returns how many events touched the
+// strip. Per event it evaluates the disk of those columns only, from the
+// prepass's Y-row caches, column by column exactly as for the whole box,
+// and per disk column the whole bar goes to the ring's T-innermost rows as
+// one block update, split in two where it crosses the ring's physical
+// wrap. Every voxel receives the product of the same two factors whichever
+// side of the window's end, and whichever strip, it lies in. Nothing
+// outside the strip's columns is written.
+func (u *Updater) applyStrip(c *ctx, x0, x1 int, sc *scratch) (applied int64) {
 	gy, L := c.spec.Gy, u.ring.Layers()
 	data := u.ring.Data
-	for _, i := range reach {
-		p := pts[i]
-		g := c.geom(p)
-		box := g.box
+	for i := range u.recs {
+		r := &u.recs[i]
+		box := r.g.box
 		box.X0, box.X1 = max(box.X0, x0), min(box.X1, x1-1)
-		box.T0, box.T1 = max(box.T0, tlo), min(box.T1, thi)
-		if box.Empty() {
+		if box.X0 > box.X1 {
 			continue
 		}
-		nx, ny, nt := box.Dims()
-		sc.ensure(nx, ny, nt)
-		fillBar(c, p, g, box, sc)
-		if sc.barN == 0 {
-			continue
-		}
-		fillDisk(c, p, g, box, sc)
+		nx, ny, _ := box.Dims()
+		ys := u.ys[r.ys:]
+		sc.dy2, sc.nv, sc.nv2 = ys[:ny:ny], ys[ny:2*ny:2*ny], ys[2*ny:3*ny:3*ny]
+		sc.ensure(nx, ny, 0)
+		fillDiskCols(c, r.p, r.g, box, sc)
 		applied++
 
-		bar := sc.bar[:sc.barN]
-		p0 := u.ring.PhysOf(box.T0 + sc.barLo) // physical layer of bar[0]
-		n1 := min(len(bar), L-p0)              // bar entries before the wrap
+		bar := u.bars[r.bar : r.bar+r.barN]
+		n1 := min(len(bar), L-r.phys) // bar entries before the wrap
 		off := 0
 		for ix := 0; ix < nx; ix++ {
 			n := int(sc.spanN[ix])
@@ -432,7 +567,7 @@ func (u *Updater) applyStrip(c *ctx, pts []grid.Point, reach []int32, tlo, thi, 
 			ks := sc.disk[off : off+n]
 			off += n
 			col := (box.X0+ix)*gy + box.Y0 + int(sc.spanLo[ix])
-			c.mulAddRows(data[col*L+p0:], L, ks, bar[:n1])
+			c.mulAddRows(data[col*L+r.phys:], L, ks, bar[:n1])
 			if n1 < len(bar) {
 				c.mulAddRows(data[col*L:], L, ks, bar[n1:])
 			}

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/grid"
 )
@@ -304,33 +305,34 @@ func TestUpdaterStripsRestore(t *testing.T) {
 }
 
 // TestUpdaterStripApplyContract is the clock-free statement of what the
-// parallel apply costs, on the repository benchmark's shape: a 326x151x42
+// strip cut costs, on the repository benchmark's shape: a 326x151x42
 // window, Hs 13, Ht 4, events inset one bandwidth from every spatial face,
-// 512-event batches. At two strips every batch applies each event once,
-// plus once more for every event whose box spans the cut — the cut placed
-// at the column where the batch's box columns reach half their total. At
-// one strip the strip applications are exactly the Ops.
+// mostly 512-event batches. The test works out each batch's strip count
+// itself — k = max(P, ⌈8·min(box voxels, ring voxels)/stripBytes⌉), so a
+// 512-event batch, whose boxes cover more than the ring, is cut into as
+// many strips at P=1 as at P=2 — and places the k-1 cuts itself, the j-th
+// at the first column where the running count of the batch's box columns
+// reaches j/k of their total. Every batch applies each event once, plus
+// once more for every cut its box spans, at P=1 and at P=2.
 func TestUpdaterStripApplyContract(t *testing.T) {
 	spec, err := grid.NewSpec(grid.Domain{GX: 326, GY: 151, GT: 42}, 1, 1, 13, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const batch, batches = 512, 6
-	one, err := NewUpdater(spec, UpdaterConfig{Options: Options{Threads: 1}})
-	if err != nil {
-		t.Fatal(err)
+	ext := spec // the updater's boxes span the ring's Gt+Ht layers
+	ext.Gt += ext.Ht
+	us := make([]*Updater, 2)
+	for i := range us {
+		if us[i], err = NewUpdater(spec, UpdaterConfig{Options: Options{Threads: i + 1}}); err != nil {
+			t.Fatal(err)
+		}
+		defer us[i].Release()
 	}
-	defer one.Release()
-	two, err := NewUpdater(spec, UpdaterConfig{Options: Options{Threads: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer two.Release()
 	rng := lcg(13)
 	d := spec.Domain
-	var spanning, events int64
-	for b := 0; b < batches; b++ {
-		pts := make([]grid.Point, batch)
+	var crossings, events, wide int64
+	for b, n := range []int{512, 16, 512, 100, 512, 512, 512, 512} {
+		pts := make([]grid.Point, n)
 		for i := range pts {
 			pts[i] = grid.Point{
 				X: d.X0 + spec.HS + rng.float()*(d.GX-2*spec.HS),
@@ -338,47 +340,68 @@ func TestUpdaterStripApplyContract(t *testing.T) {
 				T: d.T0 + rng.float()*d.GT,
 			}
 		}
-		// The test's own cut: the first column at which the running count
-		// of box columns reaches half of the batch's total.
 		cover := make([]int, spec.Gx)
-		total := 0
+		total, vox := 0, 0
 		for _, p := range pts {
-			box := spec.InfluenceBox(p)
+			box := ext.InfluenceBox(p)
 			for X := box.X0; X <= box.X1; X++ {
 				cover[X]++
 			}
-			total += box.X1 - box.X0 + 1
+			nx, ny, nt := box.Dims()
+			total += nx
+			vox += nx * ny * nt
 		}
-		cut, run := 0, 0
-		for X, c := range cover {
-			if run += c; 2*run >= total {
-				cut = X + 1
-				break
+		for i, u := range us {
+			k := max(i+1, (8*min(vox, ext.Voxels())+stripBytes-1)/stripBytes)
+			// The test's own cuts: no two on one column, and each on a
+			// column some box covers, short of the last covered one.
+			var cuts []int
+			run := 0
+			for X, c := range cover {
+				run += c
+				if j := len(cuts) + 1; j < k && c > 0 && run < total && run*k >= total*j {
+					cuts = append(cuts, X+1)
+				}
+			}
+			if len(cuts) != k-1 {
+				t.Fatalf("batch %d: %d cuts, want %d", b, len(cuts), k-1)
+			}
+			var cross int64
+			for _, p := range pts {
+				box := ext.InfluenceBox(p)
+				for _, c := range cuts {
+					if box.X0 < c && c <= box.X1 {
+						cross++
+					}
+				}
+			}
+			before := u.Stats().StripApplies
+			u.Add(pts...)
+			if got := u.Stats().StripApplies - before; got != int64(n)+cross {
+				t.Fatalf("batch %d: %d strip applications at P=%d, want %d events + %d crossings of the cuts %v",
+					b, got, i+1, n, cross, cuts)
+			}
+			if n == 512 && i == 0 {
+				if k != 9 {
+					t.Fatalf("batch %d: %d strips, want 9", b, k)
+				}
+				crossings += cross
+				wide += int64(n)
 			}
 		}
-		var span int64
-		for _, p := range pts {
-			if box := spec.InfluenceBox(p); box.X0 < cut && cut <= box.X1 {
-				span++
-			}
-		}
-		before := two.Stats().StripApplies
-		two.Add(pts...)
-		one.Add(pts...)
-		if got := two.Stats().StripApplies - before; got != batch+span {
-			t.Fatalf("batch %d: %d strip applications at P=2, want %d events + %d spanning the cut at column %d",
-				b, got, batch, span, cut)
-		}
-		spanning += span
-		events += batch
+		events += int64(n)
 	}
-	if st := one.Stats(); st.StripApplies != st.Ops || st.Ops != events {
-		t.Fatalf("P=1: %d strip applications, %d ops, %d events; want all equal", st.StripApplies, st.Ops, events)
+	for i, u := range us {
+		if st := u.Stats(); st.Ops != events {
+			t.Fatalf("P=%d: %d ops, want %d events", i+1, st.Ops, events)
+		}
 	}
-	// Hs 13 boxes are 27 columns wide over 300 inset ones: about 9 % of
-	// the events straddle the cut.
-	if share := float64(spanning) / float64(events); share < 0.06 || share > 0.12 {
-		t.Fatalf("%.3f of the events span the cut, want about 0.09", share)
+	// An Hs 13 box is 27 columns wide, so it spans 26 of the ~300 column
+	// boundaries the events cover: with 9 strips' 8 cuts, about 0.7 per event.
+	per := float64(crossings) / float64(wide)
+	t.Logf("512-event batches, 9 strips: %.3f strip applications per event", 1+per)
+	if per < 0.6 || per > 0.85 {
+		t.Fatalf("%.3f cut crossings per event, want about 0.7", per)
 	}
 }
 
@@ -445,4 +468,181 @@ func TestUpdaterStripWorkersExit(t *testing.T) {
 	if st := u.Stats(); st.StripApplies <= int64(len(pts)) {
 		t.Fatalf("no batch was split: %+v", st)
 	}
+}
+
+// wrappedBars counts the events of pts whose bar, over the ring's Gt+Ht
+// layers, crosses the ring's physical wrap: the apply splits their rows.
+func wrappedBars(u *Updater, pts []grid.Point) int {
+	n := 0
+	for _, p := range pts {
+		g := u.pos.geom(p)
+		if lo, hi := barBounds(&u.pos, p, g, g.box); lo <= hi && u.ring.PhysOf(lo) > u.ring.PhysOf(hi) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestUpdaterForcedStripsBitwise drives the cut at strip counts the window
+// size would not pick — 1, 2, 3, 17 and one strip per column — with two
+// workers, through a script of strip-sized batches whose bars cross the
+// ring's physical wrap, a retraction, a forced compaction, advances that
+// apply events ahead of the window, and a State/RestoreUpdater round trip
+// whose live set spans several prepass chunks. After every step each
+// window, live set and analytics answer is bitwise the one-strip
+// updater's.
+func TestUpdaterForcedStripsBitwise(t *testing.T) {
+	spec := updaterSpec(t)
+	ks := []int{1, 2, 3, 17, spec.Gx}
+	cfgOf := func(k, p int) UpdaterConfig {
+		return UpdaterConfig{Options: Options{Threads: p}, strips: k}
+	}
+	ref, err := NewUpdater(spec, cfgOf(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	us := make([]*Updater, len(ks))
+	for i, k := range ks {
+		if us[i], err = NewUpdater(spec, cfgOf(k, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer func() {
+		ref.Release()
+		for _, u := range us {
+			u.Release()
+		}
+	}()
+	step := func(tag string, do func(u *Updater)) {
+		t.Helper()
+		do(ref)
+		for i, u := range us {
+			do(u)
+			expectSameAsOneStrip(t, fmt.Sprintf("%s, k=%d", tag, ks[i]), ref, u)
+		}
+	}
+	rng := lcg(41)
+	frontier := spec.Domain.T0 + 8.0
+	batch := func(n int) []grid.Point {
+		pts := make([]grid.Point, n)
+		for i := range pts {
+			pts[i] = streamEvent(&rng, spec.Domain, frontier)
+		}
+		return pts
+	}
+	wrapped := 0
+	for i := 0; i < 6; i++ {
+		pts := batch(stripMinEvents + 13)
+		wrapped += wrappedBars(ref, pts)
+		step(fmt.Sprintf("add %d", i), func(u *Updater) { u.Add(pts...) })
+		frontier += float64(1+i%spec.Ht) * spec.TRes
+		step(fmt.Sprintf("advance %d", i), func(u *Updater) { u.AdvanceTo(frontier) })
+	}
+	if wrapped == 0 {
+		t.Fatal("no bar crossed the ring's physical wrap")
+	}
+	gone := ref.Live()[:stripMinEvents]
+	step("remove", func(u *Updater) {
+		if err := u.Remove(gone...); err != nil {
+			t.Fatal(err)
+		}
+	})
+	step("compact", func(u *Updater) { u.Compact() })
+	for ref.N() <= 2*prepChunk {
+		pts := batch(500)
+		step("fill", func(u *Updater) { u.Add(pts...) })
+	}
+	st, err := ref.State(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := RestoreUpdater(st, cfgOf(1, 1)); err != nil {
+		t.Fatal(err)
+	} else {
+		ref.Release()
+		ref = r
+	}
+	for i, k := range ks {
+		st, err := us[i].State(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := RestoreUpdater(st, cfgOf(k, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		us[i].Release()
+		us[i] = r
+		expectSameAsOneStrip(t, fmt.Sprintf("restored, k=%d", k), ref, r)
+	}
+	step("compact after restore", func(u *Updater) { u.Compact() })
+	for i := 0; i < 4; i++ {
+		frontier += float64(spec.Ht+1) * spec.TRes
+		step(fmt.Sprintf("advance after restore %d", i), func(u *Updater) { u.AdvanceTo(frontier) })
+	}
+	if st := ref.Stats(); st.AdvanceReapplied == 0 || st.Compactions == 0 {
+		t.Fatalf("after the restore, no advance applied events ahead of the window or none compacted: %+v", st)
+	}
+}
+
+// TestUpdaterPrepassBounded: a compaction and a restore hand the whole
+// live set — over four chunks of it — to the apply, and the prepass holds
+// one chunk at a time: what each allocates beyond its own live-set copies
+// stays under one chunk of prepass buffers, and none is kept afterwards.
+// A prepass sized to the whole input would allocate four times that.
+func TestUpdaterPrepassBounded(t *testing.T) {
+	spec := updaterSpec(t)
+	cfg := UpdaterConfig{Options: Options{Threads: 2}}
+	u, err := NewUpdater(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Release()
+	rng := lcg(5)
+	d := spec.Domain
+	for u.N() < 4*prepChunk+100 {
+		pts := make([]grid.Point, 512)
+		for i := range pts {
+			// Inside the window, so every event stays live and reaches it.
+			pts[i] = grid.Point{X: d.X0 + rng.float()*d.GX, Y: d.Y0 + rng.float()*d.GY, T: d.T0 + rng.float()*d.GT}
+		}
+		u.Add(pts...)
+	}
+	n := u.N()
+	dxy, dt := 2*spec.Hs+1, 2*spec.Ht+1
+	chunk := prepChunk * (int(unsafe.Sizeof(prepped{})) + 8*(3*dxy+dt))
+	allocated := func(do func()) int {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		do()
+		runtime.ReadMemStats(&after)
+		return int(after.TotalAlloc - before.TotalAlloc)
+	}
+	kept := func(tag string, u *Updater) {
+		t.Helper()
+		if cap(u.recs)+cap(u.ys)+cap(u.bars) != 0 {
+			t.Fatalf("%s kept its prepass buffers: %d records, %d Y-row entries, %d bar entries",
+				tag, cap(u.recs), cap(u.ys), cap(u.bars))
+		}
+	}
+	// The compaction copies the live set twice (liveEvent, then Point).
+	if got, limit := allocated(u.Compact), chunk+n*int(unsafe.Sizeof(liveEvent{})+unsafe.Sizeof(grid.Point{}))+1<<16; got > limit {
+		t.Fatalf("compacting %d live events allocated %d bytes, more than one %d-byte prepass chunk allows (%d)", n, got, chunk, limit)
+	}
+	kept("compact", u)
+	st, err := u.State(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r *Updater
+	// The restore copies the window into its ring and files the live set
+	// in its buckets, which appending copies as they grow.
+	limit := chunk + int(grid.RingBytes(spec)) + 4*n*int(unsafe.Sizeof(liveEvent{})) + 1<<16
+	if got := allocated(func() { r, err = RestoreUpdater(st, cfg) }); err != nil {
+		t.Fatal(err)
+	} else if got > limit {
+		t.Fatalf("restoring %d live events allocated %d bytes, more than one %d-byte prepass chunk allows (%d)", n, got, chunk, limit)
+	}
+	defer r.Release()
+	kept("restore", r)
 }

@@ -111,9 +111,9 @@ func (r *Ring) At(X, Y, T int) float64 {
 // Advance slides the window forward by k voxel layers: the base rotates,
 // the spec's frame offset OT grows by k, and the k freed (oldest) layers
 // are zeroed and become the newest hidden layers. The zeroing is split
-// over up to p equal X strips, the last on the calling goroutine (p < 1
-// means GOMAXPROCS). Surviving layers are untouched. k >= Gt+Ht zeroes the
-// whole ring; k <= 0 is a no-op.
+// over up to p equal X strips, one per worker, the calling goroutine one
+// of them (p < 1 means GOMAXPROCS). Surviving layers are untouched.
+// k >= Gt+Ht zeroes the whole ring; k <= 0 is a no-op.
 func (r *Ring) Advance(k, p int) {
 	if k <= 0 {
 		return
@@ -136,7 +136,7 @@ func (r *Ring) Advance(k, p int) {
 	for w := range cuts {
 		cuts[w] = w * gx / p
 	}
-	par.Strips(cuts, func(_, x0, x1 int) {
+	par.Strips(p, cuts, func(_, x0, x1 int) {
 		for off := x0 * gy * r.layers; off < x1*gy*r.layers; off += r.layers {
 			row := r.Data[off : off+r.layers]
 			for j := p0; j < p0+n1; j++ {

@@ -39,9 +39,11 @@ func (m Machine) EstimateSeconds(spec grid.Spec, n int, alg string, threads int)
 
 // IngestSeconds predicts folding n events into a live stream window:
 // each event applies one kernel cylinder, exactly the per-point work of
-// the batch model without the grid init, on one core. The updater splits
-// each batch over every core (X strips), so on a multi-core host this is
-// an upper bound.
+// the batch model without the grid init, on one core, at the update rate
+// the calibration measured. The updater applies each batch in cache-sized
+// X strips over every core, so its writes mostly hit cache, and on a
+// multi-core host the strips also run in parallel: this is an upper
+// bound, looser the more cores there are.
 func (m Machine) IngestSeconds(spec grid.Spec, n int) float64 {
 	upd, ske, tke := Workload{Spec: spec}.perPoint()
 	return float64(n) * (upd/m.UpdatePerSec + ske/m.SpatialEvalPerSec + tke/m.TemporalEvalPerSec)

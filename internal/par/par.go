@@ -66,21 +66,32 @@ func BlocksMin(p, n, min int, body func(worker, lo, hi int)) {
 	Blocks(p, n, body)
 }
 
-// Strips runs body(w, cuts[w], cuts[w+1]) for every strip w of the
-// boundaries cuts (at least two), each on its own goroutine but the last,
-// which runs on the calling goroutine, and returns when all are done: no
-// worker outlives the call, and a one-strip call starts no goroutine.
-func Strips(cuts []int, body func(w, lo, hi int)) {
-	last := len(cuts) - 2
+// Strips runs body(w, cuts[s], cuts[s+1]) exactly once for every strip s
+// of the boundaries cuts (at least two) over p workers (p < 1 means
+// GOMAXPROCS; never more workers than strips), handing the strips out in
+// order, one at a time, to whichever worker is free. The calling goroutine
+// is worker 0 and the others are goroutines; w is the worker running the
+// strip, always below p, so a body can keep per-worker scratch. Strips
+// returns when every strip is done: no worker outlives the call, and a
+// one-worker call starts no goroutine.
+func Strips(p int, cuts []int, body func(w, lo, hi int)) {
+	n := len(cuts) - 1
+	p = min(Threads(p), n)
+	var next atomic.Int64
+	work := func(w int) {
+		for s := int(next.Add(1)) - 1; s < n; s = int(next.Add(1)) - 1 {
+			body(w, cuts[s], cuts[s+1])
+		}
+	}
 	var wg sync.WaitGroup
-	wg.Add(last)
-	for w := 0; w < last; w++ {
+	wg.Add(p - 1)
+	for w := 1; w < p; w++ {
 		go func(w int) {
 			defer wg.Done()
-			body(w, cuts[w], cuts[w+1])
+			work(w)
 		}(w)
 	}
-	body(last, cuts[last], cuts[last+1])
+	work(0)
 	wg.Wait()
 }
 

@@ -1,10 +1,13 @@
 package par
 
 import (
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // TestBlocksCoverage: Blocks must visit every index exactly once, for any
@@ -30,21 +33,68 @@ func TestBlocksCoverage(t *testing.T) {
 	}
 }
 
-// TestStripsCoverage: Strips calls the body once per strip, with that
-// strip's index and bounds, and every call has returned when it does.
+// TestStripsCoverage: Strips runs every strip exactly once, with its
+// bounds, on a worker whose index is below p, and all have run when it
+// returns — for fewer, as many and more strips than workers.
 func TestStripsCoverage(t *testing.T) {
-	for _, cuts := range [][]int{{0, 5}, {0, 3, 3, 9}, {2, 4, 6, 8, 10}} {
-		calls := make([]int32, len(cuts)-1)
-		Strips(cuts, func(w, lo, hi int) {
-			if lo != cuts[w] || hi != cuts[w+1] {
-				t.Errorf("cuts %v: strip %d got [%d, %d)", cuts, w, lo, hi)
+	for _, cuts := range [][]int{{0, 5}, {0, 3, 3, 9}, {2, 4, 6, 8, 10}, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}} {
+		want := make([][2]int, len(cuts)-1)
+		for s := range want {
+			want[s] = [2]int{cuts[s], cuts[s+1]}
+		}
+		for _, p := range []int{1, 2, 3, 8} {
+			var mu sync.Mutex
+			var ran [][2]int
+			Strips(p, cuts, func(w, lo, hi int) {
+				if w < 0 || w >= p {
+					t.Errorf("cuts %v, p=%d: worker index %d", cuts, p, w)
+				}
+				mu.Lock()
+				ran = append(ran, [2]int{lo, hi})
+				mu.Unlock()
+			})
+			mu.Lock()
+			slices.SortFunc(ran, func(a, b [2]int) int {
+				if a[0] != b[0] {
+					return a[0] - b[0]
+				}
+				return a[1] - b[1]
+			})
+			if !slices.Equal(ran, want) {
+				t.Fatalf("cuts %v, p=%d: strips run %v, want each of %v once", cuts, p, ran, want)
 			}
-			atomic.AddInt32(&calls[w], 1)
+			mu.Unlock()
+		}
+	}
+}
+
+// TestStripsWorkersExit: no worker goroutine of Strips outlives the call,
+// and a one-worker call starts none.
+func TestStripsWorkersExit(t *testing.T) {
+	settled := func() int {
+		// A goroutine may still be returning after it signalled
+		// completion; wait (boundedly) for the count to stop changing.
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+			m := runtime.NumGoroutine()
+			if m == n {
+				return n
+			}
+			n = m
+		}
+		return n
+	}
+	base := settled()
+	cuts := []int{0, 2, 4, 6, 8, 10, 12, 14, 16}
+	for _, p := range []int{1, 2, 4, 16} {
+		Strips(p, cuts, func(w, lo, hi int) {
+			if n := runtime.NumGoroutine(); p == 1 && n != base {
+				t.Errorf("p=1: strip [%d, %d) ran beside %d goroutines, %d before the call", lo, hi, n, base)
+			}
 		})
-		for w, n := range calls {
-			if atomic.LoadInt32(&calls[w]) != 1 {
-				t.Fatalf("cuts %v: strip %d ran %d times", cuts, w, n)
-			}
+		if n := settled(); n != base {
+			t.Fatalf("p=%d: %d goroutines after the call, %d before", p, n, base)
 		}
 	}
 }
