@@ -7,23 +7,16 @@
 //	stkdebench -exp table3 -scale 0.2
 //	stkdebench -exp fig10 -scale 0.15 -maxthreads 16 -instances Dengue_Hr-VHb,PollenUS_Hr-Mb
 //	stkdebench -exp all -scale 0.1 -csv results
-//	stkdebench -exp kernels -scale 0.1 -repeats 3 -json BENCH
+//	stkdebench -exp overload -scale 0.1 -json BENCH
 //
-// The "kernels" experiment A/Bs the compute-engine tiers on sequential
-// PB-SYM — the dense pre-rewrite scan, generic interface dispatch, the
-// devirtualized scalar span engine (fast-*), and the AVX2 vector kernels
-// of repro/internal/simd (vector-*, the default engine) — with and
-// without the Morton locality sort; every emitted row carries an "isa"
-// field recording whether internal/simd dispatched to "avx2" or "scalar"
-// on the measuring host. The "overload" experiment drives a server with
-// admission control at roughly 9x its measured capacity (one flooding
-// tenant plus three polite ones) and reports the admitted p99 against the
-// SLO, the shed counts by reason, Retry-After coverage, and the polite
-// tenants' admitted fraction. The "faults" experiment kills one rank of a
-// sharded live window and reports query availability, coverage and
-// latency while it is down and after it heals. With -json they emit the
-// stkde-bench/v1 trajectories committed as BENCH_kernels.json,
-// BENCH_overload.json and BENCH_faults.json.
+// The "overload" experiment drives a server with admission control at
+// roughly 9x its measured capacity (one flooding tenant plus three polite
+// ones) and reports the admitted p99 against the SLO, the shed counts by
+// reason, Retry-After coverage, and the polite tenants' admitted fraction.
+// The "faults" experiment kills one rank of a sharded live window and
+// reports query availability, coverage and latency while it is down and
+// after it heals. With -json they emit the stkde-bench/v1 trajectories
+// committed as BENCH_overload.json and BENCH_faults.json.
 //
 // Serving, streaming, durability, live analytics and sharded live streams
 // are measured by the repository benchmark instead: bash benchmark/run.sh

@@ -31,10 +31,10 @@ func TestParseInts(t *testing.T) {
 }
 
 func TestWriteReportJSON(t *testing.T) {
-	rep := &bench.Report{Exp: "kernels", Title: "t", Rows: []bench.Row{
-		{Instance: "X", Algo: "pb-sym[fast-sorted]", Seconds: 0.5, Speedup: 2},
+	rep := &bench.Report{Exp: "fig8", Title: "t", Rows: []bench.Row{
+		{Instance: "X", Algo: "pb-sym-dr", Threads: 2, Seconds: 0.5, Speedup: 2},
 	}}
-	name := filepath.Join(t.TempDir(), "BENCH_kernels.json")
+	name := filepath.Join(t.TempDir(), "BENCH_fig8.json")
 	err := writeReport(name, rep, func(f *os.File) error {
 		return bench.WriteJSON(f, rep, bench.Config{})
 	})
@@ -45,7 +45,7 @@ func TestWriteReportJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"stkde-bench/v1", "pb-sym[fast-sorted]", "\"experiment\": \"kernels\""} {
+	for _, want := range []string{"stkde-bench/v1", "pb-sym-dr", "\"experiment\": \"fig8\""} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("trajectory file missing %q:\n%s", want, data)
 		}

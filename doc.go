@@ -44,10 +44,10 @@
 // the scalar loops bitwise) for the multiply-add row update and the packed
 // disk/bar polynomial fills, selected once at startup by CPUID probing
 // (stkde.EngineISA reports the choice; build with -tags purego to force
-// the pure-Go fallbacks). All engine configurations produce
-// bitwise-identical volumes; the "kernels" experiment of cmd/stkdebench
-// records the speedup trajectory in BENCH_*.json files, each row tagged
-// with the ISA that produced it.
+// the pure-Go fallbacks). There is one engine and no option selects it:
+// in every build its volumes are bitwise identical to the dense
+// bandwidth-box scan kept as the test oracle, and the benchmark's batch-hb
+// workload measures it (core.seq.compute_s).
 //
 // repro/internal/serve turns the library into a long-running service: a
 // dataset registry with content-addressed ingestion, an LRU grid cache

@@ -14,9 +14,6 @@
 //	fig15   best configuration of every parallel strategy (Figure 15)
 //	dist    rank scaling of the simulated distributed-memory estimator
 //	        (temporal-slab sharding, the paper's future-work item)
-//	kernels hot-path compute-engine trajectory: sequential PB-SYM compute
-//	        under the dense/generic/devirtualized engines, sorted and
-//	        unsorted (the committed BENCH_kernels.json record)
 //	overload admission control under 10x offered load: one hostile tenant
 //	        flooding past a measured-capacity SLO next to polite tenants,
 //	        recording the admitted p99 vs the SLO, the shed split
@@ -130,12 +127,6 @@ type Row struct {
 	Seconds  float64 `json:"seconds"`
 	Speedup  float64 `json:"speedup,omitempty"`
 	OOM      bool    `json:"oom,omitempty"`
-	// ISA records the instruction set the compute engine dispatched to for
-	// rows where it matters (the "kernels" experiment's engine sweep):
-	// "avx2" when the vector kernels ran, "scalar" otherwise. Committed
-	// trajectories keep it so speedups are attributable to the hardware
-	// they were measured on.
-	ISA string `json:"isa,omitempty"`
 	// Extra carries per-experiment values (e.g. "init_frac", "cp_rel").
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
@@ -148,13 +139,13 @@ type Report struct {
 }
 
 // Experiments lists the available experiment identifiers in paper order,
-// followed by the post-paper experiments (distributed scaling, the
-// hot-path compute-engine trajectory, admission control under overload,
-// and sharded availability across a rank failure).
+// followed by the post-paper experiments (distributed scaling, admission
+// control under overload, and sharded availability across a rank
+// failure).
 func Experiments() []string {
 	return []string{"table2", "table3", "fig7", "fig8", "fig9", "fig10",
-		"fig11", "fig12", "fig13", "fig14", "fig15", "dist", "kernels",
-		"overload", "faults"}
+		"fig11", "fig12", "fig13", "fig14", "fig15", "dist", "overload",
+		"faults"}
 }
 
 // Run executes the named experiment.
@@ -186,8 +177,6 @@ func Run(exp string, cfg Config) (*Report, error) {
 		return h.fig15()
 	case "dist":
 		return h.distScaling()
-	case "kernels":
-		return h.kernelsExp()
 	case "overload":
 		return h.overloadExp()
 	case "faults":

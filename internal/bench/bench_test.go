@@ -26,8 +26,8 @@ func quickCfg(out *bytes.Buffer) Config {
 
 func TestExperimentsList(t *testing.T) {
 	want := []string{"table2", "table3", "fig7", "fig8", "fig9", "fig10",
-		"fig11", "fig12", "fig13", "fig14", "fig15", "dist", "kernels",
-		"overload", "faults"}
+		"fig11", "fig12", "fig13", "fig14", "fig15", "dist", "overload",
+		"faults"}
 	if got := Experiments(); !slices.Equal(got, want) {
 		t.Fatalf("Experiments() = %v, want %v", got, want)
 	}
@@ -55,7 +55,7 @@ func TestExperimentsList(t *testing.T) {
 func TestUnknownExperiment(t *testing.T) {
 	// fig99 never existed; the rest are retired experiments whose
 	// measurements moved to the repository benchmark's per-layer metrics.
-	for _, exp := range []string{"fig99", "stream", "recover", "shard", "analytics", "serve"} {
+	for _, exp := range []string{"fig99", "stream", "recover", "shard", "analytics", "serve", "kernels"} {
 		_, err := Run(exp, Config{})
 		if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 			t.Errorf("Run(%q) error = %v, want unknown experiment", exp, err)
@@ -347,44 +347,11 @@ func TestOverloadExperiment(t *testing.T) {
 	}
 }
 
-func TestKernelsExperiment(t *testing.T) {
-	var out bytes.Buffer
-	cfg := quickCfg(&out)
-	cfg.Instances = cfg.Instances[:1]
-	rep, err := Run("kernels", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != len(kernelConfigs) {
-		t.Fatalf("got %d rows, want %d", len(rep.Rows), len(kernelConfigs))
-	}
-	for i, row := range rep.Rows {
-		want := core.AlgPBSYM + "[" + kernelConfigs[i].Name + "]"
-		if row.Algo != want {
-			t.Errorf("row %d algo = %q, want %q", i, row.Algo, want)
-		}
-		if row.Seconds <= 0 {
-			t.Errorf("%s: compute time not recorded", row.Algo)
-		}
-		if i > 0 && row.Speedup <= 0 {
-			t.Errorf("%s: speedup not recorded", row.Algo)
-		}
-		for _, key := range []string{"bin", "total"} {
-			if _, ok := row.Extra[key]; !ok {
-				t.Errorf("%s: missing extra %q", row.Algo, key)
-			}
-		}
-	}
-	if !strings.Contains(out.String(), "Hot-path engine") {
-		t.Error("report title missing from formatted output")
-	}
-}
-
 func TestWriteJSONTrajectory(t *testing.T) {
 	var out bytes.Buffer
 	cfg := quickCfg(&out)
 	cfg.Instances = cfg.Instances[:1]
-	rep, err := Run("kernels", cfg)
+	rep, err := Run("table2", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +363,7 @@ func TestWriteJSONTrajectory(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &tr); err != nil {
 		t.Fatalf("trajectory is not valid JSON: %v", err)
 	}
-	if tr.Schema != trajectorySchema || tr.Experiment != "kernels" {
+	if tr.Schema != trajectorySchema || tr.Experiment != "table2" {
 		t.Errorf("trajectory header wrong: %+v", tr)
 	}
 	if tr.CPUs < 1 || tr.GoVersion == "" || tr.Scale != cfg.Scale {

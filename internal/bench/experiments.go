@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/simd"
 )
 
 // table2 prints the instance catalog at both full (paper) and scaled size.
@@ -390,100 +389,4 @@ func speedupCell(r Row) string {
 		return "OOM"
 	}
 	return fmt.Sprintf("%.2f", r.Speedup)
-}
-
-// kernelConfigs are the compute-engine configurations the "kernels"
-// experiment sweeps; dense-unsorted is the pre-optimization hot path and
-// the speedup denominator. fast-* is the devirtualized span engine with
-// vector kernels pinned off (EngineScalar); vector-* lets EngineAuto
-// dispatch to internal/simd, so the fast-to-vector delta isolates the
-// vectorization gain on the measuring host.
-var kernelConfigs = []struct {
-	Name   string
-	Engine core.EngineMode
-	NoSort bool
-}{
-	{"dense-unsorted", core.EngineDense, true}, // pre-PR baseline
-	{"dense-sorted", core.EngineDense, false},
-	{"generic-sorted", core.EngineGeneric, false},
-	{"fast-unsorted", core.EngineScalar, true},
-	{"fast-sorted", core.EngineScalar, false},
-	{"vector-unsorted", core.EngineAuto, true},
-	{"vector-sorted", core.EngineAuto, false}, // the default engine
-}
-
-// configISA reports the instruction set a kernel config's engine dispatches
-// to: only EngineAuto may reach the vector kernels.
-func configISA(engine core.EngineMode) string {
-	if engine == core.EngineAuto {
-		return simd.Active()
-	}
-	return "scalar"
-}
-
-// kernelsExp measures the hot-path compute engine: sequential PB-SYM with
-// the default Epanechnikov kernels under every engine configuration, on
-// the compute phase (the quantity the devirtualized span engine targets).
-// Speedups are relative to dense-unsorted, the engine as it existed before
-// the rewrite; the committed BENCH_kernels.json records the trajectory.
-func (h *harness) kernelsExp() (*Report, error) {
-	rep := &Report{Exp: "kernels",
-		Title: "Hot-path engine: sequential PB-SYM compute per configuration"}
-	insts, err := h.instances()
-	if err != nil {
-		return nil, err
-	}
-	headers := []string{"Instance"}
-	for _, cfg := range kernelConfigs {
-		headers = append(headers, cfg.Name+"(s)")
-	}
-	headers = append(headers, "speedup")
-	tw := newTable(h.cfg.Out, headers...)
-	for _, inst := range insts {
-		s, pts, err := h.load(inst)
-		if err != nil {
-			return nil, err
-		}
-		var baseline, last float64
-		cells := []string{inst.Name}
-		for _, cfg := range kernelConfigs {
-			var compute, bin, total float64
-			for r := 0; r < h.cfg.Repeats; r++ {
-				res, err := core.Estimate(core.AlgPBSYM, pts, s.Spec, core.Options{
-					Threads: 1, Engine: cfg.Engine, NoSort: cfg.NoSort,
-				})
-				if err != nil {
-					return nil, err
-				}
-				c := res.Phases.Compute.Seconds()
-				res.Grid.Release()
-				if r == 0 || c < compute {
-					compute = c
-					bin = res.Phases.Bin.Seconds()
-					total = res.Phases.Total().Seconds()
-				}
-			}
-			row := Row{
-				Instance: inst.Name,
-				Algo:     core.AlgPBSYM + "[" + cfg.Name + "]",
-				Threads:  1,
-				Seconds:  compute,
-				ISA:      configISA(cfg.Engine),
-				Extra:    map[string]float64{"bin": bin, "total": total},
-			}
-			if cfg.Name == kernelConfigs[0].Name {
-				baseline = compute
-			}
-			if baseline > 0 && compute > 0 {
-				row.Speedup = baseline / compute
-				last = row.Speedup
-			}
-			rep.Rows = append(rep.Rows, row)
-			cells = append(cells, fmt.Sprintf("%.4f", compute))
-		}
-		cells = append(cells, fmt.Sprintf("%.2f", last))
-		tw.row(cells...)
-	}
-	tw.flush(rep.Title, h.cfg)
-	return rep, nil
 }

@@ -105,38 +105,11 @@ func ParallelAlgorithms() []string {
 	}
 }
 
-// EngineMode selects the PB-family compute engine implementation. The
-// modes exist for A/B measurement and equivalence testing; they all produce
-// bitwise-identical densities for the same point order.
-type EngineMode int
-
-const (
-	// EngineAuto (the default) iterates packed disk spans, devirtualizes
-	// kernels that implement the kernel.PolySpatial / kernel.PolyTemporal
-	// specialization hook, and — when internal/simd reports vector kernels
-	// available (AVX2 on amd64) — routes the devirtualized fills and the
-	// PB-SYM multiply-add through them for spans past the measured
-	// cutoffs. Other kernels fall back to interface dispatch over the
-	// same spans.
-	EngineAuto EngineMode = iota
-	// EngineGeneric forces interface dispatch in the fill loops while
-	// keeping span iteration (isolates the devirtualization gain).
-	EngineGeneric
-	// EngineDense forces the original dense bandwidth-box scan with
-	// per-voxel interface dispatch — the pre-optimization hot path, kept
-	// as the committed baseline of the "kernels" bench experiment.
-	EngineDense
-	// EngineScalar is EngineAuto with the vector kernels disabled: packed
-	// spans and devirtualized fills, but every loop scalar. It is the
-	// A/B baseline that isolates the vectorization gain (the bench
-	// experiment's fast-* rows) and is what EngineAuto degrades to on
-	// hosts without AVX2.
-	EngineScalar
-)
-
 // Options configures an estimation run. The zero value is valid: it uses
 // GOMAXPROCS threads, the paper's Epanechnikov kernels, an automatic
-// decomposition, and no memory budget.
+// decomposition, and no memory budget. There is one compute engine, the
+// span engine of cylinder.go; it picks its devirtualized and vector paths
+// from the kernels and the host, so no option selects it.
 type Options struct {
 	// Threads is the number of workers P. Values < 1 mean GOMAXPROCS.
 	Threads int
@@ -168,10 +141,6 @@ type Options struct {
 	// every voxel must be normalized as the full dataset's density. Zero
 	// (the default) normalizes by len(pts).
 	NormN int
-
-	// Engine selects the compute-engine implementation (see EngineMode).
-	// The zero value, EngineAuto, is the fastest correct choice.
-	Engine EngineMode
 
 	// NoSort disables the Morton-order locality pre-pass that all
 	// point-based algorithms run before streaming cylinders into the grid.

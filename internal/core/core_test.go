@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -214,6 +215,36 @@ func TestSequentialDeterminism(t *testing.T) {
 		for i := range a.Grid.Data {
 			if a.Grid.Data[i] != b.Grid.Data[i] {
 				t.Fatalf("%s not deterministic at voxel %d", alg, i)
+			}
+		}
+	}
+}
+
+// TestDDBitwiseEqualsPBSYM: PB-SYM-DD is bitwise sequential PB-SYM for
+// every worker count and decomposition, because each voxel has one owner
+// cell and that cell applies its points in sorted order. PD and PD-SCHED
+// hand a voxel its points cell by cell in color order, so they are not in
+// the table.
+func TestDDBitwiseEqualsPBSYM(t *testing.T) {
+	specs := []grid.Spec{
+		testSpec(t, 26, 24, 18, 7, 5),
+		testSpec(t, 22, 19, 15, 3.3, 2.6),
+		testSpec(t, 40, 33, 21, 2.2, 1.7),
+	}
+	for si, spec := range specs {
+		pts := testPoints(160, spec.Domain, uint64(101+si))
+		ref, err := Estimate(AlgPBSYM, pts, spec, Options{Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, threads := range []int{1, 2, 4} {
+			for _, dc := range [][3]int{{1, 1, 1}, {2, 2, 2}, {3, 2, 5}, {5, 5, 5}} {
+				res, err := Estimate(AlgPBSYMDD, pts, spec, Options{Threads: threads, Decomp: dc})
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("spec %d/P%d/%v", si, threads, dc)
+				assertBitwise(t, label, ref.Grid, res.Grid)
 			}
 		}
 	}

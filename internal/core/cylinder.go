@@ -8,23 +8,21 @@ import (
 	"repro/internal/simd"
 )
 
-// This file is the PB-family compute engine. Three implementations share
-// one apply* entry point per algorithm:
+// This file is the PB-family compute engine, the span engine: per X column
+// the in-disk Y range is computed once (disk spans), the spatial and
+// temporal invariants are stored packed, and the voxel update is a
+// bounds-check-free multiply-add over contiguous rows. Kernels advertising
+// the kernel.PolySpatial / kernel.PolyTemporal hook (the default
+// Epanechnikov, plus quartic, triweight and uniform) are devirtualized: the
+// fill loops are monomorphic and never dispatch through an interface, and
+// on a host with vector kernels (simd.Enabled) long spans run through
+// internal/simd. Other kernels dispatch through the interface over the same
+// spans.
 //
-//   - the span engine (default): per X column the in-disk Y range is
-//     computed once (disk spans), the spatial and temporal invariants are
-//     stored packed, and the voxel update is a 4-way unrolled
-//     bounds-check-free multiply-add over contiguous rows;
-//   - within the span engine, kernels advertising the kernel.PolySpatial /
-//     kernel.PolyTemporal hook (the default Epanechnikov, plus quartic,
-//     triweight and uniform) are devirtualized: the fill loops are
-//     monomorphic and never dispatch through an interface;
-//   - the dense engine (Options.Engine == EngineDense): the original
-//     bandwidth-box scan with per-voxel interface dispatch, kept verbatim
-//     as the measured baseline of the "kernels" bench experiment.
-//
-// Every engine produces bitwise-identical densities for the same point
-// order; the fastpath property tests assert it.
+// Every path performs, per voxel, the float operations of the dense
+// bandwidth-box scan in the same order, so the engine is bitwise identical
+// to it for the same point order. The dense scan is the test oracle
+// (dense_test.go) the property tests compare against.
 
 // ctx holds the evaluation context shared by every point-based algorithm:
 // the problem spec, kernels, and the constants of the density formula.
@@ -59,15 +57,9 @@ type ctx struct {
 	maxScale   float64
 	adaptiveOn bool
 
-	// Engine selection (see Options.Engine). dense forces the legacy box
-	// scan; skFast/tkFast devirtualize the fill loops for polynomial
-	// kernels c*(1-x)^deg; vector routes the devirtualized fills and the
-	// PB-SYM multiply-add through internal/simd when spans are long
-	// enough to amortize the call (EngineAuto on a host with vector
-	// kernels). The vector kernels are bitwise identical to the scalar
-	// loops, so vector is a pure speed knob.
-	dense  bool
-	vector bool
+	// Kernel specialization: skFast/tkFast devirtualize the fill loops for
+	// polynomial kernels c*(1-x)^deg, with coefficient skC/tkC and degree
+	// skDeg/tkDeg.
 	skFast bool
 	tkFast bool
 	skC    float64
@@ -110,19 +102,11 @@ func newCtx(pts []grid.Point, spec grid.Spec, opt Options) ctx {
 		boxHt:    spec.Ht,
 		maxScale: 1,
 	}
-	switch opt.Engine {
-	case EngineDense:
-		c.dense = true
-	case EngineGeneric:
-		// Span iteration with interface dispatch.
-	default: // EngineAuto and EngineScalar: devirtualized fills.
-		if kc, deg, ok := kernel.SpecializeSpatial(opt.Spatial); ok {
-			c.skFast, c.skC, c.skDeg = true, kc, deg
-		}
-		if tc, deg, ok := kernel.SpecializeTemporal(opt.Temporal); ok {
-			c.tkFast, c.tkC, c.tkDeg = true, tc, deg
-		}
-		c.vector = opt.Engine != EngineScalar && simd.Enabled()
+	if kc, deg, ok := kernel.SpecializeSpatial(opt.Spatial); ok {
+		c.skFast, c.skC, c.skDeg = true, kc, deg
+	}
+	if tc, deg, ok := kernel.SpecializeTemporal(opt.Temporal); ok {
+		c.tkFast, c.tkC, c.tkDeg = true, tc, deg
 	}
 	if c.adaptive != nil {
 		c.adaptiveOn = true
@@ -137,7 +121,7 @@ func newCtx(pts []grid.Point, spec grid.Spec, opt Options) ctx {
 
 // withWeight returns a copy of the ctx whose contributions are scaled by w
 // — the signed-weight contribution primitive. Both the folded norm and the
-// explicit weight flip together, so every apply path (span, dense, PB's
+// explicit weight flip together, so every apply path (the span fills, PB's
 // per-evaluation form, adaptive geometry) scales consistently. Scaling by
 // ±1 is exact in floating point: w=-1 subtracts bitwise-identical
 // contributions, which is what makes streaming retraction drift-bounded.
@@ -245,11 +229,11 @@ func (v view) base(X, Y, T int) int {
 }
 
 // scratch holds per-worker temporaries (the Ks disk and Kt bar of Algorithm
-// 3, plus the per-column disk spans of the span engine) and per-worker work
-// counters, merged into Stats at the end of a run.
+// 3, plus the per-column disk spans) and per-worker work counters, merged
+// into Stats at the end of a run.
 type scratch struct {
-	disk []float64 // spatial invariant; packed by spans (span engine) or dense
-	bar  []float64 // temporal invariant; packed from barLo (span engine) or dense
+	disk []float64 // spatial invariant, packed by spans
+	bar  []float64 // temporal invariant, packed from barLo
 	tw   []float64 // normalized temporal offsets feeding the vector bar fill
 
 	spanLo []int32 // per X column: first in-disk Y, relative to box.Y0
@@ -260,7 +244,7 @@ type scratch struct {
 	// Per-point Y-row caches: the dy-derived quantities are invariant
 	// across X columns, so the span engine computes them once per point
 	// instead of once per (X, Y) voxel. Values are exactly the dense
-	// engine's per-voxel expressions.
+	// scan's per-voxel expressions.
 	dy2 []float64 // (CenterY(Y)-p.Y)^2, the span predicate term
 	nv  []float64 // (CenterY(Y)-p.Y)*invHS, the kernel's v argument
 	nv2 []float64 // nv^2, the polynomial kernels' v^2 term
@@ -334,7 +318,7 @@ func fillDy2(c *ctx, p grid.Point, box grid.Box, sc *scratch) {
 
 // fillYCaches computes the per-Y-row quantities of the box: dy^2 for the
 // span predicate and the normalized offset (and its square) for the kernel
-// fills. Each expression matches the dense engine's per-voxel computation,
+// fills. Each expression matches the dense scan's per-voxel computation,
 // so downstream values stay bitwise identical.
 func fillYCaches(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) {
 	ny := box.Y1 - box.Y0 + 1
@@ -397,10 +381,6 @@ func applyPB(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
 // applyDisk is PB-DISK: the spatial invariant Ks is computed once per point
 // (the disk); the temporal kernel is still evaluated for every voxel.
 func applyDisk(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
-	if c.dense {
-		applyDiskDense(v, c, p, clip, sc)
-		return
-	}
 	g := c.geom(p)
 	box := g.box.Clip(clip).Clip(v.box)
 	if box.Empty() {
@@ -440,10 +420,6 @@ func applyDisk(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
 // applyBar is PB-BAR: the temporal invariant Kt is computed once per point
 // (the bar); the spatial kernel is still evaluated for every voxel.
 func applyBar(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
-	if c.dense {
-		applyBarDense(v, c, p, clip, sc)
-		return
-	}
 	g := c.geom(p)
 	box := g.box.Clip(clip).Clip(v.box)
 	if box.Empty() {
@@ -488,10 +464,6 @@ func applyBar(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
 // span engine iterates only the packed in-disk spans, walks rows with
 // incremental base arithmetic, and streams the multiply-add through madd4.
 func applySym(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
-	if c.dense {
-		applySymDense(v, c, p, clip, sc)
-		return
-	}
 	g := c.geom(p)
 	box := g.box.Clip(clip).Clip(v.box)
 	if box.Empty() {
@@ -514,7 +486,7 @@ func applySym(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
 		if n > 0 {
 			rb := base + int(sc.spanLo[ix])*v.strideY
 			ks := sc.disk[off : off+n]
-			if c.vector && n*bn >= vectorBlockCutoff {
+			if simd.Enabled() && n*bn >= vectorBlockCutoff {
 				// One kernel call walks the whole span: the bar is held
 				// in a register across rows and each row is a masked
 				// multiply-add — per-lane the same multiply and add as
@@ -525,7 +497,7 @@ func applySym(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
 					// 4-way unrolled multiply-add; the row reslice pins
 					// len(row) == len(bar) so bounds checks vanish. The
 					// per-element operation (one multiply, one add, in index
-					// order) is exactly the dense engine's, so results are
+					// order) is exactly the dense scan's, so results are
 					// bitwise identical.
 					k := ks[iy]
 					row := data[rb : rb+bn]
@@ -558,7 +530,7 @@ const smallSpanCutoff = 12
 // kernels take over from the scalar fill loops. Below one 4-wide vector
 // the kernel reduces to a single masked tail operation, which measured no
 // better than the scalar loop; from one vector up it wins. Measured with
-// BenchmarkFillDisk and the kernels bench experiment across the committed
+// BenchmarkFillDisk and sequential PB-SYM runs across the committed
 // instances (bandwidths 1..13 voxels) on an AVX2 host.
 const vectorSpanCutoff = 4
 
@@ -566,13 +538,13 @@ const vectorSpanCutoff = 4
 // PB-SYM span block through simd.MulAddRows beats the unrolled scalar row
 // walk. The vector kernel keeps bars of at most 4 elements resident in a
 // register across rows, so its crossover is lower than per-row
-// vectorization would allow. Measured with BenchmarkApplySym and the
-// kernels bench experiment (same sweep as vectorSpanCutoff).
+// vectorization would allow. Measured with BenchmarkApplySym and the same
+// sweep as vectorSpanCutoff.
 const vectorBlockCutoff = 8
 
 // diskSpans computes, for every X column of box, the contiguous range of Y
 // rows whose voxel centers lie strictly inside the spatial bandwidth circle
-// of p (the exact predicate dx^2+dy^2 < hs^2 of the dense engine). A sqrt
+// of p (the exact predicate dx^2+dy^2 < hs^2 of the dense scan). A sqrt
 // gives the candidate range; the ends are then refined with the exact
 // predicate so span membership is bitwise-faithful to the dense scan. It
 // returns the packed element total.
@@ -716,7 +688,7 @@ func fillDiskPoly(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) {
 		uu := u * u
 		w2 := nv2[sc.spanLo[ix]:][:n]
 		dst := sc.disk[off : off+n]
-		if c.vector && n >= vectorSpanCutoff {
+		if simd.Enabled() && n >= vectorSpanCutoff {
 			simd.FillDiskPoly(dst, w2, uu, kc, norm, c.skDeg)
 			off += n
 			continue
@@ -783,7 +755,7 @@ func fillBar(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) {
 		return
 	}
 	kc, invHT := c.tkC, g.invHT
-	if c.vector && sc.barN >= vectorSpanCutoff {
+	if simd.Enabled() && sc.barN >= vectorSpanCutoff {
 		// Pack the normalized offsets (the w of the scalar loops below),
 		// then evaluate the polynomial 4 lanes at a time. For the finite w
 		// the engine produces, the kernel's w*w >= 1 support predicate
@@ -837,138 +809,6 @@ func fillBar(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) {
 				d := 1 - w*w
 				bar[j] = kc * d * d * d
 			}
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Dense engine: the original bandwidth-box scan, selected by EngineDense.
-// It is the committed baseline that the "kernels" bench experiment and the
-// BENCH_*.json trajectory measure the span engine against, and the
-// reference the fastpath property tests compare bitwise.
-// ---------------------------------------------------------------------------
-
-// applyDiskDense is the dense-scan PB-DISK.
-func applyDiskDense(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
-	g := c.geom(p)
-	box := g.box.Clip(clip).Clip(v.box)
-	if box.Empty() {
-		return
-	}
-	nx, ny, nt := box.Dims()
-	sc.ensure(nx, ny, nt)
-	fillDiskDense(c, p, g, box, sc)
-	i := 0
-	for X := box.X0; X <= box.X1; X++ {
-		for Y := box.Y0; Y <= box.Y1; Y++ {
-			ks := sc.disk[i]
-			i++
-			if ks == 0 {
-				continue
-			}
-			row := v.row(X, Y, box.T0, nt)
-			for j := 0; j < nt; j++ {
-				dt := c.spec.CenterT(box.T0+j) - p.T
-				if dt >= -g.ht && dt <= g.ht {
-					row[j] += ks * c.tk.Eval(dt/g.ht)
-					sc.tkEvals++
-					sc.updates++
-				}
-			}
-		}
-	}
-}
-
-// applyBarDense is the dense-scan PB-BAR.
-func applyBarDense(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
-	g := c.geom(p)
-	box := g.box.Clip(clip).Clip(v.box)
-	if box.Empty() {
-		return
-	}
-	_, _, nt := box.Dims()
-	sc.ensure(1, 1, nt)
-	fillBarDense(c, p, g, box, sc)
-	for X := box.X0; X <= box.X1; X++ {
-		dx := c.spec.CenterX(X) - p.X
-		dxx := dx * dx
-		for Y := box.Y0; Y <= box.Y1; Y++ {
-			dy := c.spec.CenterY(Y) - p.Y
-			if dxx+dy*dy >= g.hs2 {
-				continue
-			}
-			row := v.row(X, Y, box.T0, nt)
-			for j := 0; j < nt; j++ {
-				if kt := sc.bar[j]; kt != 0 {
-					row[j] += c.sk.Eval(dx/g.hs, dy/g.hs) * kt * g.norm
-					sc.skEvals++
-					sc.updates++
-				}
-			}
-		}
-	}
-}
-
-// applySymDense is the dense-scan PB-SYM.
-func applySymDense(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
-	g := c.geom(p)
-	box := g.box.Clip(clip).Clip(v.box)
-	if box.Empty() {
-		return
-	}
-	nx, ny, nt := box.Dims()
-	sc.ensure(nx, ny, nt)
-	fillDiskDense(c, p, g, box, sc)
-	fillBarDense(c, p, g, box, sc)
-	bar := sc.bar
-	i := 0
-	for X := box.X0; X <= box.X1; X++ {
-		for Y := box.Y0; Y <= box.Y1; Y++ {
-			ks := sc.disk[i]
-			i++
-			if ks == 0 {
-				continue
-			}
-			row := v.row(X, Y, box.T0, nt)
-			for j, kt := range bar {
-				row[j] += ks * kt
-			}
-			sc.updates += int64(nt)
-		}
-	}
-}
-
-// fillDiskDense computes the spatial invariant Ks over the box's full
-// (X, Y) extent, with the normalization constant folded in (as in
-// Algorithm 3); out-of-circle entries are stored as zeros.
-func fillDiskDense(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) {
-	i := 0
-	for X := box.X0; X <= box.X1; X++ {
-		dx := c.spec.CenterX(X) - p.X
-		dxx := dx * dx
-		for Y := box.Y0; Y <= box.Y1; Y++ {
-			dy := c.spec.CenterY(Y) - p.Y
-			if dxx+dy*dy < g.hs2 {
-				sc.disk[i] = c.sk.Eval(dx*g.invHS, dy*g.invHS) * g.norm
-				sc.skEvals++
-			} else {
-				sc.disk[i] = 0
-			}
-			i++
-		}
-	}
-}
-
-// fillBarDense computes the temporal invariant Kt over the box's full T
-// extent; out-of-support entries are stored as zeros.
-func fillBarDense(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) {
-	for j := 0; j <= box.T1-box.T0; j++ {
-		dt := c.spec.CenterT(box.T0+j) - p.T
-		if dt >= -g.ht && dt <= g.ht {
-			sc.bar[j] = c.tk.Eval(dt * g.invHT)
-			sc.tkEvals++
-		} else {
-			sc.bar[j] = 0
 		}
 	}
 }

@@ -19,15 +19,16 @@ func benchSetup(b *testing.B) ([]grid.Point, grid.Spec) {
 	return pts, spec
 }
 
-// BenchmarkApplySym measures one full PB-SYM pass over the point set per
-// engine: the dense baseline, the span engine with interface dispatch, and
-// the devirtualized span engine.
+// BenchmarkApplySym measures one full PB-SYM pass over the point set: the
+// span engine against the dense oracle.
 func BenchmarkApplySym(b *testing.B) {
 	pts, spec := benchSetup(b)
-	for _, em := range engineModes {
-		b.Run(em.name, func(b *testing.B) {
-			opt := Options{Engine: em.mode}.withDefaults()
-			c := newCtx(pts, spec, opt)
+	for _, e := range []struct {
+		name  string
+		apply applyFn
+	}{{"span", applySym}, {"dense", applySymDense}} {
+		b.Run(e.name, func(b *testing.B) {
+			c := newCtx(pts, spec, Options{}.withDefaults())
 			sc := newScratch(&c)
 			g, err := grid.NewGrid(spec, nil)
 			if err != nil {
@@ -39,22 +40,24 @@ func BenchmarkApplySym(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, p := range pts {
-					applySym(v, &c, p, bounds, sc)
+					e.apply(v, &c, p, bounds, sc)
 				}
 			}
 		})
 	}
 }
 
-// BenchmarkFillDisk isolates the invariant computation: span+poly versus
-// the dense interface-dispatch scan.
+// BenchmarkFillDisk isolates the invariant computation: the packed span
+// fill against the dense oracle's interface-dispatch scan.
 func BenchmarkFillDisk(b *testing.B) {
 	pts, spec := benchSetup(b)
 	p := pts[0]
-	for _, em := range engineModes {
-		b.Run(em.name, func(b *testing.B) {
-			opt := Options{Engine: em.mode}.withDefaults()
-			c := newCtx(pts, spec, opt)
+	for _, e := range []struct {
+		name string
+		fill func(*ctx, grid.Point, geom, grid.Box, *scratch)
+	}{{"span", fillDisk}, {"dense", fillDiskDense}} {
+		b.Run(e.name, func(b *testing.B) {
+			c := newCtx(pts, spec, Options{}.withDefaults())
 			sc := newScratch(&c)
 			g := c.geom(p)
 			box := g.box
@@ -62,31 +65,29 @@ func BenchmarkFillDisk(b *testing.B) {
 			sc.ensure(nx, ny, nt)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if c.dense {
-					fillDiskDense(&c, p, g, box, sc)
-				} else {
-					fillDisk(&c, p, g, box, sc)
-				}
+				e.fill(&c, p, g, box, sc)
 			}
 		})
 	}
 }
 
 // BenchmarkEstimatePBSYM measures the full estimator (init + sort +
-// compute) with and without the Morton locality pre-pass.
+// compute) with and without the Morton locality pre-pass, against the
+// dense oracle unsorted.
 func BenchmarkEstimatePBSYM(b *testing.B) {
 	pts, spec := benchSetup(b)
 	for _, cfg := range []struct {
-		name string
-		opt  Options
+		name     string
+		estimate func(string, []grid.Point, grid.Spec, Options) (*Result, error)
+		opt      Options
 	}{
-		{"sorted", Options{Threads: 1}},
-		{"unsorted", Options{Threads: 1, NoSort: true}},
-		{"dense-unsorted", Options{Threads: 1, NoSort: true, Engine: EngineDense}},
+		{"sorted", Estimate, Options{Threads: 1}},
+		{"unsorted", Estimate, Options{Threads: 1, NoSort: true}},
+		{"dense-unsorted", denseEstimate, Options{Threads: 1, NoSort: true}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := Estimate(AlgPBSYM, pts, spec, cfg.opt)
+				res, err := cfg.estimate(AlgPBSYM, pts, spec, cfg.opt)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -39,11 +39,11 @@ func TestGoldenSinglePoint(t *testing.T) {
 }
 
 // TestFillDiskBarMatchDirectEval: the cached invariants of the dense
-// baseline engine must equal direct kernel evaluation at every offset.
+// oracle must equal direct kernel evaluation at every offset.
 func TestFillDiskBarMatchDirectEval(t *testing.T) {
 	spec := testSpec(t, 20, 20, 16, 3.7, 2.9)
 	pts := testPoints(1, spec.Domain, 5)
-	c := newCtx(pts, spec, Options{Engine: EngineDense}.withDefaults())
+	c := newCtx(pts, spec, Options{}.withDefaults())
 	sc := newScratch(&c)
 	p := pts[0]
 	g := c.geom(p)

@@ -17,6 +17,12 @@ import (
 // (Figure 4). Stats.PointAssignments exposes the replication factor and
 // Stats.SKEvals/TKEvals the recomputation, which Figure 9 measures as
 // single-thread overhead versus PB-SYM.
+//
+// The grid is bitwise identical to sequential PB-SYM's for every P and
+// every decomposition: each voxel has one owner, the cell containing it,
+// and receives its points in sorted order, because cells collect point
+// indices by walking the Morton-sorted points and a cut cylinder's clipped
+// disk and bar hold the same per-voxel values as the whole one.
 func runDD(pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
 	res := &Result{}
 	dc := opt.autoDecomp(spec)

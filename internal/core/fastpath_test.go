@@ -8,18 +8,6 @@ import (
 	"repro/internal/kernel"
 )
 
-// engineModes enumerates every compute-engine implementation; all must
-// produce bitwise-identical densities for the same point order.
-var engineModes = []struct {
-	name string
-	mode EngineMode
-}{
-	{"auto", EngineAuto},
-	{"generic", EngineGeneric},
-	{"dense", EngineDense},
-	{"scalar", EngineScalar},
-}
-
 // polyKernelPairs are the kernel families covered by the specialization
 // hook (plus a mixed pairing).
 var polyKernelPairs = []struct {
@@ -45,37 +33,41 @@ func assertBitwise(t *testing.T, label string, want, got *grid.Grid) {
 }
 
 // TestSpecializedEnginesBitwiseIdentical is the central fast-path property:
-// for every specializable kernel pair and every PB-family algorithm, the
-// devirtualized span engine, the interface-dispatch span engine and the
-// dense baseline produce bitwise-identical grids.
+// for every specializable kernel pair and every span-engine algorithm, the
+// devirtualized span engine and the dense oracle produce bitwise-identical
+// grids.
 func TestSpecializedEnginesBitwiseIdentical(t *testing.T) {
 	spec := testSpec(t, 22, 19, 15, 3.3, 2.6)
 	pts := testPoints(160, spec.Domain, 17)
 	for _, kp := range polyKernelPairs {
 		for _, alg := range []string{AlgPBSYM, AlgPBDISK, AlgPBBAR} {
-			var ref *grid.Grid
-			for _, em := range engineModes {
-				res, err := Estimate(alg, pts, spec, Options{
-					Threads: 1, Spatial: kp.sk, Temporal: kp.tk, Engine: em.mode,
-				})
-				if err != nil {
-					t.Fatalf("%s/%s/%s: %v", kp.name, alg, em.name, err)
-				}
-				if ref == nil {
-					ref = res.Grid
-					if ref.Sum() <= 0 {
-						t.Fatalf("%s/%s: empty reference grid", kp.name, alg)
-					}
-					continue
-				}
-				assertBitwise(t, kp.name+"/"+alg+"/"+em.name, ref, res.Grid)
-			}
+			opt := Options{Threads: 1, Spatial: kp.sk, Temporal: kp.tk}
+			assertMatchesDense(t, kp.name+"/"+alg, alg, pts, spec, opt)
 		}
 	}
 }
 
+// assertMatchesDense asserts that alg's grid is bitwise the dense oracle's
+// and returns it.
+func assertMatchesDense(t *testing.T, label, alg string, pts []grid.Point, spec grid.Spec, opt Options) *grid.Grid {
+	t.Helper()
+	dense, err := denseEstimate(alg, pts, spec, opt)
+	if err != nil {
+		t.Fatalf("%s: dense: %v", label, err)
+	}
+	if dense.Grid.Sum() <= 0 {
+		t.Fatalf("%s: empty dense grid", label)
+	}
+	res, err := Estimate(alg, pts, spec, opt)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	assertBitwise(t, label, dense.Grid, res.Grid)
+	return res.Grid
+}
+
 // TestGenericKernelFallback: kernels without the specialization hook take
-// the generic span path and still match the dense baseline bitwise.
+// the generic span path and still match the dense oracle bitwise.
 func TestGenericKernelFallback(t *testing.T) {
 	spec := testSpec(t, 18, 18, 12, 3, 2.2)
 	pts := testPoints(120, spec.Domain, 23)
@@ -91,19 +83,8 @@ func TestGenericKernelFallback(t *testing.T) {
 		if c.skFast || c.tkFast {
 			t.Fatalf("%s/%s unexpectedly specialized", kp.sk.Name(), kp.tk.Name())
 		}
-		auto, err := Estimate(AlgPBSYM, pts, spec, Options{
-			Threads: 1, Spatial: kp.sk, Temporal: kp.tk,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dense, err := Estimate(AlgPBSYM, pts, spec, Options{
-			Threads: 1, Spatial: kp.sk, Temporal: kp.tk, Engine: EngineDense,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBitwise(t, kp.sk.Name(), dense.Grid, auto.Grid)
+		opt := Options{Threads: 1, Spatial: kp.sk, Temporal: kp.tk}
+		assertMatchesDense(t, kp.sk.Name(), AlgPBSYM, pts, spec, opt)
 	}
 }
 
@@ -120,14 +101,14 @@ func TestSpanEdgeCases(t *testing.T) {
 			{X: 11.9999, Y: 0.0001, T: 7.9999},
 			{X: 0.0001, Y: 9.9999, T: 0.0001},
 		}
-		compareEnginesAndVB(t, pts, spec, Options{})
+		compareDenseAndVB(t, pts, spec, Options{})
 	})
 	t.Run("bandwidth-wider-than-grid", func(t *testing.T) {
 		// hs spans 3x the domain: every influence box clips to the whole
 		// grid and every voxel is inside the disk.
 		spec := testSpec(t, 9, 8, 7, 27, 15)
 		pts := testPoints(40, spec.Domain, 31)
-		compareEnginesAndVB(t, pts, spec, Options{})
+		compareDenseAndVB(t, pts, spec, Options{})
 	})
 	t.Run("adaptive-scale-above-1", func(t *testing.T) {
 		spec := testSpec(t, 16, 14, 10, 2.5, 2)
@@ -138,65 +119,48 @@ func TestSpanEdgeCases(t *testing.T) {
 			}
 			return 0.8
 		}}
-		compareEnginesAndVB(t, pts, spec, opt)
+		compareDenseAndVB(t, pts, spec, opt)
 	})
 }
 
-// compareEnginesAndVB asserts all engines agree bitwise on PB-SYM and that
-// the result tracks the voxel-based gold standard.
-func compareEnginesAndVB(t *testing.T, pts []grid.Point, spec grid.Spec, opt Options) {
+// compareDenseAndVB asserts that PB-SYM matches the dense oracle bitwise
+// and tracks the voxel-based gold standard.
+func compareDenseAndVB(t *testing.T, pts []grid.Point, spec grid.Spec, opt Options) {
 	t.Helper()
 	opt.Threads = 1
 	ref, err := Estimate(AlgVB, pts, spec, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var first *grid.Grid
-	for _, em := range engineModes {
-		o := opt
-		o.Engine = em.mode
-		res, err := Estimate(AlgPBSYM, pts, spec, o)
-		if err != nil {
-			t.Fatalf("%s: %v", em.name, err)
-		}
-		if first == nil {
-			first = res.Grid
-		} else {
-			assertBitwise(t, em.name, first, res.Grid)
-		}
-		if d := maxRelDiff(ref.Grid, res.Grid); d > 1e-11 {
-			t.Errorf("%s differs from VB by %g", em.name, d)
-		}
+	got := assertMatchesDense(t, "pb-sym", AlgPBSYM, pts, spec, opt)
+	if d := maxRelDiff(ref.Grid, got); d > 1e-11 {
+		t.Errorf("pb-sym differs from VB by %g", d)
 	}
 }
 
-// TestEnginesBitwiseQuick drives the engine comparison with random single
+// TestEnginesBitwiseQuick drives the oracle comparison with random single
 // points and bandwidths, the regime where span endpoints hit voxel centers
 // in unusual ways.
 func TestEnginesBitwiseQuick(t *testing.T) {
 	check := func(px, py, pt uint16, hsN, htN uint8) bool {
 		spec := testSpec(t, 13, 11, 9, 1+float64(hsN%6), 1+float64(htN%4))
-		p := grid.Point{
+		p := []grid.Point{{
 			X: spec.Domain.GX * float64(px) / 65536,
 			Y: spec.Domain.GY * float64(py) / 65536,
 			T: spec.Domain.GT * float64(pt) / 65536,
+		}}
+		opt := Options{Threads: 1}
+		dense, err := denseEstimate(AlgPBSYM, p, spec, opt)
+		if err != nil {
+			return false
 		}
-		var ref *grid.Grid
-		for _, em := range engineModes {
-			res, err := Estimate(AlgPBSYM, []grid.Point{p}, spec, Options{
-				Threads: 1, Engine: em.mode,
-			})
-			if err != nil {
+		res, err := Estimate(AlgPBSYM, p, spec, opt)
+		if err != nil {
+			return false
+		}
+		for i := range dense.Grid.Data {
+			if dense.Grid.Data[i] != res.Grid.Data[i] {
 				return false
-			}
-			if ref == nil {
-				ref = res.Grid
-				continue
-			}
-			for i := range ref.Data {
-				if ref.Data[i] != res.Grid.Data[i] {
-					return false
-				}
 			}
 		}
 		return true

@@ -53,14 +53,15 @@ import (
 // in batch order and, for each event, evaluates the disk of the event's
 // columns in the strip and adds disk × bar into them. The ring is X-major,
 // so the strips write disjoint memory, and a voxel lies in exactly one
-// strip: it receives the same products in the same order as under a
-// one-strip apply of the whole batch. The window is therefore bitwise
-// identical for every P, every cut and every chunking, and every contract
-// below holds unchanged. UpdaterStats.StripApplies counts the event ×
-// strip applications, the analogue of Stats.PointAssignments. The sketch
-// bookkeeping and the drift bound stay on the calling goroutine, once per
-// event in batch order. A chunk below stripMinEvents reaching events runs
-// its strips inline.
+// strip: each voxel has one owner and receives its events in batch order,
+// the same products in the same order as under a one-strip apply of the
+// whole batch (the reason batch PB-SYM-DD is bitwise sequential PB-SYM,
+// see runDD). The window is therefore bitwise identical for every P,
+// every cut and every chunking, and every contract below holds unchanged.
+// UpdaterStats.StripApplies counts the event × strip applications, the
+// analogue of Stats.PointAssignments. The sketch bookkeeping and the drift
+// bound stay on the calling goroutine, once per event in batch order. A
+// chunk below stripMinEvents reaching events runs its strips inline.
 //
 // Like the Accumulator, the ring stores *unnormalized* contributions
 // (ks·kt/(hs²·ht)); Snapshot and At divide by the live event count so the
@@ -567,9 +568,9 @@ func (u *Updater) applyStrip(c *ctx, x0, x1 int, sc *scratch) (applied int64) {
 			ks := sc.disk[off : off+n]
 			off += n
 			col := (box.X0+ix)*gy + box.Y0 + int(sc.spanLo[ix])
-			c.mulAddRows(data[col*L+r.phys:], L, ks, bar[:n1])
+			mulAddRows(data[col*L+r.phys:], L, ks, bar[:n1])
 			if n1 < len(bar) {
-				c.mulAddRows(data[col*L:], L, ks, bar[n1:])
+				mulAddRows(data[col*L:], L, ks, bar[n1:])
 			}
 			sc.updates += int64(n * len(bar))
 		}
@@ -579,9 +580,9 @@ func (u *Updater) applyStrip(c *ctx, x0, x1 int, sc *scratch) (applied int64) {
 
 // mulAddRows is the PB-SYM block update of one disk span on T-innermost
 // storage: row iy of data (rows stride apart) += ks[iy]·bar. One multiply
-// and one add per voxel, in index order, on every tier.
-func (c *ctx) mulAddRows(data []float64, stride int, ks, bar []float64) {
-	if c.vector && len(ks)*len(bar) >= vectorBlockCutoff {
+// and one add per voxel, in index order, vector kernels or not.
+func mulAddRows(data []float64, stride int, ks, bar []float64) {
+	if simd.Enabled() && len(ks)*len(bar) >= vectorBlockCutoff {
 		simd.MulAddRows(data, stride, ks, bar)
 		return
 	}

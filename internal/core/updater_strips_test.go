@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"repro/internal/grid"
+	"repro/internal/kernel"
 )
 
 // stripThreads are the strip counts the parallel apply is checked at, set
@@ -582,6 +583,84 @@ func TestUpdaterForcedStripsBitwise(t *testing.T) {
 	}
 	if st := ref.Stats(); st.AdvanceReapplied == 0 || st.Compactions == 0 {
 		t.Fatalf("after the restore, no advance applied events ahead of the window or none compacted: %+v", st)
+	}
+}
+
+// TestUpdaterGenericKernels drives the strips' interface-dispatch fills —
+// fillDiskCols's generic branch and fillBar's non-polynomial branch — with
+// kernels that do not specialize: a batch past stripMinEvents at two
+// workers, a removal, an advance and a forced compaction. After each step
+// the window matches the dense oracle's PB-SYM estimate of the live set
+// with the same kernels to 1e-9, and an updater cut into three strips
+// matches the one-strip updater bitwise. The reference is the oracle, not
+// Estimate, because the batch span engine runs the same fills: a broken
+// generic branch would break both alike.
+func TestUpdaterGenericKernels(t *testing.T) {
+	spec := updaterSpec(t)
+	for _, kp := range []struct {
+		sk kernel.Spatial
+		tk kernel.Temporal
+	}{
+		{kernel.Cone2D{}, kernel.Triangle1D{}},
+		{kernel.NewTruncGauss2D(1.0 / 3), kernel.NewTruncGauss1D(1.0 / 3)},
+	} {
+		opt := Options{Threads: 2, Spatial: kp.sk, Temporal: kp.tk}
+		name := kp.sk.Name() + "/" + kp.tk.Name()
+		var us [2]*Updater
+		for i, k := range []int{1, 3} {
+			u, err := NewUpdater(spec, UpdaterConfig{Options: opt, strips: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer u.Release()
+			us[i] = u
+		}
+		if us[0].pos.skFast || us[0].pos.tkFast {
+			t.Fatalf("%s unexpectedly specialized", name)
+		}
+		step := func(tag string, do func(u *Updater)) {
+			t.Helper()
+			tag = name + ", " + tag
+			for _, u := range us {
+				do(u)
+			}
+			expectSameAsOneStrip(t, tag+", k=3", us[0], us[1])
+			batch, err := denseEstimate(AlgPBSYM, us[0].Live(), us[0].Spec(), Options{Threads: 1, Spatial: kp.sk, Temporal: kp.tk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer batch.Grid.Release()
+			if batch.Grid.Sum() <= 0 {
+				t.Fatalf("%s: empty batch grid", tag)
+			}
+			snap, err := us[0].Snapshot(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range snap.Data {
+				if d := math.Abs(snap.Data[i] - batch.Grid.Data[i]); d > 1e-9 {
+					t.Fatalf("%s: voxel %d differs from batch by %g", tag, i, d)
+				}
+			}
+		}
+		rng := lcg(43)
+		frontier := spec.Domain.T0 + 8.0
+		pts := make([]grid.Point, 2*stripMinEvents)
+		for i := range pts {
+			pts[i] = streamEvent(&rng, spec.Domain, frontier)
+		}
+		step("add", func(u *Updater) { u.Add(pts...) })
+		gone := us[0].Live()[:stripMinEvents/2]
+		step("remove", func(u *Updater) {
+			if err := u.Remove(gone...); err != nil {
+				t.Fatal(err)
+			}
+		})
+		step("advance", func(u *Updater) { u.AdvanceBy(2) })
+		step("compact", func(u *Updater) { u.Compact() })
+		if us[1].Stats().StripApplies <= us[0].Stats().StripApplies {
+			t.Fatalf("%s: three strips made no more strip applications than one", name)
+		}
 	}
 }
 

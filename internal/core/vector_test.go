@@ -5,16 +5,14 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/kernel"
-	"repro/internal/simd"
 )
 
-// These tests pin the vector engine's contract: EngineAuto — which routes
-// long spans through internal/simd on capable hosts — is bitwise identical
-// to EngineScalar (same span engine, vector kernels disabled) and to the
-// EngineDense baseline, across every strategy and the streaming signed-
-// weight path. On hosts where simd.Active() == "scalar" the comparisons
-// degenerate to scalar-vs-scalar, which is the intended skip-not-fail
-// behavior.
+// These tests pin the vector paths' contract: the span engine, which
+// routes long spans through internal/simd on capable hosts, is bitwise
+// identical to the dense oracle at bandwidths that engage every vector
+// path. On hosts where simd.Active() == "scalar" (and in the purego build)
+// the same comparisons check the scalar loops, so running the suite in both
+// builds pins vector ≡ scalar ≡ dense.
 
 // vectorSpec builds a spec whose spans comfortably exceed vectorSpanCutoff
 // (sres/tres are 1, so Hs/Ht voxels equal the bandwidths): disks are up to
@@ -24,38 +22,11 @@ func vectorSpec(t *testing.T) grid.Spec {
 	return testSpec(t, 26, 24, 18, 7, 5)
 }
 
-// TestVectorEngineAllStrategies: for all twelve strategies, the vector
-// engine (auto), the scalar span engine and the dense baseline agree
-// bitwise at wide bandwidths that engage every vector path (long fills,
-// long multiply-add blocks, replica reductions).
-func TestVectorEngineAllStrategies(t *testing.T) {
-	spec := vectorSpec(t)
-	pts := testPoints(140, spec.Domain, 53)
-	for _, alg := range Algorithms() {
-		var ref *grid.Grid
-		for _, em := range engineModes {
-			res, err := Estimate(alg, pts, spec, Options{
-				Threads: 1, Decomp: [3]int{2, 2, 2}, Engine: em.mode,
-			})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", alg, em.name, err)
-			}
-			if ref == nil {
-				ref = res.Grid
-				if ref.Sum() <= 0 {
-					t.Fatalf("%s: empty reference grid", alg)
-				}
-				continue
-			}
-			assertBitwise(t, alg+"/"+em.name, ref, res.Grid)
-		}
-	}
-}
-
 // TestVectorEngineEdgeCases re-runs the span geometric corner cases at
 // vector-engaging bandwidths: border points, bandwidths wider than the
-// grid, adaptive scales above 1. compareEnginesAndVB walks engineModes, so
-// auto (vector) and scalar are both compared bitwise against dense.
+// grid, adaptive scales above 1, and a spatial kernel that does not
+// specialize beside a temporal one that does. Each is compared bitwise
+// against the dense oracle.
 func TestVectorEngineEdgeCases(t *testing.T) {
 	t.Run("border-points", func(t *testing.T) {
 		spec := vectorSpec(t)
@@ -65,12 +36,12 @@ func TestVectorEngineEdgeCases(t *testing.T) {
 			{X: 0, Y: 24, T: 9},
 			{X: 25.9999, Y: 0.0001, T: 17.9999},
 		}
-		compareEnginesAndVB(t, pts, spec, Options{})
+		compareDenseAndVB(t, pts, spec, Options{})
 	})
 	t.Run("bandwidth-wider-than-grid", func(t *testing.T) {
 		spec := testSpec(t, 11, 9, 8, 33, 17)
 		pts := testPoints(40, spec.Domain, 59)
-		compareEnginesAndVB(t, pts, spec, Options{})
+		compareDenseAndVB(t, pts, spec, Options{})
 	})
 	t.Run("adaptive-scale-above-1", func(t *testing.T) {
 		spec := testSpec(t, 20, 18, 12, 5, 4)
@@ -81,73 +52,15 @@ func TestVectorEngineEdgeCases(t *testing.T) {
 			}
 			return 0.7
 		}}
-		compareEnginesAndVB(t, pts, spec, opt)
+		compareDenseAndVB(t, pts, spec, opt)
 	})
 	t.Run("mixed-specialization", func(t *testing.T) {
 		// Only the temporal kernel specializes: the disk fill stays on
 		// interface dispatch while the bar fill and multiply-add vectorize.
 		spec := vectorSpec(t)
 		pts := testPoints(60, spec.Domain, 67)
-		compareEnginesAndVB(t, pts, spec, Options{
+		compareDenseAndVB(t, pts, spec, Options{
 			Spatial: kernel.Cone2D{}, Temporal: kernel.Quartic1D{},
 		})
 	})
-}
-
-// TestUpdaterEngineBitwise drives the identical Add/Remove/AdvanceTo
-// sequence through updaters on every engine and compares windows bitwise:
-// the vector multiply-add must negate exactly under weight -1 for the
-// retraction path to stay drift-bounded.
-func TestUpdaterEngineBitwise(t *testing.T) {
-	spec := vectorSpec(t)
-	pts := testPoints(90, spec.Domain, 71)
-	snapshots := make(map[string]*grid.Grid)
-	for _, em := range engineModes {
-		u, err := NewUpdater(spec, UpdaterConfig{Options: Options{Engine: em.mode}})
-		if err != nil {
-			t.Fatalf("%s: %v", em.name, err)
-		}
-		u.Add(pts[:60]...)
-		if err := u.Remove(pts[10:30]...); err != nil {
-			t.Fatalf("%s: remove: %v", em.name, err)
-		}
-		u.AdvanceBy(2)
-		u.Add(pts[60:]...)
-		snap, err := u.Snapshot(nil)
-		if err != nil {
-			t.Fatalf("%s: snapshot: %v", em.name, err)
-		}
-		snapshots[em.name] = snap
-	}
-	ref := snapshots["dense"]
-	if ref.Sum() <= 0 {
-		t.Fatal("empty dense reference window")
-	}
-	for name, snap := range snapshots {
-		assertBitwise(t, "updater/"+name, ref, snap)
-	}
-}
-
-// TestAutoEngineUsesVectorKernels pins the dispatch wiring itself: on a
-// host with vector kernels, EngineAuto must set the ctx vector flag and
-// EngineScalar/EngineGeneric/EngineDense must not.
-func TestAutoEngineUsesVectorKernels(t *testing.T) {
-	spec := vectorSpec(t)
-	for _, tc := range []struct {
-		mode EngineMode
-		want bool
-	}{
-		{EngineAuto, simd.Enabled()},
-		{EngineScalar, false},
-		{EngineGeneric, false},
-		{EngineDense, false},
-	} {
-		c := newCtx(nil, spec, Options{Engine: tc.mode}.withDefaults())
-		if c.vector != tc.want {
-			t.Errorf("engine %v: ctx.vector = %v, want %v", tc.mode, c.vector, tc.want)
-		}
-	}
-	if simd.Active() != "avx2" && simd.Active() != "scalar" {
-		t.Fatalf("unexpected ISA %q", simd.Active())
-	}
 }

@@ -6,10 +6,10 @@
 // Contract. Every kernel performs, per element, exactly the float
 // operations of the scalar span engine in the same order and associativity
 // — 4-wide VMULPD/VADDPD lanes, never FMA — so a vectorized run produces
-// bit-for-bit the grid a scalar run produces, preserving the EngineDense
-// oracle property the test suite is built on. Partial vectors at span ends
-// are handled with VMASKMOVPD masked loads and stores: the assembly never
-// reads or writes a single byte past the slice it was handed.
+// bit-for-bit the grid a scalar run produces, and both stay bitwise equal
+// to the dense test oracle of repro/internal/core. Partial vectors at span
+// ends are handled with VMASKMOVPD masked loads and stores: the assembly
+// never reads or writes a single byte past the slice it was handed.
 //
 // Dispatch. The instruction set is chosen once at init: on amd64 a
 // hand-rolled CPUID/XGETBV probe checks OS-enabled YMM state plus the AVX2
@@ -26,8 +26,8 @@ package simd
 func Active() string { return activeISA }
 
 // Enabled reports whether the vectorized kernels are in use. The span
-// engine consults it once per estimation context; the per-call dispatch
-// below then branches on the same flag.
+// engine consults it at each span, beside its span-length cutoffs; the
+// per-call dispatch below branches on the same flag.
 func Enabled() bool { return vectorEnabled }
 
 // Add computes dst[i] += src[i] over len(dst) elements — the replica-grid
