@@ -23,6 +23,16 @@ import (
 // bandwidth-box scan in the same order, so the engine is bitwise identical
 // to it for the same point order. The dense scan is the test oracle
 // (dense_test.go) the property tests compare against.
+//
+// Block order. The PB-SYM strategies apply their points through
+// applySymPoints, which tiles the point loop: it evaluates the disks and
+// bars of up to symBlock consecutive (Morton-adjacent) points, then walks
+// the block's X columns, and in each column applies every point whose box
+// covers it, in point order. Only the order in which voxels are visited
+// changes, not the order in which one voxel receives its points: a voxel
+// lies in one X column, within a column the points run in order, and the
+// blocks run in order. So the grid is bitwise the per-point loop's, and so
+// the dense oracle's.
 
 // ctx holds the evaluation context shared by every point-based algorithm:
 // the problem spec, kernels, and the constants of the density formula.
@@ -462,63 +472,227 @@ func applyBar(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
 // applySym is Algorithm 3 (PB-SYM): both invariants are computed once and
 // every voxel update is a single multiply-add of disk and bar entries. The
 // span engine iterates only the packed in-disk spans, walks rows with
-// incremental base arithmetic, and streams the multiply-add through madd4.
+// incremental base arithmetic, and hands each span to mulAddRows.
 func applySym(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
 	g := c.geom(p)
 	box := g.box.Clip(clip).Clip(v.box)
 	if box.Empty() {
 		return
 	}
+	applySymBox(v, c, p, g, box, sc)
+}
+
+// fillSym evaluates point p's packed disk and bar over box (already
+// clipped) into sc and reports whether the bar has any support.
+func fillSym(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) bool {
 	nx, ny, nt := box.Dims()
 	sc.ensure(nx, ny, nt)
 	fillDisk(c, p, g, box, sc)
 	fillBar(c, p, g, box, sc)
-	if sc.barN == 0 {
+	return sc.barN > 0
+}
+
+// applySymBox is applySym after the geometry: point p's cylinder over box.
+func applySymBox(v view, c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) {
+	if !fillSym(c, p, g, box, sc) {
 		return
 	}
 	bar := sc.bar[:sc.barN]
-	bn := len(bar)
-	data := v.data
 	base := v.base(box.X0, box.Y0, box.T0+sc.barLo)
 	off := 0
-	for ix := 0; ix < nx; ix++ {
-		n := int(sc.spanN[ix])
-		if n > 0 {
-			rb := base + int(sc.spanLo[ix])*v.strideY
-			ks := sc.disk[off : off+n]
-			if simd.Enabled() && n*bn >= vectorBlockCutoff {
-				// One kernel call walks the whole span: the bar is held
-				// in a register across rows and each row is a masked
-				// multiply-add — per-lane the same multiply and add as
-				// the scalar loop below, so bitwise identical.
-				simd.MulAddRows(data[rb:], v.strideY, ks, bar)
-			} else {
-				for iy := 0; iy < n; iy++ {
-					// 4-way unrolled multiply-add; the row reslice pins
-					// len(row) == len(bar) so bounds checks vanish. The
-					// per-element operation (one multiply, one add, in index
-					// order) is exactly the dense scan's, so results are
-					// bitwise identical.
-					k := ks[iy]
-					row := data[rb : rb+bn]
-					j := 0
-					for ; j+4 <= bn; j += 4 {
-						row[j] += k * bar[j]
-						row[j+1] += k * bar[j+1]
-						row[j+2] += k * bar[j+2]
-						row[j+3] += k * bar[j+3]
-					}
-					for ; j < bn; j++ {
-						row[j] += k * bar[j]
-					}
-					rb += v.strideY
-				}
-			}
+	for ix := range sc.spanN {
+		if n := int(sc.spanN[ix]); n > 0 {
+			mulAddRows(v.data[base+int(sc.spanLo[ix])*v.strideY:], v.strideY, sc.disk[off:off+n], bar)
 			off += n
-			sc.updates += int64(n * bn)
+			sc.updates += int64(n * len(bar))
 		}
 		base += v.strideX
 	}
+}
+
+// mulAddRows is the PB-SYM block update of one disk span on T-innermost
+// storage: row iy of data (rows stride apart) += ks[iy]·bar. One multiply
+// and one add per voxel, in index order, vector kernels or not.
+func mulAddRows(data []float64, stride int, ks, bar []float64) {
+	if simd.Enabled() && len(ks)*len(bar) >= vectorBlockCutoff {
+		simd.MulAddRows(data, stride, ks, bar)
+		return
+	}
+	mulAddRowsScalar(data, stride, ks, bar)
+}
+
+// mulAddRowsScalar is mulAddRows without vector kernels: a 4-way unrolled
+// row loop whose reslice pins len(row) == len(bar), so bounds checks
+// vanish. Per element it is the dense scan's one multiply and one add.
+func mulAddRowsScalar(data []float64, stride int, ks, bar []float64) {
+	bn := len(bar)
+	for iy, k := range ks {
+		row := data[iy*stride:][:bn]
+		j := 0
+		for ; j+4 <= bn; j += 4 {
+			row[j] += k * bar[j]
+			row[j+1] += k * bar[j+1]
+			row[j+2] += k * bar[j+2]
+			row[j+3] += k * bar[j+3]
+		}
+		for ; j < bn; j++ {
+			row[j] += k * bar[j]
+		}
+	}
+}
+
+// symBlock is the most points one PB-SYM block holds (see applySymPoints).
+// A block's worth of Morton-adjacent cylinders keeps the union of one X
+// column's rows in L1 while every slot writes it: 16 cylinders of the
+// benchmark's batch-hb cube touch about 20 KB of one column. Measured on
+// that cube (326×151×42, Hs 25, Ht 7, 50k clustered events, Morton-sorted)
+// with one sequential PB-SYM pass, on a 2-vCPU AVX2 host (48 KiB L1d,
+// 2 MiB L2 per core), median of 7 alternating passes, ms (the first row
+// is the per-point applySym loop, no blocks):
+//
+//	per point   977
+//	bs =  1     910
+//	bs =  4     830
+//	bs =  8     838
+//	bs = 16     786
+//	bs = 32     859
+const symBlock = 16
+
+// symBlockBytes caps the slot storage of one block. A slot holds a whole
+// packed disk, so an adaptive run with a large maxScale gets fewer slots
+// (down to one, which is per-point application) rather than symBlock
+// outsized disks.
+const symBlockBytes = 1 << 20
+
+// symSmallBox is the clipped-box voxel count below which a point bypasses
+// the block and goes through applySymBox: a small cylinder's rows are few
+// and already cache-resident, and the block's column walk costs more than
+// its order saves. Measured with sequential PB-SYM on 200×200×100 grids of
+// 15k clustered events (median of 7, ms, per point against blocks of 16):
+// Hs 6 / Ht 4 (a 1521-voxel box) 24.5 against 28.6 and 22.6 against 26.9;
+// Hs 8 / Ht 6 (3757) 46.7 against 45.2 and 40.9 against 32.6; Hs 10 / Ht 5
+// (4851) 48.5 against 46.3 and 48.8 against 48.2.
+const symSmallBox = 2048
+
+// symSlot is one point of a PB-SYM block: its evaluated disk and bar, its
+// clipped box, and the cursor of the column walk into its packed disk.
+type symSlot struct {
+	scratch
+	box  grid.Box
+	base int // flat index of (box.X0, box.Y0, box.T0+barLo)
+	off  int // packed-disk offset of the next column the walk reaches
+}
+
+// symScratch is a worker's PB-SYM block scratch: up to len(slots) points
+// evaluated but not yet applied, whose clipped boxes span the X columns
+// [x0, x1].
+type symScratch struct {
+	slots  []symSlot
+	n      int
+	x0, x1 int
+	blocks int64 // blocks applied, for tests
+}
+
+// newSymScratch allocates a block scratch of at most bs slots, fewer when
+// bs of c's largest scratches would exceed symBlockBytes.
+func newSymScratch(c *ctx, bs int) *symScratch {
+	dxy := 2*c.maxHsVoxels() + 1
+	dt := 2*c.maxHtVoxels() + 1
+	slot := 8*(dxy*dxy+2*dt+3*dxy) + 2*4*dxy
+	bs = max(1, min(bs, symBlockBytes/slot))
+	b := &symScratch{slots: make([]symSlot, bs)}
+	for i := range b.slots {
+		b.slots[i].scratch = *newScratch(c)
+	}
+	return b
+}
+
+func (b *symScratch) mergeInto(st *Stats) {
+	for i := range b.slots {
+		b.slots[i].mergeInto(st)
+	}
+}
+
+// applySymPoints applies PB-SYM for pts[idxs[k]], k in order (every point
+// of pts in order when idxs is nil), clipped to clip, in blocks of
+// consecutive points: each point's disk and bar are evaluated into a slot,
+// and a full block is then applied one X column at a time, every slot
+// whose box covers the column in point order. A block ends when it is full
+// or the next point's box misses the block's X range; a point whose box is
+// under symSmallBox voxels ends it too and is applied on its own.
+//
+// The grid is bitwise the per-point applySym loop's: a voxel lies in one X
+// column, within a column the slots run in point order and blocks run in
+// order, so every voxel receives the same products in the same order.
+// Stats counts the same updates and kernel evaluations.
+func applySymPoints(v view, c *ctx, pts []grid.Point, idxs []int32, clip grid.Box, b *symScratch) {
+	n := len(pts)
+	if idxs != nil {
+		n = len(idxs)
+	}
+	for k := 0; k < n; k++ {
+		p := pts[k]
+		if idxs != nil {
+			p = pts[idxs[k]]
+		}
+		g := c.geom(p)
+		box := g.box.Clip(clip).Clip(v.box)
+		if box.Empty() {
+			continue
+		}
+		if box.Count() < symSmallBox {
+			b.flush(v)
+			applySymBox(v, c, p, g, box, &b.slots[0].scratch)
+			continue
+		}
+		if b.n == len(b.slots) || (b.n > 0 && (box.X1 < b.x0 || box.X0 > b.x1)) {
+			b.flush(v)
+		}
+		s := &b.slots[b.n]
+		if !fillSym(c, p, g, box, &s.scratch) {
+			continue
+		}
+		s.box = box
+		s.base = v.base(box.X0, box.Y0, box.T0+s.barLo)
+		if b.n == 0 {
+			b.x0, b.x1 = box.X0, box.X1
+		} else {
+			b.x0, b.x1 = min(b.x0, box.X0), max(b.x1, box.X1)
+		}
+		b.n++
+	}
+	b.flush(v)
+}
+
+// flush applies the pending block column by column and empties it.
+func (b *symScratch) flush(v view) {
+	if b.n == 0 {
+		return
+	}
+	b.blocks++
+	slots := b.slots[:b.n]
+	for i := range slots {
+		slots[i].off = 0
+	}
+	for X := b.x0; X <= b.x1; X++ {
+		for i := range slots {
+			s := &slots[i]
+			if X < s.box.X0 || X > s.box.X1 {
+				continue
+			}
+			ix := X - s.box.X0
+			n := int(s.spanN[ix])
+			if n == 0 {
+				continue
+			}
+			bar := s.bar[:s.barN]
+			rb := s.base + ix*v.strideX + int(s.spanLo[ix])*v.strideY
+			mulAddRows(v.data[rb:], v.strideY, s.disk[s.off:s.off+n], bar)
+			s.off += n
+			s.updates += int64(n * len(bar))
+		}
+	}
+	b.n = 0
 }
 
 // smallSpanCutoff is the extent below which diskSpans and barBounds refine
@@ -536,8 +710,8 @@ const vectorSpanCutoff = 4
 
 // vectorBlockCutoff is the rows*barLen element count from which routing a
 // PB-SYM span block through simd.MulAddRows beats the unrolled scalar row
-// walk. The vector kernel keeps bars of at most 4 elements resident in a
-// register across rows, so its crossover is lower than per-row
+// walk. The vector kernel keeps bars of up to 16 elements resident in
+// registers across rows, so its crossover is lower than per-row
 // vectorization would allow. Measured with BenchmarkApplySym and the same
 // sweep as vectorSpanCutoff.
 const vectorBlockCutoff = 8

@@ -19,17 +19,21 @@ func benchSetup(b *testing.B) ([]grid.Point, grid.Spec) {
 	return pts, spec
 }
 
-// BenchmarkApplySym measures one full PB-SYM pass over the point set: the
-// span engine against the dense oracle.
+// BenchmarkApplySym measures one full PB-SYM pass over the Morton-sorted
+// point set: the span engine point by point, the span engine in blocks of
+// symBlock points (applySymPoints, what the PB-SYM strategies run), and
+// the dense oracle.
 func BenchmarkApplySym(b *testing.B) {
 	pts, spec := benchSetup(b)
+	pts = grid.SortByMorton(pts, spec)
 	for _, e := range []struct {
 		name  string
 		apply applyFn
-	}{{"span", applySym}, {"dense", applySymDense}} {
+	}{{"span", applySym}, {"blocked", nil}, {"dense", applySymDense}} {
 		b.Run(e.name, func(b *testing.B) {
 			c := newCtx(pts, spec, Options{}.withDefaults())
 			sc := newScratch(&c)
+			bs := newSymScratch(&c, symBlock)
 			g, err := grid.NewGrid(spec, nil)
 			if err != nil {
 				b.Fatal(err)
@@ -39,6 +43,10 @@ func BenchmarkApplySym(b *testing.B) {
 			b.SetBytes(int64(len(pts)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if e.apply == nil {
+					applySymPoints(v, &c, pts, nil, bounds, bs)
+					continue
+				}
 				for _, p := range pts {
 					e.apply(v, &c, p, bounds, sc)
 				}

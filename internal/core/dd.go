@@ -22,7 +22,8 @@ import (
 // every decomposition: each voxel has one owner, the cell containing it,
 // and receives its points in sorted order, because cells collect point
 // indices by walking the Morton-sorted points and a cut cylinder's clipped
-// disk and bar hold the same per-voxel values as the whole one.
+// disk and bar hold the same per-voxel values as the whole one. A cell
+// applies its points in blocks (applySymPoints), which keeps that order.
 func runDD(pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
 	res := &Result{}
 	dc := opt.autoDecomp(spec)
@@ -68,24 +69,18 @@ func runDD(pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
 	t0 = time.Now()
 	p := opt.Threads
 	v := gridView(g)
-	scratches := make([]*scratch, p)
+	scratches := make([]*symScratch, p)
 	for w := range scratches {
-		scratches[w] = newScratch(&c)
+		scratches[w] = newSymScratch(&c, symBlock)
 	}
 	par.ForDynamicW(p, d.Cells(), opt.Chunk, func(w, id int) {
-		idxs := cells[id]
-		if len(idxs) == 0 {
-			return
-		}
-		clip := d.BoxID(id)
-		sc := scratches[w]
-		for _, i := range idxs {
-			applySym(v, &c, pts[i], clip, sc)
+		if idxs := cells[id]; len(idxs) > 0 {
+			applySymPoints(v, &c, pts, idxs, d.BoxID(id), scratches[w])
 		}
 	})
 	res.Phases.Compute = time.Since(t0)
-	for _, sc := range scratches {
-		sc.mergeInto(&res.Stats)
+	for _, b := range scratches {
+		b.mergeInto(&res.Stats)
 	}
 	return res, nil
 }

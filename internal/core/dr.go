@@ -47,18 +47,15 @@ func runDR(pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
 
 	c := newCtx(pts, spec, opt)
 	bounds := spec.Bounds()
-	scratches := make([]*scratch, p)
+	scratches := make([]*symScratch, p)
 
 	// Compute phase: points are distributed statically among the workers
 	// (Algorithm 4); each worker runs PB-SYM into its own replica.
 	t0 = time.Now()
 	par.Blocks(p, len(pts), func(w, lo, hi int) {
-		sc := newScratch(&c)
-		scratches[w] = sc
-		v := gridView(replicas[w])
-		for i := lo; i < hi; i++ {
-			applySym(v, &c, pts[i], bounds, sc)
-		}
+		b := newSymScratch(&c, symBlock)
+		scratches[w] = b
+		applySymPoints(gridView(replicas[w]), &c, pts[lo:hi], nil, bounds, b)
 	})
 	res.Phases.Compute = time.Since(t0)
 
@@ -80,9 +77,9 @@ func runDR(pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
 		replicas[w].Release()
 	}
 	res.Grid = out
-	for _, sc := range scratches {
-		if sc != nil {
-			sc.mergeInto(&res.Stats)
+	for _, b := range scratches {
+		if b != nil {
+			b.mergeInto(&res.Stats)
 		}
 	}
 	if p > 1 {

@@ -104,7 +104,8 @@ func AnalyzePD(pts []grid.Point, spec grid.Spec, opt Options, loadAware bool) (S
 // sets ((a mod 2, b mod 2, c mod 2)); the sets are processed one after the
 // other, each with a parallel loop over its subdomains. Points write
 // directly to the shared grid; the minimum subdomain size guarantees no two
-// concurrently processed points have overlapping cylinders.
+// concurrently processed points have overlapping cylinders. A cell applies
+// its points in blocks (applySymPoints), in the order it binned them.
 func runPD(pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
 	res := &Result{}
 	pts, sortT := sortedByMorton(pts, spec, opt)
@@ -138,21 +139,18 @@ func runPD(pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
 	p := opt.Threads
 	v := gridView(g)
 	bounds := spec.Bounds()
-	scratches := make([]*scratch, p)
+	scratches := make([]*symScratch, p)
 	for w := range scratches {
-		scratches[w] = newScratch(&c)
+		scratches[w] = newSymScratch(&c, symBlock)
 	}
 	for _, set := range byColor {
 		par.ForDynamicOrderedW(p, set, opt.Chunk, func(w, id int) {
-			sc := scratches[w]
-			for _, i := range s.cells[id] {
-				applySym(v, &c, pts[i], bounds, sc)
-			}
+			applySymPoints(v, &c, pts, s.cells[id], bounds, scratches[w])
 		})
 	}
 	res.Phases.Compute = time.Since(t0)
-	for _, sc := range scratches {
-		sc.mergeInto(&res.Stats)
+	for _, b := range scratches {
+		b.mergeInto(&res.Stats)
 	}
 	return res, nil
 }
@@ -180,6 +178,9 @@ func runPDSchedRep(pts []grid.Point, spec grid.Spec, opt Options) (*Result, erro
 	return runPDGraph(pts, spec, opt, true, true)
 }
 
+// runPDGraph runs the task-graph variants. A cell task, or a replica task
+// on its share of a cell's points, applies its points in blocks
+// (applySymPoints) with a block scratch taken from the workers' pool.
 func runPDGraph(pts []grid.Point, spec grid.Spec, opt Options, loadAware, replicate bool) (*Result, error) {
 	res := &Result{}
 	pts, sortT := sortedByMorton(pts, spec, opt)
@@ -278,9 +279,9 @@ func runPDGraph(pts []grid.Point, spec grid.Spec, opt Options, loadAware, replic
 	// Compute phase: build and run the task graph.
 	t0 = time.Now()
 	gv := gridView(g)
-	pool := make(chan *scratch, p)
+	pool := make(chan *symScratch, p)
 	for i := 0; i < p; i++ {
-		pool <- newScratch(&c)
+		pool <- newSymScratch(&c, symBlock)
 	}
 
 	graph := &par.Graph{}
@@ -294,11 +295,9 @@ func runPDGraph(pts []grid.Point, spec grid.Spec, opt Options, loadAware, replic
 				if len(idxs) == 0 {
 					return
 				}
-				sc := <-pool
-				for _, i := range idxs {
-					applySym(gv, &c, pts[i], bounds, sc)
-				}
-				pool <- sc
+				b := <-pool
+				applySymPoints(gv, &c, pts, idxs, bounds, b)
+				pool <- b
 			})
 			entry[v] = []int{id}
 			exit[v] = id
@@ -316,11 +315,9 @@ func runPDGraph(pts []grid.Point, spec grid.Spec, opt Options, loadAware, replic
 				if len(slice) == 0 {
 					return
 				}
-				sc := <-pool
-				for _, i := range slice {
-					applySym(bv, &c, pts[i], bounds, sc)
-				}
-				pool <- sc
+				b := <-pool
+				applySymPoints(bv, &c, pts, slice, bounds, b)
+				pool <- b
 			})
 		}
 		red := graph.Add(s.w[v], func() {
@@ -331,9 +328,9 @@ func runPDGraph(pts []grid.Point, spec grid.Spec, opt Options, loadAware, replic
 			bufs[v] = nil
 			// Fold the reduction's update count into a pooled scratch so
 			// the counter needs no extra synchronization.
-			sc := <-pool
-			sc.updates += nred
-			pool <- sc
+			b := <-pool
+			b.slots[0].updates += nred
+			pool <- b
 		})
 		for _, id := range ids {
 			graph.AddDep(id, red)
@@ -352,8 +349,8 @@ func runPDGraph(pts []grid.Point, spec grid.Spec, opt Options, loadAware, replic
 	res.Phases.Compute = time.Since(t0)
 
 	close(pool)
-	for sc := range pool {
-		sc.mergeInto(&res.Stats)
+	for b := range pool {
+		b.mergeInto(&res.Stats)
 	}
 	return res, nil
 }

@@ -164,8 +164,8 @@ func runVBDEC(pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// runPointBased is the shared sequential driver for PB, PB-DISK, PB-BAR
-// and PB-SYM: initialize the grid, then apply each point's cylinder.
+// runPointBased is the shared sequential driver of the teaching ladder (PB,
+// PB-DISK, PB-BAR): initialize the grid, then apply each point's cylinder.
 func runPointBased(apply applyFn, pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
 	res := &Result{}
 	t0 := time.Now()
@@ -206,6 +206,26 @@ func runPBBAR(pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
 	return runPointBased(applyBar, pts, spec, opt)
 }
 
+// runPBSYM is sequential PB-SYM. Unlike the teaching ladder above, whose
+// per-point loop Table 3 measures, it applies the sorted points in blocks
+// (applySymPoints).
 func runPBSYM(pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
-	return runPointBased(applySym, pts, spec, opt)
+	res := &Result{}
+	t0 := time.Now()
+	g, err := grid.NewGridP(spec, opt.Budget, opt.Threads)
+	if err != nil {
+		return nil, err
+	}
+	res.Grid = g
+	res.Phases.Init = time.Since(t0)
+
+	pts, res.Phases.Bin = sortedByMorton(pts, spec, opt)
+	c := newCtx(pts, spec, opt)
+	b := newSymScratch(&c, symBlock)
+
+	t0 = time.Now()
+	applySymPoints(gridView(g), &c, pts, nil, spec.Bounds(), b)
+	res.Phases.Compute = time.Since(t0)
+	b.mergeInto(&res.Stats)
+	return res, nil
 }

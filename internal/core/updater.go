@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/par"
-	"repro/internal/simd"
 )
 
 // Updater is the streaming STKDE estimator: a long-lived PB-SYM engine that
@@ -576,22 +575,6 @@ func (u *Updater) applyStrip(c *ctx, x0, x1 int, sc *scratch) (applied int64) {
 		}
 	}
 	return applied
-}
-
-// mulAddRows is the PB-SYM block update of one disk span on T-innermost
-// storage: row iy of data (rows stride apart) += ks[iy]·bar. One multiply
-// and one add per voxel, in index order, vector kernels or not.
-func mulAddRows(data []float64, stride int, ks, bar []float64) {
-	if simd.Enabled() && len(ks)*len(bar) >= vectorBlockCutoff {
-		simd.MulAddRows(data, stride, ks, bar)
-		return
-	}
-	for iy, k := range ks {
-		row := data[iy*stride:][:len(bar)]
-		for j, b := range bar {
-			row[j] += k * b
-		}
-	}
 }
 
 // charge advances the drift bound after one event application: every voxel

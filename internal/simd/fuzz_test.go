@@ -26,6 +26,16 @@ func floatsFromBytes(b []byte, max int) []float64 {
 	return s
 }
 
+// seedBytes encodes n distinct, non-trivial float64s (seed corpus entries
+// whose products and sums are not all zero).
+func seedBytes(n int) []byte {
+	b := make([]byte, 8*n)
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(0.1+float64(i)*1.37))
+	}
+	return b
+}
+
 func fuzzEq(t *testing.T, name string, got, want []float64) {
 	t.Helper()
 	for i := range want {
@@ -53,6 +63,12 @@ func FuzzAdd(f *testing.F) {
 func FuzzMulAddRows(f *testing.F) {
 	f.Add(make([]byte, 8*40), uint8(3), uint8(5), uint8(2))
 	f.Add(make([]byte, 8*10), uint8(4), uint8(4), uint8(0))
+	// The register-resident bar's shapes: one vector plus a tail (5), two
+	// plus a tail (9), three plus a tail (15), four full vectors (16), and
+	// the first length past it, which reloads the bar per row (17).
+	for _, bn := range []uint8{5, 9, 15, 16, 17} {
+		f.Add(seedBytes(4*(int(bn)+3)+4+int(bn)), uint8(3), bn-1, uint8(3))
+	}
 	f.Fuzz(func(t *testing.T, raw []byte, rowsB, bnB, gapB uint8) {
 		rows := int(rowsB%16) + 1
 		bn := int(bnB%24) + 1

@@ -87,9 +87,31 @@ addDone:
 //	data[iy*stride : iy*stride+len(bar)] += ks[iy] * bar
 //
 // The wrapper has verified stride >= len(bar) and that data covers the
-// last row. Rows of at most 4 elements — the committed instances' shape —
-// take the small path: the bar is masked-loaded into a register once and
-// every row is a single masked multiply-add.
+// last row. The bar is held in registers whenever it fits:
+//
+//   - bn in 1..4: the bar is masked-loaded into one register once and
+//     every row is a single masked multiply-add;
+//   - bn in 5..16: the bar's full vectors are loaded into up to four
+//     registers (Y8..Y11) and its masked tail into Y12, once per call.
+//     Each row is then one broadcast, and per vector one VMULPD against a
+//     register, one VADDPD with the row and one store, plus one masked
+//     multiply-add for the tail: the bar is never reloaded;
+//   - bn > 16: the bar is reloaded from memory 4 lanes at a time per row.
+//
+// BenchmarkMulAddRows on a 2-vCPU AVX2 host (48 KiB L1d, 2 MiB L2 per
+// core), ns per updated element, median of 11 alternating runs, the old
+// kernel (bar reloaded per row) against the register-resident bar; 32 rows
+// 40 elements apart per call, revisiting 32 KiB (L1) or walking 1 MiB (L2):
+//
+//	bn   L1: reload  register   L2: reload  register
+//	 5         0.70      0.58          0.68      0.60
+//	 9         0.45      0.36          0.52      0.43
+//	15         0.33      0.24          0.38      0.28
+//
+// With its rows in L1 the kernel is bound by its instruction count, which
+// the register-resident bar cuts; rows streamed from L2 are bound more by
+// L2 bandwidth, which is why the span engine also applies PB-SYM cylinders
+// in blocks that keep a column's rows in L1.
 TEXT ·mulAddRowsAVX2(SB), NOSPLIT, $0-80
 	MOVQ data_base+0(FP), DI
 	MOVQ stride+24(FP), R10
@@ -101,17 +123,76 @@ TEXT ·mulAddRowsAVX2(SB), NOSPLIT, $0-80
 	CMPQ CX, $4
 	JLE  marSmall
 
-	// General path: bn > 4. BX = bn &^ 3 vectorized lanes per row, DX =
-	// bn & 3 masked tail lanes (mask in Y4, loaded once).
+	// bn > 4. BX = bn &^ 3 vectorized lanes per row, DX = bn & 3 masked
+	// tail lanes (mask in Y4, loaded once).
 	MOVQ CX, BX
 	ANDQ $-4, BX
 	MOVQ CX, DX
 	ANDQ $3, DX
-	JZ   marRow
+	JZ   marMask
 	MOVQ $4, R8
 	SUBQ DX, R8
 	LEAQ maskTab<>(SB), R9
 	VMOVUPD (R9)(R8*8), Y4
+
+marMask:
+	CMPQ CX, $16
+	JGT  marRow
+
+	// Register-resident bar, bn in 5..16: BX is 4, 8, 12 or 16. Load the
+	// full vectors into Y8..Y11 and the tail (if any) into Y12.
+	VMOVUPD (SI), Y8
+	CMPQ    BX, $8
+	JLT     marRegTail
+	VMOVUPD 32(SI), Y9
+	CMPQ    BX, $12
+	JLT     marRegTail
+	VMOVUPD 64(SI), Y10
+	CMPQ    BX, $16
+	JLT     marRegTail
+	VMOVUPD 96(SI), Y11
+
+marRegTail:
+	TESTQ DX, DX
+	JZ    marRegRow
+	VMASKMOVPD (SI)(BX*8), Y4, Y12
+
+marRegRow:
+	TESTQ R12, R12
+	JZ    marDone
+	VBROADCASTSD (R11), Y0
+	VMULPD  Y8, Y0, Y1
+	VADDPD  (DI), Y1, Y1
+	VMOVUPD Y1, (DI)
+	CMPQ    BX, $8
+	JLT     marRegRowTail
+	VMULPD  Y9, Y0, Y2
+	VADDPD  32(DI), Y2, Y2
+	VMOVUPD Y2, 32(DI)
+	CMPQ    BX, $12
+	JLT     marRegRowTail
+	VMULPD  Y10, Y0, Y3
+	VADDPD  64(DI), Y3, Y3
+	VMOVUPD Y3, 64(DI)
+	CMPQ    BX, $16
+	JLT     marRegRowTail
+	VMULPD  Y11, Y0, Y5
+	VADDPD  96(DI), Y5, Y5
+	VMOVUPD Y5, 96(DI)
+
+marRegRowTail:
+	TESTQ DX, DX
+	JZ    marRegNext
+	VMULPD     Y12, Y0, Y6
+	VMASKMOVPD (DI)(BX*8), Y4, Y7
+	VADDPD     Y7, Y6, Y6
+	VMASKMOVPD Y6, Y4, (DI)(BX*8)
+
+marRegNext:
+	ADDQ $8, R11
+	ADDQ R10, DI
+	DECQ R12
+	JMP  marRegRow
 
 marRow:
 	TESTQ R12, R12

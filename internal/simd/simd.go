@@ -11,6 +11,12 @@
 // ends are handled with VMASKMOVPD masked loads and stores: the assembly
 // never reads or writes a single byte past the slice it was handed.
 //
+// Register-resident bar. MulAddRows, where PB-SYM spends most of its time,
+// loads a bar of up to 16 elements into at most four YMM registers once
+// per call (the last one masked), so each row costs one broadcast and, per
+// 4 lanes, one multiply against a register, one add with the row and one
+// store. The bar is never reloaded per row; longer bars are.
+//
 // Dispatch. The instruction set is chosen once at init: on amd64 a
 // hand-rolled CPUID/XGETBV probe checks OS-enabled YMM state plus the AVX2
 // feature bit, and Active reports the result ("avx2" or "scalar"). The
@@ -47,9 +53,9 @@ func Add(dst, src []float64) {
 // in one call, keeping the whole span's row walk inside the kernel. This
 // is the shape the committed instances actually present — wide disks times
 // short bars — where a per-row call could not amortize its own overhead:
-// the bar fits in a register once and every short row becomes a single
-// masked multiply-add. stride must be at least len(bar), and data must
-// cover the final row.
+// a bar of up to 16 elements is loaded into registers once, and every row
+// is a few multiply-adds against them. stride must be at least len(bar),
+// and data must cover the final row.
 func MulAddRows(data []float64, stride int, ks, bar []float64) {
 	rows, bn := len(ks), len(bar)
 	if rows == 0 || bn == 0 {

@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -106,20 +107,22 @@ func TestAddMatchesGeneric(t *testing.T) {
 	}
 }
 
+// TestMulAddRowsMatchesGeneric covers every bar length the kernel's paths
+// split on — the one-register path (1..4), the register-resident bar
+// (5..16, every tail residue) and the per-row reload (17..20) — at one,
+// two and seven rows, with rows packed (stride bn) and gapped (bn+3).
 func TestMulAddRowsMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	cases := []struct{ rows, bn, stride int }{
-		{1, 1, 1}, {1, 3, 3}, {3, 1, 1}, {2, 3, 3},
-		{5, 3, 7},   // short bar, gapped stride: the committed-instance shape
-		{4, 4, 4},   // exactly one full vector per row
-		{4, 4, 9},   // full vector, gapped
-		{3, 5, 5},   // vector + 1 tail lane
-		{3, 7, 11},  // vector + 3 tail lanes
-		{2, 8, 8},   // two full vectors
-		{6, 13, 16}, // long rows
-		{1, 67, 67},
-		{7, 12, 31},
+	type shape struct{ rows, bn, stride int }
+	var cases []shape
+	for bn := 1; bn <= 20; bn++ {
+		for _, rows := range []int{1, 2, 7} {
+			for _, stride := range []int{bn, bn + 3} {
+				cases = append(cases, shape{rows, bn, stride})
+			}
+		}
 	}
+	cases = append(cases, shape{1, 67, 67}, shape{7, 12, 31}, shape{5, 3, 7})
 	for _, tc := range cases {
 		need := (tc.rows-1)*tc.stride + tc.bn
 		data, check := guarded(t, need)
@@ -129,10 +132,14 @@ func TestMulAddRowsMatchesGeneric(t *testing.T) {
 			want[i] = data[i]
 		}
 		ks := randFloats(rng, tc.rows)
-		bar := randFloats(rng, tc.bn)
+		// The bar is guarded too: the kernel must leave it and the
+		// memory around it untouched.
+		bar, checkBar := guarded(t, tc.bn)
+		copy(bar, randFloats(rng, tc.bn))
 		mulAddRowsGeneric(want, tc.stride, ks, bar)
 		MulAddRows(data, tc.stride, ks, bar)
 		check()
+		checkBar()
 		for i := range data {
 			if !eqBits(data[i], want[i]) {
 				t.Fatalf("%+v: data[%d] = %x, want %x", tc, i,
@@ -281,4 +288,35 @@ func TestEmptyInputsAreNoOps(t *testing.T) {
 	MulAddRows(nil, 0, []float64{1}, nil) // bn == 0: no rows to touch
 	FillDiskPoly(nil, nil, 0, 1, 1, 2)
 	FillBarPoly(nil, nil, 1, 2)
+}
+
+// BenchmarkMulAddRows times the PB-SYM row update at the bar lengths the
+// register-resident path covers (one, two and three vectors plus a tail),
+// with rows that stay in L1 and rows streamed from L2. Each call updates
+// 32 rows 40 elements apart — a disk column on a grid with 40 time layers
+// — and successive calls walk the buffer, so the L1 rows are a 32 KiB
+// buffer revisited and the L2 rows a 1 MiB one. The figure is ns per
+// updated element.
+func BenchmarkMulAddRows(b *testing.B) {
+	const rows, stride = 32, 40
+	for _, res := range []struct {
+		name  string
+		bytes int
+	}{{"L1", 32 << 10}, {"L2", 1 << 20}} {
+		for _, bn := range []int{5, 9, 15} {
+			b.Run(fmt.Sprintf("%s/bn%d", res.name, bn), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(6))
+				data := make([]float64, res.bytes/8)
+				ks := randFloats(rng, rows)
+				bar := randFloats(rng, bn)
+				span := (rows-1)*stride + bn
+				calls := (len(data) - span) / (rows * stride)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					MulAddRows(data[(i%calls)*rows*stride:], stride, ks, bar)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*bn), "ns/elem")
+			})
+		}
+	}
 }

@@ -5,7 +5,8 @@
 // tweets, the Influenza Research Database, and eBird) cannot be
 // redistributed; these generators reproduce the statistical shapes that
 // drive the paper's results — spatial clustering, temporal seasonality, and
-// points-per-voxel density. See DESIGN.md for the substitution rationale.
+// points-per-voxel density. The closing note of the repository README on
+// the datasets gives the substitution rationale.
 package synth
 
 import (
