@@ -58,3 +58,76 @@ func TestStrategyDigests(t *testing.T) {
 		}
 	}
 }
+
+// pinnedStats is the part of Stats a parallel strategy's counters and
+// schedule structure fix; the float fields are held by their bits.
+type pinnedStats struct {
+	Updates, SKEvals, TKEvals, PointAssignments int64
+	Decomp                                      [3]int
+	Cells, Colors                               int
+	ReplicatedCells, MaxReplication             int
+	BufferBytes                                 int64
+	TotalWork, CriticalPath                     uint64
+}
+
+// strategyStats pins every parallel strategy's Stats on the script of
+// TestStrategyDigests, at one and at two workers.
+var strategyStats = map[string][2]pinnedStats{
+	AlgPBSYMDR: {
+		{146717, 17324, 1185, 0, [3]int{0, 0, 0}, 0, 0, 0, 0, 0, 0x0, 0x0},
+		{157949, 17324, 1185, 0, [3]int{0, 0, 0}, 0, 0, 0, 0, 89856, 0x0, 0x0},
+	},
+	AlgPBSYMDD: {
+		{146717, 25782, 2380, 417, [3]int{2, 2, 2}, 8, 0, 0, 0, 0, 0x0, 0x0},
+		{146717, 25782, 2380, 417, [3]int{2, 2, 2}, 8, 0, 0, 0, 0, 0x0, 0x0},
+	},
+	AlgPBSYMPD: {
+		{146717, 17324, 1185, 0, [3]int{1, 1, 1}, 1, 1, 0, 0, 0, 0x4115261000000000, 0x4115261000000000},
+		{146717, 17324, 1185, 0, [3]int{1, 1, 1}, 1, 1, 0, 0, 0, 0x4115261000000000, 0x4115261000000000},
+	},
+	AlgPBSYMPDSCHED: {
+		{146717, 17324, 1185, 0, [3]int{1, 1, 1}, 1, 1, 0, 1, 0, 0x4115261000000000, 0x4115261000000000},
+		{146717, 17324, 1185, 0, [3]int{1, 1, 1}, 1, 1, 0, 1, 0, 0x4115261000000000, 0x4115261000000000},
+	},
+	AlgPBSYMPDREP: {
+		{146717, 17324, 1185, 0, [3]int{1, 1, 1}, 1, 1, 0, 1, 0, 0x4115261000000000, 0x4115261000000000},
+		{169181, 17324, 1185, 0, [3]int{1, 1, 1}, 1, 1, 1, 2, 179712, 0x4115261000000000, 0x4109431000000000},
+	},
+	AlgPBSYMPDSCHREP: {
+		{146717, 17324, 1185, 0, [3]int{1, 1, 1}, 1, 1, 0, 1, 0, 0x4115261000000000, 0x4115261000000000},
+		{169181, 17324, 1185, 0, [3]int{1, 1, 1}, 1, 1, 1, 2, 179712, 0x4115261000000000, 0x4109431000000000},
+	},
+}
+
+// TestStrategyStats runs the six parallel strategies on the script of
+// TestStrategyDigests and checks their exact work counters (updates, kernel
+// evaluations, point assignments, replication buffers) and schedule
+// structure (decomposition, cells, colors, total work, critical path). It
+// holds how a strategy cuts and schedules its work, which the grid's digest
+// alone does not: the counts are the same whichever worker runs a task. The
+// span lengths behind the counts come from distance tests that Go may fuse
+// off amd64, so like the digests it runs on amd64 only.
+func TestStrategyStats(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the pinned counts assume unfused multiply-adds, which only amd64 guarantees")
+	}
+	spec := vectorSpec(t)
+	pts := testPoints(140, spec.Domain, 53)
+	for _, alg := range ParallelAlgorithms() {
+		for i, threads := range []int{1, 2} {
+			res, err := Estimate(alg, pts, spec, Options{Threads: threads, Decomp: [3]int{2, 2, 2}})
+			if err != nil {
+				t.Fatalf("%s/P%d: %v", alg, threads, err)
+			}
+			s := res.Stats
+			got := pinnedStats{
+				s.Updates, s.SKEvals, s.TKEvals, s.PointAssignments, s.Decomp,
+				s.Cells, s.Colors, s.ReplicatedCells, s.MaxReplication, s.BufferBytes,
+				math.Float64bits(s.TotalWork), math.Float64bits(s.CriticalPath),
+			}
+			if want := strategyStats[alg][i]; got != want {
+				t.Errorf("%s/P%d: stats\n got %+v\nwant %+v", alg, threads, got, want)
+			}
+		}
+	}
+}
