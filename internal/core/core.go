@@ -28,7 +28,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/grid"
@@ -130,10 +129,6 @@ type Options struct {
 	Spatial  kernel.Spatial
 	Temporal kernel.Temporal
 
-	// Chunk is the dynamic-schedule chunk size for subdomain loops
-	// (default 1).
-	Chunk int
-
 	// NormN, when positive, overrides the point count n in the 1/(n·hs²·ht)
 	// normalization of the density formula. A distributed rank estimating a
 	// temporal slab (see repro/internal/dist) passes the global dataset size
@@ -164,9 +159,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Temporal == nil {
 		o.Temporal = kernel.DefaultTemporal()
-	}
-	if o.Chunk < 1 {
-		o.Chunk = 1
 	}
 	return o
 }
@@ -276,19 +268,4 @@ func Estimate(algorithm string, pts []grid.Point, spec grid.Spec, opt Options) (
 	res.Stats.N = len(pts)
 	res.Stats.Threads = opt.Threads
 	return res, nil
-}
-
-// sortCellsByLoadDesc returns cell ids ordered by non-increasing load.
-func sortCellsByLoadDesc(load []float64) []int {
-	order := make([]int, len(load))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		if load[order[i]] != load[order[j]] {
-			return load[order[i]] > load[order[j]]
-		}
-		return order[i] < order[j]
-	})
-	return order
 }

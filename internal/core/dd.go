@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/grid"
-	"repro/internal/par"
 )
 
 // runDD is PB-SYM-DD (Algorithm 5), domain decomposition: the grid is split
@@ -24,63 +23,47 @@ import (
 // indices by walking the Morton-sorted points and a cut cylinder's clipped
 // disk and bar hold the same per-voxel values as the whole one. A cell
 // applies its points in blocks (applySymPoints), which keeps that order.
+//
+// It runs as a plan on the task-graph executor (runGraph): one independent
+// task per cell, handed out in cell id order as workers free up (the
+// dynamic schedule of the paper's parallel loop over cells).
 func runDD(pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
-	res := &Result{}
-	dc := opt.autoDecomp(spec)
-	d := grid.NewDecomp(spec, dc[0], dc[1], dc[2])
-	res.Stats.Decomp = [3]int{d.A, d.B, d.C}
-	res.Stats.Cells = d.Cells()
+	return runGraph(pts, spec, opt, func(r *taskRun) error {
+		dc := opt.autoDecomp(spec)
+		d := grid.NewDecomp(spec, dc[0], dc[1], dc[2])
+		r.res.Stats.Decomp = [3]int{d.A, d.B, d.C}
+		r.res.Stats.Cells = d.Cells()
 
-	// Bin phase: Morton pre-pass (so every cell's point list is in
-	// cache-adjacent order), then assign each point to every intersected
-	// subdomain.
-	t0 := time.Now()
-	pts, _ = sortedByMorton(pts, spec, opt)
-	c := newCtx(pts, spec, opt)
-	cells := make([][]int32, d.Cells())
-	var assignments int64
-	for i := range pts {
-		ib := c.geom(pts[i]).box
-		a0, a1, b0, b1, c0, c1 := d.CellRange(ib)
-		for a := a0; a <= a1; a++ {
-			for b := b0; b <= b1; b++ {
-				for cc := c0; cc <= c1; cc++ {
-					id := d.ID(a, b, cc)
-					cells[id] = append(cells[id], int32(i))
-					assignments++
+		// Bin phase: assign each point to every intersected subdomain;
+		// walking the Morton-sorted points keeps every cell's point list in
+		// cache-adjacent order.
+		t0 := time.Now()
+		cells := make([][]int32, d.Cells())
+		var assignments int64
+		for i := range r.pts {
+			ib := r.c.geom(r.pts[i]).box
+			a0, a1, b0, b1, c0, c1 := d.CellRange(ib)
+			for a := a0; a <= a1; a++ {
+				for b := b0; b <= b1; b++ {
+					for cc := c0; cc <= c1; cc++ {
+						id := d.ID(a, b, cc)
+						cells[id] = append(cells[id], int32(i))
+						assignments++
+					}
 				}
 			}
 		}
-	}
-	res.Stats.PointAssignments = assignments
-	res.Phases.Bin = time.Since(t0)
+		r.res.Stats.PointAssignments = assignments
+		r.res.Phases.Bin += time.Since(t0)
 
-	// Init phase: one shared grid; subdomains never overlap, so no races.
-	t0 = time.Now()
-	g, err := grid.NewGridP(spec, opt.Budget, opt.Threads)
-	if err != nil {
-		return nil, err
-	}
-	res.Grid = g
-	res.Phases.Init = time.Since(t0)
-
-	// Compute phase: dynamic schedule over subdomains (their costs are
-	// irregular when points cluster).
-	t0 = time.Now()
-	p := opt.Threads
-	v := gridView(g)
-	scratches := make([]*symScratch, p)
-	for w := range scratches {
-		scratches[w] = newSymScratch(&c, symBlock)
-	}
-	par.ForDynamicW(p, d.Cells(), opt.Chunk, func(w, id int) {
-		if idxs := cells[id]; len(idxs) > 0 {
-			applySymPoints(v, &c, pts, idxs, d.BoxID(id), scratches[w])
+		// Init phase: one shared grid; subdomains never overlap, so no races.
+		v, err := r.newGrid()
+		if err != nil {
+			return err
 		}
+		for id, idxs := range cells {
+			r.cell(0, v, idxs, d.BoxID(id))
+		}
+		return nil
 	})
-	res.Phases.Compute = time.Since(t0)
-	for _, b := range scratches {
-		b.mergeInto(&res.Stats)
-	}
-	return res, nil
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/grid"
-	"repro/internal/par"
 	"repro/internal/sched"
 	"repro/internal/simd"
 	"repro/internal/stencil"
@@ -102,57 +101,56 @@ func AnalyzePD(pts []grid.Point, spec grid.Spec, opt Options, loadAware bool) (S
 
 // runPD is PB-SYM-PD (Algorithm 6): subdomains are organized in 8 parity
 // sets ((a mod 2, b mod 2, c mod 2)); the sets are processed one after the
-// other, each with a parallel loop over its subdomains. Points write
-// directly to the shared grid; the minimum subdomain size guarantees no two
-// concurrently processed points have overlapping cylinders. A cell applies
-// its points in blocks (applySymPoints), in the order it binned them.
+// other, each in parallel over its subdomains. Points write directly to the
+// shared grid; the minimum subdomain size guarantees no two concurrently
+// processed points have overlapping cylinders. A cell applies its points
+// in blocks (applySymPoints), in the order it binned them.
+//
+// It runs as a plan on the task-graph executor (runGraph): one task per
+// non-empty cell, and the barrier between two parity sets is a join task
+// that waits on every cell of one set and that every cell of the next set
+// waits on. The sets' oriented DAG is only reported (Figure 12 compares
+// these barriers against PD-SCHED's DAG).
 func runPD(pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
-	res := &Result{}
-	pts, sortT := sortedByMorton(pts, spec, opt)
-	c := newCtx(pts, spec, opt)
-	s := newPDSetup(pts, spec, opt, &c)
-	res.Phases.Bin = sortT + s.binT
+	return runGraph(pts, spec, opt, func(r *taskRun) error {
+		s := newPDSetup(r.pts, spec, opt, &r.c)
+		r.res.Phases.Bin += s.binT
 
-	// Plan phase: the parity coloring and its implied dependency DAG
-	// (used only for reporting; execution uses barriers between colors).
-	t0 := time.Now()
-	col := stencil.Checkerboard(s.lat)
-	dag := stencil.Orient(s.lat, col)
-	s.dagStats(&res.Stats, col, dag, s.w, opt.Threads)
-	byColor := make([][]int, col.NumColors)
-	for id, cl := range col.Colors {
-		if len(s.cells[id]) > 0 {
-			byColor[cl] = append(byColor[cl], id)
+		// Plan phase: the parity coloring and its implied dependency DAG.
+		t0 := time.Now()
+		col := stencil.Checkerboard(s.lat)
+		dag := stencil.Orient(s.lat, col)
+		s.dagStats(&r.res.Stats, col, dag, s.w, opt.Threads)
+		byColor := make([][]int, col.NumColors)
+		for id, cl := range col.Colors {
+			if len(s.cells[id]) > 0 {
+				byColor[cl] = append(byColor[cl], id)
+			}
 		}
-	}
-	res.Phases.Plan = time.Since(t0)
+		r.res.Phases.Plan = time.Since(t0)
 
-	t0 = time.Now()
-	g, err := grid.NewGridP(spec, opt.Budget, opt.Threads)
-	if err != nil {
-		return nil, err
-	}
-	res.Grid = g
-	res.Phases.Init = time.Since(t0)
-
-	t0 = time.Now()
-	p := opt.Threads
-	v := gridView(g)
-	bounds := spec.Bounds()
-	scratches := make([]*symScratch, p)
-	for w := range scratches {
-		scratches[w] = newSymScratch(&c, symBlock)
-	}
-	for _, set := range byColor {
-		par.ForDynamicOrderedW(p, set, opt.Chunk, func(w, id int) {
-			applySymPoints(v, &c, pts, s.cells[id], bounds, scratches[w])
-		})
-	}
-	res.Phases.Compute = time.Since(t0)
-	for _, b := range scratches {
-		b.mergeInto(&res.Stats)
-	}
-	return res, nil
+		v, err := r.newGrid()
+		if err != nil {
+			return err
+		}
+		bounds := spec.Bounds()
+		barrier := -1
+		for _, set := range byColor {
+			if len(set) == 0 {
+				continue // a join with no cells would not wait on the barrier before it
+			}
+			join := r.graph.Add(0, nil)
+			for _, id := range set {
+				t := r.cell(0, v, s.cells[id], bounds)
+				if barrier >= 0 {
+					r.graph.AddDep(barrier, t)
+				}
+				r.graph.AddDep(t, join)
+			}
+			barrier = join
+		}
+		return nil
+	})
 }
 
 // runPDSched is PB-SYM-PD-SCHED (Section 5.2): a load-aware greedy coloring
@@ -178,181 +176,128 @@ func runPDSchedRep(pts []grid.Point, spec grid.Spec, opt Options) (*Result, erro
 	return runPDGraph(pts, spec, opt, true, true)
 }
 
-// runPDGraph runs the task-graph variants. A cell task, or a replica task
-// on its share of a cell's points, applies its points in blocks
-// (applySymPoints) with a block scratch taken from the workers' pool.
+// runPDGraph runs the task-graph variants as a plan on the executor
+// (runGraph): one task per cell, or k replica tasks on their shares of a
+// replicated cell's points, each writing a private buffer, plus the cell's
+// reduction task; the oriented coloring orders the cells. A task applies
+// its points in blocks (applySymPoints).
 func runPDGraph(pts []grid.Point, spec grid.Spec, opt Options, loadAware, replicate bool) (*Result, error) {
-	res := &Result{}
-	pts, sortT := sortedByMorton(pts, spec, opt)
-	c := newCtx(pts, spec, opt)
-	s := newPDSetup(pts, spec, opt, &c)
-	res.Phases.Bin = sortT + s.binT
-	p := opt.Threads
-	bounds := spec.Bounds()
+	return runGraph(pts, spec, opt, func(r *taskRun) error {
+		s := newPDSetup(r.pts, spec, opt, &r.c)
+		r.res.Phases.Bin += s.binT
+		p := opt.Threads
+		bounds := spec.Bounds()
 
-	// Plan phase: color, orient, optionally plan replication.
-	t0 := time.Now()
-	var order []int
-	if loadAware {
-		order = stencil.ByLoadDesc(s.w)
-	} else {
-		order = stencil.NaturalOrder(s.lat.N())
-	}
-	col := stencil.Greedy(s.lat, order)
-	dag := stencil.Orient(s.lat, col)
+		// Plan phase: color, orient, optionally plan replication.
+		t0 := time.Now()
+		var order []int
+		if loadAware {
+			order = stencil.ByLoadDesc(s.w)
+		} else {
+			order = stencil.NaturalOrder(s.lat.N())
+		}
+		col := stencil.Greedy(s.lat, order)
+		dag := stencil.Orient(s.lat, col)
 
-	factor := make([]int, s.lat.N())
-	for i := range factor {
-		factor[i] = 1
-	}
-	expCount := make([]int, s.lat.N())
-	hsV, htV := c.maxHsVoxels(), c.maxHtVoxels()
-	for v := range expCount {
-		expCount[v] = s.d.BoxID(v).Expand(hsV, htV).Clip(bounds).Count()
-	}
-	var plan sched.Replication
-	if replicate {
-		plan = sched.PlanReplication(dag, s.w, p, func(v, k int) float64 {
-			// A k-way split adds one buffer initialization to the chain
-			// through v and k buffer merges to the reduction task.
-			return float64((k + 1) * expCount[v])
-		})
-		factor = plan.Factor
-	}
-	eff := make([]float64, s.lat.N())
-	for v := range eff {
-		eff[v] = s.w[v] / float64(factor[v])
-		if factor[v] > 1 {
-			eff[v] += float64((factor[v] + 1) * expCount[v])
+		// A replicated cell's replicas write private buffers over the cell's
+		// box expanded by the bandwidth.
+		factor := make([]int, s.lat.N())
+		expBox := make([]grid.Box, s.lat.N())
+		hsV, htV := r.c.maxHsVoxels(), r.c.maxHtVoxels()
+		for v := range expBox {
+			factor[v] = 1
+			expBox[v] = s.d.BoxID(v).Expand(hsV, htV).Clip(bounds)
 		}
-	}
-	s.dagStats(&res.Stats, col, dag, eff, p)
-	for _, f := range factor {
-		if f > 1 {
-			res.Stats.ReplicatedCells++
+		if replicate {
+			factor = sched.PlanReplication(dag, s.w, p, func(v, k int) float64 {
+				// A k-way split adds one buffer initialization to the chain
+				// through v and k buffer merges to the reduction task.
+				return float64((k + 1) * expBox[v].Count())
+			}).Factor
 		}
-		if f > res.Stats.MaxReplication {
-			res.Stats.MaxReplication = f
-		}
-	}
-	res.Phases.Plan = time.Since(t0)
-
-	// Init phase: the shared output grid plus any replication buffers.
-	t0 = time.Now()
-	g, err := grid.NewGridP(spec, opt.Budget, opt.Threads)
-	if err != nil {
-		return nil, err
-	}
-	res.Grid = g
-	bufs := make([][][]float64, s.lat.N()) // cell -> replica -> buffer
-	expBox := make([]grid.Box, s.lat.N())
-	var bufBytes int64
-	for v := range factor {
-		if factor[v] <= 1 {
-			continue
-		}
-		expBox[v] = s.d.BoxID(v).Expand(hsV, htV).Clip(bounds)
-		n := expBox[v].Count()
-		bufs[v] = make([][]float64, factor[v])
-		for r := 0; r < factor[v]; r++ {
-			if err := opt.Budget.Alloc(int64(n) * 8); err != nil {
-				// Release everything charged so far.
-				for _, bb := range bufs {
-					for _, buf := range bb {
-						opt.Budget.Free(int64(len(buf)) * 8)
-					}
-				}
-				g.Release()
-				return nil, err
+		eff := make([]float64, s.lat.N())
+		for v := range eff {
+			eff[v] = s.w[v] / float64(factor[v])
+			if factor[v] > 1 {
+				eff[v] += float64((factor[v] + 1) * expBox[v].Count())
 			}
-			buf := make([]float64, n)
-			for i := range buf {
-				buf[i] = 0 // explicit first touch (see grid.NewGrid)
-			}
-			bufs[v][r] = buf
-			bufBytes += int64(n) * 8
 		}
-	}
-	res.Stats.BufferBytes = bufBytes
-	res.Phases.Init += time.Since(t0)
+		st := &r.res.Stats
+		s.dagStats(st, col, dag, eff, p)
+		for _, f := range factor {
+			if f > 1 {
+				st.ReplicatedCells++
+			}
+			st.MaxReplication = max(st.MaxReplication, f)
+		}
+		r.res.Phases.Plan = time.Since(t0)
 
-	// Compute phase: build and run the task graph.
-	t0 = time.Now()
-	gv := gridView(g)
-	pool := make(chan *symScratch, p)
-	for i := 0; i < p; i++ {
-		pool <- newSymScratch(&c, symBlock)
-	}
-
-	graph := &par.Graph{}
-	entry := make([][]int, s.lat.N())
-	exit := make([]int, s.lat.N())
-	for v := 0; v < s.lat.N(); v++ {
-		v := v
-		idxs := s.cells[v]
-		if factor[v] <= 1 {
-			id := graph.Add(s.w[v], func() {
-				if len(idxs) == 0 {
-					return
+		// Init phase: the shared output grid plus any replication buffers.
+		gv, err := r.newGrid()
+		if err != nil {
+			return err
+		}
+		t0 = time.Now()
+		bufs := make([][][]float64, s.lat.N()) // cell -> replica -> buffer
+		for v := range factor {
+			if factor[v] <= 1 {
+				continue
+			}
+			n := expBox[v].Count()
+			bufs[v] = make([][]float64, factor[v])
+			for i := range bufs[v] {
+				if err := opt.Budget.Alloc(int64(n) * 8); err != nil {
+					opt.Budget.Free(st.BufferBytes) // everything charged so far
+					return err
 				}
-				b := <-pool
-				applySymPoints(gv, &c, pts, idxs, bounds, b)
-				pool <- b
+				buf := make([]float64, n)
+				for j := range buf {
+					buf[j] = 0 // explicit first touch (see grid.NewGrid)
+				}
+				bufs[v][i] = buf
+				st.BufferBytes += int64(n) * 8
+			}
+		}
+		r.res.Phases.Init += time.Since(t0)
+
+		// The task graph: cells (or their replicas and reduction) ordered
+		// by the DAG.
+		entry := make([][]int, s.lat.N())
+		exit := make([]int, s.lat.N())
+		for v := 0; v < s.lat.N(); v++ {
+			v := v
+			idxs := s.cells[v]
+			if factor[v] <= 1 {
+				exit[v] = r.cell(s.w[v], gv, idxs, bounds)
+				entry[v] = []int{exit[v]}
+				continue
+			}
+			k, box := factor[v], expBox[v]
+			for i := 0; i < k; i++ {
+				share := idxs[i*len(idxs)/k : (i+1)*len(idxs)/k]
+				entry[v] = append(entry[v], r.cell(s.w[v], boxView(bufs[v][i], box), share, bounds))
+			}
+			exit[v] = r.graph.Add(s.w[v], func(w int) {
+				nred := reduceBuffers(gv, bufs[v], box)
+				opt.Budget.Free(int64(k*box.Count()) * 8)
+				bufs[v] = nil
+				// Fold the reduction's update count into the worker's
+				// scratch, which no other task is using meanwhile.
+				r.worker(w).slots[0].updates += nred
 			})
-			entry[v] = []int{id}
-			exit[v] = id
-			continue
+			for _, id := range entry[v] {
+				r.graph.AddDep(id, exit[v])
+			}
 		}
-		k := factor[v]
-		box := expBox[v]
-		ids := make([]int, k)
-		for r := 0; r < k; r++ {
-			r := r
-			lo, hi := r*len(idxs)/k, (r+1)*len(idxs)/k
-			slice := idxs[lo:hi]
-			bv := boxView(bufs[v][r], box)
-			ids[r] = graph.Add(s.w[v], func() {
-				if len(slice) == 0 {
-					return
+		for u := 0; u < dag.N; u++ {
+			for _, v := range dag.Succs[u] {
+				for _, e := range entry[v] {
+					r.graph.AddDep(exit[u], e)
 				}
-				b := <-pool
-				applySymPoints(bv, &c, pts, slice, bounds, b)
-				pool <- b
-			})
-		}
-		red := graph.Add(s.w[v], func() {
-			nred := reduceBuffers(gv, bufs[v], box)
-			for _, buf := range bufs[v] {
-				opt.Budget.Free(int64(len(buf)) * 8)
-			}
-			bufs[v] = nil
-			// Fold the reduction's update count into a pooled scratch so
-			// the counter needs no extra synchronization.
-			b := <-pool
-			b.slots[0].updates += nred
-			pool <- b
-		})
-		for _, id := range ids {
-			graph.AddDep(id, red)
-		}
-		entry[v] = ids
-		exit[v] = red
-	}
-	for u := 0; u < dag.N; u++ {
-		for _, v := range dag.Succs[u] {
-			for _, e := range entry[v] {
-				graph.AddDep(exit[u], e)
 			}
 		}
-	}
-	graph.Run(p)
-	res.Phases.Compute = time.Since(t0)
-
-	close(pool)
-	for b := range pool {
-		b.mergeInto(&res.Stats)
-	}
-	return res, nil
+		return nil
+	})
 }
 
 // reduceBuffers adds every replica buffer of a cell into the shared grid

@@ -17,15 +17,18 @@ type Graph struct {
 }
 
 type task struct {
-	run      func()
+	run      func(worker int)
 	priority float64
 	succs    []int
 	npreds   int
 }
 
 // Add registers a task with the given priority (higher runs earlier among
-// ready tasks) and returns its identifier.
-func (g *Graph) Add(priority float64, run func()) int {
+// ready tasks) and returns its identifier. run receives the index w < p of
+// the worker running the task, which runs one task at a time, so tasks can
+// keep per-worker scratch without synchronization. A nil run is an empty
+// join task: it only orders its successors after its predecessors.
+func (g *Graph) Add(priority float64, run func(worker int)) int {
 	if g.built {
 		panic("par: Graph.Add after Run")
 	}
@@ -57,10 +60,7 @@ func (g *Graph) Run(p int) {
 	if n == 0 {
 		return
 	}
-	p = Threads(p)
-	if p > n {
-		p = n
-	}
+	p = min(Threads(p), n)
 
 	st := &graphState{g: g, pending: n}
 	st.cond = sync.NewCond(&st.mu)
@@ -80,10 +80,10 @@ func (g *Graph) Run(p int) {
 	var wg sync.WaitGroup
 	for w := 0; w < p; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			st.worker()
-		}()
+			st.worker(w)
+		}(w)
 	}
 	wg.Wait()
 
@@ -101,7 +101,7 @@ type graphState struct {
 	pending   int // tasks not yet finished
 }
 
-func (st *graphState) worker() {
+func (st *graphState) worker(w int) {
 	for {
 		st.mu.Lock()
 		for st.ready.Len() == 0 && st.pending > 0 {
@@ -115,7 +115,9 @@ func (st *graphState) worker() {
 		id := heap.Pop(&st.ready).(readyTask).id
 		st.mu.Unlock()
 
-		st.g.tasks[id].run()
+		if run := st.g.tasks[id].run; run != nil {
+			run(w)
+		}
 
 		st.mu.Lock()
 		st.pending--

@@ -1,8 +1,9 @@
 // Package par is a small shared-memory parallel runtime providing the
-// constructs the paper's C++/OpenMP implementation relies on: static and
-// dynamic parallel-for loops, contiguous block partitioning, and a
-// dependency-aware task-graph executor with priority scheduling (the
-// equivalent of OpenMP 4.0 "task depend" used by PB-SYM-PD-SCHED).
+// constructs the paper's C++/OpenMP implementation relies on: static
+// parallel-for loops and contiguous block partitioning, ordered strips, and
+// a dependency-aware task-graph executor with priority scheduling (the
+// equivalent of OpenMP 4.0 "task depend"). Graph runs every parallel PB-SYM
+// strategy and passes each task the index of the worker running it.
 package par
 
 import (
@@ -22,16 +23,13 @@ func Threads(p int) int {
 
 // Blocks splits [0, n) into p contiguous blocks (the OpenMP "static"
 // schedule) and runs body(lo, hi) for each block on its own goroutine.
-// Blocks smaller than one element are skipped. Blocks returns when every
-// block has completed.
+// There are never more blocks than elements, so no block is empty. Blocks
+// returns when every block has completed.
 func Blocks(p, n int, body func(worker, lo, hi int)) {
-	p = Threads(p)
 	if n <= 0 {
 		return
 	}
-	if p > n {
-		p = n
-	}
+	p = min(Threads(p), n)
 	if p == 1 {
 		body(0, 0, n)
 		return
@@ -39,9 +37,6 @@ func Blocks(p, n int, body func(worker, lo, hi int)) {
 	var wg sync.WaitGroup
 	for w := 0; w < p; w++ {
 		lo, hi := w*n/p, (w+1)*n/p
-		if lo >= hi {
-			continue
-		}
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
@@ -105,16 +100,11 @@ func For(p, n int, body func(i int)) {
 	})
 }
 
-// ForDynamic runs body(i) for every i in [0, n), handing out chunks of the
-// given size from a shared counter (the OpenMP "dynamic" schedule). It is
-// the right choice when iteration costs are irregular, e.g. subdomains with
-// clustered points.
-func ForDynamic(p, n, chunk int, body func(i int)) {
-	ForDynamicW(p, n, chunk, func(_, i int) { body(i) })
-}
-
-// ForDynamicW is ForDynamic with the worker index passed to the body, so
-// callers can keep per-worker scratch buffers without synchronization.
+// ForDynamicW runs body(w, i) for every i in [0, n), handing out chunks of
+// the given size from a shared counter (the OpenMP "dynamic" schedule); w is
+// the worker running the chunk, so callers can keep per-worker scratch
+// buffers without synchronization. Its one caller is core.Accumulator, and
+// it goes with it (ROADMAP item 18); the PB-SYM strategies run on Graph.
 func ForDynamicW(p, n, chunk int, body func(worker, i int)) {
 	p = Threads(p)
 	if n <= 0 {
@@ -140,11 +130,7 @@ func ForDynamicW(p, n, chunk int, body func(worker, i int)) {
 				if lo >= n {
 					return
 				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
+				for i := lo; i < min(lo+chunk, n); i++ {
 					body(w, i)
 				}
 			}
@@ -153,15 +139,10 @@ func ForDynamicW(p, n, chunk int, body func(worker, i int)) {
 	wg.Wait()
 }
 
-// ForDynamicOrdered is ForDynamic over an explicit index order: body is
-// invoked with order[k] for every k, chunks handed out dynamically. It lets
-// schedulers present a priority order (e.g. heaviest subdomain first) while
-// keeping dynamic load balancing.
-func ForDynamicOrdered(p int, order []int, chunk int, body func(i int)) {
-	ForDynamic(p, len(order), chunk, func(k int) { body(order[k]) })
-}
-
-// ForDynamicOrderedW is ForDynamicOrdered with the worker index.
+// ForDynamicOrderedW is ForDynamicW over an explicit index order: body is
+// invoked with order[k] for every k, chunks handed out dynamically, so a
+// caller can present a priority order while keeping dynamic load balancing.
+// Like ForDynamicW it stays only while core.Accumulator uses it.
 func ForDynamicOrderedW(p int, order []int, chunk int, body func(worker, i int)) {
 	ForDynamicW(p, len(order), chunk, func(w, k int) { body(w, order[k]) })
 }

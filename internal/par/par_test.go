@@ -135,9 +135,17 @@ func TestForDynamicCoverage(t *testing.T) {
 	check := func(p, chunk uint8, n uint16) bool {
 		N := int(n % 300)
 		marks := make([]int32, N)
-		ForDynamic(int(p%10), N, int(chunk%9), func(i int) {
+		P := int(p % 10)
+		var bad atomic.Bool
+		ForDynamicW(P, N, int(chunk%9), func(w, i int) {
+			if w < 0 || w >= Threads(P) {
+				bad.Store(true)
+			}
 			atomic.AddInt32(&marks[i], 1)
 		})
+		if bad.Load() {
+			return false
+		}
 		for _, m := range marks {
 			if m != 1 {
 				return false
@@ -171,7 +179,10 @@ func TestForDynamicOrdered(t *testing.T) {
 	order := []int{5, 3, 9, 0, 7}
 	var mu sync.Mutex
 	var got []int
-	ForDynamicOrdered(1, order, 1, func(i int) {
+	ForDynamicOrderedW(1, order, 1, func(w, i int) {
+		if w != 0 {
+			t.Errorf("single worker ran as worker %d", w)
+		}
 		mu.Lock()
 		got = append(got, i)
 		mu.Unlock()
@@ -216,7 +227,7 @@ func TestGraphRespectsDependencies(t *testing.T) {
 		finish := make([]int64, n)
 		for i := 0; i < n; i++ {
 			i := i
-			g.Add(float64(next()%100), func() {
+			g.Add(float64(next()%100), func(int) {
 				start[i] = clock.Add(1)
 				finish[i] = clock.Add(1)
 			})
@@ -255,7 +266,7 @@ func TestGraphPriorityOrder(t *testing.T) {
 	prios := []float64{1, 9, 4, 7, 2}
 	for i, p := range prios {
 		i := i
-		g.Add(p, func() {
+		g.Add(p, func(int) {
 			mu.Lock()
 			order = append(order, i)
 			mu.Unlock()
@@ -275,7 +286,7 @@ func TestGraphDiamond(t *testing.T) {
 	var trace []string
 	var mu sync.Mutex
 	add := func(name string) int {
-		return g.Add(0, func() {
+		return g.Add(0, func(int) {
 			mu.Lock()
 			trace = append(trace, name)
 			mu.Unlock()
@@ -292,6 +303,58 @@ func TestGraphDiamond(t *testing.T) {
 	}
 }
 
+// TestGraphWorkerIndex: every task runs with a worker index in [0, p) that
+// no other running task holds, so tasks bump per-worker counters with no
+// synchronization (which -race checks) and the counters add up to the task
+// count exactly; and nil-run join tasks order their successors: each layer
+// of tasks waits on a join that waits on the whole layer before it.
+func TestGraphWorkerIndex(t *testing.T) {
+	const layers, width = 6, 40
+	for _, p := range []int{1, 2, 3, 8} {
+		g := &Graph{}
+		counts := make([][8]int64, p) // padded: one cache line per worker
+		busy := make([]atomic.Bool, p)
+		var done [layers]atomic.Int64
+		join := -1
+		for l := 0; l < layers; l++ {
+			l := l
+			next := g.Add(0, nil)
+			for i := 0; i < width; i++ {
+				id := g.Add(float64(i), func(w int) {
+					if w < 0 || w >= p {
+						t.Errorf("p=%d: worker index %d", p, w)
+						return
+					}
+					if !busy[w].CompareAndSwap(false, true) {
+						t.Errorf("p=%d: two tasks ran as worker %d at once", p, w)
+					}
+					if l > 0 && done[l-1].Load() != width {
+						t.Errorf("p=%d: layer %d ran before layer %d finished", p, l, l-1)
+					}
+					counts[w][0]++
+					time.Sleep(20 * time.Microsecond) // let the workers' tasks overlap
+					counts[w][0]++
+					busy[w].Store(false)
+					done[l].Add(1)
+				})
+				if join >= 0 {
+					g.AddDep(join, id)
+				}
+				g.AddDep(id, next)
+			}
+			join = next
+		}
+		g.Run(p)
+		var total int64
+		for w := range counts {
+			total += counts[w][0]
+		}
+		if total != 2*layers*width {
+			t.Fatalf("p=%d: counted %d increments, want %d", p, total, 2*layers*width)
+		}
+	}
+}
+
 func TestGraphEmpty(t *testing.T) {
 	g := &Graph{}
 	g.Run(4) // must not hang or panic
@@ -304,8 +367,8 @@ func TestGraphCyclePanics(t *testing.T) {
 		}
 	}()
 	g := &Graph{}
-	a := g.Add(0, func() {})
-	b := g.Add(0, func() {})
+	a := g.Add(0, func(int) {})
+	b := g.Add(0, func(int) {})
 	g.AddDep(a, b)
 	g.AddDep(b, a)
 	g.Run(2)
@@ -318,7 +381,7 @@ func TestGraphSelfDepPanics(t *testing.T) {
 		}
 	}()
 	g := &Graph{}
-	a := g.Add(0, func() {})
+	a := g.Add(0, func(int) {})
 	g.AddDep(a, a)
 }
 
@@ -328,7 +391,7 @@ func TestGraphManyTasks(t *testing.T) {
 	var ran atomic.Int64
 	prev := -1
 	for i := 0; i < n; i++ {
-		id := g.Add(float64(i%17), func() { ran.Add(1) })
+		id := g.Add(float64(i%17), func(int) { ran.Add(1) })
 		if prev >= 0 && i%7 == 0 {
 			g.AddDep(prev, id)
 		}

@@ -14,8 +14,9 @@ import (
 
 // Simulate runs greedy list scheduling of the DAG on p identical machines,
 // picking the highest-weight ready task first, and returns the simulated
-// makespan. It models exactly what the par.Graph executor does when task
-// durations equal the given weights.
+// makespan. It models exactly what the par.Graph executor, which runs
+// every parallel PB-SYM strategy, does with a graph whose task priorities
+// are the given weights (PD-SCHED's) when task durations equal them.
 func Simulate(d stencil.DAG, w []float64, p int) float64 {
 	if d.N == 0 {
 		return 0
