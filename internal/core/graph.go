@@ -30,7 +30,7 @@ type taskRun struct {
 // worker runs a task changes no total. If plan fails, the shared grid it
 // allocated is released.
 func runGraph(pts []grid.Point, spec grid.Spec, opt Options, plan func(*taskRun) error) (*Result, error) {
-	r := &taskRun{opt: opt, res: &Result{}}
+	r := &taskRun{opt: opt, res: &Result{}, scratch: make([]*symScratch, opt.Threads)}
 	r.pts, r.res.Phases.Bin = sortedByMorton(pts, spec, opt)
 	r.c = newCtx(r.pts, spec, opt)
 	if err := plan(r); err != nil {
@@ -39,7 +39,6 @@ func runGraph(pts []grid.Point, spec grid.Spec, opt Options, plan func(*taskRun)
 		}
 		return nil, err
 	}
-	r.scratch = make([]*symScratch, opt.Threads)
 	t0 := time.Now()
 	r.graph.Run(opt.Threads)
 	r.res.Phases.Compute = time.Since(t0)

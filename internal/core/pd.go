@@ -107,10 +107,10 @@ func AnalyzePD(pts []grid.Point, spec grid.Spec, opt Options, loadAware bool) (S
 // in blocks (applySymPoints), in the order it binned them.
 //
 // It runs as a plan on the task-graph executor (runGraph): one task per
-// non-empty cell, and the barrier between two parity sets is a join task
-// that waits on every cell of one set and that every cell of the next set
-// waits on. The sets' oriented DAG is only reported (Figure 12 compares
-// these barriers against PD-SCHED's DAG).
+// cell, and the barrier between two parity sets is a join task that waits
+// on every cell of one set and that every cell of the next set waits on.
+// The sets' oriented DAG is only reported (Figure 12 compares these
+// barriers against PD-SCHED's DAG).
 func runPD(pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
 	return runGraph(pts, spec, opt, func(r *taskRun) error {
 		s := newPDSetup(r.pts, spec, opt, &r.c)
@@ -121,33 +121,28 @@ func runPD(pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
 		col := stencil.Checkerboard(s.lat)
 		dag := stencil.Orient(s.lat, col)
 		s.dagStats(&r.res.Stats, col, dag, s.w, opt.Threads)
-		byColor := make([][]int, col.NumColors)
-		for id, cl := range col.Colors {
-			if len(s.cells[id]) > 0 {
-				byColor[cl] = append(byColor[cl], id)
-			}
-		}
 		r.res.Phases.Plan = time.Since(t0)
 
 		v, err := r.newGrid()
 		if err != nil {
 			return err
 		}
+		// Color c's barrier is join[c]: it waits on every cell of color c
+		// and on join[c-1], and every cell of color c+1 waits on it.
+		join := make([]int, col.NumColors)
+		for c := range join {
+			join[c] = r.graph.Add(0, nil)
+			if c > 0 {
+				r.graph.AddDep(join[c-1], join[c])
+			}
+		}
 		bounds := spec.Bounds()
-		barrier := -1
-		for _, set := range byColor {
-			if len(set) == 0 {
-				continue // a join with no cells would not wait on the barrier before it
+		for id, c := range col.Colors {
+			t := r.cell(0, v, s.cells[id], bounds)
+			if c > 0 {
+				r.graph.AddDep(join[c-1], t)
 			}
-			join := r.graph.Add(0, nil)
-			for _, id := range set {
-				t := r.cell(0, v, s.cells[id], bounds)
-				if barrier >= 0 {
-					r.graph.AddDep(barrier, t)
-				}
-				r.graph.AddDep(t, join)
-			}
-			barrier = join
+			r.graph.AddDep(t, join[c])
 		}
 		return nil
 	})

@@ -130,7 +130,11 @@ func ForDynamicW(p, n, chunk int, body func(worker, i int)) {
 				if lo >= n {
 					return
 				}
-				for i := lo; i < min(lo+chunk, n); i++ {
+				hi := lo + chunk
+				if hi > n {
+					hi = n
+				}
+				for i := lo; i < hi; i++ {
 					body(w, i)
 				}
 			}
