@@ -3,9 +3,9 @@
 // case reports every day and needs the density map refreshed in near real
 // time.
 //
-// It exercises three extensions built on the paper's machinery:
+// It exercises four extensions built on the paper's machinery:
 //
-//   - the streaming Accumulator (incremental adds, sliding-window retires),
+//   - a live Stream (incremental adds, sliding-window retires),
 //   - exact point Queries ("what is the risk at this clinic right now?"),
 //   - hot-region extraction via thresholding, and
 //   - a simulated distributed-memory run (the paper's future-work item).
@@ -36,7 +36,7 @@ func main() {
 		byDay[d] = append(byDay[d], c)
 	}
 
-	acc, err := stkde.NewAccumulator(spec, stkde.Options{})
+	stream, err := stkde.NewStream(spec, stkde.StreamConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,14 +45,16 @@ func main() {
 	// new reports are added and reports older than the window retire.
 	const window = 60
 	for day := 0; day < 90; day++ {
-		acc.Add(byDay[day]...)
+		stream.Add(byDay[day]...)
 		if old := day - window; old >= 0 {
-			acc.Remove(byDay[old]...)
+			if err := stream.Remove(byDay[old]...); err != nil {
+				log.Fatal(err)
+			}
 		}
 	}
-	fmt.Printf("after 90 days: %d active cases in the %d-day window\n", acc.N(), window)
+	fmt.Printf("after 90 days: %d active cases in the %d-day window\n", stream.N(), window)
 
-	snap, err := acc.Snapshot(nil)
+	snap, err := stream.Snapshot(nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func main() {
 	fmt.Printf("current hotspot: (%.0f m, %.0f m) around day %.0f (density %.3g)\n",
 		spec.CenterX(X), spec.CenterY(Y), spec.CenterT(T), v)
 
-	// Hot-region alerting: voxels above 40%% of the peak.
+	// Hot-region alerting: voxels above 40% of the peak.
 	hot := snap.Threshold(v * 0.4)
 	fmt.Printf("alert regions at 40%% of peak: %d voxel runs\n", len(hot))
 

@@ -40,9 +40,8 @@ import (
 // A ctx also carries a signed contribution weight (see withWeight): the
 // engine's apply functions are the per-point contribution primitive shared
 // by all twelve strategies, and scaling their output by ±1 is what turns
-// the batch estimator into the streaming Accumulator and Updater — a w=-1
-// application subtracts the bitwise-exact negation of what the w=+1
-// application added.
+// the batch estimator into the streaming Updater — a w=-1 application
+// subtracts the bitwise-exact negation of what the w=+1 application added.
 type ctx struct {
 	spec     grid.Spec
 	sk       kernel.Spatial

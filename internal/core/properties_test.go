@@ -130,15 +130,16 @@ func TestNonNegativity(t *testing.T) {
 	}
 }
 
-// TestAccumulatorConcurrentAdd: concurrent small adds from many goroutines
-// must serialize correctly (the accumulator is mutex-guarded).
-func TestAccumulatorConcurrentAdd(t *testing.T) {
+// TestUpdaterConcurrentAdd: concurrent small adds from many goroutines
+// must serialize correctly (the updater is mutex-guarded).
+func TestUpdaterConcurrentAdd(t *testing.T) {
 	spec := testSpec(t, 16, 16, 10, 2, 2)
 	pts := testPoints(400, spec.Domain, 9)
-	acc, err := NewAccumulator(spec, Options{Threads: 2})
+	u, err := NewUpdater(spec, UpdaterConfig{Options: Options{Threads: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer u.Release()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		w := w
@@ -146,19 +147,19 @@ func TestAccumulatorConcurrentAdd(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := w; i < len(pts); i += 8 {
-				acc.Add(pts[i])
+				u.Add(pts[i])
 			}
 		}()
 	}
 	wg.Wait()
-	if acc.N() != len(pts) {
-		t.Fatalf("N = %d, want %d", acc.N(), len(pts))
+	if u.N() != len(pts) {
+		t.Fatalf("N = %d, want %d", u.N(), len(pts))
 	}
 	want, err := Estimate(AlgPBSYM, pts, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := acc.Snapshot(nil)
+	snap, err := u.Snapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,17 +168,18 @@ func TestAccumulatorConcurrentAdd(t *testing.T) {
 	}
 }
 
-// TestQueryMatchesAccumulator: the streaming and query paths agree at
-// voxel centers.
-func TestQueryMatchesAccumulator(t *testing.T) {
+// TestQueryMatchesUpdater: the streaming and query paths agree at voxel
+// centers.
+func TestQueryMatchesUpdater(t *testing.T) {
 	spec := testSpec(t, 14, 12, 8, 3, 2)
 	pts := testPoints(150, spec.Domain, 12)
-	acc, err := NewAccumulator(spec, Options{})
+	u, err := NewUpdater(spec, UpdaterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc.Add(pts...)
-	snap, err := acc.Snapshot(nil)
+	defer u.Release()
+	u.Add(pts...)
+	snap, err := u.Snapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +190,7 @@ func TestQueryMatchesAccumulator(t *testing.T) {
 				got := q.At(spec.CenterX(X), spec.CenterY(Y), spec.CenterT(T))
 				want := snap.At(X, Y, T)
 				if math.Abs(got-want) > 1e-13 {
-					t.Fatalf("query/accumulator mismatch at (%d,%d,%d): %g vs %g",
+					t.Fatalf("query/updater mismatch at (%d,%d,%d): %g vs %g",
 						X, Y, T, got, want)
 				}
 			}

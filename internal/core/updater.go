@@ -62,9 +62,9 @@ import (
 // bound stay on the calling goroutine, once per event in batch order. A
 // chunk below stripMinEvents reaching events runs its strips inline.
 //
-// Like the Accumulator, the ring stores *unnormalized* contributions
-// (ks·kt/(hs²·ht)); Snapshot and At divide by the live event count so the
-// reported densities match a fresh batch Estimate over the live events.
+// The ring stores *unnormalized* contributions (ks·kt/(hs²·ht)); Snapshot
+// and At divide by the live event count so the reported densities match a
+// fresh batch Estimate over the live events.
 //
 // Drift control: every mutation advances a running residual bound (an
 // upper estimate of accumulated cancellation rounding, per voxel, in
@@ -199,7 +199,7 @@ func newUpdater(ring *grid.Ring, cfg UpdaterConfig) *Updater {
 	u := &Updater{ring: ring, cfg: cfg, live: make(map[int][]liveEvent), budget: opt.Budget, threads: opt.Threads, cols: make([]int, spec.Gx+1)}
 	u.pos = newCtx(nil, spec, opt)
 	// Unnormalized contributions: weigh each event by 1/(hs^2*ht) only;
-	// Snapshot divides by the live count (exactly like the Accumulator).
+	// Snapshot divides by the live count.
 	u.pos.norm = 1 / (spec.HS * spec.HS * spec.HT)
 	u.pos.n = 1
 	u.neg = u.pos.withWeight(-1)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -404,6 +405,13 @@ func TestUpdaterBudget(t *testing.T) {
 	}
 	if b.Used() != want {
 		t.Fatalf("failed create left %d bytes charged, want %d", b.Used(), want)
+	}
+	// A snapshot needs a second grid: it must fail under this budget.
+	if _, err := u.Snapshot(b); !errors.Is(err, grid.ErrMemoryBudget) {
+		t.Fatalf("snapshot in a full one-window budget: want ErrMemoryBudget, got %v", err)
+	}
+	if b.Used() != want {
+		t.Fatalf("failed snapshot left %d bytes charged, want %d", b.Used(), want)
 	}
 	u.Release()
 	if b.Used() != 0 {

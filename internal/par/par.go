@@ -99,54 +99,3 @@ func For(p, n int, body func(i int)) {
 		}
 	})
 }
-
-// ForDynamicW runs body(w, i) for every i in [0, n), handing out chunks of
-// the given size from a shared counter (the OpenMP "dynamic" schedule); w is
-// the worker running the chunk, so callers can keep per-worker scratch
-// buffers without synchronization. Its one caller is core.Accumulator, and
-// it goes with it (ROADMAP item 18); the PB-SYM strategies run on Graph.
-func ForDynamicW(p, n, chunk int, body func(worker, i int)) {
-	p = Threads(p)
-	if n <= 0 {
-		return
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	if p == 1 {
-		for i := 0; i < n; i++ {
-			body(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				lo := int(next.Add(int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					body(w, i)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// ForDynamicOrderedW is ForDynamicW over an explicit index order: body is
-// invoked with order[k] for every k, chunks handed out dynamically, so a
-// caller can present a priority order while keeping dynamic load balancing.
-// Like ForDynamicW it stays only while core.Accumulator uses it.
-func ForDynamicOrderedW(p int, order []int, chunk int, body func(worker, i int)) {
-	ForDynamicW(p, len(order), chunk, func(w, k int) { body(w, order[k]) })
-}

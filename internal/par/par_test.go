@@ -131,72 +131,6 @@ func TestForCoverage(t *testing.T) {
 	}
 }
 
-func TestForDynamicCoverage(t *testing.T) {
-	check := func(p, chunk uint8, n uint16) bool {
-		N := int(n % 300)
-		marks := make([]int32, N)
-		P := int(p % 10)
-		var bad atomic.Bool
-		ForDynamicW(P, N, int(chunk%9), func(w, i int) {
-			if w < 0 || w >= Threads(P) {
-				bad.Store(true)
-			}
-			atomic.AddInt32(&marks[i], 1)
-		})
-		if bad.Load() {
-			return false
-		}
-		for _, m := range marks {
-			if m != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestForDynamicWWorkerScratchSafety(t *testing.T) {
-	const p, n = 8, 5000
-	// Per-worker counters with no synchronization: safe iff worker ids are
-	// correct (each id used by one goroutine at a time).
-	counters := make([][8]int64, p) // padded to avoid benign sharing issues
-	ForDynamicW(p, n, 3, func(w, i int) {
-		counters[w][0]++
-	})
-	var total int64
-	for w := range counters {
-		total += counters[w][0]
-	}
-	if total != n {
-		t.Fatalf("counted %d iterations, want %d", total, n)
-	}
-}
-
-func TestForDynamicOrdered(t *testing.T) {
-	order := []int{5, 3, 9, 0, 7}
-	var mu sync.Mutex
-	var got []int
-	ForDynamicOrderedW(1, order, 1, func(w, i int) {
-		if w != 0 {
-			t.Errorf("single worker ran as worker %d", w)
-		}
-		mu.Lock()
-		got = append(got, i)
-		mu.Unlock()
-	})
-	if len(got) != len(order) {
-		t.Fatalf("visited %d, want %d", len(got), len(order))
-	}
-	for i := range order {
-		if got[i] != order[i] {
-			t.Fatalf("single worker should preserve order: got %v", got)
-		}
-	}
-}
-
 func TestThreads(t *testing.T) {
 	if Threads(5) != 5 {
 		t.Error("explicit thread count not honored")

@@ -8,25 +8,27 @@ import (
 	"repro/synth"
 )
 
-// ExampleNewAccumulator shows streaming estimation with retraction: a
-// sliding window over daily event batches.
-func ExampleNewAccumulator() {
+// ExampleNewStream shows streaming estimation with retraction: a sliding
+// window over daily event batches.
+func ExampleNewStream() {
 	domain := stkde.Domain{GX: 100, GY: 100, GT: 30}
 	spec, err := stkde.NewSpec(domain, 2, 1, 10, 3)
 	if err != nil {
 		log.Fatal(err)
 	}
-	acc, err := stkde.NewAccumulator(spec, stkde.Options{})
+	s, err := stkde.NewStream(spec, stkde.StreamConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	day1 := synth.Epidemic{}.Generate(500, domain, 1)
 	day2 := synth.Epidemic{}.Generate(500, domain, 2)
-	acc.Add(day1...)
-	acc.Add(day2...)
-	acc.Remove(day1...) // day 1 falls out of the window
-	fmt.Println("events in window:", acc.N())
-	snap, err := acc.Snapshot(nil)
+	s.Add(day1...)
+	s.Add(day2...)
+	if err := s.Remove(day1...); err != nil { // day 1 falls out of the window
+		log.Fatal(err)
+	}
+	fmt.Println("events in window:", s.N())
+	snap, err := s.Snapshot(nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,16 +6,6 @@ import (
 	"repro/internal/grid"
 )
 
-// Accumulator maintains a streaming STKDE: events are added (or retracted)
-// incrementally without recomputing the volume — the daily-update
-// surveillance workflow of the paper's introduction.
-type Accumulator = core.Accumulator
-
-// NewAccumulator creates an empty streaming estimator on spec.
-func NewAccumulator(spec Spec, opt Options) (*Accumulator, error) {
-	return core.NewAccumulator(spec, opt)
-}
-
 // Stream is the sliding-window streaming estimator (core.Updater): a
 // long-lived engine owning a temporal ring-buffer window of density that
 // stays exact under Add (fold events in, O(Hs²·Ht) each), Remove (retract
@@ -25,7 +15,8 @@ func NewAccumulator(spec Spec, opt Options) (*Accumulator, error) {
 // arrive already filled by every Add, expiring events the window leaves
 // behind). Drift from floating-point cancellation is tracked by a running
 // residual bound; crossing it (or every StreamConfig.CompactEvery
-// mutations) triggers a full re-estimate of the live events.
+// mutations) triggers a full re-estimate of the live events. It serves the
+// daily-update surveillance workflow of the paper's introduction.
 type Stream = core.Updater
 
 // StreamConfig configures a Stream (kernels, budget, drift control).
