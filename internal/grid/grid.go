@@ -46,6 +46,11 @@ func (d Domain) Contains(p Point) bool {
 // corresponds to layer OT of the root grid, while Domain stays the root
 // domain. CenterT and VoxelOf account for the shift, so every estimator
 // evaluates the exact same voxel centers it would in the root frame.
+//
+// CenterX, CenterY, CenterT, VoxelOf and InfluenceBox take a pointer: the
+// engine calls the first three once per voxel column and the last two once
+// per point, and a value receiver copies all 128 bytes of the Spec on every
+// call, even inlined.
 type Spec struct {
 	Domain Domain
 
@@ -116,15 +121,15 @@ func (s Spec) Bounds() Box {
 
 // CenterX returns the continuous x coordinate sampled by voxel column X.
 // Voxels sample cell centers: x = X0 + (X+1/2)*sres.
-func (s Spec) CenterX(X int) float64 { return s.Domain.X0 + (float64(X)+0.5)*s.SRes }
+func (s *Spec) CenterX(X int) float64 { return s.Domain.X0 + (float64(X)+0.5)*s.SRes }
 
 // CenterY returns the continuous y coordinate sampled by voxel row Y.
-func (s Spec) CenterY(Y int) float64 { return s.Domain.Y0 + (float64(Y)+0.5)*s.SRes }
+func (s *Spec) CenterY(Y int) float64 { return s.Domain.Y0 + (float64(Y)+0.5)*s.SRes }
 
 // CenterT returns the continuous t coordinate sampled by voxel layer T.
 // For a sub-spec the offset makes CenterT(T) bitwise equal to the root
 // spec's CenterT(T+OT), which is what makes sub-spec estimation exact.
-func (s Spec) CenterT(T int) float64 { return s.Domain.T0 + (float64(T+s.OT)+0.5)*s.TRes }
+func (s *Spec) CenterT(T int) float64 { return s.Domain.T0 + (float64(T+s.OT)+0.5)*s.TRes }
 
 // maxFrame bounds the frame offsets a sliding window reaches: every one
 // lies strictly between -maxFrame and maxFrame. Past 2^52 a float64 layer
@@ -180,7 +185,7 @@ func (s Spec) CoversT(t float64) bool {
 // last layer; their influence box then covers a superset of the voxels their
 // bandwidth cylinder reaches, and the kernel distance tests zero the rest —
 // so halo points replicated from a neighboring slab contribute exactly.
-func (s Spec) VoxelOf(p Point) (X, Y, T int) {
+func (s *Spec) VoxelOf(p Point) (X, Y, T int) {
 	X = clamp(int(math.Floor((p.X-s.Domain.X0)/s.SRes)), 0, s.Gx-1)
 	Y = clamp(int(math.Floor((p.Y-s.Domain.Y0)/s.SRes)), 0, s.Gy-1)
 	T = clamp(int(math.Floor((p.T-s.Domain.T0)/s.TRes))-s.OT, 0, s.Gt-1)
@@ -191,10 +196,13 @@ func (s Spec) VoxelOf(p Point) (X, Y, T int) {
 // point p: the point's voxel extended by (Hs, Hs, Ht) and clipped to the
 // grid. Every voxel whose center lies within the continuous bandwidth
 // cylinder of p is contained in this box (see TestInfluenceBoxCovers).
-func (s Spec) InfluenceBox(p Point) Box {
+func (s *Spec) InfluenceBox(p Point) Box {
 	X, Y, T := s.VoxelOf(p)
-	b := Box{X - s.Hs, X + s.Hs, Y - s.Hs, Y + s.Hs, T - s.Ht, T + s.Ht}
-	return b.Clip(s.Bounds())
+	return Box{
+		max(X-s.Hs, 0), min(X+s.Hs, s.Gx-1),
+		max(Y-s.Hs, 0), min(Y+s.Hs, s.Gy-1),
+		max(T-s.Ht, 0), min(T+s.Ht, s.Gt-1),
+	}
 }
 
 // NormFactor returns 1/(n*hs^2*ht), the normalization constant of the
