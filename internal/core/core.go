@@ -209,6 +209,11 @@ type Stats struct {
 	SKEvals int64
 	TKEvals int64
 
+	// SpanProbes counts evaluations of the disk-span predicate
+	// dx^2+dy^2 < hs^2 that place the in-disk Y range of each X column
+	// (diskSpans), the engine's per-column cost outside the kernels.
+	SpanProbes int64
+
 	// PointAssignments is the total number of (point, subdomain)
 	// assignments; for PB-SYM-DD values above N measure point replication.
 	PointAssignments int64

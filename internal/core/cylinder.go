@@ -258,9 +258,10 @@ type scratch struct {
 	nv  []float64 // (CenterY(Y)-p.Y)*invHS, the kernel's v argument
 	nv2 []float64 // nv^2, the polynomial kernels' v^2 term
 
-	updates int64
-	skEvals int64
-	tkEvals int64
+	updates    int64
+	skEvals    int64
+	tkEvals    int64
+	spanProbes int64
 }
 
 // roundUp8 rounds n up to the next multiple of 8, the float64 count of a
@@ -345,6 +346,7 @@ func (sc *scratch) mergeInto(st *Stats) {
 	st.Updates += sc.updates
 	st.SKEvals += sc.skEvals
 	st.TKEvals += sc.tkEvals
+	st.SpanProbes += sc.spanProbes
 }
 
 // applyFn is the per-point inner kernel shared by all PB-family algorithms:
@@ -728,7 +730,7 @@ func diskSpans(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) int {
 	y0 := c.spec.Domain.Y0
 	dy2 := sc.dy2 // filled by fillYCaches
 	small := ny <= smallSpanCutoff
-	total := 0
+	total, probes := 0, 0
 	for ix := 0; ix < nx; ix++ {
 		dx := c.spec.CenterX(box.X0+ix) - p.X
 		dxx := dx * dx
@@ -751,10 +753,18 @@ func diskSpans(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) int {
 				hi = box.Y1
 			}
 		}
-		for lo <= hi && dxx+dy2[lo-box.Y0] >= g.hs2 {
+		for lo <= hi {
+			probes++
+			if dxx+dy2[lo-box.Y0] < g.hs2 {
+				break
+			}
 			lo++
 		}
-		for hi >= lo && dxx+dy2[hi-box.Y0] >= g.hs2 {
+		for hi >= lo {
+			probes++
+			if dxx+dy2[hi-box.Y0] < g.hs2 {
+				break
+			}
 			hi--
 		}
 		if hi < lo {
@@ -765,6 +775,7 @@ func diskSpans(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) int {
 		sc.spanN[ix] = int32(hi - lo + 1)
 		total += hi - lo + 1
 	}
+	sc.spanProbes += int64(probes)
 	return total
 }
 
