@@ -696,9 +696,10 @@ func (b *symScratch) flush(v view) {
 	b.n = 0
 }
 
-// smallSpanCutoff is the extent below which diskSpans and barBounds refine
-// directly from the box edges: for tiny boxes the sqrt and float-to-int
-// guesses cost more than the handful of exact predicate tests they save.
+// smallSpanCutoff is the extent below which barBounds refines directly
+// from the box edges: for tiny boxes the float-to-int guesses cost more
+// than the handful of exact predicate tests they save. (diskSpans walks
+// its spans from column to column and takes no guess at any size.)
 const smallSpanCutoff = 12
 
 // vectorSpanCutoff is the packed-span length from which the vector fill
@@ -719,64 +720,93 @@ const vectorBlockCutoff = 8
 
 // diskSpans computes, for every X column of box, the contiguous range of Y
 // rows whose voxel centers lie strictly inside the spatial bandwidth circle
-// of p (the exact predicate dx^2+dy^2 < hs^2 of the dense scan). A sqrt
-// gives the candidate range; the ends are then refined with the exact
-// predicate so span membership is bitwise-faithful to the dense scan. It
+// of p (the exact predicate dx^2+dy^2 < hs^2 of the dense scan), and
 // returns the packed element total.
+//
+// It walks across X as the midpoint-circle algorithm does (Bresenham,
+// CACM 1977), with no sqrt or float rounding of its own. The voxel centers
+// are monotone in X and Y, so dy^2 falls to the seed row, the box row with
+// the least dy^2, and rises after it, and a column's in-disk rows are an
+// interval that holds the seed whenever it is not empty. While dx^2 falls
+// from one column to the next the previous interval still passes, and the
+// walk grows it; while dx^2 rises the interval can only shrink. Both test
+// rows with the exact predicate, so each span is exactly the dense scan's
+// set. A column with no span restarts the walk from the seed.
 func diskSpans(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) int {
 	nx := box.X1 - box.X0 + 1
 	ny := box.Y1 - box.Y0 + 1
-	invSRes := 1 / c.spec.SRes
-	y0 := c.spec.Domain.Y0
-	dy2 := sc.dy2 // filled by fillYCaches
-	small := ny <= smallSpanCutoff
+	hs2 := g.hs2
+	dy2 := sc.dy2[:ny] // filled by fillYCaches or fillDy2
+	seed := 0
+	for iy := 1; iy < ny && dy2[iy] <= dy2[seed]; iy++ {
+		if dy2[iy] < dy2[seed] {
+			seed = iy
+		}
+	}
+	lo, hi := 0, -1 // the previous column's span, relative to box.Y0
+	prev := 0.0     // the previous column's dx^2
 	total, probes := 0, 0
 	for ix := 0; ix < nx; ix++ {
 		dx := c.spec.CenterX(box.X0+ix) - p.X
 		dxx := dx * dx
-		rem := g.hs2 - dxx
-		if rem <= 0 {
+		switch {
+		case dxx >= hs2: // dy^2 >= 0, so no row passes
+			lo, hi = 0, -1
+		case lo > hi:
+			probes++
+			if dxx+dy2[seed] < hs2 {
+				lo, hi = seed, seed
+				lo, hi, probes = growSpan(dxx, hs2, dy2, lo, hi, probes)
+			}
+		case dxx <= prev:
+			lo, hi, probes = growSpan(dxx, hs2, dy2, lo, hi, probes)
+		default:
+			for lo <= hi {
+				probes++
+				if dxx+dy2[lo] < hs2 {
+					break
+				}
+				lo++
+			}
+			for hi > lo {
+				probes++
+				if dxx+dy2[hi] < hs2 {
+					break
+				}
+				hi--
+			}
+		}
+		prev = dxx
+		if lo > hi {
 			sc.spanLo[ix], sc.spanN[ix] = 0, 0
 			continue
 		}
-		lo, hi := box.Y0, box.Y1
-		if !small {
-			// Candidate range from the circle equation, one voxel of
-			// slack on each side; the exact predicate trims the rest.
-			hw := math.Sqrt(rem)
-			lo = int(math.Floor((p.Y-hw-y0)*invSRes-0.5)) - 1
-			hi = int(math.Ceil((p.Y+hw-y0)*invSRes-0.5)) + 1
-			if lo < box.Y0 {
-				lo = box.Y0
-			}
-			if hi > box.Y1 {
-				hi = box.Y1
-			}
-		}
-		for lo <= hi {
-			probes++
-			if dxx+dy2[lo-box.Y0] < g.hs2 {
-				break
-			}
-			lo++
-		}
-		for hi >= lo {
-			probes++
-			if dxx+dy2[hi-box.Y0] < g.hs2 {
-				break
-			}
-			hi--
-		}
-		if hi < lo {
-			sc.spanLo[ix], sc.spanN[ix] = 0, 0
-			continue
-		}
-		sc.spanLo[ix] = int32(lo - box.Y0)
+		sc.spanLo[ix] = int32(lo)
 		sc.spanN[ix] = int32(hi - lo + 1)
 		total += hi - lo + 1
 	}
 	sc.spanProbes += int64(probes)
 	return total
+}
+
+// growSpan extends the in-disk rows [lo, hi] of dy2 outward while the
+// next row passes dxx+dy2 < hs2, and adds the rows it tested to probes.
+func growSpan(dxx, hs2 float64, dy2 []float64, lo, hi, probes int) (int, int, int) {
+	for lo > 0 {
+		probes++
+		if dxx+dy2[lo-1] >= hs2 {
+			break
+		}
+		lo--
+	}
+	for hi < len(dy2)-1 {
+		probes++
+		if dxx+dy2[hi+1] >= hs2 {
+			break
+		}
+		hi++
+	}
+	return lo, hi, probes
 }
 
 // barBounds returns the inclusive T range of box whose voxel centers lie

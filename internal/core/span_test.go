@@ -2,7 +2,10 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"testing"
+
+	"repro/internal/grid"
 )
 
 // spanProbeCase is one fixed script of TestSpanProbes: strategy alg at one
@@ -24,18 +27,18 @@ type spanProbeCase struct {
 // decomposition adds boxes cut at cell faces, many of which leave out the
 // point's own row or column.
 var spanProbeCases = []spanProbeCase{
-	{"digest", AlgPBSYM, 26, 24, 18, 7, 5, 140, 7860},
-	{"dd", AlgPBSYMDD, 26, 24, 18, 7, 5, 140, 15129},
-	{"hs25", AlgPBSYM, 90, 80, 16, 25, 3, 120, 25120},
-	{"hs13", AlgPBSYM, 70, 60, 16, 13, 4, 200, 23045},
-	{"hs1", AlgPBSYM, 60, 60, 30, 1, 2, 400, 2694},
-	{"hs0.4", AlgPBSYM, 40, 40, 20, 0.4, 2, 400, 1173},
+	{"digest", AlgPBSYM, 26, 24, 18, 7, 5, 140, 5558},
+	{"dd", AlgPBSYMDD, 26, 24, 18, 7, 5, 140, 10036},
+	{"hs25", AlgPBSYM, 90, 80, 16, 25, 3, 120, 17977},
+	{"hs13", AlgPBSYM, 70, 60, 16, 13, 4, 200, 16839},
+	{"hs1", AlgPBSYM, 60, 60, 30, 1, 2, 400, 1917},
+	{"hs0.4", AlgPBSYM, 40, 40, 20, 0.4, 2, 400, 736},
 }
 
 // updaterSpanProbes pins the span probes of the updater's strips on the
 // script of TestSpanProbes' "hs13" case, added to a window of that spec
 // in one batch cut into three strips.
-const updaterSpanProbes = 23045
+const updaterSpanProbes = 20613
 
 // TestSpanProbes pins Stats.SpanProbes, the disk-span predicate
 // evaluations, for PB-SYM and PB-SYM-DD on fixed scripts, and the same count
@@ -73,5 +76,111 @@ func TestSpanProbes(t *testing.T) {
 		if got != updaterSpanProbes {
 			t.Errorf("updater strips: span probes = %d, want %d", got, updaterSpanProbes)
 		}
+	}
+}
+
+// TestDiskSpansClippedBoxes checks diskSpans against the span predicate
+// tested row by row, on the boxes the engine clips a point's influence box
+// to, not only whole boxes (TestSpanFillMatchesDenseFill): a 3×3 DD
+// decomposition's cells and the halves and quadrants that leave out the
+// point's own row or column, X strips one to seven columns wide (the
+// updater's cut), bandwidths under half a voxel, where a column's span
+// goes empty, then not, then empty again, and points on a row boundary,
+// where two rows tie for the least dy^2. Every column's span must be
+// exactly the rows that pass, and the total their sum.
+func TestDiskSpansClippedBoxes(t *testing.T) {
+	blips, ties := 0, 0 // columns with a span between two without; boxes with two least rows
+	offset, err := grid.NewSpec(grid.Domain{X0: 3.1, Y0: -2.3, GX: 21, GY: 17.5, GT: 8}, 0.7, 1, 3.3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []grid.Spec{
+		testSpec(t, 30, 28, 8, 5, 2), // centers on the circle: 3-4-5 offsets
+		testSpec(t, 30, 28, 8, 7.5, 2),
+		testSpec(t, 30, 28, 8, 0.45, 2),
+		testSpec(t, 30, 28, 8, 0.3, 2),
+		offset,
+	}
+	for si, spec := range specs {
+		c := newCtx(nil, spec, Options{}.withDefaults())
+		sc := newScratch(&c)
+		pts := testPoints(25, spec.Domain, 83)
+		for X := 3; X < spec.Gx-3; X += 5 {
+			Y := X * spec.Gy / spec.Gx
+			ctr := grid.Point{X: spec.CenterX(X), Y: spec.CenterY(Y), T: spec.CenterT(3)}
+			pts = append(pts,
+				ctr, // a voxel center
+				grid.Point{X: ctr.X + 0.1, Y: ctr.Y - 0.05, T: ctr.T},        // just off one
+				grid.Point{X: ctr.X, Y: ctr.Y + spec.SRes/2, T: ctr.T},       // on a row boundary
+				grid.Point{X: ctr.X + 0.2, Y: ctr.Y - spec.SRes/2, T: ctr.T}, // on the boundary below
+			)
+		}
+		d := grid.NewDecomp(spec, 3, 3, 1)
+		for pi, p := range pts {
+			g := c.geom(p)
+			full := g.box
+			pX, pY, _ := spec.VoxelOf(p)
+			boxes := []grid.Box{
+				full,
+				{X0: full.X0, X1: full.X1, Y0: full.Y0, Y1: pY - 1, T0: full.T0, T1: full.T1},
+				{X0: full.X0, X1: full.X1, Y0: pY + 1, Y1: full.Y1, T0: full.T0, T1: full.T1},
+				{X0: full.X0, X1: pX - 1, Y0: full.Y0, Y1: full.Y1, T0: full.T0, T1: full.T1},
+				{X0: pX + 1, X1: full.X1, Y0: full.Y0, Y1: full.Y1, T0: full.T0, T1: full.T1},
+				{X0: full.X0, X1: pX - 1, Y0: pY + 1, Y1: full.Y1, T0: full.T0, T1: full.T1},
+				{X0: pX + 1, X1: full.X1, Y0: full.Y0, Y1: pY - 1, T0: full.T0, T1: full.T1},
+			}
+			for id := 0; id < d.Cells(); id++ {
+				boxes = append(boxes, full.Clip(d.BoxID(id)))
+			}
+			for _, w := range []int{1, 3, 7} {
+				for x0 := full.X0; x0 <= full.X1; x0 += w {
+					boxes = append(boxes, full.Clip(grid.Box{X0: x0, X1: x0 + w - 1, Y0: full.Y0, Y1: full.Y1, T0: full.T0, T1: full.T1}))
+				}
+			}
+			for bi, box := range boxes {
+				if box.Empty() {
+					continue
+				}
+				nx, ny, nt := box.Dims()
+				sc.ensure(nx, ny, nt)
+				fillDy2(&c, p, box, sc)
+				total := diskSpans(&c, p, g, box, sc)
+				least := slices.Min(sc.dy2[:ny])
+				if n := len(slices.DeleteFunc(slices.Clone(sc.dy2[:ny]), func(v float64) bool { return v != least })); n > 1 {
+					ties++
+				}
+				sum := 0
+				for ix := 0; ix < nx; ix++ {
+					dx := spec.CenterX(box.X0+ix) - p.X
+					dxx := float64(dx * dx)
+					lo, n := 0, 0
+					for iy := 0; iy < ny; iy++ {
+						if dxx+sc.dy2[iy] >= g.hs2 {
+							continue
+						}
+						if n == 0 {
+							lo = iy
+						} else if iy != lo+n {
+							t.Fatalf("spec %d point %d box %d column %d: in-disk rows are not contiguous", si, pi, bi, ix)
+						}
+						n++
+					}
+					if gotLo, gotN := int(sc.spanLo[ix]), int(sc.spanN[ix]); gotLo != lo || gotN != n {
+						t.Fatalf("spec %d point %d (%v) box %d %+v column %d: span [%d,+%d), want [%d,+%d)",
+							si, pi, p, bi, box, ix, gotLo, gotN, lo, n)
+					}
+					sum += n
+					if ix >= 2 && sc.spanN[ix-2] == 0 && sc.spanN[ix-1] > 0 && n == 0 {
+						blips++
+					}
+				}
+				if total != sum {
+					t.Fatalf("spec %d point %d box %d: total %d, want %d", si, pi, bi, total, sum)
+				}
+			}
+		}
+	}
+	if blips == 0 || ties == 0 {
+		t.Errorf("the script reached %d one-column spans and %d tied seeds; it must reach both", blips, ties)
 	}
 }
