@@ -737,6 +737,7 @@ func diskSpans(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) int {
 	ny := box.Y1 - box.Y0 + 1
 	hs2 := g.hs2
 	dy2 := sc.dy2[:ny] // filled by fillYCaches or fillDy2
+	spanLo, spanN := sc.spanLo[:nx], sc.spanN[:nx]
 	seed := 0
 	for iy := 1; iy < ny && dy2[iy] <= dy2[seed]; iy++ {
 		if dy2[iy] < dy2[seed] {
@@ -778,11 +779,11 @@ func diskSpans(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) int {
 		}
 		prev = dxx
 		if lo > hi {
-			sc.spanLo[ix], sc.spanN[ix] = 0, 0
+			spanLo[ix], spanN[ix] = 0, 0
 			continue
 		}
-		sc.spanLo[ix] = int32(lo)
-		sc.spanN[ix] = int32(hi - lo + 1)
+		spanLo[ix] = int32(lo)
+		spanN[ix] = int32(hi - lo + 1)
 		total += hi - lo + 1
 	}
 	sc.spanProbes += int64(probes)
