@@ -756,8 +756,7 @@ func diskSpans(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) int {
 		case lo > hi:
 			probes++
 			if dxx+dy2[seed] < hs2 {
-				lo, hi = seed, seed
-				lo, hi, probes = growSpan(dxx, hs2, dy2, lo, hi, probes)
+				lo, hi, probes = growSpan(dxx, hs2, dy2, seed, seed, probes)
 			}
 		case dxx <= prev:
 			lo, hi, probes = growSpan(dxx, hs2, dy2, lo, hi, probes)
