@@ -698,8 +698,7 @@ func (b *symScratch) flush(v view) {
 
 // smallSpanCutoff is the extent below which barBounds refines directly
 // from the box edges: for tiny boxes the float-to-int guesses cost more
-// than the handful of exact predicate tests they save. (diskSpans walks
-// its spans from column to column and takes no guess at any size.)
+// than the handful of exact predicate tests they save.
 const smallSpanCutoff = 12
 
 // vectorSpanCutoff is the packed-span length from which the vector fill
@@ -810,8 +809,9 @@ func growSpan(dxx, hs2 float64, dy2 []float64, lo, hi, probes int) (int, int, in
 }
 
 // barBounds returns the inclusive T range of box whose voxel centers lie
-// within the temporal bandwidth (the dense predicate -ht <= dt <= ht),
-// refined exactly like diskSpans.
+// within the temporal bandwidth (the dense predicate -ht <= dt <= ht): a
+// float guess with one layer of slack on each side, trimmed with the
+// exact predicate.
 func barBounds(c *ctx, p grid.Point, g geom, box grid.Box) (int, int) {
 	lo, hi := box.T0, box.T1
 	if hi-lo+1 > smallSpanCutoff {
