@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/grid"
@@ -154,8 +155,8 @@ func TestCommunicationProfile(t *testing.T) {
 	}
 	// Each scatter frame: prefix + the estimate request (fixed header, spec,
 	// algorithm name, then the rank's owned + halo points).
-	perReq := int64(frameHeaderBytes + 28 + specBytes + len(core.AlgPBSYM))
-	wantScatter := r*perReq + int64(pointBytes)*(int64(len(pts))+int64(st.ReplicatedPts))
+	perReq := int64(frameHeaderBytes + 28 + codec.SpecBytes + len(core.AlgPBSYM))
+	wantScatter := r*perReq + int64(codec.PointBytes)*(int64(len(pts))+int64(st.ReplicatedPts))
 	if st.ScatterBytes != wantScatter {
 		t.Errorf("ScatterBytes = %d, want %d", st.ScatterBytes, wantScatter)
 	}

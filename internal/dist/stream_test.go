@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/grid"
@@ -207,7 +208,7 @@ func TestShardedStreamWorkContract(t *testing.T) {
 			if st.EventsShipped != int64(len(pts)) {
 				t.Fatalf("shipped %d events for %d ingested, want replication exactly 1", st.EventsShipped, len(pts))
 			}
-			if want := pointBytes*int64(len(pts)) + messages*(frameHeaderBytes+16); ingestSent != want {
+			if want := codec.PointBytes*int64(len(pts)) + messages*(frameHeaderBytes+16); ingestSent != want {
 				t.Fatalf("ingest sent %d bytes, want %d (every event once, plus framing)", ingestSent, want)
 			}
 			if !slices.Equal(got, want) {

@@ -5,17 +5,19 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/codec"
 	"repro/internal/grid"
 )
 
-// wire.go is the shard protocol's codec. Every message is one frame
-// (frame.go); the first u32 of the payload is the message kind, and every
-// field is little-endian. Every byte a rank exchange moves is actually
-// written here and read back on the receiving side, so the byte counts in
-// Stats are measured, not estimated. Replies reuse message shapes where
-// they fit: a batch estimate and a stream snapshot both answer with
-// msgGather, every simple acknowledgement is msgOK, and any rank-side
-// failure is msgErr.
+// wire.go defines the shard protocol's messages. Every message is one frame
+// (frame.go); the first u32 of the payload is the message kind. Fields,
+// points and specs use internal/codec's little-endian encodings and its
+// strict reader, which the journal (internal/wal) shares. Every byte a
+// rank exchange moves is actually written here and read back on the
+// receiving side, so the byte counts in Stats are measured, not
+// estimated. Replies reuse message shapes where they fit: a batch estimate
+// and a stream snapshot both answer with msgGather, every simple
+// acknowledgement is msgOK, and any rank-side failure is msgErr.
 //
 //	gather:       kind rank t0 voxels(u32) then voxels x f64
 //	estimate:     kind rank threads normN algLen count spec alg points
@@ -52,106 +54,11 @@ const (
 	msgFetchAns     uint32 = 17
 
 	gatherHeaderBytes = 16
-	pointBytes        = 24     // x, y, t as f64
-	specBytes         = 16 * 8 // 10 float64 fields + 6 integer fields
-	candidateBytes    = 32     // X, Y, T as i64 plus V as f64
-	voxelBytes        = 12     // X, Y, T as u32
-
-	// maxWireDim bounds decoded grid dimensions and bandwidths: a corrupt
-	// spec must fail decoding, not size a gigavoxel allocation rank-side.
-	maxWireDim = 1 << 24
+	candidateBytes    = 32 // X, Y, T as i64 plus V as f64
+	voxelBytes        = 12 // X, Y, T as u32
 )
 
 var le = binary.LittleEndian
-
-// reader is a cursor over a received payload with a sticky error: decoders
-// chain field reads and check err once, so truncated or corrupt frames
-// (fuzzing's bread and butter) fail cleanly instead of panicking.
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("dist: truncated message (%d bytes, offset %d)", len(r.b), r.off)
-	}
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := le.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := le.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *reader) i64() int64   { return int64(r.u64()) }
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *reader) bytes(n int) []byte {
-	if r.err != nil || n < 0 || r.off+n > len(r.b) {
-		r.fail()
-		return nil
-	}
-	b := r.b[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-// done requires the payload to be fully consumed — trailing garbage means a
-// framing bug or corruption, never something to ignore.
-func (r *reader) done() error {
-	if r.err == nil && r.off != len(r.b) {
-		r.err = fmt.Errorf("dist: message has %d trailing bytes", len(r.b)-r.off)
-	}
-	return r.err
-}
-
-// writer builds a payload by appending fixed-width fields.
-type writer struct{ b []byte }
-
-func newWriter(size int) *writer { return &writer{b: make([]byte, 0, size)} }
-func (w *writer) u32(v uint32)   { w.b = le.AppendUint32(w.b, v) }
-func (w *writer) u64(v uint64)   { w.b = le.AppendUint64(w.b, v) }
-func (w *writer) i64(v int64)    { w.u64(uint64(v)) }
-func (w *writer) f64(v float64)  { w.u64(math.Float64bits(v)) }
-func (w *writer) bytes(b []byte) { w.b = append(w.b, b...) }
-
-func (w *writer) points(pts []grid.Point) {
-	for _, p := range pts {
-		w.f64(p.X)
-		w.f64(p.Y)
-		w.f64(p.T)
-	}
-}
-
-// readPoints decodes count points, validating the remaining length first so
-// a corrupt count cannot drive the allocation.
-func (r *reader) points(count int) []grid.Point {
-	if r.err != nil || count < 0 || r.off+count*pointBytes > len(r.b) {
-		r.fail()
-		return nil
-	}
-	pts := make([]grid.Point, count)
-	for i := range pts {
-		pts[i] = grid.Point{X: r.f64(), Y: r.f64(), T: r.f64()}
-	}
-	return pts
-}
 
 // ---------------------------------------------------------- gather ----
 
@@ -159,90 +66,30 @@ func (r *reader) points(count int) []grid.Point {
 // stream window — as its density values plus the root layer t0 where it
 // starts.
 func encodeGather(rank, t0 int, data []float64) []byte {
-	msg := make([]byte, gatherHeaderBytes+8*len(data))
-	le.PutUint32(msg[0:], msgGather)
-	le.PutUint32(msg[4:], uint32(rank))
-	le.PutUint32(msg[8:], uint32(t0))
-	le.PutUint32(msg[12:], uint32(len(data)))
-	off := gatherHeaderBytes
+	w := codec.NewWriter(gatherHeaderBytes + 8*len(data))
+	w.U32(msgGather)
+	w.U32(uint32(rank))
+	w.U32(uint32(t0))
+	w.U32(uint32(len(data)))
 	for _, v := range data {
-		le.PutUint64(msg[off:], math.Float64bits(v))
-		off += 8
+		w.F64(v)
 	}
-	return msg
+	return w.B
 }
 
 // decodeGather is the receiving side of encodeGather.
 func decodeGather(msg []byte) (rank, t0 int, data []float64, err error) {
-	if len(msg) < gatherHeaderBytes || le.Uint32(msg[0:]) != msgGather {
-		return 0, 0, nil, fmt.Errorf("dist: malformed gather message (%d bytes)", len(msg))
+	r := codec.NewReader("dist", msg)
+	if r.U32() != msgGather {
+		return 0, 0, nil, fmt.Errorf("dist: not a gather message")
 	}
-	rank = int(le.Uint32(msg[4:]))
-	t0 = int(le.Uint32(msg[8:]))
-	count := int(le.Uint32(msg[12:]))
-	if len(msg) != gatherHeaderBytes+8*count {
-		return 0, 0, nil, fmt.Errorf("dist: gather message length %d does not match count %d", len(msg), count)
-	}
-	data = make([]float64, count)
-	off := gatherHeaderBytes
+	rank = int(r.U32())
+	t0 = int(r.U32())
+	data = make([]float64, r.Count(r.U32(), 8))
 	for i := range data {
-		data[i] = math.Float64frombits(le.Uint64(msg[off:]))
-		off += 8
+		data[i] = r.F64()
 	}
-	return rank, t0, data, nil
-}
-
-// ------------------------------------------------------------ spec ----
-
-func (w *writer) spec(s grid.Spec) {
-	w.f64(s.Domain.X0)
-	w.f64(s.Domain.Y0)
-	w.f64(s.Domain.T0)
-	w.f64(s.Domain.GX)
-	w.f64(s.Domain.GY)
-	w.f64(s.Domain.GT)
-	w.f64(s.SRes)
-	w.f64(s.TRes)
-	w.f64(s.HS)
-	w.f64(s.HT)
-	w.i64(int64(s.Gx))
-	w.i64(int64(s.Gy))
-	w.i64(int64(s.Gt))
-	w.i64(int64(s.Hs))
-	w.i64(int64(s.Ht))
-	w.i64(int64(s.OT))
-}
-
-func (r *reader) spec() grid.Spec {
-	var s grid.Spec
-	s.Domain.X0 = r.f64()
-	s.Domain.Y0 = r.f64()
-	s.Domain.T0 = r.f64()
-	s.Domain.GX = r.f64()
-	s.Domain.GY = r.f64()
-	s.Domain.GT = r.f64()
-	s.SRes = r.f64()
-	s.TRes = r.f64()
-	s.HS = r.f64()
-	s.HT = r.f64()
-	gx, gy, gt := r.i64(), r.i64(), r.i64()
-	hs, ht, ot := r.i64(), r.i64(), r.i64()
-	if r.err != nil {
-		return grid.Spec{}
-	}
-	// Reject hostile dimensions before any arithmetic that could overflow
-	// or any allocation they would size.
-	if gx < 1 || gx > maxWireDim || gy < 1 || gy > maxWireDim || gt < 1 || gt > maxWireDim ||
-		hs < 0 || hs > maxWireDim || ht < 0 || ht > maxWireDim ||
-		ot < -maxWireDim || ot > int64(math.MaxInt64)/2 ||
-		!(s.SRes > 0) || !(s.TRes > 0) || !(s.HS > 0) || !(s.HT > 0) ||
-		math.IsInf(s.SRes, 0) || math.IsInf(s.TRes, 0) {
-		r.err = fmt.Errorf("dist: spec fields out of range")
-		return grid.Spec{}
-	}
-	s.Gx, s.Gy, s.Gt = int(gx), int(gy), int(gt)
-	s.Hs, s.Ht, s.OT = int(hs), int(ht), int(ot)
-	return s
+	return rank, t0, data, r.Done()
 }
 
 // -------------------------------------------------------- estimate ----
@@ -257,37 +104,37 @@ type estimateReq struct {
 }
 
 func encodeEstimate(q estimateReq) []byte {
-	w := newWriter(28 + specBytes + len(q.alg) + pointBytes*len(q.pts))
-	w.u32(msgEstimate)
-	w.u32(uint32(q.rank))
-	w.u32(uint32(q.threads))
-	w.u64(uint64(q.normN))
-	w.u32(uint32(len(q.alg)))
-	w.u32(uint32(len(q.pts)))
-	w.spec(q.spec)
-	w.bytes([]byte(q.alg))
-	w.points(q.pts)
-	return w.b
+	w := codec.NewWriter(28 + codec.SpecBytes + len(q.alg) + codec.PointBytes*len(q.pts))
+	w.U32(msgEstimate)
+	w.U32(uint32(q.rank))
+	w.U32(uint32(q.threads))
+	w.U64(uint64(q.normN))
+	w.U32(uint32(len(q.alg)))
+	w.U32(uint32(len(q.pts)))
+	w.Spec(q.spec)
+	w.Bytes([]byte(q.alg))
+	w.Points(q.pts)
+	return w.B
 }
 
 func decodeEstimate(msg []byte) (estimateReq, error) {
-	r := &reader{b: msg}
-	if r.u32() != msgEstimate {
+	r := codec.NewReader("dist", msg)
+	if r.U32() != msgEstimate {
 		return estimateReq{}, fmt.Errorf("dist: not an estimate message")
 	}
 	var q estimateReq
-	q.rank = int(r.u32())
-	q.threads = int(r.u32())
-	normN := r.u64()
-	algLen := int(r.u32())
-	count := int(r.u32())
-	q.spec = r.spec()
+	q.rank = int(r.U32())
+	q.threads = int(r.U32())
+	normN := r.U64()
+	algLen := int(r.U32())
+	count := r.U32()
+	q.spec = r.Spec()
 	if algLen < 0 || algLen > 256 {
 		return estimateReq{}, fmt.Errorf("dist: algorithm name of %d bytes", algLen)
 	}
-	q.alg = string(r.bytes(algLen))
-	q.pts = r.points(count)
-	if err := r.done(); err != nil {
+	q.alg = string(r.Bytes(algLen))
+	q.pts = r.Points(count)
+	if err := r.Done(); err != nil {
 		return estimateReq{}, err
 	}
 	if normN > math.MaxInt32 {
@@ -300,121 +147,120 @@ func decodeEstimate(msg []byte) (estimateReq, error) {
 // ------------------------------------------------------- err and ok ----
 
 func encodeErr(phase, text string) []byte {
-	w := newWriter(12 + len(phase) + len(text))
-	w.u32(msgErr)
-	w.u32(uint32(len(phase)))
-	w.u32(uint32(len(text)))
-	w.bytes([]byte(phase))
-	w.bytes([]byte(text))
-	return w.b
+	w := codec.NewWriter(12 + len(phase) + len(text))
+	w.U32(msgErr)
+	w.U32(uint32(len(phase)))
+	w.U32(uint32(len(text)))
+	w.Bytes([]byte(phase))
+	w.Bytes([]byte(text))
+	return w.B
 }
 
 func decodeErr(msg []byte) (phase, text string, err error) {
-	r := &reader{b: msg}
-	if r.u32() != msgErr {
+	r := codec.NewReader("dist", msg)
+	if r.U32() != msgErr {
 		return "", "", fmt.Errorf("dist: not an error message")
 	}
-	pl := int(r.u32())
-	tl := int(r.u32())
+	pl := int(r.U32())
+	tl := int(r.U32())
 	if pl < 0 || pl > 256 || tl < 0 || tl > 1<<16 {
 		return "", "", fmt.Errorf("dist: error message field lengths %d, %d out of range", pl, tl)
 	}
-	phase = string(r.bytes(pl))
-	text = string(r.bytes(tl))
-	return phase, text, r.done()
+	phase = string(r.Bytes(pl))
+	text = string(r.Bytes(tl))
+	return phase, text, r.Done()
 }
 
 func encodeOK(a, b int64) []byte {
-	w := newWriter(20)
-	w.u32(msgOK)
-	w.i64(a)
-	w.i64(b)
-	return w.b
+	w := codec.NewWriter(20)
+	w.U32(msgOK)
+	w.I64(a)
+	w.I64(b)
+	return w.B
 }
 
 func decodeOK(msg []byte) (a, b int64, err error) {
-	r := &reader{b: msg}
-	if r.u32() != msgOK {
+	r := codec.NewReader("dist", msg)
+	if r.U32() != msgOK {
 		return 0, 0, fmt.Errorf("dist: not an ok message")
 	}
-	a, b = r.i64(), r.i64()
-	return a, b, r.done()
+	a, b = r.I64(), r.I64()
+	return a, b, r.Done()
 }
 
 // --------------------------------------------------------- streams ----
 
 func encodeStreamCreate(id uint64, threads int, spec grid.Spec) []byte {
-	w := newWriter(16 + specBytes)
-	w.u32(msgStreamCreate)
-	w.u64(id)
-	w.u32(uint32(threads))
-	w.spec(spec)
-	return w.b
+	w := codec.NewWriter(16 + codec.SpecBytes)
+	w.U32(msgStreamCreate)
+	w.U64(id)
+	w.U32(uint32(threads))
+	w.Spec(spec)
+	return w.B
 }
 
 func decodeStreamCreate(msg []byte) (id uint64, threads int, spec grid.Spec, err error) {
-	r := &reader{b: msg}
-	if r.u32() != msgStreamCreate {
+	r := codec.NewReader("dist", msg)
+	if r.U32() != msgStreamCreate {
 		return 0, 0, grid.Spec{}, fmt.Errorf("dist: not a stream-create message")
 	}
-	id = r.u64()
-	threads = int(r.u32())
-	spec = r.spec()
-	return id, threads, spec, r.done()
+	id = r.U64()
+	threads = int(r.U32())
+	spec = r.Spec()
+	return id, threads, spec, r.Done()
 }
 
 func encodeStreamClose(id uint64) []byte {
-	w := newWriter(12)
-	w.u32(msgStreamClose)
-	w.u64(id)
-	return w.b
+	w := codec.NewWriter(12)
+	w.U32(msgStreamClose)
+	w.U64(id)
+	return w.B
 }
 
 func decodeStreamClose(msg []byte) (id uint64, err error) {
-	r := &reader{b: msg}
-	if r.u32() != msgStreamClose {
+	r := codec.NewReader("dist", msg)
+	if r.U32() != msgStreamClose {
 		return 0, fmt.Errorf("dist: not a stream-close message")
 	}
-	id = r.u64()
-	return id, r.done()
+	id = r.U64()
+	return id, r.Done()
 }
 
 func encodeIngest(id uint64, pts []grid.Point) []byte {
-	w := newWriter(16 + pointBytes*len(pts))
-	w.u32(msgIngest)
-	w.u64(id)
-	w.u32(uint32(len(pts)))
-	w.points(pts)
-	return w.b
+	w := codec.NewWriter(16 + codec.PointBytes*len(pts))
+	w.U32(msgIngest)
+	w.U64(id)
+	w.U32(uint32(len(pts)))
+	w.Points(pts)
+	return w.B
 }
 
 func decodeIngest(msg []byte) (id uint64, pts []grid.Point, err error) {
-	r := &reader{b: msg}
-	if r.u32() != msgIngest {
+	r := codec.NewReader("dist", msg)
+	if r.U32() != msgIngest {
 		return 0, nil, fmt.Errorf("dist: not an ingest message")
 	}
-	id = r.u64()
-	count := int(r.u32())
-	pts = r.points(count)
-	return id, pts, r.done()
+	id = r.U64()
+	pts = r.Points(r.U32())
+	return id, pts, r.Done()
 }
 
 func encodeAdvance(id uint64, k int) []byte {
-	w := newWriter(20)
-	w.u32(msgAdvance)
-	w.u64(id)
-	w.u64(uint64(k))
-	return w.b
+	w := codec.NewWriter(20)
+	w.U32(msgAdvance)
+	w.U64(id)
+	w.U64(uint64(k))
+	return w.B
 }
 
 func decodeAdvance(msg []byte) (id uint64, k int, err error) {
-	r := &reader{b: msg}
-	if r.u32() != msgAdvance {
+	r := codec.NewReader("dist", msg)
+	if r.U32() != msgAdvance {
 		return 0, 0, fmt.Errorf("dist: not an advance message")
 	}
-	id = r.u64()
-	kw := r.u64()
-	if err := r.done(); err != nil {
+	id = r.U64()
+	kw := r.U64()
+	if err := r.Done(); err != nil {
 		return 0, 0, err
 	}
 	if kw > math.MaxInt32 {
@@ -426,30 +272,30 @@ func decodeAdvance(msg []byte) (id uint64, k int, err error) {
 // --------------------------------------------------------- queries ----
 
 func encodeRegion(id uint64, b grid.Box) []byte {
-	w := newWriter(60)
-	w.u32(msgRegion)
-	w.u64(id)
-	w.i64(int64(b.X0))
-	w.i64(int64(b.X1))
-	w.i64(int64(b.Y0))
-	w.i64(int64(b.Y1))
-	w.i64(int64(b.T0))
-	w.i64(int64(b.T1))
-	return w.b
+	w := codec.NewWriter(60)
+	w.U32(msgRegion)
+	w.U64(id)
+	w.I64(int64(b.X0))
+	w.I64(int64(b.X1))
+	w.I64(int64(b.Y0))
+	w.I64(int64(b.Y1))
+	w.I64(int64(b.T0))
+	w.I64(int64(b.T1))
+	return w.B
 }
 
 func decodeRegion(msg []byte) (id uint64, b grid.Box, err error) {
-	r := &reader{b: msg}
-	if r.u32() != msgRegion {
+	r := codec.NewReader("dist", msg)
+	if r.U32() != msgRegion {
 		return 0, grid.Box{}, fmt.Errorf("dist: not a region message")
 	}
-	id = r.u64()
-	f := [6]int64{r.i64(), r.i64(), r.i64(), r.i64(), r.i64(), r.i64()}
-	if err := r.done(); err != nil {
+	id = r.U64()
+	f := [6]int64{r.I64(), r.I64(), r.I64(), r.I64(), r.I64(), r.I64()}
+	if err := r.Done(); err != nil {
 		return 0, grid.Box{}, err
 	}
 	for _, v := range f {
-		if v < -maxWireDim || v > maxWireDim {
+		if v < -codec.MaxDim || v > codec.MaxDim {
 			return 0, grid.Box{}, fmt.Errorf("dist: region bound %d out of range", v)
 		}
 	}
@@ -458,41 +304,41 @@ func decodeRegion(msg []byte) (id uint64, b grid.Box, err error) {
 }
 
 func encodeSum(v float64, rebuilds int64) []byte {
-	w := newWriter(20)
-	w.u32(msgSum)
-	w.f64(v)
-	w.i64(rebuilds)
-	return w.b
+	w := codec.NewWriter(20)
+	w.U32(msgSum)
+	w.F64(v)
+	w.I64(rebuilds)
+	return w.B
 }
 
 func decodeSum(msg []byte) (v float64, rebuilds int64, err error) {
-	r := &reader{b: msg}
-	if r.u32() != msgSum {
+	r := codec.NewReader("dist", msg)
+	if r.U32() != msgSum {
 		return 0, 0, fmt.Errorf("dist: not a sum message")
 	}
-	v = r.f64()
-	rebuilds = r.i64()
-	return v, rebuilds, r.done()
+	v = r.F64()
+	rebuilds = r.I64()
+	return v, rebuilds, r.Done()
 }
 
 func encodeTopK(id uint64, k int, scale float64) []byte {
-	w := newWriter(24)
-	w.u32(msgTopK)
-	w.u64(id)
-	w.u32(uint32(k))
-	w.f64(scale)
-	return w.b
+	w := codec.NewWriter(24)
+	w.U32(msgTopK)
+	w.U64(id)
+	w.U32(uint32(k))
+	w.F64(scale)
+	return w.B
 }
 
 func decodeTopK(msg []byte) (id uint64, k int, scale float64, err error) {
-	r := &reader{b: msg}
-	if r.u32() != msgTopK {
+	r := codec.NewReader("dist", msg)
+	if r.U32() != msgTopK {
 		return 0, 0, 0, fmt.Errorf("dist: not a topk message")
 	}
-	id = r.u64()
-	kw := r.u32()
-	scale = r.f64()
-	if err := r.done(); err != nil {
+	id = r.U64()
+	kw := r.U32()
+	scale = r.F64()
+	if err := r.Done(); err != nil {
 		return 0, 0, 0, err
 	}
 	if kw > 1<<24 {
@@ -502,56 +348,52 @@ func decodeTopK(msg []byte) (id uint64, k int, scale float64, err error) {
 }
 
 func encodeTopKAns(rebuilds int64, cands []grid.VoxelDensity) []byte {
-	w := newWriter(16 + candidateBytes*len(cands))
-	w.u32(msgTopKAns)
-	w.i64(rebuilds)
-	w.u32(uint32(len(cands)))
+	w := codec.NewWriter(16 + candidateBytes*len(cands))
+	w.U32(msgTopKAns)
+	w.I64(rebuilds)
+	w.U32(uint32(len(cands)))
 	for _, c := range cands {
-		w.i64(int64(c.X))
-		w.i64(int64(c.Y))
-		w.i64(int64(c.T))
-		w.f64(c.V)
+		w.I64(int64(c.X))
+		w.I64(int64(c.Y))
+		w.I64(int64(c.T))
+		w.F64(c.V)
 	}
-	return w.b
+	return w.B
 }
 
 func decodeTopKAns(msg []byte) (rebuilds int64, cands []grid.VoxelDensity, err error) {
-	r := &reader{b: msg}
-	if r.u32() != msgTopKAns {
+	r := codec.NewReader("dist", msg)
+	if r.U32() != msgTopKAns {
 		return 0, nil, fmt.Errorf("dist: not a topk answer")
 	}
-	rebuilds = r.i64()
-	count := int(r.u32())
-	if count < 0 || r.off+count*candidateBytes > len(r.b) {
-		return 0, nil, fmt.Errorf("dist: topk answer count %d does not fit %d bytes", count, len(msg))
-	}
-	cands = make([]grid.VoxelDensity, count)
+	rebuilds = r.I64()
+	cands = make([]grid.VoxelDensity, r.Count(r.U32(), candidateBytes))
 	for i := range cands {
-		x, y, t := r.i64(), r.i64(), r.i64()
-		v := r.f64()
-		if x < -maxWireDim || x > maxWireDim || y < -maxWireDim || y > maxWireDim ||
-			t < -maxWireDim || t > maxWireDim {
+		x, y, t := r.I64(), r.I64(), r.I64()
+		v := r.F64()
+		if x < -codec.MaxDim || x > codec.MaxDim || y < -codec.MaxDim || y > codec.MaxDim ||
+			t < -codec.MaxDim || t > codec.MaxDim {
 			return 0, nil, fmt.Errorf("dist: topk candidate out of range")
 		}
 		cands[i] = grid.VoxelDensity{X: int(x), Y: int(y), T: int(t), V: v}
 	}
-	return rebuilds, cands, r.done()
+	return rebuilds, cands, r.Done()
 }
 
 func encodeSnapshot(id uint64) []byte {
-	w := newWriter(12)
-	w.u32(msgSnapshot)
-	w.u64(id)
-	return w.b
+	w := codec.NewWriter(12)
+	w.U32(msgSnapshot)
+	w.U64(id)
+	return w.B
 }
 
 func decodeSnapshot(msg []byte) (id uint64, err error) {
-	r := &reader{b: msg}
-	if r.u32() != msgSnapshot {
+	r := codec.NewReader("dist", msg)
+	if r.U32() != msgSnapshot {
 		return 0, fmt.Errorf("dist: not a snapshot message")
 	}
-	id = r.u64()
-	return id, r.done()
+	id = r.U64()
+	return id, r.Done()
 }
 
 // voxel is one window voxel in logical coordinates.
@@ -563,88 +405,72 @@ func inWindow(sp grid.Spec, v voxel) bool {
 }
 
 func encodeFetch(id uint64, vs []voxel) []byte {
-	w := newWriter(16 + voxelBytes*len(vs))
-	w.u32(msgFetch)
-	w.u64(id)
-	w.u32(uint32(len(vs)))
+	w := codec.NewWriter(16 + voxelBytes*len(vs))
+	w.U32(msgFetch)
+	w.U64(id)
+	w.U32(uint32(len(vs)))
 	for _, v := range vs {
-		w.u32(uint32(v.X))
-		w.u32(uint32(v.Y))
-		w.u32(uint32(v.T))
+		w.U32(uint32(v.X))
+		w.U32(uint32(v.Y))
+		w.U32(uint32(v.T))
 	}
-	return w.b
+	return w.B
 }
 
-// decodeFetch refuses a count that disagrees with the frame length before
-// allocating; the rank range-checks the coordinates against its window.
+// decodeFetch leaves the coordinates unchecked: the rank range-checks them
+// against its window.
 func decodeFetch(msg []byte) (id uint64, vs []voxel, err error) {
-	r := &reader{b: msg}
-	if r.u32() != msgFetch {
+	r := codec.NewReader("dist", msg)
+	if r.U32() != msgFetch {
 		return 0, nil, fmt.Errorf("dist: not a fetch message")
 	}
-	id = r.u64()
-	count := r.u32()
-	if r.err != nil {
-		return 0, nil, r.err
-	}
-	if uint64(count)*voxelBytes != uint64(len(msg)-r.off) {
-		return 0, nil, fmt.Errorf("dist: fetch of %d voxels does not fit %d bytes", count, len(msg))
-	}
-	vs = make([]voxel, count)
+	id = r.U64()
+	vs = make([]voxel, r.Count(r.U32(), voxelBytes))
 	for i := range vs {
-		vs[i] = voxel{int(r.u32()), int(r.u32()), int(r.u32())}
+		vs[i] = voxel{int(r.U32()), int(r.U32()), int(r.U32())}
 	}
-	return id, vs, r.done()
+	return id, vs, r.Done()
 }
 
 func encodeFetchAns(vals []float64) []byte {
-	w := newWriter(8 + 8*len(vals))
-	w.u32(msgFetchAns)
-	w.u32(uint32(len(vals)))
+	w := codec.NewWriter(8 + 8*len(vals))
+	w.U32(msgFetchAns)
+	w.U32(uint32(len(vals)))
 	for _, v := range vals {
-		w.f64(v)
+		w.F64(v)
 	}
-	return w.b
+	return w.B
 }
 
-// decodeFetchAns refuses a count that disagrees with the frame length
-// before allocating.
 func decodeFetchAns(msg []byte) ([]float64, error) {
-	r := &reader{b: msg}
-	if r.u32() != msgFetchAns {
+	r := codec.NewReader("dist", msg)
+	if r.U32() != msgFetchAns {
 		return nil, fmt.Errorf("dist: not a fetch answer")
 	}
-	count := r.u32()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if uint64(count)*8 != uint64(len(msg)-r.off) {
-		return nil, fmt.Errorf("dist: fetch answer of %d values does not fit %d bytes", count, len(msg))
-	}
-	vals := make([]float64, count)
+	vals := make([]float64, r.Count(r.U32(), 8))
 	for i := range vals {
-		vals[i] = r.f64()
+		vals[i] = r.F64()
 	}
-	return vals, r.done()
+	return vals, r.Done()
 }
 
 // encodePing builds a heartbeat probe; the rank echoes the nonce in a
 // msgOK reply, proving the connection pairs requests with replies (a stale
 // or crossed reply fails the nonce check, not just the transport).
 func encodePing(nonce uint64) []byte {
-	w := newWriter(12)
-	w.u32(msgPing)
-	w.u64(nonce)
-	return w.b
+	w := codec.NewWriter(12)
+	w.U32(msgPing)
+	w.U64(nonce)
+	return w.B
 }
 
 func decodePing(msg []byte) (nonce uint64, err error) {
-	r := &reader{b: msg}
-	if r.u32() != msgPing {
+	r := codec.NewReader("dist", msg)
+	if r.U32() != msgPing {
 		return 0, fmt.Errorf("dist: not a ping message")
 	}
-	nonce = r.u64()
-	return nonce, r.done()
+	nonce = r.U64()
+	return nonce, r.Done()
 }
 
 // decodeAny exercises the decoder for whatever kind the payload claims —

@@ -6,13 +6,14 @@ import (
 	"hash/crc32"
 	"math"
 
+	"repro/internal/codec"
 	"repro/internal/grid"
 )
 
-// record.go is the on-disk record codec: the same strict-decode discipline
-// as the dist wire protocol (sticky-error cursor, length checks before
-// every allocation, no trailing bytes), with a CRC32-C frame around each
-// record so torn or bit-flipped tails are detected instead of replayed.
+// record.go is the journal's record format: each record's payload uses
+// internal/codec's field encodings and strict reader, shared with the
+// shard wire (internal/dist), inside a CRC32-C frame so torn or
+// bit-flipped tails are detected instead of replayed.
 //
 // Frame layout (little-endian):
 //
@@ -64,14 +65,7 @@ type Record struct {
 
 const (
 	frameHeaderBytes = 8       // u32 payloadLen + u32 crc
-	pointBytes       = 24      // x, y, t as f64
-	specBytes        = 16 * 8  // 10 float64 fields + 6 integer fields
 	maxRecordBytes   = 1 << 26 // bounds a decoded payload length (64 MiB)
-
-	// maxWalDim bounds decoded grid dimensions and bandwidths, exactly like
-	// the wire protocol: a corrupt spec must fail decoding, not size a
-	// gigavoxel ring allocation during recovery.
-	maxWalDim = 1 << 24
 )
 
 var (
@@ -79,169 +73,31 @@ var (
 	crcTable = crc32.MakeTable(crc32.Castagnoli)
 )
 
-// reader is a cursor over a payload with a sticky error, so decoders chain
-// field reads and check once; truncated or corrupt payloads fail cleanly.
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("wal: truncated record (%d bytes, offset %d)", len(r.b), r.off)
-	}
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := le.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := le.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *reader) i64() int64   { return int64(r.u64()) }
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-// rest consumes and returns every remaining byte.
-func (r *reader) rest() []byte {
-	if r.err != nil {
-		return nil
-	}
-	b := r.b[r.off:]
-	r.off = len(r.b)
-	return b
-}
-
-// done requires the payload to be fully consumed — trailing garbage means
-// corruption, never something to ignore.
-func (r *reader) done() error {
-	if r.err == nil && r.off != len(r.b) {
-		r.err = fmt.Errorf("wal: record has %d trailing bytes", len(r.b)-r.off)
-	}
-	return r.err
-}
-
-// points decodes count events, validating the remaining length first so a
-// corrupt count cannot drive the allocation.
-func (r *reader) points(count int) []grid.Point {
-	if r.err != nil || count < 0 || r.off+count*pointBytes > len(r.b) {
-		r.fail()
-		return nil
-	}
-	pts := make([]grid.Point, count)
-	for i := range pts {
-		pts[i] = grid.Point{X: r.f64(), Y: r.f64(), T: r.f64()}
-	}
-	return pts
-}
-
-func (r *reader) spec() grid.Spec {
-	var s grid.Spec
-	s.Domain.X0 = r.f64()
-	s.Domain.Y0 = r.f64()
-	s.Domain.T0 = r.f64()
-	s.Domain.GX = r.f64()
-	s.Domain.GY = r.f64()
-	s.Domain.GT = r.f64()
-	s.SRes = r.f64()
-	s.TRes = r.f64()
-	s.HS = r.f64()
-	s.HT = r.f64()
-	gx, gy, gt := r.i64(), r.i64(), r.i64()
-	hs, ht, ot := r.i64(), r.i64(), r.i64()
-	if r.err != nil {
-		return grid.Spec{}
-	}
-	// Reject hostile dimensions before any arithmetic that could overflow
-	// or any allocation they would size.
-	if gx < 1 || gx > maxWalDim || gy < 1 || gy > maxWalDim || gt < 1 || gt > maxWalDim ||
-		hs < 0 || hs > maxWalDim || ht < 0 || ht > maxWalDim ||
-		ot < 0 || ot > int64(math.MaxInt64)/2 ||
-		!(s.SRes > 0) || !(s.TRes > 0) || !(s.HS > 0) || !(s.HT > 0) ||
-		math.IsInf(s.SRes, 0) || math.IsInf(s.TRes, 0) {
-		r.err = fmt.Errorf("wal: spec fields out of range")
-		return grid.Spec{}
-	}
-	s.Gx, s.Gy, s.Gt = int(gx), int(gy), int(gt)
-	s.Hs, s.Ht, s.OT = int(hs), int(ht), int(ot)
-	return s
-}
-
-// writer builds a payload by appending fixed-width fields.
-type writer struct{ b []byte }
-
-func newWriter(size int) *writer { return &writer{b: make([]byte, 0, size)} }
-func (w *writer) u32(v uint32)   { w.b = le.AppendUint32(w.b, v) }
-func (w *writer) u64(v uint64)   { w.b = le.AppendUint64(w.b, v) }
-func (w *writer) i64(v int64)    { w.u64(uint64(v)) }
-func (w *writer) f64(v float64)  { w.u64(math.Float64bits(v)) }
-
-func (w *writer) points(pts []grid.Point) {
-	for _, p := range pts {
-		w.f64(p.X)
-		w.f64(p.Y)
-		w.f64(p.T)
-	}
-}
-
-func (w *writer) spec(s grid.Spec) {
-	w.f64(s.Domain.X0)
-	w.f64(s.Domain.Y0)
-	w.f64(s.Domain.T0)
-	w.f64(s.Domain.GX)
-	w.f64(s.Domain.GY)
-	w.f64(s.Domain.GT)
-	w.f64(s.SRes)
-	w.f64(s.TRes)
-	w.f64(s.HS)
-	w.f64(s.HT)
-	w.i64(int64(s.Gx))
-	w.i64(int64(s.Gy))
-	w.i64(int64(s.Gt))
-	w.i64(int64(s.Hs))
-	w.i64(int64(s.Ht))
-	w.i64(int64(s.OT))
-}
-
 // encodePayload serializes a record's payload (kind, lsn, body).
 func encodePayload(rec Record) ([]byte, error) {
 	switch rec.Kind {
 	case KindCreate:
-		w := newWriter(12 + specBytes)
-		w.u32(uint32(rec.Kind))
-		w.u64(rec.LSN)
-		w.spec(rec.Spec)
-		return w.b, nil
+		w := codec.NewWriter(12 + codec.SpecBytes)
+		w.U32(uint32(rec.Kind))
+		w.U64(rec.LSN)
+		w.Spec(rec.Spec)
+		return w.B, nil
 	case KindIngest:
-		if n := len(rec.Points); 16+n*pointBytes > maxRecordBytes {
+		if n := len(rec.Points); 16+n*codec.PointBytes > maxRecordBytes {
 			return nil, fmt.Errorf("wal: ingest batch of %d events exceeds the %d-byte record bound", n, maxRecordBytes)
 		}
-		w := newWriter(16 + len(rec.Points)*pointBytes)
-		w.u32(uint32(rec.Kind))
-		w.u64(rec.LSN)
-		w.u32(uint32(len(rec.Points)))
-		w.points(rec.Points)
-		return w.b, nil
+		w := codec.NewWriter(16 + len(rec.Points)*codec.PointBytes)
+		w.U32(uint32(rec.Kind))
+		w.U64(rec.LSN)
+		w.U32(uint32(len(rec.Points)))
+		w.Points(rec.Points)
+		return w.B, nil
 	case KindAdvance:
-		w := newWriter(20)
-		w.u32(uint32(rec.Kind))
-		w.u64(rec.LSN)
-		w.f64(rec.T)
-		return w.b, nil
+		w := codec.NewWriter(20)
+		w.U32(uint32(rec.Kind))
+		w.U64(rec.LSN)
+		w.F64(rec.T)
+		return w.B, nil
 	}
 	return nil, fmt.Errorf("wal: unknown record kind %d", rec.Kind)
 }
@@ -262,29 +118,32 @@ func appendFrame(buf []byte, rec Record) ([]byte, error) {
 // spec fields, trailing bytes — is rejected with an error, never a panic;
 // FuzzWALDecode holds it to that.
 func DecodeRecord(payload []byte) (Record, error) {
-	r := &reader{b: payload}
+	r := codec.NewReader("wal", payload)
 	var rec Record
-	rec.Kind = Kind(r.u32())
-	rec.LSN = r.u64()
-	if r.err == nil && rec.LSN == 0 {
+	rec.Kind = Kind(r.U32())
+	rec.LSN = r.U64()
+	if r.Err() == nil && rec.LSN == 0 {
 		return Record{}, fmt.Errorf("wal: record has LSN 0 (LSNs start at 1)")
 	}
 	switch rec.Kind {
 	case KindCreate:
-		rec.Spec = r.spec()
+		rec.Spec = r.Spec()
+		if r.Err() == nil && rec.Spec.OT < 0 {
+			return Record{}, fmt.Errorf("wal: create record with frame offset %d < 0", rec.Spec.OT)
+		}
 	case KindIngest:
-		rec.Points = r.points(int(r.u32()))
+		rec.Points = r.Points(r.U32())
 	case KindAdvance:
-		rec.T = r.f64()
-		if r.err == nil && math.IsNaN(rec.T) {
+		rec.T = r.F64()
+		if r.Err() == nil && math.IsNaN(rec.T) {
 			return Record{}, fmt.Errorf("wal: advance record with NaN target")
 		}
 	default:
-		if r.err == nil {
+		if r.Err() == nil {
 			return Record{}, fmt.Errorf("wal: unknown record kind %d", uint32(rec.Kind))
 		}
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return Record{}, err
 	}
 	return rec, nil

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 
+	"repro/internal/codec"
 	"repro/internal/gio"
 	"repro/internal/grid"
 )
@@ -68,14 +69,14 @@ func writeSnapshotFile(path string, s *Snapshot) error {
 	if _, err := bw.WriteString(snapMagic); err != nil {
 		return fail(err)
 	}
-	w := newWriter(32 + len(s.Live)*pointBytes)
-	w.u64(s.LSN)
-	w.i64(int64(s.Grid.Spec.OT))
-	w.f64(s.Residual)
-	w.i64(s.Ops)
-	w.u64(uint64(len(s.Live)))
-	w.points(s.Live)
-	if _, err := body.Write(w.b); err != nil {
+	w := codec.NewWriter(32 + len(s.Live)*codec.PointBytes)
+	w.U64(s.LSN)
+	w.I64(int64(s.Grid.Spec.OT))
+	w.F64(s.Residual)
+	w.I64(s.Ops)
+	w.U64(uint64(len(s.Live)))
+	w.Points(s.Live)
+	if _, err := body.Write(w.B); err != nil {
 		return fail(err)
 	}
 	if err := gio.WriteGrid(body, s.Grid); err != nil {
@@ -140,13 +141,13 @@ func ReadSnapshot(path string) (*Snapshot, error) {
 	if _, err := io.ReadFull(body, buf[:fixed]); err != nil {
 		return nil, fmt.Errorf("wal: snapshot %s: truncated header", path)
 	}
-	r := &reader{b: buf[:fixed]}
-	s := &Snapshot{LSN: r.u64()}
-	ot := r.i64()
-	s.Residual = r.f64()
-	s.Ops = r.i64()
-	nlive := r.u64()
-	if nlive > uint64(bodyLen-fixed)/pointBytes {
+	r := codec.NewReader("wal", buf[:fixed])
+	s := &Snapshot{LSN: r.U64()}
+	ot := r.I64()
+	s.Residual = r.F64()
+	s.Ops = r.I64()
+	nlive := r.U64()
+	if nlive > uint64(bodyLen-fixed)/codec.PointBytes {
 		return nil, fmt.Errorf("wal: snapshot %s: claims %d live events in %d bytes", path, nlive, bodyLen)
 	}
 	if s.LSN == 0 || ot < 0 || ot > int64(math.MaxInt64)/2 ||
@@ -155,13 +156,13 @@ func ReadSnapshot(path string) (*Snapshot, error) {
 	}
 	s.Live = make([]grid.Point, 0, nlive)
 	for left := int(nlive); left > 0; {
-		n := min(left, len(buf)/pointBytes)
-		if _, err := io.ReadFull(body, buf[:n*pointBytes]); err != nil {
+		n := min(left, len(buf)/codec.PointBytes)
+		if _, err := io.ReadFull(body, buf[:n*codec.PointBytes]); err != nil {
 			return nil, fmt.Errorf("wal: snapshot %s: truncated live events", path)
 		}
-		r := &reader{b: buf[:n*pointBytes]}
+		r := codec.NewReader("wal", buf[:n*codec.PointBytes])
 		for i := 0; i < n; i++ {
-			s.Live = append(s.Live, grid.Point{X: r.f64(), Y: r.f64(), T: r.f64()})
+			s.Live = append(s.Live, grid.Point{X: r.F64(), Y: r.F64(), T: r.F64()})
 		}
 		left -= n
 	}
@@ -171,7 +172,7 @@ func ReadSnapshot(path string) (*Snapshot, error) {
 	}
 	// gio's codec is self-describing but not self-terminating; require the
 	// embedded grid to account for every remaining byte.
-	gridBytes := bodyLen - fixed - int64(nlive)*pointBytes
+	gridBytes := bodyLen - fixed - int64(nlive)*codec.PointBytes
 	if want := int64(len("STKDEG1\n") + 10*8 + g.Spec.Voxels()*8); gridBytes != want {
 		return nil, fmt.Errorf("wal: snapshot %s: %d trailing bytes after the grid", path, gridBytes-want)
 	}
