@@ -365,6 +365,52 @@ func TestWALShutdownWarmRestart(t *testing.T) {
 	}
 }
 
+// TestWALCheckpointedStreamRecoversLocally: a journal with a snapshot
+// restores a local window even on a shard-configured server, without
+// dialing the peers — only snapshot-less journals are sharded ones.
+func TestWALCheckpointedStreamRecoversLocally(t *testing.T) {
+	spec := streamTestSpec(t)
+	dir := t.TempDir()
+	cfg := walTestConfig(dir, 0, -1) // no automatic checkpoints: only Shutdown's
+
+	a := New(cfg)
+	stA, err := a.createStream(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := uint64(11)
+	applyWalOps(t, a, stA, genWalOps(&state, 10), 10)
+	wantN := stA.up.N()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := a.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Shard = &ShardConfig{Peers: []string{"inproc://nobody-listening"}}
+	b := New(cfg)
+	stats, err := b.Recover()
+	if err != nil {
+		t.Fatalf("checkpointed stream failed to recover beside unreachable peers: %v", err)
+	}
+	if stats.Streams != 1 || stats.Snapshots != 1 {
+		t.Fatalf("recover stats %+v, want 1 stream from snapshot", stats)
+	}
+	stB, ok := b.streams.get(stA.id)
+	if !ok {
+		t.Fatalf("stream %s not recovered", stA.id)
+	}
+	if stB.sharded {
+		t.Fatal("checkpointed stream recovered sharded, want local")
+	}
+	if _, ok := stB.up.(localWindow); !ok {
+		t.Fatalf("recovered window is %T, want a local updater", stB.up)
+	}
+	if stB.up.N() != wantN {
+		t.Fatalf("recovered window holds %d events, want %d", stB.up.N(), wantN)
+	}
+}
+
 // TestWALDeleteTearsDownJournal: DELETE removes the on-disk journal, an
 // interrupted delete (tombstone) is finished by recovery, and neither
 // resurrects the stream.
