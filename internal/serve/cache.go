@@ -182,29 +182,13 @@ func (c *gridCache) invalidateDataset(id string) int {
 }
 
 // evictFor evicts least-recently-used grids until the budget has room for
-// an external charge of the given bytes (a stream's long-lived window
-// ring). It gives up when the cache is empty; the caller's own allocation
-// against the shared budget then reports the shortfall.
-func (c *gridCache) evictFor(bytes int64) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for c.budget.Limit() > 0 && c.budget.Used()+bytes > c.budget.Limit() {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		c.dropLocked(back)
-		n++
-	}
-	return n
-}
-
-// evictForExcept is evictFor with one protected entry: the analytics
-// pyramid build must never evict the very grid it is indexing (the key was
-// just served, so it sits at the LRU front; once eviction reaches it the
-// loop gives up and the caller falls back to the naive scans).
-func (c *gridCache) evictForExcept(bytes int64, except estimateKey) int {
+// a charge of the given bytes (a stream's window ring or sketch, or an
+// analytics pyramid). It gives up when the cache is empty or eviction
+// reaches the entry keyed except: a pyramid build must never evict the very
+// grid it is indexing (the key was just served, so it sits at the LRU
+// front). The caller's own allocation against the shared budget then
+// reports the shortfall.
+func (c *gridCache) evictFor(bytes int64, except estimateKey) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0

@@ -485,6 +485,28 @@ func (s *Server) ensureGrid(ctx context.Context, k estimateKey, tenant string, p
 	return res, false, nil
 }
 
+// charge runs alloc, an allocation charged to the cache budget, and on
+// grid.ErrMemoryBudget evicts least-recently-used cached grids — never the
+// entry keyed except — to make room for need bytes, then retries. A
+// concurrent cache fill can steal freed room between the eviction and the
+// retry, so it retries for as long as eviction frees something: it ends
+// with alloc done, a different error, or nothing left to evict. Every
+// budgeted allocator checks the budget before it allocates, so a failed
+// attempt costs nothing.
+func (s *Server) charge(need int64, except estimateKey, alloc func() error) error {
+	for {
+		err := alloc()
+		if !errors.Is(err, grid.ErrMemoryBudget) {
+			return err
+		}
+		evicted := s.cache.evictFor(need, except)
+		s.met.evictions.Add(int64(evicted))
+		if evicted == 0 {
+			return err
+		}
+	}
+}
+
 // ensurePyramid returns the analytics pyramid (summed-volume table +
 // block maxima) for a resident grid, building it outside the cache lock
 // when absent. The build is charged to the cache budget — evicting LRU
@@ -509,22 +531,12 @@ func (s *Server) ensurePyramid(k estimateKey, g *grid.Grid) (*grid.Pyramid, func
 				grid.ErrMemoryBudget, bytes, g.Spec.Bytes())
 		}
 	}
-	s.met.evictions.Add(int64(s.cache.evictForExcept(bytes, k)))
 	var py *grid.Pyramid
-	for {
-		var err error
+	if err := s.charge(bytes, k, func() (err error) {
 		py, err = grid.NewPyramid(g, s.cfg.Threads, s.cache.budgetHandle())
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, grid.ErrMemoryBudget) {
-			return nil, noop, err
-		}
-		evicted := s.cache.evictForExcept(bytes, k)
-		s.met.evictions.Add(int64(evicted))
-		if evicted == 0 {
-			return nil, noop, err
-		}
+		return err
+	}); err != nil {
+		return nil, noop, err
 	}
 	s.met.sketchRebuilds.Add(1)
 	adopted, existing := s.cache.attachPyramid(k, py)

@@ -128,10 +128,10 @@ func (st *stream) windowSpec(req grid.Spec) (grid.Spec, bool) {
 //
 // A nil answer with a nil error means the stream cannot answer and the
 // caller falls back: the stream is gone, the window moved, the read itself
-// declined, or a local ring sketch does not fit the cache budget even after
-// one round of evicting cached cubes and a retry. A sharded window's error
-// is returned, for the caller to surface: the fallbacks would answer from
-// the coordinator's live list as if coverage were full.
+// declined, or a local ring sketch does not fit the cache budget even with
+// every evictable cached cube evicted. A sharded window's error is
+// returned, for the caller to surface: the fallbacks would answer from the
+// coordinator's live list as if coverage were full.
 func (s *Server) readWindow(st *stream, spec grid.Spec, sketch bool, read func(liveWindow) (map[string]any, dist.Coverage, error)) (answer map[string]any, cov dist.Coverage, rebuilt int64, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -142,9 +142,14 @@ func (s *Server) readWindow(st *stream, spec grid.Spec, sketch bool, read func(l
 		defer s.observeShardGather(st)()
 	}
 	before := st.up.SketchRebuilds()
-	answer, cov, err = read(st.up)
-	if err != nil && !st.sharded && s.evictForSketch(spec, err) {
+	run := func() error {
 		answer, cov, err = read(st.up)
+		return err
+	}
+	if st.sharded {
+		err = run()
+	} else { // a local ring's lazy sketch is charged to the cache budget
+		err = s.charge(grid.RingSketchBytes(spec), estimateKey{}, run)
 	}
 	switch {
 	case err == nil:
@@ -168,17 +173,6 @@ func (s *Server) observeShardGather(st *stream) func() {
 		s.met.shardGathers.Add(1)
 		s.met.shardLatency.Observe(time.Since(t0))
 	}
-}
-
-// evictForSketch makes room in the cache budget for a stream's lazy ring
-// sketch after a budget failure, reporting whether a retry is worthwhile.
-func (s *Server) evictForSketch(spec grid.Spec, err error) bool {
-	if !errors.Is(err, grid.ErrMemoryBudget) {
-		return false
-	}
-	evicted := s.cache.evictFor(grid.RingSketchBytes(spec))
-	s.met.evictions.Add(int64(evicted))
-	return evicted > 0
 }
 
 // window returns the continuous time range the live window covers — the
@@ -280,65 +274,25 @@ func (s *Server) createStream(spec grid.Spec) (*stream, error) {
 	if n := s.streams.count(); n >= s.cfg.MaxStreams {
 		return nil, fmt.Errorf("serve: %d live streams already registered (limit %d); raise MaxStreams", n, s.cfg.MaxStreams)
 	}
-	if cl, err := s.shardCluster(); err != nil {
+	cl, err := s.shardCluster()
+	if err != nil {
 		return nil, err
-	} else if cl != nil {
-		sg, err := cl.NewStream(spec, 0) // every rank ingests on all its cores
-		if err != nil {
-			return nil, err
-		}
-		// Sharded windows keep their rings in the rank processes, but rank
-		// memory is volatile: any reconnect rebuilds a rank's replica by
-		// replaying the coordinator's record of the stream. Journaling the
-		// mutations here (exactly like a local stream, minus snapshots —
-		// the window lives elsewhere) makes the coordinator's record
-		// durable, so a coordinator restart re-creates the sharded stream
-		// and re-seeds the whole cluster from the journal.
-		id := s.streams.nextID()
-		jr, err := s.openCreateJournal(id, spec)
-		if err != nil {
-			sg.Release()
-			return nil, err
-		}
-		return s.registerStream(id, sg, spec, true, jr), nil
 	}
 	// Stream rings are pinned for the server's lifetime, so cap their
 	// total share at half the cache budget: one oversized window must
 	// never permanently crowd every cached cube out of the LRU (and a
-	// doomed request must be rejected before evictFor flushes residents
+	// doomed request must be rejected before eviction flushes residents
 	// for nothing).
-	need := core.WindowBytes(spec)
-	if limit := s.cache.budgetHandle().Limit(); limit > 0 {
+	if limit := s.cache.budgetHandle().Limit(); cl == nil && limit > 0 {
+		need := core.WindowBytes(spec)
 		if pinned := s.streams.pinnedBytes(); pinned+need > limit/2 {
 			return nil, fmt.Errorf("serve: %w: stream window needs %d bytes with %d already pinned, over half the %d-byte cache budget; coarsen the spec or raise CacheBytes",
 				grid.ErrMemoryBudget, need, pinned, limit)
 		}
 	}
-	// Charge the window against the shared budget, evicting cached cubes to
-	// make room. A concurrent estimation's cache.put can steal freed room
-	// between the eviction and the allocation, so retry as long as
-	// eviction makes progress; the loop ends with the ring charged or the
-	// cache empty.
-	s.met.evictions.Add(int64(s.cache.evictFor(need)))
-	var up *core.Updater
-	for {
-		var err error
-		// Threads unset: a stream ingests on every core (Config.Threads
-		// sizes batch estimations only).
-		up, err = core.NewUpdater(spec, core.UpdaterConfig{Options: core.Options{
-			Budget: s.cache.budgetHandle(),
-		}})
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, grid.ErrMemoryBudget) {
-			return nil, err
-		}
-		evicted := s.cache.evictFor(need)
-		s.met.evictions.Add(int64(evicted))
-		if evicted == 0 {
-			return nil, err
-		}
+	up, err := s.newWindow(cl, spec, nil)
+	if err != nil {
+		return nil, err
 	}
 	id := s.streams.nextID()
 	jr, err := s.openCreateJournal(id, spec)
@@ -346,7 +300,50 @@ func (s *Server) createStream(spec grid.Spec) (*stream, error) {
 		up.Release()
 		return nil, err
 	}
-	return s.registerStream(id, localWindow{up}, spec, false, jr), nil
+	return s.registerStream(id, up, spec, jr), nil
+}
+
+// newWindow builds a stream's window, for a new stream and a recovered
+// one alike. It is sharded across cl when a cluster is configured and
+// there is no snapshot to restore (sharded journals never checkpoint: the
+// rings live in the rank processes). Otherwise it is a local updater,
+// restored from snap or empty on spec, and its ring is charged to the
+// cache budget, evicting cached cubes to make room.
+//
+// A sharded window is journaled like a local one: rank memory is volatile,
+// and any reconnect rebuilds a rank's replica by replaying the
+// coordinator's record of the stream, so journaling that record makes it
+// durable, and a coordinator restart re-creates the sharded stream and
+// re-seeds the whole cluster from the journal.
+func (s *Server) newWindow(cl *dist.Cluster, spec grid.Spec, snap *wal.Snapshot) (liveWindow, error) {
+	if cl != nil && snap == nil {
+		sg, err := cl.NewStream(spec, 0) // every rank ingests on all its cores
+		if err != nil {
+			return nil, err
+		}
+		return sg, nil
+	}
+	// Threads unset: a stream ingests on every core (Config.Threads sizes
+	// batch estimations only).
+	cfg := core.UpdaterConfig{Options: core.Options{Budget: s.cache.budgetHandle()}}
+	if snap != nil {
+		spec = snap.Grid.Spec
+	}
+	var up *core.Updater
+	err := s.charge(core.WindowBytes(spec), estimateKey{}, func() (err error) {
+		if snap != nil {
+			up, err = core.RestoreUpdater(core.UpdaterState{
+				Grid: snap.Grid, Live: snap.Live, Residual: snap.Residual, Ops: snap.Ops,
+			}, cfg)
+		} else {
+			up, err = core.NewUpdater(spec, cfg)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return localWindow{up}, nil
 }
 
 // openCreateJournal journals a stream's creation before it becomes
@@ -378,8 +375,9 @@ func (s *Server) openCreateJournal(id string, spec grid.Spec) (*streamJournal, e
 // registerStream binds a created window to the given stream id and a
 // fresh registry entry. Callers hold createMu (or are Recover, which runs
 // before any traffic).
-func (s *Server) registerStream(id string, up liveWindow, spec grid.Spec, sharded bool, jr *streamJournal) *stream {
-	st := &stream{id: id, ds: s.reg.addStream(id, up), base: spec, sharded: sharded, jr: jr, up: up}
+func (s *Server) registerStream(id string, up liveWindow, spec grid.Spec, jr *streamJournal) *stream {
+	_, local := up.(localWindow)
+	st := &stream{id: id, ds: s.reg.addStream(id, up), base: spec, sharded: !local, jr: jr, up: up}
 	s.streams.put(st)
 	s.met.streams.Add(1)
 	return st
@@ -390,52 +388,66 @@ func (s *Server) registerStream(id string, up liveWindow, spec grid.Spec, sharde
 // stay responsive. Each chunk leaves a consistent events-so-far estimate.
 const ingestChunk = 4096
 
-// streamIngest appends events to a live stream: each chunk is journaled
-// and then applied under one st.mu hold (so the journal orders records
-// exactly like the window mutations), the window grid is updated in place
-// through the signed-weight apply path, and every derived cache for the
-// dataset (grids, exact-query indexes) is invalidated under the stream
-// lock. The commit barrier runs after the
-// last chunk, before the caller acks.
+// mutate runs one journaled mutation on a stream's window under one st.mu
+// hold, so the journal orders records exactly like the window mutations:
+// it refuses a deleted stream, journals rec, runs apply, and — when apply
+// reports the window changed — bumps the dataset version and invalidates
+// every derived cache (grids, exact-query indexes) under the stream lock.
+// The commit barrier is the caller's, after the lock is released.
 //
 // On a sharded window a down rank surfaces as *dist.DegradedError: the
 // mutation has committed on the coordinator (journal, live list, window
 // clock) and every healthy rank, and the failed rank will be rebuilt by
-// replay on reconnect — so the ingest is reported as a success with the
-// reduced coverage, not an error, and the client learns its events landed
-// on cov.Live of cov.Total ranks.
+// replay on reconnect — so it is a success at the reduced coverage
+// returned, not an error.
+func (s *Server) mutate(st *stream, rec wal.Record, apply func(liveWindow) (changed bool, err error)) (dist.Coverage, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.deleted {
+		return fullCoverage, errStreamDeleted
+	}
+	if err := s.journalAppend(st, rec); err != nil {
+		return fullCoverage, err
+	}
+	cov := fullCoverage
+	changed, err := apply(st.up)
+	if err != nil {
+		var de *dist.DegradedError
+		if !errors.As(err, &de) {
+			return fullCoverage, err
+		}
+		cov = de.Coverage
+		s.met.shardDegraded.Add(1)
+	}
+	if changed {
+		st.ds.bump()
+		s.invalidateStream(st)
+	}
+	return cov, nil
+}
+
+// streamIngest appends events to a live stream, one mutation per chunk;
+// the window grid is updated in place through the signed-weight apply
+// path. The commit barrier runs after the last chunk, before the caller
+// acks. A degraded chunk reports its coverage: the client learns its
+// events landed on cov.Live of cov.Total ranks.
 func (s *Server) streamIngest(st *stream, pts []grid.Point) (total int, cov dist.Coverage, err error) {
 	cov = fullCoverage
 	for len(pts) > 0 {
-		n := len(pts)
-		if n > ingestChunk {
-			n = ingestChunk
-		}
-		chunk := pts[:n]
-		pts = pts[n:]
-		st.mu.Lock()
-		if st.deleted {
-			st.mu.Unlock()
-			return total, cov, errStreamDeleted
-		}
-		if err := s.journalAppend(st, wal.Record{Kind: wal.KindIngest, Points: chunk}); err != nil {
-			st.mu.Unlock()
+		chunk := pts[:min(len(pts), ingestChunk)]
+		pts = pts[len(chunk):]
+		c, err := s.mutate(st, wal.Record{Kind: wal.KindIngest, Points: chunk}, func(w liveWindow) (bool, error) {
+			err := w.Add(chunk...)
+			total = w.N()
+			return true, err
+		})
+		if err != nil {
 			return total, cov, err
 		}
-		if err := st.up.Add(chunk...); err != nil {
-			var de *dist.DegradedError
-			if !errors.As(err, &de) {
-				st.mu.Unlock()
-				return total, cov, err
-			}
-			cov = de.Coverage
-			s.met.shardDegraded.Add(1)
+		if c.Degraded() {
+			cov = c
 		}
-		total = st.up.N()
-		st.ds.bump()
-		s.invalidateStream(st)
-		s.met.streamEvents.Add(int64(n))
-		st.mu.Unlock()
+		s.met.streamEvents.Add(int64(len(chunk)))
 	}
 	if err := s.journalCommit(st); err != nil {
 		return total, cov, err
@@ -451,32 +463,17 @@ func (s *Server) streamIngest(st *stream, pts []grid.Point) (total int, cov dist
 // Like streamIngest, a sharded *dist.DegradedError is a committed success
 // at reduced coverage.
 func (s *Server) streamAdvance(st *stream, t float64) (advanced, expired int, cov dist.Coverage, err error) {
-	cov = fullCoverage
-	st.mu.Lock()
-	if st.deleted {
-		st.mu.Unlock()
-		return 0, 0, cov, errStreamDeleted
-	}
-	if err := s.journalAppend(st, wal.Record{Kind: wal.KindAdvance, T: t}); err != nil {
-		st.mu.Unlock()
+	cov, err = s.mutate(st, wal.Record{Kind: wal.KindAdvance, T: t}, func(w liveWindow) (bool, error) {
+		var err error
+		advanced, expired, err = w.AdvanceTo(t)
+		return advanced > 0, err
+	})
+	if err != nil {
 		return 0, 0, cov, err
 	}
-	advanced, expired, err = st.up.AdvanceTo(t)
-	if err != nil {
-		var de *dist.DegradedError
-		if !errors.As(err, &de) {
-			st.mu.Unlock()
-			return 0, 0, cov, err
-		}
-		cov = de.Coverage
-		s.met.shardDegraded.Add(1)
-	}
 	if advanced > 0 {
-		st.ds.bump()
-		s.invalidateStream(st)
 		s.met.streamAdvances.Add(1)
 	}
-	st.mu.Unlock()
 	if err := s.journalCommit(st); err != nil {
 		return 0, 0, cov, err
 	}

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/grid"
 	"repro/internal/wal"
@@ -172,27 +171,6 @@ func (s *Server) checkpointStream(st *stream) error {
 	return nil
 }
 
-// Checkpoint snapshots every journaled stream, bounding the replay the
-// next boot must do. It returns the number of streams checkpointed and
-// the first error encountered (later streams are still attempted).
-func (s *Server) Checkpoint() (int, error) {
-	var firstErr error
-	n := 0
-	for _, st := range s.streams.list() {
-		if st.jr == nil {
-			continue
-		}
-		if err := s.checkpointStream(st); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		n++
-	}
-	return n, firstErr
-}
-
 // closeJournals checkpoints and closes every stream journal (the
 // graceful-shutdown path; a crash skips this and recovery replays).
 func (s *Server) closeJournals() {
@@ -280,97 +258,35 @@ func (s *Server) Recover() (RecoverStats, error) {
 	return stats, nil
 }
 
-// recoverStream rebuilds one stream: warm-start from the snapshot when
-// one exists (RestoreUpdater adopts the snapshot's ring and drift state,
-// so later compactions align with the uninterrupted run), cold-start from
-// the create record otherwise, then replay the tail. The window ring is
-// charged to the cache budget with the same evict-retry loop
-// createStream uses, but not the half-budget pinned cap: these streams
-// were already admitted before the crash.
+// recoverStream rebuilds one stream: its window comes from newWindow, the
+// constructor createStream uses, and the journal tail replays through the
+// same Add/AdvanceTo paths live traffic used. A journal with a snapshot
+// warm-starts a local window (RestoreUpdater adopts the snapshot's ring
+// and drift state, so later compactions align with the uninterrupted run)
+// and never dials the shard peers. A journal without one cold-starts from
+// its create record — across the rank cluster when shard peers are
+// configured, since sharded journals never checkpoint. The window ring is
+// charged to the cache budget, but not capped at the half-budget pinned
+// share: these streams were already admitted before the crash.
 //
-// On a shard-configured server a journal without a snapshot is a sharded
-// stream's (sharded journals never checkpoint): the stream is re-created
-// across the rank cluster and the journal replays through it. A journal
-// WITH a snapshot predates the shard configuration and restores locally
-// as before.
+// A rank that is down during a sharded replay degrades the mutation but
+// does not fail recovery: the coordinator's record stays authoritative and
+// the rank re-seeds from it when it heals.
 func (s *Server) recoverStream(id string, jr *streamJournal, rec wal.Recovered) (*stream, int, error) {
 	tail := rec.Tail
+	var cl *dist.Cluster
+	var spec grid.Spec
 	if rec.Snapshot == nil {
-		if cl, err := s.shardCluster(); err != nil {
-			return nil, 0, err
-		} else if cl != nil {
-			return s.recoverShardStream(id, cl, jr, tail)
-		}
-	}
-	var need int64
-	if rec.Snapshot != nil {
-		need = core.WindowBytes(rec.Snapshot.Grid.Spec)
-	} else {
 		if len(tail) == 0 || tail[0].Kind != wal.KindCreate || tail[0].LSN != 1 {
 			return nil, 0, fmt.Errorf("journal has no snapshot and no create record")
 		}
-		need = core.WindowBytes(tail[0].Spec)
-	}
-	cfg := core.UpdaterConfig{Options: core.Options{Budget: s.cache.budgetHandle()}}
-	s.met.evictions.Add(int64(s.cache.evictFor(need)))
-	var up *core.Updater
-	for {
+		spec = tail[0].Spec
 		var err error
-		if sn := rec.Snapshot; sn != nil {
-			up, err = core.RestoreUpdater(core.UpdaterState{
-				Grid: sn.Grid, Live: sn.Live, Residual: sn.Residual, Ops: sn.Ops,
-			}, cfg)
-		} else {
-			up, err = core.NewUpdater(tail[0].Spec, cfg)
-		}
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, grid.ErrMemoryBudget) {
-			return nil, 0, err
-		}
-		evicted := s.cache.evictFor(need)
-		s.met.evictions.Add(int64(evicted))
-		if evicted == 0 {
+		if cl, err = s.shardCluster(); err != nil {
 			return nil, 0, err
 		}
 	}
-	replayed := 0
-	for _, r := range tail {
-		switch r.Kind {
-		case wal.KindCreate:
-			if r.LSN != 1 {
-				up.Release()
-				return nil, 0, fmt.Errorf("create record at LSN %d (journal corrupt)", r.LSN)
-			}
-		case wal.KindIngest:
-			up.Add(r.Points...)
-			replayed++
-		case wal.KindAdvance:
-			up.AdvanceTo(r.T)
-			replayed++
-		}
-	}
-	// Requests resolve against the creation spec (OT == 0); the window's
-	// own spec has followed every replayed advance.
-	base := up.Spec()
-	base.OT = 0
-	return s.registerStream(id, localWindow{up}, base, false, jr), replayed, nil
-}
-
-// recoverShardStream rebuilds a sharded stream by re-creating it on the
-// rank cluster and replaying the coordinator's journal through the same
-// Add/AdvanceTo paths live traffic uses — the identical deterministic
-// replay that re-seeds one rank after a reconnect, here applied to the
-// whole cluster after a coordinator restart. A rank that is down during
-// replay degrades the mutation but does not fail recovery: the
-// coordinator's record stays authoritative and the rank re-seeds from it
-// when it heals.
-func (s *Server) recoverShardStream(id string, cl *dist.Cluster, jr *streamJournal, tail []wal.Record) (*stream, int, error) {
-	if len(tail) == 0 || tail[0].Kind != wal.KindCreate || tail[0].LSN != 1 {
-		return nil, 0, fmt.Errorf("journal has no snapshot and no create record")
-	}
-	sg, err := cl.NewStream(tail[0].Spec, 0)
+	up, err := s.newWindow(cl, spec, rec.Snapshot)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -380,28 +296,28 @@ func (s *Server) recoverShardStream(id string, cl *dist.Cluster, jr *streamJourn
 		switch r.Kind {
 		case wal.KindCreate:
 			if r.LSN != 1 {
-				sg.Release()
-				return nil, 0, fmt.Errorf("create record at LSN %d (journal corrupt)", r.LSN)
+				err = fmt.Errorf("create record at LSN %d (journal corrupt)", r.LSN)
 			}
 		case wal.KindIngest:
-			err = sg.Add(r.Points...)
+			err = up.Add(r.Points...)
 			replayed++
 		case wal.KindAdvance:
-			_, _, err = sg.AdvanceTo(r.T)
+			_, _, err = up.AdvanceTo(r.T)
 			replayed++
 		}
-		if err != nil {
-			var de *dist.DegradedError
-			if !errors.As(err, &de) {
-				sg.Release()
-				return nil, 0, err
-			}
+		var de *dist.DegradedError
+		if errors.As(err, &de) {
 			s.met.shardDegraded.Add(1)
+		} else if err != nil {
+			up.Release()
+			return nil, 0, err
 		}
 	}
-	base := sg.Spec()
+	// Requests resolve against the creation spec (OT == 0); the window's
+	// own spec has followed every replayed advance.
+	base := up.Spec()
 	base.OT = 0
-	return s.registerStream(id, sg, base, true, jr), replayed, nil
+	return s.registerStream(id, up, base, jr), replayed, nil
 }
 
 // parseStreamID parses the "s%016x" stream-id shape, reporting whether
