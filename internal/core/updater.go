@@ -114,8 +114,8 @@ type Updater struct {
 
 // UpdaterConfig configures a streaming Updater.
 type UpdaterConfig struct {
-	// Options configures kernels, engine and memory budget exactly like a
-	// batch estimation run. Threads is the most cores a bulk apply and an
+	// Options configures kernels and memory budget exactly like a batch
+	// estimation run. Threads is the most cores a bulk apply and an
 	// advance's zeroing run on; values < 1 mean GOMAXPROCS. The window is
 	// bitwise the same for every value. AdaptiveBandwidth is not supported
 	// (per-point normalization would make retraction ambiguous).

@@ -563,14 +563,6 @@ func (l *Log) WriteSnapshot(snap *Snapshot) error {
 	return nil
 }
 
-// SnapshotLSN returns the LSN of the journal's current recovery point (0
-// when no snapshot has been written).
-func (l *Log) SnapshotLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.snapLSN
-}
-
 // Close stops the background flusher, syncs the current segment, and
 // closes it. The log must not be used afterwards.
 func (l *Log) Close() error {
