@@ -309,12 +309,6 @@ func (s *Server) createStream(spec grid.Spec) (*stream, error) {
 // rings live in the rank processes). Otherwise it is a local updater,
 // restored from snap or empty on spec, and its ring is charged to the
 // cache budget, evicting cached cubes to make room.
-//
-// A sharded window is journaled like a local one: rank memory is volatile,
-// and any reconnect rebuilds a rank's replica by replaying the
-// coordinator's record of the stream, so journaling that record makes it
-// durable, and a coordinator restart re-creates the sharded stream and
-// re-seeds the whole cluster from the journal.
 func (s *Server) newWindow(cl *dist.Cluster, spec grid.Spec, snap *wal.Snapshot) (liveWindow, error) {
 	if cl != nil && snap == nil {
 		sg, err := cl.NewStream(spec, 0) // every rank ingests on all its cores
