@@ -54,7 +54,7 @@ func runGraph(pts []grid.Point, spec grid.Spec, opt Options, plan func(*taskRun)
 // Phases.Init, and returns its view.
 func (r *taskRun) newGrid() (view, error) {
 	t0 := time.Now()
-	g, err := grid.NewGridP(r.c.spec, r.opt.Budget, r.opt.Threads)
+	g, err := grid.NewGrid(r.c.spec, r.opt.Budget)
 	if err != nil {
 		return view{}, err
 	}

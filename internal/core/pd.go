@@ -245,11 +245,7 @@ func runPDGraph(pts []grid.Point, spec grid.Spec, opt Options, loadAware, replic
 					opt.Budget.Free(st.BufferBytes) // everything charged so far
 					return err
 				}
-				buf := make([]float64, n)
-				for j := range buf {
-					buf[j] = 0 // explicit first touch (see grid.NewGrid)
-				}
-				bufs[v][i] = buf
+				bufs[v][i] = make([]float64, n) // zeroed by the allocator (see grid.NewGrid)
 				st.BufferBytes += int64(n) * 8
 			}
 		}

@@ -12,7 +12,7 @@ import (
 func runVB(pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
 	res := &Result{}
 	t0 := time.Now()
-	g, err := grid.NewGridP(spec, opt.Budget, opt.Threads)
+	g, err := grid.NewGrid(spec, opt.Budget)
 	if err != nil {
 		return nil, err
 	}
@@ -65,7 +65,7 @@ func runVB(pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
 func runVBDEC(pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
 	res := &Result{}
 	t0 := time.Now()
-	g, err := grid.NewGridP(spec, opt.Budget, opt.Threads)
+	g, err := grid.NewGrid(spec, opt.Budget)
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +169,7 @@ func runVBDEC(pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
 func runPointBased(apply applyFn, pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
 	res := &Result{}
 	t0 := time.Now()
-	g, err := grid.NewGridP(spec, opt.Budget, opt.Threads)
+	g, err := grid.NewGrid(spec, opt.Budget)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +212,7 @@ func runPBBAR(pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
 func runPBSYM(pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
 	res := &Result{}
 	t0 := time.Now()
-	g, err := grid.NewGridP(spec, opt.Budget, opt.Threads)
+	g, err := grid.NewGrid(spec, opt.Budget)
 	if err != nil {
 		return nil, err
 	}

@@ -238,31 +238,24 @@ type Grid struct {
 // is provided. It returns ErrMemoryBudget if the allocation would exceed
 // the budget.
 //
-// The voxels are explicitly written (Algorithm 2's "for all voxels:
-// stkde = 0"): Go's make returns lazily-mapped zero pages, and without the
-// explicit first touch the page-fault cost the paper attributes to the
-// initialization phase would silently migrate into the compute phase,
-// hiding the init-bound behaviour of sparse instances (Figure 7).
+// The allocator's zero guarantee is Algorithm 2's "for all voxels:
+// stkde = 0", and the Init phase times it: on memory the heap recycles,
+// make clears the grid (serially) before it returns; on fresh pages it
+// clears nothing, and only the voxels the compute writes fault in, so the
+// page-fault share of a sparse instance (Figure 7) lands in Compute.
 func NewGrid(s Spec, b *Budget) (*Grid, error) {
-	return NewGridP(s, b, 1)
-}
-
-// minTouchBlock is the smallest number of voxels worth handing to a
-// first-touch worker; below it goroutine startup dominates the page faults.
-const minTouchBlock = 1 << 16
-
-// NewGridP is NewGrid with the first touch parallelized over up to p
-// workers (the paper's initialization phase is bandwidth-bound, so it
-// scales with cores). p < 1 means GOMAXPROCS; small grids fall back to a
-// serial touch.
-func NewGridP(s Spec, b *Budget, p int) (*Grid, error) {
 	if err := b.Alloc(s.Bytes()); err != nil {
 		return nil, err
 	}
-	data := make([]float64, s.Voxels())
-	zeroPar(data, p)
-	return &Grid{Spec: s, Data: data, budget: b}, nil
+	return &Grid{Spec: s, Data: make([]float64, s.Voxels()), budget: b}, nil
 }
+
+// NewGridP is NewGrid; p is unused.
+func NewGridP(s Spec, b *Budget, p int) (*Grid, error) { return NewGrid(s, b) }
+
+// minTouchBlock is the smallest number of voxels worth handing to a
+// zeroing worker; below it goroutine startup costs more than the writes.
+const minTouchBlock = 1 << 16
 
 // zeroPar writes every element of data with up to p workers.
 func zeroPar(data []float64, p int) {

@@ -50,15 +50,13 @@ type Ring struct {
 func RingBytes(s Spec) int64 { return int64(s.Gx) * int64(s.Gy) * int64(s.Gt+s.Ht) * 8 }
 
 // NewRing allocates a zeroed ring for the spec, charging the budget if one
-// is provided (the voxels are explicitly first-touched, as in NewGrid).
+// is provided (zeroed by the allocator, as in NewGrid).
 func NewRing(s Spec, b *Budget) (*Ring, error) {
 	if err := b.Alloc(RingBytes(s)); err != nil {
 		return nil, err
 	}
-	r := &Ring{spec: s, layers: s.Gt + s.Ht, budget: b}
-	r.Data = make([]float64, s.Gx*s.Gy*r.layers)
-	zeroPar(r.Data, 1)
-	return r, nil
+	layers := s.Gt + s.Ht
+	return &Ring{spec: s, layers: layers, Data: make([]float64, s.Gx*s.Gy*layers), budget: b}, nil
 }
 
 // RestoreRing rebuilds a ring from a materialized window snapshot: the

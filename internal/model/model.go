@@ -27,7 +27,7 @@ type Machine struct {
 	Threads int   // workers available
 	Mem     int64 // memory budget in bytes (0 = unlimited)
 
-	InitBytesPerSec    float64 // zeroing/first-touch bandwidth (single thread)
+	InitBytesPerSec    float64 // grid init bandwidth: allocator clear or page faults (single thread)
 	InitMaxSpeedup     float64 // parallel init saturates (paper observes ~3x)
 	UpdatePerSec       float64 // PB-SYM voxel multiply-adds per second
 	SpatialEvalPerSec  float64 // spatial kernel evaluations per second
@@ -55,7 +55,10 @@ func DefaultMachine(threads int, mem int64) Machine {
 func Calibrate(threads int, mem int64) Machine {
 	m := DefaultMachine(threads, mem)
 
-	// Memory zeroing / first-touch rate.
+	// Grid init rate: the page faults of a fresh allocation, one write per
+	// page. grid.NewGrid writes no voxel, so a fresh grid's pages fault in
+	// as the compute first writes them, and a recycled one is cleared
+	// inside make.
 	const initN = 1 << 24 // 16M float64 = 128 MB
 	t0 := time.Now()
 	buf := make([]float64, initN)
