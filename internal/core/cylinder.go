@@ -160,13 +160,19 @@ func (c *ctx) maxHtVoxels() int {
 // geom returns the evaluation geometry for point p: bandwidths, the
 // normalization constant and the (unclipped-to-clip, but grid-clipped)
 // influence box.
-func (c *ctx) geom(p grid.Point) geom {
+func (c *ctx) geom(p grid.Point) (g geom) {
+	c.setGeom(&g, p)
+	return g
+}
+
+// setGeom is geom writing into g, which spares the per-point loops a copy
+// of the result.
+func (c *ctx) setGeom(g *geom, p grid.Point) {
 	if !c.adaptiveOn {
-		return geom{
-			hs: c.hs, ht: c.ht, hs2: c.hs2,
-			invHS: c.invHS, invHT: c.invHT, norm: c.norm,
-			box: c.spec.InfluenceBox(p),
-		}
+		g.hs, g.ht, g.hs2 = c.hs, c.ht, c.hs2
+		g.invHS, g.invHT, g.norm = c.invHS, c.invHT, c.norm
+		g.box = c.spec.InfluenceBox(p)
+		return
 	}
 	s := c.adaptive(p)
 	if s <= 0 || math.IsNaN(s) {
@@ -182,12 +188,10 @@ func (c *ctx) geom(p grid.Point) geom {
 		Y0: Y - bhs, Y1: Y + bhs,
 		T0: T - bht, T1: T + bht,
 	}
-	return geom{
-		hs: hs, ht: ht, hs2: hs * hs,
-		invHS: 1 / hs, invHT: 1 / ht,
-		norm: c.weight / (float64(c.n) * hs * hs * ht),
-		box:  b.Clip(c.spec.Bounds()),
-	}
+	g.hs, g.ht, g.hs2 = hs, ht, hs*hs
+	g.invHS, g.invHT = 1/hs, 1/ht
+	g.norm = c.weight / (float64(c.n) * hs * hs * ht)
+	g.box = b.Clip(grid.Box{X1: c.spec.Gx - 1, Y1: c.spec.Gy - 1, T1: c.spec.Gt - 1})
 }
 
 // view is a writable window onto density storage: either the whole grid or
@@ -226,14 +230,14 @@ func boxView(data []float64, b grid.Box) view {
 }
 
 // row returns the mutable T-run [t0, t0+nt) of column (X, Y).
-func (v view) row(X, Y, t0, nt int) []float64 {
+func (v *view) row(X, Y, t0, nt int) []float64 {
 	base := (X-v.box.X0)*v.strideX + (Y-v.box.Y0)*v.strideY + (t0 - v.box.T0)
 	return v.data[base : base+nt]
 }
 
 // base returns the flat index of voxel (X, Y, T) for incremental row
 // arithmetic.
-func (v view) base(X, Y, T int) int {
+func (v *view) base(X, Y, T int) int {
 	return (X-v.box.X0)*v.strideX + (Y-v.box.Y0)*v.strideY + (T - v.box.T0)
 }
 
@@ -480,7 +484,7 @@ func applySym(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
 	if box.Empty() {
 		return
 	}
-	applySymBox(v, c, p, g, box, sc)
+	applySymBox(&v, c, p, g, box, sc)
 }
 
 // fillSym evaluates point p's packed disk and bar over box (already
@@ -494,7 +498,7 @@ func fillSym(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) bool {
 }
 
 // applySymBox is applySym after the geometry: point p's cylinder over box.
-func applySymBox(v view, c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) {
+func applySymBox(v *view, c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) {
 	if !fillSym(c, p, g, box, sc) {
 		return
 	}
@@ -636,18 +640,19 @@ func applySymPoints(v view, c *ctx, pts []grid.Point, idxs []int32, clip grid.Bo
 		if idxs != nil {
 			p = pts[idxs[k]]
 		}
-		g := c.geom(p)
+		var g geom
+		c.setGeom(&g, p)
 		box := g.box.Clip(clip).Clip(v.box)
 		if box.Empty() {
 			continue
 		}
 		if box.Count() < symSmallBox {
-			b.flush(v)
-			applySymBox(v, c, p, g, box, &b.slots[0].scratch)
+			b.flush(&v)
+			applySymBox(&v, c, p, g, box, &b.slots[0].scratch)
 			continue
 		}
 		if b.n == len(b.slots) || (b.n > 0 && (box.X1 < b.x0 || box.X0 > b.x1)) {
-			b.flush(v)
+			b.flush(&v)
 		}
 		s := &b.slots[b.n]
 		if !fillSym(c, p, g, box, &s.scratch) {
@@ -662,11 +667,11 @@ func applySymPoints(v view, c *ctx, pts []grid.Point, idxs []int32, clip grid.Bo
 		}
 		b.n++
 	}
-	b.flush(v)
+	b.flush(&v)
 }
 
 // flush applies the pending block column by column and empties it.
-func (b *symScratch) flush(v view) {
+func (b *symScratch) flush(v *view) {
 	if b.n == 0 {
 		return
 	}
