@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -294,6 +295,53 @@ func TestAdvanceLayers(t *testing.T) {
 	} {
 		if got := c.sp.AdvanceLayers(c.t); got != c.want {
 			t.Errorf("%s: AdvanceLayers(%v) = %d, want %d", c.name, c.t, got, c.want)
+		}
+	}
+}
+
+// NewGrid and NewRing write no voxel: the allocator's zero guarantee is the
+// estimate's init phase. Memory a released grid or ring gave back must
+// therefore come back zeroed when the same specs are allocated again, for a
+// small-object size class and a large span alike, and a fresh ring's
+// snapshot must read zero.
+func TestRecycledAllocationsAreZero(t *testing.T) {
+	for _, d := range []Domain{{GX: 8, GY: 6, GT: 10}, {GX: 64, GY: 48, GT: 40}} {
+		s := mustSpec(t, d, 1, 1, 2, 2)
+		for round := 0; round < 3; round++ {
+			g, err := NewGrid(s, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := NewRing(s, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, data := range map[string][]float64{"grid": g.Data, "ring": r.Data} {
+				for i, v := range data {
+					if v != 0 {
+						t.Fatalf("%v round %d: %s voxel %d reads %g, want 0", d, round, name, i, v)
+					}
+				}
+			}
+			snap, err := r.Snapshot(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range snap.Data {
+				if v != 0 {
+					t.Fatalf("%v round %d: snapshot voxel %d reads %g, want 0", d, round, i, v)
+				}
+			}
+			for i := range g.Data {
+				g.Data[i] = float64(i) + 1
+			}
+			for i := range r.Data {
+				r.Data[i] = -float64(i) - 1
+			}
+			snap.Release()
+			g.Release()
+			r.Release()
+			runtime.GC()
 		}
 	}
 }
