@@ -1,0 +1,148 @@
+package repro_test
+
+import (
+	"bytes"
+	"fmt"
+	"go/ast"
+	"go/printer"
+	"go/token"
+	"os"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// apiGolden pins the public surface: every exported identifier of stkde and
+// synth, and the exported methods of each type they re-export by alias.
+const apiGolden = "testdata/api.txt"
+
+// sigString prints a function type as Go's api listing does: parameter and
+// result types without names, on one line.
+func sigString(fset *token.FileSet, ft *ast.FuncType) string {
+	strip := func(fl *ast.FieldList) *ast.FieldList {
+		if fl == nil {
+			return nil
+		}
+		out := &ast.FieldList{}
+		for _, f := range fl.List {
+			for n := max(len(f.Names), 1); n > 0; n-- {
+				out.List = append(out.List, &ast.Field{Type: f.Type})
+			}
+		}
+		return out
+	}
+	var b bytes.Buffer
+	printer.Fprint(&b, fset, &ast.FuncType{Params: strip(ft.Params), Results: strip(ft.Results)})
+	return strings.Join(strings.Fields(strings.TrimPrefix(b.String(), "func")), " ")
+}
+
+// methodLine is one exported method of type recv as the api listing
+// shows it.
+func methodLine(fset *token.FileSet, pkg, recv string, fd *ast.FuncDecl) string {
+	if _, ptr := fd.Recv.List[0].Type.(*ast.StarExpr); ptr {
+		recv = "*" + recv
+	}
+	return fmt.Sprintf("pkg %s, method (%s) %s%s", pkg, recv, fd.Name.Name, sigString(fset, fd.Type))
+}
+
+// publicSurface lists the tree's public API, one sorted line per name.
+func (t *srcTree) publicSurface() []string {
+	var out []string
+	for _, sf := range t.files {
+		if sf.test || (sf.dir != "stkde" && sf.dir != "synth") {
+			continue
+		}
+		for _, d := range sf.f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if !d.Name.IsExported() {
+					continue
+				}
+				if d.Recv == nil {
+					out = append(out, fmt.Sprintf("pkg %s, func %s%s", sf.dir, d.Name.Name, sigString(t.fset, d.Type)))
+				} else if r := recvName(d); ast.IsExported(r) {
+					out = append(out, methodLine(t.fset, sf.dir, r, d))
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						if !s.Name.IsExported() {
+							continue
+						}
+						var b bytes.Buffer
+						if s.Assign.IsValid() {
+							b.WriteString("= ")
+						}
+						switch s.Type.(type) {
+						case *ast.StructType:
+							b.WriteString("struct")
+						case *ast.InterfaceType:
+							b.WriteString("interface")
+						default:
+							printer.Fprint(&b, t.fset, s.Type)
+						}
+						out = append(out, fmt.Sprintf("pkg %s, type %s %s", sf.dir, s.Name.Name, b.String()))
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							if n.IsExported() {
+								out = append(out, fmt.Sprintf("pkg %s, %s %s", sf.dir, d.Tok, n.Name))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	aliased := t.aliasedTypes()
+	for _, sf := range t.files {
+		if sf.test {
+			continue
+		}
+		for _, d := range sf.f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil || !fd.Name.IsExported() {
+				continue
+			}
+			for _, alias := range aliased[sf.dir+"."+recvName(fd)] {
+				pkg, name, _ := strings.Cut(alias, ".")
+				out = append(out, methodLine(t.fset, pkg, name, fd))
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestPublicSurface: the exported stkde and synth surface equals the
+// golden list, so any change to the public API is deliberate. On a
+// mismatch it prints the difference; edit testdata/api.txt to match.
+func TestPublicSurface(t *testing.T) {
+	tree, err := parseTree(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(apiGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]bool)
+	for _, l := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		want[l] = true
+	}
+	got := tree.publicSurface()
+	var diff []string
+	for _, l := range got {
+		if !want[l] {
+			diff = append(diff, "+"+l)
+		}
+		delete(want, l)
+	}
+	for l := range want {
+		diff = append(diff, "-"+l)
+	}
+	sort.Slice(diff, func(i, j int) bool { return diff[i][1:] < diff[j][1:] })
+	if len(diff) > 0 {
+		t.Errorf("public surface differs from %s (+ added, - removed):\n%s", apiGolden, strings.Join(diff, "\n"))
+	}
+}

@@ -213,16 +213,6 @@ func gridView(g *grid.Grid) view {
 	}
 }
 
-// dataView wraps a raw full-grid slice (a DR replica) as a view.
-func dataView(data []float64, spec grid.Spec) view {
-	return view{
-		data:    data,
-		box:     spec.Bounds(),
-		strideX: spec.Gy * spec.Gt,
-		strideY: spec.Gt,
-	}
-}
-
 // boxView wraps a buffer covering box b (a REP replica buffer).
 func boxView(data []float64, b grid.Box) view {
 	_, ny, nt := b.Dims()
@@ -472,19 +462,6 @@ func applyBar(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
 		}
 		base += v.strideX
 	}
-}
-
-// applySym is Algorithm 3 (PB-SYM): both invariants are computed once and
-// every voxel update is a single multiply-add of disk and bar entries. The
-// span engine iterates only the packed in-disk spans, walks rows with
-// incremental base arithmetic, and hands each span to mulAddRows.
-func applySym(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
-	g := c.geom(p)
-	box := g.box.Clip(clip).Clip(v.box)
-	if box.Empty() {
-		return
-	}
-	applySymBox(&v, c, p, g, box, sc)
 }
 
 // fillSym evaluates point p's packed disk and bar over box (already

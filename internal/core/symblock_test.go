@@ -8,6 +8,19 @@ import (
 	"repro/internal/kernel"
 )
 
+// applySym is Algorithm 3 (PB-SYM): both invariants are computed once and
+// every voxel update is a single multiply-add of disk and bar entries. The
+// span engine iterates only the packed in-disk spans, walks rows with
+// incremental base arithmetic, and hands each span to mulAddRows.
+func applySym(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
+	g := c.geom(p)
+	box := g.box.Clip(clip).Clip(v.box)
+	if box.Empty() {
+		return
+	}
+	applySymBox(&v, c, p, g, box, sc)
+}
+
 // symBlockCase is one input of the block-applier tests: points, options,
 // and the clip boxes the points are applied under, each with the point
 // indices it receives (nil: every point, in order).

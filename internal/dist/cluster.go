@@ -80,8 +80,9 @@ type ClusterOptions struct {
 	HeartbeatEvery time.Duration
 
 	// Transport overrides the dialer used for the initial connections and
-	// every reconnect — the seam the chaos fault-injection layer plugs
-	// into. Defaults to the Network passed to ConnectCluster.
+	// every reconnect — the seam the fault tests' chaos transport
+	// (chaos_test.go) plugs into. Defaults to the Network passed to
+	// ConnectCluster.
 	Transport Transport
 }
 

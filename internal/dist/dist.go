@@ -51,7 +51,7 @@
 // coordinator and live ranks and return a DegradedError naming the
 // reduced coverage — they are never retried on the wire, since a resend
 // could double-apply — and snapshots, which need every share, fail fast
-// with ErrRankDown. The chaos harness (chaos.go, fault_test.go) kills and
+// with ErrRankDown. The chaos harness (chaos_test.go, fault_test.go) kills and
 // heals ranks under a deterministic seed and asserts the healed cluster
 // matches a single-process reference within 1e-9.
 //

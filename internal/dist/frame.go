@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 )
@@ -35,23 +34,21 @@ func writeFrame(w io.Writer, msg []byte) error {
 	return err
 }
 
-// readFrame reads one length-prefixed message. An oversized prefix is an
-// error before any payload allocation happens.
-func readFrame(r io.Reader) ([]byte, error) {
+// readFrameLen reads one frame's length prefix and checks it: an empty or
+// oversized frame is an error before any payload allocation happens. A
+// read error comes back unwrapped (io.EOF on a clean close between
+// frames).
+func readFrameLen(r io.Reader) (uint32, error) {
 	var hdr [frameHeaderBytes]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+		return 0, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := le.Uint32(hdr[:])
 	if n == 0 {
-		return nil, fmt.Errorf("dist: empty frame")
+		return 0, fmt.Errorf("dist: empty frame")
 	}
 	if n > maxFrameBytes {
-		return nil, fmt.Errorf("dist: frame prefix announces %d bytes, limit is %d", n, maxFrameBytes)
+		return 0, fmt.Errorf("dist: frame prefix announces %d bytes, limit is %d", n, maxFrameBytes)
 	}
-	msg := make([]byte, n)
-	if _, err := io.ReadFull(r, msg); err != nil {
-		return nil, err
-	}
-	return msg, nil
+	return n, nil
 }

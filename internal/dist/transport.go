@@ -191,19 +191,12 @@ func (c *tcpConn) Recv(ctx context.Context) ([]byte, error) {
 	// Once the prefix arrived the rest of the frame should follow
 	// promptly, so the payload read is additionally bounded by the RPC
 	// timeout even when the context has no deadline.
-	var hdr [frameHeaderBytes]byte
-	if err := c.withCtx(ctx, func() error {
-		_, err := io.ReadFull(c.c, hdr[:])
+	var n uint32
+	if err := c.withCtx(ctx, func() (err error) {
+		n, err = readFrameLen(c.c)
 		return err
 	}); err != nil {
 		return nil, err
-	}
-	n := le.Uint32(hdr[:])
-	if n == 0 {
-		return nil, fmt.Errorf("dist: empty frame")
-	}
-	if n > maxFrameBytes {
-		return nil, fmt.Errorf("dist: frame prefix announces %d bytes, limit is %d", n, maxFrameBytes)
 	}
 	pctx := ctx
 	if _, ok := ctx.Deadline(); !ok {
@@ -353,7 +346,8 @@ func (c *inprocConn) Close() error {
 // Network bundles the two transports behind address-scheme dispatch:
 // "inproc://name" stays in-process, anything else is a TCP host:port. One
 // Network per process is typical; inproc names are scoped to it. Network
-// itself satisfies Transport, so it can be wrapped (see Chaos).
+// itself satisfies Transport, so it can be wrapped, as the fault tests
+// wrap it in a fault-injecting transport (chaos_test.go).
 type Network struct {
 	TCP    TCPTransport
 	inproc *InprocTransport

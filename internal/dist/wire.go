@@ -472,51 +472,3 @@ func decodePing(msg []byte) (nonce uint64, err error) {
 	nonce = r.U64()
 	return nonce, r.Done()
 }
-
-// decodeAny exercises the decoder for whatever kind the payload claims —
-// the fuzzing entry point, and the server's dispatch guard: every arm must
-// reject corrupt input with an error, never a panic or an unbounded
-// allocation.
-func decodeAny(msg []byte) error {
-	if len(msg) < 4 {
-		return fmt.Errorf("dist: message too short for a kind")
-	}
-	var err error
-	switch le.Uint32(msg) {
-	case msgGather:
-		_, _, _, err = decodeGather(msg)
-	case msgEstimate:
-		_, err = decodeEstimate(msg)
-	case msgErr:
-		_, _, err = decodeErr(msg)
-	case msgOK:
-		_, _, err = decodeOK(msg)
-	case msgStreamCreate:
-		_, _, _, err = decodeStreamCreate(msg)
-	case msgStreamClose:
-		_, err = decodeStreamClose(msg)
-	case msgIngest:
-		_, _, err = decodeIngest(msg)
-	case msgAdvance:
-		_, _, err = decodeAdvance(msg)
-	case msgRegion:
-		_, _, err = decodeRegion(msg)
-	case msgSum:
-		_, _, err = decodeSum(msg)
-	case msgTopK:
-		_, _, _, err = decodeTopK(msg)
-	case msgTopKAns:
-		_, _, err = decodeTopKAns(msg)
-	case msgSnapshot:
-		_, err = decodeSnapshot(msg)
-	case msgPing:
-		_, err = decodePing(msg)
-	case msgFetch:
-		_, _, err = decodeFetch(msg)
-	case msgFetchAns:
-		_, err = decodeFetchAns(msg)
-	default:
-		err = fmt.Errorf("dist: unknown message kind %d", le.Uint32(msg))
-	}
-	return err
-}

@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"runtime"
 	"testing"
@@ -38,6 +39,54 @@ func wireCorpus(t testing.TB) [][]byte {
 		encodeFetch(9, nil),
 		encodeFetchAns(nil),
 	}
+}
+
+// decodeAny runs the decoder for whatever kind the payload claims: the
+// fuzzing entry point and the corpus tests' dispatcher (RankServer.handle
+// dispatches on its own switch). Every arm must reject corrupt input with
+// an error, never a panic or an unbounded allocation.
+func decodeAny(msg []byte) error {
+	if len(msg) < 4 {
+		return fmt.Errorf("dist: message too short for a kind")
+	}
+	var err error
+	switch le.Uint32(msg) {
+	case msgGather:
+		_, _, _, err = decodeGather(msg)
+	case msgEstimate:
+		_, err = decodeEstimate(msg)
+	case msgErr:
+		_, _, err = decodeErr(msg)
+	case msgOK:
+		_, _, err = decodeOK(msg)
+	case msgStreamCreate:
+		_, _, _, err = decodeStreamCreate(msg)
+	case msgStreamClose:
+		_, err = decodeStreamClose(msg)
+	case msgIngest:
+		_, _, err = decodeIngest(msg)
+	case msgAdvance:
+		_, _, err = decodeAdvance(msg)
+	case msgRegion:
+		_, _, err = decodeRegion(msg)
+	case msgSum:
+		_, _, err = decodeSum(msg)
+	case msgTopK:
+		_, _, _, err = decodeTopK(msg)
+	case msgTopKAns:
+		_, _, err = decodeTopKAns(msg)
+	case msgSnapshot:
+		_, err = decodeSnapshot(msg)
+	case msgPing:
+		_, err = decodePing(msg)
+	case msgFetch:
+		_, _, err = decodeFetch(msg)
+	case msgFetchAns:
+		_, err = decodeFetchAns(msg)
+	default:
+		err = fmt.Errorf("dist: unknown message kind %d", le.Uint32(msg))
+	}
+	return err
 }
 
 // TestDecodeAnyCorpus: every well-formed message decodes, and every strict
@@ -140,6 +189,8 @@ func TestRankFetchBoundsChecked(t *testing.T) {
 
 // FuzzDecode throws arbitrary bytes at the dispatching decoder: it must
 // never panic and never allocate unboundedly, whatever the input claims.
+// The same bytes go through the frame prefix check tcpConn.Recv runs,
+// which must never pass an empty or oversized length.
 func FuzzDecode(f *testing.F) {
 	for _, msg := range wireCorpus(f) {
 		f.Add(msg)
@@ -148,6 +199,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_ = decodeAny(data) // must not panic
+		if n, err := readFrameLen(bytes.NewReader(data)); err == nil && (n == 0 || n > maxFrameBytes) {
+			t.Fatalf("frame prefix %d passed the length check", n)
+		}
 	})
 }
 

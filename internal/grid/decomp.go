@@ -111,34 +111,3 @@ func (d Decomp) CellRange(b Box) (a0, a1, b0, b1, c0, c1 int) {
 	a1, b1, c1 = d.CellOf(b.X1, b.Y1, b.T1)
 	return
 }
-
-// MinDims returns the smallest subdomain extent along each axis, used to
-// verify the PD safety requirement.
-func (d Decomp) MinDims() (nx, ny, nt int) {
-	nx, ny, nt = d.Spec.Gx, d.Spec.Gy, d.Spec.Gt
-	for a := 0; a < d.A; a++ {
-		if w := d.startX[a+1] - d.startX[a]; w < nx {
-			nx = w
-		}
-	}
-	for b := 0; b < d.B; b++ {
-		if w := d.startY[b+1] - d.startY[b]; w < ny {
-			ny = w
-		}
-	}
-	for c := 0; c < d.C; c++ {
-		if w := d.startT[c+1] - d.startT[c]; w < nt {
-			nt = w
-		}
-	}
-	return
-}
-
-// SafeForPD reports whether every subdomain satisfies the point
-// decomposition safety requirement (at least 2*Hs+1 voxels spatially and
-// 2*Ht+1 temporally), so that points in distinct same-parity subdomains
-// have disjoint influence boxes.
-func (d Decomp) SafeForPD() bool {
-	nx, ny, nt := d.MinDims()
-	return nx >= 2*d.Spec.Hs+1 && ny >= 2*d.Spec.Hs+1 && nt >= 2*d.Spec.Ht+1
-}

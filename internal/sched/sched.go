@@ -79,27 +79,6 @@ type Replication struct {
 	Rounds int
 }
 
-// Replicated reports whether any subdomain is replicated.
-func (r Replication) Replicated() bool {
-	for _, f := range r.Factor {
-		if f > 1 {
-			return true
-		}
-	}
-	return false
-}
-
-// MaxFactor returns the largest replication factor.
-func (r Replication) MaxFactor() int {
-	m := 1
-	for _, f := range r.Factor {
-		if f > m {
-			m = f
-		}
-	}
-	return m
-}
-
 // PlanReplication implements the paper's PB-SYM-PD-REP planning loop: as
 // long as the critical path of the dependency graph exceeds T1/(2P), the
 // tasks on the critical path are replicated one additional time and the

@@ -8,6 +8,27 @@ import (
 	"repro/internal/stencil"
 )
 
+// Replicated reports whether any subdomain is replicated.
+func (r Replication) Replicated() bool {
+	for _, f := range r.Factor {
+		if f > 1 {
+			return true
+		}
+	}
+	return false
+}
+
+// MaxFactor returns the largest replication factor.
+func (r Replication) MaxFactor() int {
+	m := 1
+	for _, f := range r.Factor {
+		if f > m {
+			m = f
+		}
+	}
+	return m
+}
+
 func randomCase(a, b, c uint8, seed int64) (stencil.DAG, []float64) {
 	l := stencil.Lattice{A: int(a%4) + 1, B: int(b%4) + 1, C: int(c%4) + 1}
 	w := make([]float64, l.N())

@@ -121,10 +121,6 @@ func (d domainJSON) domain() grid.Domain {
 	return grid.Domain{X0: d.X0, Y0: d.Y0, T0: d.T0, GX: d.GX, GY: d.GY, GT: d.GT}
 }
 
-func toDomainJSON(d grid.Domain) domainJSON {
-	return domainJSON{X0: d.X0, Y0: d.Y0, T0: d.T0, GX: d.GX, GY: d.GY, GT: d.GT}
-}
-
 // datasetJSON is the wire shape of a registered dataset.
 type datasetJSON struct {
 	Dataset string     `json:"dataset"`

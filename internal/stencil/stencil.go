@@ -60,43 +60,11 @@ func (l Lattice) Neighbors(id int, yield func(nb int)) {
 	}
 }
 
-// Degree returns the number of neighbors of id.
-func (l Lattice) Degree(id int) int {
-	n := 0
-	l.Neighbors(id, func(int) { n++ })
-	return n
-}
-
 // Coloring assigns a color to every vertex such that adjacent vertices get
 // distinct colors. Vertices of one color can be processed concurrently.
 type Coloring struct {
 	Colors    []int
 	NumColors int
-}
-
-// Valid reports whether the coloring is proper on the lattice.
-func (c Coloring) Valid(l Lattice) bool {
-	if len(c.Colors) != l.N() {
-		return false
-	}
-	ok := true
-	for v := 0; v < l.N(); v++ {
-		l.Neighbors(v, func(nb int) {
-			if c.Colors[nb] == c.Colors[v] {
-				ok = false
-			}
-		})
-	}
-	return ok
-}
-
-// ClassSizes returns the number of vertices of each color.
-func (c Coloring) ClassSizes() []int {
-	s := make([]int, c.NumColors)
-	for _, col := range c.Colors {
-		s[col]++
-	}
-	return s
 }
 
 // Checkerboard returns the 8-color parity coloring used by the first

@@ -5,6 +5,38 @@ import (
 	"testing/quick"
 )
 
+// Degree returns the number of neighbors of id.
+func (l Lattice) Degree(id int) int {
+	n := 0
+	l.Neighbors(id, func(int) { n++ })
+	return n
+}
+
+// Valid reports whether the coloring is proper on the lattice.
+func (c Coloring) Valid(l Lattice) bool {
+	if len(c.Colors) != l.N() {
+		return false
+	}
+	ok := true
+	for v := 0; v < l.N(); v++ {
+		l.Neighbors(v, func(nb int) {
+			if c.Colors[nb] == c.Colors[v] {
+				ok = false
+			}
+		})
+	}
+	return ok
+}
+
+// ClassSizes returns the number of vertices of each color.
+func (c Coloring) ClassSizes() []int {
+	s := make([]int, c.NumColors)
+	for _, col := range c.Colors {
+		s[col]++
+	}
+	return s
+}
+
 func TestLatticeIDRoundTrip(t *testing.T) {
 	l := Lattice{A: 3, B: 4, C: 5}
 	for a := 0; a < l.A; a++ {
