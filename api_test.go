@@ -7,7 +7,9 @@ import (
 	"go/printer"
 	"go/token"
 	"os"
+	pathpkg "path"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -34,6 +36,56 @@ func sigString(fset *token.FileSet, ft *ast.FuncType) string {
 	var b bytes.Buffer
 	printer.Fprint(&b, fset, &ast.FuncType{Params: strip(ft.Params), Results: strip(ft.Results)})
 	return strings.Join(strings.Fields(strings.TrimPrefix(b.String(), "func")), " ")
+}
+
+// pkgDir maps an import path of the tree's module to its directory.
+func (t *srcTree) pkgDir(importPath string) (string, bool) {
+	return strings.CutPrefix(importPath, t.module+"/")
+}
+
+// aliasedTypes maps each type that the public packages (stkde, synth)
+// re-export by alias, as "dir.Type", to the alias's package and name.
+func (t *srcTree) aliasedTypes() map[string][]string {
+	out := make(map[string][]string)
+	for _, sf := range t.files {
+		if sf.test || (sf.dir != "stkde" && sf.dir != "synth") {
+			continue
+		}
+		imports := make(map[string]string) // local name -> import path
+		for _, is := range sf.f.Imports {
+			p, err := strconv.Unquote(is.Path.Value)
+			if err != nil {
+				continue
+			}
+			name := pathpkg.Base(p)
+			if is.Name != nil {
+				name = is.Name.Name
+			}
+			imports[name] = p
+		}
+		for _, d := range sf.f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, s := range gd.Specs {
+				ts := s.(*ast.TypeSpec)
+				sel, ok := ts.Type.(*ast.SelectorExpr)
+				if !ts.Assign.IsValid() || !ok {
+					continue
+				}
+				pkg, ok := sel.X.(*ast.Ident)
+				if !ok {
+					continue
+				}
+				if dir, ok := t.pkgDir(imports[pkg.Name]); ok {
+					key := dir + "." + sel.Sel.Name
+					out[key] = append(out[key], sf.dir+"."+ts.Name.Name)
+				}
+			}
+		}
+	}
+	return out
 }
 
 // methodLine is one exported method of type recv as the api listing

@@ -66,7 +66,7 @@
 // shed; cancelled clients leave the queue without consuming a slot), and
 // -tenant-rate applies per-tenant sliding-window rate limits — clients
 // name themselves with an X-Tenant header, tenants are dequeued
-// weighted-fair, and one tenant's flood cannot starve another:
+// round-robin, and one tenant's flood cannot starve another:
 //
 //	stkded -addr :8377 -slo-ms 2000 -queue-depth 256 -tenant-rate 50/s,600/m
 //

@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/grid"
 	"repro/internal/kernel"
-	"repro/internal/par"
 )
 
 // Query answers exact point-wise density queries at arbitrary continuous
@@ -112,17 +111,6 @@ func (q *Query) At(x, y, t float64) float64 {
 		}
 	}
 	return sum * q.norm
-}
-
-// AtMany evaluates the density at several locations, in parallel.
-func (q *Query) AtMany(locs []grid.Point, threads int) []float64 {
-	out := make([]float64, len(locs))
-	par.Blocks(threads, len(locs), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = q.At(locs[i].X, locs[i].Y, locs[i].T)
-		}
-	})
-	return out
 }
 
 // N returns the number of indexed events.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/data"
 	"repro/internal/grid"
 )
 
@@ -30,26 +29,6 @@ func TestQueryMatchesGrid(t *testing.T) {
 					t.Fatalf("query(%d,%d,%d) = %g, grid = %g", X, Y, T, got, want)
 				}
 			}
-		}
-	}
-}
-
-func TestQueryAtManyParallel(t *testing.T) {
-	spec := testSpec(t, 30, 30, 15, 4, 3)
-	pts := data.Hotspot{}.Generate(2000, spec.Domain, 7)
-	q := NewQuery(pts, spec, Options{})
-	locs := data.Uniform{}.Generate(500, spec.Domain, 9)
-	seq := q.AtMany(locs, 1)
-	par := q.AtMany(locs, 4)
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("parallel query differs at %d: %g vs %g", i, seq[i], par[i])
-		}
-	}
-	// Values are non-negative densities.
-	for i, v := range seq {
-		if v < 0 || math.IsNaN(v) {
-			t.Fatalf("query %d returned %g", i, v)
 		}
 	}
 }

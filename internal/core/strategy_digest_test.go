@@ -6,6 +6,8 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"repro/internal/data"
 )
 
 // strategyDigests pins the FNV-64a hash of the Float64bits of every
@@ -127,6 +129,52 @@ func TestStrategyStats(t *testing.T) {
 			}
 			if want := strategyStats[alg][i]; got != want {
 				t.Errorf("%s/P%d: stats\n got %+v\nwant %+v", alg, threads, got, want)
+			}
+		}
+	}
+}
+
+// TestAnalyzePDMatchesEstimate: AnalyzePD reports, without computing a
+// density, the same schedule structure that PB-SYM-PD (checkerboard
+// coloring) and PB-SYM-PD-SCHED (load-aware coloring) report when they
+// run, bit for bit, at every worker count; and on Figure 12's kind of
+// input the load-aware critical path stays below half the total work.
+func TestAnalyzePDMatchesEstimate(t *testing.T) {
+	type schedule struct {
+		Decomp                                                [3]int
+		Cells, Colors                                         int
+		TotalWork, CriticalPath, CriticalPathRel, GrahamBound uint64
+	}
+	sched := func(s Stats) schedule {
+		return schedule{s.Decomp, s.Cells, s.Colors,
+			math.Float64bits(s.TotalWork), math.Float64bits(s.CriticalPath),
+			math.Float64bits(s.CriticalPathRel), math.Float64bits(s.GrahamBound)}
+	}
+	spec := testSpec(t, 80, 80, 40, 3, 2)
+	pts := data.Epidemic{}.Generate(5000, spec.Domain, 3)
+	for _, threads := range []int{1, 2, 16} {
+		opt := Options{Threads: threads, Decomp: [3]int{8, 8, 8}}
+		for _, c := range []struct {
+			alg       string
+			loadAware bool
+		}{{AlgPBSYMPD, false}, {AlgPBSYMPDSCHED, true}} {
+			got, err := AnalyzePD(pts, spec, opt, c.loadAware)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Estimate(c.alg, pts, spec, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Grid.Release()
+			if sched(got) != sched(res.Stats) {
+				t.Errorf("%s/P%d: AnalyzePD\n got %+v\nwant %+v", c.alg, threads, sched(got), sched(res.Stats))
+			}
+			if got.Cells != 512 {
+				t.Errorf("%s/P%d: %d cells, want 512", c.alg, threads, got.Cells)
+			}
+			if c.loadAware && got.CriticalPathRel >= 0.5 {
+				t.Errorf("%s/P%d: critical path %.3f of the work, want below half", c.alg, threads, got.CriticalPathRel)
 			}
 		}
 	}

@@ -749,14 +749,6 @@ func (u *Updater) compact() {
 	u.stats.Compactions++
 }
 
-// Compact forces a full re-estimate of the window, resetting the residual
-// bound to zero.
-func (u *Updater) Compact() {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	u.compact()
-}
-
 // N returns the number of live events in the window.
 func (u *Updater) N() int {
 	u.mu.Lock()

@@ -20,6 +20,14 @@ func updaterSpec(t *testing.T) grid.Spec {
 	return s
 }
 
+// Compact forces a full re-estimate of the window, resetting the residual
+// bound to zero.
+func (u *Updater) Compact() {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	u.compact()
+}
+
 // lcg is a tiny deterministic generator for op interleavings.
 type lcg uint64
 

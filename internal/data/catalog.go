@@ -134,12 +134,3 @@ func (inst Instance) Scaled(scale float64) (Scaled, error) {
 func (s Scaled) Points() []grid.Point {
 	return s.Instance.Gen.Generate(s.NPoints, s.Spec.Domain, s.Instance.Seed)
 }
-
-// FullSpec returns the spec of the instance at full (paper) size, without
-// generating points. Useful for memory-feasibility analysis against the
-// paper's 128 GB machine.
-func (inst Instance) FullSpec() (grid.Spec, error) {
-	return grid.NewSpec(grid.Domain{
-		GX: float64(inst.Gx), GY: float64(inst.Gy), GT: float64(inst.Gt),
-	}, 1, 1, float64(inst.Hs), float64(inst.Ht))
-}

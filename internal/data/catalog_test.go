@@ -114,20 +114,3 @@ func TestScaledPointCap(t *testing.T) {
 			s.NPoints, int(MaxPointsPerScale*0.1))
 	}
 }
-
-func TestFullSpec(t *testing.T) {
-	inst, _ := InstanceByName("Flu_Hr-Hb")
-	spec, err := inst.FullSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Gx != 581 || spec.Gy != 1536 || spec.Gt != 5951 {
-		t.Errorf("full spec dims wrong: %dx%dx%d", spec.Gx, spec.Gy, spec.Gt)
-	}
-	// The paper's 20260 MB is float32 voxels in MiB; our float64 grid is
-	// exactly twice that.
-	mib32 := float64(spec.Bytes()) / 2 / (1 << 20)
-	if mib32 < 20200 || mib32 > 20320 {
-		t.Errorf("full grid = %.0f float32-MiB, table says 20260", mib32)
-	}
-}

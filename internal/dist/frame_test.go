@@ -120,9 +120,10 @@ func TestTCPRecvPrefixWaitsUnbounded(t *testing.T) {
 }
 
 // recvAllocBudget is tcpConn.Recv's allocations per frame under a context
-// without a deadline, as measured when Recv had its own copy of the prefix
-// checks: sharing them with readFrame must not cost an allocation.
-const recvAllocBudget = 15
+// without a deadline, as measured with one context hook per frame (the
+// payload bounded by the socket deadline, not a derived context): the
+// payload buffer plus the hook's own bookkeeping.
+const recvAllocBudget = 5
 
 // TestTCPRecvAllocs pins Recv's allocations per frame. The frames are all
 // on the socket before counting starts, so the peer allocates nothing

@@ -190,23 +190,25 @@ func (c *tcpConn) Recv(ctx context.Context) ([]byte, error) {
 	// connection, busy peer): it waits under the caller's context alone.
 	// Once the prefix arrived the rest of the frame should follow
 	// promptly, so the payload read is additionally bounded by the RPC
-	// timeout even when the context has no deadline.
-	var n uint32
-	if err := c.withCtx(ctx, func() (err error) {
-		n, err = readFrameLen(c.c)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	pctx := ctx
-	if _, ok := ctx.Deadline(); !ok {
-		var cancel context.CancelFunc
-		pctx, cancel = context.WithTimeout(ctx, c.t.eff().RPC)
-		defer cancel()
-	}
-	msg := make([]byte, n)
-	if err := c.withCtx(pctx, func() error {
-		_, err := io.ReadFull(c.c, msg)
+	// timeout, through the socket deadline, when the context has none.
+	var msg []byte
+	if err := c.withCtx(ctx, func() error {
+		n, err := readFrameLen(c.c)
+		if err != nil {
+			return err
+		}
+		if _, ok := ctx.Deadline(); !ok {
+			if err := c.c.SetDeadline(time.Now().Add(c.t.eff().RPC)); err != nil {
+				return err
+			}
+			// A cancellation that landed before the new deadline was set
+			// had its past deadline overwritten; later ones follow it.
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		msg = make([]byte, n)
+		_, err = io.ReadFull(c.c, msg)
 		return err
 	}); err != nil {
 		return nil, err

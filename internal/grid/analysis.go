@@ -1,42 +1,19 @@
 package grid
 
-import (
-	"fmt"
-
-	"repro/internal/par"
-)
+import "repro/internal/par"
 
 // Analysis helpers for the visualization pipeline the paper's introduction
-// describes: once the 3-D density volume exists, analysts slice it, project
-// it, and aggregate it interactively. The O(G) scans are parallelized with
-// par blocks, partitioned over *output* cells so every cell accumulates its
-// sum in exactly the sequential order — the results are bitwise identical
-// to a single-threaded pass regardless of worker count.
+// describes: once the 3-D density volume exists, analysts project it,
+// integrate regions of it and pick its hotspots interactively. The O(G)
+// projection is parallelized with par blocks, partitioned over *output*
+// layers so every layer accumulates its sum in exactly the sequential
+// order — the result is bitwise identical to a single-threaded pass
+// regardless of worker count.
 
 // minAnalysisBlock is the smallest number of input voxels worth handing to
 // an analysis worker; below it goroutine startup dominates the streaming
 // reads (same reasoning as minTouchBlock, but these bodies do arithmetic).
 const minAnalysisBlock = 1 << 14
-
-// SliceT returns a copy of temporal layer T as a flat Gx*Gy array (Y
-// innermost), the per-day heatmap of Figure 1.
-func (g *Grid) SliceT(T int) ([]float64, error) {
-	s := g.Spec
-	if T < 0 || T >= s.Gt {
-		return nil, fmt.Errorf("grid: slice %d outside [0, %d)", T, s.Gt)
-	}
-	out := make([]float64, s.Gx*s.Gy)
-	// Each X iteration copies one Gy-long column of the layer, so the
-	// min-block divisor is Gy (not Gy*Gt): small slices stay sequential.
-	par.BlocksMin(0, s.Gx, 1+minAnalysisBlock/s.Gy, func(_, lo, hi int) {
-		for X := lo; X < hi; X++ {
-			for Y := 0; Y < s.Gy; Y++ {
-				out[X*s.Gy+Y] = g.At(X, Y, T)
-			}
-		}
-	})
-	return out, nil
-}
 
 // TemporalProfile returns the spatially integrated density per time layer:
 // profile[T] = sum over X,Y of density * sres^2. It is the epidemic curve
@@ -54,27 +31,6 @@ func (g *Grid) TemporalProfile() []float64 {
 			for T := tlo; T < thi; T++ {
 				out[T] += row[T] * cell
 			}
-		}
-	})
-	return out
-}
-
-// SpatialDensity returns the temporally integrated density per spatial
-// cell: out[X*Gy+Y] = sum over T of density * tres. It is the classic 2-D
-// KDE heatmap implied by the space-time estimate. Workers partition the
-// output cells (whole rows), so every cell's sum runs along T in the exact
-// sequential order.
-func (g *Grid) SpatialDensity() []float64 {
-	s := g.Spec
-	out := make([]float64, s.Gx*s.Gy)
-	par.BlocksMin(0, s.Gx*s.Gy, 1+minAnalysisBlock/s.Gt, func(_, lo, hi int) {
-		for r := lo; r < hi; r++ {
-			row := g.Data[r*s.Gt : (r+1)*s.Gt]
-			sum := 0.0
-			for _, v := range row {
-				sum += v
-			}
-			out[r] = sum * s.TRes
 		}
 	})
 	return out
@@ -101,50 +57,6 @@ func (g *Grid) BoxMass(b Box) float64 {
 		}
 	}
 	return sum * s.SRes * s.SRes * s.TRes
-}
-
-// Downsample returns a coarsened copy of the grid, aggregating fx x fy x ft
-// voxel blocks by averaging; useful for overview rendering of huge volumes.
-// Factors must be positive; trailing partial blocks average their actual
-// voxel count.
-func (g *Grid) Downsample(fx, fy, ft int, b *Budget) (*Grid, error) {
-	if fx < 1 || fy < 1 || ft < 1 {
-		return nil, fmt.Errorf("grid: downsample factors must be >= 1, got (%d,%d,%d)", fx, fy, ft)
-	}
-	s := g.Spec
-	coarse, err := NewSpec(s.Domain,
-		s.SRes*float64(fx), s.TRes*float64(ft), s.HS, s.HT)
-	if err != nil {
-		return nil, err
-	}
-	// NewSpec derives x and y from the same sres; when fx != fy the y
-	// dimension needs manual adjustment.
-	coarse.Gy = (s.Gy + fy - 1) / fy
-	coarse.Gx = (s.Gx + fx - 1) / fx
-	coarse.Gt = (s.Gt + ft - 1) / ft
-	out, err := NewGrid(coarse, b)
-	if err != nil {
-		return nil, err
-	}
-	for X := 0; X < coarse.Gx; X++ {
-		for Y := 0; Y < coarse.Gy; Y++ {
-			for T := 0; T < coarse.Gt; T++ {
-				sum, n := 0.0, 0
-				for x := X * fx; x < min((X+1)*fx, s.Gx); x++ {
-					for y := Y * fy; y < min((Y+1)*fy, s.Gy); y++ {
-						for t := T * ft; t < min((T+1)*ft, s.Gt); t++ {
-							sum += g.At(x, y, t)
-							n++
-						}
-					}
-				}
-				if n > 0 {
-					out.Set(X, Y, T, sum/float64(n))
-				}
-			}
-		}
-	}
-	return out, nil
 }
 
 // VoxelDensity is one voxel and its density estimate, the unit of top-k

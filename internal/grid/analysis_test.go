@@ -22,31 +22,6 @@ func filledGrid(t *testing.T) *Grid {
 	return g
 }
 
-func TestSliceT(t *testing.T) {
-	g := filledGrid(t)
-	s := g.Spec
-	sl, err := g.SliceT(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sl) != s.Gx*s.Gy {
-		t.Fatalf("slice has %d cells, want %d", len(sl), s.Gx*s.Gy)
-	}
-	for X := 0; X < s.Gx; X++ {
-		for Y := 0; Y < s.Gy; Y++ {
-			if sl[X*s.Gy+Y] != g.At(X, Y, 2) {
-				t.Fatalf("slice mismatch at (%d,%d)", X, Y)
-			}
-		}
-	}
-	if _, err := g.SliceT(-1); err == nil {
-		t.Error("negative slice should error")
-	}
-	if _, err := g.SliceT(s.Gt); err == nil {
-		t.Error("out-of-range slice should error")
-	}
-}
-
 func TestTemporalProfileAndSpatialDensity(t *testing.T) {
 	g := filledGrid(t)
 	s := g.Spec
@@ -63,18 +38,6 @@ func TestTemporalProfileAndSpatialDensity(t *testing.T) {
 		}
 		if math.Abs(profile[T]-want) > 1e-9 {
 			t.Errorf("profile[%d] = %g, want %g", T, profile[T], want)
-		}
-	}
-	sd := g.SpatialDensity()
-	for X := 0; X < s.Gx; X++ {
-		for Y := 0; Y < s.Gy; Y++ {
-			want := 0.0
-			for T := 0; T < s.Gt; T++ {
-				want += g.At(X, Y, T) * s.TRes
-			}
-			if math.Abs(sd[X*s.Gy+Y]-want) > 1e-9 {
-				t.Errorf("spatial density (%d,%d) = %g, want %g", X, Y, sd[X*s.Gy+Y], want)
-			}
 		}
 	}
 	// Total mass via profile equals BoxMass of everything.
@@ -109,43 +72,6 @@ func TestBoxMass(t *testing.T) {
 	}
 	if g.BoxMass(Box{X0: 50, X1: 60, Y0: 0, Y1: 1, T0: 0, T1: 1}) != 0 {
 		t.Error("disjoint box should have zero mass")
-	}
-}
-
-func TestDownsample(t *testing.T) {
-	g := filledGrid(t)
-	c, err := g.Downsample(2, 2, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Spec.Gx != 3 || c.Spec.Gy != 3 || c.Spec.Gt != 2 {
-		t.Fatalf("coarse dims %dx%dx%d", c.Spec.Gx, c.Spec.Gy, c.Spec.Gt)
-	}
-	// First coarse voxel is the average of the 2x2x2 block at the origin.
-	want := 0.0
-	for X := 0; X < 2; X++ {
-		for Y := 0; Y < 2; Y++ {
-			for T := 0; T < 2; T++ {
-				want += g.At(X, Y, T)
-			}
-		}
-	}
-	want /= 8
-	if got := c.At(0, 0, 0); math.Abs(got-want) > 1e-9 {
-		t.Errorf("coarse(0,0,0) = %g, want %g", got, want)
-	}
-	// Identity factors preserve the grid.
-	id, err := g.Downsample(1, 1, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range g.Data {
-		if id.Data[i] != g.Data[i] {
-			t.Fatal("identity downsample changed data")
-		}
-	}
-	if _, err := g.Downsample(0, 1, 1, nil); err == nil {
-		t.Error("zero factor must error")
 	}
 }
 

@@ -35,31 +35,10 @@ func (b Box) Clip(o Box) Box {
 	}
 }
 
-// Intersects reports whether b and o share at least one voxel.
-func (b Box) Intersects(o Box) bool {
-	return !b.Clip(o).Empty()
-}
-
 // Expand grows the box by hs voxels in both spatial directions and ht
 // voxels in both temporal directions.
 func (b Box) Expand(hs, ht int) Box {
 	return Box{b.X0 - hs, b.X1 + hs, b.Y0 - hs, b.Y1 + hs, b.T0 - ht, b.T1 + ht}
-}
-
-// Union returns the smallest box containing both b and o. If either box is
-// empty the other is returned.
-func (b Box) Union(o Box) Box {
-	if b.Empty() {
-		return o
-	}
-	if o.Empty() {
-		return b
-	}
-	return Box{
-		min(b.X0, o.X0), max(b.X1, o.X1),
-		min(b.Y0, o.Y0), max(b.Y1, o.Y1),
-		min(b.T0, o.T0), max(b.T1, o.T1),
-	}
 }
 
 // Dims returns the box extents along each axis (0 if empty).

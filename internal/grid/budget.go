@@ -20,7 +20,6 @@ var ErrMemoryBudget = errors.New("grid: memory budget exceeded")
 type Budget struct {
 	limit int64
 	used  atomic.Int64
-	peak  atomic.Int64
 }
 
 // NewBudget creates a budget of the given number of bytes. A non-positive
@@ -43,7 +42,6 @@ func (b *Budget) Alloc(n int64) error {
 				ErrMemoryBudget, cur, n, b.limit)
 		}
 		if b.used.CompareAndSwap(cur, next) {
-			b.updatePeak(next)
 			return nil
 		}
 	}
@@ -65,27 +63,10 @@ func (b *Budget) Used() int64 {
 	return b.used.Load()
 }
 
-// Peak returns the high-water mark of charged bytes.
-func (b *Budget) Peak() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.peak.Load()
-}
-
 // Limit returns the configured limit (0 means unlimited).
 func (b *Budget) Limit() int64 {
 	if b == nil {
 		return 0
 	}
 	return b.limit
-}
-
-func (b *Budget) updatePeak(v int64) {
-	for {
-		p := b.peak.Load()
-		if v <= p || b.peak.CompareAndSwap(p, v) {
-			return
-		}
-	}
 }

@@ -20,15 +20,9 @@ func TestBudgetBasics(t *testing.T) {
 	if err := b.Alloc(40); err != nil {
 		t.Fatal(err)
 	}
-	if b.Peak() != 100 {
-		t.Errorf("peak = %d, want 100", b.Peak())
-	}
 	b.Free(100)
 	if b.Used() != 0 {
 		t.Errorf("used = %d after free", b.Used())
-	}
-	if b.Peak() != 100 {
-		t.Error("peak must be sticky")
 	}
 	if b.Limit() != 100 {
 		t.Errorf("limit = %d", b.Limit())
@@ -41,7 +35,7 @@ func TestBudgetUnlimitedAndNil(t *testing.T) {
 		t.Fatal("nil budget must allow everything")
 	}
 	nilB.Free(5) // must not panic
-	if nilB.Used() != 0 || nilB.Peak() != 0 || nilB.Limit() != 0 {
+	if nilB.Used() != 0 || nilB.Limit() != 0 {
 		t.Error("nil budget accessors must be zero")
 	}
 	b := NewBudget(0) // unlimited but tracking
@@ -79,9 +73,6 @@ func TestBudgetConcurrent(t *testing.T) {
 	wg.Wait()
 	if b.Used() != 0 {
 		t.Errorf("final used = %d, want 0", b.Used())
-	}
-	if b.Peak() > limit {
-		t.Errorf("peak %d above limit", b.Peak())
 	}
 }
 

@@ -30,7 +30,7 @@ func blocksFor(n int) int { return (n + blockEdge - 1) >> blockShift }
 // re-read exact voxel values inside surviving blocks), so the grid must
 // stay immutable and alive while the pyramid is used — the contract cached
 // serving grids already obey. Build cost is one parallel O(G) pass; the
-// tables are budget-accounted like Downsample and released with Release.
+// tables are budget-accounted like a Grid and released with Release.
 //
 // Answers agree with the naive Grid scans to within accumulation rounding
 // (the property tests assert ≤1e-9); TopK and Threshold re-read exact

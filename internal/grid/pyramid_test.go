@@ -187,22 +187,6 @@ func temporalProfileSeq(g *Grid) []float64 {
 	return out
 }
 
-func spatialDensitySeq(g *Grid) []float64 {
-	s := g.Spec
-	out := make([]float64, s.Gx*s.Gy)
-	for X := 0; X < s.Gx; X++ {
-		for Y := 0; Y < s.Gy; Y++ {
-			row := g.Data[g.Idx(X, Y, 0) : g.Idx(X, Y, 0)+s.Gt]
-			sum := 0.0
-			for _, v := range row {
-				sum += v
-			}
-			out[X*s.Gy+Y] = sum * s.TRes
-		}
-	}
-	return out
-}
-
 func TestAnalysisHelpersBitwiseSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	// Large enough that par.BlocksMin actually fans out on multicore hosts.
@@ -212,26 +196,6 @@ func TestAnalysisHelpersBitwiseSequential(t *testing.T) {
 	for i := range wantP {
 		if gotP[i] != wantP[i] {
 			t.Fatalf("TemporalProfile[%d] = %g, sequential %g (not bitwise)", i, gotP[i], wantP[i])
-		}
-	}
-	wantS := spatialDensitySeq(g)
-	gotS := g.SpatialDensity()
-	for i := range wantS {
-		if gotS[i] != wantS[i] {
-			t.Fatalf("SpatialDensity[%d] = %g, sequential %g (not bitwise)", i, gotS[i], wantS[i])
-		}
-	}
-	for _, T := range []int{0, g.Spec.Gt / 2, g.Spec.Gt - 1} {
-		sl, err := g.SliceT(T)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for X := 0; X < g.Spec.Gx; X++ {
-			for Y := 0; Y < g.Spec.Gy; Y++ {
-				if sl[X*g.Spec.Gy+Y] != g.At(X, Y, T) {
-					t.Fatalf("SliceT(%d) mismatch at (%d,%d)", T, X, Y)
-				}
-			}
 		}
 	}
 }

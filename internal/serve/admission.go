@@ -69,13 +69,10 @@ type waiter struct {
 	err       error // set (before ready closes) when evicted by a fuller queue
 }
 
-// tenantQueue is one tenant's FIFO of queued waiters plus its fair-share
-// state: weight grants per round-robin cycle (default 1).
+// tenantQueue is one tenant's FIFO of queued waiters.
 type tenantQueue struct {
-	ws     []*waiter
-	live   int // non-cancelled waiters in ws
-	weight int
-	credit int // grants left in the current cycle
+	ws   []*waiter
+	live int // non-cancelled waiters in ws
 }
 
 // admission is the work-admitting front door of the estimation pool: a
@@ -86,7 +83,6 @@ type admission struct {
 	workers  int
 	slo      time.Duration
 	maxQueue int
-	weights  map[string]int
 	lim      *limiter
 	met      *metrics
 
@@ -111,7 +107,6 @@ func newAdmission(cfg AdmissionConfig, workers int, met *metrics) *admission {
 		workers:  workers,
 		slo:      cfg.SLO,
 		maxQueue: cfg.QueueDepth,
-		weights:  cfg.TenantWeights,
 		lim:      newLimiter(cfg.TenantRates),
 		met:      met,
 		slots:    workers,
@@ -304,11 +299,7 @@ func (a *admission) acquire(ctx context.Context, tenant string, cost float64, do
 	}
 	tq := a.tenants[tenant]
 	if tq == nil {
-		weight := a.weights[tenant]
-		if weight < 1 {
-			weight = 1
-		}
-		tq = &tenantQueue{weight: weight, credit: weight}
+		tq = &tenantQueue{}
 		a.tenants[tenant] = tq
 		a.order = append(a.order, tenant)
 	}
@@ -369,9 +360,8 @@ func (a *admission) releaseFunc(cost float64) func() {
 }
 
 // grantLocked hands the freed slot to the next waiter, round-robin across
-// tenants with per-tenant weights (a tenant gets `weight` consecutive
-// grants per cycle), or banks it when the queue is empty. Callers hold
-// a.mu.
+// tenants with one grant per tenant per turn, or banks it when the queue
+// is empty. Callers hold a.mu.
 func (a *admission) grantLocked() {
 	for len(a.order) > 0 {
 		if a.rr >= len(a.order) {
@@ -395,11 +385,7 @@ func (a *admission) grantLocked() {
 			a.order = append(a.order[:a.rr], a.order[a.rr+1:]...)
 			delete(a.tenants, name)
 		} else if w != nil {
-			tq.credit--
-			if tq.credit <= 0 {
-				tq.credit = tq.weight
-				a.rr++
-			}
+			a.rr++
 		}
 		if w == nil {
 			continue

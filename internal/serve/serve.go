@@ -22,7 +22,7 @@
 //     saturate the cores — and overload is priced at the door with the
 //     paper's Section 6.5 model: requests whose predicted wait exceeds the
 //     latency SLO are shed with 429 + Retry-After, per-tenant sliding-window
-//     rate limits cap abusive clients, and a weighted-fair queue keeps one
+//     rate limits cap abusive clients, and a round-robin queue keeps one
 //     tenant's burst from starving the rest;
 //   - JSON HTTP endpoints for ingestion, asynchronous estimation with job
 //     polling, voxel queries (cached-grid lookup with an exact
@@ -138,10 +138,6 @@ type AdmissionConfig struct {
 	// e.g. {100, time.Second} + {2000, time.Minute} evaluated together.
 	// Nil disables rate limiting.
 	TenantRates []RateWindow
-
-	// TenantWeights optionally biases the fair dequeue: a tenant with
-	// weight w receives w grants per round-robin cycle (default 1).
-	TenantWeights map[string]int
 
 	// Machine supplies the pricing rates. Nil runs model.Calibrate at
 	// server start when SLO is set (tens of milliseconds of
@@ -398,16 +394,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.shardMu.Unlock()
 	return err
-}
-
-// Estimations returns the number of actual estimation runs performed (the
-// coalescing counter: identical concurrent requests increment it once).
-func (s *Server) Estimations() int64 { return s.met.estimations.Value() }
-
-// CacheStats reports the grid cache occupancy: resident grids, bytes
-// charged, and the configured byte budget.
-func (s *Server) CacheStats() (entries int, bytes, limit int64) {
-	return s.cache.stats()
 }
 
 // errShuttingDown rejects new estimation work once Shutdown has begun.

@@ -21,6 +21,16 @@ import (
 	"repro/internal/simd"
 )
 
+// Estimations returns the number of actual estimation runs performed (the
+// coalescing counter: identical concurrent requests increment it once).
+func (s *Server) Estimations() int64 { return s.met.estimations.Value() }
+
+// CacheStats reports the grid cache occupancy: resident grids, bytes
+// charged, and the configured byte budget.
+func (s *Server) CacheStats() (entries int, bytes, limit int64) {
+	return s.cache.stats()
+}
+
 // testDomain is the event domain of the test fixtures.
 var testDomain = grid.Domain{GX: 100, GY: 80, GT: 30}
 

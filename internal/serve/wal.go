@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"repro/internal/dist"
 	"repro/internal/grid"
@@ -34,9 +33,6 @@ type WALConfig struct {
 	// Sync is the fsync policy for acknowledged mutations (default
 	// wal.SyncAlways: no acked mutation is ever lost).
 	Sync wal.SyncPolicy
-
-	// SyncInterval is the wal.SyncInterval flush cadence (default 100ms).
-	SyncInterval time.Duration
 
 	// SegmentBytes is the journal segment roll-over size (default 16 MiB).
 	SegmentBytes int64
@@ -67,7 +63,6 @@ func (c *WALConfig) options() wal.Options {
 	return wal.Options{
 		SegmentBytes: c.SegmentBytes,
 		Sync:         c.Sync,
-		SyncEvery:    c.SyncInterval,
 	}
 }
 

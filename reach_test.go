@@ -11,7 +11,6 @@ import (
 	pathpkg "path"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -78,11 +77,6 @@ func parseTree(root string) (*srcTree, error) {
 	return t, err
 }
 
-// pkgDir maps an import path of the tree's module to its directory.
-func (t *srcTree) pkgDir(importPath string) (string, bool) {
-	return strings.CutPrefix(importPath, t.module+"/")
-}
-
 // recvName is the base type name of a method's receiver ("" for a
 // function): T for T, *T, T[P] and *T[P].
 func recvName(fd *ast.FuncDecl) string {
@@ -105,56 +99,15 @@ func recvName(fd *ast.FuncDecl) string {
 	return ""
 }
 
-// aliasedTypes maps each type that the public packages (stkde, synth)
-// re-export by alias, as "dir.Type", to the alias's package and name.
-func (t *srcTree) aliasedTypes() map[string][]string {
-	out := make(map[string][]string)
-	for _, sf := range t.files {
-		if sf.test || (sf.dir != "stkde" && sf.dir != "synth") {
-			continue
-		}
-		imports := make(map[string]string) // local name -> import path
-		for _, is := range sf.f.Imports {
-			p, err := strconv.Unquote(is.Path.Value)
-			if err != nil {
-				continue
-			}
-			name := pathpkg.Base(p)
-			if is.Name != nil {
-				name = is.Name.Name
-			}
-			imports[name] = p
-		}
-		for _, d := range sf.f.Decls {
-			gd, ok := d.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, s := range gd.Specs {
-				ts := s.(*ast.TypeSpec)
-				sel, ok := ts.Type.(*ast.SelectorExpr)
-				if !ts.Assign.IsValid() || !ok {
-					continue
-				}
-				pkg, ok := sel.X.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				if dir, ok := t.pkgDir(imports[pkg.Name]); ok {
-					key := dir + "." + sel.Sel.Name
-					out[key] = append(out[key], sf.dir+"."+ts.Name.Name)
-				}
-			}
-		}
-	}
-	return out
-}
-
 // stdlibMethods satisfy a standard-library interface whose only caller is
 // the standard library itself, so no code of the tree names them.
 var stdlibMethods = map[string]bool{
 	// errors.Is and errors.As unwrap a transport failure to its cause.
 	"internal/dist.transportError.Unwrap": true,
+	"internal/dist.RankError.Unwrap":      true,
+	"internal/dist.DegradedError.Unwrap":  true,
+	// net/http calls a Handler's ServeHTTP.
+	"internal/serve.Server.ServeHTTP": true,
 	// container/heap calls Less and Swap (its Interface embeds
 	// sort.Interface); the heaps' Len, Push and Pop are also called by name.
 	"internal/par.readyHeap.Less":    true,
@@ -163,6 +116,17 @@ var stdlibMethods = map[string]bool{
 	"internal/sched.prioHeap.Swap":   true,
 	"internal/sched.finishHeap.Less": true,
 	"internal/sched.finishHeap.Swap": true,
+}
+
+// publicKeep are public entries that no code of the tree calls but that
+// ship for a reason.
+var publicKeep = map[string]bool{
+	// The only public way to put batch estimation on ranks in other
+	// processes (README's sharding walkthrough, EstimateDistributed).
+	"stkde.ConnectShard": true,
+	// The only public reader of the format cmd/stkde -out writes through
+	// WriteGridSnapshot.
+	"stkde.ReadGridSnapshot": true,
 }
 
 // funcKey names one declared function or method.
@@ -218,19 +182,17 @@ func (t *srcTree) collectRefs() map[string][]nameRef {
 }
 
 // unreferenced lists, as "file:line: name", every function and method
-// declared in a non-test file under internal/ that no non-test code of
-// the tree names. A name counts as used when non-test code outside the
-// declaration's own body names it: an unexported name from its own
-// package, an exported one from its own package or as a selector
-// anywhere. Method calls through an interface count, since they name the
-// method. Exempt are init, exported methods of the types stkde and synth
-// re-export (public API, pinned by TestPublicSurface) and stdlibMethods.
+// declared in a non-test file under internal/, stkde/ or synth/ that no
+// non-test code of the tree names. A name counts as used when non-test
+// code outside the declaration's own body names it: an unexported name
+// from its own package, an exported one from its own package or as a
+// selector anywhere. Method calls through an interface count, since they
+// name the method. Exempt are init, stdlibMethods and publicKeep.
 func (t *srcTree) unreferenced() []string {
 	refs := t.collectRefs()
-	aliased := t.aliasedTypes()
 	var out []string
 	for _, sf := range t.files {
-		if sf.test || !strings.HasPrefix(sf.path, "internal/") {
+		if sf.test || !strings.HasPrefix(sf.path, "internal/") && sf.dir != "stkde" && sf.dir != "synth" {
 			continue
 		}
 		for _, d := range sf.f.Decls {
@@ -239,8 +201,7 @@ func (t *srcTree) unreferenced() []string {
 				continue
 			}
 			k := funcKey{sf.dir, recvName(fd), fd.Name.Name}
-			if k.recv != "" && (stdlibMethods[k.dir+"."+k.recv+"."+k.name] ||
-				fd.Name.IsExported() && len(aliased[k.dir+"."+k.recv]) > 0) {
+			if stdlibMethods[k.dir+"."+k.recv+"."+k.name] || k.recv == "" && publicKeep[k.dir+"."+k.name] {
 				continue
 			}
 			used := false
@@ -261,17 +222,17 @@ func (t *srcTree) unreferenced() []string {
 }
 
 // TestInternalFuncsReferenced: every function and method that ships in
-// internal/ is called (or named) by non-test code somewhere in the
-// repository, benchmark/ module included. Test oracles, harnesses and
-// fuzz dispatchers live in _test.go files of their package, so a shipped
-// path cannot hide behind a test-only twin.
+// internal/, stkde/ or synth/ is called (or named) by non-test code
+// somewhere in the repository, benchmark/ module included. Test oracles,
+// harnesses and fuzz dispatchers live in _test.go files of their
+// package, so a shipped path cannot hide behind a test-only twin.
 func TestInternalFuncsReferenced(t *testing.T) {
 	tree, err := parseTree(".")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bad := tree.unreferenced(); len(bad) > 0 {
-		t.Errorf("%d functions declared in non-test files under internal/ have no reference from non-test code; "+
+		t.Errorf("%d functions declared in non-test files under internal/, stkde/ or synth/ have no reference from non-test code; "+
 			"delete them, or move test-only helpers into a _test.go file of their package:\n\t%s",
 			len(bad), strings.Join(bad, "\n\t"))
 	}
@@ -279,7 +240,8 @@ func TestInternalFuncsReferenced(t *testing.T) {
 
 // TestUnreferencedFixture runs the scan on a small tree with one used and
 // one unused function, so the guard cannot pass vacuously: uses from test
-// files and from the function's own body do not count.
+// files and from the function's own body do not count, and a public
+// package's uncalled function is listed like an internal one.
 func TestUnreferencedFixture(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
@@ -289,6 +251,7 @@ func TestUnreferencedFixture(t *testing.T) {
 		"cmd/x/main.go":         "package main\n\nimport \"fixture/internal/a\"\n\nfunc main() { a.Used() }\n",
 		"testdata/ignored.go":   "package ignored\n\nfunc main() { a.Unused() }\n",
 		"internal/b/b_amd64.go": "//go:build amd64\n\npackage b\n\nfunc Tagged() {}\n",
+		"stkde/s.go":            "package stkde\n\nfunc Public() {}\n",
 	}
 	for name, src := range files {
 		p := filepath.Join(root, filepath.FromSlash(name))
@@ -304,7 +267,7 @@ func TestUnreferencedFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := strings.Join(tree.unreferenced(), "\n")
-	want := "internal/a/a.go:5: Unused\ninternal/b/b_amd64.go:5: Tagged"
+	want := "internal/a/a.go:5: Unused\ninternal/b/b_amd64.go:5: Tagged\nstkde/s.go:3: Public"
 	if got != want {
 		t.Fatalf("unreferenced in the fixture:\n%s\nwant:\n%s", got, want)
 	}

@@ -80,23 +80,3 @@ func ExampleEstimateDistributed() {
 	// replicated points > 0: true
 	// mass: 0.93
 }
-
-// ExampleAnalyzeSchedule inspects the schedule structure that limits
-// point-decomposition parallelism (the paper's Figure 12 quantities).
-func ExampleAnalyzeSchedule() {
-	domain := stkde.Domain{GX: 80, GY: 80, GT: 40}
-	spec, err := stkde.NewSpec(domain, 1, 1, 3, 2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	events := synth.Epidemic{}.Generate(5000, domain, 3)
-	st, err := stkde.AnalyzeSchedule(events, spec, stkde.Options{Threads: 16, Decomp: [3]int{8, 8, 8}}, true)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("cells:", st.Cells)
-	fmt.Println("critical path below half the work:", st.CriticalPathRel < 0.5)
-	// Output:
-	// cells: 512
-	// critical path below half the work: true
-}

@@ -58,13 +58,6 @@ func NewQuery(pts []Point, spec Spec, opt Options) *Query {
 	return core.NewQuery(pts, spec, opt)
 }
 
-// AnalyzeSchedule computes the schedule structure (cells, colors, critical
-// path, Graham bound) of the point-decomposition strategies without running
-// the density computation; loadAware selects the PB-SYM-PD-SCHED coloring.
-func AnalyzeSchedule(pts []Point, spec Spec, opt Options, loadAware bool) (Stats, error) {
-	return core.AnalyzePD(pts, spec, opt, loadAware)
-}
-
 // Distributed-memory estimation (the paper's future-work item): batch
 // estimates shard the time axis into slabs, live streams shard their
 // events over ranks that each hold the whole window, and rank endpoints

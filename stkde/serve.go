@@ -40,7 +40,7 @@ type (
 	// control (ServeConfig.Admission): a latency SLO that sheds work the
 	// §6.5 cost model predicts cannot finish in time, a bounded admission
 	// queue that cancelled clients leave, and per-tenant sliding-window
-	// rate limits with weighted-fair dequeue. Shed requests get 429 plus
+	// rate limits with round-robin dequeue. Shed requests get 429 plus
 	// an honest Retry-After derived from the prediction.
 	AdmissionServeConfig = serve.AdmissionConfig
 	// RateWindow is one per-tenant rate-limit interval (Limit requests
