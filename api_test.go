@@ -15,7 +15,8 @@ import (
 )
 
 // apiGolden pins the public surface: every exported identifier of stkde and
-// synth, and the exported methods of each type they re-export by alias.
+// synth, and the exported methods and struct fields of each type they
+// re-export by alias.
 const apiGolden = "testdata/api.txt"
 
 // sigString prints a function type as Go's api listing does: parameter and
@@ -97,6 +98,40 @@ func methodLine(fset *token.FileSet, pkg, recv string, fd *ast.FuncDecl) string 
 	return fmt.Sprintf("pkg %s, method (%s) %s%s", pkg, recv, fd.Name.Name, sigString(fset, fd.Type))
 }
 
+// fieldLines lists the exported fields of struct st, declared as type
+// name of package pkg, as the api listing shows them: one line per field,
+// "embedded T" for an embedded one.
+func fieldLines(fset *token.FileSet, pkg, name string, st *ast.StructType) []string {
+	typeString := func(e ast.Expr) string {
+		if ft, ok := e.(*ast.FuncType); ok {
+			return "func" + sigString(fset, ft)
+		}
+		var b bytes.Buffer
+		printer.Fprint(&b, fset, e)
+		return strings.Join(strings.Fields(b.String()), " ")
+	}
+	var out []string
+	for _, f := range st.Fields.List {
+		typ := typeString(f.Type)
+		if len(f.Names) == 0 {
+			base := strings.TrimPrefix(typ, "*")
+			if _, sel, ok := strings.Cut(base, "."); ok {
+				base = sel
+			}
+			if ast.IsExported(base) {
+				out = append(out, fmt.Sprintf("pkg %s, type %s struct, embedded %s", pkg, name, typ))
+			}
+			continue
+		}
+		for _, n := range f.Names {
+			if n.IsExported() {
+				out = append(out, fmt.Sprintf("pkg %s, type %s struct, %s %s", pkg, name, n.Name, typ))
+			}
+		}
+	}
+	return out
+}
+
 // publicSurface lists the tree's public API, one sorted line per name.
 func (t *srcTree) publicSurface() []string {
 	var out []string
@@ -126,9 +161,10 @@ func (t *srcTree) publicSurface() []string {
 						if s.Assign.IsValid() {
 							b.WriteString("= ")
 						}
-						switch s.Type.(type) {
+						switch st := s.Type.(type) {
 						case *ast.StructType:
 							b.WriteString("struct")
+							out = append(out, fieldLines(t.fset, sf.dir, s.Name.Name, st)...)
 						case *ast.InterfaceType:
 							b.WriteString("interface")
 						default:
@@ -152,13 +188,30 @@ func (t *srcTree) publicSurface() []string {
 			continue
 		}
 		for _, d := range sf.f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || !fd.Name.IsExported() {
-				continue
-			}
-			for _, alias := range aliased[sf.dir+"."+recvName(fd)] {
-				pkg, name, _ := strings.Cut(alias, ".")
-				out = append(out, methodLine(t.fset, pkg, name, fd))
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil || !d.Name.IsExported() {
+					continue
+				}
+				for _, alias := range aliased[sf.dir+"."+recvName(d)] {
+					pkg, name, _ := strings.Cut(alias, ".")
+					out = append(out, methodLine(t.fset, pkg, name, d))
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					ts, ok := s.(*ast.TypeSpec)
+					if !ok {
+						continue
+					}
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					for _, alias := range aliased[sf.dir+"."+ts.Name.Name] {
+						pkg, name, _ := strings.Cut(alias, ".")
+						out = append(out, fieldLines(t.fset, pkg, name, st)...)
+					}
+				}
 			}
 		}
 	}

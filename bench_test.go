@@ -330,32 +330,6 @@ func BenchmarkAblationColoringOrder(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAdaptiveBandwidth measures the cost of the adaptive
-// bandwidth extension relative to uniform bandwidths.
-func BenchmarkAblationAdaptiveBandwidth(b *testing.B) {
-	f := load(b, "Dengue_Hr-Hb")
-	mid := f.spec.Domain.X0 + f.spec.Domain.GX/2
-	for _, adaptive := range []bool{false, true} {
-		label := "uniform"
-		opt := core.Options{Threads: 1}
-		if adaptive {
-			label = "adaptive"
-			opt.AdaptiveBandwidth = func(p grid.Point) float64 {
-				if p.X < mid {
-					return 1.3
-				}
-				return 0.8
-			}
-		}
-		b.Run(label, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := run(b, core.AlgPBSYM, f, opt)
-				res.Grid.Release()
-			}
-		})
-	}
-}
-
 // BenchmarkModelPrediction measures the parametric model itself (it must
 // be cheap enough to run before every estimation).
 func BenchmarkModelPrediction(b *testing.B) {

@@ -108,7 +108,8 @@ func ParallelAlgorithms() []string {
 // GOMAXPROCS threads, the paper's Epanechnikov kernels, an automatic
 // decomposition, and no memory budget. There is one compute engine, the
 // span engine of cylinder.go; it picks its devirtualized and vector paths
-// from the kernels and the host, so no option selects it.
+// from the kernels and the host, so no option selects it. The bandwidths
+// are the Spec's, one pair for every point of the estimate.
 type Options struct {
 	// Threads is the number of workers P. Values < 1 mean GOMAXPROCS.
 	Threads int
@@ -142,14 +143,6 @@ type Options struct {
 	// Estimation stays correct either way (only the floating-point
 	// summation order changes); the knob exists for A/B benchmarking.
 	NoSort bool
-
-	// AdaptiveBandwidth, when non-nil, scales each point's bandwidths
-	// (both hs and ht) by the returned positive factor, implementing the
-	// conclusion's "bandwidth that adapts to the density of the
-	// population" future-work item. Each point is then normalized by its
-	// own 1/(n*hs_i^2*ht_i), so the estimate remains a density. Supported
-	// by every algorithm; non-positive or NaN factors fall back to 1.
-	AdaptiveBandwidth func(p grid.Point) float64
 }
 
 func (o Options) withDefaults() Options {

@@ -359,57 +359,6 @@ func TestPDRepOOMOnCoarseDecomp(t *testing.T) {
 	}
 }
 
-// TestAdaptiveBandwidth exercises the future-work extension: per-point
-// bandwidth scaling. All PB-family algorithms must agree with VB (which
-// evaluates the same per-point geometry directly).
-func TestAdaptiveBandwidth(t *testing.T) {
-	spec := testSpec(t, 16, 16, 12, 3, 2)
-	pts := testPoints(120, spec.Domain, 13)
-	adaptive := func(p grid.Point) float64 {
-		// Larger bandwidth in the western half of the domain.
-		if p.X < spec.Domain.X0+spec.Domain.GX/2 {
-			return 1.6
-		}
-		return 0.7
-	}
-	opt := Options{AdaptiveBandwidth: adaptive}
-	ref, err := Estimate(AlgVB, pts, spec, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Grid.Sum() <= 0 {
-		t.Fatal("adaptive reference empty")
-	}
-	for _, alg := range Algorithms()[1:] {
-		o := opt
-		o.Threads = 4
-		o.Decomp = [3]int{3, 3, 3}
-		res, err := Estimate(alg, pts, spec, o)
-		if err != nil {
-			t.Fatalf("%s: %v", alg, err)
-		}
-		if d := maxRelDiff(ref.Grid, res.Grid); d > 1e-11 {
-			t.Errorf("%s adaptive differs by %g", alg, d)
-		}
-	}
-	// Mass is still conserved per point (norm uses per-point bandwidths).
-	inner := grid.Domain{X0: 6, Y0: 6, T0: 4, GX: 4, GY: 4, GT: 4}
-	ipts := data.Uniform{}.Generate(50, inner, 3)
-	bigSpec := testSpec(t, 64, 64, 48, 5, 5)
-	res, err := Estimate(AlgPBSYM, ipts, bigSpec, Options{
-		AdaptiveBandwidth: func(p grid.Point) float64 { return 1.3 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Points are 6+ from the low boundary but bandwidth is 6.5; allow a
-	// slightly looser tolerance for edge loss.
-	mass := res.Grid.Sum()
-	if math.Abs(mass-1) > 0.05 {
-		t.Errorf("adaptive mass = %.4f, want ~1", mass)
-	}
-}
-
 // TestPhasesRecorded: algorithms must report their phase timings, and the
 // phases an algorithm does not have must stay zero.
 func TestPhasesRecorded(t *testing.T) {

@@ -35,7 +35,10 @@ import (
 // the dense oracle's.
 
 // ctx holds the evaluation context shared by every point-based algorithm:
-// the problem spec, kernels, and the constants of the density formula.
+// the problem spec, kernels, and the constants of the density formula. An
+// estimate has one bandwidth, so the bandwidths, their reciprocals and the
+// normalization are the same for every point; what differs per point is
+// only its influence box, spec.InfluenceBox.
 //
 // A ctx also carries a signed contribution weight (see withWeight): the
 // engine's apply functions are the per-point contribution primitive shared
@@ -43,28 +46,26 @@ import (
 // the batch estimator into the streaming Updater — a w=-1 application
 // subtracts the bitwise-exact negation of what the w=+1 application added.
 type ctx struct {
-	spec     grid.Spec
-	sk       kernel.Spatial
-	tk       kernel.Temporal
-	n        int
-	adaptive func(grid.Point) float64
+	spec grid.Spec
+	sk   kernel.Spatial
+	tk   kernel.Temporal
+	n    int
 
 	// weight is the signed contribution scale. The batch estimators use
-	// +1; it is folded into norm (and geom.norm), so the engine's inner
-	// loops are weight-oblivious. applyPB, which deliberately re-derives
-	// its normalization per evaluation (Table 3), multiplies it explicitly.
+	// +1; it is folded into norm, so the engine's inner loops are
+	// weight-oblivious. applyPB, which deliberately re-derives its
+	// normalization per evaluation (Table 3), multiplies it explicitly.
 	weight float64
 
-	// Uniform-bandwidth fast-path constants.
-	hs, ht     float64
-	hs2        float64
-	invHS      float64
-	invHT      float64
-	norm       float64
-	boxHs      int
-	boxHt      int
-	maxScale   float64
-	adaptiveOn bool
+	// Bandwidth constants: hs, ht and their derived terms, and the
+	// influence box's half-extents in voxels (spec.Hs, spec.Ht).
+	hs, ht float64
+	hs2    float64
+	invHS  float64
+	invHT  float64
+	norm   float64 // weight/(n*hs^2*ht)
+	boxHs  int
+	boxHt  int
 
 	// Kernel specialization: skFast/tkFast devirtualize the fill loops for
 	// polynomial kernels c*(1-x)^deg, with coefficient skC/tkC and degree
@@ -77,39 +78,25 @@ type ctx struct {
 	tkDeg  int
 }
 
-// geom is the per-point evaluation geometry. With uniform bandwidths it is
-// the same for every point; with adaptive bandwidths it is derived from the
-// point's scale factor.
-type geom struct {
-	hs, ht float64
-	hs2    float64
-	invHS  float64
-	invHT  float64
-	norm   float64 // 1/(n*hs^2*ht) for this point
-	box    grid.Box
-}
-
 func newCtx(pts []grid.Point, spec grid.Spec, opt Options) ctx {
 	n := len(pts)
 	if opt.NormN > 0 {
 		n = opt.NormN
 	}
 	c := ctx{
-		spec:     spec,
-		sk:       opt.Spatial,
-		tk:       opt.Temporal,
-		n:        n,
-		adaptive: opt.AdaptiveBandwidth,
-		weight:   1,
-		hs:       spec.HS,
-		ht:       spec.HT,
-		hs2:      spec.HS * spec.HS,
-		invHS:    1 / spec.HS,
-		invHT:    1 / spec.HT,
-		norm:     spec.NormFactor(n),
-		boxHs:    spec.Hs,
-		boxHt:    spec.Ht,
-		maxScale: 1,
+		spec:   spec,
+		sk:     opt.Spatial,
+		tk:     opt.Temporal,
+		n:      n,
+		weight: 1,
+		hs:     spec.HS,
+		ht:     spec.HT,
+		hs2:    spec.HS * spec.HS,
+		invHS:  1 / spec.HS,
+		invHT:  1 / spec.HT,
+		norm:   spec.NormFactor(n),
+		boxHs:  spec.Hs,
+		boxHt:  spec.Ht,
 	}
 	if kc, deg, ok := kernel.SpecializeSpatial(opt.Spatial); ok {
 		c.skFast, c.skC, c.skDeg = true, kc, deg
@@ -117,81 +104,19 @@ func newCtx(pts []grid.Point, spec grid.Spec, opt Options) ctx {
 	if tc, deg, ok := kernel.SpecializeTemporal(opt.Temporal); ok {
 		c.tkFast, c.tkC, c.tkDeg = true, tc, deg
 	}
-	if c.adaptive != nil {
-		c.adaptiveOn = true
-		for _, p := range pts {
-			if s := c.adaptive(p); s > c.maxScale {
-				c.maxScale = s
-			}
-		}
-	}
 	return c
 }
 
 // withWeight returns a copy of the ctx whose contributions are scaled by w
 // — the signed-weight contribution primitive. Both the folded norm and the
-// explicit weight flip together, so every apply path (the span fills, PB's
-// per-evaluation form, adaptive geometry) scales consistently. Scaling by
-// ±1 is exact in floating point: w=-1 subtracts bitwise-identical
-// contributions, which is what makes streaming retraction drift-bounded.
+// explicit weight flip together, so every apply path (the span fills and
+// PB's per-evaluation form) scales consistently. Scaling by ±1 is exact in
+// floating point: w=-1 subtracts bitwise-identical contributions, which is
+// what makes streaming retraction drift-bounded.
 func (c ctx) withWeight(w float64) ctx {
 	c.weight *= w
 	c.norm *= w
 	return c
-}
-
-// maxHsVoxels returns the largest spatial bandwidth in voxels across all
-// points (equal to spec.Hs unless adaptive bandwidths are enabled).
-func (c *ctx) maxHsVoxels() int {
-	if !c.adaptiveOn {
-		return c.boxHs
-	}
-	return int(math.Ceil(c.hs * c.maxScale / c.spec.SRes))
-}
-
-// maxHtVoxels is the temporal analogue of maxHsVoxels.
-func (c *ctx) maxHtVoxels() int {
-	if !c.adaptiveOn {
-		return c.boxHt
-	}
-	return int(math.Ceil(c.ht * c.maxScale / c.spec.TRes))
-}
-
-// geom returns the evaluation geometry for point p: bandwidths, the
-// normalization constant and the (unclipped-to-clip, but grid-clipped)
-// influence box.
-func (c *ctx) geom(p grid.Point) (g geom) {
-	c.setGeom(&g, p)
-	return g
-}
-
-// setGeom is geom writing into g, which spares the per-point loops a copy
-// of the result.
-func (c *ctx) setGeom(g *geom, p grid.Point) {
-	if !c.adaptiveOn {
-		g.hs, g.ht, g.hs2 = c.hs, c.ht, c.hs2
-		g.invHS, g.invHT, g.norm = c.invHS, c.invHT, c.norm
-		g.box = c.spec.InfluenceBox(p)
-		return
-	}
-	s := c.adaptive(p)
-	if s <= 0 || math.IsNaN(s) {
-		s = 1
-	}
-	hs := c.hs * s
-	ht := c.ht * s
-	X, Y, T := c.spec.VoxelOf(p)
-	bhs := int(math.Ceil(hs / c.spec.SRes))
-	bht := int(math.Ceil(ht / c.spec.TRes))
-	b := grid.Box{
-		X0: X - bhs, X1: X + bhs,
-		Y0: Y - bhs, Y1: Y + bhs,
-		T0: T - bht, T1: T + bht,
-	}
-	g.hs, g.ht, g.hs2 = hs, ht, hs*hs
-	g.invHS, g.invHT = 1/hs, 1/ht
-	g.norm = c.weight / (float64(c.n) * hs * hs * ht)
-	g.box = b.Clip(grid.Box{X1: c.spec.Gx - 1, Y1: c.spec.Gy - 1, T1: c.spec.Gt - 1})
 }
 
 // view is a writable window onto density storage: either the whole grid or
@@ -258,51 +183,31 @@ type scratch struct {
 	spanProbes int64
 }
 
-// roundUp8 rounds n up to the next multiple of 8, the float64 count of a
-// 64-byte cache line (and two 4-wide vector registers). Scratch rows are
-// allocated at rounded capacity so adaptive-bandwidth runs, whose per-point
-// box sizes wobble by a voxel or two, reuse one allocation across points
-// instead of reallocating on every size change.
-func roundUp8(n int) int { return (n + 7) &^ 7 }
-
+// newScratch sizes a scratch for c's influence box, (2·Hs+1)² disk
+// entries and 2·Ht+1 bar entries: no clipped box is larger, so ensure
+// only reslices.
 func newScratch(c *ctx) *scratch {
-	dxy := 2*c.maxHsVoxels() + 1
-	dt := 2*c.maxHtVoxels() + 1
+	dxy := 2*c.boxHs + 1
+	dt := 2*c.boxHt + 1
 	return &scratch{
-		disk:   make([]float64, roundUp8(dxy*dxy))[:dxy*dxy],
-		bar:    make([]float64, roundUp8(dt))[:dt],
-		tw:     make([]float64, roundUp8(dt))[:dt],
-		spanLo: make([]int32, roundUp8(dxy))[:dxy],
-		spanN:  make([]int32, roundUp8(dxy))[:dxy],
-		dy2:    make([]float64, roundUp8(dxy))[:dxy],
-		nv:     make([]float64, roundUp8(dxy))[:dxy],
-		nv2:    make([]float64, roundUp8(dxy))[:dxy],
+		disk:   make([]float64, dxy*dxy),
+		bar:    make([]float64, dt),
+		tw:     make([]float64, dt),
+		spanLo: make([]int32, dxy),
+		spanN:  make([]int32, dxy),
+		dy2:    make([]float64, dxy),
+		nv:     make([]float64, dxy),
+		nv2:    make([]float64, dxy),
 	}
 }
 
+// ensure reslices sc's buffers to a box of nx×ny×nt voxels.
 func (sc *scratch) ensure(nx, ny, nt int) {
-	nxy := nx * ny
-	if cap(sc.disk) < nxy {
-		sc.disk = make([]float64, roundUp8(nxy))
-	}
-	sc.disk = sc.disk[:nxy]
-	if cap(sc.bar) < nt {
-		sc.bar = make([]float64, roundUp8(nt))
-		sc.tw = make([]float64, roundUp8(nt))
-	}
+	sc.disk = sc.disk[:nx*ny]
 	sc.bar = sc.bar[:nt]
 	sc.tw = sc.tw[:nt]
-	if cap(sc.spanLo) < nx {
-		sc.spanLo = make([]int32, roundUp8(nx))
-		sc.spanN = make([]int32, roundUp8(nx))
-	}
 	sc.spanLo = sc.spanLo[:nx]
 	sc.spanN = sc.spanN[:nx]
-	if cap(sc.dy2) < ny {
-		sc.dy2 = make([]float64, roundUp8(ny))
-		sc.nv = make([]float64, roundUp8(ny))
-		sc.nv2 = make([]float64, roundUp8(ny))
-	}
 	sc.dy2 = sc.dy2[:ny]
 	sc.nv = sc.nv[:ny]
 	sc.nv2 = sc.nv2[:ny]
@@ -324,13 +229,14 @@ func fillDy2(c *ctx, p grid.Point, box grid.Box, sc *scratch) {
 // span predicate and the normalized offset (and its square) for the kernel
 // fills. Each expression matches the dense scan's per-voxel computation,
 // so downstream values stay bitwise identical.
-func fillYCaches(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) {
+func fillYCaches(c *ctx, p grid.Point, box grid.Box, sc *scratch) {
 	ny := box.Y1 - box.Y0 + 1
 	dy2, nv, nv2 := sc.dy2[:ny], sc.nv[:ny], sc.nv2[:ny]
+	invHS := c.invHS
 	for iy := 0; iy < ny; iy++ {
 		dy := c.spec.CenterY(box.Y0+iy) - p.Y
 		dy2[iy] = dy * dy
-		v := dy * g.invHS
+		v := dy * invHS
 		nv[iy] = v
 		nv2[iy] = v * v
 	}
@@ -355,8 +261,7 @@ type applyFn func(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch)
 // This cost difference is part of what Table 3 measures, so PB is never
 // span-optimized.
 func applyPB(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
-	g := c.geom(p)
-	box := g.box.Clip(clip).Clip(v.box)
+	box := c.spec.InfluenceBox(p).Clip(clip).Clip(v.box)
 	if box.Empty() {
 		return
 	}
@@ -370,10 +275,10 @@ func applyPB(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
 			row := v.row(X, Y, box.T0, nt)
 			for j := 0; j < nt; j++ {
 				dt := c.spec.CenterT(box.T0+j) - p.T
-				if s2 < g.hs2 && dt >= -g.ht && dt <= g.ht {
-					ks := c.sk.Eval(dx/g.hs, dy/g.hs)
-					kt := c.tk.Eval(dt / g.ht)
-					row[j] += c.weight * ks * kt / (float64(c.n) * g.hs * g.hs * g.ht)
+				if s2 < c.hs2 && dt >= -c.ht && dt <= c.ht {
+					ks := c.sk.Eval(dx/c.hs, dy/c.hs)
+					kt := c.tk.Eval(dt / c.ht)
+					row[j] += c.weight * ks * kt / (float64(c.n) * c.hs * c.hs * c.ht)
 					sc.skEvals++
 					sc.tkEvals++
 					sc.updates++
@@ -386,15 +291,14 @@ func applyPB(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
 // applyDisk is PB-DISK: the spatial invariant Ks is computed once per point
 // (the disk); the temporal kernel is still evaluated for every voxel.
 func applyDisk(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
-	g := c.geom(p)
-	box := g.box.Clip(clip).Clip(v.box)
+	box := c.spec.InfluenceBox(p).Clip(clip).Clip(v.box)
 	if box.Empty() {
 		return
 	}
 	nx, ny, nt := box.Dims()
 	sc.ensure(nx, ny, nt)
-	fillDisk(c, p, g, box, sc)
-	tLo, tHi := barBounds(c, p, g, box)
+	fillDisk(c, p, box, sc)
+	tLo, tHi := barBounds(c, p, box)
 	if tHi < tLo {
 		return
 	}
@@ -410,7 +314,7 @@ func applyDisk(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
 				row := v.data[rb : rb+bn]
 				for j := range row {
 					dt := c.spec.CenterT(tLo+j) - p.T
-					row[j] += ks[iy] * c.tk.Eval(dt/g.ht)
+					row[j] += ks[iy] * c.tk.Eval(dt/c.ht)
 				}
 				rb += v.strideY
 			}
@@ -425,16 +329,15 @@ func applyDisk(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
 // applyBar is PB-BAR: the temporal invariant Kt is computed once per point
 // (the bar); the spatial kernel is still evaluated for every voxel.
 func applyBar(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
-	g := c.geom(p)
-	box := g.box.Clip(clip).Clip(v.box)
+	box := c.spec.InfluenceBox(p).Clip(clip).Clip(v.box)
 	if box.Empty() {
 		return
 	}
 	nx, ny, nt := box.Dims()
 	sc.ensure(nx, ny, nt)
 	fillDy2(c, p, box, sc)
-	diskSpans(c, p, g, box, sc)
-	fillBar(c, p, g, box, sc)
+	diskSpans(c, p, box, sc)
+	fillBar(c, p, box, sc)
 	if sc.barN == 0 {
 		return
 	}
@@ -452,7 +355,7 @@ func applyBar(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
 				row := v.data[rb : rb+len(bar)]
 				for j, kt := range bar {
 					if kt != 0 {
-						row[j] += c.sk.Eval(dx/g.hs, dy/g.hs) * kt * g.norm
+						row[j] += c.sk.Eval(dx/c.hs, dy/c.hs) * kt * c.norm
 						sc.skEvals++
 						sc.updates++
 					}
@@ -466,17 +369,17 @@ func applyBar(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
 
 // fillSym evaluates point p's packed disk and bar over box (already
 // clipped) into sc and reports whether the bar has any support.
-func fillSym(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) bool {
+func fillSym(c *ctx, p grid.Point, box grid.Box, sc *scratch) bool {
 	nx, ny, nt := box.Dims()
 	sc.ensure(nx, ny, nt)
-	fillDisk(c, p, g, box, sc)
-	fillBar(c, p, g, box, sc)
+	fillDisk(c, p, box, sc)
+	fillBar(c, p, box, sc)
 	return sc.barN > 0
 }
 
-// applySymBox is applySym after the geometry: point p's cylinder over box.
-func applySymBox(v *view, c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) {
-	if !fillSym(c, p, g, box, sc) {
+// applySymBox is applySym after the clip: point p's cylinder over box.
+func applySymBox(v *view, c *ctx, p grid.Point, box grid.Box, sc *scratch) {
+	if !fillSym(c, p, box, sc) {
 		return
 	}
 	bar := sc.bar[:sc.barN]
@@ -541,9 +444,8 @@ func mulAddRowsScalar(data []float64, stride int, ks, bar []float64) {
 const symBlock = 16
 
 // symBlockBytes caps the slot storage of one block. A slot holds a whole
-// packed disk, so an adaptive run with a large maxScale gets fewer slots
-// (down to one, which is per-point application) rather than symBlock
-// outsized disks.
+// packed disk, so a wide bandwidth gets fewer slots (down to one, which is
+// per-point application) rather than symBlock outsized disks.
 const symBlockBytes = 1 << 20
 
 // symSmallBox is the clipped-box voxel count below which a point bypasses
@@ -578,8 +480,8 @@ type symScratch struct {
 // newSymScratch allocates a block scratch of at most bs slots, fewer when
 // bs of c's largest scratches would exceed symBlockBytes.
 func newSymScratch(c *ctx, bs int) *symScratch {
-	dxy := 2*c.maxHsVoxels() + 1
-	dt := 2*c.maxHtVoxels() + 1
+	dxy := 2*c.boxHs + 1
+	dt := 2*c.boxHt + 1
 	slot := 8*(dxy*dxy+2*dt+3*dxy) + 2*4*dxy
 	bs = max(1, min(bs, symBlockBytes/slot))
 	b := &symScratch{slots: make([]symSlot, bs)}
@@ -617,22 +519,20 @@ func applySymPoints(v view, c *ctx, pts []grid.Point, idxs []int32, clip grid.Bo
 		if idxs != nil {
 			p = pts[idxs[k]]
 		}
-		var g geom
-		c.setGeom(&g, p)
-		box := g.box.Clip(clip).Clip(v.box)
+		box := c.spec.InfluenceBox(p).Clip(clip).Clip(v.box)
 		if box.Empty() {
 			continue
 		}
 		if box.Count() < symSmallBox {
 			b.flush(&v)
-			applySymBox(&v, c, p, g, box, &b.slots[0].scratch)
+			applySymBox(&v, c, p, box, &b.slots[0].scratch)
 			continue
 		}
 		if b.n == len(b.slots) || (b.n > 0 && (box.X1 < b.x0 || box.X0 > b.x1)) {
 			b.flush(&v)
 		}
 		s := &b.slots[b.n]
-		if !fillSym(c, p, g, box, &s.scratch) {
+		if !fillSym(c, p, box, &s.scratch) {
 			continue
 		}
 		s.box = box
@@ -713,10 +613,10 @@ const vectorBlockCutoff = 8
 // walk grows it; while dx^2 rises the interval can only shrink. Both test
 // rows with the exact predicate, so each span is exactly the dense scan's
 // set. A column with no span restarts the walk from the seed.
-func diskSpans(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) int {
+func diskSpans(c *ctx, p grid.Point, box grid.Box, sc *scratch) int {
 	nx := box.X1 - box.X0 + 1
 	ny := box.Y1 - box.Y0 + 1
-	hs2 := g.hs2
+	hs2 := c.hs2
 	dy2 := sc.dy2[:ny] // filled by fillYCaches or fillDy2
 	spanLo, spanN := sc.spanLo[:nx], sc.spanN[:nx]
 	seed := 0
@@ -794,14 +694,15 @@ func growSpan(dxx, hs2 float64, dy2 []float64, lo, hi, probes int) (int, int, in
 // within the temporal bandwidth (the dense predicate -ht <= dt <= ht): a
 // float guess with one layer of slack on each side, trimmed with the
 // exact predicate.
-func barBounds(c *ctx, p grid.Point, g geom, box grid.Box) (int, int) {
+func barBounds(c *ctx, p grid.Point, box grid.Box) (int, int) {
 	lo, hi := box.T0, box.T1
+	ht := c.ht
 	if hi-lo+1 > smallSpanCutoff {
 		invTRes := 1 / c.spec.TRes
 		t0 := c.spec.Domain.T0
 		ot := float64(c.spec.OT)
-		lo = int(math.Floor((p.T-g.ht-t0)*invTRes-0.5-ot)) - 1
-		hi = int(math.Ceil((p.T+g.ht-t0)*invTRes-0.5-ot)) + 1
+		lo = int(math.Floor((p.T-ht-t0)*invTRes-0.5-ot)) - 1
+		hi = int(math.Ceil((p.T+ht-t0)*invTRes-0.5-ot)) + 1
 		if lo < box.T0 {
 			lo = box.T0
 		}
@@ -811,14 +712,14 @@ func barBounds(c *ctx, p grid.Point, g geom, box grid.Box) (int, int) {
 	}
 	for lo <= hi {
 		dt := c.spec.CenterT(lo) - p.T
-		if dt >= -g.ht && dt <= g.ht {
+		if dt >= -ht && dt <= ht {
 			break
 		}
 		lo++
 	}
 	for hi >= lo {
 		dt := c.spec.CenterT(hi) - p.T
-		if dt >= -g.ht && dt <= g.ht {
+		if dt >= -ht && dt <= ht {
 			break
 		}
 		hi--
@@ -830,20 +731,20 @@ func barBounds(c *ctx, p grid.Point, g geom, box grid.Box) (int, int) {
 // of the box, with the normalization constant folded in (as in Algorithm
 // 3). Polynomial kernels take the monomorphic fast loops; everything else
 // dispatches through the interface once per in-disk voxel.
-func fillDisk(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) {
-	fillYCaches(c, p, g, box, sc)
-	fillDiskCols(c, p, g, box, sc)
+func fillDisk(c *ctx, p grid.Point, box grid.Box, sc *scratch) {
+	fillYCaches(c, p, box, sc)
+	fillDiskCols(c, p, box, sc)
 }
 
 // fillDiskCols is fillDisk after the Y-row caches: the disk spans and the
 // packed disk of box's columns, from the caches sc already holds for box's
 // Y rows. A caller that applies one event in several X pieces fills the
 // caches once and each piece's columns here.
-func fillDiskCols(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) {
-	total := diskSpans(c, p, g, box, sc)
+func fillDiskCols(c *ctx, p grid.Point, box grid.Box, sc *scratch) {
+	total := diskSpans(c, p, box, sc)
 	sc.skEvals += int64(total)
 	if c.skFast {
-		fillDiskPoly(c, p, g, box, sc)
+		fillDiskPoly(c, p, box, sc)
 		return
 	}
 	nx := box.X1 - box.X0 + 1
@@ -855,11 +756,11 @@ func fillDiskCols(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) {
 			continue
 		}
 		dx := c.spec.CenterX(box.X0+ix) - p.X
-		u := dx * g.invHS
+		u := dx * c.invHS
 		lo := int(sc.spanLo[ix])
 		dst := sc.disk[off : off+n]
 		for iy := range dst {
-			dst[iy] = c.sk.Eval(u, nv[lo+iy]) * g.norm
+			dst[iy] = c.sk.Eval(u, nv[lo+iy]) * c.norm
 		}
 		off += n
 	}
@@ -869,9 +770,9 @@ func fillDiskCols(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) {
 // Each arm reproduces the kernel's Eval expression (same operand order and
 // associativity, same support branch), so the packed values are bitwise
 // identical to interface dispatch.
-func fillDiskPoly(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) {
+func fillDiskPoly(c *ctx, p grid.Point, box grid.Box, sc *scratch) {
 	nx := box.X1 - box.X0 + 1
-	kc, invHS, norm := c.skC, g.invHS, g.norm
+	kc, invHS, norm := c.skC, c.invHS, c.norm
 	nv2 := sc.nv2
 	off := 0
 	for ix := 0; ix < nx; ix++ {
@@ -933,8 +834,8 @@ func fillDiskPoly(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) {
 // fillBar computes the temporal invariant Kt packed over the in-support T
 // range of the box (sc.barLo/sc.barN), devirtualized for polynomial
 // kernels.
-func fillBar(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) {
-	lo, hi := barBounds(c, p, g, box)
+func fillBar(c *ctx, p grid.Point, box grid.Box, sc *scratch) {
+	lo, hi := barBounds(c, p, box)
 	if hi < lo {
 		sc.barLo, sc.barN = 0, 0
 		return
@@ -946,11 +847,11 @@ func fillBar(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) {
 	if !c.tkFast {
 		for j := range bar {
 			dt := c.spec.CenterT(lo+j) - p.T
-			bar[j] = c.tk.Eval(dt * g.invHT)
+			bar[j] = c.tk.Eval(dt * c.invHT)
 		}
 		return
 	}
-	kc, invHT := c.tkC, g.invHT
+	kc, invHT := c.tkC, c.invHT
 	if simd.Enabled() && sc.barN >= vectorSpanCutoff {
 		// Pack the normalized offsets (the w of the scalar loops below),
 		// then evaluate the polynomial 4 lanes at a time. For the finite w

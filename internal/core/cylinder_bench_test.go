@@ -62,18 +62,17 @@ func BenchmarkFillDisk(b *testing.B) {
 	p := pts[0]
 	for _, e := range []struct {
 		name string
-		fill func(*ctx, grid.Point, geom, grid.Box, *scratch)
+		fill func(*ctx, grid.Point, grid.Box, *scratch)
 	}{{"span", fillDisk}, {"dense", fillDiskDense}} {
 		b.Run(e.name, func(b *testing.B) {
 			c := newCtx(pts, spec, Options{}.withDefaults())
 			sc := newScratch(&c)
-			g := c.geom(p)
-			box := g.box
+			box := c.spec.InfluenceBox(p)
 			nx, ny, nt := box.Dims()
 			sc.ensure(nx, ny, nt)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.fill(&c, p, g, box, sc)
+				e.fill(&c, p, box, sc)
 			}
 		})
 	}

@@ -46,12 +46,11 @@ func TestFillDiskBarMatchDirectEval(t *testing.T) {
 	c := newCtx(pts, spec, Options{}.withDefaults())
 	sc := newScratch(&c)
 	p := pts[0]
-	g := c.geom(p)
-	box := g.box
+	box := c.spec.InfluenceBox(p)
 	nx, ny, nt := box.Dims()
 	sc.ensure(nx, ny, nt)
-	fillDiskDense(&c, p, g, box, sc)
-	fillBarDense(&c, p, g, box, sc)
+	fillDiskDense(&c, p, box, sc)
+	fillBarDense(&c, p, box, sc)
 
 	sk := kernel.Epanechnikov2D{}
 	tk := kernel.Epanechnikov1D{}
@@ -61,8 +60,8 @@ func TestFillDiskBarMatchDirectEval(t *testing.T) {
 			dx := spec.CenterX(X) - p.X
 			dy := spec.CenterY(Y) - p.Y
 			want := 0.0
-			if dx*dx+dy*dy < g.hs2 {
-				want = sk.Eval(dx*g.invHS, dy*g.invHS) * g.norm
+			if dx*dx+dy*dy < c.hs2 {
+				want = sk.Eval(dx*c.invHS, dy*c.invHS) * c.norm
 			}
 			if math.Abs(sc.disk[i]-want) > 1e-16 {
 				t.Fatalf("disk[%d,%d] = %g, want %g", X, Y, sc.disk[i], want)
@@ -73,8 +72,8 @@ func TestFillDiskBarMatchDirectEval(t *testing.T) {
 	for j := 0; j <= box.T1-box.T0; j++ {
 		dt := spec.CenterT(box.T0+j) - p.T
 		want := 0.0
-		if dt >= -g.ht && dt <= g.ht {
-			want = tk.Eval(dt * g.invHT)
+		if dt >= -c.ht && dt <= c.ht {
+			want = tk.Eval(dt * c.invHT)
 		}
 		if math.Abs(sc.bar[j]-want) > 1e-16 {
 			t.Fatalf("bar[%d] = %g, want %g", j, sc.bar[j], want)
@@ -94,15 +93,14 @@ func TestSpanFillMatchesDenseFill(t *testing.T) {
 	dense := newScratch(&c)
 	span := newScratch(&c)
 	for _, p := range pts {
-		g := c.geom(p)
-		box := g.box
+		box := c.spec.InfluenceBox(p)
 		nx, ny, nt := box.Dims()
 		dense.ensure(nx, ny, nt)
 		span.ensure(nx, ny, nt)
-		fillDiskDense(&c, p, g, box, dense)
-		fillBarDense(&c, p, g, box, dense)
-		fillDisk(&c, p, g, box, span)
-		fillBar(&c, p, g, box, span)
+		fillDiskDense(&c, p, box, dense)
+		fillBarDense(&c, p, box, dense)
+		fillDisk(&c, p, box, span)
+		fillBar(&c, p, box, span)
 
 		off := 0
 		for ix := 0; ix < nx; ix++ {
@@ -167,9 +165,13 @@ func TestViewAddressing(t *testing.T) {
 	}
 }
 
-// TestScratchEnsureGrowth: ensure must grow capacity and preserve slicing.
+// TestScratchEnsureGrowth: ensure must grow and shrink every buffer to the
+// box it is given, within the capacity newScratch sized for the largest
+// influence box (11×11×51 voxels here).
 func TestScratchEnsureGrowth(t *testing.T) {
-	sc := &scratch{}
+	spec := testSpec(t, 20, 20, 60, 5, 25)
+	c := newCtx(nil, spec, Options{}.withDefaults())
+	sc := newScratch(&c)
 	sc.ensure(5, 2, 4)
 	if len(sc.disk) != 10 || len(sc.bar) != 4 || len(sc.spanLo) != 5 ||
 		len(sc.spanN) != 5 || len(sc.dy2) != 2 || len(sc.nv) != 2 || len(sc.nv2) != 2 {

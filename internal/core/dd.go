@@ -41,7 +41,7 @@ func runDD(pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
 		cells := make([][]int32, d.Cells())
 		var assignments int64
 		for i := range r.pts {
-			ib := r.c.geom(r.pts[i]).box
+			ib := r.c.spec.InfluenceBox(r.pts[i])
 			a0, a1, b0, b1, c0, c1 := d.CellRange(ib)
 			for a := a0; a <= a1; a++ {
 				for b := b0; b <= b1; b++ {

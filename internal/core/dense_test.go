@@ -25,14 +25,13 @@ func denseEstimate(alg string, pts []grid.Point, spec grid.Spec, opt Options) (*
 
 // applyDiskDense is the dense-scan PB-DISK.
 func applyDiskDense(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
-	g := c.geom(p)
-	box := g.box.Clip(clip).Clip(v.box)
+	box := c.spec.InfluenceBox(p).Clip(clip).Clip(v.box)
 	if box.Empty() {
 		return
 	}
 	nx, ny, nt := box.Dims()
 	sc.ensure(nx, ny, nt)
-	fillDiskDense(c, p, g, box, sc)
+	fillDiskDense(c, p, box, sc)
 	i := 0
 	for X := box.X0; X <= box.X1; X++ {
 		for Y := box.Y0; Y <= box.Y1; Y++ {
@@ -44,8 +43,8 @@ func applyDiskDense(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
 			row := v.row(X, Y, box.T0, nt)
 			for j := 0; j < nt; j++ {
 				dt := c.spec.CenterT(box.T0+j) - p.T
-				if dt >= -g.ht && dt <= g.ht {
-					row[j] += ks * c.tk.Eval(dt/g.ht)
+				if dt >= -c.ht && dt <= c.ht {
+					row[j] += ks * c.tk.Eval(dt/c.ht)
 					sc.tkEvals++
 					sc.updates++
 				}
@@ -56,26 +55,25 @@ func applyDiskDense(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
 
 // applyBarDense is the dense-scan PB-BAR.
 func applyBarDense(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
-	g := c.geom(p)
-	box := g.box.Clip(clip).Clip(v.box)
+	box := c.spec.InfluenceBox(p).Clip(clip).Clip(v.box)
 	if box.Empty() {
 		return
 	}
 	_, _, nt := box.Dims()
 	sc.ensure(1, 1, nt)
-	fillBarDense(c, p, g, box, sc)
+	fillBarDense(c, p, box, sc)
 	for X := box.X0; X <= box.X1; X++ {
 		dx := c.spec.CenterX(X) - p.X
 		dxx := dx * dx
 		for Y := box.Y0; Y <= box.Y1; Y++ {
 			dy := c.spec.CenterY(Y) - p.Y
-			if dxx+dy*dy >= g.hs2 {
+			if dxx+dy*dy >= c.hs2 {
 				continue
 			}
 			row := v.row(X, Y, box.T0, nt)
 			for j := 0; j < nt; j++ {
 				if kt := sc.bar[j]; kt != 0 {
-					row[j] += c.sk.Eval(dx/g.hs, dy/g.hs) * kt * g.norm
+					row[j] += c.sk.Eval(dx/c.hs, dy/c.hs) * kt * c.norm
 					sc.skEvals++
 					sc.updates++
 				}
@@ -86,15 +84,14 @@ func applyBarDense(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
 
 // applySymDense is the dense-scan PB-SYM.
 func applySymDense(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
-	g := c.geom(p)
-	box := g.box.Clip(clip).Clip(v.box)
+	box := c.spec.InfluenceBox(p).Clip(clip).Clip(v.box)
 	if box.Empty() {
 		return
 	}
 	nx, ny, nt := box.Dims()
 	sc.ensure(nx, ny, nt)
-	fillDiskDense(c, p, g, box, sc)
-	fillBarDense(c, p, g, box, sc)
+	fillDiskDense(c, p, box, sc)
+	fillBarDense(c, p, box, sc)
 	bar := sc.bar
 	i := 0
 	for X := box.X0; X <= box.X1; X++ {
@@ -116,15 +113,15 @@ func applySymDense(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
 // fillDiskDense computes the spatial invariant Ks over the box's full
 // (X, Y) extent, with the normalization constant folded in (as in
 // Algorithm 3); out-of-circle entries are stored as zeros.
-func fillDiskDense(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) {
+func fillDiskDense(c *ctx, p grid.Point, box grid.Box, sc *scratch) {
 	i := 0
 	for X := box.X0; X <= box.X1; X++ {
 		dx := c.spec.CenterX(X) - p.X
 		dxx := dx * dx
 		for Y := box.Y0; Y <= box.Y1; Y++ {
 			dy := c.spec.CenterY(Y) - p.Y
-			if dxx+dy*dy < g.hs2 {
-				sc.disk[i] = c.sk.Eval(dx*g.invHS, dy*g.invHS) * g.norm
+			if dxx+dy*dy < c.hs2 {
+				sc.disk[i] = c.sk.Eval(dx*c.invHS, dy*c.invHS) * c.norm
 				sc.skEvals++
 			} else {
 				sc.disk[i] = 0
@@ -136,11 +133,11 @@ func fillDiskDense(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) {
 
 // fillBarDense computes the temporal invariant Kt over the box's full T
 // extent; out-of-support entries are stored as zeros.
-func fillBarDense(c *ctx, p grid.Point, g geom, box grid.Box, sc *scratch) {
+func fillBarDense(c *ctx, p grid.Point, box grid.Box, sc *scratch) {
 	for j := 0; j <= box.T1-box.T0; j++ {
 		dt := c.spec.CenterT(box.T0+j) - p.T
-		if dt >= -g.ht && dt <= g.ht {
-			sc.bar[j] = c.tk.Eval(dt * g.invHT)
+		if dt >= -c.ht && dt <= c.ht {
+			sc.bar[j] = c.tk.Eval(dt * c.invHT)
 			sc.tkEvals++
 		} else {
 			sc.bar[j] = 0

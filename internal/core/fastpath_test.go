@@ -89,8 +89,8 @@ func TestGenericKernelFallback(t *testing.T) {
 }
 
 // TestSpanEdgeCases covers the geometric corner cases of span computation:
-// points on the grid border, bandwidths wider than the whole grid, and
-// adaptive scales above 1 that stretch the influence box past the bounds.
+// points on the grid border and bandwidths wider than the whole grid, whose
+// influence boxes reach far past the bounds.
 func TestSpanEdgeCases(t *testing.T) {
 	t.Run("border-points", func(t *testing.T) {
 		spec := testSpec(t, 12, 10, 8, 3, 2)
@@ -109,17 +109,6 @@ func TestSpanEdgeCases(t *testing.T) {
 		spec := testSpec(t, 9, 8, 7, 27, 15)
 		pts := testPoints(40, spec.Domain, 31)
 		compareDenseAndVB(t, pts, spec, Options{})
-	})
-	t.Run("adaptive-scale-above-1", func(t *testing.T) {
-		spec := testSpec(t, 16, 14, 10, 2.5, 2)
-		pts := testPoints(80, spec.Domain, 37)
-		opt := Options{AdaptiveBandwidth: func(p grid.Point) float64 {
-			if p.X > spec.Domain.X0+spec.Domain.GX/2 {
-				return 2.5 // influence boxes reach far outside the grid
-			}
-			return 0.8
-		}}
-		compareDenseAndVB(t, pts, spec, opt)
 	})
 }
 

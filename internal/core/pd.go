@@ -26,17 +26,7 @@ type pdSetup struct {
 // at least twice the bandwidth plus one voxel along every axis.
 func newPDSetup(pts []grid.Point, spec grid.Spec, opt Options, c *ctx) pdSetup {
 	dc := opt.autoDecomp(spec)
-	d := grid.NewDecomp(spec, dc[0], dc[1], dc[2])
-	if c.adaptiveOn {
-		// Safety must account for the largest adaptive bandwidth.
-		s := spec
-		s.Hs = c.maxHsVoxels()
-		s.Ht = c.maxHtVoxels()
-		ad := grid.NewDecomp(s, dc[0], dc[1], dc[2]).AdjustForPD()
-		d = grid.NewDecomp(spec, ad.A, ad.B, ad.C)
-	} else {
-		d = d.AdjustForPD()
-	}
+	d := grid.NewDecomp(spec, dc[0], dc[1], dc[2]).AdjustForPD()
 
 	t0 := time.Now()
 	cells := make([][]int32, d.Cells())
@@ -48,7 +38,7 @@ func newPDSetup(pts []grid.Point, spec grid.Spec, opt Options, c *ctx) pdSetup {
 	}
 	// Modeled processing time of a cell: its points times the cylinder
 	// volume (the number of voxel updates PB-SYM performs per point).
-	cyl := float64(2*c.maxHsVoxels()+1) * float64(2*c.maxHsVoxels()+1) * float64(2*c.maxHtVoxels()+1)
+	cyl := float64(2*c.boxHs+1) * float64(2*c.boxHs+1) * float64(2*c.boxHt+1)
 	w := make([]float64, d.Cells())
 	for id := range cells {
 		w[id] = float64(len(cells[id])) * cyl
@@ -198,10 +188,9 @@ func runPDGraph(pts []grid.Point, spec grid.Spec, opt Options, loadAware, replic
 		// box expanded by the bandwidth.
 		factor := make([]int, s.lat.N())
 		expBox := make([]grid.Box, s.lat.N())
-		hsV, htV := r.c.maxHsVoxels(), r.c.maxHtVoxels()
 		for v := range expBox {
 			factor[v] = 1
-			expBox[v] = s.d.BoxID(v).Expand(hsV, htV).Clip(bounds)
+			expBox[v] = s.d.BoxID(v).Expand(r.c.boxHs, r.c.boxHt).Clip(bounds)
 		}
 		if replicate {
 			factor = sched.PlanReplication(dag, s.w, p, func(v, k int) float64 {

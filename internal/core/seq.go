@@ -20,11 +20,6 @@ func runVB(pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
 	res.Phases.Init = time.Since(t0)
 
 	c := newCtx(pts, spec, opt)
-	// Per-point geometry is invariant across voxels; precompute it.
-	geoms := make([]geom, len(pts))
-	for i, p := range pts {
-		geoms[i] = c.geom(p)
-	}
 
 	t0 = time.Now()
 	var st Stats
@@ -40,10 +35,9 @@ func runVB(pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
 					dx := pts[i].X - x
 					dy := pts[i].Y - y
 					dt := pts[i].T - t
-					gm := &geoms[i]
-					if dx*dx+dy*dy < gm.hs2 && dt >= -gm.ht && dt <= gm.ht {
-						sum += c.sk.Eval(dx/gm.hs, dy/gm.hs) *
-							c.tk.Eval(dt/gm.ht) * gm.norm
+					if dx*dx+dy*dy < c.hs2 && dt >= -c.ht && dt <= c.ht {
+						sum += c.sk.Eval(dx/c.hs, dy/c.hs) *
+							c.tk.Eval(dt/c.ht) * c.norm
 						st.SKEvals++
 						st.TKEvals++
 						st.Updates++
@@ -78,12 +72,8 @@ func runVBDEC(pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
 	t0 = time.Now()
 	pts, _ = sortedByMorton(pts, spec, opt)
 	c := newCtx(pts, spec, opt)
-	geoms := make([]geom, len(pts))
-	for i, p := range pts {
-		geoms[i] = c.geom(p)
-	}
-	bsXY := max(c.maxHsVoxels(), 1)
-	bsT := max(c.maxHtVoxels(), 1)
+	bsXY := max(c.boxHs, 1)
+	bsT := max(c.boxHt, 1)
 	nbx := (spec.Gx + bsXY - 1) / bsXY
 	nby := (spec.Gy + bsXY - 1) / bsXY
 	nbt := (spec.Gt + bsT - 1) / bsT
@@ -143,10 +133,9 @@ func runVBDEC(pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
 								dx := p.X - x
 								dy := p.Y - y
 								dt := p.T - t
-								gm := &geoms[ci]
-								if dx*dx+dy*dy < gm.hs2 && dt >= -gm.ht && dt <= gm.ht {
-									sum += c.sk.Eval(dx/gm.hs, dy/gm.hs) *
-										c.tk.Eval(dt/gm.ht) * gm.norm
+								if dx*dx+dy*dy < c.hs2 && dt >= -c.ht && dt <= c.ht {
+									sum += c.sk.Eval(dx/c.hs, dy/c.hs) *
+										c.tk.Eval(dt/c.ht) * c.norm
 									st.SKEvals++
 									st.TKEvals++
 									st.Updates++

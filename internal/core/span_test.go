@@ -117,8 +117,7 @@ func TestDiskSpansClippedBoxes(t *testing.T) {
 		}
 		d := grid.NewDecomp(spec, 3, 3, 1)
 		for pi, p := range pts {
-			g := c.geom(p)
-			full := g.box
+			full := c.spec.InfluenceBox(p)
 			pX, pY, _ := spec.VoxelOf(p)
 			boxes := []grid.Box{
 				full,
@@ -144,7 +143,7 @@ func TestDiskSpansClippedBoxes(t *testing.T) {
 				nx, ny, nt := box.Dims()
 				sc.ensure(nx, ny, nt)
 				fillDy2(&c, p, box, sc)
-				total := diskSpans(&c, p, g, box, sc)
+				total := diskSpans(&c, p, box, sc)
 				least, nLeast := slices.Min(sc.dy2[:ny]), 0
 				for _, v := range sc.dy2[:ny] {
 					if v == least {
@@ -160,7 +159,7 @@ func TestDiskSpansClippedBoxes(t *testing.T) {
 					dxx := float64(dx * dx) // rounded, as the engine's dxx is
 					lo, n := 0, 0
 					for iy := 0; iy < ny; iy++ {
-						if dxx+sc.dy2[iy] >= g.hs2 {
+						if dxx+sc.dy2[iy] >= c.hs2 {
 							continue
 						}
 						if n == 0 {

@@ -13,12 +13,11 @@ import (
 // span engine iterates only the packed in-disk spans, walks rows with
 // incremental base arithmetic, and hands each span to mulAddRows.
 func applySym(v view, c *ctx, p grid.Point, clip grid.Box, sc *scratch) {
-	g := c.geom(p)
-	box := g.box.Clip(clip).Clip(v.box)
+	box := c.spec.InfluenceBox(p).Clip(clip).Clip(v.box)
 	if box.Empty() {
 		return
 	}
-	applySymBox(&v, c, p, g, box, sc)
+	applySymBox(&v, c, p, box, sc)
 }
 
 // symBlockCase is one input of the block-applier tests: points, options,
@@ -40,15 +39,6 @@ func symBlockCases(t *testing.T) []symBlockCase {
 	clustered := grid.SortByMorton(testPoints(160, spec.Domain, 71), spec)
 	one := []grid.Box{spec.Bounds()}
 
-	// Alternating scales put boxes above and below symSmallBox side by
-	// side, so the bypass must flush the block to keep the order.
-	mixed := func(p grid.Point) float64 {
-		if int(p.X*7+p.Y*3)%2 == 0 {
-			return 0.4
-		}
-		return 1.3
-	}
-
 	// Points hopping between three X bands 30 voxels apart: no box
 	// overlaps the block before it, so every block holds one point.
 	wide := testSpec(t, 100, 44, 24, 7, 5)
@@ -65,7 +55,7 @@ func symBlockCases(t *testing.T) []symBlockCase {
 	c := newCtx(clustered, spec, Options{}.withDefaults())
 	cells := make([][]int32, d.Cells())
 	for i := range clustered {
-		a0, a1, b0, b1, c0, c1 := d.CellRange(c.geom(clustered[i]).box)
+		a0, a1, b0, b1, c0, c1 := d.CellRange(c.spec.InfluenceBox(clustered[i]))
 		for a := a0; a <= a1; a++ {
 			for b := b0; b <= b1; b++ {
 				for cc := c0; cc <= c1; cc++ {
@@ -80,8 +70,10 @@ func symBlockCases(t *testing.T) []symBlockCase {
 	}
 
 	// Points on and next to the faces, whose clipped boxes sit on both
-	// sides of symSmallBox, mixed with interior ones.
+	// sides of symSmallBox, mixed with interior ones: the bypass must
+	// flush the block to keep the order.
 	var border []grid.Point
+	bypassed, blocked := 0, 0
 	for i, p := range clustered[:48] {
 		switch i % 4 {
 		case 0:
@@ -92,16 +84,20 @@ func symBlockCases(t *testing.T) []symBlockCase {
 			p.X, p.T = 47.9999, 0.5
 		}
 		border = append(border, p)
+		if c.spec.InfluenceBox(p).Count() < symSmallBox {
+			bypassed++
+		} else {
+			blocked++
+		}
+	}
+	if bypassed == 0 || blocked == 0 {
+		t.Fatalf("border: %d bypassed and %d blocked points, want both", bypassed, blocked)
 	}
 
 	return []symBlockCase{
 		{name: "clustered", spec: spec, pts: clustered, clips: one},
-		{name: "small-large-interleaved", spec: spec, pts: clustered, clips: one,
-			opt: Options{AdaptiveBandwidth: mixed}},
 		{name: "disjoint-x", spec: wide, pts: hops, clips: []grid.Box{wide.Bounds()}},
 		{name: "dd-cells", spec: spec, pts: clustered, clips: cellBoxes, idxs: cells},
-		{name: "adaptive", spec: spec, pts: clustered, clips: one,
-			opt: Options{AdaptiveBandwidth: func(p grid.Point) float64 { return 0.8 + p.T/20 }}},
 		{name: "cone-triangle", spec: spec, pts: clustered, clips: one,
 			opt: Options{Spatial: kernel.Cone2D{}, Temporal: kernel.Triangle1D{}}},
 		{name: "border", spec: spec, pts: border, clips: one},
@@ -190,6 +186,8 @@ func TestApplySymPointsBlocks(t *testing.T) {
 
 // TestSymScratchByteBudget: a block scratch never holds more than
 // symBlockBytes of slots, down to one slot, whatever the block size asked.
+// At Hs 130 voxels a slot's disk alone is 261² floats, so two slots exceed
+// the budget.
 func TestSymScratchByteBudget(t *testing.T) {
 	spec := vectorSpec(t)
 	pts := testPoints(10, spec.Domain, 79)
@@ -197,8 +195,8 @@ func TestSymScratchByteBudget(t *testing.T) {
 	if n := len(newSymScratch(&c, symBlock).slots); n != symBlock {
 		t.Errorf("uniform bandwidth: %d slots, want %d", n, symBlock)
 	}
-	huge := newCtx(pts, spec, Options{AdaptiveBandwidth: func(grid.Point) float64 { return 40 }}.withDefaults())
-	if n := len(newSymScratch(&huge, symBlock).slots); n != 1 {
-		t.Errorf("maxScale 40: %d slots, want 1", n)
+	wide := newCtx(pts, testSpec(t, 26, 24, 18, 130, 5), Options{}.withDefaults())
+	if n := len(newSymScratch(&wide, symBlock).slots); n != 1 {
+		t.Errorf("Hs 130: %d slots, want 1", n)
 	}
 }

@@ -117,8 +117,7 @@ type UpdaterConfig struct {
 	// Options configures kernels and memory budget exactly like a batch
 	// estimation run. Threads is the most cores a bulk apply and an
 	// advance's zeroing run on; values < 1 mean GOMAXPROCS. The window is
-	// bitwise the same for every value. AdaptiveBandwidth is not supported
-	// (per-point normalization would make retraction ambiguous).
+	// bitwise the same for every value.
 	Options Options
 
 	// ResidualLimit triggers a compaction (full re-estimate of the live
@@ -179,9 +178,6 @@ func WindowBytes(spec grid.Spec) int64 { return grid.RingBytes(spec) }
 // OT frame offset tracks the slide, so Spec().CenterT always reports
 // root-frame voxel centers.
 func NewUpdater(spec grid.Spec, cfg UpdaterConfig) (*Updater, error) {
-	if cfg.Options.AdaptiveBandwidth != nil {
-		return nil, fmt.Errorf("core: updater does not support adaptive bandwidths")
-	}
 	ring, err := grid.NewRing(spec, cfg.Options.withDefaults().Budget)
 	if err != nil {
 		return nil, err
@@ -263,9 +259,6 @@ func (u *Updater) State(b *grid.Budget) (UpdaterState, error) {
 // original's hidden layers were filled in), and windows within
 // accumulation rounding otherwise. Work stats (Stats) restart from zero.
 func RestoreUpdater(st UpdaterState, cfg UpdaterConfig) (*Updater, error) {
-	if cfg.Options.AdaptiveBandwidth != nil {
-		return nil, fmt.Errorf("core: updater does not support adaptive bandwidths")
-	}
 	if math.IsNaN(st.Residual) || st.Residual < 0 || st.Ops < 0 {
 		return nil, fmt.Errorf("core: restore updater: drift state out of range")
 	}
@@ -369,13 +362,13 @@ type stripScratch struct {
 }
 
 // prepped is one reaching event of a chunk, as the prepass leaves it for
-// the strips: its geometry, with the box clipped to the applied layers;
+// the strips: its influence box, clipped to the applied layers;
 // the offsets of its Y-row caches (dy2, nv and nv2 rows of ny entries
 // each) in u.ys and of its bar in u.bars; and the ring's physical layer
 // of the bar's first entry.
 type prepped struct {
 	p         grid.Point
-	g         geom
+	box       grid.Box
 	ys        int
 	bar, barN int
 	phys      int
@@ -405,29 +398,28 @@ func (u *Updater) applyBatch(c *ctx, pts []grid.Point, tlo, thi int) (reached in
 	sc := u.pre
 	total, vox := 0, 0
 	for i, p := range pts {
-		g := c.geom(p)
-		box := &g.box
+		box := c.spec.InfluenceBox(p)
 		box.T0, box.T1 = max(box.T0, tlo), min(box.T1, thi)
 		if box.Empty() {
 			continue
 		}
 		nx, ny, nt := box.Dims()
 		sc.ensure(nx, ny, nt)
-		fillBar(c, p, g, *box, sc)
+		fillBar(c, p, box, sc)
 		if sc.barN == 0 {
 			continue
 		}
-		fillYCaches(c, p, g, *box, sc)
+		fillYCaches(c, p, box, sc)
 		if len(u.recs) == 0 {
 			u.reserve(min(len(pts)-i, prepChunk))
 		}
 		u.recs = append(u.recs, prepped{
-			p: p, g: g, ys: len(u.ys), bar: len(u.bars), barN: sc.barN,
+			p: p, box: box, ys: len(u.ys), bar: len(u.bars), barN: sc.barN,
 			phys: u.ring.PhysOf(box.T0 + sc.barLo),
 		})
 		u.ys = append(append(append(u.ys, sc.dy2...), sc.nv...), sc.nv2...)
 		u.bars = append(u.bars, sc.bar[:sc.barN]...)
-		u.ring.MarkDirty(*box, peak)
+		u.ring.MarkDirty(box, peak)
 		u.cols[box.X0]++
 		u.cols[box.X1+1]--
 		total += nx
@@ -456,7 +448,7 @@ func (u *Updater) applyBatch(c *ctx, pts []grid.Point, tlo, thi int) (reached in
 // hold more than one chunk. applyBatch calls it at a chunk's first
 // reaching event, so an apply that reaches nothing allocates nothing.
 func (u *Updater) reserve(n int) {
-	dxy, dt := 2*u.pos.maxHsVoxels()+1, 2*u.pos.maxHtVoxels()+1
+	dxy, dt := 2*u.pos.boxHs+1, 2*u.pos.boxHt+1
 	if cap(u.recs) < n {
 		u.recs = make([]prepped, 0, n)
 	}
@@ -544,7 +536,7 @@ func (u *Updater) applyStrip(c *ctx, x0, x1 int, sc *scratch) (applied int64) {
 	data := u.ring.Data
 	for i := range u.recs {
 		r := &u.recs[i]
-		box := r.g.box
+		box := r.box
 		box.X0, box.X1 = max(box.X0, x0), min(box.X1, x1-1)
 		if box.X0 > box.X1 {
 			continue
@@ -553,7 +545,7 @@ func (u *Updater) applyStrip(c *ctx, x0, x1 int, sc *scratch) (applied int64) {
 		ys := u.ys[r.ys:]
 		sc.dy2, sc.nv, sc.nv2 = ys[:ny:ny], ys[ny:2*ny:2*ny], ys[2*ny:3*ny:3*ny]
 		sc.ensure(nx, ny, 0)
-		fillDiskCols(c, r.p, r.g, box, sc)
+		fillDiskCols(c, r.p, box, sc)
 		applied++
 
 		bar := u.bars[r.bar : r.bar+r.barN]

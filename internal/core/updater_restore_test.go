@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/grid"
@@ -227,42 +226,5 @@ func TestRestoreUpdaterValidation(t *testing.T) {
 	r.Release()
 	if b.Used() != 0 {
 		t.Fatalf("release left %d bytes charged", b.Used())
-	}
-}
-
-// TestUpdaterRefusesAdaptiveBandwidth: a per-point bandwidth would make a
-// retraction's normalization ambiguous, so both constructors refuse it
-// before charging anything to the budget.
-func TestUpdaterRefusesAdaptiveBandwidth(t *testing.T) {
-	spec := updaterSpec(t)
-	u, err := NewUpdater(spec, UpdaterConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer u.Release()
-	u.Add(grid.Point{X: 3, Y: 3, T: 2})
-	st, err := u.State(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adaptive := func(grid.Point) float64 { return 1 }
-	for _, c := range []struct {
-		name string
-		make func(UpdaterConfig) (*Updater, error)
-	}{
-		{"NewUpdater", func(cfg UpdaterConfig) (*Updater, error) { return NewUpdater(spec, cfg) }},
-		{"RestoreUpdater", func(cfg UpdaterConfig) (*Updater, error) { return RestoreUpdater(st, cfg) }},
-	} {
-		b := grid.NewBudget(4 * WindowBytes(spec))
-		r, err := c.make(UpdaterConfig{Options: Options{Budget: b, AdaptiveBandwidth: adaptive}})
-		if err == nil || !strings.Contains(err.Error(), "adaptive") {
-			if r != nil {
-				r.Release()
-			}
-			t.Fatalf("%s accepted an adaptive bandwidth (err %v)", c.name, err)
-		}
-		if b.Used() != 0 {
-			t.Fatalf("%s refused, but left %d bytes charged", c.name, b.Used())
-		}
 	}
 }

@@ -476,8 +476,7 @@ func TestUpdaterStripWorkersExit(t *testing.T) {
 func wrappedBars(u *Updater, pts []grid.Point) int {
 	n := 0
 	for _, p := range pts {
-		g := u.pos.geom(p)
-		if lo, hi := barBounds(&u.pos, p, g, g.box); lo <= hi && u.ring.PhysOf(lo) > u.ring.PhysOf(hi) {
+		if lo, hi := barBounds(&u.pos, p, u.pos.spec.InfluenceBox(p)); lo <= hi && u.ring.PhysOf(lo) > u.ring.PhysOf(hi) {
 			n++
 		}
 	}

@@ -24,8 +24,8 @@ func vectorSpec(t *testing.T) grid.Spec {
 
 // TestVectorEngineEdgeCases re-runs the span geometric corner cases at
 // vector-engaging bandwidths: border points, bandwidths wider than the
-// grid, adaptive scales above 1, and a spatial kernel that does not
-// specialize beside a temporal one that does. Each is compared bitwise
+// grid, and a spatial kernel that does not specialize beside a temporal
+// one that does. Each is compared bitwise
 // against the dense oracle.
 func TestVectorEngineEdgeCases(t *testing.T) {
 	t.Run("border-points", func(t *testing.T) {
@@ -42,17 +42,6 @@ func TestVectorEngineEdgeCases(t *testing.T) {
 		spec := testSpec(t, 11, 9, 8, 33, 17)
 		pts := testPoints(40, spec.Domain, 59)
 		compareDenseAndVB(t, pts, spec, Options{})
-	})
-	t.Run("adaptive-scale-above-1", func(t *testing.T) {
-		spec := testSpec(t, 20, 18, 12, 5, 4)
-		pts := testPoints(70, spec.Domain, 61)
-		opt := Options{AdaptiveBandwidth: func(p grid.Point) float64 {
-			if p.X > spec.Domain.X0+spec.Domain.GX/2 {
-				return 2.2
-			}
-			return 0.7
-		}}
-		compareDenseAndVB(t, pts, spec, opt)
 	})
 	t.Run("mixed-specialization", func(t *testing.T) {
 		// Only the temporal kernel specializes: the disk fill stays on

@@ -290,9 +290,6 @@ func (c *Cluster) estimateExchange(ctx context.Context, rank int, req []byte) ([
 // failure cancels the in-flight RPCs of every other rank instead of
 // waiting out the stragglers.
 func (c *Cluster) Estimate(pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
-	if opt.Local.AdaptiveBandwidth != nil {
-		return nil, errors.New("dist: adaptive bandwidths are not supported in the distributed estimator")
-	}
 	if opt.Local.NormN != 0 {
 		return nil, errors.New("dist: Local.NormN is set by the driver and must be zero")
 	}

@@ -89,7 +89,7 @@ type Options struct {
 	// parallel local strategies, and the memory budget (shared by all
 	// ranks and the gathered output grid when the ranks are in-process).
 	// Local.NormN must be zero (the driver sets it to the global point
-	// count) and AdaptiveBandwidth is not supported.
+	// count).
 	Local core.Options
 }
 
@@ -122,9 +122,6 @@ type Result struct {
 // argument). To keep ranks in other processes or on other machines, build
 // the Network/RankServer/Cluster pieces directly.
 func Estimate(pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
-	if opt.Local.AdaptiveBandwidth != nil {
-		return nil, errors.New("dist: adaptive bandwidths are not supported in the distributed estimator")
-	}
 	if opt.Local.NormN != 0 {
 		return nil, errors.New("dist: Local.NormN is set by the driver and must be zero")
 	}

@@ -217,11 +217,6 @@ func TestFractionalResolution(t *testing.T) {
 func TestOptionValidation(t *testing.T) {
 	spec := testSpec(t, 20, 1)
 	pts := testPoints(100, spec.Domain, 1)
-	if _, err := Estimate(pts, spec, Options{Ranks: 2, Local: core.Options{
-		AdaptiveBandwidth: func(grid.Point) float64 { return 1 },
-	}}); err == nil {
-		t.Error("adaptive bandwidth should be rejected")
-	}
 	if _, err := Estimate(pts, spec, Options{Ranks: 2, Local: core.Options{NormN: 7}}); err == nil {
 		t.Error("preset NormN should be rejected")
 	}

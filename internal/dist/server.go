@@ -13,10 +13,10 @@ import (
 // ServerOptions configures a rank endpoint.
 type ServerOptions struct {
 	// Local supplies the rank-side estimation resources: memory budget,
-	// kernels, decomposition, engine. The per-request knobs — algorithm,
-	// threads, normalization count, spec, points — arrive over the wire;
-	// function-valued options (kernels, adaptive bandwidth) cannot cross a
-	// real network and therefore live here, configured by whoever starts
+	// kernels, decomposition. The per-request knobs — algorithm, threads,
+	// normalization count, spec, points — arrive over the wire;
+	// function-valued options (kernels) cannot cross a real network and
+	// therefore live here, configured by whoever starts
 	// the rank process. Local.Threads (GOMAXPROCS when unset) is the
 	// rank's own core count: it caps the wire-carried thread counts, and a
 	// stream created with thread count 0 uses all of it.

@@ -47,6 +47,17 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// writeBodyErr writes a request-body failure: 413 Request Entity Too Large
+// when the body ran past Config.MaxBodyBytes, 400 Bad Request otherwise.
+func writeBodyErr(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, code, "%v", err)
+}
+
 // writeWorkErr writes a work-admission or estimation failure: shed
 // refusals become 429 Too Many Requests with a Retry-After header derived
 // from the prediction, everything else falls through to ensureStatus.
@@ -154,7 +165,7 @@ func toDatasetJSON(ds *dataset) datasetJSON {
 func readEvents(r *http.Request, what string) ([]grid.Point, error) {
 	pts, err := gio.ReadPoints(r.Body)
 	if err != nil {
-		return nil, fmt.Errorf("parse CSV body: %v", err)
+		return nil, fmt.Errorf("parse CSV body: %w", err)
 	}
 	if len(pts) == 0 {
 		return nil, fmt.Errorf("%s has no events", what)
@@ -180,7 +191,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		}
 		pts, err := readEvents(r, "dataset")
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
+			writeBodyErr(w, err)
 			return
 		}
 		ds, created := s.addDataset(pts)
@@ -287,7 +298,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	var req estimateRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "parse JSON body: %v", err)
+		writeBodyErr(w, fmt.Errorf("parse JSON body: %w", err))
 		return
 	}
 	var dom *grid.Domain
@@ -686,7 +697,7 @@ func (s *Server) handleStreams(w http.ResponseWriter, r *http.Request) {
 		}
 		var req streamRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, "parse JSON body: %v", err)
+			writeBodyErr(w, fmt.Errorf("parse JSON body: %w", err))
 			return
 		}
 		if req.Domain == nil {
@@ -768,7 +779,7 @@ func (s *Server) handleDatasetSub(w http.ResponseWriter, r *http.Request) {
 	case "events":
 		pts, err := readEvents(r, "ingest")
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
+			writeBodyErr(w, err)
 			return
 		}
 		release, err := s.adm.acquire(r.Context(), tenant, s.mach.IngestSeconds(st.base, len(pts)), true)
@@ -795,7 +806,7 @@ func (s *Server) handleDatasetSub(w http.ResponseWriter, r *http.Request) {
 			T *float64 `json:"t"`
 		}
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, "parse JSON body: %v", err)
+			writeBodyErr(w, fmt.Errorf("parse JSON body: %w", err))
 			return
 		}
 		if req.T == nil {

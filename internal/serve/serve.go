@@ -86,7 +86,7 @@ type Config struct {
 	DefaultAlgorithm string
 
 	// MaxBodyBytes bounds request bodies, notably CSV uploads (default
-	// 256 MiB).
+	// 256 MiB). A longer body is refused with 413.
 	MaxBodyBytes int64
 
 	// MaxGridBytes bounds the density grid a single request may derive

@@ -808,6 +808,42 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyIs413: a body past MaxBodyBytes is refused with 413 on
+// every endpoint that reads one, CSV and JSON alike, while a small
+// malformed body stays a 400.
+func TestOversizedBodyIs413(t *testing.T) {
+	ts := httptest.NewServer(New(Config{MaxBodyBytes: 512}))
+	t.Cleanup(ts.Close)
+	id := createStream(t, ts) // its JSON fits the limit
+	csv := strings.Repeat("1,2,3\n", 200)
+	pad := strings.Repeat(" ", 1024)
+	for _, tc := range []struct {
+		name, path, body string
+		code             int
+	}{
+		{"dataset csv", "/v1/datasets", csv, http.StatusRequestEntityTooLarge},
+		{"stream events csv", "/v1/datasets/" + id + "/events", csv, http.StatusRequestEntityTooLarge},
+		{"stream create json", "/v1/streams", `{"sres":2` + pad + `}`, http.StatusRequestEntityTooLarge},
+		{"estimate json", "/v1/estimate", `{"dataset":"x"` + pad + `}`, http.StatusRequestEntityTooLarge},
+		{"advance json", "/v1/datasets/" + id + "/advance", `{"t":1` + pad + `}`, http.StatusRequestEntityTooLarge},
+		{"malformed csv", "/v1/datasets", "x,y\n1,2\n", http.StatusBadRequest},
+		{"malformed stream events", "/v1/datasets/" + id + "/events", "1,2\n", http.StatusBadRequest},
+		{"malformed stream json", "/v1/streams", "{", http.StatusBadRequest},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "text/csv", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		decodeBody(t, resp, &e)
+		if resp.StatusCode != tc.code || e.Error == "" {
+			t.Errorf("%s: status %d error %q, want %d with a message", tc.name, resp.StatusCode, e.Error, tc.code)
+		}
+	}
+}
+
 // TestUnknownAlgorithmListsKnown: the error message teaches the caller the
 // valid names.
 func TestUnknownAlgorithmListsKnown(t *testing.T) {

@@ -152,7 +152,7 @@ func AutoEstimate(pts []Point, spec Spec, opt Options) (*Result, error) {
 	}
 	m := model.Calibrate(threadsOrDefault(threads), mem)
 	alg, _ := model.Pick(w, m)
-	return core.Estimate(alg, pts, spec, opt)
+	return core.Estimate(alg, pts, spec, o)
 }
 
 // PredictStrategies returns the parametric model's runtime and memory

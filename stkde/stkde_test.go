@@ -8,6 +8,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/grid"
 	"repro/stkde"
 	"repro/synth"
 )
@@ -153,12 +154,25 @@ func TestAutoEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := stkde.AutoEstimate(pts, spec, stkde.Options{Threads: 4})
+	// Compute-bound at two threads, with a budget under two grids so DR
+	// is infeasible: the model picks DD or a PD strategy, and the run
+	// must use the decomposition the model priced (8×8×8, shrunk for PD),
+	// not the estimator's own default.
+	budget := stkde.NewBudget(3 * spec.Bytes() / 2)
+	res, err := stkde.AutoEstimate(pts, spec, stkde.Options{Threads: 2, Budget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Algorithm == "" {
-		t.Error("AutoEstimate must report the chosen algorithm")
+	d := grid.NewDecomp(spec, 8, 8, 8)
+	switch res.Algorithm {
+	case stkde.AlgPBSYMDD:
+	case stkde.AlgPBSYMPD, stkde.AlgPBSYMPDSCHED, stkde.AlgPBSYMPDREP, stkde.AlgPBSYMPDSCHEDREP:
+		d = d.AdjustForPD()
+	default:
+		t.Fatalf("AutoEstimate picked %q, want DD or a PD strategy", res.Algorithm)
+	}
+	if want := [3]int{d.A, d.B, d.C}; res.Stats.Decomp != want {
+		t.Errorf("%s ran decomposition %v, want the priced %v", res.Algorithm, res.Stats.Decomp, want)
 	}
 	// The result must agree with a direct PB-SYM run.
 	ref, err := stkde.Estimate(stkde.AlgPBSYM, pts, spec, stkde.Options{Threads: 1})
