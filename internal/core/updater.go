@@ -413,10 +413,15 @@ func (u *Updater) applyBatch(c *ctx, pts []grid.Point, tlo, thi int) (reached in
 		if len(u.recs) == 0 {
 			u.reserve(min(len(pts)-i, prepChunk))
 		}
-		u.recs = append(u.recs, prepped{
-			p: p, box: box, ys: len(u.ys), bar: len(u.bars), barN: sc.barN,
-			phys: u.ring.PhysOf(box.T0 + sc.barLo),
-		})
+		// Written in place: reserve sized u.recs for the chunk, and a
+		// composite-literal append would build the record on the stack and
+		// copy it in.
+		n := len(u.recs)
+		u.recs = u.recs[:n+1]
+		r := &u.recs[n]
+		r.p, r.box = p, box
+		r.ys, r.bar, r.barN = len(u.ys), len(u.bars), sc.barN
+		r.phys = u.ring.PhysOf(box.T0 + sc.barLo)
 		u.ys = append(append(append(u.ys, sc.dy2...), sc.nv...), sc.nv2...)
 		u.bars = append(u.bars, sc.bar[:sc.barN]...)
 		u.ring.MarkDirty(box, peak)

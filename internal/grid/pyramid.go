@@ -1,8 +1,10 @@
 package grid
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/par"
 )
@@ -24,7 +26,10 @@ func blocksFor(n int) int { return (n + blockEdge - 1) >> blockShift }
 //     with one zero-padded boundary plane per axis) answering BoxMass with
 //     an 8-corner lookup in O(1) instead of an O(box) triple loop;
 //   - coarse 8x8x8 block maxima pruning TopK and Threshold to the blocks
-//     that can still contribute, O(k + touched blocks) instead of O(G).
+//     that can still contribute, instead of scanning all O(G) voxels;
+//   - the blocks sorted once, at build, by maximum descending: TopK walks
+//     that order and stops at the first block below its floor, so a call
+//     costs O(k + touched blocks), with no per-call pass over every block.
 //
 // The pyramid references the grid it was built from (TopK and Threshold
 // re-read exact voxel values inside surviving blocks), so the grid must
@@ -44,6 +49,10 @@ type Pyramid struct {
 
 	bx, by, bt int       // block grid dimensions
 	blockMax   []float64 // per-block voxel maximum, T-block innermost
+	// order lists every block index by (maximum descending, index
+	// ascending): TopK's best-first visit order. Read-only after build,
+	// so concurrent TopK calls share it.
+	order []int32
 
 	budget *Budget
 }
@@ -53,7 +62,7 @@ type Pyramid struct {
 func PyramidBytes(s Spec) int64 {
 	svt := int64(s.Gx+1) * int64(s.Gy+1) * int64(s.Gt+1)
 	blocks := int64(blocksFor(s.Gx)) * int64(blocksFor(s.Gy)) * int64(blocksFor(s.Gt))
-	return (svt + blocks) * 8
+	return (svt+blocks)*8 + blocks*4 // float64 tables, int32 order
 }
 
 // NewPyramid builds the analytics sketch of g with up to p workers (p < 1
@@ -71,14 +80,16 @@ func NewPyramid(g *Grid, p int, b *Budget) (*Pyramid, error) {
 		budget: b,
 	}
 	py.blockMax = make([]float64, py.bx*py.by*py.bt)
+	py.order = make([]int32, len(py.blockMax))
 	py.build(p)
 	return py, nil
 }
 
-// build fills the summed-volume table in three axis passes plus the block
-// maxima. Each pass partitions work so that every output cell is summed by
-// exactly one worker in ascending axis order, making the table (and hence
-// every BoxMass answer) independent of the worker count.
+// build fills the summed-volume table in three axis passes, then the block
+// maxima and their visit order. Each pass partitions work so that every
+// output cell is summed by exactly one worker in ascending axis order,
+// making the table (and hence every BoxMass answer) independent of the
+// worker count.
 func (py *Pyramid) build(p int) {
 	s := py.g.Spec
 	ny, nt := s.Gy+1, s.Gt+1
@@ -143,6 +154,18 @@ func (py *Pyramid) build(p int) {
 			}
 		}
 	})
+
+	// Visit order: distinct indices break every tie, so the order is total
+	// and the sort deterministic whatever the worker count.
+	for i := range py.order {
+		py.order[i] = int32(i)
+	}
+	slices.SortFunc(py.order, func(a, b int32) int {
+		if c := cmp.Compare(py.blockMax[b], py.blockMax[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 }
 
 // Bytes returns the memory footprint of the pyramid's tables.
@@ -160,6 +183,7 @@ func (py *Pyramid) Release() {
 	}
 	py.svt = nil
 	py.blockMax = nil
+	py.order = nil
 }
 
 // corner reads the inclusive prefix sum over [0,X) x [0,Y) x [0,T).
@@ -188,9 +212,10 @@ func (py *Pyramid) BoxMass(b Box) float64 {
 
 // TopK returns the k highest-density voxels in descending density order
 // (ties broken by ascending flat index), identical to Grid.TopK, but
-// visiting blocks in descending block-maximum order and stopping as soon
-// as no remaining block can beat the current floor: O(k + touched blocks)
-// for peaked densities instead of O(G).
+// visiting blocks in the build-time descending block-maximum order and
+// stopping as soon as no remaining block can beat the current floor:
+// O(k + touched blocks) for peaked densities instead of O(G). It
+// allocates only the selector and the answer.
 func (py *Pyramid) TopK(k int) []VoxelDensity {
 	s := py.g.Spec
 	if k <= 0 {
@@ -199,14 +224,8 @@ func (py *Pyramid) TopK(k int) []VoxelDensity {
 	if k > len(py.g.Data) {
 		k = len(py.g.Data)
 	}
-	var bh blockHeap
-	bh.init(nil, len(py.blockMax), py.blockMax)
 	h := newTopKSelector(k)
-	for {
-		bi, ok := bh.pop()
-		if !ok {
-			break
-		}
+	for _, bi := range py.order {
 		if h.full() && py.blockMax[bi] < h.floor().v {
 			break // no remaining block can displace a retained candidate
 		}
@@ -269,87 +288,6 @@ func (py *Pyramid) Threshold(level float64) []Box {
 		}
 	}
 	return out
-}
-
-// blockHeap pops block indices in (maximum descending, index ascending)
-// order — the deterministic best-first traversal Pyramid.TopK and
-// RingSketch.TopK prune. Building is a linear heapify; only the blocks a
-// query actually visits pay the log-cost pops, so a pruned top-k touches
-// O(visited·log blocks) instead of sorting every block per query.
-type blockHeap struct {
-	idx  []int32
-	maxv []float64
-}
-
-// init fills the heap with blocks [0, n) over the given maxima, reusing
-// the provided scratch slice when it is large enough.
-func (h *blockHeap) init(scratch []int32, n int, maxv []float64) {
-	if cap(scratch) < n {
-		scratch = make([]int32, n)
-	}
-	h.idx = scratch[:n]
-	h.maxv = maxv
-	for i := range h.idx {
-		h.idx[i] = int32(i)
-	}
-	for i := n/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
-}
-
-// before reports whether block a pops before block b.
-func (h *blockHeap) before(a, b int32) bool {
-	if h.maxv[a] != h.maxv[b] {
-		return h.maxv[a] > h.maxv[b]
-	}
-	return a < b
-}
-
-func (h *blockHeap) siftDown(i int) {
-	n := len(h.idx)
-	for {
-		best := i
-		if l := 2*i + 1; l < n && h.before(h.idx[l], h.idx[best]) {
-			best = l
-		}
-		if r := 2*i + 2; r < n && h.before(h.idx[r], h.idx[best]) {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		h.idx[i], h.idx[best] = h.idx[best], h.idx[i]
-		i = best
-	}
-}
-
-// pop removes and returns the best remaining block.
-func (h *blockHeap) pop() (int32, bool) {
-	if len(h.idx) == 0 {
-		return 0, false
-	}
-	top := h.idx[0]
-	last := len(h.idx) - 1
-	h.idx[0] = h.idx[last]
-	h.idx = h.idx[:last]
-	h.siftDown(0)
-	return top, true
-}
-
-// push re-queues a block (whose ordering value may have changed since it
-// was popped — RingSketch.TopK tightens a dirty block's bound to its exact
-// maximum before re-queueing).
-func (h *blockHeap) push(b int32) {
-	h.idx = append(h.idx, b)
-	i := len(h.idx) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.before(h.idx[i], h.idx[p]) {
-			return
-		}
-		h.idx[i], h.idx[p] = h.idx[p], h.idx[i]
-		i = p
-	}
 }
 
 // String summarizes the pyramid for debugging.

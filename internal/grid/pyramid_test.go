@@ -3,6 +3,7 @@ package grid
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -94,6 +95,124 @@ func TestPyramidTopKMatchesNaive(t *testing.T) {
 			}
 		}
 	}
+}
+
+// peakedGrid is a KDE-like cube: one smooth bump, so a top-k query
+// touches a handful of blocks and every other block maximum is far below.
+func peakedGrid(tb testing.TB, gx, gy, gt int) *Grid {
+	tb.Helper()
+	s, err := NewSpec(Domain{GX: float64(gx), GY: float64(gy), GT: float64(gt)}, 1, 1, 2, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g, err := NewGrid(s, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cx, cy, ct := float64(gx)/3, float64(gy)/2, float64(gt)/2
+	for X := 0; X < gx; X++ {
+		for Y := 0; Y < gy; Y++ {
+			for T := 0; T < gt; T++ {
+				dx, dy, dt := float64(X)-cx, float64(Y)-cy, float64(T)-ct
+				g.Data[(X*gy+Y)*gt+T] = math.Exp(-(dx*dx+dy*dy)/128 - dt*dt/18)
+			}
+		}
+	}
+	return g
+}
+
+// TestPyramidTopKTiesMatchNaive pins the build-time block order where it
+// is all ties: a sparse cube queried past its nonzero support, where the
+// zero-maximum blocks tie and the zero voxels must still come out by
+// ascending flat index across blocks, and a constant plateau, where every
+// block and every voxel ties.
+func TestPyramidTopKTiesMatchNaive(t *testing.T) {
+	newGrid := func(d Domain) *Grid {
+		g, err := NewGrid(mustSpec(t, d, 1, 1, 2, 2), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	sparse := newGrid(Domain{GX: 29, GY: 21, GT: 19})
+	nonzero := []int{5, 4000, 4001, 7777, 11500}
+	for _, i := range nonzero {
+		sparse.Data[i] = 1 + float64(i%3)
+	}
+	support := len(nonzero)
+	plateau := newGrid(Domain{GX: 20, GY: 17, GT: 11})
+	for i := range plateau.Data {
+		plateau.Data[i] = 0.25
+	}
+	for _, tc := range []struct {
+		name string
+		g    *Grid
+		ks   []int
+	}{
+		{"sparse", sparse, []int{support, support + 1, support + 40, 600, sparse.Spec.Voxels()}},
+		{"plateau", plateau, []int{1, 9, 100, 513, plateau.Spec.Voxels()}},
+	} {
+		py, err := NewPyramid(tc.g, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range tc.ks {
+			want, got := tc.g.TopK(k), py.TopK(k)
+			if len(got) != len(want) {
+				t.Fatalf("%s k=%d: pyramid returned %d voxels, naive %d", tc.name, k, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s k=%d rank %d: pyramid %+v, naive %+v", tc.name, k, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestPyramidTopKAllocs holds a cached pyramid's top-k to the selector and
+// the answer: the block order is built once, so a call allocates no
+// per-block scratch.
+func TestPyramidTopKAllocs(t *testing.T) {
+	py, err := NewPyramid(peakedGrid(t, 64, 48, 40), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(20, func() { py.TopK(10) }); got != 2 {
+		t.Fatalf("Pyramid.TopK(10) made %.0f allocations, want 2 (selector and answer)", got)
+	}
+}
+
+// TestPyramidTopKConcurrent runs top-k reads from several goroutines at
+// once over one pyramid, as cached serving does: they share the
+// read-only block order and must each get the sequential answer.
+func TestPyramidTopKConcurrent(t *testing.T) {
+	py, err := NewPyramid(peakedGrid(t, 40, 33, 29), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := py.Grid().TopK(50)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				got := py.TopK(50)
+				if len(got) != len(want) {
+					t.Errorf("pyramid returned %d voxels, naive %d", len(got), len(want))
+					return
+				}
+				for r := range want {
+					if got[r] != want[r] {
+						t.Errorf("rank %d: pyramid %+v, naive %+v", r, got[r], want[r])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestPyramidThresholdMatchesNaive(t *testing.T) {
@@ -231,17 +350,28 @@ func BenchmarkTopK(b *testing.B) {
 }
 
 // BenchmarkPyramidTopK is the same query answered through the block
-// pyramid's best-first pruned scan.
+// pyramid's best-first pruned scan: on benchGrid's uniform noise, where
+// the scan visits most blocks, and on a peaked cube of the serve-read
+// benchmark's shape (326×151×42), where it visits a few.
 func BenchmarkPyramidTopK(b *testing.B) {
-	g := benchGrid(b)
-	py, err := NewPyramid(g, 0, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		py.TopK(32)
+	for _, bc := range []struct {
+		name string
+		g    func(*testing.B) *Grid
+	}{
+		{"noise", benchGrid},
+		{"peaked", func(b *testing.B) *Grid { return peakedGrid(b, 326, 151, 42) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			py, err := NewPyramid(bc.g(b), 0, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				py.TopK(32)
+			}
+		})
 	}
 }
 

@@ -375,3 +375,85 @@ func (sk *RingSketch) TopK(k int, scale float64) []VoxelDensity {
 	}
 	return h.drain(gt, s.Gy)
 }
+
+// blockHeap pops block indices in (maximum descending, index ascending)
+// order — the deterministic best-first traversal RingSketch.TopK prunes.
+// A live window's bounds change between reads, so each read heapifies
+// afresh (a linear pass) and only the blocks it visits pay the log-cost
+// pops: O(visited·log blocks) instead of sorting every block per read. A
+// static Pyramid sorts its blocks in this order once, at build.
+type blockHeap struct {
+	idx  []int32
+	maxv []float64
+}
+
+// init fills the heap with blocks [0, n) over the given maxima, reusing
+// the provided scratch slice when it is large enough.
+func (h *blockHeap) init(scratch []int32, n int, maxv []float64) {
+	if cap(scratch) < n {
+		scratch = make([]int32, n)
+	}
+	h.idx = scratch[:n]
+	h.maxv = maxv
+	for i := range h.idx {
+		h.idx[i] = int32(i)
+	}
+	for i := n/2 - 1; i >= 0; i-- {
+		h.siftDown(i)
+	}
+}
+
+// before reports whether block a pops before block b.
+func (h *blockHeap) before(a, b int32) bool {
+	if h.maxv[a] != h.maxv[b] {
+		return h.maxv[a] > h.maxv[b]
+	}
+	return a < b
+}
+
+func (h *blockHeap) siftDown(i int) {
+	n := len(h.idx)
+	for {
+		best := i
+		if l := 2*i + 1; l < n && h.before(h.idx[l], h.idx[best]) {
+			best = l
+		}
+		if r := 2*i + 2; r < n && h.before(h.idx[r], h.idx[best]) {
+			best = r
+		}
+		if best == i {
+			return
+		}
+		h.idx[i], h.idx[best] = h.idx[best], h.idx[i]
+		i = best
+	}
+}
+
+// pop removes and returns the best remaining block.
+func (h *blockHeap) pop() (int32, bool) {
+	if len(h.idx) == 0 {
+		return 0, false
+	}
+	top := h.idx[0]
+	last := len(h.idx) - 1
+	h.idx[0] = h.idx[last]
+	h.idx = h.idx[:last]
+	h.siftDown(0)
+	return top, true
+}
+
+// push re-queues a block (whose ordering value may have changed since it
+// was popped — RingSketch.TopK tightens a dirty block's bound to its exact
+// maximum before re-queueing).
+func (h *blockHeap) push(b int32) {
+	h.idx = append(h.idx, b)
+	i := len(h.idx) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.before(h.idx[i], h.idx[p]) {
+			return
+		}
+		h.idx[i], h.idx[p] = h.idx[p], h.idx[i]
+		i = p
+	}
+}

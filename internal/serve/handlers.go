@@ -35,12 +35,12 @@ func (s *Server) routes() *http.ServeMux {
 	return mux
 }
 
+// writeJSON answers v as compact JSON, one line: no indentation pass over
+// every answer (clients that want it pretty pipe it through jq).
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
@@ -615,16 +615,21 @@ func hotspotsAnswer(spec grid.Spec, top []grid.VoxelDensity) map[string]any {
 	return map[string]any{"hotspots": out}
 }
 
-// handleHotspots reports the k highest-density voxels (k=10 by default),
-// from a live window's incremental sketch (best-first block scan) or the
-// dataset's cube (see serveRead).
+// maxHotspots bounds a hotspot read's k. The selector and the answer grow
+// with k, so an unbounded k lets one GET select, encode and send every
+// voxel of the grid.
+const maxHotspots = 10000
+
+// handleHotspots reports the k highest-density voxels (k=10 by default,
+// at most maxHotspots), from a live window's incremental sketch
+// (best-first block scan) or the dataset's cube (see serveRead).
 func (s *Server) handleHotspots(w http.ResponseWriter, r *http.Request) {
 	s.serveRead(w, r, func(_ estimateKey, _ *dataset, q url.Values) (readPlan, error) {
 		topK := 10
 		if v := q.Get("k"); v != "" {
 			var err error
-			if topK, err = strconv.Atoi(v); err != nil || topK < 1 {
-				return readPlan{}, fmt.Errorf("bad k=%q: want a positive integer", v)
+			if topK, err = strconv.Atoi(v); err != nil || topK < 1 || topK > maxHotspots {
+				return readPlan{}, fmt.Errorf("bad k=%q: want an integer from 1 to %d", v, maxHotspots)
 			}
 		}
 		return readPlan{

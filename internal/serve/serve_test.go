@@ -808,6 +808,53 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
+// TestHostileReadParams: a hotspot k past maxHotspots is refused with a
+// 400 naming the bound (an unbounded k selects and sends every voxel),
+// k = maxHotspots itself is answered, and a region box that is inverted or
+// lies outside the grid is an empty region — 200, mass 0, no voxels — on a
+// static dataset and on a stream window alike.
+func TestHostileReadParams(t *testing.T) {
+	_, ts, id := testServer(t, Config{})
+	sid := createStream(t, ts)
+	postEvents(t, ts, sid, streamEvents(100, 8, 5))
+	for _, ds := range []struct {
+		name, params string
+		voxels       int
+	}{
+		{"static", specParams(id, core.AlgPBSYM), 50 * 40 * 30},
+		{"stream", "dataset=" + sid + "&sres=2&tres=1&hs=6&ht=3", 20 * 15 * 20},
+	} {
+		get := func(endpoint, extra string, v any) int {
+			t.Helper()
+			resp, err := http.Get(ts.URL + endpoint + "?" + ds.params + extra)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decodeBody(t, resp, v)
+			return resp.StatusCode
+		}
+		for _, k := range []string{"9223372036854775807", "10001"} {
+			var e struct{ Error string }
+			if code := get("/v1/hotspots", "&k="+k, &e); code != http.StatusBadRequest || !strings.Contains(e.Error, "10000") {
+				t.Errorf("%s k=%s: status %d error %q, want 400 naming the bound", ds.name, k, code, e.Error)
+			}
+		}
+		var hot struct{ Hotspots []hotspotJSON }
+		if code := get("/v1/hotspots", "&k=10000", &hot); code != http.StatusOK || len(hot.Hotspots) != min(10000, ds.voxels) {
+			t.Errorf("%s k=10000: status %d, %d hotspots, want %d", ds.name, code, len(hot.Hotspots), min(10000, ds.voxels))
+		}
+		for _, box := range []string{"bx0=9&bx1=3", "bt0=5&bt1=4", "bx0=10000"} {
+			var reg struct {
+				Mass   float64
+				Voxels int
+			}
+			if code := get("/v1/region", "&"+box, &reg); code != http.StatusOK || reg.Mass != 0 || reg.Voxels != 0 {
+				t.Errorf("%s region %s: status %d mass %g voxels %d, want 200, 0, 0", ds.name, box, code, reg.Mass, reg.Voxels)
+			}
+		}
+	}
+}
+
 // TestOversizedBodyIs413: a body past MaxBodyBytes is refused with 413 on
 // every endpoint that reads one, CSV and JSON alike, while a small
 // malformed body stays a 400.
