@@ -1,18 +1,100 @@
 package repro_test
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"go/ast"
+	"go/parser"
 	"go/printer"
 	"go/token"
+	"io/fs"
 	"os"
 	pathpkg "path"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+// srcFile is one parsed Go file of the tree.
+type srcFile struct {
+	dir  string // the file's package directory, relative to the root
+	test bool
+	f    *ast.File
+}
+
+// srcTree is every Go file under a root, parsed whatever its build
+// constraints. Directories whose names start with "." or "_", and
+// testdata, are not Go source of the tree and are skipped.
+type srcTree struct {
+	fset   *token.FileSet
+	module string // the root go.mod's module path
+	files  []srcFile
+}
+
+func parseTree(root string) (*srcTree, error) {
+	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	t := &srcTree{fset: token.NewFileSet()}
+	sc := bufio.NewScanner(strings.NewReader(string(mod)))
+	for sc.Scan() {
+		if m, ok := strings.CutPrefix(strings.TrimSpace(sc.Text()), "module "); ok {
+			t.module = strings.TrimSpace(m)
+		}
+	}
+	if t.module == "" {
+		return nil, fmt.Errorf("%s/go.mod names no module", root)
+	}
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(t.fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		t.files = append(t.files, srcFile{dir: pathpkg.Dir(filepath.ToSlash(rel)), test: strings.HasSuffix(name, "_test.go"), f: f})
+		return nil
+	})
+	return t, err
+}
+
+// recvName is the base type name of a method's receiver: T for T, *T,
+// T[P] and *T[P].
+func recvName(fd *ast.FuncDecl) string {
+	e := fd.Recv.List[0].Type
+	if s, ok := e.(*ast.StarExpr); ok {
+		e = s.X
+	}
+	switch x := e.(type) {
+	case *ast.IndexExpr:
+		e = x.X
+	case *ast.IndexListExpr:
+		e = x.X
+	}
+	if id, ok := e.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
+}
 
 // apiGolden pins the public surface: every exported identifier of stkde and
 // synth, and the exported methods and struct fields of each type they

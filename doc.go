@@ -78,8 +78,8 @@
 //
 // Analytics over the volume are sublinear: grid.Pyramid (the public
 // stkde.NewPyramid) holds a 3-D summed-volume table answering box masses
-// with an O(1) 8-corner lookup plus block maxima that prune top-k and
-// threshold scans to the blocks that can still matter, and grid.RingSketch
+// with an O(1) 8-corner lookup plus block maxima that prune top-k scans
+// to the blocks that can still matter, and grid.RingSketch
 // maintains the same aggregates incrementally inside a live stream's ring
 // (per-event dirty bandwidth boxes, lazily rebuilt at query time), so the
 // serving tier's /v1/region and /v1/hotspots answer from sketches on both

@@ -151,7 +151,7 @@ func TestViewAddressing(t *testing.T) {
 			if g.At(X, Y, 1) != 1 {
 				t.Fatalf("grid view row mismatch at (%d,%d)", X, Y)
 			}
-			g.Set(X, Y, 1, 0)
+			g.Data[g.Idx(X, Y, 1)] = 0
 		}
 	}
 	// Box view over a sub-box.

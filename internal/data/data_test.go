@@ -185,9 +185,6 @@ func TestRNG(t *testing.T) {
 		if v := r.IntN(10); v < 0 || v >= 10 {
 			t.Fatalf("IntN out of range: %d", v)
 		}
-		if e := r.Exp(); e < 0 {
-			t.Fatalf("Exp negative: %g", e)
-		}
 	}
 	if r.IntN(0) != 0 || r.IntN(-5) != 0 {
 		t.Error("IntN of non-positive should be 0")

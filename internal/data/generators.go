@@ -74,7 +74,7 @@ func (e Epidemic) Generate(n int, d grid.Domain, seed uint64) []grid.Point {
 		u := r.Float64()
 		w[i] = u * u // heavy-tailed cluster sizes
 	}
-	type wave struct{ ct, st, wt float64 }
+	type wave struct{ ct, st float64 }
 	ws := make([]wave, nw)
 	ww := make([]float64, nw)
 	for i := range ws {

@@ -64,15 +64,6 @@ func (r *RNG) Norm() float64 {
 	return m * math.Cos(2*math.Pi*v)
 }
 
-// Exp returns an exponential variate with mean 1.
-func (r *RNG) Exp() float64 {
-	var u float64
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u)
-}
-
 // pick returns an index sampled proportionally to the (non-negative)
 // cumulative weights cum, whose last entry is the total weight.
 func (r *RNG) pick(cum []float64) int {

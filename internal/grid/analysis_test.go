@@ -15,7 +15,7 @@ func filledGrid(t *testing.T) *Grid {
 	for X := 0; X < s.Gx; X++ {
 		for Y := 0; Y < s.Gy; Y++ {
 			for T := 0; T < s.Gt; T++ {
-				g.Set(X, Y, T, float64(X*100+Y*10+T))
+				g.Data[g.Idx(X, Y, T)] = float64(X*100 + Y*10 + T)
 			}
 		}
 	}
@@ -82,10 +82,10 @@ func TestThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two hot runs in one column, one in another.
-	g.Set(1, 1, 2, 5)
-	g.Set(1, 1, 3, 6)
-	g.Set(1, 1, 7, 9)
-	g.Set(3, 0, 0, 4)
+	g.Data[g.Idx(1, 1, 2)] = 5
+	g.Data[g.Idx(1, 1, 3)] = 6
+	g.Data[g.Idx(1, 1, 7)] = 9
+	g.Data[g.Idx(3, 0, 0)] = 4
 	boxes := g.Threshold(4)
 	if len(boxes) != 3 {
 		t.Fatalf("got %d boxes, want 3: %+v", len(boxes), boxes)
@@ -111,10 +111,10 @@ func TestTopK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Set(2, 1, 4, 9)
-	g.Set(0, 0, 0, 7)
-	g.Set(3, 2, 2, 5)
-	g.Set(1, 1, 1, 5)
+	g.Data[g.Idx(2, 1, 4)] = 9
+	g.Data[g.Idx(0, 0, 0)] = 7
+	g.Data[g.Idx(3, 2, 2)] = 5
+	g.Data[g.Idx(1, 1, 1)] = 5
 
 	top := g.TopK(3)
 	if len(top) != 3 {

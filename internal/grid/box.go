@@ -21,11 +21,6 @@ func (b Box) Count() int {
 	return (b.X1 - b.X0 + 1) * (b.Y1 - b.Y0 + 1) * (b.T1 - b.T0 + 1)
 }
 
-// Contains reports whether voxel (X, Y, T) lies in the box.
-func (b Box) Contains(X, Y, T int) bool {
-	return X >= b.X0 && X <= b.X1 && Y >= b.Y0 && Y <= b.Y1 && T >= b.T0 && T <= b.T1
-}
-
 // Clip returns the intersection of b with o.
 func (b Box) Clip(o Box) Box {
 	return Box{

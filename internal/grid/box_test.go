@@ -10,6 +10,11 @@ func (b Box) Intersects(o Box) bool {
 	return !b.Clip(o).Empty()
 }
 
+// Contains reports whether voxel (X, Y, T) lies in the box.
+func (b Box) Contains(X, Y, T int) bool {
+	return X >= b.X0 && X <= b.X1 && Y >= b.Y0 && Y <= b.Y1 && T >= b.T0 && T <= b.T1
+}
+
 func TestBoxBasics(t *testing.T) {
 	b := Box{X0: 1, X1: 3, Y0: 0, Y1: 0, T0: 2, T1: 5}
 	if b.Empty() {

@@ -285,9 +285,6 @@ func (g *Grid) Idx(X, Y, T int) int {
 // At returns the density estimate at voxel (X, Y, T).
 func (g *Grid) At(X, Y, T int) float64 { return g.Data[g.Idx(X, Y, T)] }
 
-// Set stores a density estimate at voxel (X, Y, T).
-func (g *Grid) Set(X, Y, T int, v float64) { g.Data[g.Idx(X, Y, T)] = v }
-
 // Add accumulates a density contribution at voxel (X, Y, T).
 func (g *Grid) Add(X, Y, T int, v float64) { g.Data[g.Idx(X, Y, T)] += v }
 

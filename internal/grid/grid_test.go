@@ -190,7 +190,7 @@ func TestGridAccessorsAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Set(1, 2, 3, 5)
+	g.Data[g.Idx(1, 2, 3)] = 5
 	g.Add(1, 2, 3, 2.5)
 	if got := g.At(1, 2, 3); got != 7.5 {
 		t.Errorf("At = %g, want 7.5", got)

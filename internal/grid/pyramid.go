@@ -25,21 +25,21 @@ func blocksFor(n int) int { return (n + blockEdge - 1) >> blockShift }
 //   - a 3-D summed-volume table (inclusive prefix sums over X, Y and T,
 //     with one zero-padded boundary plane per axis) answering BoxMass with
 //     an 8-corner lookup in O(1) instead of an O(box) triple loop;
-//   - coarse 8x8x8 block maxima pruning TopK and Threshold to the blocks
-//     that can still contribute, instead of scanning all O(G) voxels;
+//   - coarse 8x8x8 block maxima pruning TopK to the blocks that can
+//     still contribute, instead of scanning all O(G) voxels;
 //   - the blocks sorted once, at build, by maximum descending: TopK walks
 //     that order and stops at the first block below its floor, so a call
 //     costs O(k + touched blocks), with no per-call pass over every block.
 //
-// The pyramid references the grid it was built from (TopK and Threshold
-// re-read exact voxel values inside surviving blocks), so the grid must
+// The pyramid references the grid it was built from (TopK re-reads exact
+// voxel values inside surviving blocks), so the grid must
 // stay immutable and alive while the pyramid is used — the contract cached
 // serving grids already obey. Build cost is one parallel O(G) pass; the
 // tables are budget-accounted like a Grid and released with Release.
 //
 // Answers agree with the naive Grid scans to within accumulation rounding
-// (the property tests assert ≤1e-9); TopK and Threshold re-read exact
-// voxel values, so their selections match the sequential scans exactly.
+// (the property tests assert ≤1e-9); TopK re-reads exact voxel values, so
+// its selection matches the sequential scan exactly.
 type Pyramid struct {
 	g *Grid
 
@@ -247,47 +247,6 @@ func (py *Pyramid) TopK(k int) []VoxelDensity {
 		}
 	}
 	return h.drain(s.Gt, s.Gy)
-}
-
-// Threshold returns the voxel boxes where density meets or exceeds the
-// given level, exactly as Grid.Threshold reports them, but scanning only
-// the T runs covered by blocks whose maximum reaches the level. A run's
-// voxels are all >= level, so a run can never extend into a block whose
-// maximum is below the level — scanning maximal unions of adjacent hot
-// blocks reproduces the sequential runs exactly.
-func (py *Pyramid) Threshold(level float64) []Box {
-	s := py.g.Spec
-	var out []Box
-	for X := 0; X < s.Gx; X++ {
-		for Y := 0; Y < s.Gy; Y++ {
-			maxs := py.blockMax[((X>>blockShift)*py.by+(Y>>blockShift))*py.bt:][:py.bt]
-			row := py.g.Data[(X*s.Gy+Y)*s.Gt:][:s.Gt]
-			for bT := 0; bT < py.bt; bT++ {
-				if maxs[bT] < level {
-					continue
-				}
-				// Extend to the maximal run of adjacent hot blocks.
-				bEnd := bT
-				for bEnd+1 < py.bt && maxs[bEnd+1] >= level {
-					bEnd++
-				}
-				t1 := min((bEnd+1)<<blockShift, s.Gt)
-				start := -1
-				for T := bT << blockShift; T <= t1; T++ {
-					hot := T < t1 && row[T] >= level
-					if hot && start < 0 {
-						start = T
-					}
-					if !hot && start >= 0 {
-						out = append(out, Box{X0: X, X1: X, Y0: Y, Y1: Y, T0: start, T1: T - 1})
-						start = -1
-					}
-				}
-				bT = bEnd
-			}
-		}
-	}
-	return out
 }
 
 // String summarizes the pyramid for debugging.

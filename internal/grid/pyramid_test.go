@@ -215,29 +215,6 @@ func TestPyramidTopKConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-func TestPyramidThresholdMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, dims := range [][3]float64{{5, 4, 3}, {20, 11, 17}, {40, 33, 29}} {
-		g := randomGrid(t, rng, dims[0], dims[1], dims[2])
-		py, err := NewPyramid(g, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, level := range []float64{-1, 0.5, 0.95, 9.99, 10.5, 25} {
-			want := g.Threshold(level)
-			got := py.Threshold(level)
-			if len(got) != len(want) {
-				t.Fatalf("dims %v level %g: pyramid %d boxes, naive %d", dims, level, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("dims %v level %g box %d: pyramid %+v, naive %+v", dims, level, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 func TestPyramidBudgetAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	g := randomGrid(t, rng, 10, 9, 8)

@@ -88,9 +88,6 @@ func (r *Ring) Spec() Spec { return r.spec }
 // consecutive (X, Y) rows of Data.
 func (r *Ring) Layers() int { return r.layers }
 
-// Base returns the physical layer currently holding logical layer 0.
-func (r *Ring) Base() int { return r.base }
-
 // PhysOf returns the physical layer holding logical layer T, which must
 // be in [0, Gt+Ht) — the modulo would silently alias anything else.
 func (r *Ring) PhysOf(T int) int { return (r.base + T) % r.layers }

@@ -229,8 +229,8 @@ func TestRestoreRingCopiesVisibleLayers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Used() != RingBytes(spec) || rr.Spec() != r.Spec() || rr.Base() != 0 {
-		t.Fatalf("restored ring: %d bytes charged, spec %+v, base %d", b.Used(), rr.Spec(), rr.Base())
+	if b.Used() != RingBytes(spec) || rr.Spec() != r.Spec() || rr.PhysOf(0) != 0 {
+		t.Fatalf("restored ring: %d bytes charged, spec %+v, base %d", b.Used(), rr.Spec(), rr.PhysOf(0))
 	}
 	s := rr.Spec()
 	for X := 0; X < s.Gx; X++ {

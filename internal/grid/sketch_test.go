@@ -243,7 +243,7 @@ func TestRingSketchHiddenLayers(t *testing.T) {
 	check := func(tag string) {
 		t.Helper()
 		sp := r.Spec()
-		endInBlock = endInBlock || (r.Base()+sp.Gt)%L%sketchEdge != 0
+		endInBlock = endInBlock || (r.PhysOf(0)+sp.Gt)%L%sketchEdge != 0
 		want, err := NewGrid(sp, nil)
 		if err != nil {
 			t.Fatal(err)

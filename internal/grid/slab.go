@@ -57,8 +57,3 @@ func (sl Slab) OwnsLayer(T int) bool { return T >= sl.T0 && T <= sl.T1 }
 func (sl Slab) NeedsLayer(T, ht int) bool {
 	return T >= sl.T0-ht && T <= sl.T1+ht
 }
-
-// Box returns the slab's owned voxel box in the root frame.
-func (sl Slab) Box() Box {
-	return Box{0, sl.Spec.Gx - 1, 0, sl.Spec.Gy - 1, sl.T0, sl.T1}
-}

@@ -110,7 +110,8 @@ func TestSlabNeedsLayerBruteForce(t *testing.T) {
 		for _, sl := range s.CarveT(r) {
 			for T := 0; T < s.Gt; T++ {
 				infl := Box{0, s.Gx - 1, 0, s.Gy - 1, T - s.Ht, T + s.Ht}.Clip(s.Bounds())
-				want := infl.Intersects(sl.Box())
+				owned := Box{0, s.Gx - 1, 0, s.Gy - 1, sl.T0, sl.T1}
+				want := infl.Intersects(owned)
 				if got := sl.NeedsLayer(T, s.Ht); got != want {
 					t.Errorf("r=%d slab [%d,%d]: NeedsLayer(%d) = %v, want %v",
 						r, sl.T0, sl.T1, T, got, want)

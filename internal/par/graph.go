@@ -48,9 +48,6 @@ func (g *Graph) AddDep(pre, post int) {
 	g.tasks[post].npreds++
 }
 
-// Len returns the number of tasks.
-func (g *Graph) Len() int { return len(g.tasks) }
-
 // Run executes the whole graph on p workers and blocks until every task
 // has finished. It panics if the dependency graph has a cycle (some task
 // never becomes ready).

@@ -18,6 +18,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/gio"
 	"repro/internal/grid"
+	"repro/internal/model"
 	"repro/internal/simd"
 )
 
@@ -851,6 +852,59 @@ func TestHostileReadParams(t *testing.T) {
 			if code := get("/v1/region", "&"+box, &reg); code != http.StatusOK || reg.Mass != 0 || reg.Voxels != 0 {
 				t.Errorf("%s region %s: status %d mass %g voxels %d, want 200, 0, 0", ds.name, box, code, reg.Mass, reg.Voxels)
 			}
+		}
+	}
+}
+
+// TestHostileEdgeParams: two 10,000-byte X-Tenant headers that agree on
+// their first maxTenantName bytes are one tenant, sharing one rate window;
+// and an explicit domain with zero extent is a 400 naming the extent on
+// every endpoint that takes one.
+func TestHostileEdgeParams(t *testing.T) {
+	mach := model.DefaultMachine(1, 0)
+	_, ts, id := testServer(t, Config{
+		Admission: &AdmissionConfig{TenantRates: []RateWindow{{Limit: 2, Per: time.Hour}}, Machine: &mach},
+	})
+	prefix := strings.Repeat("t", maxTenantName)
+	for i, tenant := range []string{prefix + strings.Repeat("a", 10000-maxTenantName), prefix + strings.Repeat("b", 10000-maxTenantName), prefix + "c"} {
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/query?"+specParams(id, core.AlgPBSYM)+"&x=50&y=40&t=15", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Tenant", tenant)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if want := []int{http.StatusOK, http.StatusOK, http.StatusTooManyRequests}[i]; resp.StatusCode != want {
+			t.Fatalf("request %d of one %d-byte tenant prefix: status %d, want %d", i, maxTenantName, resp.StatusCode, want)
+		}
+	}
+
+	_, ts, id = testServer(t, Config{})
+	sid := createStream(t, ts)
+	const zero = `"domain":{"x0":0,"y0":0,"t0":0,"gx":0,"gy":30,"gt":0}`
+	for _, tc := range []struct {
+		name, method, path, body string
+	}{
+		{"estimate", http.MethodPost, "/v1/estimate", `{"dataset":"` + id + `","algorithm":"pb-sym","sres":2,"tres":1,"hs":10,"ht":3,` + zero + `}`},
+		{"stream create", http.MethodPost, "/v1/streams", `{"sres":2,"tres":1,"hs":6,"ht":3,` + zero + `}`},
+		{"region static", http.MethodGet, "/v1/region?" + strings.NewReplacer("gx=100", "gx=0", "gt=30", "gt=0").Replace(specParams(id, core.AlgPBSYM)), ""},
+		{"region stream", http.MethodGet, "/v1/region?dataset=" + sid + "&sres=2&tres=1&hs=6&ht=3&x0=0&y0=0&t0=0&gx=0&gy=30&gt=0", ""},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct{ Error string }
+		decodeBody(t, resp, &e)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "extent") {
+			t.Errorf("%s with a zero-extent domain: status %d error %q, want 400 naming the extent", tc.name, resp.StatusCode, e.Error)
 		}
 	}
 }

@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dist"
 )
@@ -253,5 +256,53 @@ func TestShardConnectFailureSurfaces(t *testing.T) {
 	id := ingest(t, ts, testPoints(100, 3))
 	if id == "" {
 		t.Fatal("static ingest failed")
+	}
+}
+
+// TestShardedShutdownLeaksNoGoroutines: a server holding a sharded stream
+// over two in-process ranks leaves no goroutine behind once its HTTP
+// listener, Server.Shutdown (which closes the shard cluster) and the rank
+// servers have stopped.
+func TestShardedShutdownLeaksNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	n := dist.NewNetwork()
+	var ranks []*dist.RankServer
+	var peers []string
+	for i := 0; i < 2; i++ {
+		rs, err := dist.ListenRank(n, fmt.Sprintf("inproc://leak-rank%d", i), dist.ServerOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranks = append(ranks, rs)
+		peers = append(peers, rs.Addr())
+	}
+	s := New(Config{Shard: &ShardConfig{Peers: peers, Network: n}})
+	ts := httptest.NewServer(s)
+	sid := createStream(t, ts)
+	postEvents(t, ts, sid, streamEvents(200, 8, 3))
+	if _, src := getRegion(t, ts, "dataset="+sid+"&sres=2&tres=1&hs=6&ht=3"); src != "sketch" {
+		t.Fatalf("region answered from %q, want the sharded window's sketch", src)
+	}
+	if got := s.met.shardGathers.Value(); got == 0 {
+		t.Fatal("the region read gathered from no rank")
+	}
+
+	ts.Close()
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, rs := range ranks {
+		rs.Close()
+	}
+	// A goroutine may still be returning after the call that stopped it:
+	// wait, a bounded number of times, for the count to come back down.
+	got := runtime.NumGoroutine()
+	for i := 0; i < 2000 && got > base; i++ {
+		time.Sleep(time.Millisecond)
+		got = runtime.NumGoroutine()
+	}
+	if got > base {
+		buf := make([]byte, 1<<20)
+		t.Errorf("%d goroutines after shutdown, %d before the server started:\n%s", got, base, buf[:runtime.Stack(buf, true)])
 	}
 }

@@ -7,6 +7,18 @@ import (
 	"time"
 )
 
+// Stats reports the journal's durability counters: last assigned LSN,
+// highest durable LSN, and fsyncs performed.
+func (l *Log) Stats() (lsn, synced uint64, syncs int64) {
+	l.mu.Lock()
+	lsn = l.lsn
+	l.mu.Unlock()
+	l.syncMu.Lock()
+	synced, syncs = l.synced, l.syncs
+	l.syncMu.Unlock()
+	return lsn, synced, syncs
+}
+
 // TestSyncRacesRollOver: fsync runs outside the log mutex, so a segment
 // roll-over (which syncs and closes the file a concurrent Sync may be
 // holding) must never surface as an error, never poison the journal, and

@@ -482,18 +482,6 @@ func (l *Log) LSN() uint64 {
 	return l.lsn
 }
 
-// Stats reports the journal's durability counters: last assigned LSN,
-// highest durable LSN, and fsyncs performed.
-func (l *Log) Stats() (lsn, synced uint64, syncs int64) {
-	l.mu.Lock()
-	lsn = l.lsn
-	l.mu.Unlock()
-	l.syncMu.Lock()
-	synced, syncs = l.synced, l.syncs
-	l.syncMu.Unlock()
-	return lsn, synced, syncs
-}
-
 // WriteSnapshot makes snap the journal's recovery point: the log is synced
 // through snap.LSN, the snapshot is written tmp-then-rename (so a crash
 // mid-write leaves the previous snapshot in force), every wholly-covered

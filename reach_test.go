@@ -2,105 +2,27 @@ package repro_test
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	pathpkg "path"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// srcFile is one parsed Go file of the tree.
-type srcFile struct {
-	path string // slash-separated, relative to the tree's root
-	dir  string // the file's package directory, relative to the root
-	test bool
-	f    *ast.File
-}
-
-// srcTree is every Go file under a root, parsed whatever its build
-// constraints: the amd64 and purego files of one package both count.
-// Directories whose names start with "." or "_", and testdata, are not Go
-// source of the tree and are skipped.
-type srcTree struct {
-	fset   *token.FileSet
-	module string // the root go.mod's module path
-	files  []srcFile
-}
-
-func parseTree(root string) (*srcTree, error) {
-	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return nil, err
-	}
-	t := &srcTree{fset: token.NewFileSet()}
-	sc := bufio.NewScanner(strings.NewReader(string(mod)))
-	for sc.Scan() {
-		if m, ok := strings.CutPrefix(strings.TrimSpace(sc.Text()), "module "); ok {
-			t.module = strings.TrimSpace(m)
-		}
-	}
-	if t.module == "" {
-		return nil, fmt.Errorf("%s/go.mod names no module", root)
-	}
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(t.fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		rel = filepath.ToSlash(rel)
-		t.files = append(t.files, srcFile{path: rel, dir: pathpkg.Dir(rel), test: strings.HasSuffix(name, "_test.go"), f: f})
-		return nil
-	})
-	return t, err
-}
-
-// recvName is the base type name of a method's receiver ("" for a
-// function): T for T, *T, T[P] and *T[P].
-func recvName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return ""
-	}
-	e := fd.Recv.List[0].Type
-	if s, ok := e.(*ast.StarExpr); ok {
-		e = s.X
-	}
-	switch x := e.(type) {
-	case *ast.IndexExpr:
-		e = x.X
-	case *ast.IndexListExpr:
-		e = x.X
-	}
-	if id, ok := e.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
-}
-
 // stdlibMethods satisfy a standard-library interface whose only caller is
-// the standard library itself, so no code of the tree names them.
+// the standard library itself, so no code of the tree calls them, by name
+// or through an interface of its own.
 var stdlibMethods = map[string]bool{
 	// errors.Is and errors.As unwrap a transport failure to its cause.
 	"internal/dist.transportError.Unwrap": true,
@@ -109,13 +31,21 @@ var stdlibMethods = map[string]bool{
 	// net/http calls a Handler's ServeHTTP.
 	"internal/serve.Server.ServeHTTP": true,
 	// container/heap calls Less and Swap (its Interface embeds
-	// sort.Interface); the heaps' Len, Push and Pop are also called by name.
+	// sort.Interface), and Push and Pop: heap.Push and heap.Pop are
+	// functions of container/heap, not uses of the heaps' methods. Each
+	// heap's Len is also called directly.
 	"internal/par.readyHeap.Less":    true,
 	"internal/par.readyHeap.Swap":    true,
+	"internal/par.readyHeap.Push":    true,
+	"internal/par.readyHeap.Pop":     true,
 	"internal/sched.prioHeap.Less":   true,
 	"internal/sched.prioHeap.Swap":   true,
+	"internal/sched.prioHeap.Push":   true,
+	"internal/sched.prioHeap.Pop":    true,
 	"internal/sched.finishHeap.Less": true,
 	"internal/sched.finishHeap.Swap": true,
+	"internal/sched.finishHeap.Push": true,
+	"internal/sched.finishHeap.Pop":  true,
 }
 
 // publicKeep are public entries that no code of the tree calls but that
@@ -127,131 +57,263 @@ var publicKeep = map[string]bool{
 	// The only public reader of the format cmd/stkde -out writes through
 	// WriteGridSnapshot.
 	"stkde.ReadGridSnapshot": true,
+	// The only public constructor of the pyramid that README's
+	// static-grid analytics describe.
+	"stkde.NewPyramid": true,
 }
 
-// funcKey names one declared function or method.
-type funcKey struct{ dir, recv, name string }
+// reachBuilds are the builds the guard type-checks, as extra go list
+// flags. Both are linux/amd64; purego swaps the AVX2 kernels for their Go
+// loops (internal/simd/dispatch_purego.go).
+var reachBuilds = [][]string{nil, {"-tags", "purego"}}
 
-// nameRef is one use of a name in non-test code: bare (x) or as the
-// selected name of a selector (pkg.x, v.x), inside the declaration in (the
-// zero key at package level).
-type nameRef struct {
-	dir      string
-	selector bool
-	in       funcKey
+// listedPkg is a package that a module's ./... matches, with the Go files
+// of the build.
+type listedPkg struct {
+	path, dir string
+	files     []string
 }
 
-// collectRefs gathers every name non-test code uses, by name: function
-// bodies and package-level variable initialisers. Declarations (function
-// names, types, fields, interface methods) are not uses.
-func (t *srcTree) collectRefs() map[string][]nameRef {
-	refs := make(map[string][]nameRef)
-	walk := func(n ast.Node, dir string, in funcKey) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.SelectorExpr:
-				refs[x.Sel.Name] = append(refs[x.Sel.Name], nameRef{dir: dir, selector: true, in: in})
-			case *ast.Ident:
-				refs[x.Name] = append(refs[x.Name], nameRef{dir: dir, in: in})
-			}
-			return true
-		})
+// goList builds every package of the module in dir and its dependencies
+// with the test's own toolchain, and returns each package's export data
+// file and the module's own packages.
+func goList(dir string, flags []string) (exports map[string]string, own []listedPkg, err error) {
+	args := append([]string{"list", "-export", "-deps"}, flags...)
+	args = append(args, "-f", "{{.ImportPath}}={{.Export}}{{if not .DepOnly}}={{.Dir}}={{join .GoFiles \",\"}}{{end}}", "./...")
+	cmd := exec.Command(filepath.Join(runtime.GOROOT(), "bin", "go"), args...)
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH=amd64")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, nil, fmt.Errorf("go %s in %s: %v\n%s", strings.Join(args, " "), dir, err, stderr.Bytes())
 	}
-	for _, sf := range t.files {
-		if sf.test {
-			continue
+	exports = make(map[string]string)
+	sc := bufio.NewScanner(bytes.NewReader(out))
+	for sc.Scan() {
+		f := strings.Split(sc.Text(), "=")
+		exports[f[0]] = f[1]
+		if len(f) == 4 {
+			own = append(own, listedPkg{path: f[0], dir: f[2], files: strings.Split(f[3], ",")})
 		}
-		for _, d := range sf.f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if d.Body != nil {
-					walk(d.Body, sf.dir, funcKey{sf.dir, recvName(d), d.Name.Name})
-				}
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					if vs, ok := s.(*ast.ValueSpec); ok {
-						for _, v := range vs.Values {
-							walk(v, sf.dir, funcKey{})
+	}
+	return exports, own, sc.Err()
+}
+
+// funcName names a function "Name" and a method "Recv.Name", after its
+// generic origin.
+func funcName(fn *types.Func) string {
+	fn = fn.Origin()
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return fn.Name()
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Origin().Obj().Name() + "." + fn.Name()
+	}
+	return fn.Name()
+}
+
+// funcID identifies a function across type-checks of one build: its
+// package path and funcName.
+func funcID(fn *types.Func) string {
+	return fn.Pkg().Path() + "." + funcName(fn)
+}
+
+// funcDecl is one function or method declared in the module under test.
+type funcDecl struct {
+	entry  string // "file:line: funcName", the file relative to the root
+	key    string // "dir.funcName", as stdlibMethods and publicKeep name it
+	method string // the method's own name, "" for a function
+}
+
+// buildReach is what the non-test code of one build declares and calls.
+type buildReach struct {
+	root  string
+	fset  *token.FileSet
+	decls map[string]funcDecl // by funcID, the module under test only
+	used  map[string]bool     // funcIDs that code outside their own body names
+	iface map[string]bool     // names of used interface methods
+}
+
+// check type-checks the non-test packages of the module in dir from
+// source, and their imports from export data. It records their uses, and
+// their declarations when declare is set.
+func (r *buildReach) check(dir string, flags []string, declare bool) error {
+	exports, own, err := goList(dir, flags)
+	if err != nil {
+		return err
+	}
+	conf := types.Config{
+		Importer: importer.ForCompiler(r.fset, "gc", func(path string) (io.ReadCloser, error) {
+			if exports[path] == "" {
+				return nil, fmt.Errorf("no export data for %s", path)
+			}
+			return os.Open(exports[path])
+		}),
+		Sizes: types.SizesFor("gc", "amd64"),
+	}
+	for _, p := range own {
+		var files []*ast.File
+		for _, name := range p.files {
+			f, err := parser.ParseFile(r.fset, filepath.Join(p.dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{Defs: make(map[*ast.Ident]types.Object), Uses: make(map[*ast.Ident]types.Object)}
+		pkg, err := conf.Check(p.path, r.fset, files, info)
+		if err != nil {
+			return err
+		}
+		for _, f := range files {
+			for _, d := range f.Decls {
+				self := ""
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					if fn, ok := info.Defs[fd.Name].(*types.Func); ok {
+						self = funcID(fn)
+						if declare && !exempt(pkg.Name(), fd) {
+							if err := r.declare(self, fn, fd); err != nil {
+								return err
+							}
 						}
 					}
 				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					fn, ok := info.Uses[id].(*types.Func)
+					if !ok {
+						return true
+					}
+					if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+						r.iface[fn.Name()] = true
+					} else if fid := funcID(fn); fid != self {
+						r.used[fid] = true
+					}
+					return true
+				})
 			}
 		}
 	}
-	return refs
+	return nil
 }
 
-// unreferenced lists, as "file:line: name", every function and method
-// declared in a non-test file under internal/, stkde/ or synth/ that no
-// non-test code of the tree names. A name counts as used when non-test
-// code outside the declaration's own body names it: an unexported name
-// from its own package, an exported one from its own package or as a
-// selector anywhere. Method calls through an interface count, since they
-// name the method. Exempt are init, stdlibMethods and publicKeep.
-func (t *srcTree) unreferenced() []string {
-	refs := t.collectRefs()
-	var out []string
-	for _, sf := range t.files {
-		if sf.test || !strings.HasPrefix(sf.path, "internal/") && sf.dir != "stkde" && sf.dir != "synth" {
-			continue
+// exempt reports whether a declaration has no caller by design: init,
+// blank functions and a command's main.
+func exempt(pkg string, fd *ast.FuncDecl) bool {
+	n := fd.Name.Name
+	return n == "init" || n == "_" || n == "main" && pkg == "main" && fd.Recv == nil
+}
+
+// declare records the declaration fd of fn under its funcID.
+func (r *buildReach) declare(id string, fn *types.Func, fd *ast.FuncDecl) error {
+	pos := r.fset.Position(fd.Name.Pos())
+	rel, err := filepath.Rel(r.root, pos.Filename)
+	if err != nil {
+		return err
+	}
+	rel = filepath.ToSlash(rel)
+	d := funcDecl{
+		entry: fmt.Sprintf("%s:%d: %s", rel, pos.Line, funcName(fn)),
+		key:   pathpkg.Dir(rel) + "." + funcName(fn),
+	}
+	if fd.Recv != nil {
+		d.method = fn.Name()
+	}
+	r.decls[id] = d
+	return nil
+}
+
+// unreferenced lists, as "file:line: Name" or "file:line: Recv.Name",
+// every function and method declared in a non-test package of the module
+// at root that non-test code calls in none of the builds (reachBuilds)
+// that compile it. Each build type-checks every non-test package of each
+// module in modules, root first. A function counts as called when
+// types.Info.Uses names it outside its own body, so a method is told
+// apart from another type's method of the same name, and a bare name from
+// the package that declares it. A method also counts when a used
+// interface method has its name, since interface dispatch may reach it.
+// Exempt are init, main, stdlibMethods and publicKeep.
+func unreferenced(root string, modules ...string) ([]string, error) {
+	root, err := filepath.Abs(root)
+	if err != nil {
+		return nil, err
+	}
+	declared := make(map[string]string) // entry -> key
+	called := make(map[string]bool)     // by entry
+	for _, flags := range reachBuilds {
+		r := &buildReach{root: root, fset: token.NewFileSet(), decls: make(map[string]funcDecl), used: make(map[string]bool), iface: make(map[string]bool)}
+		for i, m := range modules {
+			if err := r.check(m, flags, i == 0); err != nil {
+				return nil, err
+			}
 		}
-		for _, d := range sf.f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Name.Name == "init" || fd.Name.Name == "_" {
-				continue
+		for id, d := range r.decls {
+			declared[d.entry] = d.key
+			if r.used[id] || d.method != "" && r.iface[d.method] {
+				called[d.entry] = true
 			}
-			k := funcKey{sf.dir, recvName(fd), fd.Name.Name}
-			if stdlibMethods[k.dir+"."+k.recv+"."+k.name] || k.recv == "" && publicKeep[k.dir+"."+k.name] {
-				continue
-			}
-			used := false
-			for _, r := range refs[k.name] {
-				if r.in != k && (r.dir == k.dir || fd.Name.IsExported() && r.selector) {
-					used = true
-					break
-				}
-			}
-			if !used {
-				pos := t.fset.Position(fd.Name.Pos())
-				out = append(out, fmt.Sprintf("%s:%d: %s", sf.path, pos.Line, fd.Name.Name))
-			}
+		}
+	}
+	var out []string
+	for entry, key := range declared {
+		if !called[entry] && !stdlibMethods[key] && !publicKeep[key] {
+			out = append(out, entry)
 		}
 	}
 	sort.Strings(out)
-	return out
+	return out, nil
 }
 
-// TestInternalFuncsReferenced: every function and method that ships in
-// internal/, stkde/ or synth/ is called (or named) by non-test code
-// somewhere in the repository, benchmark/ module included. Test oracles,
-// harnesses and fuzz dispatchers live in _test.go files of their
-// package, so a shipped path cannot hide behind a test-only twin.
+// TestInternalFuncsReferenced: every function and method that ships in a
+// non-test package of the module is called by non-test code somewhere in
+// the repository, benchmark/ module included, in the default or the
+// purego build. Test oracles, harnesses and fuzz dispatchers live in
+// _test.go files of their package, so a shipped path cannot hide behind a
+// test-only twin.
 func TestInternalFuncsReferenced(t *testing.T) {
-	tree, err := parseTree(".")
+	bad, err := unreferenced(".", ".", "benchmark")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bad := tree.unreferenced(); len(bad) > 0 {
-		t.Errorf("%d functions declared in non-test files under internal/, stkde/ or synth/ have no reference from non-test code; "+
+	if len(bad) > 0 {
+		t.Errorf("%d functions declared in non-test files have no call from non-test code; "+
 			"delete them, or move test-only helpers into a _test.go file of their package:\n\t%s",
 			len(bad), strings.Join(bad, "\n\t"))
 	}
 }
 
-// TestUnreferencedFixture runs the scan on a small tree with one used and
-// one unused function, so the guard cannot pass vacuously: uses from test
-// files and from the function's own body do not count, and a public
-// package's uncalled function is listed like an internal one.
+// TestUnreferencedFixture runs the guard on a small module, so it cannot
+// pass vacuously. Uses from test files and from the function's own body
+// do not count, and a public package's uncalled function is listed like
+// an internal one. A name is not a call: T.Set is listed though U.Set is
+// called, and so is a purego-only Kernel though another package's Kernel
+// is called. A call is found by type, in either build: c.Helper, called
+// only by the default build's d_amd64.go through a dot import, is not
+// listed.
 func TestUnreferencedFixture(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
-		"go.mod":                "module fixture\n\ngo 1.21\n",
-		"internal/a/a.go":       "package a\n\nfunc Used() {}\n\nfunc Unused() { Unused() }\n",
-		"internal/a/a_test.go":  "package a\n\nimport \"testing\"\n\nfunc TestA(t *testing.T) { Unused() }\n",
-		"cmd/x/main.go":         "package main\n\nimport \"fixture/internal/a\"\n\nfunc main() { a.Used() }\n",
-		"testdata/ignored.go":   "package ignored\n\nfunc main() { a.Unused() }\n",
-		"internal/b/b_amd64.go": "//go:build amd64\n\npackage b\n\nfunc Tagged() {}\n",
-		"stkde/s.go":            "package stkde\n\nfunc Public() {}\n",
+		"go.mod":                 "module fixture\n\ngo 1.21\n",
+		"internal/a/a.go":        "package a\n\nfunc Used() {}\n\nfunc Unused() { Unused() }\n\ntype T struct{}\n\ntype U struct{}\n\nfunc (T) Set() {}\n\nfunc (U) Set() {}\n\nfunc Kernel() {}\n",
+		"internal/a/a_test.go":   "package a\n\nimport \"testing\"\n\nfunc TestA(t *testing.T) { Unused(); T{}.Set() }\n",
+		"internal/b/b_amd64.go":  "//go:build amd64\n\npackage b\n\nfunc Tagged() {}\n",
+		"internal/b/b_purego.go": "//go:build purego\n\npackage b\n\nfunc Kernel() {}\n",
+		"internal/c/c.go":        "package c\n\nfunc Helper() {}\n",
+		"internal/d/d_amd64.go":  "//go:build amd64 && !purego\n\npackage d\n\nimport . \"fixture/internal/c\"\n\nfunc Run() { Helper() }\n",
+		"internal/d/d_purego.go": "//go:build !amd64 || purego\n\npackage d\n\nfunc Run() {}\n",
+		"cmd/x/main.go":          "package main\n\nimport (\n\t\"fixture/internal/a\"\n\t\"fixture/internal/d\"\n)\n\nfunc main() { a.Used(); a.U{}.Set(); a.Kernel(); d.Run() }\n",
+		"testdata/ignored.go":    "package ignored\n\nfunc main() { a.Unused() }\n",
+		"stkde/s.go":             "package stkde\n\nfunc Public() {}\n",
 	}
 	for name, src := range files {
 		p := filepath.Join(root, filepath.FromSlash(name))
@@ -262,12 +324,12 @@ func TestUnreferencedFixture(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tree, err := parseTree(root)
+	bad, err := unreferenced(root, root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := strings.Join(tree.unreferenced(), "\n")
-	want := "internal/a/a.go:5: Unused\ninternal/b/b_amd64.go:5: Tagged\nstkde/s.go:3: Public"
+	got := strings.Join(bad, "\n")
+	want := "internal/a/a.go:11: T.Set\ninternal/a/a.go:5: Unused\ninternal/b/b_amd64.go:5: Tagged\ninternal/b/b_purego.go:5: Kernel\nstkde/s.go:3: Public"
 	if got != want {
 		t.Fatalf("unreferenced in the fixture:\n%s\nwant:\n%s", got, want)
 	}

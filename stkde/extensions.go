@@ -33,10 +33,10 @@ func NewStream(spec Spec, cfg StreamConfig) (*Stream, error) {
 
 // Pyramid is the sublinear analytics index of a density grid: a 3-D
 // summed-volume table answering BoxMass with an O(1) 8-corner lookup, plus
-// coarse block maxima pruning TopK and Threshold to the blocks that can
-// still matter. Build one when a volume is queried repeatedly; answers
-// agree with the naive Grid scans to within accumulation rounding (TopK
-// and Threshold selections are exactly the sequential scans').
+// coarse block maxima pruning TopK to the blocks that can still matter.
+// Build one when a volume is queried repeatedly; answers agree with the
+// naive Grid scans to within accumulation rounding (TopK selections are
+// exactly the sequential scan's).
 type Pyramid = grid.Pyramid
 
 // NewPyramid builds the analytics index of g with up to threads workers

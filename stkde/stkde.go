@@ -106,18 +106,11 @@ func NewSpec(d Domain, sres, tres, hs, ht float64) (Spec, error) {
 // (non-positive means tracked but unlimited).
 func NewBudget(bytes int64) *Budget { return grid.NewBudget(bytes) }
 
-// NewGrid allocates a zeroed density grid (rarely needed directly; Estimate
-// allocates its own output).
-func NewGrid(s Spec, b *Budget) (*Grid, error) { return grid.NewGrid(s, b) }
-
 // Algorithms returns every algorithm identifier.
 func Algorithms() []string { return core.Algorithms() }
 
 // ValidAlgorithm reports whether name is a known algorithm identifier.
 func ValidAlgorithm(name string) bool { return core.ValidAlgorithm(name) }
-
-// SequentialAlgorithms returns the single-thread algorithm identifiers.
-func SequentialAlgorithms() []string { return core.SequentialAlgorithms() }
 
 // ParallelAlgorithms returns the multi-thread algorithm identifiers.
 func ParallelAlgorithms() []string { return core.ParallelAlgorithms() }

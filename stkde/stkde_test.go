@@ -67,8 +67,14 @@ func TestFacadeAlgorithmLists(t *testing.T) {
 	if len(stkde.Algorithms()) != 12 {
 		t.Errorf("expected 12 algorithms, got %d", len(stkde.Algorithms()))
 	}
-	if len(stkde.SequentialAlgorithms())+len(stkde.ParallelAlgorithms()) != 12 {
-		t.Error("sequential + parallel must cover all algorithms")
+	par := stkde.ParallelAlgorithms()
+	if len(par) == 0 || len(par) >= 12 {
+		t.Errorf("%d parallel algorithms, want some but not all 12", len(par))
+	}
+	for _, a := range par {
+		if !stkde.ValidAlgorithm(a) {
+			t.Errorf("parallel algorithm %q is not valid", a)
+		}
 	}
 }
 

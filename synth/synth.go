@@ -40,12 +40,6 @@ type Instance = data.Instance
 // Scaled is a runnable instantiation of an Instance at a linear scale.
 type Scaled = data.Scaled
 
-// RNG is the deterministic random number generator behind the generators.
-type RNG = data.RNG
-
-// NewRNG returns a deterministic generator for the seed.
-func NewRNG(seed uint64) *RNG { return data.NewRNG(seed) }
-
 // Catalog returns the 21 Table 2 instances in paper order.
 func Catalog() []Instance { return data.Catalog() }
 

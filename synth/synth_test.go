@@ -51,10 +51,14 @@ func TestGeneratorsUsableThroughFacade(t *testing.T) {
 }
 
 func TestRNGDeterministicFacade(t *testing.T) {
-	a, b := synth.NewRNG(5), synth.NewRNG(5)
-	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatal("RNG not deterministic through facade")
+	d := stkde.Domain{GX: 100, GY: 100, GT: 50}
+	for _, name := range []string{"epidemic", "socialmedia", "sparseglobal", "hotspot", "uniform"} {
+		g := synth.GeneratorByName(name)
+		a, b := g.Generate(100, d, 5), g.Generate(100, d, 5)
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%s: point %d differs between two runs of seed 5", g.Name(), i)
+			}
 		}
 	}
 }
