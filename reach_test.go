@@ -30,6 +30,12 @@ var stdlibMethods = map[string]bool{
 	"internal/dist.DegradedError.Unwrap":  true,
 	// net/http calls a Handler's ServeHTTP.
 	"internal/serve.Server.ServeHTTP": true,
+	// fmt calls a fmt.Stringer's String when a verb formats the value:
+	// cmd/stkded prints its shard gather policy and WAL sync policy, and
+	// cmd/stkdewal each record's kind.
+	"internal/dist.GatherPolicy.String": true,
+	"internal/wal.SyncPolicy.String":    true,
+	"internal/wal.Kind.String":          true,
 	// container/heap calls Less and Swap (its Interface embeds
 	// sort.Interface), and Push and Pop: heap.Push and heap.Pop are
 	// functions of container/heap, not uses of the heaps' methods. Each
@@ -60,6 +66,13 @@ var publicKeep = map[string]bool{
 	// The only public constructor of the pyramid that README's
 	// static-grid analytics describe.
 	"stkde.NewPyramid": true,
+	// Public methods of the aliased Grid, Query and Pyramid that nothing
+	// of the tree calls or formats. They passed the name scan on other
+	// types' Add, N and String; whether they stay is an API decision, left
+	// open in ROADMAP item 28.
+	"internal/grid.Grid.Add":       true,
+	"internal/core.Query.N":        true,
+	"internal/grid.Pyramid.String": true,
 }
 
 // reachBuilds are the builds the guard type-checks, as extra go list
@@ -127,41 +140,70 @@ func funcID(fn *types.Func) string {
 
 // funcDecl is one function or method declared in the module under test.
 type funcDecl struct {
-	entry  string // "file:line: funcName", the file relative to the root
-	key    string // "dir.funcName", as stdlibMethods and publicKeep name it
-	method string // the method's own name, "" for a function
+	entry string // "file:line: funcName", the file relative to the root
+	key   string // "dir.funcName", as stdlibMethods and publicKeep name it
 }
 
 // buildReach is what the non-test code of one build declares and calls.
+// Every package of the modules is type-checked from source once, in one
+// universe of types, so an interface of one package and a type of another
+// can be compared; only the standard library is read from export data.
 type buildReach struct {
-	root  string
-	fset  *token.FileSet
-	decls map[string]funcDecl // by funcID, the module under test only
-	used  map[string]bool     // funcIDs that code outside their own body names
-	iface map[string]bool     // names of used interface methods
+	root    string
+	fset    *token.FileSet
+	exports map[string]string                    // export data files, by import path
+	pkgs    map[string]*types.Package            // packages checked from source
+	gc      types.Importer                       // the standard library's export data
+	decls   map[string]funcDecl                  // by funcID, the module under test only
+	used    map[string]bool                      // funcIDs that code outside their own body names
+	iface   map[string]map[*types.Interface]bool // used interface methods: by name, their interfaces
+	named   []*types.Named                       // the modules' non-interface, non-generic defined types
+}
+
+func newBuildReach(root string) *buildReach {
+	r := &buildReach{root: root, fset: token.NewFileSet(), exports: make(map[string]string), pkgs: make(map[string]*types.Package),
+		decls: make(map[string]funcDecl), used: make(map[string]bool), iface: make(map[string]map[*types.Interface]bool)}
+	r.gc = importer.ForCompiler(r.fset, "gc", func(path string) (io.ReadCloser, error) {
+		if r.exports[path] == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(r.exports[path])
+	})
+	return r
+}
+
+// Import returns a package checked from source, or reads it from export
+// data.
+func (r *buildReach) Import(path string) (*types.Package, error) {
+	if p := r.pkgs[path]; p != nil {
+		return p, nil
+	}
+	return r.gc.Import(path)
 }
 
 // check type-checks the non-test packages of the module in dir from
-// source, and their imports from export data. It records their uses, and
-// their declarations when declare is set.
+// source, in go list's order (each package after its imports), with the
+// packages of modules checked before it. It records their uses, and their
+// declarations when declare is set.
 func (r *buildReach) check(dir string, flags []string, declare bool) error {
 	exports, own, err := goList(dir, flags)
 	if err != nil {
 		return err
 	}
-	conf := types.Config{
-		Importer: importer.ForCompiler(r.fset, "gc", func(path string) (io.ReadCloser, error) {
-			if exports[path] == "" {
-				return nil, fmt.Errorf("no export data for %s", path)
-			}
-			return os.Open(exports[path])
-		}),
-		Sizes: types.SizesFor("gc", "amd64"),
+	for path, file := range exports {
+		r.exports[path] = file
 	}
+	conf := types.Config{Importer: r, Sizes: types.SizesFor("gc", "amd64")}
 	for _, p := range own {
+		// go list reports the directory it resolved, through any symlink;
+		// the root is resolved alike, so entries stay relative to it.
+		pdir, err := filepath.EvalSymlinks(p.dir)
+		if err != nil {
+			return err
+		}
 		var files []*ast.File
 		for _, name := range p.files {
-			f, err := parser.ParseFile(r.fset, filepath.Join(p.dir, name), nil, parser.SkipObjectResolution)
+			f, err := parser.ParseFile(r.fset, filepath.Join(pdir, name), nil, parser.SkipObjectResolution)
 			if err != nil {
 				return err
 			}
@@ -171,6 +213,26 @@ func (r *buildReach) check(dir string, flags []string, declare bool) error {
 		pkg, err := conf.Check(p.path, r.fset, files, info)
 		if err != nil {
 			return err
+		}
+		r.pkgs[p.path] = pkg
+		for _, obj := range info.Defs {
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			n, ok := tn.Type().(*types.Named)
+			if !ok || n.TypeParams().Len() > 0 {
+				continue
+			}
+			if it, ok := n.Underlying().(*types.Interface); ok {
+				// An interface of the tree is a contract: every method
+				// it names may be dispatched to.
+				for i := 0; i < it.NumMethods(); i++ {
+					r.useIface(it, it.Method(i).Name())
+				}
+			} else {
+				r.named = append(r.named, n)
+			}
 		}
 		for _, f := range files {
 			for _, d := range f.Decls {
@@ -195,7 +257,7 @@ func (r *buildReach) check(dir string, flags []string, declare bool) error {
 						return true
 					}
 					if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-						r.iface[fn.Name()] = true
+						r.useIface(recv.Type().Underlying().(*types.Interface), fn.Name())
 					} else if fid := funcID(fn); fid != self {
 						r.used[fid] = true
 					}
@@ -222,15 +284,52 @@ func (r *buildReach) declare(id string, fn *types.Func, fd *ast.FuncDecl) error 
 		return err
 	}
 	rel = filepath.ToSlash(rel)
-	d := funcDecl{
+	r.decls[id] = funcDecl{
 		entry: fmt.Sprintf("%s:%d: %s", rel, pos.Line, funcName(fn)),
 		key:   pathpkg.Dir(rel) + "." + funcName(fn),
 	}
-	if fd.Recv != nil {
-		d.method = fn.Name()
-	}
-	r.decls[id] = d
 	return nil
+}
+
+// useIface records that code may call method name of interface it.
+func (r *buildReach) useIface(it *types.Interface, name string) {
+	if r.iface[name] == nil {
+		r.iface[name] = make(map[*types.Interface]bool)
+	}
+	r.iface[name][it] = true
+}
+
+// dispatch marks the methods that interface dispatch may reach: for each
+// used interface method, the method of that name that each defined type
+// implementing the interface, as T or *T, selects, promoted from an
+// embedded field or its own.
+func (r *buildReach) dispatch() {
+	for name, ifaces := range r.iface {
+		for it := range ifaces {
+			var m *types.Func
+			for i := 0; i < it.NumMethods(); i++ {
+				if it.Method(i).Name() == name {
+					m = it.Method(i)
+				}
+			}
+			for _, n := range r.named {
+				if !types.Implements(n, it) && !types.Implements(types.NewPointer(n), it) {
+					continue
+				}
+				if fn, ok := lookupMethod(n, m); ok {
+					r.used[funcID(fn)] = true
+				}
+			}
+		}
+	}
+}
+
+// lookupMethod returns the method that n's method set selects for the
+// interface method m.
+func lookupMethod(n *types.Named, m *types.Func) (*types.Func, bool) {
+	obj, _, _ := types.LookupFieldOrMethod(n, true, m.Pkg(), m.Name())
+	fn, ok := obj.(*types.Func)
+	return fn, ok
 }
 
 // unreferenced lists, as "file:line: Name" or "file:line: Recv.Name",
@@ -240,26 +339,32 @@ func (r *buildReach) declare(id string, fn *types.Func, fd *ast.FuncDecl) error 
 // module in modules, root first. A function counts as called when
 // types.Info.Uses names it outside its own body, so a method is told
 // apart from another type's method of the same name, and a bare name from
-// the package that declares it. A method also counts when a used
-// interface method has its name, since interface dispatch may reach it.
-// Exempt are init, main, stdlibMethods and publicKeep.
+// the package that declares it. A method also counts when its type
+// implements an interface whose method of that name is used, since
+// interface dispatch may reach it; a used net.Addr.String does not pass a
+// String method of a type that is no net.Addr. Exempt are init, main,
+// stdlibMethods and publicKeep.
 func unreferenced(root string, modules ...string) ([]string, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
 	}
+	if root, err = filepath.EvalSymlinks(root); err != nil {
+		return nil, err
+	}
 	declared := make(map[string]string) // entry -> key
 	called := make(map[string]bool)     // by entry
 	for _, flags := range reachBuilds {
-		r := &buildReach{root: root, fset: token.NewFileSet(), decls: make(map[string]funcDecl), used: make(map[string]bool), iface: make(map[string]bool)}
+		r := newBuildReach(root)
 		for i, m := range modules {
 			if err := r.check(m, flags, i == 0); err != nil {
 				return nil, err
 			}
 		}
+		r.dispatch()
 		for id, d := range r.decls {
 			declared[d.entry] = d.key
-			if r.used[id] || d.method != "" && r.iface[d.method] {
+			if r.used[id] {
 				called[d.entry] = true
 			}
 		}
@@ -299,7 +404,9 @@ func TestInternalFuncsReferenced(t *testing.T) {
 // called, and so is a purego-only Kernel though another package's Kernel
 // is called. A call is found by type, in either build: c.Helper, called
 // only by the default build's d_amd64.go through a dot import, is not
-// listed.
+// listed. Dispatch goes by type too: a used io.Writer.Write reaches
+// e.Writer.Write but not Sink.Write, whose signature is no io.Writer's,
+// and a Window reaches inner.Spec, promoted into wrap.
 func TestUnreferencedFixture(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
@@ -311,7 +418,8 @@ func TestUnreferencedFixture(t *testing.T) {
 		"internal/c/c.go":        "package c\n\nfunc Helper() {}\n",
 		"internal/d/d_amd64.go":  "//go:build amd64 && !purego\n\npackage d\n\nimport . \"fixture/internal/c\"\n\nfunc Run() { Helper() }\n",
 		"internal/d/d_purego.go": "//go:build !amd64 || purego\n\npackage d\n\nfunc Run() {}\n",
-		"cmd/x/main.go":          "package main\n\nimport (\n\t\"fixture/internal/a\"\n\t\"fixture/internal/d\"\n)\n\nfunc main() { a.Used(); a.U{}.Set(); a.Kernel(); d.Run() }\n",
+		"internal/e/e.go":        "package e\n\nimport \"io\"\n\ntype Writer struct{}\n\nfunc (Writer) Write(p []byte) (int, error) { return len(p), nil }\n\ntype Sink struct{}\n\nfunc (Sink) Write(p []byte) {}\n\ntype Window interface {\n\tSpec() int\n\tOther()\n}\n\ntype inner struct{}\n\nfunc (inner) Spec() int { return 0 }\n\ntype wrap struct{ inner }\n\nfunc (wrap) Other() {}\n\nfunc Run() {\n\tvar w io.Writer = Writer{}\n\tw.Write(nil)\n\tvar win Window = wrap{}\n\twin.Other()\n}\n",
+		"cmd/x/main.go":          "package main\n\nimport (\n\t\"fixture/internal/a\"\n\t\"fixture/internal/d\"\n\t\"fixture/internal/e\"\n)\n\nfunc main() { a.Used(); a.U{}.Set(); a.Kernel(); d.Run(); e.Run() }\n",
 		"testdata/ignored.go":    "package ignored\n\nfunc main() { a.Unused() }\n",
 		"stkde/s.go":             "package stkde\n\nfunc Public() {}\n",
 	}
@@ -329,7 +437,7 @@ func TestUnreferencedFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := strings.Join(bad, "\n")
-	want := "internal/a/a.go:11: T.Set\ninternal/a/a.go:5: Unused\ninternal/b/b_amd64.go:5: Tagged\ninternal/b/b_purego.go:5: Kernel\nstkde/s.go:3: Public"
+	want := "internal/a/a.go:11: T.Set\ninternal/a/a.go:5: Unused\ninternal/b/b_amd64.go:5: Tagged\ninternal/b/b_purego.go:5: Kernel\ninternal/e/e.go:11: Sink.Write\nstkde/s.go:3: Public"
 	if got != want {
 		t.Fatalf("unreferenced in the fixture:\n%s\nwant:\n%s", got, want)
 	}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/stkde"
 	"repro/synth"
@@ -68,8 +69,8 @@ func TestFacadeAlgorithmLists(t *testing.T) {
 		t.Errorf("expected 12 algorithms, got %d", len(stkde.Algorithms()))
 	}
 	par := stkde.ParallelAlgorithms()
-	if len(par) == 0 || len(par) >= 12 {
-		t.Errorf("%d parallel algorithms, want some but not all 12", len(par))
+	if len(core.SequentialAlgorithms())+len(par) != 12 {
+		t.Error("sequential + parallel must cover all algorithms")
 	}
 	for _, a := range par {
 		if !stkde.ValidAlgorithm(a) {
