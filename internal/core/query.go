@@ -112,6 +112,3 @@ func (q *Query) At(x, y, t float64) float64 {
 	}
 	return sum * q.norm
 }
-
-// N returns the number of indexed events.
-func (q *Query) N() int { return len(q.pts) }

@@ -17,9 +17,6 @@ func TestQueryMatchesGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := NewQuery(pts, spec, Options{})
-	if q.N() != len(pts) {
-		t.Fatalf("N = %d", q.N())
-	}
 	for X := 0; X < spec.Gx; X++ {
 		for Y := 0; Y < spec.Gy; Y++ {
 			for T := 0; T < spec.Gt; T++ {

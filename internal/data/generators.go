@@ -8,7 +8,8 @@ import (
 
 // Generator produces a deterministic synthetic event set inside a domain.
 type Generator interface {
-	// Name identifies the generator in catalogs and output.
+	// Name identifies the generator in catalogs and output, and is the
+	// name ByName finds it by; no other code spells it.
 	Name() string
 	// Generate returns exactly n points inside d, derived from seed.
 	Generate(n int, d grid.Domain, seed uint64) []grid.Point
@@ -311,19 +312,16 @@ func (Uniform) Generate(n int, d grid.Domain, seed uint64) []grid.Point {
 	return pts
 }
 
+// generators are the generators ByName finds. A generator's name lives in
+// its Name method alone.
+var generators = []Generator{Epidemic{}, SocialMedia{}, SparseGlobal{}, Hotspot{}, Uniform{}}
+
 // ByName returns a generator by its Name, or nil if unknown.
 func ByName(name string) Generator {
-	switch name {
-	case "epidemic":
-		return Epidemic{}
-	case "socialmedia":
-		return SocialMedia{}
-	case "sparseglobal":
-		return SparseGlobal{}
-	case "hotspot":
-		return Hotspot{}
-	case "uniform":
-		return Uniform{}
+	for _, g := range generators {
+		if g.Name() == name {
+			return g
+		}
 	}
 	return nil
 }

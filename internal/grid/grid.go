@@ -285,9 +285,6 @@ func (g *Grid) Idx(X, Y, T int) int {
 // At returns the density estimate at voxel (X, Y, T).
 func (g *Grid) At(X, Y, T int) float64 { return g.Data[g.Idx(X, Y, T)] }
 
-// Add accumulates a density contribution at voxel (X, Y, T).
-func (g *Grid) Add(X, Y, T int, v float64) { g.Data[g.Idx(X, Y, T)] += v }
-
 // Sum returns the sum of all voxel densities. Multiplying by sres^2*tres
 // approximates the integral of the density estimate over the domain.
 func (g *Grid) Sum() float64 {

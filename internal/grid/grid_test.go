@@ -191,11 +191,11 @@ func TestGridAccessorsAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Data[g.Idx(1, 2, 3)] = 5
-	g.Add(1, 2, 3, 2.5)
+	g.Data[g.Idx(1, 2, 3)] += 2.5
 	if got := g.At(1, 2, 3); got != 7.5 {
 		t.Errorf("At = %g, want 7.5", got)
 	}
-	g.Add(0, 0, 0, 0.5)
+	g.Data[g.Idx(0, 0, 0)] += 0.5
 	if got := g.Sum(); got != 8 {
 		t.Errorf("Sum = %g, want 8", got)
 	}

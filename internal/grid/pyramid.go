@@ -2,7 +2,6 @@ package grid
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 
@@ -247,11 +246,4 @@ func (py *Pyramid) TopK(k int) []VoxelDensity {
 		}
 	}
 	return h.drain(s.Gt, s.Gy)
-}
-
-// String summarizes the pyramid for debugging.
-func (py *Pyramid) String() string {
-	s := py.g.Spec
-	return fmt.Sprintf("pyramid %dx%dx%d (blocks %dx%dx%d, %d bytes)",
-		s.Gx, s.Gy, s.Gt, py.bx, py.by, py.bt, py.Bytes())
 }

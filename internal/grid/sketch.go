@@ -62,9 +62,8 @@ type RingSketch struct {
 	// Clean blocks have ub == max; TopK orders blocks by ub and rebuilds a
 	// dirty block only when its bound actually reaches the selection floor,
 	// so wide-bandwidth events do not force a full-window repair per query.
-	ub     []float64
-	dirty  []bool
-	ndirty int
+	ub    []float64
+	dirty []bool
 
 	heapScratch []int32 // reused backing array for TopK's block heap
 
@@ -142,10 +141,7 @@ func (sk *RingSketch) markPhys(x0, x1, y0, y1, p0, p1 int, peak float64) {
 		for bY := y0 >> sketchShift; bY <= y1>>sketchShift; bY++ {
 			base := (bX*sk.by + bY) * sk.bt
 			for bT := p0 >> sketchShift; bT <= p1>>sketchShift; bT++ {
-				if !sk.dirty[base+bT] {
-					sk.dirty[base+bT] = true
-					sk.ndirty++
-				}
+				sk.dirty[base+bT] = true
 				sk.ub[base+bT] += peak
 			}
 		}
@@ -158,7 +154,6 @@ func (sk *RingSketch) markAll() {
 		sk.dirty[i] = true
 		sk.ub[i] = inf
 	}
-	sk.ndirty = len(sk.dirty)
 }
 
 // resetZeroed records that the entire ring has been zeroed (whole-window
@@ -169,7 +164,6 @@ func (sk *RingSketch) resetZeroed() {
 	clear(sk.max)
 	clear(sk.ub)
 	clear(sk.dirty)
-	sk.ndirty = 0
 }
 
 // zeroedPhysLayers records that physical layers [p0, p0+k) (mod Gt) have
@@ -193,20 +187,14 @@ func (sk *RingSketch) zeroedPhysRun(p0, p1 int) {
 			for bc := 0; bc < sk.bx*sk.by; bc++ {
 				i := bc*sk.bt + bT
 				sk.sum[i], sk.max[i], sk.ub[i] = 0, 0, 0
-				if sk.dirty[i] {
-					sk.dirty[i] = false
-					sk.ndirty--
-				}
+				sk.dirty[i] = false
 			}
 			continue
 		}
 		// Boundary blocks go dirty; zeroing only lowers values, so their
 		// maximum upper bounds stay sound unchanged.
 		for bc := 0; bc < sk.bx*sk.by; bc++ {
-			if i := bc*sk.bt + bT; !sk.dirty[i] {
-				sk.dirty[i] = true
-				sk.ndirty++
-			}
+			sk.dirty[bc*sk.bt+bT] = true
 		}
 	}
 }
@@ -246,7 +234,6 @@ func (sk *RingSketch) rebuildBlock(b int) {
 	}
 	sk.sum[b], sk.max[b], sk.ub[b] = sum, mx, mx
 	sk.dirty[b] = false
-	sk.ndirty--
 	sk.rebuilt++
 }
 

@@ -6,8 +6,7 @@ package grid
 // simulated distributed-memory estimator (repro/internal/dist): each rank
 // computes densities only for the voxels of its slab.
 type Slab struct {
-	Index  int  // rank index in [0, Ranks)
-	Ranks  int  // total number of slabs the root spec was carved into
+	Index  int  // rank index in [0, len(slabs))
 	T0, T1 int  // owned voxel layers, inclusive, in the root frame
 	Spec   Spec // local sub-spec: Gt = T1-T0+1, OT = root OT + T0
 }
@@ -37,11 +36,7 @@ func (s Spec) CarveT(r int) []Slab {
 	slabs := make([]Slab, r)
 	for i := 0; i < r; i++ {
 		t0, t1 := starts[i], starts[i+1]-1
-		slabs[i] = Slab{
-			Index: i, Ranks: r,
-			T0: t0, T1: t1,
-			Spec: s.SubSpecT(t0, t1),
-		}
+		slabs[i] = Slab{Index: i, T0: t0, T1: t1, Spec: s.SubSpecT(t0, t1)}
 	}
 	return slabs
 }

@@ -29,8 +29,8 @@ func TestCarveTTilesExactly(t *testing.T) {
 		}
 		next := 0
 		for i, sl := range slabs {
-			if sl.Index != i || sl.Ranks != want {
-				t.Errorf("CarveT(%d) slab %d: Index=%d Ranks=%d", r, i, sl.Index, sl.Ranks)
+			if sl.Index != i {
+				t.Errorf("CarveT(%d) slab %d: Index=%d", r, i, sl.Index)
 			}
 			if sl.T0 != next {
 				t.Errorf("CarveT(%d) slab %d starts at %d, want %d (gap/overlap)", r, i, sl.T0, next)

@@ -23,7 +23,8 @@ import "math"
 type Spatial interface {
 	// Eval returns the kernel weight at normalized offset (u, v).
 	Eval(u, v float64) float64
-	// Name identifies the kernel in output tables.
+	// Name identifies the kernel in output tables and is the name
+	// SpatialByName finds it by; no other code spells it.
 	Name() string
 }
 
@@ -33,7 +34,8 @@ type Spatial interface {
 type Temporal interface {
 	// Eval returns the kernel weight at normalized offset w.
 	Eval(w float64) float64
-	// Name identifies the kernel in output tables.
+	// Name identifies the kernel in output tables and is the name
+	// TemporalByName finds it by; no other code spells it.
 	Name() string
 }
 
@@ -323,42 +325,38 @@ func DefaultSpatial() Spatial { return Epanechnikov2D{} }
 // DefaultTemporal returns the paper's temporal kernel.
 func DefaultTemporal() Temporal { return Epanechnikov1D{} }
 
-// SpatialByName looks up a spatial kernel by its Name. It returns nil for
-// unknown names.
+// spatialKernels are the spatial kernels SpatialByName finds. A kernel's
+// name lives in its Name method alone.
+var spatialKernels = []Spatial{Epanechnikov2D{}, Quartic2D{}, Triweight2D{}, Uniform2D{}, Cone2D{}, NewTruncGauss2D(1.0 / 3)}
+
+// temporalKernels are the temporal kernels TemporalByName finds. A
+// kernel's name lives in its Name method alone.
+var temporalKernels = []Temporal{Epanechnikov1D{}, Quartic1D{}, Triweight1D{}, Uniform1D{}, Triangle1D{}, NewTruncGauss1D(1.0 / 3)}
+
+// SpatialByName looks up a spatial kernel by its Name; "" is the default
+// kernel. It returns nil for unknown names.
 func SpatialByName(name string) Spatial {
-	switch name {
-	case "", "epanechnikov2d":
-		return Epanechnikov2D{}
-	case "quartic2d":
-		return Quartic2D{}
-	case "triweight2d":
-		return Triweight2D{}
-	case "uniform2d":
-		return Uniform2D{}
-	case "cone2d":
-		return Cone2D{}
-	case "truncgauss2d":
-		return NewTruncGauss2D(1.0 / 3)
+	if name == "" {
+		return DefaultSpatial()
+	}
+	for _, k := range spatialKernels {
+		if k.Name() == name {
+			return k
+		}
 	}
 	return nil
 }
 
-// TemporalByName looks up a temporal kernel by its Name. It returns nil for
-// unknown names.
+// TemporalByName looks up a temporal kernel by its Name; "" is the default
+// kernel. It returns nil for unknown names.
 func TemporalByName(name string) Temporal {
-	switch name {
-	case "", "epanechnikov1d":
-		return Epanechnikov1D{}
-	case "quartic1d":
-		return Quartic1D{}
-	case "triweight1d":
-		return Triweight1D{}
-	case "uniform1d":
-		return Uniform1D{}
-	case "triangle1d":
-		return Triangle1D{}
-	case "truncgauss1d":
-		return NewTruncGauss1D(1.0 / 3)
+	if name == "" {
+		return DefaultTemporal()
+	}
+	for _, k := range temporalKernels {
+		if k.Name() == name {
+			return k
+		}
 	}
 	return nil
 }

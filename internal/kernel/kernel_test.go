@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -230,14 +231,14 @@ func TestSpecializeCoverage(t *testing.T) {
 func TestByNameRoundTrip(t *testing.T) {
 	for _, k := range allSpatial() {
 		got := SpatialByName(k.Name())
-		if got == nil || got.Name() != k.Name() {
-			t.Errorf("SpatialByName(%q) failed", k.Name())
+		if got == nil || got.Name() != k.Name() || reflect.TypeOf(got) != reflect.TypeOf(k) {
+			t.Errorf("SpatialByName(%q) = %T, want %T", k.Name(), got, k)
 		}
 	}
 	for _, k := range allTemporal() {
 		got := TemporalByName(k.Name())
-		if got == nil || got.Name() != k.Name() {
-			t.Errorf("TemporalByName(%q) failed", k.Name())
+		if got == nil || got.Name() != k.Name() || reflect.TypeOf(got) != reflect.TypeOf(k) {
+			t.Errorf("TemporalByName(%q) = %T, want %T", k.Name(), got, k)
 		}
 	}
 	if SpatialByName("nope") != nil || TemporalByName("nope") != nil {

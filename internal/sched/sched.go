@@ -73,10 +73,6 @@ func Simulate(d stencil.DAG, w []float64, p int) float64 {
 // a reduction.
 type Replication struct {
 	Factor []int
-	// CriticalPath is the effective critical path after replication.
-	CriticalPath float64
-	// Rounds is how many planning iterations ran.
-	Rounds int
 }
 
 // PlanReplication implements the paper's PB-SYM-PD-REP planning loop: as
@@ -96,20 +92,18 @@ func PlanReplication(d stencil.DAG, w []float64, p int, overhead func(v, k int) 
 		factor[i] = 1
 	}
 	if n == 0 || p <= 1 {
-		cp, _ := stencil.CriticalPath(d, w)
-		return Replication{Factor: factor, CriticalPath: cp}
+		return Replication{Factor: factor}
 	}
 	threshold := stencil.TotalWork(w) / (2 * float64(p))
 	eff := make([]float64, n)
-	rounds := 0
 	const maxRounds = 256
-	for ; rounds < maxRounds; rounds++ {
+	for rounds := 0; rounds < maxRounds; rounds++ {
 		for v := 0; v < n; v++ {
 			eff[v] = effective(w[v], factor[v], v, overhead)
 		}
 		cp, chain := stencil.CriticalPath(d, eff)
 		if cp <= threshold {
-			return Replication{Factor: factor, CriticalPath: cp, Rounds: rounds}
+			break
 		}
 		progress := false
 		for _, v := range chain {
@@ -123,14 +117,10 @@ func PlanReplication(d stencil.DAG, w []float64, p int, overhead func(v, k int) 
 			}
 		}
 		if !progress {
-			return Replication{Factor: factor, CriticalPath: cp, Rounds: rounds}
+			break
 		}
 	}
-	for v := 0; v < n; v++ {
-		eff[v] = effective(w[v], factor[v], v, overhead)
-	}
-	cp, _ := stencil.CriticalPath(d, eff)
-	return Replication{Factor: factor, CriticalPath: cp, Rounds: rounds}
+	return Replication{Factor: factor}
 }
 
 func effective(w float64, k, v int, overhead func(v, k int) float64) float64 {

@@ -86,25 +86,32 @@ func TestSimulateEmpty(t *testing.T) {
 	}
 }
 
+// replicatedCP returns the critical path of d, and its chain, under the
+// effective weights of rep's factors.
+func replicatedCP(d stencil.DAG, w []float64, rep Replication, overhead func(v, k int) float64) (float64, []int) {
+	eff := make([]float64, d.N)
+	for v := range eff {
+		eff[v] = effective(w[v], rep.Factor[v], v, overhead)
+	}
+	return stencil.CriticalPath(d, eff)
+}
+
 // TestPlanReplicationShortensCP: with zero overhead, the planner must
 // drive the critical path to the threshold (or saturate factors at P).
 func TestPlanReplicationShortensCP(t *testing.T) {
 	check := func(a, b, c uint8, seed int64, pw uint8) bool {
 		d, w := randomCase(a, b, c, seed)
 		p := int(pw%15) + 2
-		rep := PlanReplication(d, w, p, func(v, k int) float64 { return 0 })
+		zero := func(v, k int) float64 { return 0 }
+		rep := PlanReplication(d, w, p, zero)
 		t1 := stencil.TotalWork(w)
 		threshold := t1 / (2 * float64(p))
-		if rep.CriticalPath <= threshold+1e-9 {
+		cp, chain := replicatedCP(d, w, rep, zero)
+		if cp <= threshold+1e-9 {
 			return true
 		}
 		// Otherwise every task on the final critical path must be
 		// saturated at factor P.
-		eff := make([]float64, d.N)
-		for v := range eff {
-			eff[v] = w[v] / float64(rep.Factor[v])
-		}
-		_, chain := stencil.CriticalPath(d, eff)
 		for _, v := range chain {
 			if rep.Factor[v] < p {
 				return false
@@ -157,12 +164,13 @@ func TestPlanReplicationImprovesSimulatedMakespan(t *testing.T) {
 	d := stencil.Orient(l, col)
 	p := 8
 	before := Simulate(d, w, p)
-	rep := PlanReplication(d, w, p, func(v, k int) float64 { return 1 })
+	one := func(v, k int) float64 { return 1 }
+	rep := PlanReplication(d, w, p, one)
 	if !rep.Replicated() {
 		t.Fatal("expected replication of the dominant subdomain")
 	}
-	if rep.CriticalPath >= before {
-		t.Errorf("effective CP %g not below un-replicated makespan %g", rep.CriticalPath, before)
+	if cp, _ := replicatedCP(d, w, rep, one); cp >= before {
+		t.Errorf("effective CP %g not below un-replicated makespan %g", cp, before)
 	}
 	if rep.Factor[l.ID(1, 1, 1)] < 2 {
 		t.Error("dominant subdomain not replicated")

@@ -59,7 +59,6 @@ func tenantOf(r *http.Request) string {
 
 // waiter is one queued admission request.
 type waiter struct {
-	tenant    string
 	cost      float64 // predicted seconds of the work it will run
 	pred      float64 // predicted queue wait at enqueue, seconds
 	enqueued  time.Time
@@ -291,7 +290,6 @@ func (a *admission) acquire(ctx context.Context, tenant string, cost float64, do
 		}
 	}
 	w := &waiter{
-		tenant:   tenant,
 		cost:     cost,
 		pred:     a.predictedWaitLocked(tenant, cost),
 		enqueued: time.Now(),

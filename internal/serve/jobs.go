@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"sync"
-	"time"
 )
 
 // Job states. A job is the asynchronous handle of one estimation request;
@@ -24,9 +23,7 @@ type job struct {
 	mu       sync.Mutex
 	state    string
 	err      string
-	cacheHit bool // resolved from cache without estimating
-	started  time.Time
-	finished time.Time
+	cacheHit bool    // resolved from cache without estimating
 	seconds  float64 // estimation phase total (0 on cache hit)
 	peak     float64
 	peakVox  [3]int
@@ -117,7 +114,7 @@ func (s *Server) startJob(k estimateKey, tenant string) (*job, error) {
 	if closed {
 		return nil, errShuttingDown
 	}
-	j := &job{id: id, key: k, tenant: tenant, state: jobRunning, started: time.Now()}
+	j := &job{id: id, key: k, tenant: tenant, state: jobRunning}
 	s.jobs.insert(j)
 	go s.runJob(j)
 	return j, nil
@@ -133,7 +130,6 @@ func (s *Server) runJob(j *job) {
 	res, cached, err := s.ensureGrid(context.Background(), j.key, j.tenant, true)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.finished = time.Now()
 	if err != nil {
 		j.state = jobFailed
 		j.err = err.Error()

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"expvar"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -192,8 +193,9 @@ func (h *latencyHist) Observe(d time.Duration) {
 	h.n++
 }
 
-// quantile returns the q-quantile (0 < q <= 1) of the retained window in
-// seconds, or 0 when nothing was observed.
+// quantile returns the nearest-rank q-quantile (0 < q <= 1) of the
+// retained window in seconds, the ceil(q*n)-th smallest of n, or 0 when
+// nothing was observed.
 func (h *latencyHist) quantile(q float64) float64 {
 	h.mu.Lock()
 	sorted := append([]float64(nil), h.ring...)
@@ -202,7 +204,7 @@ func (h *latencyHist) quantile(q float64) float64 {
 		return 0
 	}
 	sort.Float64s(sorted)
-	i := int(q*float64(len(sorted))) - 1
+	i := int(math.Ceil(q*float64(len(sorted)))) - 1
 	if i < 0 {
 		i = 0
 	}

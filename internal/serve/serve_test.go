@@ -1057,6 +1057,15 @@ func TestLatencyHistogram(t *testing.T) {
 	if q := h.quantile(0.5); q < 9 || q > 16 {
 		t.Fatalf("p50 = %g outside retained window", q)
 	}
+	h = newLatencyHist(8)
+	for i := 1; i <= 3; i++ {
+		h.Observe(time.Duration(i) * time.Second)
+	}
+	for _, c := range []struct{ q, want float64 }{{0.5, 2}, {0.99, 3}, {1, 3}} {
+		if got := h.quantile(c.q); got != c.want {
+			t.Errorf("quantile(%g) of 1s, 2s, 3s = %g, want the nearest rank %g", c.q, got, c.want)
+		}
+	}
 }
 
 // TestGridSizeLimit: a request deriving a grid over MaxGridBytes is

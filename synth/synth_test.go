@@ -3,6 +3,7 @@ package synth_test
 import (
 	"fmt"
 	"log"
+	"reflect"
 	"testing"
 
 	"repro/stkde"
@@ -44,8 +45,8 @@ func TestGeneratorsUsableThroughFacade(t *testing.T) {
 		if len(pts) != 100 {
 			t.Errorf("%s generated %d points", g.Name(), len(pts))
 		}
-		if synth.GeneratorByName(g.Name()) == nil {
-			t.Errorf("GeneratorByName(%q) failed", g.Name())
+		if got := synth.GeneratorByName(g.Name()); reflect.TypeOf(got) != reflect.TypeOf(g) {
+			t.Errorf("GeneratorByName(%q) = %T, want %T", g.Name(), got, g)
 		}
 	}
 }
