@@ -34,7 +34,7 @@ func blocksFor(n int) int { return (n + blockEdge - 1) >> blockShift }
 // voxel values inside surviving blocks), so the grid must
 // stay immutable and alive while the pyramid is used — the contract cached
 // serving grids already obey. Build cost is one parallel O(G) pass; the
-// tables are budget-accounted like a Grid and released with Release.
+// tables can be charged to a Budget at build (see NewPyramid).
 //
 // Answers agree with the naive Grid scans to within accumulation rounding
 // (the property tests assert ≤1e-9); TopK re-reads exact voxel values, so
@@ -52,8 +52,6 @@ type Pyramid struct {
 	// ascending): TopK's best-first visit order. Read-only after build,
 	// so concurrent TopK calls share it.
 	order []int32
-
-	budget *Budget
 }
 
 // PyramidBytes returns the memory footprint of a pyramid for the spec,
@@ -65,7 +63,9 @@ func PyramidBytes(s Spec) int64 {
 }
 
 // NewPyramid builds the analytics sketch of g with up to p workers (p < 1
-// means GOMAXPROCS), charging the budget if one is provided.
+// means GOMAXPROCS), charging the budget if one is provided. The charge is
+// the caller's to return, with b.Free(py.Bytes()), once no reader uses the
+// pyramid any more.
 func NewPyramid(g *Grid, p int, b *Budget) (*Pyramid, error) {
 	s := g.Spec
 	bytes := PyramidBytes(s)
@@ -76,7 +76,6 @@ func NewPyramid(g *Grid, p int, b *Budget) (*Pyramid, error) {
 		g:   g,
 		svt: make([]float64, (s.Gx+1)*(s.Gy+1)*(s.Gt+1)),
 		bx:  blocksFor(s.Gx), by: blocksFor(s.Gy), bt: blocksFor(s.Gt),
-		budget: b,
 	}
 	py.blockMax = make([]float64, py.bx*py.by*py.bt)
 	py.order = make([]int32, len(py.blockMax))
@@ -169,21 +168,6 @@ func (py *Pyramid) build(p int) {
 
 // Bytes returns the memory footprint of the pyramid's tables.
 func (py *Pyramid) Bytes() int64 { return PyramidBytes(py.g.Spec) }
-
-// Grid returns the grid the pyramid indexes.
-func (py *Pyramid) Grid() *Grid { return py.g }
-
-// Release returns the pyramid's memory charge to its budget. The pyramid
-// must not be used afterwards (the indexed grid is untouched).
-func (py *Pyramid) Release() {
-	if py.budget != nil {
-		py.budget.Free(py.Bytes())
-		py.budget = nil
-	}
-	py.svt = nil
-	py.blockMax = nil
-	py.order = nil
-}
 
 // corner reads the inclusive prefix sum over [0,X) x [0,Y) x [0,T).
 func (py *Pyramid) corner(X, Y, T int) float64 {

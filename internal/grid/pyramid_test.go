@@ -187,11 +187,12 @@ func TestPyramidTopKAllocs(t *testing.T) {
 // once over one pyramid, as cached serving does: they share the
 // read-only block order and must each get the sequential answer.
 func TestPyramidTopKConcurrent(t *testing.T) {
-	py, err := NewPyramid(peakedGrid(t, 40, 33, 29), 0, nil)
+	g := peakedGrid(t, 40, 33, 29)
+	py, err := NewPyramid(g, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := py.Grid().TopK(50)
+	want := g.TopK(50)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -230,9 +231,9 @@ func TestPyramidBudgetAccounting(t *testing.T) {
 	if _, err := NewPyramid(g, 0, b); err == nil {
 		t.Fatal("second pyramid fit in a one-pyramid budget")
 	}
-	py.Release()
+	b.Free(py.Bytes())
 	if got := b.Used(); got != 0 {
-		t.Fatalf("budget used after Release = %d, want 0", got)
+		t.Fatalf("budget used after freeing the pyramid's bytes = %d, want 0", got)
 	}
 }
 

@@ -46,8 +46,8 @@ func TestReadAllocBudgets(t *testing.T) {
 		budget            float64
 	}{
 		{"static/query", "/v1/query?" + static + "&x=50&y=40&t=15", "grid", 56},
-		{"static/region", "/v1/region?" + static + "&bx0=3&bx1=31&by0=2&by1=17&bt0=1&bt1=28", "sketch", 61},
-		{"static/hotspots", "/v1/hotspots?" + static + "&k=10", "sketch", 50},
+		{"static/region", "/v1/region?" + static + "&bx0=3&bx1=31&by0=2&by1=17&bt0=1&bt1=28", "sketch", 60},
+		{"static/hotspots", "/v1/hotspots?" + static + "&k=10", "sketch", 49},
 		{"stream/query", "/v1/query?" + live + "&x=20&y=15&t=8", "stream", 52},
 		{"stream/region", "/v1/region?" + live + "&bx0=3&bx1=11&by0=2&by1=9&bt0=1&bt1=12", "sketch", 55},
 		{"stream/hotspots", "/v1/hotspots?" + live + "&k=10", "sketch", 43},

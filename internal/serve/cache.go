@@ -4,14 +4,15 @@ import (
 	"container/list"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/grid"
 )
 
-// gridCache is an LRU cache of density grids keyed by (dataset, Spec,
-// algorithm), with resident bytes accounted against a grid.Budget. Evicted
-// grids are merely dereferenced (never Released): readers that obtained a
-// grid before its eviction keep a valid, immutable volume and the garbage
-// collector reclaims it when the last reader drops it.
+// gridCache is an LRU cache of density cubes keyed by estimateKey, with
+// resident bytes accounted against a grid.Budget. Evicted cubes are merely
+// dereferenced (never Released): readers that obtained a cube before its
+// eviction keep a valid, immutable volume and the garbage collector
+// reclaims it when the last reader drops it.
 type gridCache struct {
 	mu      sync.Mutex
 	budget  *grid.Budget
@@ -25,16 +26,18 @@ type gridCache struct {
 	resident int64
 }
 
+// cube is one density cube and its analytics sketch: the summed-volume
+// pyramid built with it, nil when the pair did not fit the cache budget
+// (readers then scan the grid).
+type cube struct {
+	res *core.Result
+	py  *grid.Pyramid
+}
+
 type cacheEntry struct {
 	key   estimateKey
-	g     *grid.Grid
-	bytes int64
-	// py is the entry's analytics sketch (summed-volume pyramid), attached
-	// lazily by the first region/hotspot/job-mass query against the grid.
-	// Its budget charge is its own (grid.NewPyramid allocated it); the
-	// cache counts it in resident so the evictable share stays truthful,
-	// and releases it when the entry drops.
-	py *grid.Pyramid
+	c     cube
+	bytes int64 // the grid's, plus its pyramid's when it has one
 }
 
 func newGridCache(limitBytes int64) *gridCache {
@@ -45,17 +48,17 @@ func newGridCache(limitBytes int64) *gridCache {
 	}
 }
 
-// get returns the cached grid for the key, promoting it to most recently
-// used.
-func (c *gridCache) get(k estimateKey) (*grid.Grid, bool) {
+// get returns the cached cube for the key, promoting it to most recently
+// used. Its result carries no phase timings: nothing ran to answer it.
+func (c *gridCache) get(k estimateKey) (cube, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[k]
 	if !ok {
-		return nil, false
+		return cube{}, false
 	}
 	c.lru.MoveToFront(e)
-	return e.Value.(*cacheEntry).g, true
+	return e.Value.(*cacheEntry).c, true
 }
 
 // contains reports whether the key is resident without promoting it.
@@ -66,23 +69,42 @@ func (c *gridCache) contains(k estimateKey) bool {
 	return ok
 }
 
-// put inserts a grid, evicting least-recently-used entries until the byte
-// budget admits it. It returns the number of evictions and whether the
-// grid was cached at all (a grid larger than the evictable share of the
-// budget — the limit minus pinned stream-ring charges — is not, and
-// evicts nothing on the way to finding that out).
-func (c *gridCache) put(k estimateKey, g *grid.Grid) (evicted int, cached bool) {
-	bytes := g.Spec.Bytes()
+// evictableLocked is the share of the budget cached cubes may hold: the
+// limit minus the pinned stream charges. Callers hold c.mu.
+func (c *gridCache) evictableLocked() int64 {
+	return c.budget.Limit() - (c.budget.Used() - c.resident)
+}
+
+// fits reports whether a cube of the given bytes fits the evictable share.
+func (c *gridCache) fits(bytes int64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[k]; ok { // racing writer won; keep the resident grid
+	return bytes <= c.evictableLocked()
+}
+
+// put inserts a cube, charging its grid and pyramid as one entry and
+// evicting least-recently-used entries until the byte budget admits it.
+// When the pair no longer fits the evictable share (a pinned charge grew
+// since the pyramid was built) the grid is cached alone; a grid that alone
+// does not fit is not cached at all (cached false), and evicts nothing on
+// the way to finding that out.
+func (c *gridCache) put(k estimateKey, cb cube) (evicted int, cached bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[k]; ok { // racing writer won; keep the resident cube
 		c.lru.MoveToFront(e)
 		return 0, true
 	}
 	// Headroom check after the resident check: an already-cached key must
 	// count as a hit (and get its LRU touch) even when pinned stream
 	// charges have since shrunk the evictable share below its size.
-	if pinned := c.budget.Used() - c.resident; bytes > c.budget.Limit()-pinned {
+	room, bytes := c.evictableLocked(), cb.res.Grid.Spec.Bytes()
+	if cb.py != nil && bytes+cb.py.Bytes() <= room {
+		bytes += cb.py.Bytes()
+	} else {
+		cb.py = nil
+	}
+	if bytes > room {
 		return 0, false
 	}
 	for c.budget.Alloc(bytes) != nil {
@@ -93,80 +115,26 @@ func (c *gridCache) put(k estimateKey, g *grid.Grid) (evicted int, cached bool) 
 		c.dropLocked(back)
 		evicted++
 	}
-	c.entries[k] = c.lru.PushFront(&cacheEntry{key: k, g: g, bytes: bytes})
+	cb.res = resultFromGrid(k, cb.res.Grid)
+	c.entries[k] = c.lru.PushFront(&cacheEntry{key: k, c: cb, bytes: bytes})
 	c.resident += bytes
 	return evicted, true
 }
 
-// dropLocked removes one LRU element, returning its bytes (and its
-// pyramid's, when one is attached) to the budget. Callers hold c.mu.
+// dropLocked removes one LRU element, returning its bytes to the budget.
+// Callers hold c.mu.
 func (c *gridCache) dropLocked(e *list.Element) {
 	ent := e.Value.(*cacheEntry)
 	c.lru.Remove(e)
 	delete(c.entries, ent.key)
 	c.budget.Free(ent.bytes)
 	c.resident -= ent.bytes
-	if ent.py != nil {
-		// Dereference, don't Release: like evicted grids, a reader that
-		// obtained the pyramid before the drop keeps a valid immutable
-		// index and the garbage collector reclaims it. Only the budget
-		// charge is returned here.
-		c.resident -= ent.py.Bytes()
-		c.budget.Free(ent.py.Bytes())
-		ent.py = nil
-	}
 }
 
-// getPyramid returns the attached analytics pyramid for the key, promoting
-// the entry to most recently used.
-func (c *gridCache) getPyramid(k estimateKey) (*grid.Pyramid, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[k]
-	if !ok {
-		return nil, false
-	}
-	ent := e.Value.(*cacheEntry)
-	if ent.py == nil {
-		return nil, false
-	}
-	c.lru.MoveToFront(e)
-	return ent.py, true
-}
-
-// attachPyramid publishes a freshly built pyramid onto the key's entry.
-// The publish is identity-checked against the exact grid the pyramid was
-// built from, not just the key: if the entry was evicted or invalidated
-// while the pyramid was building and then refilled under the same key
-// with a different grid (a stream mutation raced the build), adopting
-// would publish a stale pre-mutation index onto post-mutation data.
-// In that case nothing is adopted and the caller keeps ownership for the
-// duration of its own request. If a racing builder already attached a
-// pyramid for the same grid, it is returned so the caller can answer from
-// it and release its duplicate.
-func (c *gridCache) attachPyramid(k estimateKey, py *grid.Pyramid) (adopted bool, existing *grid.Pyramid) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[k]
-	if !ok {
-		return false, nil
-	}
-	ent := e.Value.(*cacheEntry)
-	if ent.g != py.Grid() {
-		return false, nil
-	}
-	if ent.py != nil {
-		return false, ent.py
-	}
-	ent.py = py
-	c.resident += py.Bytes()
-	return true, py
-}
-
-// invalidateDataset drops every cached grid derived from the dataset — the
-// correctness hinge of mutable stream datasets: after an ingest or window
-// advance, no stale cube may be served. Other datasets' entries are
-// untouched. It returns the number of grids dropped.
+// invalidateDataset drops every cached cube derived from the dataset, to
+// free the memory of cubes a stream mutation or deletion left unreachable
+// (their keys name a version or an id no request resolves any more).
+// Other datasets' entries are untouched. It returns the number dropped.
 func (c *gridCache) invalidateDataset(id string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -181,20 +149,17 @@ func (c *gridCache) invalidateDataset(id string) int {
 	return n
 }
 
-// evictFor evicts least-recently-used grids until the budget has room for
-// a charge of the given bytes (a stream's window ring or sketch, or an
-// analytics pyramid). It gives up when the cache is empty or eviction
-// reaches the entry keyed except: a pyramid build must never evict the very
-// grid it is indexing (the key was just served, so it sits at the LRU
-// front). The caller's own allocation against the shared budget then
-// reports the shortfall.
-func (c *gridCache) evictFor(bytes int64, except estimateKey) int {
+// evictFor evicts least-recently-used cubes until the budget has room for
+// a charge of the given bytes (a stream's window ring or sketch). It gives
+// up when the cache is empty; the caller's own allocation against the
+// shared budget then reports the shortfall.
+func (c *gridCache) evictFor(bytes int64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
 	for c.budget.Limit() > 0 && c.budget.Used()+bytes > c.budget.Limit() {
 		back := c.lru.Back()
-		if back == nil || back.Value.(*cacheEntry).key == except {
+		if back == nil {
 			break
 		}
 		c.dropLocked(back)
@@ -203,20 +168,11 @@ func (c *gridCache) evictFor(bytes int64, except estimateKey) int {
 	return n
 }
 
-// pinnedBytes reports the budget share held by non-evictable charges
-// (stream window rings and their sketches): Used() minus the LRU
-// residents. Eviction can never reclaim it.
-func (c *gridCache) pinnedBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.budget.Used() - c.resident
-}
-
 // budgetHandle exposes the cache's byte budget so long-lived stream grids
 // are accounted in the same pool the LRU evicts against.
 func (c *gridCache) budgetHandle() *grid.Budget { return c.budget }
 
-// stats reports occupancy: resident grids, charged bytes, byte limit.
+// stats reports occupancy: resident cubes, charged bytes, byte limit.
 func (c *gridCache) stats() (entries int, bytes, limit int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-
-	"repro/internal/core"
 )
 
 // flightGroup coalesces concurrent estimations of the same key into a
@@ -18,7 +16,7 @@ type flightGroup struct {
 
 type flightCall struct {
 	done chan struct{}
-	res  *core.Result
+	res  cube
 	err  error
 }
 
@@ -33,7 +31,7 @@ func newFlightGroup() *flightGroup {
 // cache for the next request. A panic in fn is converted into an error:
 // the cleanup must run (and done must close) regardless, or the key would
 // wedge forever with every follower blocked on it.
-func (f *flightGroup) do(ctx context.Context, k estimateKey, fn func() (*core.Result, error)) (res *core.Result, err error) {
+func (f *flightGroup) do(ctx context.Context, k estimateKey, fn func() (cube, error)) (res cube, err error) {
 	f.mu.Lock()
 	if c, ok := f.calls[k]; ok {
 		f.mu.Unlock()
@@ -41,7 +39,7 @@ func (f *flightGroup) do(ctx context.Context, k estimateKey, fn func() (*core.Re
 		case <-c.done:
 			return c.res, c.err
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return cube{}, ctx.Err()
 		}
 	}
 	c := &flightCall{done: make(chan struct{})}
@@ -50,7 +48,7 @@ func (f *flightGroup) do(ctx context.Context, k estimateKey, fn func() (*core.Re
 
 	defer func() {
 		if r := recover(); r != nil {
-			c.res, c.err = nil, fmt.Errorf("serve: estimation panicked: %v", r)
+			c.res, c.err = cube{}, fmt.Errorf("serve: estimation panicked: %v", r)
 		}
 		f.mu.Lock()
 		delete(f.calls, k)

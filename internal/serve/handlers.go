@@ -263,13 +263,13 @@ func (s *Server) resolveKey(datasetID, algorithm string, sres, tres, hs, ht floa
 	// A request matching a stream's creation spec resolves to the live
 	// window sub-spec (OT follows every advance), so clients keep naming
 	// the stream by its creation parameters while the window slides — and
-	// the cache key distinguishes window positions for free.
+	// the cache key distinguishes window positions for free. A stream key
+	// also carries the dataset version: see estimateKey.
+	var ver int64
 	if isStream {
-		if w, ok := st.windowSpec(spec); ok {
-			spec = w
-		}
+		spec, ver = st.resolve(spec)
 	}
-	return estimateKey{Dataset: ds.id, Spec: spec, Algorithm: algorithm}, ds, nil
+	return estimateKey{Dataset: ds.id, Version: ver, Spec: spec, Algorithm: algorithm}, ds, nil
 }
 
 // checkGridBytes rejects specs whose grid exceeds the per-request limit.
@@ -447,20 +447,15 @@ func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, plan func(k e
 		p.static(w)
 		return
 	}
-	res, cached, err := s.ensureGrid(r.Context(), k, tenant, false)
+	c, cached, err := s.ensureGrid(r.Context(), k, tenant, false)
 	if err != nil {
 		writeWorkErr(w, err)
 		return
 	}
-	var answer map[string]any
-	source := "grid"
-	if py, done, perr := s.ensurePyramid(k, res.Grid); perr == nil {
-		answer = p.cube(py, res.Grid)
-		done()
+	answer, source := p.cube(c.py, c.res.Grid), "grid"
+	if c.py != nil {
 		source = "sketch"
 		s.met.sketchHits.Add(1)
-	} else {
-		answer = p.cube(nil, res.Grid)
 	}
 	answer["cached"], answer["source"] = cached, source
 	writeJSON(w, http.StatusOK, answer)
@@ -528,11 +523,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			// creation-domain times the window left behind
 			// (Domain.Contains cannot see the OT frame offset).
 			if !exact && d.Contains(at) && spec.CoversT(at.T) {
-				if g, ok := s.cache.get(k); ok {
+				if c, ok := s.cache.get(k); ok {
 					s.met.cacheHits.Add(1)
 					X, Y, T := spec.VoxelOf(at)
 					answer := voxelAnswer(spec, X, Y, T)
-					answer["density"], answer["source"] = g.At(X, Y, T), "grid"
+					answer["density"], answer["source"] = c.res.Grid.At(X, Y, T), "grid"
 					writeJSON(w, http.StatusOK, answer)
 					return
 				}

@@ -127,7 +127,7 @@ func (s *Server) startJob(k estimateKey, tenant string) (*job, error) {
 // re-priced — only the queue-depth backstop can still refuse it.
 func (s *Server) runJob(j *job) {
 	defer s.wg.Done()
-	res, cached, err := s.ensureGrid(context.Background(), j.key, j.tenant, true)
+	c, cached, err := s.ensureGrid(context.Background(), j.key, j.tenant, true)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if err != nil {
@@ -138,24 +138,23 @@ func (s *Server) runJob(j *job) {
 	}
 	j.state = jobDone
 	j.cacheHit = cached
-	j.seconds = res.Phases.Total().Seconds()
+	j.seconds = c.res.Phases.Total().Seconds()
 	// The completion summary (peak voxel, total mass) is answered from the
-	// analytics pyramid: the build costs one parallel O(G) pass — no more
-	// than the two naive scans it replaces — and leaves the sketch resident
+	// cube's analytics pyramid, built with the cube (one parallel O(G)
+	// pass, no more than the two naive scans it replaces) and left resident
 	// for the region/hotspot queries that typically follow a job. The
-	// naive scans remain as the exact fallback under budget pressure.
-	bounds := res.Grid.Spec.Bounds()
-	if py, done, perr := s.ensurePyramid(j.key, res.Grid); perr == nil {
-		j.mass = py.BoxMass(bounds)
-		if top := py.TopK(1); len(top) == 1 {
+	// naive scans answer when the pyramid did not fit the budget.
+	bounds := c.res.Grid.Spec.Bounds()
+	if c.py != nil {
+		j.mass = c.py.BoxMass(bounds)
+		if top := c.py.TopK(1); len(top) == 1 {
 			j.peak, j.peakVox = top[0].V, [3]int{top[0].X, top[0].Y, top[0].T}
 		}
-		done()
 		s.met.sketchHits.Add(1)
 	} else {
-		v, X, Y, T := res.Grid.Max()
+		v, X, Y, T := c.res.Grid.Max()
 		j.peak, j.peakVox = v, [3]int{X, Y, T}
-		j.mass = res.Grid.BoxMass(bounds)
+		j.mass = c.res.Grid.BoxMass(bounds)
 	}
 	s.met.jobsDone.Add(1)
 }

@@ -20,7 +20,7 @@ import (
 // deduplicate and ids are immutable. Stream datasets (created by
 // POST /v1/streams) are mutable and own no events: the live window is the
 // one copy of the live set, read on demand, and the dataset carries only
-// the version that cache fills check against.
+// the version that keys every cube and query index derived from it.
 type dataset struct {
 	id    string
 	added time.Time
@@ -64,9 +64,8 @@ func (ds *dataset) boundsBox() (lo, hi grid.Point, n int) {
 func (ds *dataset) ver() int64 { return ds.version.Load() }
 
 // bump records a stream mutation. Callers bump after the window has
-// changed and before invalidating derived caches: a concurrent fill that
-// read the version first then either sees the mutation in the events it
-// reads or fails its version check.
+// changed, so a reader that loads version v then reads the events of v or
+// a later version.
 func (ds *dataset) bump() { ds.version.Add(1) }
 
 // boundsOf returns the tight bounding box of pts (inverted infinities for
@@ -112,9 +111,11 @@ const maxQueryIndexes = 64
 const maxQueryBins = 1 << 24
 
 // queryKey identifies an exact-query index: the algorithm is irrelevant
-// (core.Query evaluates the formula directly), only dataset and spec are.
+// (core.Query evaluates the formula directly), only the dataset at its
+// version (as in estimateKey) and the spec are.
 type queryKey struct {
 	Dataset string
+	Version int64
 	Spec    grid.Spec
 }
 
@@ -172,8 +173,9 @@ func (r *registry) remove(id string) {
 	delete(r.sets, id)
 }
 
-// invalidateQueries drops every exact-query index derived from the dataset
-// (stream mutation makes them stale). It returns the number dropped.
+// invalidateQueries drops every exact-query index derived from the dataset,
+// freeing the memory of indexes a stream mutation left unreachable. It
+// returns the number dropped.
 func (r *registry) invalidateQueries(id string) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -216,14 +218,11 @@ func (r *registry) list() []*dataset {
 // bounded: oldest indexes are dropped past maxQueryIndexes, and a spec
 // whose bin table would exceed maxQueryBins is rejected.
 //
-// The publish is version-checked: a build that raced a stream mutation
-// (whose invalidateQueries already ran) answers the request but is not
-// cached, so a stale index can never outlive the mutation that obsoleted
-// it. The version is captured before the point snapshot and a mutation
-// bumps it after changing the window, so an unchanged version at publish
-// time proves the snapshot is still current.
+// The index is keyed by the dataset version read before the points, so it
+// holds the events of that version or later, and a request after a stream
+// mutation resolves a newer version instead of reaching it.
 func (r *registry) queryIndex(ds *dataset, spec grid.Spec) (*core.Query, error) {
-	k := queryKey{Dataset: ds.id, Spec: spec}
+	k := queryKey{Dataset: ds.id, Version: ds.ver(), Spec: spec}
 	r.mu.RLock()
 	q, ok := r.queries[k]
 	r.mu.RUnlock()
@@ -235,12 +234,11 @@ func (r *registry) queryIndex(ds *dataset, spec grid.Spec) (*core.Query, error) 
 	if bins > maxQueryBins {
 		return nil, fmt.Errorf("serve: exact query would bin the domain into %.0f blocks (limit %d); raise the bandwidths or shrink the domain", bins, maxQueryBins)
 	}
-	v := ds.ver()
 	q = core.NewQuery(ds.points(), spec, core.Options{})
 	r.mu.Lock()
 	if prev, ok := r.queries[k]; ok { // racing builder won
 		q = prev
-	} else if ds.ver() == v {
+	} else {
 		for len(r.queryOrder) >= maxQueryIndexes {
 			delete(r.queries, r.queryOrder[0])
 			r.queryOrder = r.queryOrder[1:]

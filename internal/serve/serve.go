@@ -11,11 +11,12 @@
 //     datasets (POST /v1/streams) whose events arrive over time
 //     (POST /v1/datasets/{id}/events) and whose sliding window density is
 //     maintained in place by a core.Updater, with window advances
-//     (POST /v1/datasets/{id}/advance) and exact invalidation of every
-//     cache derived from the mutated dataset;
-//   - a grid cache keyed by (dataset, Spec, algorithm) with LRU eviction
-//     accounted against a grid.Budget, so repeated requests for the same
-//     density cube are O(1) lookups instead of re-estimations;
+//     (POST /v1/datasets/{id}/advance); every mutation bumps the dataset
+//     version, which names every cube derived from it;
+//   - a cube cache keyed by (dataset, version, Spec, algorithm) with LRU
+//     eviction accounted against a grid.Budget, so repeated requests for
+//     the same density cube are O(1) lookups instead of re-estimations,
+//     each cube cached with the analytics pyramid built with it;
 //   - request coalescing (singleflight) plus a bounded estimation pool
 //     behind a multi-tenant admission controller, so a thundering herd of
 //     identical requests computes exactly once while distinct requests
@@ -205,18 +206,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// estimateKey identifies one density cube: a dataset, a fully-derived
-// problem spec, and the algorithm that computes it. Spec is comparable, so
-// the key can index maps directly.
+// estimateKey identifies one density cube: a dataset at a version, a
+// fully-derived problem spec, and the algorithm that computes it. Spec is
+// comparable, so the key can index maps directly. Version is 0 for a
+// content-addressed batch set; for a stream it is the dataset version the
+// request resolved, so a cube, job or flight keyed at version v is reached
+// only by requests that resolved v, and always holds the events of v or a
+// later version.
 type estimateKey struct {
 	Dataset   string
+	Version   int64
 	Spec      grid.Spec
 	Algorithm string
 }
 
 // id returns the stable job/grid identifier of the key.
 func (k estimateKey) id() string {
-	h := sha256.Sum256([]byte(fmt.Sprintf("%s|%+v|%s", k.Dataset, k.Spec, k.Algorithm)))
+	h := sha256.Sum256([]byte(fmt.Sprintf("%s|%d|%+v|%s", k.Dataset, k.Version, k.Spec, k.Algorithm)))
 	return "j" + hex.EncodeToString(h[:8])
 }
 
@@ -399,7 +405,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // errShuttingDown rejects new estimation work once Shutdown has begun.
 var errShuttingDown = fmt.Errorf("serve: shutting down, not accepting new estimations")
 
-// ensureGrid returns the cached density grid for the key, computing (and
+// ensureGrid returns the cached density cube for the key, computing (and
 // caching) it if absent. Concurrent calls for the same key coalesce into a
 // single estimation; distinct keys run concurrently, bounded by the
 // estimation pool behind the admission queue: the caller waits fairly
@@ -409,31 +415,31 @@ var errShuttingDown = fmt.Errorf("serve: shutting down, not accepting new estima
 // drain group by startJob (the synchronous region/hotspot paths) pass
 // preAdmitted=false: they are refused once Shutdown has begun, waited for
 // by it otherwise, and subject to door shedding.
-func (s *Server) ensureGrid(ctx context.Context, k estimateKey, tenant string, preAdmitted bool) (*core.Result, bool, error) {
-	if g, ok := s.cache.get(k); ok {
+func (s *Server) ensureGrid(ctx context.Context, k estimateKey, tenant string, preAdmitted bool) (cube, bool, error) {
+	if c, ok := s.cache.get(k); ok {
 		s.met.cacheHits.Add(1)
-		return resultFromGrid(k, g), true, nil
+		return c, true, nil
 	}
 	s.met.cacheMisses.Add(1)
 	if !preAdmitted {
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
-			return nil, false, errShuttingDown
+			return cube{}, false, errShuttingDown
 		}
 		s.wg.Add(1)
 		s.mu.Unlock()
 		defer s.wg.Done()
 	}
-	res, err := s.flight.do(ctx, k, func() (*core.Result, error) {
+	c, err := s.flight.do(ctx, k, func() (cube, error) {
 		// A concurrent caller may have populated the cache between our
 		// miss and the flight admission.
-		if g, ok := s.cache.get(k); ok {
-			return resultFromGrid(k, g), nil
+		if c, ok := s.cache.get(k); ok {
+			return c, nil
 		}
 		release, err := s.adm.acquire(ctx, tenant, s.predictCost(k), !preAdmitted)
 		if err != nil {
-			return nil, err
+			return cube{}, err
 		}
 		defer release()
 		if s.testHookEstimate != nil {
@@ -441,51 +447,55 @@ func (s *Server) ensureGrid(ctx context.Context, k estimateKey, tenant string, p
 		}
 		ds, ok := s.reg.get(k.Dataset)
 		if !ok {
-			return nil, fmt.Errorf("serve: unknown dataset %q", k.Dataset)
+			return cube{}, fmt.Errorf("serve: unknown dataset %q", k.Dataset)
 		}
-		// Stream datasets go through the mutation-ordered path: the live
-		// window is snapshotted (no estimation) and caching is version-
-		// checked against concurrent ingests.
+		var res *core.Result
 		if st, ok := s.streams.get(k.Dataset); ok {
-			return s.streamResult(st, k)
+			res, err = s.streamResult(st, k)
+		} else {
+			res, err = s.estimate(k, ds.points())
 		}
-		s.met.estimations.Add(1)
-		s.met.estInflight.Add(1)
-		defer s.met.estInflight.Add(-1)
-		res, err := core.Estimate(k.Algorithm, ds.points(), k.Spec, core.Options{Threads: s.cfg.Threads})
 		if err != nil {
-			return nil, err
+			return cube{}, err
 		}
-		// Cache only while the dataset is still registered: a stream
-		// deleted mid-estimation must not leave an orphaned entry keyed
-		// to an id no request can ever resolve again (deleteStream
-		// re-invalidates after deregistering to close the remaining gap).
-		if _, ok := s.reg.get(k.Dataset); ok {
-			s.cachePut(k, res.Grid)
+		c := s.publish(k, res)
+		// A fill racing the deletion of its stream must not leave an entry
+		// keyed to an id no request can resolve again: deleteStream drops
+		// the id's entries after deregistering it, and a fill that
+		// published later finds the id gone here and drops them itself.
+		if _, ok := s.reg.get(k.Dataset); !ok {
+			s.met.invalidations.Add(int64(s.cache.invalidateDataset(k.Dataset)))
 		}
-		return res, nil
+		return c, nil
 	})
 	if err != nil {
-		return nil, false, err
+		return cube{}, false, err
 	}
-	return res, false, nil
+	return c, false, nil
+}
+
+// estimate runs one batch estimation of the key over pts.
+func (s *Server) estimate(k estimateKey, pts []grid.Point) (*core.Result, error) {
+	s.met.estimations.Add(1)
+	s.met.estInflight.Add(1)
+	defer s.met.estInflight.Add(-1)
+	return core.Estimate(k.Algorithm, pts, k.Spec, core.Options{Threads: s.cfg.Threads})
 }
 
 // charge runs alloc, an allocation charged to the cache budget, and on
-// grid.ErrMemoryBudget evicts least-recently-used cached grids — never the
-// entry keyed except — to make room for need bytes, then retries. A
-// concurrent cache fill can steal freed room between the eviction and the
-// retry, so it retries for as long as eviction frees something: it ends
-// with alloc done, a different error, or nothing left to evict. Every
-// budgeted allocator checks the budget before it allocates, so a failed
-// attempt costs nothing.
-func (s *Server) charge(need int64, except estimateKey, alloc func() error) error {
+// grid.ErrMemoryBudget evicts least-recently-used cached cubes to make
+// room for need bytes, then retries. A concurrent cache fill can steal
+// freed room between the eviction and the retry, so it retries for as
+// long as eviction frees something: it ends with alloc done, a different
+// error, or nothing left to evict. Every budgeted allocator checks the
+// budget before it allocates, so a failed attempt costs nothing.
+func (s *Server) charge(need int64, alloc func() error) error {
 	for {
 		err := alloc()
 		if !errors.Is(err, grid.ErrMemoryBudget) {
 			return err
 		}
-		evicted := s.cache.evictFor(need, except)
+		evicted := s.cache.evictFor(need)
 		s.met.evictions.Add(int64(evicted))
 		if evicted == 0 {
 			return err
@@ -493,63 +503,28 @@ func (s *Server) charge(need int64, except estimateKey, alloc func() error) erro
 	}
 }
 
-// ensurePyramid returns the analytics pyramid (summed-volume table +
-// block maxima) for a resident grid, building it outside the cache lock
-// when absent. The build is charged to the cache budget — evicting LRU
-// grids to make room, exactly like a stream ring — and published onto the
-// grid's cache entry presence-checked: if the entry was invalidated or
-// evicted during the build, the pyramid stays private to this request and
-// the returned cleanup releases it. The error is a budget failure the
-// callers answer by falling back to the naive O(G) scans.
-func (s *Server) ensurePyramid(k estimateKey, g *grid.Grid) (*grid.Pyramid, func(), error) {
-	noop := func() {}
-	if py, ok := s.cache.getPyramid(k); ok {
-		return py, noop, nil
+// publish caches a freshly computed grid under k together with its
+// analytics pyramid, built here, before any reader can see the grid, when
+// the pair fits the evictable share of the budget (otherwise the grid is
+// cached alone and its readers scan it). It folds in the eviction and
+// uncacheable accounting and returns the cube for the caller's answer.
+func (s *Server) publish(k estimateKey, res *core.Result) cube {
+	c := cube{res: res}
+	if spec := res.Grid.Spec; s.cache.fits(spec.Bytes() + grid.PyramidBytes(spec)) {
+		c.py, _ = grid.NewPyramid(res.Grid, s.cfg.Threads, nil) // no budget, no error: put charges it with its grid
+		s.met.sketchRebuilds.Add(1)
 	}
-	bytes := grid.PyramidBytes(g.Spec)
-	// Feasibility first: the pyramid and the grid it indexes must be able
-	// to coexist in the evictable share of the budget, or the build would
-	// either evict its own grid or flush residents for nothing (the same
-	// doomed-request principle createStream applies to stream rings).
-	if limit := s.cache.budgetHandle().Limit(); limit > 0 {
-		if bytes+g.Spec.Bytes()+s.cache.pinnedBytes() > limit {
-			return nil, noop, fmt.Errorf("serve: %w: pyramid needs %d bytes next to its %d-byte grid",
-				grid.ErrMemoryBudget, bytes, g.Spec.Bytes())
-		}
-	}
-	var py *grid.Pyramid
-	if err := s.charge(bytes, k, func() (err error) {
-		py, err = grid.NewPyramid(g, s.cfg.Threads, s.cache.budgetHandle())
-		return err
-	}); err != nil {
-		return nil, noop, err
-	}
-	s.met.sketchRebuilds.Add(1)
-	adopted, existing := s.cache.attachPyramid(k, py)
-	if adopted {
-		return py, noop, nil
-	}
-	if existing != nil { // a racing builder won; serve from its pyramid
-		py.Release()
-		return existing, noop, nil
-	}
-	// The entry vanished mid-build (eviction or stream invalidation): use
-	// the pyramid for this answer only, then return its charge.
-	return py, py.Release, nil
-}
-
-// cachePut inserts a computed grid, folding in the eviction and
-// uncacheable accounting every fill path shares.
-func (s *Server) cachePut(k estimateKey, g *grid.Grid) {
-	evicted, cached := s.cache.put(k, g)
+	evicted, cached := s.cache.put(k, c)
 	s.met.evictions.Add(int64(evicted))
 	if !cached {
 		s.met.uncacheable.Add(1)
 	}
+	return c
 }
 
-// resultFromGrid wraps a cache hit in the Result shape the job and
-// response paths share; phase timings are zero because nothing ran.
+// resultFromGrid wraps a grid nothing estimated (a cached cube, a window
+// snapshot) in the Result shape the job and response paths share; phase
+// timings are zero because nothing ran.
 func resultFromGrid(k estimateKey, g *grid.Grid) *core.Result {
 	return &core.Result{Algorithm: k.Algorithm, Grid: g}
 }

@@ -642,10 +642,7 @@ func TestSketchBudgetFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Room for one grid but not for grid + pyramid.
-	s, ts, id := testServer(t, Config{CacheBytes: spec.Bytes() + spec.Bytes()/2})
-	params := specParams(id, core.AlgPBSYM)
-	resp, err := http.Get(ts.URL + "/v1/region?" + params)
+	ref, err := core.Estimate(core.AlgPBSYM, testPoints(500, 7), spec, core.Options{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -653,19 +650,48 @@ func TestSketchBudgetFallback(t *testing.T) {
 		Mass   float64 `json:"mass"`
 		Source string  `json:"source"`
 	}
-	decodeBody(t, resp, &region)
-	if region.Source != "grid" {
-		t.Fatalf("region source = %q, want the naive fallback", region.Source)
-	}
-	ref, err := core.Estimate(core.AlgPBSYM, testPoints(500, 7), spec, core.Options{Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := ref.Grid.BoxMass(spec.Bounds()); math.Abs(region.Mass-want) > 1e-12 {
-		t.Fatalf("fallback region mass %g, naive %g", region.Mass, want)
-	}
-	if entries, bytes, limit := s.CacheStats(); bytes > limit || entries != 1 {
-		t.Fatalf("fallback disturbed the cache: %d entries, %d/%d bytes", entries, bytes, limit)
+	// Room for one grid but not for grid + pyramid: the grid is cached
+	// alone and scanned. Room for exactly both: a job caches them as one
+	// entry, charged once, and a job on a second key evicts that entry.
+	pair := spec.Bytes() + grid.PyramidBytes(spec)
+	for _, tc := range []struct {
+		budget int64
+		source string
+	}{{spec.Bytes() + spec.Bytes()/2, "grid"}, {pair, "sketch"}} {
+		s, ts, id := testServer(t, Config{CacheBytes: tc.budget})
+		job := func(alg string) {
+			t.Helper()
+			if j := postEstimate(t, ts, estimateBody(id, alg)); pollJob(t, ts, j.Job).State != jobDone {
+				t.Fatalf("%s estimate failed", alg)
+			}
+			if entries, bytes, _ := s.CacheStats(); entries != 1 || bytes != pair {
+				t.Fatalf("%s job left %d entries, %d bytes; want 1 entry of %d (grid + pyramid)", alg, entries, bytes, pair)
+			}
+		}
+		if tc.source == "sketch" {
+			job(core.AlgPBSYM)
+		}
+		params := specParams(id, core.AlgPBSYM)
+		resp, err := http.Get(ts.URL + "/v1/region?" + params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decodeBody(t, resp, &region)
+		if region.Source != tc.source {
+			t.Fatalf("region source = %q, want %q", region.Source, tc.source)
+		}
+		if want := ref.Grid.BoxMass(spec.Bounds()); math.Abs(region.Mass-want) > 1e-12 {
+			t.Fatalf("%s region mass %g, naive %g", tc.source, region.Mass, want)
+		}
+		if entries, bytes, limit := s.CacheStats(); bytes > limit || entries != 1 {
+			t.Fatalf("fallback disturbed the cache: %d entries, %d/%d bytes", entries, bytes, limit)
+		}
+		if tc.source == "sketch" {
+			job(core.AlgPB)
+			if got := s.met.evictions.Value(); got != 1 {
+				t.Fatalf("evictions = %d, want 1", got)
+			}
+		}
 	}
 
 	// A local stream window whose ring fits but whose ring sketch does not:
@@ -1175,12 +1201,12 @@ func TestGridSizeLimitOverflow(t *testing.T) {
 func TestFlightPanicSafe(t *testing.T) {
 	f := newFlightGroup()
 	k := estimateKey{Dataset: "d", Algorithm: "pb-sym"}
-	if _, err := f.do(context.Background(), k, func() (*core.Result, error) { panic("boom") }); err == nil ||
+	if _, err := f.do(context.Background(), k, func() (cube, error) { panic("boom") }); err == nil ||
 		!strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("panicking fn returned err = %v, want panic error", err)
 	}
-	res, err := f.do(context.Background(), k, func() (*core.Result, error) { return &core.Result{Algorithm: "ok"}, nil })
-	if err != nil || res.Algorithm != "ok" {
+	res, err := f.do(context.Background(), k, func() (cube, error) { return cube{res: &core.Result{Algorithm: "ok"}}, nil })
+	if err != nil || res.res.Algorithm != "ok" {
 		t.Fatalf("key wedged after panic: res=%v err=%v", res, err)
 	}
 }

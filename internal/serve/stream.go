@@ -76,11 +76,14 @@ func (w localWindow) TopKCov(k int) ([]grid.VoxelDensity, dist.Coverage, error) 
 // windows and cached cubes compete in one accounted pool; a sharded
 // window's rings live in the rank processes, so nothing is charged here.
 //
-// st.mu serializes mutations (ingest, advance) with version-checked cache
-// fills: a mutation invalidates the dataset's cached grids and query
-// indexes while holding the lock, and a fill re-checks the dataset version
-// under the same lock before publishing, so a stale cube can never outlive
-// the mutation that obsoleted it.
+// st.mu serializes mutations (ingest, advance) with the reads that resolve
+// a request against the window: a mutation bumps the dataset version under
+// it, and resolve reads the version and the window spec under it, so every
+// cache entry, job and flight keyed by that version holds events of that
+// version or later. Nothing derived from a stream is re-checked against its
+// version: a mutation only drops the dataset's cached cubes and query
+// indexes to free their memory, since no request resolves their version
+// again.
 type stream struct {
 	id      string
 	ds      *dataset
@@ -100,21 +103,19 @@ type stream struct {
 	deleted bool // set by deleteStream; every mutation checks it under mu
 }
 
-// windowSpec maps a request spec onto the live window: when the request
+// resolve maps a request spec onto the live window and reads the dataset
+// version the request is keyed by, both under st.mu. When the request
 // matches the stream's creation spec (requests always carry OT == 0), the
 // current window sub-spec — whose OT has followed every advance — is
 // substituted, so clients keep using the creation parameters while the
 // window slides.
-func (st *stream) windowSpec(req grid.Spec) (grid.Spec, bool) {
-	if req != st.base {
-		return grid.Spec{}, false
-	}
+func (st *stream) resolve(req grid.Spec) (grid.Spec, int64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.deleted {
-		return grid.Spec{}, false
+	if req == st.base && !st.deleted {
+		req = st.up.Spec()
 	}
-	return st.up.Spec(), true
+	return req, st.ds.ver()
 }
 
 // readWindow runs one read on a stream's live window under st.mu, the lock
@@ -149,7 +150,7 @@ func (s *Server) readWindow(st *stream, spec grid.Spec, sketch bool, read func(l
 	if st.sharded {
 		err = run()
 	} else { // a local ring's lazy sketch is charged to the cache budget
-		err = s.charge(grid.RingSketchBytes(spec), estimateKey{}, run)
+		err = s.charge(grid.RingSketchBytes(spec), run)
 	}
 	switch {
 	case err == nil:
@@ -324,7 +325,7 @@ func (s *Server) newWindow(cl *dist.Cluster, spec grid.Spec, snap *wal.Snapshot)
 		spec = snap.Grid.Spec
 	}
 	var up *core.Updater
-	err := s.charge(core.WindowBytes(spec), estimateKey{}, func() (err error) {
+	err := s.charge(core.WindowBytes(spec), func() (err error) {
 		if snap != nil {
 			up, err = core.RestoreUpdater(core.UpdaterState{
 				Grid: snap.Grid, Live: snap.Live, Residual: snap.Residual, Ops: snap.Ops,
@@ -385,8 +386,9 @@ const ingestChunk = 4096
 // mutate runs one journaled mutation on a stream's window under one st.mu
 // hold, so the journal orders records exactly like the window mutations:
 // it refuses a deleted stream, journals rec, runs apply, and — when apply
-// reports the window changed — bumps the dataset version and invalidates
-// every derived cache (grids, exact-query indexes) under the stream lock.
+// reports the window changed — bumps the dataset version, so later
+// requests key new cubes, jobs and flights, and drops the caches derived
+// from older versions (cubes, exact-query indexes) to free their memory.
 // The commit barrier is the caller's, after the lock is released.
 //
 // On a sharded window a down rank surfaces as *dist.DegradedError: the
@@ -478,8 +480,8 @@ func (s *Server) streamAdvance(st *stream, t float64) (advanced, expired int, co
 var errStreamDeleted = fmt.Errorf("serve: stream has been deleted")
 
 // deleteStream tears a live stream down: the window ring's budget charge
-// is released, every derived cache is dropped, and both the stream slot
-// and the registry entry are freed for reuse. In-flight operations that
+// is released, both the stream slot and the registry entry are freed for
+// reuse, and every derived cache is dropped. In-flight operations that
 // already hold the *stream pointer observe st.deleted under st.mu.
 func (s *Server) deleteStream(st *stream) {
 	st.mu.Lock()
@@ -487,7 +489,6 @@ func (s *Server) deleteStream(st *stream) {
 	if !st.deleted {
 		st.deleted = true
 		st.up.Release()
-		s.invalidateStream(st)
 		s.met.streams.Add(-1)
 	} else {
 		jr = nil // a racing delete already owns the journal teardown
@@ -504,35 +505,31 @@ func (s *Server) deleteStream(st *stream) {
 	}
 	s.streams.remove(st.id)
 	s.reg.remove(st.id)
-	// A racing fill may have published between the first invalidation and
-	// the deregistration (its registry check passed earlier); now that no
-	// request can resolve the id, drop whatever landed.
-	s.met.invalidations.Add(int64(s.cache.invalidateDataset(st.id)))
+	// Dropped after the deregistration, so a fill that publishes later
+	// finds the id gone and drops its entry itself (see ensureGrid).
+	s.invalidateStream(st)
 }
 
-// invalidateStream drops the dataset's cached grids and query indexes.
-// Callers hold st.mu, which orders the invalidation against version-checked
-// cache fills.
+// invalidateStream drops the dataset's cached cubes and query indexes.
 func (s *Server) invalidateStream(st *stream) {
 	n := s.cache.invalidateDataset(st.id)
 	n += s.reg.invalidateQueries(st.id)
 	s.met.invalidations.Add(int64(n))
 }
 
-// streamResult computes the density cube of a stream dataset for the key.
+// streamResult computes the density grid of a stream dataset for the key.
 // The stream's own window spec is served as an O(G) snapshot of the live
 // ring (no estimation); any other spec falls back to a batch estimate over
-// the current event snapshot. Either result is cached only if no mutation
-// raced it, checked under the stream lock.
+// the current live events. Both read the window after the key's version
+// was resolved, so the grid holds the events of that version or later.
 func (s *Server) streamResult(st *stream, k estimateKey) (*core.Result, error) {
 	st.mu.Lock()
-	if !st.deleted && k.Spec == st.up.Spec() {
+	window := !st.deleted && k.Spec == st.up.Spec()
+	st.mu.Unlock()
+	if window {
 		// Take the O(G) ring copy outside st.mu (it is point-in-time
 		// consistent under the updater's own lock), so ingests and
-		// window reads are not stalled for the materialization; publish
-		// to the cache only if no mutation raced the copy.
-		v := st.ds.ver()
-		st.mu.Unlock()
+		// window reads are not stalled for the materialization.
 		done := s.observeShardGather(st)
 		g, err := st.up.Snapshot(nil)
 		done()
@@ -541,35 +538,11 @@ func (s *Server) streamResult(st *stream, k estimateKey) (*core.Result, error) {
 		}
 		if g.Spec == k.Spec {
 			s.met.streamSnapshots.Add(1)
-			st.mu.Lock()
-			if !st.deleted && st.ds.ver() == v {
-				s.cachePut(k, g)
-			}
-			st.mu.Unlock()
 			return resultFromGrid(k, g), nil
 		}
 		// An advance raced the copy: the snapshot is a different window
 		// than the key asked for. Fall through to the batch path, which
 		// answers the requested sub-spec over the current live events.
-		st.mu.Lock()
 	}
-	pts := st.ds.points()
-	v := st.ds.ver()
-	st.mu.Unlock()
-
-	s.met.estimations.Add(1)
-	res, err := func() (*core.Result, error) {
-		s.met.estInflight.Add(1)
-		defer s.met.estInflight.Add(-1) // panic-safe, like ensureGrid's path
-		return core.Estimate(k.Algorithm, pts, k.Spec, core.Options{Threads: s.cfg.Threads})
-	}()
-	if err != nil {
-		return nil, err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if !st.deleted && st.ds.ver() == v { // no mutation raced the estimation
-		s.cachePut(k, res.Grid)
-	}
-	return res, nil
+	return s.estimate(k, st.ds.points())
 }

@@ -632,7 +632,8 @@ func TestStreamConcurrentIngestAndQuery(t *testing.T) {
 }
 
 // TestStreamStaleSnapshotNotCached: an estimation that races an ingest
-// must not publish its stale grid into the cache.
+// must not publish its stale grid where a request after the ingest finds
+// it.
 func TestStreamStaleSnapshotNotCached(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s)
@@ -642,14 +643,17 @@ func TestStreamStaleSnapshotNotCached(t *testing.T) {
 
 	st, _ := s.streams.get(id)
 	// Ask for a non-window spec so streamResult takes the batch path, and
-	// mutate the stream while the estimation runs. st.mu ordering
-	// guarantees either the ingest lands first (version check fails,
-	// nothing cached) or after (cache invalidated again).
+	// mutate the stream while the estimation runs. Keys carry the dataset
+	// version, so whatever the interleaving the estimation's grid is
+	// keyed by the version before the ingest.
 	spec, err := grid.NewSpec(streamTestDomain, 4, 2, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := estimateKey{Dataset: id, Spec: spec, Algorithm: core.AlgPBSYM}
+	key := func() estimateKey {
+		return estimateKey{Dataset: id, Version: st.ds.ver(), Spec: spec, Algorithm: core.AlgPBSYM}
+	}
+	k := key()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -659,12 +663,14 @@ func TestStreamStaleSnapshotNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-done
-	// Whatever the interleaving, a resident grid now must reflect the
-	// current version: re-request and compare against a fresh batch.
-	res, _, err := s.ensureGrid(context.Background(), k, defaultTenant, false)
+	// Whatever the interleaving, the grid at the current version must
+	// reflect the current events: re-request and compare against a fresh
+	// batch.
+	c, _, err := s.ensureGrid(context.Background(), key(), defaultTenant, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := c.res
 	batch, err := core.Estimate(core.AlgPBSYM, st.ds.points(), spec, core.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -673,6 +679,51 @@ func TestStreamStaleSnapshotNotCached(t *testing.T) {
 		if math.Abs(res.Grid.Data[i]-batch.Grid.Data[i]) > 1e-9 {
 			t.Fatalf("cached stream grid is stale at voxel %d", i)
 		}
+	}
+}
+
+// TestStreamEstimateAfterIngestStartsNewJob: an estimate requested after an
+// acknowledged ingest names the new dataset version, so it starts its own
+// job instead of joining one begun before the ingest, whose estimate may
+// not hold the ingested events.
+func TestStreamEstimateAfterIngestStartsNewJob(t *testing.T) {
+	s := New(Config{Workers: 2})
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	s.testHookEstimate = func(estimateKey) {
+		first := false
+		once.Do(func() {
+			first = true
+			close(started)
+		})
+		if first {
+			<-release
+		}
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	id := createStream(t, ts)
+	postEvents(t, ts, id, streamEvents(40, 10, 8))
+
+	// Not the window's spec, so every job runs a batch estimate.
+	body := fmt.Sprintf(`{"dataset":%q,"algorithm":"pb-sym","sres":4,"tres":2,"hs":8,"ht":4,
+		"domain":{"x0":0,"y0":0,"t0":0,"gx":40,"gy":30,"gt":20}}`, id)
+	j1 := postEstimate(t, ts, body)
+	<-started
+	postEvents(t, ts, id, streamEvents(10, 11, 9))
+	j2 := postEstimate(t, ts, body)
+	close(release)
+	if j1.Job == j2.Job {
+		t.Fatalf("estimate after an acknowledged ingest joined job %s begun before it", j1.Job)
+	}
+	for _, j := range []jobJSON{j1, j2} {
+		if done := pollJob(t, ts, j.Job); done.State != jobDone {
+			t.Fatalf("job %s state %q: %s", j.Job, done.State, done.Error)
+		}
+	}
+	if got := s.Estimations(); got != 2 {
+		t.Fatalf("estimations = %d, want 2 (one per dataset version)", got)
 	}
 }
 

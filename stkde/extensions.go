@@ -40,8 +40,9 @@ func NewStream(spec Spec, cfg StreamConfig) (*Stream, error) {
 type Pyramid = grid.Pyramid
 
 // NewPyramid builds the analytics index of g with up to threads workers
-// (< 1 means GOMAXPROCS), charged to the budget if one is provided. The
-// grid must stay immutable and alive while the pyramid is used.
+// (< 1 means GOMAXPROCS), charged to the budget if one is provided (return
+// the charge with b.Free(py.Bytes()) when done with it). The grid must stay
+// immutable and alive while the pyramid is used.
 //
 // Streams need no explicit pyramid: Stream.TopK and Stream.BoxMass answer
 // from an incremental sketch maintained inside the window ring.
