@@ -37,16 +37,29 @@ func NewQuery(pts []grid.Point, spec grid.Spec, opt Options) *Query {
 		norm: spec.NormFactor(len(pts)),
 		bsXY: spec.HS, bsT: spec.HT,
 	}
-	d := spec.Domain
-	q.nbx = max(1, int(d.GX/q.bsXY)+1)
-	q.nby = max(1, int(d.GY/q.bsXY)+1)
-	q.nbt = max(1, int(d.GT/q.bsT)+1)
+	q.nbx, q.nby, q.nbt = queryBlocks(spec)
 	q.bins = make([][]int32, q.nbx*q.nby*q.nbt)
 	for i, p := range pts {
 		id := q.binOf(p.X, p.Y, p.T)
 		q.bins[id] = append(q.bins[id], int32(i))
 	}
 	return q
+}
+
+// queryBlocks returns the bandwidth-block counts along X, Y and T that a
+// Query over the spec bins its events into.
+func queryBlocks(spec grid.Spec) (nbx, nby, nbt int) {
+	d := spec.Domain
+	return max(1, int(d.GX/spec.HS)+1), max(1, int(d.GY/spec.HS)+1), max(1, int(d.GT/spec.HT)+1)
+}
+
+// QueryBytes returns the memory a Query over n events on the spec holds
+// beyond the caller's events, before building one (the serving tier
+// charges it to its cache budget): one slice header (pointer, length,
+// capacity) per block and an int32 id per event.
+func QueryBytes(spec grid.Spec, n int) int64 {
+	nbx, nby, nbt := queryBlocks(spec)
+	return int64(nbx)*int64(nby)*int64(nbt)*3*8 + int64(n)*4
 }
 
 func (q *Query) binOf(x, y, t float64) int {

@@ -30,6 +30,25 @@ func TestQueryMatchesGrid(t *testing.T) {
 	}
 }
 
+// TestQueryBytes: QueryBytes sizes the index NewQuery builds — one slice
+// header per bandwidth block it allocates and one int32 id per event.
+func TestQueryBytes(t *testing.T) {
+	for _, spec := range []grid.Spec{
+		testSpec(t, 18, 14, 10, 3, 2.5),
+		testSpec(t, 10, 10, 10, 20, 20), // one block
+	} {
+		pts := testPoints(250, spec.Domain, 5)
+		q := NewQuery(pts, spec, Options{})
+		ids := 0
+		for _, b := range q.bins {
+			ids += len(b)
+		}
+		if got, want := QueryBytes(spec, len(pts)), int64(len(q.bins))*24+int64(ids)*4; got != want {
+			t.Errorf("HS %g HT %g: QueryBytes = %d, index holds %d blocks and %d ids (%d bytes)", spec.HS, spec.HT, got, len(q.bins), ids, want)
+		}
+	}
+}
+
 func TestQueryEmptyAndOutside(t *testing.T) {
 	spec := testSpec(t, 10, 10, 10, 2, 2)
 	q := NewQuery(nil, spec, Options{})

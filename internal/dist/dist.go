@@ -66,7 +66,6 @@
 package dist
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -122,13 +121,6 @@ type Result struct {
 // argument). To keep ranks in other processes or on other machines, build
 // the Network/RankServer/Cluster pieces directly.
 func Estimate(pts []grid.Point, spec grid.Spec, opt Options) (*Result, error) {
-	if opt.Local.NormN != 0 {
-		return nil, errors.New("dist: Local.NormN is set by the driver and must be zero")
-	}
-	if opt.Algorithm != "" && !core.ValidAlgorithm(opt.Algorithm) {
-		return nil, fmt.Errorf("dist: unknown algorithm %q", opt.Algorithm)
-	}
-
 	r := len(spec.CarveT(opt.Ranks))
 	n := NewNetwork()
 	servers := make([]*RankServer, 0, r)

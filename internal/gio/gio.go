@@ -76,6 +76,12 @@ func ReadPoints(r io.Reader) ([]grid.Point, error) {
 // gridMagic identifies the binary grid snapshot format.
 const gridMagic = "STKDEG1\n"
 
+// GridBytes returns the length of WriteGrid's encoding of a grid of the
+// spec: the magic, ten float64 header fields and the voxels.
+func GridBytes(s grid.Spec) int64 {
+	return int64(len(gridMagic)) + 10*8 + s.Bytes()
+}
+
 // WriteGrid writes a binary snapshot of the grid: a magic string, the
 // little-endian spec geometry, and the raw float64 voxel data.
 func WriteGrid(w io.Writer, g *grid.Grid) error {

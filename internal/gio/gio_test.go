@@ -105,6 +105,33 @@ func TestGridRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGridBytesMatchesWriteGrid: GridBytes is the length of WriteGrid's
+// output, for a one-voxel grid, a grid inside one data block and one of
+// several blocks plus a partial one.
+func TestGridBytesMatchesWriteGrid(t *testing.T) {
+	for _, d := range []grid.Domain{
+		{GX: 1, GY: 1, GT: 1},
+		{X0: -3, Y0: 2, T0: 10, GX: 7.5, GY: 5, GT: 9},
+		{GX: 40, GY: 30, GT: 20},
+	} {
+		spec, err := grid.NewSpec(d, 1, 1, 2, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := grid.NewGrid(spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteGrid(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := GridBytes(spec), int64(buf.Len()); got != want {
+			t.Errorf("%dx%dx%d: GridBytes = %d, WriteGrid wrote %d", spec.Gx, spec.Gy, spec.Gt, got, want)
+		}
+	}
+}
+
 // TestGridBlockedCodec: the voxels are converted a block at a time; a grid
 // of several blocks and a partial one must produce the byte stream
 // encoding/binary does (the format has not changed), carry every bit

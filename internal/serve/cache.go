@@ -8,10 +8,11 @@ import (
 	"repro/internal/grid"
 )
 
-// gridCache is an LRU cache of density cubes keyed by estimateKey, with
-// resident bytes accounted against a grid.Budget. Evicted cubes are merely
-// dereferenced (never Released): readers that obtained a cube before its
-// eviction keep a valid, immutable volume and the garbage collector
+// gridCache is the server's one cache of derived data: an LRU of density
+// cubes and exact-query indexes keyed by estimateKey, with resident bytes
+// accounted against a grid.Budget. Evicted entries are merely
+// dereferenced (never Released): readers that obtained one before its
+// eviction keep a valid, immutable value and the garbage collector
 // reclaims it when the last reader drops it.
 type gridCache struct {
 	mu      sync.Mutex
@@ -26,18 +27,36 @@ type gridCache struct {
 	resident int64
 }
 
-// cube is one density cube and its analytics sketch: the summed-volume
-// pyramid built with it, nil when the pair did not fit the cache budget
-// (readers then scan the grid).
+// cube is one cache entry. Keyed by an algorithm, it is a density cube and
+// its analytics sketch: the summed-volume pyramid built with it, nil when
+// the pair did not fit the cache budget (readers then scan the grid).
+// Keyed with the algorithm cleared, it is an exact-query index (core.Query,
+// the VB-DEC bandwidth-block binning) over the dataset's events.
 type cube struct {
 	res *core.Result
 	py  *grid.Pyramid
+
+	q      *core.Query
+	qbytes int64 // q's bins, plus the events it indexes when it owns them (a stream's live set)
+}
+
+// bytes is the entry's charge to the cache budget: the grid and its
+// pyramid, or the index and the events it owns.
+func (cb cube) bytes() int64 {
+	if cb.q != nil {
+		return cb.qbytes
+	}
+	n := cb.res.Grid.Spec.Bytes()
+	if cb.py != nil {
+		n += cb.py.Bytes()
+	}
+	return n
 }
 
 type cacheEntry struct {
 	key   estimateKey
 	c     cube
-	bytes int64 // the grid's, plus its pyramid's when it has one
+	bytes int64 // c.bytes() as cached
 }
 
 func newGridCache(limitBytes int64) *gridCache {
@@ -48,8 +67,8 @@ func newGridCache(limitBytes int64) *gridCache {
 	}
 }
 
-// get returns the cached cube for the key, promoting it to most recently
-// used. Its result carries no phase timings: nothing ran to answer it.
+// get returns the cached entry for the key, promoting it to most recently
+// used. A cube's result carries no phase timings: nothing ran to answer it.
 func (c *gridCache) get(k estimateKey) (cube, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -69,25 +88,25 @@ func (c *gridCache) contains(k estimateKey) bool {
 	return ok
 }
 
-// evictableLocked is the share of the budget cached cubes may hold: the
+// evictableLocked is the share of the budget cache entries may hold: the
 // limit minus the pinned stream charges. Callers hold c.mu.
 func (c *gridCache) evictableLocked() int64 {
 	return c.budget.Limit() - (c.budget.Used() - c.resident)
 }
 
-// fits reports whether a cube of the given bytes fits the evictable share.
+// fits reports whether an entry of the given bytes fits the evictable share.
 func (c *gridCache) fits(bytes int64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return bytes <= c.evictableLocked()
 }
 
-// put inserts a cube, charging its grid and pyramid as one entry and
-// evicting least-recently-used entries until the byte budget admits it.
-// When the pair no longer fits the evictable share (a pinned charge grew
-// since the pyramid was built) the grid is cached alone; a grid that alone
-// does not fit is not cached at all (cached false), and evicts nothing on
-// the way to finding that out.
+// put inserts an entry, charging a cube's grid and pyramid as one entry,
+// and evicts least-recently-used entries until the byte budget admits it.
+// When a cube's pair no longer fits the evictable share (a pinned charge
+// grew since the pyramid was built) the grid is cached alone; an entry
+// that still does not fit is not cached at all (cached false), and evicts
+// nothing on the way to finding that out.
 func (c *gridCache) put(k estimateKey, cb cube) (evicted int, cached bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -98,12 +117,11 @@ func (c *gridCache) put(k estimateKey, cb cube) (evicted int, cached bool) {
 	// Headroom check after the resident check: an already-cached key must
 	// count as a hit (and get its LRU touch) even when pinned stream
 	// charges have since shrunk the evictable share below its size.
-	room, bytes := c.evictableLocked(), cb.res.Grid.Spec.Bytes()
-	if cb.py != nil && bytes+cb.py.Bytes() <= room {
-		bytes += cb.py.Bytes()
-	} else {
+	room := c.evictableLocked()
+	if cb.bytes() > room {
 		cb.py = nil
 	}
+	bytes := cb.bytes()
 	if bytes > room {
 		return 0, false
 	}
@@ -115,7 +133,6 @@ func (c *gridCache) put(k estimateKey, cb cube) (evicted int, cached bool) {
 		c.dropLocked(back)
 		evicted++
 	}
-	cb.res = resultFromGrid(k, cb.res.Grid)
 	c.entries[k] = c.lru.PushFront(&cacheEntry{key: k, c: cb, bytes: bytes})
 	c.resident += bytes
 	return evicted, true
@@ -131,8 +148,8 @@ func (c *gridCache) dropLocked(e *list.Element) {
 	c.resident -= ent.bytes
 }
 
-// invalidateDataset drops every cached cube derived from the dataset, to
-// free the memory of cubes a stream mutation or deletion left unreachable
+// invalidateDataset drops every cache entry derived from the dataset, to
+// free the memory of entries a stream mutation or deletion left unreachable
 // (their keys name a version or an id no request resolves any more).
 // Other datasets' entries are untouched. It returns the number dropped.
 func (c *gridCache) invalidateDataset(id string) int {
@@ -149,7 +166,7 @@ func (c *gridCache) invalidateDataset(id string) int {
 	return n
 }
 
-// evictFor evicts least-recently-used cubes until the budget has room for
+// evictFor evicts least-recently-used entries until the budget has room for
 // a charge of the given bytes (a stream's window ring or sketch). It gives
 // up when the cache is empty; the caller's own allocation against the
 // shared budget then reports the shortfall.
@@ -172,7 +189,7 @@ func (c *gridCache) evictFor(bytes int64) int {
 // are accounted in the same pool the LRU evicts against.
 func (c *gridCache) budgetHandle() *grid.Budget { return c.budget }
 
-// stats reports occupancy: resident cubes, charged bytes, byte limit.
+// stats reports occupancy: resident entries, charged bytes, byte limit.
 func (c *gridCache) stats() (entries int, bytes, limit int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

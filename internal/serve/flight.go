@@ -6,8 +6,9 @@ import (
 	"sync"
 )
 
-// flightGroup coalesces concurrent estimations of the same key into a
-// single computation (the classic singleflight pattern, stdlib-only).
+// flightGroup coalesces concurrent fills of the same cache key (a cube's
+// estimation, an exact-query index build) into a single computation (the
+// classic singleflight pattern, stdlib-only).
 // Followers block until the leader's result is ready and share it.
 type flightGroup struct {
 	mu    sync.Mutex

@@ -145,7 +145,7 @@ func toDatasetJSON(ds *dataset) datasetJSON {
 	lo, hi, n := ds.boundsBox()
 	out := datasetJSON{
 		Dataset: ds.id,
-		Stream:  ds.live != nil,
+		Stream:  ds.st != nil,
 		Points:  n,
 		Added:   ds.added,
 	}
@@ -239,11 +239,11 @@ func (s *Server) resolveKey(datasetID, algorithm string, sres, tres, hs, ht floa
 		return estimateKey{}, nil, fmt.Errorf("unknown algorithm %q (known: %s)",
 			algorithm, strings.Join(core.Algorithms(), ", "))
 	}
-	st, isStream := s.streams.get(ds.id)
+	st := ds.st
 	d := grid.Domain{}
 	if dom != nil {
 		d = *dom
-	} else if isStream {
+	} else if st != nil {
 		// A stream's natural domain is its creation window, not the
 		// (possibly empty, always shifting) event bounding box.
 		d = st.base.Domain
@@ -266,7 +266,7 @@ func (s *Server) resolveKey(datasetID, algorithm string, sres, tres, hs, ht floa
 	// the cache key distinguishes window positions for free. A stream key
 	// also carries the dataset version: see estimateKey.
 	var ver int64
-	if isStream {
+	if st != nil {
 		spec, ver = st.resolve(spec)
 	}
 	return estimateKey{Dataset: ds.id, Version: ver, Spec: spec, Algorithm: algorithm}, ds, nil
@@ -388,7 +388,7 @@ type readPlan struct {
 	// cube: from its pyramid when py is non-nil, else by the naive scan
 	// of g. A plan without one is a point query, which static answers.
 	cube   func(py *grid.Pyramid, g *grid.Grid) map[string]any
-	static func(w http.ResponseWriter)
+	static func(ctx context.Context, w http.ResponseWriter)
 }
 
 // serveRead is the one pipeline of the GET analytics endpoints /v1/query,
@@ -403,7 +403,7 @@ type readPlan struct {
 // failure is refused with the attributed rank rather than answered by the
 // grid paths, which would read the coordinator's live list as if coverage
 // were full.
-func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, plan func(k estimateKey, ds *dataset, q url.Values) (readPlan, error)) {
+func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, plan func(k estimateKey, q url.Values) (readPlan, error)) {
 	if r.Method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, "use GET")
 		return
@@ -416,14 +416,14 @@ func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, plan func(k e
 	k, ds, err := s.queryParams(q)
 	var p readPlan
 	if err == nil {
-		p, err = plan(k, ds, q)
+		p, err = plan(k, q)
 	}
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	sketch := p.cube != nil
-	if st, ok := s.streams.get(k.Dataset); ok && p.window != nil {
+	if st := ds.st; st != nil && p.window != nil {
 		answer, cov, rebuilt, err := s.readWindow(st, k.Spec, sketch, p.window)
 		if err != nil {
 			writeStreamErr(w, http.StatusServiceUnavailable, err)
@@ -444,7 +444,7 @@ func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, plan func(k e
 		}
 	}
 	if !sketch {
-		p.static(w)
+		p.static(r.Context(), w)
 		return
 	}
 	c, cached, err := s.ensureGrid(r.Context(), k, tenant, false)
@@ -476,7 +476,7 @@ func voxelAnswer(spec grid.Spec, X, Y, T int) map[string]any {
 // resident (source "grid"), and otherwise — or with exact=1 — by the exact
 // core.Query evaluation (source "exact"), never triggering an estimation.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	s.serveRead(w, r, func(k estimateKey, ds *dataset, q url.Values) (p readPlan, err error) {
+	s.serveRead(w, r, func(k estimateKey, q url.Values) (p readPlan, err error) {
 		var at grid.Point
 		for _, f := range [...]struct {
 			name string
@@ -514,7 +514,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				return answer, cov, nil
 			}
 		}
-		p.static = func(w http.ResponseWriter) {
+		p.static = func(ctx context.Context, w http.ResponseWriter) {
 			// Out-of-domain locations bypass the grid: VoxelOf would clamp
 			// them to an edge voxel and report its (wrong, possibly large)
 			// density, while the exact evaluator correctly decays to zero.
@@ -533,7 +533,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				}
 				s.met.cacheMisses.Add(1)
 			}
-			idx, err := s.reg.queryIndex(ds, spec)
+			idx, err := s.queryIndex(ctx, k)
 			if err != nil {
 				writeErr(w, http.StatusBadRequest, "%v", err)
 				return
@@ -552,7 +552,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // region, from a live window's incremental sketch or the dataset's cube
 // (see serveRead).
 func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request) {
-	s.serveRead(w, r, func(k estimateKey, _ *dataset, q url.Values) (readPlan, error) {
+	s.serveRead(w, r, func(k estimateKey, q url.Values) (readPlan, error) {
 		box := k.Spec.Bounds()
 		for _, f := range [...]struct {
 			name string
@@ -619,7 +619,7 @@ const maxHotspots = 10000
 // at most maxHotspots), from a live window's incremental sketch
 // (best-first block scan) or the dataset's cube (see serveRead).
 func (s *Server) handleHotspots(w http.ResponseWriter, r *http.Request) {
-	s.serveRead(w, r, func(_ estimateKey, _ *dataset, q url.Values) (readPlan, error) {
+	s.serveRead(w, r, func(_ estimateKey, q url.Values) (readPlan, error) {
 		topK := 10
 		if v := q.Get("k"); v != "" {
 			var err error
@@ -753,13 +753,14 @@ func (s *Server) handleDatasetSub(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, "use %s", wantMethod)
 		return
 	}
-	st, ok := s.streams.get(id)
+	ds, ok := s.reg.get(id)
 	if !ok {
-		if _, isDataset := s.reg.get(id); isDataset {
-			writeErr(w, http.StatusConflict, "dataset %q is immutable (content-addressed); create a mutable dataset with POST /v1/streams", id)
-			return
-		}
 		writeErr(w, http.StatusNotFound, "unknown stream %q", id)
+		return
+	}
+	st := ds.st
+	if st == nil {
+		writeErr(w, http.StatusConflict, "dataset %q is immutable (content-addressed); create a mutable dataset with POST /v1/streams", id)
 		return
 	}
 	if !hasAction { // DELETE /v1/datasets/{id}
@@ -864,7 +865,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	degraded := s.adm.degraded()
 	resp := map[string]any{
 		"uptime_s":          time.Since(s.start).Seconds(),
-		"datasets":          len(s.reg.list()),
+		"datasets":          s.reg.count(),
 		"streams":           s.streams.count(),
 		"cache_entries":     entries,
 		"cache_bytes":       bytes,

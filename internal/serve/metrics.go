@@ -25,18 +25,18 @@ type metrics struct {
 	cacheHits   expvar.Int
 	cacheMisses expvar.Int
 	evictions   expvar.Int
-	uncacheable expvar.Int // grids larger than the whole cache budget
+	uncacheable expvar.Int // cubes and query indexes larger than the evictable cache share
 	jobsDone    expvar.Int
 	jobsFailed  expvar.Int
 	inflight    expvar.Int // HTTP requests in flight
 	latency     *latencyHist
 
-	streams         expvar.Int // live stream datasets
-	streamEvents    expvar.Int // events ingested into streams
-	streamAdvances  expvar.Int // window advances that moved a stream
-	streamReads     expvar.Int // queries answered from a live window ring
-	streamSnapshots expvar.Int // window snapshots served/cached
-	invalidations   expvar.Int // cached grids + query indexes dropped by stream mutation
+	streams         expvar.Func // live stream datasets, counted in the registry
+	streamEvents    expvar.Int  // events ingested into streams
+	streamAdvances  expvar.Int  // window advances that moved a stream
+	streamReads     expvar.Int  // queries answered from a live window ring
+	streamSnapshots expvar.Int  // window snapshots served/cached
+	invalidations   expvar.Int  // cached grids + query indexes dropped by stream mutation
 
 	sketchHits     expvar.Int // region/hotspot/job answers served from a sketch
 	sketchRebuilds expvar.Int // pyramid builds + stream sketch blocks rebuilt
@@ -79,7 +79,6 @@ func newMetrics() *metrics {
 	met.m.Set("jobs_done", &met.jobsDone)
 	met.m.Set("jobs_failed", &met.jobsFailed)
 	met.m.Set("requests_inflight", &met.inflight)
-	met.m.Set("streams", &met.streams)
 	met.m.Set("stream_events", &met.streamEvents)
 	met.m.Set("stream_advances", &met.streamAdvances)
 	met.m.Set("stream_reads", &met.streamReads)
@@ -118,16 +117,18 @@ func (m *metrics) publishAdmission(a *admission) {
 	m.m.Set("admission_wait_error_ms", expvar.Func(func() any { return a.waitErrorMS() }))
 }
 
-// publishStreams exposes work counters of core.UpdaterStats, summed over
-// the live local windows (a sharded window's updaters live in the rank
-// processes): event applications performed inside advances — zero while
-// no stream ingests ahead of its window — and event × strip applications
-// of the parallel apply, whose excess over the applied events is its
-// recomputation overhead. The
-// shard_stream_* counters sum dist.StreamStats over the live sharded
-// windows: events shipped to ranks (the events ingested, when every rank
-// is up), threshold top-k rounds, and raw voxel values fetched.
-func (m *metrics) publishStreams(t *streamTable) {
+// publishStreams exposes the live stream count, read from the registry,
+// and work counters of core.UpdaterStats, summed over the live local
+// windows (a sharded window's updaters live in the rank processes): event
+// applications performed inside advances — zero while no stream ingests
+// ahead of its window — and event × strip applications of the parallel
+// apply, whose excess over the applied events is its recomputation
+// overhead. The shard_stream_* counters sum dist.StreamStats over the
+// live sharded windows: events shipped to ranks (the events ingested, when
+// every rank is up), threshold top-k rounds, and raw voxel values fetched.
+func (m *metrics) publishStreams(t streamView) {
+	m.streams = func() any { return t.count() }
+	m.m.Set("streams", m.streams)
 	local := func(pick func(core.UpdaterStats) int64) expvar.Func {
 		return func() any {
 			var n int64

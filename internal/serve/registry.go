@@ -20,11 +20,11 @@ import (
 // deduplicate and ids are immutable. Stream datasets (created by
 // POST /v1/streams) are mutable and own no events: the live window is the
 // one copy of the live set, read on demand, and the dataset carries only
-// the version that keys every cube and query index derived from it.
+// the version that keys every cache entry derived from it.
 type dataset struct {
 	id    string
 	added time.Time
-	live  liveWindow // a stream's window; nil for batch datasets
+	st    *stream // a stream's window and lock; nil for batch datasets
 
 	pts    []grid.Point  // batch datasets: immutable after add
 	bounds [2]grid.Point // ... and their tight bounding box: min, max per axis
@@ -35,16 +35,16 @@ type dataset struct {
 // points returns the current event snapshot, which must not be mutated.
 // For a stream it is a copy of the window's live set.
 func (ds *dataset) points() []grid.Point {
-	if ds.live != nil {
-		return ds.live.Live()
+	if ds.st != nil {
+		return ds.st.up.Live()
 	}
 	return ds.pts
 }
 
 // size returns the current event count.
 func (ds *dataset) size() int {
-	if ds.live != nil {
-		return ds.live.N()
+	if ds.st != nil {
+		return ds.st.up.N()
 	}
 	return len(ds.pts)
 }
@@ -52,10 +52,10 @@ func (ds *dataset) size() int {
 // boundsBox returns the tight bounding box of the current events and
 // their count (for a stream, both from one read of the live set).
 func (ds *dataset) boundsBox() (lo, hi grid.Point, n int) {
-	if ds.live == nil {
+	if ds.st == nil {
 		return ds.bounds[0], ds.bounds[1], len(ds.pts)
 	}
-	pts := ds.live.Live()
+	pts := ds.st.up.Live()
 	b := boundsOf(pts)
 	return b[0], b[1], len(pts)
 }
@@ -87,43 +87,23 @@ func expandBounds(b *[2]grid.Point, p grid.Point) {
 	b[0].T, b[1].T = math.Min(b[0].T, p.T), math.Max(b[1].T, p.T)
 }
 
-// registry holds the registered datasets and a small cache of exact-query
-// indexes (core.Query) keyed by dataset and spec, so repeated fallback
-// queries do not rebuild the bandwidth-block bins.
+// registry is the server's one table of datasets: the content-addressed
+// batch sets and the live streams (the datasets whose st is non-nil).
+// Everything derived from a dataset — cubes, exact-query indexes — lives
+// in the cache, keyed by the dataset's id and version.
 type registry struct {
-	mu      sync.RWMutex
-	sets    map[string]*dataset
-	queries map[queryKey]*core.Query
-	// queryOrder tracks insertion order so the index cache stays bounded
-	// (FIFO eviction at maxQueryIndexes entries).
-	queryOrder []queryKey
-}
+	mu   sync.RWMutex
+	sets map[string]*dataset
+	seq  atomic.Int64 // the last stream id allocated (see nextID)
 
-// maxQueryIndexes bounds the exact-query index cache: each index holds
-// O(n) point references plus its bin table, and a client sweeping
-// bandwidths would otherwise grow it without limit in a long-running
-// daemon.
-const maxQueryIndexes = 64
-
-// maxQueryBins bounds the bin table of a single exact-query index
-// (~(GX/hs)·(GY/hs)·(GT/ht) slots): a request with a tiny bandwidth over
-// a huge domain must not allocate an arbitrarily large table.
-const maxQueryBins = 1 << 24
-
-// queryKey identifies an exact-query index: the algorithm is irrelevant
-// (core.Query evaluates the formula directly), only the dataset at its
-// version (as in estimateKey) and the spec are.
-type queryKey struct {
-	Dataset string
-	Version int64
-	Spec    grid.Spec
+	// createMu serializes whole stream creations, making the MaxStreams
+	// check-then-create atomic without holding mu across the ring
+	// allocation (lookups stay uncontended).
+	createMu sync.Mutex
 }
 
 func newRegistry() *registry {
-	return &registry{
-		sets:    map[string]*dataset{},
-		queries: map[queryKey]*core.Query{},
-	}
+	return &registry{sets: map[string]*dataset{}}
 }
 
 // hashPoints content-addresses an event set: sha256 over the little-endian
@@ -155,15 +135,17 @@ func (r *registry) add(pts []grid.Point) (*dataset, bool) {
 	return ds, true
 }
 
-// addStream registers the mutable dataset of a live window under the
-// given id (stream ids are allocated by the stream table, not
-// content-addressed).
-func (r *registry) addStream(id string, live liveWindow) *dataset {
+// nextID allocates a stream id. Stream datasets are mutable, so their ids
+// are sequence-allocated, not content-addressed.
+func (r *registry) nextID() string {
+	return fmt.Sprintf("s%016x", r.seq.Add(1))
+}
+
+// put registers a stream's dataset under its allocated id.
+func (r *registry) put(ds *dataset) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ds := &dataset{id: id, live: live, added: time.Now()}
-	r.sets[id] = ds
-	return ds
+	r.sets[ds.id] = ds
 }
 
 // remove deletes a dataset from the registry (stream deletion).
@@ -173,32 +155,19 @@ func (r *registry) remove(id string) {
 	delete(r.sets, id)
 }
 
-// invalidateQueries drops every exact-query index derived from the dataset,
-// freeing the memory of indexes a stream mutation left unreachable. It
-// returns the number dropped.
-func (r *registry) invalidateQueries(id string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	kept := r.queryOrder[:0]
-	n := 0
-	for _, k := range r.queryOrder {
-		if k.Dataset == id {
-			delete(r.queries, k)
-			n++
-			continue
-		}
-		kept = append(kept, k)
-	}
-	r.queryOrder = kept
-	return n
-}
-
 // get returns the dataset by id.
 func (r *registry) get(id string) (*dataset, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	ds, ok := r.sets[id]
 	return ds, ok
+}
+
+// count returns the number of registered datasets, streams included.
+func (r *registry) count() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.sets)
 }
 
 // list returns the registered datasets sorted by id.
@@ -213,41 +182,48 @@ func (r *registry) list() []*dataset {
 	return out
 }
 
-// queryIndex returns (building on first use) the exact-query index for the
-// dataset and spec, used by the /v1/query fallback path. The cache is
-// bounded: oldest indexes are dropped past maxQueryIndexes, and a spec
-// whose bin table would exceed maxQueryBins is rejected.
-//
-// The index is keyed by the dataset version read before the points, so it
-// holds the events of that version or later, and a request after a stream
-// mutation resolves a newer version instead of reaching it.
-func (r *registry) queryIndex(ds *dataset, spec grid.Spec) (*core.Query, error) {
-	k := queryKey{Dataset: ds.id, Version: ds.ver(), Spec: spec}
-	r.mu.RLock()
-	q, ok := r.queries[k]
-	r.mu.RUnlock()
-	if ok {
-		return q, nil
-	}
-	d := spec.Domain
-	bins := (d.GX/spec.HS + 1) * (d.GY/spec.HS + 1) * (d.GT/spec.HT + 1)
-	if bins > maxQueryBins {
-		return nil, fmt.Errorf("serve: exact query would bin the domain into %.0f blocks (limit %d); raise the bandwidths or shrink the domain", bins, maxQueryBins)
-	}
-	q = core.NewQuery(ds.points(), spec, core.Options{})
-	r.mu.Lock()
-	if prev, ok := r.queries[k]; ok { // racing builder won
-		q = prev
-	} else {
-		for len(r.queryOrder) >= maxQueryIndexes {
-			delete(r.queries, r.queryOrder[0])
-			r.queryOrder = r.queryOrder[1:]
+// streamView reads the registry's live streams: the datasets whose st is
+// non-nil.
+type streamView struct{ r *registry }
+
+// list returns the streams in id order.
+func (v streamView) list() []*stream {
+	var out []*stream
+	for _, ds := range v.r.list() {
+		if ds.st != nil {
+			out = append(out, ds.st)
 		}
-		r.queries[k] = q
-		r.queryOrder = append(r.queryOrder, k)
 	}
-	r.mu.Unlock()
-	return q, nil
+	return out
+}
+
+// count returns the number of live streams.
+func (v streamView) count() int {
+	v.r.mu.RLock()
+	defer v.r.mu.RUnlock()
+	n := 0
+	for _, ds := range v.r.sets {
+		if ds.st != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// pinnedBytes is the byte total of all live windows (their rings, hidden
+// layers included) held in this process (their specs never resize, so the
+// creation spec's size is exact). Sharded windows keep theirs in the rank
+// processes and are not counted.
+func (v streamView) pinnedBytes() int64 {
+	v.r.mu.RLock()
+	defer v.r.mu.RUnlock()
+	var sum int64
+	for _, ds := range v.r.sets {
+		if ds.st != nil && !ds.st.sharded {
+			sum += core.WindowBytes(ds.st.base)
+		}
+	}
+	return sum
 }
 
 // defaultDomain derives the domain used when a request omits one: the

@@ -5,26 +5,31 @@
 //
 // The subsystem has four layers:
 //
-//   - a dataset registry that ingests event sets through the CSV codec and
-//     content-addresses them by hash, so identical uploads deduplicate and
-//     every request names its data immutably — plus mutable *stream*
-//     datasets (POST /v1/streams) whose events arrive over time
-//     (POST /v1/datasets/{id}/events) and whose sliding window density is
-//     maintained in place by a core.Updater, with window advances
-//     (POST /v1/datasets/{id}/advance); every mutation bumps the dataset
-//     version, which names every cube derived from it;
-//   - a cube cache keyed by (dataset, version, Spec, algorithm) with LRU
-//     eviction accounted against a grid.Budget, so repeated requests for
-//     the same density cube are O(1) lookups instead of re-estimations,
-//     each cube cached with the analytics pyramid built with it;
-//   - request coalescing (singleflight) plus a bounded estimation pool
-//     behind a multi-tenant admission controller, so a thundering herd of
-//     identical requests computes exactly once while distinct requests
-//     saturate the cores — and overload is priced at the door with the
-//     paper's Section 6.5 model: requests whose predicted wait exceeds the
-//     latency SLO are shed with 429 + Retry-After, per-tenant sliding-window
-//     rate limits cap abusive clients, and a round-robin queue keeps one
-//     tenant's burst from starving the rest;
+//   - one dataset registry that ingests event sets through the CSV codec
+//     and content-addresses them by hash, so identical uploads deduplicate
+//     and every request names its data immutably — plus mutable *stream*
+//     datasets (POST /v1/streams), registry entries that carry their live
+//     window: their events arrive over time
+//     (POST /v1/datasets/{id}/events), their sliding window density is
+//     maintained in place by a core.Updater, and window advances
+//     (POST /v1/datasets/{id}/advance) slide it; every mutation bumps the
+//     dataset version, which names every cache entry derived from it;
+//   - one cache keyed by (dataset, version, Spec, algorithm) with LRU
+//     eviction accounted against one grid.Budget, which the stream window
+//     rings are charged to as well: density cubes, each cached with the
+//     analytics pyramid built with it, so repeated requests for the same
+//     cube are O(1) lookups instead of re-estimations, and the exact-query
+//     indexes (core.Query) behind /v1/query's fallback, keyed with the
+//     algorithm cleared;
+//   - request coalescing (singleflight) for every cache fill, plus a
+//     bounded estimation pool behind a multi-tenant admission controller,
+//     so a thundering herd of identical requests computes exactly once
+//     while distinct requests saturate the cores — and overload is priced
+//     at the door with the paper's Section 6.5 model: requests whose
+//     predicted wait exceeds the latency SLO are shed with 429 +
+//     Retry-After, per-tenant sliding-window rate limits cap abusive
+//     clients, and a round-robin queue keeps one tenant's burst from
+//     starving the rest;
 //   - JSON HTTP endpoints for ingestion, asynchronous estimation with job
 //     polling, voxel queries (cached-grid lookup with an exact
 //     core.Query.At fallback), box aggregates, and top-k hotspots, plus
@@ -39,9 +44,9 @@
 // with 503 + Retry-After and the attributed rank instead), mutations
 // commit on the coordinator and live ranks and report the same flags,
 // /healthz gains a per-rank "shard" health section, and a reconnecting
-// rank is re-seeded by replay. Sharded streams journal through Config.WAL like local ones
-// (minus snapshots), so a coordinator restart rebuilds them by replaying
-// the journal through the cluster.
+// rank is re-seeded by replay. Sharded streams journal through Config.WAL
+// like local ones (minus snapshots), so a coordinator restart rebuilds
+// them by replaying the journal through the cluster.
 //
 // Only the standard library is used.
 package serve
@@ -101,10 +106,12 @@ type Config struct {
 	// into pinned rings.
 	MaxStreams int
 
-	// WAL, when non-nil, makes local streams durable: every mutation is
+	// WAL, when non-nil, makes streams durable: every mutation is
 	// journaled under WAL.Dir before it is acknowledged, periodic
 	// checkpoints bound recovery, and Server.Recover rebuilds the streams
-	// after a crash. Sharded streams are not journaled here.
+	// after a crash. Sharded streams journal on the coordinator too, but
+	// never checkpoint (their rings live in the rank processes): recovery
+	// replays their whole journal through the cluster.
 	WAL *WALConfig
 
 	// Shard, when non-nil with peers, backs every live stream with the
@@ -207,7 +214,8 @@ func (c Config) withDefaults() Config {
 }
 
 // estimateKey identifies one density cube: a dataset at a version, a
-// fully-derived problem spec, and the algorithm that computes it. Spec is
+// fully-derived problem spec, and the algorithm that computes it (or, with
+// Algorithm empty, the exact-query index of the dataset and spec). Spec is
 // comparable, so the key can index maps directly. Version is 0 for a
 // content-addressed batch set; for a stream it is the dataset version the
 // request resolved, so a cube, job or flight keyed at version v is reached
@@ -231,8 +239,8 @@ func (k estimateKey) id() string {
 type Server struct {
 	cfg     Config
 	reg     *registry
+	streams streamView // the registry's live streams
 	cache   *gridCache
-	streams *streamTable
 	flight  *flightGroup
 	adm     *admission    // estimation pool front door: bounded fair queue + shedding
 	mach    model.Machine // calibrated rates pricing every admission
@@ -252,9 +260,10 @@ type Server struct {
 	shardErr error
 	shardUp  bool // a connect was attempted (shardCl/shardErr are final)
 
-	// testHookEstimate, when non-nil, runs at the start of every actual
-	// estimation (after coalescing and pool admission). Tests use it to
-	// hold an estimation in flight deterministically.
+	// testHookEstimate, when non-nil, runs in every flight leader before
+	// it builds a cache entry (after coalescing, pool admission for a cube,
+	// and the dataset lookup). Tests use it to hold a build in flight
+	// deterministically.
 	testHookEstimate func(k estimateKey)
 }
 
@@ -264,11 +273,12 @@ type Server struct {
 // prediction reflects the hardware actually serving.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	reg := newRegistry()
 	s := &Server{
 		cfg:     cfg,
-		reg:     newRegistry(),
+		reg:     reg,
+		streams: streamView{reg},
 		cache:   newGridCache(cfg.CacheBytes),
-		streams: newStreamTable(),
 		flight:  newFlightGroup(),
 		jobs:    newJobTable(),
 		met:     newMetrics(),
@@ -431,47 +441,90 @@ func (s *Server) ensureGrid(ctx context.Context, k estimateKey, tenant string, p
 		s.mu.Unlock()
 		defer s.wg.Done()
 	}
-	c, err := s.flight.do(ctx, k, func() (cube, error) {
-		// A concurrent caller may have populated the cache between our
-		// miss and the flight admission.
+	admit := func() (func(), error) {
+		return s.adm.acquire(ctx, tenant, s.predictCost(k), !preAdmitted)
+	}
+	c, err := s.fill(ctx, k, admit, func(ds *dataset) (cube, error) {
+		if ds.st != nil {
+			res, err := s.streamResult(ds.st, k)
+			return cube{res: res}, err
+		}
+		res, err := s.estimate(k, ds.points())
+		return cube{res: res}, err
+	})
+	return c, false, err
+}
+
+// maxQueryBins bounds the bin table of a single exact-query index
+// (~(GX/hs)·(GY/hs)·(GT/ht) slots): a request with a tiny bandwidth over
+// a huge domain must not allocate an arbitrarily large table.
+const maxQueryBins = 1 << 24
+
+// queryIndex returns the exact-query index of the key's dataset at its
+// version and spec, building it on first use, for the /v1/query fallback.
+// The index ignores the algorithm, so it is cached under the key with
+// Algorithm cleared, charged to the budget like a cube: its bins, and for a
+// stream the live events it copied. Builds are not pool-admitted: an index
+// costs one pass over the events, and the spec bounds its bin table
+// (maxQueryBins).
+func (s *Server) queryIndex(ctx context.Context, k estimateKey) (*core.Query, error) {
+	d := k.Spec.Domain
+	bins := (d.GX/k.Spec.HS + 1) * (d.GY/k.Spec.HS + 1) * (d.GT/k.Spec.HT + 1)
+	if bins > maxQueryBins {
+		return nil, fmt.Errorf("serve: exact query would bin the domain into %.0f blocks (limit %d); raise the bandwidths or shrink the domain", bins, maxQueryBins)
+	}
+	k.Algorithm = ""
+	if c, ok := s.cache.get(k); ok {
+		return c.q, nil
+	}
+	c, err := s.fill(ctx, k, nil, func(ds *dataset) (cube, error) {
+		pts := ds.points()
+		c := cube{q: core.NewQuery(pts, k.Spec, core.Options{}), qbytes: core.QueryBytes(k.Spec, len(pts))}
+		if ds.st != nil {
+			c.qbytes += int64(len(pts)) * 24 // three float64 per event
+		}
+		return c, nil
+	})
+	return c.q, err
+}
+
+// fill builds and caches the entry for k after the caller's cache miss.
+// Concurrent fills of one key coalesce into one flight, whose leader finds
+// the entry cached when a fill published it since the miss, and otherwise
+// takes admit's pool slot (nil: no admission), looks up the dataset,
+// builds the entry over it and publishes it. A fill racing the deletion of
+// its stream must not leave an entry keyed to an id no request can resolve
+// again: deleteStream drops the id's entries after deregistering it, and a
+// fill that published later finds the id gone and drops them itself.
+func (s *Server) fill(ctx context.Context, k estimateKey, admit func() (func(), error), build func(*dataset) (cube, error)) (cube, error) {
+	return s.flight.do(ctx, k, func() (cube, error) {
 		if c, ok := s.cache.get(k); ok {
 			return c, nil
 		}
-		release, err := s.adm.acquire(ctx, tenant, s.predictCost(k), !preAdmitted)
-		if err != nil {
-			return cube{}, err
-		}
-		defer release()
-		if s.testHookEstimate != nil {
-			s.testHookEstimate(k)
+		if admit != nil {
+			release, err := admit()
+			if err != nil {
+				return cube{}, err
+			}
+			defer release()
 		}
 		ds, ok := s.reg.get(k.Dataset)
 		if !ok {
 			return cube{}, fmt.Errorf("serve: unknown dataset %q", k.Dataset)
 		}
-		var res *core.Result
-		if st, ok := s.streams.get(k.Dataset); ok {
-			res, err = s.streamResult(st, k)
-		} else {
-			res, err = s.estimate(k, ds.points())
+		if s.testHookEstimate != nil {
+			s.testHookEstimate(k)
 		}
+		c, err := build(ds)
 		if err != nil {
 			return cube{}, err
 		}
-		c := s.publish(k, res)
-		// A fill racing the deletion of its stream must not leave an entry
-		// keyed to an id no request can resolve again: deleteStream drops
-		// the id's entries after deregistering it, and a fill that
-		// published later finds the id gone here and drops them itself.
+		c = s.publish(k, c)
 		if _, ok := s.reg.get(k.Dataset); !ok {
 			s.met.invalidations.Add(int64(s.cache.invalidateDataset(k.Dataset)))
 		}
 		return c, nil
 	})
-	if err != nil {
-		return cube{}, false, err
-	}
-	return c, false, nil
 }
 
 // estimate runs one batch estimation of the key over pts.
@@ -503,18 +556,22 @@ func (s *Server) charge(need int64, alloc func() error) error {
 	}
 }
 
-// publish caches a freshly computed grid under k together with its
+// publish caches a freshly made entry under k. A cube is cached with its
 // analytics pyramid, built here, before any reader can see the grid, when
 // the pair fits the evictable share of the budget (otherwise the grid is
-// cached alone and its readers scan it). It folds in the eviction and
-// uncacheable accounting and returns the cube for the caller's answer.
-func (s *Server) publish(k estimateKey, res *core.Result) cube {
-	c := cube{res: res}
-	if spec := res.Grid.Spec; s.cache.fits(spec.Bytes() + grid.PyramidBytes(spec)) {
-		c.py, _ = grid.NewPyramid(res.Grid, s.cfg.Threads, nil) // no budget, no error: put charges it with its grid
-		s.met.sketchRebuilds.Add(1)
+// cached alone and its readers scan it), and without the phase timings of
+// the estimate that made it. It folds in the eviction and uncacheable
+// accounting and returns the entry for the caller's answer.
+func (s *Server) publish(k estimateKey, c cube) cube {
+	stored := c
+	if c.res != nil {
+		if spec := c.res.Grid.Spec; s.cache.fits(spec.Bytes() + grid.PyramidBytes(spec)) {
+			c.py, _ = grid.NewPyramid(c.res.Grid, s.cfg.Threads, nil) // no budget, no error: put charges it with its grid
+			s.met.sketchRebuilds.Add(1)
+		}
+		stored = cube{res: resultFromGrid(k, c.res.Grid), py: c.py}
 	}
-	evicted, cached := s.cache.put(k, c)
+	evicted, cached := s.cache.put(k, stored)
 	s.met.evictions.Add(int64(evicted))
 	if !cached {
 		s.met.uncacheable.Add(1)

@@ -3,9 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -68,12 +66,12 @@ func (w localWindow) TopKCov(k int) ([]grid.VoxelDensity, dist.Coverage, error) 
 	return top, fullCoverage, err
 }
 
-// stream is one mutable (live-ingest) dataset: a registry entry whose
-// event set grows by POST /v1/datasets/{id}/events, paired with a
+// stream is the live part of a mutable (live-ingest) dataset, ds.st: an
+// event set that grows by POST /v1/datasets/{id}/events, held by a
 // long-lived window estimator that keeps the window density grid exact in
 // place — O(Δn·Hs²·Ht) per ingest instead of a full re-estimate. A local
 // window's ring is charged against the server's cache budget, so live
-// windows and cached cubes compete in one accounted pool; a sharded
+// windows and cache entries compete in one accounted pool; a sharded
 // window's rings live in the rank processes, so nothing is charged here.
 //
 // st.mu serializes mutations (ingest, advance) with the reads that resolve
@@ -186,83 +184,6 @@ func (st *stream) window() (t0, t1 float64) {
 	return st.up.Window()
 }
 
-// streamTable holds the server's live streams.
-type streamTable struct {
-	mu  sync.Mutex
-	m   map[string]*stream
-	seq atomic.Int64
-
-	// createMu serializes whole stream creations, making the MaxStreams
-	// check-then-create atomic without holding mu across the ring
-	// allocation (lookups stay uncontended).
-	createMu sync.Mutex
-}
-
-func newStreamTable() *streamTable {
-	return &streamTable{m: map[string]*stream{}}
-}
-
-// nextID allocates a stream id. Stream datasets are mutable, so their ids
-// are sequence-allocated, not content-addressed.
-func (t *streamTable) nextID() string {
-	return fmt.Sprintf("s%016x", t.seq.Add(1))
-}
-
-func (t *streamTable) get(id string) (*stream, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st, ok := t.m[id]
-	return st, ok
-}
-
-func (t *streamTable) put(st *stream) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.m[st.id] = st
-}
-
-func (t *streamTable) remove(id string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.m, id)
-}
-
-func (t *streamTable) count() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.m)
-}
-
-// pinnedBytes is the byte total of all live windows (their rings, hidden
-// layers included)
-// held in this process (their specs never resize, so the creation spec's
-// size is exact). Sharded windows keep theirs in the rank processes and
-// are not counted.
-func (t *streamTable) pinnedBytes() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var sum int64
-	for _, st := range t.m {
-		if st.sharded {
-			continue
-		}
-		sum += core.WindowBytes(st.base)
-	}
-	return sum
-}
-
-// list returns the streams in id order.
-func (t *streamTable) list() []*stream {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]*stream, 0, len(t.m))
-	for _, st := range t.m {
-		out = append(out, st)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
-}
-
 // createStream registers a new live stream on the given window spec. With
 // shard peers configured the window is carved across the rank cluster
 // (nothing charged locally); otherwise the window ring is charged to the
@@ -270,8 +191,8 @@ func (t *streamTable) list() []*stream {
 // with grid.ErrMemoryBudget when the pinned stream share would exceed half
 // the budget.
 func (s *Server) createStream(spec grid.Spec) (*stream, error) {
-	s.streams.createMu.Lock()
-	defer s.streams.createMu.Unlock()
+	s.reg.createMu.Lock()
+	defer s.reg.createMu.Unlock()
 	if n := s.streams.count(); n >= s.cfg.MaxStreams {
 		return nil, fmt.Errorf("serve: %d live streams already registered (limit %d); raise MaxStreams", n, s.cfg.MaxStreams)
 	}
@@ -295,7 +216,7 @@ func (s *Server) createStream(spec grid.Spec) (*stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	id := s.streams.nextID()
+	id := s.reg.nextID()
 	jr, err := s.openCreateJournal(id, spec)
 	if err != nil {
 		up.Release()
@@ -367,14 +288,14 @@ func (s *Server) openCreateJournal(id string, spec grid.Spec) (*streamJournal, e
 	return jr, nil
 }
 
-// registerStream binds a created window to the given stream id and a
-// fresh registry entry. Callers hold createMu (or are Recover, which runs
-// before any traffic).
+// registerStream binds a created window to the given stream id and
+// registers it as a dataset. Callers hold createMu (or are Recover, which
+// runs before any traffic).
 func (s *Server) registerStream(id string, up liveWindow, spec grid.Spec, jr *streamJournal) *stream {
 	_, local := up.(localWindow)
-	st := &stream{id: id, ds: s.reg.addStream(id, up), base: spec, sharded: !local, jr: jr, up: up}
-	s.streams.put(st)
-	s.met.streams.Add(1)
+	st := &stream{id: id, base: spec, sharded: !local, jr: jr, up: up}
+	st.ds = &dataset{id: id, st: st, added: time.Now()}
+	s.reg.put(st.ds)
 	return st
 }
 
@@ -480,8 +401,8 @@ func (s *Server) streamAdvance(st *stream, t float64) (advanced, expired int, co
 var errStreamDeleted = fmt.Errorf("serve: stream has been deleted")
 
 // deleteStream tears a live stream down: the window ring's budget charge
-// is released, both the stream slot and the registry entry are freed for
-// reuse, and every derived cache is dropped. In-flight operations that
+// is released, its registry entry is freed for reuse, and every cache
+// entry derived from it is dropped. In-flight operations that
 // already hold the *stream pointer observe st.deleted under st.mu.
 func (s *Server) deleteStream(st *stream) {
 	st.mu.Lock()
@@ -489,7 +410,6 @@ func (s *Server) deleteStream(st *stream) {
 	if !st.deleted {
 		st.deleted = true
 		st.up.Release()
-		s.met.streams.Add(-1)
 	} else {
 		jr = nil // a racing delete already owns the journal teardown
 	}
@@ -503,18 +423,15 @@ func (s *Server) deleteStream(st *stream) {
 		wal.Remove(jr.log.Dir())
 		jr.snapMu.Unlock()
 	}
-	s.streams.remove(st.id)
 	s.reg.remove(st.id)
 	// Dropped after the deregistration, so a fill that publishes later
-	// finds the id gone and drops its entry itself (see ensureGrid).
+	// finds the id gone and drops its entry itself (see Server.fill).
 	s.invalidateStream(st)
 }
 
 // invalidateStream drops the dataset's cached cubes and query indexes.
 func (s *Server) invalidateStream(st *stream) {
-	n := s.cache.invalidateDataset(st.id)
-	n += s.reg.invalidateQueries(st.id)
-	s.met.invalidations.Add(int64(n))
+	s.met.invalidations.Add(int64(s.cache.invalidateDataset(st.id)))
 }
 
 // streamResult computes the density grid of a stream dataset for the key.

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -48,6 +49,15 @@ func createStream(t *testing.T, ts *httptest.Server) string {
 		t.Fatalf("create stream returned %+v", sj)
 	}
 	return sj.Dataset
+}
+
+// get returns the live stream registered under id.
+func (v streamView) get(id string) (*stream, bool) {
+	ds, ok := v.r.get(id)
+	if !ok || ds.st == nil {
+		return nil, false
+	}
+	return ds.st, true
 }
 
 // postEvents ingests events into a stream and returns the response.
@@ -311,21 +321,19 @@ func TestStreamIngestInvalidatesExactly(t *testing.T) {
 		}
 	}
 
+	// One cache holds both kinds: an index is keyed with no algorithm.
 	countEntries := func(id string) (grids, queries int) {
 		s.cache.mu.Lock()
+		defer s.cache.mu.Unlock()
 		for k := range s.cache.entries {
-			if k.Dataset == id {
+			switch {
+			case k.Dataset != id:
+			case k.Algorithm == "":
+				queries++
+			default:
 				grids++
 			}
 		}
-		s.cache.mu.Unlock()
-		s.reg.mu.RLock()
-		for k := range s.reg.queries {
-			if k.Dataset == id {
-				queries++
-			}
-		}
-		s.reg.mu.RUnlock()
 		return grids, queries
 	}
 	if g, q := countEntries(staticID); g == 0 || q == 0 {
@@ -348,35 +356,253 @@ func TestStreamIngestInvalidatesExactly(t *testing.T) {
 	}
 }
 
-// TestQueryIndexFIFOEviction: the exact-query index cache drops its oldest
-// entries once maxQueryIndexes is reached.
-func TestQueryIndexFIFOEviction(t *testing.T) {
-	s := New(Config{})
-	ds, _ := s.reg.add(testPoints(60, 5))
-	var keys []queryKey
-	for i := 0; i < maxQueryIndexes+5; i++ {
-		spec, err := grid.NewSpec(testDomain, 2, 1, 10+float64(i), 3)
+// exactQuery answers GET /v1/query with exact=1 at (x, y, t) and returns
+// the density, or an error unless the answer is a 200 from the exact
+// evaluator. It does not touch t, so goroutines may call it.
+func exactQuery(ts *httptest.Server, params string, x, y, t float64) (float64, error) {
+	resp, err := http.Get(fmt.Sprintf("%s/v1/query?%s&x=%g&y=%g&t=%g&exact=1", ts.URL, params, x, y, t))
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	var answer struct {
+		Density float64 `json:"density"`
+		Source  string  `json:"source"`
+		Error   string  `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&answer); err != nil {
+		return 0, err
+	}
+	if resp.StatusCode != http.StatusOK || answer.Source != "exact" {
+		return 0, fmt.Errorf("exact query %s: status %d source %q error %q", params, resp.StatusCode, answer.Source, answer.Error)
+	}
+	return answer.Density, nil
+}
+
+// indexEntries returns the resident exact-query indexes of the dataset and
+// the bytes they charge.
+func indexEntries(s *Server, id string) (n int, bytes int64) {
+	s.cache.mu.Lock()
+	defer s.cache.mu.Unlock()
+	for k, e := range s.cache.entries {
+		if k.Dataset == id && k.Algorithm == "" {
+			n++
+			bytes += e.Value.(*cacheEntry).bytes
+		}
+	}
+	return n, bytes
+}
+
+// TestQueryIndexCacheBudget: exact-query indexes are cache entries charged
+// to the one budget. Exact queries over ten specs under a 64 KiB budget
+// (two or three indexes fit) never leave it over its limit, evict in LRU
+// order, and the resident indexes are what /healthz reports; an index over
+// the whole budget still answers and is not cached. Every answer is the
+// exact evaluator's.
+func TestQueryIndexCacheBudget(t *testing.T) {
+	s := New(Config{CacheBytes: 64 << 10})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	id := ingest(t, ts, testPoints(500, 7))
+	ds, _ := s.reg.get(id)
+	b := s.cache.budgetHandle()
+	check := func(hs, ht float64) estimateKey {
+		t.Helper()
+		params := fmt.Sprintf("dataset=%s&sres=2&tres=1&hs=%g&ht=%g&x0=0&y0=0&t0=0&gx=100&gy=80&gt=30", id, hs, ht)
+		spec, err := grid.NewSpec(testDomain, 2, 1, hs, ht)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.reg.queryIndex(ds, spec); err != nil {
-			t.Fatal(err)
+		q := core.NewQuery(ds.points(), spec, core.Options{})
+		for _, p := range [][3]float64{{50, 40, 15}, {12.5, 70, 3}, {99, 1, 29}} {
+			got, err := exactQuery(ts, params, p[0], p[1], p[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := q.At(p[0], p[1], p[2]); got != want {
+				t.Fatalf("hs=%g ht=%g at %v: density %g, core.Query.At %g", hs, ht, p, got, want)
+			}
+			if b.Used() > b.Limit() {
+				t.Fatalf("hs=%g ht=%g: budget used %d over its limit %d", hs, ht, b.Used(), b.Limit())
+			}
 		}
-		keys = append(keys, queryKey{Dataset: ds.id, Spec: spec})
+		return estimateKey{Dataset: id, Spec: spec}
 	}
-	s.reg.mu.RLock()
-	defer s.reg.mu.RUnlock()
-	if len(s.reg.queries) != maxQueryIndexes {
-		t.Fatalf("index cache holds %d entries, want %d", len(s.reg.queries), maxQueryIndexes)
+	var keys []estimateKey
+	for i := 0; i < 10; i++ {
+		keys = append(keys, check(10+float64(i), 3))
 	}
-	if len(s.reg.queryOrder) != maxQueryIndexes {
-		t.Fatalf("queryOrder holds %d entries, want %d", len(s.reg.queryOrder), maxQueryIndexes)
+	n, bytes := indexEntries(s, id)
+	if n < 2 || n >= 10 {
+		t.Fatalf("%d indexes resident after ten specs, want some evicted and at least two kept", n)
+	}
+	if s.met.evictions.Value() == 0 {
+		t.Fatal("ten indexes fit a 64 KiB budget; the test no longer exercises eviction")
 	}
 	for i, k := range keys {
-		_, resident := s.reg.queries[k]
-		if wantResident := i >= 5; resident != wantResident {
-			t.Fatalf("index %d resident=%v, want %v (FIFO eviction)", i, resident, wantResident)
+		if resident, want := s.cache.contains(k), i >= len(keys)-n; resident != want {
+			t.Fatalf("index %d of %d resident=%v, want %v (LRU keeps the %d newest)", i, len(keys), resident, want, n)
 		}
+	}
+	health := func() (entries int, bytes int64) {
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var h struct {
+			Entries int   `json:"cache_entries"`
+			Bytes   int64 `json:"cache_bytes"`
+		}
+		decodeBody(t, resp, &h)
+		return h.Entries, h.Bytes
+	}
+	if entries, got := health(); entries != n || got != bytes {
+		t.Fatalf("healthz cache_entries %d cache_bytes %d, want the %d resident indexes' %d bytes", entries, got, n, bytes)
+	}
+
+	// Bandwidths of 1 bin the domain into ~250k blocks: ~6 MB of slice
+	// headers, far over the budget.
+	uncacheable := s.met.uncacheable.Value()
+	check(1, 1)
+	if got, _ := indexEntries(s, id); got != n {
+		t.Fatalf("oversized index changed the resident count from %d to %d", n, got)
+	}
+	if s.met.uncacheable.Value() != uncacheable+3 {
+		t.Fatalf("cache_uncacheable = %d, want %d (one per oversized build)", s.met.uncacheable.Value(), uncacheable+3)
+	}
+}
+
+// parkedCtx reports the first call of its Done method. On the exact-query
+// path nothing calls it before the flight group, where a follower selects
+// on it as it parks on the leader's call (the leader never does).
+type parkedCtx struct {
+	context.Context
+	once   sync.Once
+	parked chan struct{}
+}
+
+func (c *parkedCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.parked) })
+	return c.Context.Done()
+}
+
+// TestQueryIndexCoalesces: concurrent cold exact queries on one dataset
+// and spec build exactly one index. The leader's build is held until every
+// other query has parked on its flight; a second build fails the test at
+// once instead of waiting.
+func TestQueryIndexCoalesces(t *testing.T) {
+	s := New(Config{})
+	var mu sync.Mutex
+	var builds []estimateKey
+	started, release, second := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	s.testHookEstimate = func(k estimateKey) {
+		mu.Lock()
+		builds = append(builds, k)
+		n := len(builds)
+		mu.Unlock()
+		switch n {
+		case 1:
+			close(started)
+			<-release
+		case 2:
+			close(second)
+		}
+	}
+	ds, _ := s.addDataset(testPoints(500, 7))
+	spec, err := grid.NewSpec(testDomain, 2, 1, 10, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.NewQuery(ds.points(), spec, core.Options{}).At(50, 40, 15)
+	url := "/v1/query?" + specParams(ds.id, core.AlgPBSYM) + "&x=50&y=40&t=15&exact=1"
+
+	const n = 8
+	answers := make(chan *httptest.ResponseRecorder, n)
+	query := func(ctx context.Context) {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, url, nil).WithContext(ctx))
+		answers <- w
+	}
+	go query(context.Background())
+	<-started
+	for i := 1; i < n; i++ {
+		ctx := &parkedCtx{Context: context.Background(), parked: make(chan struct{})}
+		go query(ctx)
+		select {
+		case <-ctx.parked:
+		case <-second:
+			t.Fatalf("query %d built a second index instead of joining the flight", i)
+		}
+	}
+	close(release)
+	for i := 0; i < n; i++ {
+		w := <-answers
+		var a struct {
+			Density float64 `json:"density"`
+			Source  string  `json:"source"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &a); err != nil || w.Code != http.StatusOK || a.Source != "exact" {
+			t.Fatalf("answer %d: status %d %s (%v)", i, w.Code, w.Body, err)
+		}
+		if a.Density != want {
+			t.Fatalf("answer %d: density %g, core.Query.At %g", i, a.Density, want)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(builds) != 1 || builds[0].Algorithm != "" {
+		t.Fatalf("%d concurrent cold exact queries built %v, want one index (no algorithm)", n, builds)
+	}
+	if got, _ := indexEntries(s, ds.id); got != 1 {
+		t.Fatalf("%d indexes resident, want 1", got)
+	}
+}
+
+// TestQueryIndexBuildRacingStreamDelete: an index build held in flight
+// while its stream is deleted publishes after the deletion dropped the
+// stream's entries; it must find the id gone and drop its own entry, so
+// nothing stays charged to the budget for a dead id.
+func TestQueryIndexBuildRacingStreamDelete(t *testing.T) {
+	s := New(Config{})
+	started, release := make(chan struct{}), make(chan struct{})
+	s.testHookEstimate = func(k estimateKey) {
+		if k.Algorithm == "" {
+			close(started)
+			<-release
+		}
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	id := createStream(t, ts)
+	postEvents(t, ts, id, streamEvents(60, 10, 11))
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := exactQuery(ts, "dataset="+id+"&sres=2&tres=1&hs=6&ht=3", 20, 15, 8)
+		done <- err
+	}()
+	<-started
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/datasets/"+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("delete status %d, want 204", resp.StatusCode)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := indexEntries(s, id); n != 0 {
+		t.Fatalf("%d indexes of the deleted stream stay cached", n)
+	}
+	if entries, bytes, _ := s.cache.stats(); entries != 0 || bytes != 0 {
+		t.Fatalf("cache holds %d entries, %d bytes after the only dataset was deleted", entries, bytes)
 	}
 }
 

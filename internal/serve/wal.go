@@ -23,8 +23,9 @@ import (
 // no local state to snapshot — recovery replays the full journal through
 // the cluster instead.
 
-// WALConfig enables durable streams: every local stream journals its
-// mutations under Dir and survives a crash via Server.Recover.
+// WALConfig enables durable streams: every stream, local or sharded,
+// journals its mutations under Dir and survives a crash via
+// Server.Recover (only local streams checkpoint).
 type WALConfig struct {
 	// Dir is the journal root; each stream owns the subdirectory named by
 	// its id. It is created if absent.
@@ -245,8 +246,8 @@ func (s *Server) Recover() (RecoverStats, error) {
 	}
 	// Future ids must not collide with recovered ones (Recover runs before
 	// any traffic, so a plain store is race-free).
-	if maxSeq > s.streams.seq.Load() {
-		s.streams.seq.Store(maxSeq)
+	if maxSeq > s.reg.seq.Load() {
+		s.reg.seq.Store(maxSeq)
 	}
 	s.met.walRecovered.Add(int64(stats.Streams))
 	s.met.walReplayed.Add(int64(stats.Replayed))

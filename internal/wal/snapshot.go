@@ -173,7 +173,7 @@ func ReadSnapshot(path string) (*Snapshot, error) {
 	// gio's codec is self-describing but not self-terminating; require the
 	// embedded grid to account for every remaining byte.
 	gridBytes := bodyLen - fixed - int64(nlive)*codec.PointBytes
-	if want := int64(len("STKDEG1\n") + 10*8 + g.Spec.Voxels()*8); gridBytes != want {
+	if want := gio.GridBytes(g.Spec); gridBytes != want {
 		return nil, fmt.Errorf("wal: snapshot %s: %d trailing bytes after the grid", path, gridBytes-want)
 	}
 	g.Spec.OT = int(ot) // gio rebuilds the spec with OT 0; restore the frame
