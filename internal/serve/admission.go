@@ -31,11 +31,7 @@ func (e *shedError) Error() string { return e.msg }
 // retrySeconds renders the Retry-After header value: whole seconds,
 // rounded up, never less than 1.
 func (e *shedError) retrySeconds() int {
-	s := int(math.Ceil(e.retry.Seconds()))
-	if s < 1 {
-		s = 1
-	}
-	return s
+	return max(1, int(math.Ceil(e.retry.Seconds())))
 }
 
 // defaultTenant accounts requests that carry no X-Tenant header.
@@ -116,16 +112,10 @@ func newAdmission(cfg AdmissionConfig, workers int, met *metrics) *admission {
 // allowRate applies the tenant's sliding-window rate limits to one work
 // request, returning a shedError when a window is full.
 func (a *admission) allowRate(tenant string) error {
-	retry, ok := a.lim.allow(tenant, time.Now())
-	if ok {
-		return nil
+	if retry, ok := a.lim.allow(tenant, time.Now()); !ok {
+		return a.shed(tenant, shedReasonRate, retry, "serve: tenant "+tenant+" over its rate limit")
 	}
-	a.shedMetrics(tenant, shedReasonRate)
-	return &shedError{
-		reason: shedReasonRate,
-		retry:  retry,
-		msg:    "serve: tenant " + tenant + " over its rate limit",
-	}
+	return nil
 }
 
 // predictedWaitLocked estimates how long a new request from the tenant
@@ -186,30 +176,16 @@ func (a *admission) sloShedLocked(tenant string, cost float64) error {
 	if a.slo <= 0 || wait <= a.slo.Seconds() {
 		return nil
 	}
-	retry := time.Duration((wait - a.slo.Seconds()) * float64(time.Second))
-	if retry > time.Hour {
-		retry = time.Hour
-	}
-	a.shedMetrics(tenant, shedReasonSLO)
-	return &shedError{
-		reason: shedReasonSLO,
-		retry:  retry,
-		msg:    "serve: predicted wait exceeds the latency SLO",
-	}
+	retry := min(time.Duration((wait-a.slo.Seconds())*float64(time.Second)), time.Hour)
+	return a.shed(tenant, shedReasonSLO, retry, "serve: predicted wait exceeds the latency SLO")
 }
 
-// queueShedLocked builds the queue-full refusal and records its metrics.
-// Callers hold a.mu.
+// queueShedLocked builds the queue-full refusal. The queue drains one
+// slot's worth of work at a time, so a full queue clears in about its
+// predicted backlog. Callers hold a.mu.
 func (a *admission) queueShedLocked(tenant string) error {
-	// The queue drains one slot's worth of work at a time; a full
-	// queue clears in about its predicted backlog.
 	retry := time.Duration(a.qcost / float64(a.workers) * float64(time.Second))
-	a.shedMetrics(tenant, shedReasonQueue)
-	return &shedError{
-		reason: shedReasonQueue,
-		retry:  retry,
-		msg:    "serve: admission queue full",
-	}
+	return a.shed(tenant, shedReasonQueue, retry, "serve: admission queue full")
 }
 
 // victimLocked picks the longest-queue-drop victim for a full queue
@@ -418,7 +394,8 @@ func (a *admission) degraded() bool {
 	return last != 0 && time.Since(time.Unix(0, last)) <= degradedWindow
 }
 
-func (a *admission) shedMetrics(tenant, reason string) {
+// shed records one refusal in the shed metrics and returns it.
+func (a *admission) shed(tenant, reason string, retry time.Duration, msg string) error {
 	a.lastShed.Store(time.Now().UnixNano())
 	a.met.admShed.Add(1)
 	switch reason {
@@ -430,6 +407,7 @@ func (a *admission) shedMetrics(tenant, reason string) {
 		a.met.admShedQueue.Add(1)
 	}
 	a.met.admTenantShed.Add(tenant, 1)
+	return &shedError{reason: reason, retry: retry, msg: msg}
 }
 
 // observeWait folds one admission wait into the predicted-vs-actual

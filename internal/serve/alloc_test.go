@@ -12,8 +12,9 @@ import (
 // TestReadAllocBudgets pins the allocations of one GET /v1/query,
 // /v1/region and /v1/hotspots through the whole handler stack (ServeHTTP,
 // mux, admission, cache, encode) into a fresh recorder, on a cached static
-// dataset and on a local stream window. The budgets are the counts the
-// read path last measured; a change may lower them, never raise them.
+// dataset (a point query answered exactly too, from its cached index) and
+// on a local stream window. The budgets are the counts the read path last
+// measured; a change may lower them, never raise them.
 func TestReadAllocBudgets(t *testing.T) {
 	s := New(Config{})
 	ds, _ := s.addDataset(testPoints(500, 7))
@@ -45,12 +46,13 @@ func TestReadAllocBudgets(t *testing.T) {
 		name, url, source string
 		budget            float64
 	}{
-		{"static/query", "/v1/query?" + static + "&x=50&y=40&t=15", "grid", 56},
-		{"static/region", "/v1/region?" + static + "&bx0=3&bx1=31&by0=2&by1=17&bt0=1&bt1=28", "sketch", 60},
-		{"static/hotspots", "/v1/hotspots?" + static + "&k=10", "sketch", 49},
-		{"stream/query", "/v1/query?" + live + "&x=20&y=15&t=8", "stream", 52},
-		{"stream/region", "/v1/region?" + live + "&bx0=3&bx1=11&by0=2&by1=9&bt0=1&bt1=12", "sketch", 55},
-		{"stream/hotspots", "/v1/hotspots?" + live + "&k=10", "sketch", 43},
+		{"static/query", "/v1/query?" + static + "&x=50&y=40&t=15", "grid", 44},
+		{"static/query-exact", "/v1/query?" + static + "&x=50&y=40&t=15&exact=1", "exact", 44},
+		{"static/region", "/v1/region?" + static + "&bx0=3&bx1=31&by0=2&by1=17&bt0=1&bt1=28", "sketch", 44},
+		{"static/hotspots", "/v1/hotspots?" + static + "&k=10", "sketch", 39},
+		{"stream/query", "/v1/query?" + live + "&x=20&y=15&t=8", "stream", 33},
+		{"stream/region", "/v1/region?" + live + "&bx0=3&bx1=11&by0=2&by1=9&bt0=1&bt1=12", "sketch", 35},
+		{"stream/hotspots", "/v1/hotspots?" + live + "&k=10", "sketch", 29},
 	} {
 		body := get(tc.url).Body.Bytes()
 		var answer struct{ Source string }

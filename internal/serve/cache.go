@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/grid"
 )
 
@@ -51,6 +52,30 @@ func (cb cube) bytes() int64 {
 		n += cb.py.Bytes()
 	}
 	return n
+}
+
+// cubeView reads a density cube as a readView: from its pyramid when it
+// has one, else by scanning the grid, always at full coverage.
+type cubeView struct{ cube }
+
+func (v cubeView) Spec() grid.Spec { return v.res.Grid.Spec }
+
+func (v cubeView) AtCov(X, Y, T int) (float64, dist.Coverage, error) {
+	return v.res.Grid.At(X, Y, T), fullCoverage, nil
+}
+
+func (v cubeView) BoxMassCov(b grid.Box) (float64, dist.Coverage, error) {
+	if v.py != nil {
+		return v.py.BoxMass(b), fullCoverage, nil
+	}
+	return v.res.Grid.BoxMass(b), fullCoverage, nil
+}
+
+func (v cubeView) TopKCov(k int) ([]grid.VoxelDensity, dist.Coverage, error) {
+	if v.py != nil {
+		return v.py.TopK(k), fullCoverage, nil
+	}
+	return v.res.Grid.TopK(k), fullCoverage, nil
 }
 
 type cacheEntry struct {

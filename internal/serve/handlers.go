@@ -43,8 +43,19 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// errorJSON is the wire shape of every error answer. A 503 rank refusal
+// adds the rank and protocol phase, a 429 shed its reason, and both the
+// seconds of their Retry-After header.
+type errorJSON struct {
+	Error      string `json:"error"`
+	Phase      string `json:"phase,omitempty"`
+	Rank       *int   `json:"rank,omitempty"`
+	Reason     string `json:"reason,omitempty"`
+	RetryAfter int    `json:"retry_after_s,omitempty"`
+}
+
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+	writeJSON(w, code, errorJSON{Error: fmt.Sprintf(format, args...)})
 }
 
 // writeBodyErr writes a request-body failure: 413 Request Entity Too Large
@@ -65,44 +76,28 @@ func writeWorkErr(w http.ResponseWriter, err error) {
 	var shed *shedError
 	if errors.As(err, &shed) {
 		w.Header().Set("Retry-After", strconv.Itoa(shed.retrySeconds()))
-		writeJSON(w, http.StatusTooManyRequests, map[string]any{
-			"error":         shed.Error(),
-			"reason":        shed.reason,
-			"retry_after_s": shed.retrySeconds(),
+		writeJSON(w, http.StatusTooManyRequests, errorJSON{
+			Error: shed.Error(), Reason: shed.reason, RetryAfter: shed.retrySeconds(),
 		})
 		return
 	}
 	writeErr(w, ensureStatus(err), "%v", err)
 }
 
-// writeRankErr writes a sharded-stream refusal attributed to a rank: 503
-// Service Unavailable with a short Retry-After, because the cluster's
-// health monitor heals failed ranks on its own — the client should retry
-// the same request, not route around it. The rank and protocol phase are
-// surfaced so a multi-rank incident is diagnosable from the response
-// alone. Returns false (writing nothing) when err carries no RankError.
-func writeRankErr(w http.ResponseWriter, err error) bool {
+// writeStreamErr writes a stream-operation failure. A refusal attributed
+// to a rank is 503 Service Unavailable with a short Retry-After, because
+// the cluster's health monitor heals failed ranks on its own — the client
+// should retry the same request, not route around it. The rank and
+// protocol phase are surfaced so a multi-rank incident is diagnosable from
+// the response alone. Anything else gets the given fallback status.
+func writeStreamErr(w http.ResponseWriter, fallback int, err error) {
 	var re *dist.RankError
 	if !errors.As(err, &re) {
-		return false
+		writeErr(w, fallback, "%v", err)
+		return
 	}
 	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-		"error":         err.Error(),
-		"rank":          re.Rank,
-		"phase":         re.Phase,
-		"retry_after_s": 1,
-	})
-	return true
-}
-
-// writeStreamErr routes a stream-operation failure: rank-attributed
-// refusals get the retryable 503 shape, anything else the given fallback
-// status.
-func writeStreamErr(w http.ResponseWriter, fallback int, err error) {
-	if !writeRankErr(w, err) {
-		writeErr(w, fallback, "%v", err)
-	}
+	writeJSON(w, http.StatusServiceUnavailable, errorJSON{Error: err.Error(), Phase: re.Phase, Rank: &re.Rank, RetryAfter: 1})
 }
 
 // admitTenant applies the per-tenant sliding-window rate limits to one
@@ -254,10 +249,10 @@ func (s *Server) resolveKey(datasetID, algorithm string, sres, tres, hs, ht floa
 		d = ds.defaultDomain(hs, ht)
 	}
 	spec, err := grid.NewSpec(d, sres, tres, hs, ht)
-	if err != nil {
-		return estimateKey{}, nil, err
+	if err == nil {
+		err = s.checkGridBytes(spec)
 	}
-	if err := s.checkGridBytes(spec); err != nil {
+	if err != nil {
 		return estimateKey{}, nil, err
 	}
 	// A request matching a stream's creation spec resolves to the live
@@ -376,33 +371,59 @@ func (s *Server) queryParams(q url.Values) (estimateKey, *dataset, error) {
 	return s.resolveKey(q.Get("dataset"), q.Get("algorithm"), sres, tres, hs, ht, dom)
 }
 
-// readPlan is the part of one GET analytics read that differs by
-// endpoint, built by the endpoint from its own parameters; serveRead runs
-// the rest.
+// coverageJSON is the coverage of a window answer's read; cube answers
+// carry none.
+type coverageJSON struct {
+	Coverage float64 `json:"coverage"`
+	Degraded bool    `json:"degraded"`
+}
+
+// readFrom tags an answer with the view serveRead found for it: source
+// names the view ("stream", "sketch" or "grid"), cached reports a cube
+// already resident, and live a stream's window, whose answers carry the
+// coverage of their read.
+type readFrom struct {
+	source       string
+	cached, live bool
+}
+
+// coverage returns an answer's coverage fields for a read at cov: nil,
+// and so absent from the wire, unless the view is a live window.
+func (f readFrom) coverage(cov dist.Coverage) *coverageJSON {
+	if !f.live {
+		return nil
+	}
+	return &coverageJSON{Coverage: cov.Fraction(), Degraded: cov.Degraded()}
+}
+
+// readFunc is one endpoint's read: its typed answer from a view, tagged
+// by from. The answer is void when the error is not nil; a nil answer with
+// a nil error declines (see readWindow).
+type readFunc func(v readView, from readFrom) (any, error)
+
+// readPlan is one GET analytics read as its endpoint parsed it from its
+// own parameters; serveRead runs the rest.
 type readPlan struct {
-	// window reads a stream's live window, under the stream lock, into
-	// the answer's endpoint fields; nil skips the window. It may decline
-	// with a nil answer and a nil error (see readWindow).
-	window func(liveWindow) (map[string]any, dist.Coverage, error)
-	// cube answers a sketch read (region, hotspots) from the dataset's
-	// cube: from its pyramid when py is non-nil, else by the naive scan
-	// of g. A plan without one is a point query, which static answers.
-	cube   func(py *grid.Pyramid, g *grid.Grid) map[string]any
+	read readFunc
+	// window reports whether a stream's live window may answer: always
+	// for a sketch read, for a point query only inside the window.
+	window bool
+	// static answers a point query no window answered (from a resident
+	// cube through read, else exactly); nil for a sketch read (region,
+	// hotspots), which reads the dataset's cube, computing it if absent.
 	static func(ctx context.Context, w http.ResponseWriter)
 }
 
 // serveRead is the one pipeline of the GET analytics endpoints /v1/query,
 // /v1/region and /v1/hotspots: method check, tenant rate limit, spec
-// resolution, the endpoint's own parameters (plan), then the live window
-// when the dataset is a stream whose current window the spec names, then
-// the dataset's grid. A sketch read computes the grid (through the
-// coalescing and pool layers) when it is not resident, and answers from
-// its summed-volume pyramid (source "sketch") unless the pyramid cannot
-// fit the budget, when the naive scan answers (source "grid"). Every
-// window answer carries the coverage of its gather. A sharded window's
-// failure is refused with the attributed rank rather than answered by the
-// grid paths, which would read the coordinator's live list as if coverage
-// were full.
+// resolution, the endpoint's own parameters (plan), then the endpoint's
+// read of the live window (readWindow, which refuses a sharded window's
+// failure with the attributed rank) when the dataset is a stream whose
+// current window the spec names, else of the dataset's cube. A sketch read
+// computes the cube (through the coalescing and pool layers) when it is not
+// resident, and answers from its summed-volume pyramid (source "sketch")
+// unless the pyramid did not fit the budget, when the grid scan answers
+// (source "grid").
 func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, plan func(k estimateKey, q url.Values) (readPlan, error)) {
 	if r.Method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, "use GET")
@@ -422,23 +443,14 @@ func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, plan func(k e
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	sketch := p.cube != nil
-	if st := ds.st; st != nil && p.window != nil {
-		answer, cov, rebuilt, err := s.readWindow(st, k.Spec, sketch, p.window)
+	sketch := p.static == nil
+	if st := ds.st; st != nil && p.window {
+		answer, err := s.readWindow(st, k.Spec, sketch, p.read)
 		if err != nil {
 			writeStreamErr(w, http.StatusServiceUnavailable, err)
 			return
 		}
 		if answer != nil {
-			if sketch {
-				s.met.sketchHits.Add(1)
-				s.met.sketchRebuilds.Add(rebuilt)
-				answer["cached"], answer["source"] = false, "sketch"
-			} else {
-				s.met.streamReads.Add(1)
-				answer["source"] = "stream"
-			}
-			answer["coverage"], answer["degraded"] = cov.Fraction(), cov.Degraded()
 			writeJSON(w, http.StatusOK, answer)
 			return
 		}
@@ -452,21 +464,31 @@ func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, plan func(k e
 		writeWorkErr(w, err)
 		return
 	}
-	answer, source := p.cube(c.py, c.res.Grid), "grid"
+	from := readFrom{source: "grid", cached: cached}
 	if c.py != nil {
-		source = "sketch"
+		from.source = "sketch"
 		s.met.sketchHits.Add(1)
 	}
-	answer["cached"], answer["source"] = cached, source
+	answer, _ := p.read(cubeView{c}, from) // a cube read cannot fail
 	writeJSON(w, http.StatusOK, answer)
 }
 
-// voxelAnswer holds the fields of a point query answered at voxel (X, Y, T).
-func voxelAnswer(spec grid.Spec, X, Y, T int) map[string]any {
-	return map[string]any{
-		"voxel":  [3]int{X, Y, T},
-		"center": [3]float64{spec.CenterX(X), spec.CenterY(Y), spec.CenterT(T)},
-	}
+// queryJSON is the wire shape of a point query answered from a view; a
+// window answer adds its coverage and the window's time range [t0, t1).
+type queryJSON struct {
+	Center [3]float64 `json:"center"`
+	*coverageJSON
+	Density float64     `json:"density"`
+	Source  string      `json:"source"`
+	Voxel   [3]int      `json:"voxel"`
+	Window  *[2]float64 `json:"window,omitempty"`
+}
+
+// exactJSON is the wire shape of a point query answered by the exact
+// evaluator.
+type exactJSON struct {
+	Density float64 `json:"density"`
+	Source  string  `json:"source"`
 }
 
 // handleQuery answers a density query at a continuous (x, y, t) location:
@@ -486,48 +508,49 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				return p, err
 			}
 		}
-		spec, d := k.Spec, k.Spec.Domain
+		d := k.Spec.Domain
 		exact := q.Get("exact") == "1" || q.Get("exact") == "true"
 		// The window's own coverage check: its time range has outrun the
 		// creation domain after advances. Inclusion form, so a NaN
 		// coordinate fails the guard instead of slipping past two exclusion
 		// comparisons (CoversT likewise rejects NaN t).
-		if !exact && at.X >= d.X0 && at.X < d.X0+d.GX && at.Y >= d.Y0 && at.Y < d.Y0+d.GY && spec.CoversT(at.T) {
+		p.window = !exact && at.X >= d.X0 && at.X < d.X0+d.GX && at.Y >= d.Y0 && at.Y < d.Y0+d.GY && k.Spec.CoversT(at.T)
+		p.read = func(v readView, from readFrom) (any, error) {
+			sp := v.Spec()
 			// CoversT holds, so VoxelOf's clamped layer is the true layer.
-			X, Y, T := spec.VoxelOf(at)
-			p.window = func(lw liveWindow) (map[string]any, dist.Coverage, error) {
-				density, cov, err := lw.AtCov(X, Y, T)
-				if err != nil {
-					// A rank refusal (fail-fast policy) is surfaced: the
-					// exact evaluator would serve a full-coverage answer
-					// from the coordinator's log. Anything else leaves the
-					// answer to it.
-					var re *dist.RankError
-					if !errors.As(err, &re) {
-						err = nil
-					}
-					return nil, cov, err
+			X, Y, T := sp.VoxelOf(at)
+			density, cov, err := v.AtCov(X, Y, T)
+			if err != nil {
+				// A rank refusal (fail-fast policy) is surfaced: the exact
+				// evaluator would serve a full-coverage answer from the
+				// coordinator's log. Anything else leaves the answer to it.
+				var re *dist.RankError
+				if !errors.As(err, &re) {
+					err = nil
 				}
-				answer := voxelAnswer(spec, X, Y, T)
-				t0, t1 := lw.Window()
-				answer["density"], answer["window"] = density, [2]float64{t0, t1}
-				return answer, cov, nil
+				return nil, err
 			}
+			a := queryJSON{Center: [3]float64{sp.CenterX(X), sp.CenterY(Y), sp.CenterT(T)},
+				coverageJSON: from.coverage(cov), Density: density, Source: from.source, Voxel: [3]int{X, Y, T}}
+			if from.live {
+				t0 := sp.Domain.T0 + float64(sp.OT)*sp.TRes
+				a.Window = &[2]float64{t0, t0 + float64(sp.Gt)*sp.TRes}
+			}
+			return a, nil
 		}
 		p.static = func(ctx context.Context, w http.ResponseWriter) {
 			// Out-of-domain locations bypass the grid: VoxelOf would clamp
 			// them to an edge voxel and report its (wrong, possibly large)
 			// density, while the exact evaluator correctly decays to zero.
-			// CoversT guards the temporal window separately: an advanced
-			// stream window's cached snapshot no longer covers
-			// creation-domain times the window left behind
-			// (Domain.Contains cannot see the OT frame offset).
-			if !exact && d.Contains(at) && spec.CoversT(at.T) {
+			// The window guard's CoversT still applies: an advanced stream
+			// window's cached snapshot no longer covers creation-domain
+			// times the window left behind (Domain.Contains cannot see the
+			// OT frame offset). Contains adds the domain's own time range,
+			// which a last layer past a ragged GT overruns.
+			if p.window && d.Contains(at) {
 				if c, ok := s.cache.get(k); ok {
 					s.met.cacheHits.Add(1)
-					X, Y, T := spec.VoxelOf(at)
-					answer := voxelAnswer(spec, X, Y, T)
-					answer["density"], answer["source"] = c.res.Grid.At(X, Y, T), "grid"
+					answer, _ := p.read(cubeView{c}, readFrom{source: "grid"})
 					writeJSON(w, http.StatusOK, answer)
 					return
 				}
@@ -538,13 +561,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				writeErr(w, http.StatusBadRequest, "%v", err)
 				return
 			}
-			writeJSON(w, http.StatusOK, map[string]any{
-				"density": idx.At(at.X, at.Y, at.T),
-				"source":  "exact",
-			})
+			writeJSON(w, http.StatusOK, exactJSON{Density: idx.At(at.X, at.Y, at.T), Source: "exact"})
 		}
 		return p, nil
 	})
+}
+
+// regionJSON is the wire shape of a region answer; a window answer adds
+// its coverage.
+type regionJSON struct {
+	Box    [6]int `json:"box"`
+	Cached bool   `json:"cached"`
+	*coverageJSON
+	Mass   float64 `json:"mass"`
+	Source string  `json:"source"`
+	Voxels int     `json:"voxels"`
 }
 
 // handleRegion integrates the density over a voxel box (bx0..bt1, the
@@ -566,28 +597,12 @@ func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		c := box.Clip(k.Spec.Bounds())
-		return readPlan{
-			window: func(lw liveWindow) (map[string]any, dist.Coverage, error) {
-				mass, cov, err := lw.BoxMassCov(box)
-				return regionAnswer(c, mass), cov, err
-			},
-			cube: func(py *grid.Pyramid, g *grid.Grid) map[string]any {
-				if py != nil {
-					return regionAnswer(c, py.BoxMass(box))
-				}
-				return regionAnswer(c, g.BoxMass(box))
-			},
-		}, nil
+		return readPlan{window: true, read: func(v readView, from readFrom) (any, error) {
+			mass, cov, err := v.BoxMassCov(box)
+			return regionJSON{Box: [6]int{c.X0, c.X1, c.Y0, c.Y1, c.T0, c.T1}, Cached: from.cached,
+				coverageJSON: from.coverage(cov), Mass: mass, Source: from.source, Voxels: c.Count()}, err
+		}}, nil
 	})
-}
-
-// regionAnswer holds the fields of a region answer over the clipped box c.
-func regionAnswer(c grid.Box, mass float64) map[string]any {
-	return map[string]any{
-		"mass":   mass,
-		"box":    [6]int{c.X0, c.X1, c.Y0, c.Y1, c.T0, c.T1},
-		"voxels": c.Count(),
-	}
 }
 
 // hotspotJSON is the wire shape of one hotspot voxel.
@@ -597,17 +612,13 @@ type hotspotJSON struct {
 	Density float64    `json:"density"`
 }
 
-// hotspotsAnswer holds the fields of a hotspot answer over spec's grid.
-func hotspotsAnswer(spec grid.Spec, top []grid.VoxelDensity) map[string]any {
-	out := make([]hotspotJSON, 0, len(top))
-	for _, h := range top {
-		out = append(out, hotspotJSON{
-			Voxel:   [3]int{h.X, h.Y, h.T},
-			Center:  [3]float64{spec.CenterX(h.X), spec.CenterY(h.Y), spec.CenterT(h.T)},
-			Density: h.V,
-		})
-	}
-	return map[string]any{"hotspots": out}
+// hotspotsJSON is the wire shape of a hotspot answer; a window answer adds
+// its coverage.
+type hotspotsJSON struct {
+	Cached bool `json:"cached"`
+	*coverageJSON
+	Hotspots []hotspotJSON `json:"hotspots"`
+	Source   string        `json:"source"`
 }
 
 // maxHotspots bounds a hotspot read's k. The selector and the answer grow
@@ -627,18 +638,19 @@ func (s *Server) handleHotspots(w http.ResponseWriter, r *http.Request) {
 				return readPlan{}, fmt.Errorf("bad k=%q: want an integer from 1 to %d", v, maxHotspots)
 			}
 		}
-		return readPlan{
-			window: func(lw liveWindow) (map[string]any, dist.Coverage, error) {
-				top, cov, err := lw.TopKCov(topK)
-				return hotspotsAnswer(lw.Spec(), top), cov, err
-			},
-			cube: func(py *grid.Pyramid, g *grid.Grid) map[string]any {
-				if py != nil {
-					return hotspotsAnswer(g.Spec, py.TopK(topK))
-				}
-				return hotspotsAnswer(g.Spec, g.TopK(topK))
-			},
-		}, nil
+		return readPlan{window: true, read: func(v readView, from readFrom) (any, error) {
+			top, cov, err := v.TopKCov(topK)
+			sp := v.Spec()
+			out := make([]hotspotJSON, 0, len(top))
+			for _, h := range top {
+				out = append(out, hotspotJSON{
+					Voxel:   [3]int{h.X, h.Y, h.T},
+					Center:  [3]float64{sp.CenterX(h.X), sp.CenterY(h.Y), sp.CenterT(h.T)},
+					Density: h.V,
+				})
+			}
+			return hotspotsJSON{Cached: from.cached, coverageJSON: from.coverage(cov), Hotspots: out, Source: from.source}, err
+		}}, nil
 	})
 }
 
@@ -705,11 +717,10 @@ func (s *Server) handleStreams(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		spec, err := grid.NewSpec(req.Domain.domain(), req.SRes, req.TRes, req.HS, req.HT)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
+		if err == nil {
+			err = s.checkGridBytes(spec)
 		}
-		if err := s.checkGridBytes(spec); err != nil {
+		if err != nil {
 			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}

@@ -105,14 +105,8 @@ func (s *Server) startJob(k estimateKey, tenant string) (*job, error) {
 			return nil, err
 		}
 	}
-	s.mu.Lock()
-	closed := s.closed
-	if !closed {
-		s.wg.Add(1)
-	}
-	s.mu.Unlock()
-	if closed {
-		return nil, errShuttingDown
+	if err := s.enter(); err != nil {
+		return nil, err
 	}
 	j := &job{id: id, key: k, tenant: tenant, state: jobRunning}
 	s.jobs.insert(j)
@@ -139,22 +133,18 @@ func (s *Server) runJob(j *job) {
 	j.state = jobDone
 	j.cacheHit = cached
 	j.seconds = c.res.Phases.Total().Seconds()
-	// The completion summary (peak voxel, total mass) is answered from the
-	// cube's analytics pyramid, built with the cube (one parallel O(G)
-	// pass, no more than the two naive scans it replaces) and left resident
-	// for the region/hotspot queries that typically follow a job. The
-	// naive scans answer when the pyramid did not fit the budget.
-	bounds := c.res.Grid.Spec.Bounds()
+	// The completion summary (peak voxel, total mass) is a region and a
+	// hotspot read of the cube's view: from its analytics pyramid, built
+	// with the cube (one parallel O(G) pass, no more than the two naive
+	// scans it replaces) and left resident for the region/hotspot queries
+	// that typically follow a job, else by the naive scans.
+	v := cubeView{c}
+	j.mass, _, _ = v.BoxMassCov(c.res.Grid.Spec.Bounds())
+	if top, _, _ := v.TopKCov(1); len(top) == 1 {
+		j.peak, j.peakVox = top[0].V, [3]int{top[0].X, top[0].Y, top[0].T}
+	}
 	if c.py != nil {
-		j.mass = c.py.BoxMass(bounds)
-		if top := c.py.TopK(1); len(top) == 1 {
-			j.peak, j.peakVox = top[0].V, [3]int{top[0].X, top[0].Y, top[0].T}
-		}
 		s.met.sketchHits.Add(1)
-	} else {
-		v, X, Y, T := c.res.Grid.Max()
-		j.peak, j.peakVox = v, [3]int{X, Y, T}
-		j.mass = c.res.Grid.BoxMass(bounds)
 	}
 	s.met.jobsDone.Add(1)
 }

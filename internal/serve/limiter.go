@@ -72,11 +72,7 @@ type ringWindow struct {
 }
 
 func newRingWindow(rw RateWindow) ringWindow {
-	b := rw.Per.Nanoseconds() / rateBuckets
-	if b < 1 {
-		b = 1
-	}
-	return ringWindow{limit: rw.Limit, bucket: b}
+	return ringWindow{limit: rw.Limit, bucket: max(1, rw.Per.Nanoseconds()/rateBuckets)}
 }
 
 // sync rolls the ring forward to the bucket containing now, expiring

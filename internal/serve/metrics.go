@@ -205,9 +205,5 @@ func (h *latencyHist) quantile(q float64) float64 {
 		return 0
 	}
 	sort.Float64s(sorted)
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return sorted[i]
+	return sorted[max(0, int(math.Ceil(q*float64(len(sorted))))-1)]
 }

@@ -76,15 +76,11 @@ func boundsOf(pts []grid.Point) [2]grid.Point {
 		{X: math.Inf(-1), Y: math.Inf(-1), T: math.Inf(-1)},
 	}
 	for _, p := range pts {
-		expandBounds(&b, p)
+		b[0].X, b[1].X = math.Min(b[0].X, p.X), math.Max(b[1].X, p.X)
+		b[0].Y, b[1].Y = math.Min(b[0].Y, p.Y), math.Max(b[1].Y, p.Y)
+		b[0].T, b[1].T = math.Min(b[0].T, p.T), math.Max(b[1].T, p.T)
 	}
 	return b
-}
-
-func expandBounds(b *[2]grid.Point, p grid.Point) {
-	b[0].X, b[1].X = math.Min(b[0].X, p.X), math.Max(b[1].X, p.X)
-	b[0].Y, b[1].Y = math.Min(b[0].Y, p.Y), math.Max(b[1].Y, p.Y)
-	b[0].T, b[1].T = math.Min(b[0].T, p.T), math.Max(b[1].T, p.T)
 }
 
 // registry is the server's one table of datasets: the content-addressed

@@ -415,6 +415,19 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // errShuttingDown rejects new estimation work once Shutdown has begun.
 var errShuttingDown = fmt.Errorf("serve: shutting down, not accepting new estimations")
 
+// enter admits one unit of estimation work to the drain group Shutdown
+// waits for (the caller runs s.wg.Done when it ends), or refuses it with
+// errShuttingDown once Shutdown has begun.
+func (s *Server) enter() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return errShuttingDown
+	}
+	s.wg.Add(1)
+	return nil
+}
+
 // ensureGrid returns the cached density cube for the key, computing (and
 // caching) it if absent. Concurrent calls for the same key coalesce into a
 // single estimation; distinct keys run concurrently, bounded by the
@@ -432,13 +445,9 @@ func (s *Server) ensureGrid(ctx context.Context, k estimateKey, tenant string, p
 	}
 	s.met.cacheMisses.Add(1)
 	if !preAdmitted {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return cube{}, false, errShuttingDown
+		if err := s.enter(); err != nil {
+			return cube{}, false, err
 		}
-		s.wg.Add(1)
-		s.mu.Unlock()
 		defer s.wg.Done()
 	}
 	admit := func() (func(), error) {

@@ -12,23 +12,30 @@ import (
 	"repro/internal/wal"
 )
 
+// readView is what a GET analytics read answers from: a stream's live
+// window, or a resident cube (cubeView). Every read reports the coverage
+// that produced it: how many of the view's ranks contributed, one of one
+// for anything held in this process.
+type readView interface {
+	Spec() grid.Spec
+	AtCov(X, Y, T int) (float64, dist.Coverage, error)
+	BoxMassCov(b grid.Box) (float64, dist.Coverage, error)
+	TopKCov(k int) ([]grid.VoxelDensity, dist.Coverage, error)
+}
+
 // liveWindow is the sliding-window estimator behind a stream: either a
 // local core.Updater ring, or a dist.StreamGroup sharding the window
 // across a rank cluster when the server was configured with shard peers.
 // The two expose one contract, so every stream operation — ingest,
-// advance, voxel reads, sketch analytics, snapshots — is written once.
-// Every read reports the coverage that produced it: how many of the
-// window's ranks contributed, always one of one for a local window.
+// advance, snapshots — is written once, and its reads are a readView the
+// GET endpoints share with cached cubes.
 type liveWindow interface {
-	Spec() grid.Spec
+	readView
 	Window() (t0, t1 float64)
 	N() int
 	Live() []grid.Point
 	Add(pts ...grid.Point) error
 	AdvanceTo(t float64) (advanced, expired int, err error)
-	AtCov(X, Y, T int) (float64, dist.Coverage, error)
-	BoxMassCov(b grid.Box) (float64, dist.Coverage, error)
-	TopKCov(k int) ([]grid.VoxelDensity, dist.Coverage, error)
 	Snapshot(b *grid.Budget) (*grid.Grid, error)
 	SketchRebuilds() int64
 	Release()
@@ -116,12 +123,14 @@ func (st *stream) resolve(req grid.Spec) (grid.Spec, int64) {
 	return req, st.ds.ver()
 }
 
-// readWindow runs one read on a stream's live window under st.mu, the lock
-// every mutation holds, so the answer is exactly consistent with the events
-// ingested so far — provided spec still names the window's current
-// position. It is the one locked read behind /v1/query, /v1/region and
-// /v1/hotspots, and reports the coverage of the read and the sketch blocks
-// it rebuilt. A sketch read (region, hotspots) is also timed as a shard
+// readWindow answers one GET analytics read from a stream's live window
+// under st.mu, the lock every mutation holds, so the answer is exactly
+// consistent with the events ingested so far — provided spec still names
+// the window's current position. It is the one locked read behind
+// /v1/query, /v1/region and /v1/hotspots: it tags the answer as a window
+// answer (source "sketch" for a sketch read, region and hotspots, else
+// "stream"), which carries the coverage of the read, and counts the read
+// and the sketch blocks it rebuilt. A sketch read is also timed as a shard
 // gather. Under the partial gather policy a down rank only lowers the
 // coverage.
 //
@@ -131,18 +140,20 @@ func (st *stream) resolve(req grid.Spec) (grid.Spec, int64) {
 // every evictable cached cube evicted. A sharded window's error is
 // returned, for the caller to surface: the fallbacks would answer from the
 // coordinator's live list as if coverage were full.
-func (s *Server) readWindow(st *stream, spec grid.Spec, sketch bool, read func(liveWindow) (map[string]any, dist.Coverage, error)) (answer map[string]any, cov dist.Coverage, rebuilt int64, err error) {
+func (s *Server) readWindow(st *stream, spec grid.Spec, sketch bool, read readFunc) (answer any, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.deleted || spec != st.up.Spec() {
-		return nil, cov, 0, nil
+		return nil, nil
 	}
+	from := readFrom{source: "stream", live: true}
 	if sketch {
+		from.source = "sketch"
 		defer s.observeShardGather(st)()
 	}
 	before := st.up.SketchRebuilds()
 	run := func() error {
-		answer, cov, err = read(st.up)
+		answer, err = read(st.up, from)
 		return err
 	}
 	if st.sharded {
@@ -150,14 +161,19 @@ func (s *Server) readWindow(st *stream, spec grid.Spec, sketch bool, read func(l
 	} else { // a local ring's lazy sketch is charged to the cache budget
 		err = s.charge(grid.RingSketchBytes(spec), run)
 	}
-	switch {
-	case err == nil:
-		return answer, cov, st.up.SketchRebuilds() - before, nil
-	case st.sharded:
-		return nil, cov, 0, err
-	default: // a local ring sketch that does not fit even after eviction
-		return nil, cov, 0, nil
+	if err != nil && st.sharded {
+		return nil, err
 	}
+	if err != nil || answer == nil { // a local ring sketch that does not fit even after eviction, or a declined read
+		return nil, nil
+	}
+	if sketch {
+		s.met.sketchHits.Add(1)
+		s.met.sketchRebuilds.Add(st.up.SketchRebuilds() - before)
+	} else {
+		s.met.streamReads.Add(1)
+	}
+	return answer, nil
 }
 
 // observeShardGather times one cross-shard gather (a sketch merge or a

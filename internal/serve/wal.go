@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/dist"
@@ -60,13 +62,6 @@ func (c *WALConfig) every() int {
 	return c.SnapshotEvery
 }
 
-func (c *WALConfig) options() wal.Options {
-	return wal.Options{
-		SegmentBytes: c.SegmentBytes,
-		Sync:         c.Sync,
-	}
-}
-
 // streamJournal pairs a live stream with its on-disk journal. The append
 // path runs under st.mu (ordering journal records exactly like the
 // mutations they describe); since counts records toward the next
@@ -82,11 +77,12 @@ type streamJournal struct {
 
 // openJournal opens (or creates) the journal directory for stream id.
 func (s *Server) openJournal(id string) (*streamJournal, wal.Recovered, error) {
-	l, rec, err := wal.Open(filepath.Join(s.cfg.WAL.Dir, id), s.cfg.WAL.options())
+	c := s.cfg.WAL
+	l, rec, err := wal.Open(filepath.Join(c.Dir, id), wal.Options{SegmentBytes: c.SegmentBytes, Sync: c.Sync})
 	if err != nil {
 		return nil, wal.Recovered{}, err
 	}
-	return &streamJournal{log: l, every: s.cfg.WAL.every()}, rec, nil
+	return &streamJournal{log: l, every: c.every()}, rec, nil
 }
 
 // journalAppend journals one mutation record. Callers hold st.mu, so
@@ -319,22 +315,6 @@ func (s *Server) recoverStream(id string, jr *streamJournal, rec wal.Recovered) 
 // parseStreamID parses the "s%016x" stream-id shape, reporting whether
 // the name is one.
 func parseStreamID(id string) (int64, bool) {
-	if len(id) != 17 || id[0] != 's' {
-		return 0, false
-	}
-	var v uint64
-	for i := 1; i < len(id); i++ {
-		c := id[i]
-		var d uint64
-		switch {
-		case c >= '0' && c <= '9':
-			d = uint64(c - '0')
-		case c >= 'a' && c <= 'f':
-			d = uint64(c-'a') + 10
-		default:
-			return 0, false
-		}
-		v = v<<4 | d
-	}
-	return int64(v), true
+	v, err := strconv.ParseUint(strings.TrimPrefix(id, "s"), 16, 64)
+	return int64(v), err == nil && id == fmt.Sprintf("s%016x", v)
 }
